@@ -200,6 +200,7 @@ func (s *System) runDistributed(p *Program, t *machine.IPCTransport) (Run, error
 		run.Elapsed = run.MachineElapsed
 	}
 	run.Links = s.linkCensus()
+	run.Exec = t.ExecStats()
 	s.runs.Add(1)
 	return run, nil
 }

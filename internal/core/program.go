@@ -60,6 +60,11 @@ type Run struct {
 	// Links is the run's inter-node link census on federating
 	// transports, nil otherwise.
 	Links *LinkCensus
+	// Exec is the ipc execution plane's own account of a run whose ranks
+	// executed inside the workers — stall reports, candidate cuts, probe
+	// rounds, per-node peer frames and flushes — nil otherwise. It
+	// describes the host, not the program: CompareRuns ignores it.
+	Exec *machine.ExecStats
 }
 
 // LinkCensus is the per-directed-link message and byte counts of one run

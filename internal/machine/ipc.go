@@ -2,10 +2,8 @@ package machine
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"os"
@@ -13,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,8 +36,9 @@ type stallRechecker interface {
 	RecheckStall()
 }
 
-// Worker probe-ack status flags (the Tag field of a wire.KindProbeAck
-// frame) and the distinguished abort sequence of the execution protocol.
+// Worker status flags (the first word of a stall-plane state; see
+// nodeReport) and the distinguished abort sequence of the execution
+// protocol.
 const (
 	probeStalled       uint64 = 1 << 0 // every live local rank blocked, no pending message matches
 	probeFinished      uint64 = 1 << 1 // every local rank finished; results streamed or streaming
@@ -103,11 +103,12 @@ type IPCTransport struct {
 	// the read loops and the watcher. execClean records that the previous
 	// distributed run completed cleanly and nothing touched the transport
 	// since — the precondition for folding the next run's fence into its
-	// spec broadcast (see fastFence).
+	// spec broadcast (see fence).
 	runMu     sync.Mutex
 	execGen   uint64
 	exec      atomic.Pointer[execRun]
 	execClean atomic.Bool
+	lastExec  atomic.Pointer[ExecStats]
 
 	// pmu guards the ack/fence/liveness fields of every ipcConn and pairs
 	// with pcond for the probe and reset fence waits.
@@ -123,7 +124,7 @@ type IPCTransport struct {
 	snap1      []uint64 // probe snapshot scratch
 	snap2      []uint64
 
-	watch  chan struct{} // reader -> watcher: in-flight count hit zero
+	watch  chan struct{} // reader -> watcher: in-flight count hit zero (relay), reports form a candidate cut (exec)
 	stopc  chan struct{}
 	closed atomic.Bool
 	wg     sync.WaitGroup // readers + watcher
@@ -141,9 +142,10 @@ type ipcConn struct {
 	// wmu serializes frame writes; sent is the per-socket Data sequence
 	// (incremented under wmu, read atomically by the in-flight check) and
 	// delivered counts frames this worker originated that the coordinator
-	// has fully absorbed — Deliver frames inserted into mailboxes in relay
-	// mode, worker Data frames routed onward in execution mode
-	// (incremented by the reader). Data writes go through the buffered
+	// has fully absorbed — Deliver frames inserted into mailboxes
+	// (incremented by the reader). Both count relay-mode traffic: in
+	// execution mode Data frames travel worker to worker and these stay
+	// zero. Data writes go through the buffered
 	// writer bw without flushing: each write kicks the connection's flusher
 	// goroutine (fch), which flushes whatever accumulated once it gets the
 	// CPU — so a burst of small Data frames coalesces into one socket write
@@ -161,12 +163,12 @@ type ipcConn struct {
 	delivered atomic.Uint64
 
 	// Guarded by the transport's pmu.
-	ackEpoch uint64 // latest probe epoch acknowledged
-	ackRecv  uint64 // worker's received-frame counter at that epoch
-	ackFwd   uint64 // worker's forwarded-frame counter at that epoch
-	ackFlags uint64 // worker's run status flags at that epoch (probeStalled/probeFinished)
-	resetAck uint64 // latest reset generation acknowledged
-	dead     bool   // socket lost; skip fences, fail probes
+	ackEpoch uint64     // latest probe epoch acknowledged
+	ackRecv  uint64     // worker's received-frame counter at that epoch
+	ackFwd   uint64     // worker's forwarded-frame counter at that epoch
+	ack      nodeReport // worker's stall-plane state at that epoch (execution mode)
+	resetAck uint64     // latest reset generation acknowledged
+	dead     bool       // socket lost; skip fences, fail probes
 }
 
 // writeData writes one Data frame, stamping the per-socket sequence under
@@ -359,6 +361,14 @@ func (t *IPCTransport) acquire(n int) []float64 {
 	return make([]float64, n)
 }
 
+// release recycles a payload buffer (an encoded send's, a decoded control
+// frame's) through the machine pool when bound.
+func (t *IPCTransport) release(p []float64) {
+	if t.pool != nil && p != nil {
+		t.pool.releasePooled(p)
+	}
+}
+
 // deliverLocal places a message in dst's mailbox and wakes dst if it is
 // waiting for exactly this stream — the same delivery step as
 // SharedTransport.Send, shared by the intra-node fast path and the reader
@@ -416,9 +426,7 @@ func (t *IPCTransport) Send(src, dst int, tag Tag, data []float64, arrival float
 		}
 		return
 	}
-	if t.pool != nil && data != nil {
-		t.pool.releasePooled(data)
-	}
+	t.release(data)
 }
 
 // Recv blocks the calling endpoint until a message matching (src, tag) is
@@ -504,75 +512,53 @@ func (t *IPCTransport) announceBarrier(gen uint64) {
 // in the pipeline and the counters on both sides restart aligned.
 func (t *IPCTransport) Reset() {
 	t.execClean.Store(false)
+	t.fence(true)
+}
+
+// fence rewinds both sides' frame counters and clears the local state.
+// With roundTrip it is the Reset exchange above. Without, it is the fast
+// fence for back-to-back distributed runs: when the previous run completed
+// cleanly (execClean), every coordinator socket is provably drained — each
+// worker wrote nothing after its last RankResult, which the coordinator has
+// read, and the coordinator wrote nothing since — so the counters can
+// rewind without the exchange. The workers rewind theirs on receiving the
+// RunSpec itself (the spec FIFO-follows any residue, so the cuts align),
+// and the worker-side fence duties (ending the previous run, taking its
+// transport down) move into the RunSpec handler too. The peer sockets are
+// never fenced: frames of an older generation die at the receiver's
+// generation check.
+func (t *IPCTransport) fence(roundTrip bool) {
 	if t.started.Load() {
 		t.probeMu.Lock() // exclude stall probes while counters rewind
-		t.resetGen++
-		gen := t.resetGen
-		f := wire.Frame{Kind: wire.KindReset, Seq: gen}
-		for _, cn := range t.conns {
-			t.pmu.Lock()
-			dead := cn.dead
-			t.pmu.Unlock()
-			if dead {
-				continue
-			}
-			if err := cn.writeCtrl(&f, 0); err != nil && !t.closed.Load() {
-				t.workerFailed(cn, fmt.Errorf("reset fence to node %d: %w", cn.node, err))
+		if roundTrip {
+			t.resetGen++
+			f := wire.Frame{Kind: wire.KindReset, Seq: t.resetGen}
+			for _, cn := range t.conns {
+				t.pmu.Lock()
+				dead := cn.dead
+				t.pmu.Unlock()
+				if dead {
+					continue
+				}
+				if err := cn.writeCtrl(&f, 0); err != nil && !t.closed.Load() {
+					t.workerFailed(cn, fmt.Errorf("reset fence to node %d: %w", cn.node, err))
+				}
 			}
 		}
 		t.pmu.Lock()
 		for _, cn := range t.conns {
-			for cn.resetAck < gen && !cn.dead && !t.closed.Load() {
+			for roundTrip && cn.resetAck < t.resetGen && !cn.dead && !t.closed.Load() {
 				t.pcond.Wait()
 			}
 		}
 		for _, cn := range t.conns {
 			cn.sent.Store(0)
 			cn.delivered.Store(0)
-			cn.ackEpoch, cn.ackRecv, cn.ackFwd, cn.ackFlags = 0, 0, 0, 0
+			cn.ackEpoch, cn.ackRecv, cn.ackFwd, cn.ack = 0, 0, 0, nodeReport{}
 		}
 		t.pmu.Unlock()
 		t.probeMu.Unlock()
 	}
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.mu.Lock()
-		mb.reset()
-		mb.mu.Unlock()
-	}
-	for i := range t.links {
-		l := &t.links[i]
-		l.mu.Lock()
-		l.msgs = 0
-		l.bytes = 0
-		l.mu.Unlock()
-	}
-	t.bar.reset()
-	t.down.Store(false)
-	t.reasonMu.Lock()
-	t.reason = nil
-	t.reasonMu.Unlock()
-}
-
-// fastFence is the no-round-trip fence for back-to-back distributed runs:
-// when the previous run completed cleanly (execClean), every socket is
-// provably drained — each worker wrote nothing after its last RankResult,
-// which the coordinator has read, and the coordinator routed nothing since
-// — so both sides' frame counters can rewind without the Reset exchange.
-// The workers rewind theirs on receiving the RunSpec itself (the spec
-// FIFO-follows any residue, so the cuts align), and the worker-side fence
-// duties (ending the previous run, taking its transport down) move into
-// the RunSpec handler too. Callers hold runMu.
-func (t *IPCTransport) fastFence() {
-	t.probeMu.Lock()
-	t.pmu.Lock()
-	for _, cn := range t.conns {
-		cn.sent.Store(0)
-		cn.delivered.Store(0)
-		cn.ackEpoch, cn.ackRecv, cn.ackFwd, cn.ackFlags = 0, 0, 0, 0
-	}
-	t.pmu.Unlock()
-	t.probeMu.Unlock()
 	for i := range t.boxes {
 		mb := &t.boxes[i]
 		mb.mu.Lock()
@@ -693,15 +679,11 @@ func (t *IPCTransport) stalledCheck(declare bool) bool {
 	return t.localStall(declare)
 }
 
-// probeSnapshot runs one probe round: a Probe frame to every worker, a wait
-// for every acknowledgement, then a counter cut appended to dst — per
-// worker, the socket's sent/delivered counters, the worker's
-// received/forwarded counters and its run status flags (five values per
-// connection; see execProbe for how the flags decide the distributed
-// verdict). ok is false when the cut is not quiescent
-// (some frame was in flight at ack time) or when a worker is unreachable,
-// the transport went down, or it was closed. Callers hold probeMu.
-func (t *IPCTransport) probeSnapshot(dst []uint64) ([]uint64, bool) {
+// probeRound sends a Probe frame to every worker and waits for every
+// acknowledgement; on true each connection's ack fields (under pmu) are
+// from this round. False when a worker is unreachable, the transport went
+// down, or it was closed. Callers hold probeMu.
+func (t *IPCTransport) probeRound() bool {
 	t.probeEpoch++
 	epoch := t.probeEpoch
 	f := wire.Frame{Kind: wire.KindProbe, Seq: epoch}
@@ -710,30 +692,45 @@ func (t *IPCTransport) probeSnapshot(dst []uint64) ([]uint64, bool) {
 		dead := cn.dead
 		t.pmu.Unlock()
 		if dead {
-			return dst, false
+			return false
 		}
 		if err := cn.writeCtrl(&f, 0); err != nil {
 			if !t.closed.Load() {
 				t.workerFailed(cn, fmt.Errorf("stall probe to node %d: %w", cn.node, err))
 			}
-			return dst, false
+			return false
 		}
 	}
-	quiescent := true
 	t.pmu.Lock()
+	defer t.pmu.Unlock()
 	for _, cn := range t.conns {
 		for cn.ackEpoch < epoch && !cn.dead && !t.closed.Load() && !t.down.Load() {
 			t.pcond.Wait()
 		}
 		if cn.dead || t.closed.Load() || t.down.Load() {
-			t.pmu.Unlock()
-			return dst, false
+			return false
 		}
+	}
+	return true
+}
+
+// probeSnapshot is one relay-mode probe round plus a counter cut appended
+// to dst — per worker, the socket's sent/delivered counters and the
+// worker's received/forwarded counters. ok is false when the round failed
+// or the cut is not quiescent (some frame was in flight at ack time).
+// Callers hold probeMu.
+func (t *IPCTransport) probeSnapshot(dst []uint64) ([]uint64, bool) {
+	if !t.probeRound() {
+		return dst, false
+	}
+	quiescent := true
+	t.pmu.Lock()
+	for _, cn := range t.conns {
 		sent, delivered := cn.sent.Load(), cn.delivered.Load()
 		if sent != cn.ackRecv || delivered != cn.ackFwd {
 			quiescent = false
 		}
-		dst = append(dst, sent, delivered, cn.ackRecv, cn.ackFwd, cn.ackFlags)
+		dst = append(dst, sent, delivered, cn.ackRecv, cn.ackFwd)
 	}
 	t.pmu.Unlock()
 	return dst, quiescent
@@ -818,12 +815,20 @@ func (t *IPCTransport) ensureStarted() error {
 	return t.startErr
 }
 
+// ipcStartTimeout bounds the fleet handshake: the coordinator's accepts and
+// Hello reads, and each worker's peer-table read, dials and accepts.
+const ipcStartTimeout = 30 * time.Second
+
+type deadliner interface{ SetDeadline(time.Time) error }
+
 // start launches one worker per node and wires up the sockets: a listener
 // in a private temp directory (UDS, falling back to TCP loopback), a
 // re-exec of the current binary per node with the coordinates in the
 // environment, then an accept/Hello handshake mapping connections to
-// nodes. On success it starts the per-connection readers and the stall
-// watcher; on any failure it tears everything down and reports.
+// nodes (and, in an exec-armed binary, handing every worker the table of
+// peer addresses it builds the data mesh from). On success it starts the
+// per-connection readers and the stall watcher; on any failure it tears
+// everything down and reports.
 func (t *IPCTransport) start() (err error) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -917,9 +922,9 @@ func (t *IPCTransport) start() (err error) {
 			cmd.Wait()
 		}()
 	}
-	deadline := time.Now().Add(30 * time.Second)
+	deadline := time.Now().Add(ipcStartTimeout)
+	peers := make([]string, t.nnodes)
 	for i := 0; i < t.nnodes; i++ {
-		type deadliner interface{ SetDeadline(time.Time) error }
 		if d, ok := ln.(deadliner); ok {
 			d.SetDeadline(deadline)
 		}
@@ -941,8 +946,23 @@ func (t *IPCTransport) start() (err error) {
 			return fail(fmt.Errorf("worker handshake: bad or duplicate node %d", node))
 		}
 		t.conns[node] = &ipcConn{node: node, c: c, bw: bufio.NewWriterSize(c, 1<<16), fch: make(chan struct{}, 1)}
+		addr, _ := wire.UnpackBytes(hello.Payload, int(hello.A))
+		peers[node] = string(addr)
 	}
 	ln.Close() // all workers connected; nothing else may dial in
+	if WorkerExecEnabled() {
+		// Exec-capable workers announced the address they listen on for
+		// each other; answer every Hello with the whole table, and they
+		// wire up the data mesh among themselves (see ipc_exec.go).
+		table := []byte(strings.Join(peers, "\n"))
+		f := wire.Frame{Kind: wire.KindHello, Seq: uint64(t.nnodes), A: uint64(len(table)), Payload: wire.PackBytes(table)}
+		var scratch []byte
+		for _, cn := range t.conns {
+			if err := wire.WriteFrame(cn.c, &scratch, &f); err != nil {
+				return fail(fmt.Errorf("peer table to node %d: %w", cn.node, err))
+			}
+		}
+	}
 	for _, cn := range t.conns {
 		t.wg.Add(2)
 		go t.readLoop(cn)
@@ -955,108 +975,44 @@ func (t *IPCTransport) start() (err error) {
 
 // readLoop drains one worker's socket. Relay mode: Deliver frames complete
 // inter-node message crossings into the local mailboxes. Execution mode:
-// Data frames are worker-originated inter-node sends routed onward to the
-// destination node's socket — the coordinator never opens their payloads,
-// and never even decodes them: the routing fields live at fixed header
-// offsets, so the raw body is forwarded as read, with only the per-socket
-// sequence restamped in place (the same pass-through idiom the relay
-// worker uses for the reflected direction). Control frames —
-// RunAck/RankResult/StallHint/Barrier driving the in-flight execRun,
-// ProbeAck and ResetAck feeding the waiters under pmu — are rare enough to
-// pay for a full decode. It never evaluates the stall condition itself — a
-// reader blocked in a stall check could not drain the very acks the
-// check's probe waits for — delegating re-checks to the watcher.
+// control frames only — RunAck/RankResult/StallHint/Barrier driving the
+// in-flight execRun — since the workers exchange Data frames among
+// themselves; a Data frame here is a protocol violation. ProbeAck and
+// ResetAck feed the waiters under pmu in both modes. It never evaluates
+// the stall condition itself — a reader blocked in a stall check could not
+// drain the very acks the check's probe waits for — delegating re-checks to
+// the watcher.
 func (t *IPCTransport) readLoop(cn *ipcConn) {
 	defer t.wg.Done()
 	br := bufio.NewReaderSize(cn.c, 1<<16)
-	var prefix [4]byte
-	var body, rbuf []byte
+	var scratch []byte
 	var f wire.Frame
-	release := func(p []float64) {
-		if t.pool != nil && p != nil {
-			t.pool.releasePooled(p)
-		}
-	}
 	for {
-		if _, err := io.ReadFull(br, prefix[:]); err != nil {
+		if err := wire.ReadFrame(br, &f, &scratch, t.acquire); err != nil {
 			if !t.closed.Load() {
 				t.workerFailed(cn, err)
 			}
 			return
 		}
-		n := binary.LittleEndian.Uint32(prefix[:])
-		if n < wire.HeaderLen || n > wire.MaxBody {
-			t.workerFailed(cn, fmt.Errorf("frame body of %d bytes out of range from node %d", n, cn.node))
-			return
-		}
-		if cap(body) < int(n) {
-			body = make([]byte, n)
-		}
-		b := body[:n]
-		if _, err := io.ReadFull(br, b); err != nil {
-			if !t.closed.Load() {
-				t.workerFailed(cn, fmt.Errorf("%w: connection closed inside frame body", wire.ErrTruncated))
+		var er *execRun
+		switch f.Kind {
+		case wire.KindRunAck, wire.KindRankResult, wire.KindStallHint, wire.KindBarrier:
+			// Run-protocol frames name their run generation (Barrier in A);
+			// stragglers from a fenced or abandoned run drain silently.
+			gen := f.Seq
+			if f.Kind == wire.KindBarrier {
+				gen = f.A
 			}
-			return
-		}
-		if wire.Kind(b[0]) == wire.KindData {
-			// A worker rank's inter-node send (execution mode): route it to
-			// the destination node without decoding. Stale generations drain
-			// silently — a run one node rejected leaves the other nodes
-			// executing (and emitting) until the next spec or reset fences
-			// them, so an off-generation frame is expected traffic, not a
-			// protocol violation.
-			er := t.exec.Load()
-			if er == nil || binary.LittleEndian.Uint64(b[25:33]) != er.gen {
+			if er = t.exec.Load(); er == nil || gen != er.gen {
+				t.release(f.Payload)
 				continue
 			}
-			src := int(int32(binary.LittleEndian.Uint32(b[1:5])))
-			dst := int(int32(binary.LittleEndian.Uint32(b[5:9])))
-			if src < 0 || src >= t.n || src/t.perNode != cn.node || dst < 0 || dst >= t.n || dst/t.perNode == cn.node {
-				t.workerFailed(cn, fmt.Errorf("misrouted data frame (src=%d, dst=%d) from node %d", src, dst, cn.node))
-				return
-			}
-			// Per-link traffic accounting stays message-exact without a
-			// payload walk: a routed frame carries its message count in B
-			// and the messages' summed payload bytes in Tag (see the
-			// worker's pendBatch).
-			dn := dst / t.perNode
-			l := &t.links[cn.node*t.nnodes+dn]
-			l.mu.Lock()
-			l.msgs += int64(binary.LittleEndian.Uint64(b[33:41]))
-			l.bytes += int64(binary.LittleEndian.Uint64(b[9:17]))
-			l.mu.Unlock()
-			cnDst := t.conns[dn]
-			cnDst.wmu.Lock()
-			binary.LittleEndian.PutUint64(b[17:25], cnDst.sent.Add(1))
-			_, err1 := cnDst.bw.Write(prefix[:])
-			_, err2 := cnDst.bw.Write(b)
-			cnDst.dirty = true
-			cnDst.kick()
-			cnDst.wmu.Unlock()
-			// Count the frame absorbed only after the onward write holds
-			// its sequence slot: quiescence must never be observable with
-			// the routing half-done.
-			cn.delivered.Add(1)
-			if err1 == nil {
-				err1 = err2
-			}
-			if err1 != nil && !t.closed.Load() {
-				t.workerFailed(cnDst, fmt.Errorf("route to node %d: %w", dn, err1))
-				return
-			}
-			continue
 		}
-		rbuf = append(append(rbuf[:0], prefix[:]...), b...)
-		if _, err := wire.DecodeFrame(rbuf, &f, t.acquire); err != nil {
-			if !t.closed.Load() {
-				t.workerFailed(cn, err)
-			}
-			return
-		}
+		var err error
 		switch f.Kind {
 		case wire.KindDeliver:
 			t.deliverLocal(int(f.Src), int(f.Dst), Tag(f.Tag), f.Payload, f.Arrival)
+			f.Payload = nil // the mailbox owns it now
 			cn.delivered.Add(1)
 			if t.inFlight() == 0 {
 				// The pipeline just drained: whoever ran a stall check
@@ -1070,103 +1026,32 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 		case wire.KindRunAck:
 			// Only rejections are acked; a worker that accepts a spec goes
 			// straight to executing it.
-			er := t.exec.Load()
-			if er == nil || f.Seq != er.gen || f.A == 0 {
-				release(f.Payload)
-				break // straggler from a fenced run
+			if f.A != 0 {
+				text, _ := wire.UnpackBytes(f.Payload, int(f.B))
+				er.failWith(fmt.Errorf("machine: ipc node %d rejected run spec: %s", cn.node, text))
 			}
-			text, _ := wire.UnpackBytes(f.Payload, int(f.B))
-			release(f.Payload)
-			er.failWith(fmt.Errorf("machine: ipc node %d rejected run spec: %s", cn.node, text))
 		case wire.KindRankResult:
-			er := t.exec.Load()
-			if er == nil || f.Seq != er.gen {
-				release(f.Payload)
-				break // straggler from a fenced or abandoned run
-			}
-			// One frame carries all (or a maxResultBatchWords-bounded span
-			// of) the node's rank records; see executeRun for the layout.
-			p := f.Payload
-			complete := false
-			er.mu.Lock()
-			for rec := uint64(0); rec < f.A; rec++ {
-				if len(p) < 4 {
-					er.mu.Unlock()
-					release(f.Payload)
-					t.workerFailed(cn, fmt.Errorf("rank result batch truncated (node %d)", cn.node))
-					return
-				}
-				rank := int(int64(math.Float64bits(p[0])))
-				errClass := math.Float64bits(p[1])
-				errLen := math.Float64bits(p[2])
-				plen := math.Float64bits(p[3])
-				errWords := (errLen + 7) / 8
-				if plen > uint64(len(p)-4) || errWords > uint64(len(p)-4)-plen {
-					er.mu.Unlock()
-					release(f.Payload)
-					t.workerFailed(cn, fmt.Errorf("rank result record overruns batch (node %d)", cn.node))
-					return
-				}
-				if rank < 0 || rank >= t.n || rank/t.perNode != cn.node {
-					er.mu.Unlock()
-					release(f.Payload)
-					t.workerFailed(cn, fmt.Errorf("rank result for rank %d from node %d", rank, cn.node))
-					return
-				}
-				var errText string
-				if errLen > 0 {
-					b, err := wire.UnpackBytes(p[4+plen:4+plen+errWords], int(errLen))
-					if err != nil {
-						er.mu.Unlock()
-						release(f.Payload)
-						t.workerFailed(cn, fmt.Errorf("rank result from node %d: %v", cn.node, err))
-						return
-					}
-					errText = string(b)
-				}
-				if !er.got[rank] {
-					recPayload := make([]float64, plen)
-					copy(recPayload, p[4:4+plen])
-					er.got[rank] = true
-					er.results[rank] = RankResult{Rank: rank, Payload: recPayload, ErrClass: errClass, ErrText: errText}
-					er.count++
-					complete = er.count == len(er.results)
-				}
-				p = p[4+plen+errWords:]
-			}
-			er.mu.Unlock()
-			release(f.Payload)
-			if complete {
-				close(er.done)
-			} else if er.hint.Load() {
-				// A node finishing can complete the stall condition (every
-				// other node already blocked): give the armed probe another
-				// look, since no further hint will arrive — workers hint on
-				// stalling, not on finishing.
-				select {
-				case t.watch <- struct{}{}:
-				default:
-				}
-			}
+			err = t.absorbResults(er, cn.node, &f)
 		case wire.KindStallHint:
-			if er := t.exec.Load(); er != nil && f.Seq == er.gen {
-				er.hint.Store(true)
-				select {
-				case t.watch <- struct{}{}:
-				default:
-				}
+			rep, ok := parseReport(f.Payload, t.nnodes)
+			if !ok {
+				err = fmt.Errorf("malformed stall report from node %d", cn.node)
+				break
 			}
+			er.mu.Lock()
+			er.stats.StallReports++
+			t.noteReportLocked(er, cn.node, rep)
+			er.mu.Unlock()
 		case wire.KindBarrier:
 			// A worker node announcing that all its local ranks reached
 			// host-barrier generation f.Seq; the last node's arrival
 			// releases the generation on every node.
-			er := t.exec.Load()
-			if er == nil || f.A != er.gen {
-				break // straggler from a fenced run
-			}
 			er.mu.Lock()
 			er.barArr[f.Seq]++
 			full := er.barArr[f.Seq] == t.nnodes
+			if full && f.Seq > er.released {
+				er.released = f.Seq
+			}
 			er.mu.Unlock()
 			if full {
 				rel := wire.Frame{Kind: wire.KindBarrier, Seq: f.Seq}
@@ -1178,8 +1063,9 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 				}
 			}
 		case wire.KindProbeAck:
+			rep, _ := parseReport(f.Payload, t.nnodes) // relay acks carry none
 			t.pmu.Lock()
-			cn.ackEpoch, cn.ackRecv, cn.ackFwd, cn.ackFlags = f.Seq, f.A, f.B, f.Tag
+			cn.ackEpoch, cn.ackRecv, cn.ackFwd, cn.ack = f.Seq, f.A, f.B, rep
 			t.pcond.Broadcast()
 			t.pmu.Unlock()
 		case wire.KindResetAck:
@@ -1188,10 +1074,79 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 			t.pcond.Broadcast()
 			t.pmu.Unlock()
 		default:
-			t.workerFailed(cn, fmt.Errorf("unexpected %v frame from node %d", f.Kind, cn.node))
+			err = fmt.Errorf("unexpected %v frame from node %d", f.Kind, cn.node)
+		}
+		if err != nil {
+			t.workerFailed(cn, err)
 			return
 		}
+		t.release(f.Payload)
 	}
+}
+
+// absorbResults unpacks one RankResult frame from node: A rank records (see
+// the worker's executeRun for the layout), then — on the node's last frame
+// — a B-word trailer holding its final stall-plane state, its per-peer link
+// message and byte counters (which become the run's link census) and its
+// flush count. The run completes with the last rank's record, trailer
+// already absorbed.
+func (t *IPCTransport) absorbResults(er *execRun, node int, f *wire.Frame) error {
+	k := t.nnodes
+	if f.B != 0 && f.B != uint64(reportWords(k)+2*k+1) || f.B > uint64(len(f.Payload)) {
+		return fmt.Errorf("rank result trailer of %d words (node %d)", f.B, node)
+	}
+	p, tail := f.Payload[:len(f.Payload)-int(f.B)], f.Payload[len(f.Payload)-int(f.B):]
+	complete := false
+	er.mu.Lock()
+	defer er.mu.Unlock()
+	for rec := uint64(0); rec < f.A; rec++ {
+		if len(p) < 4 {
+			return fmt.Errorf("rank result batch truncated (node %d)", node)
+		}
+		rank := int(int64(math.Float64bits(p[0])))
+		errLen := math.Float64bits(p[2])
+		plen := math.Float64bits(p[3])
+		errWords := (errLen + 7) / 8
+		if plen > uint64(len(p)-4) || errWords > uint64(len(p)-4)-plen {
+			return fmt.Errorf("rank result record overruns batch (node %d)", node)
+		}
+		if rank < 0 || rank >= t.n || rank/t.perNode != node {
+			return fmt.Errorf("rank result for rank %d from node %d", rank, node)
+		}
+		text, err := wire.UnpackBytes(p[4+plen:4+plen+errWords], int(errLen))
+		if err != nil {
+			return fmt.Errorf("rank result from node %d: %v", node, err)
+		}
+		if !er.got[rank] {
+			er.got[rank] = true
+			er.results[rank] = RankResult{Rank: rank, Payload: append([]float64(nil), p[4:4+plen]...),
+				ErrClass: math.Float64bits(p[1]), ErrText: string(text)}
+			er.count++
+			complete = er.count == len(er.results)
+		}
+		p = p[4+plen+errWords:]
+	}
+	if len(tail) > 0 {
+		final, _ := parseReport(tail[:reportWords(k)], k)
+		counters := tail[reportWords(k):]
+		ns := &er.stats.Nodes[node]
+		*ns = NodeExecStats{Flushes: int64(math.Float64bits(counters[2*k]))}
+		for j := 0; j < k; j++ {
+			l := &t.links[node*k+j]
+			l.mu.Lock()
+			l.msgs, l.bytes = int64(math.Float64bits(counters[j])), int64(math.Float64bits(counters[k+j]))
+			ns.PeerMsgs += l.msgs
+			l.mu.Unlock()
+			ns.PeerFrames += int64(final.sent[j])
+		}
+		// A node finishing can complete the stall condition (every other
+		// node already blocked), so its final state counts as a report.
+		t.noteReportLocked(er, node, final)
+	}
+	if complete {
+		close(er.done)
+	}
+	return nil
 }
 
 // watchLoop re-runs the machine's stall decision whenever a reader reports

@@ -3,8 +3,9 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
@@ -14,53 +15,80 @@ import (
 // mode (ipc.go's default) every rank runs in the coordinator and each
 // inter-node message crosses two sockets; in execution mode each worker
 // process hosts its node's ranks as a real sub-machine (WorkerTransport +
-// Machine over the node's rank window), so intra-node sends never leave the
-// worker and sockets carry only genuinely inter-node edges. The coordinator
-// stops simulating and starts orchestrating: it broadcasts the run spec,
-// routes worker-to-worker frames, arbitrates host barriers, drives the
-// distributed stall verdict, and gathers per-rank results.
+// Machine over the node's rank window) and the fleet has two planes:
 //
-// The protocol, over the same framed sockets as relay mode:
+//	control star: coordinator ── coord.sock ── worker    (one socket per worker)
+//	data mesh:    worker k ── node<j>.sock ── worker j   (one full-duplex socket per node pair)
+//
+// all in the fleet's private /tmp/kfipc* directory (TCP loopback ports
+// when the coordinator listens on TCP). At fleet start every worker
+// listens, announces its address in its Hello, gets the peer table back
+// and dials its higher-numbered peers. From then on an inter-node message
+// is one socket crossing, worker to worker; the coordinator never sees a
+// Data frame of a worker-exec run (ExecStats.CoordData pins that at 0). It
+// keeps spawn, spec broadcast, host barriers, the stall verdict and the
+// result gather — which also brings home each node's per-link message and
+// byte counters, so the link census is filled before RunDistributed
+// returns.
 //
 //	coordinator                            workers
-//	  Reset ─────────────────────────────▶   (fence: join stale run, zero counters)
+//	  Reset ─────────────────────────────▶   (fence after a failed run: join it, zero counters)
 //	  RunSpec{gen, spec} ────────────────▶   build run via the exec hook, execute ranks
 //	  ◀────────────────── RunAck{gen, A:1}   only on rejection; fails the run
-//	  ◀─ Data{A:gen} ─▶ routed onward ───▶   inter-node sends, batched per socket
-//	  ◀──────────────────── StallHint{gen}   local quiescence; arms execProbe
+//	                       Data{A:gen} ◀─▶   worker ↔ worker, batched per peer socket
+//	  ◀───────────── StallHint{gen, state}   local quiescence, once per distinct state
+//	  Probe ─▶ ◀─ ProbeAck{state}            only when the reports form a candidate cut
 //	  Abort{Seq:1} (verdict) ────────────▶   declareStall: ranks unwind with ErrDeadlock
-//	  ◀─────────────────── RankResult{gen}   one per rank; completes the run
+//	  ◀──────────── RankResult{gen, state}   per-node batch + final state + link counters
 //
-// The spec doubles as the start signal. What keeps a Data frame from ever
-// reaching a worker before its spec — the write-order race a RunSpec/
-// RunStart split with an ack barrier used to close — is the broadcast
-// discipline: the coordinator holds every socket's write lock while it
-// writes and flushes all the specs, so the read loops, which route
-// worker-to-worker frames into those same sockets, cannot interleave an
-// early starter's sends ahead of a later socket's spec. Per-socket FIFO
-// does the rest. Success is never acknowledged; a rejection (RunAck{A:1})
-// fails the run, and any nodes already executing are fenced by the next
-// run's spec or reset — which is why the read loop drains stale-generation
-// Data and RankResult frames silently instead of treating them as
-// protocol violations.
+// Why this is safe by construction rather than by timing:
+//
+//   - Spec before data: peers bypass the coordinator, so the receiver
+//     orders them. A peer reader that meets a frame of a generation newer
+//     than its installed run blocks until that spec is installed or
+//     rejected (the coordinator-socket reader is another goroutine), and
+//     drops frames of an older one. That is also the whole fence on peer
+//     sockets — a failed run's frames die at the generation check, and
+//     sent[]/recv[] count current-generation frames only — so Reset and
+//     the fast fence need no N² handshake.
+//   - Stall plane: a node's state is (stalled|finished, released barrier
+//     generation, sent[], recv[] per peer). A worker reports it when
+//     locally quiescent, at most once per distinct state (and per
+//     stallReportDelay: detection may wait, never miss); a state leaves
+//     "stalled" only through a delivery (recv[] moves) or a barrier release
+//     (the generation moves), both in the state, so deduplication never
+//     swallows the report that completes a deadlock. A finishing node ships
+//     its final state with its results. The coordinator keeps the latest
+//     state per node, probes only when they form a candidate cut
+//     (candidateCut), and declares only when a probe round issued after the
+//     last of those reports returns the identical cut — "two identical
+//     quiescent snapshots", the first assembled for free. In ExecStats a
+//     clean run shows reports but no candidate cut, probe round or verdict.
+//   - Worker loss: a peer EOF or write failure is never fatal or noisy on
+//     its own (on Close every peer sees EOF); the coordinator's socket to
+//     the dead worker stays the single authority, ErrWorkerLost names the
+//     node, and survivors unwind on the coordinator's Abort.
+//   - Determinism: values, censuses, virtual times and the ErrDeadlock text
+//     are functions of per-stream FIFO order only, which one socket per
+//     node pair preserves exactly as the star did.
 type execRun struct {
 	gen uint64
 
-	mu      sync.Mutex
-	results []RankResult // indexed by rank
-	got     []bool
-	count   int
-	barArr  map[uint64]int // host-barrier generation -> nodes arrived
+	mu       sync.Mutex
+	results  []RankResult // indexed by rank
+	got      []bool
+	count    int
+	barArr   map[uint64]int // host-barrier generation -> nodes arrived
+	released uint64         // highest host-barrier generation released
+	reports  []nodeReport   // latest stall-plane state heard from each node
+	declared bool           // the stall verdict went out; nothing more to decide
+	stats    ExecStats
 
 	done chan struct{} // every rank's result arrived
 
 	failOnce sync.Once
 	failErr  error
 	fail     chan struct{}
-
-	// hint arms the watcher's execProbe: at least one worker reported all
-	// its live ranks blocked since the last failed verdict.
-	hint atomic.Bool
 }
 
 // failWith records the run's terminal failure; first cause wins.
@@ -69,6 +97,105 @@ func (er *execRun) failWith(err error) {
 		er.failErr = err
 		close(er.fail)
 	})
+}
+
+// ExecStats are one distributed run's control- and data-plane counters:
+// plain counts, no clock reads. The per-node rows are measured inside the
+// workers and shipped home in the result batch.
+type ExecStats struct {
+	StallReports  int64 // worker quiescence reports received
+	CandidateCuts int64 // reports that completed a candidate cut
+	ProbeRounds   int64 // probe rounds issued
+	Verdicts      int64 // distributed stalls declared
+	CoordData     int64 // Data/Deliver frames that crossed a coordinator socket; 0 in a worker-exec run
+	Nodes         []NodeExecStats
+}
+
+// NodeExecStats is one worker's share of a run: Data frames and messages
+// it wrote to its peers, and socket flushes (peer and coordinator sockets).
+type NodeExecStats struct{ PeerFrames, PeerMsgs, Flushes int64 }
+
+// ExecStats returns the counters of the most recent distributed run, or
+// nil before the first.
+func (t *IPCTransport) ExecStats() *ExecStats { return t.lastExec.Load() }
+
+// nodeReport is one node's stall-plane state as plain data. On the wire
+// (StallHint and ProbeAck payloads, the RankResult trailer) it is
+// reportWords(k) bit-container words: flags, barGen, sent[k], recv[k].
+type nodeReport struct {
+	flags  uint64   // probeStalled or probeFinished; 0 = running, or not heard from
+	barGen uint64   // latest host-barrier generation the node saw released
+	sent   []uint64 // Data frames written to each peer this run generation (index = node)
+	recv   []uint64 // Data frames from each peer delivered into the local mailboxes
+}
+
+func reportWords(k int) int { return 2 + 2*k }
+
+// parseReport decodes a k-node fleet's status payload; the counter slices
+// are never written again, so reports may be copied by value.
+func parseReport(p []float64, k int) (nodeReport, bool) {
+	if len(p) != reportWords(k) {
+		return nodeReport{}, false
+	}
+	c := make([]uint64, 2*k)
+	for i := range c {
+		c[i] = math.Float64bits(p[2+i])
+	}
+	return nodeReport{flags: math.Float64bits(p[0]), barGen: math.Float64bits(p[1]), sent: c[:k:k], recv: c[k:]}, true
+}
+
+func (r nodeReport) equal(o nodeReport) bool {
+	return r.flags == o.flags && r.barGen == o.barGen && slices.Equal(r.sent, o.sent) && slices.Equal(r.recv, o.recv)
+}
+
+// candidateCut reports whether per-node states — each a snapshot of its
+// node at some past instant, arbitrarily stale — prove that no rank can
+// ever proceed: every node stalled or finished, at least one stalled, no
+// barrier release still on its way (every node saw generation released),
+// and every frame any node wrote delivered (sent_i[j] == recv_j[i] for
+// every pair). Matching counters are what make stale snapshots safe: the
+// first delivery beyond any reported recv[] would have to be a frame its
+// sender wrote after its own snapshot, which that sender — stalled then —
+// could only do after an even earlier such delivery.
+func candidateCut(reports []nodeReport, released uint64) bool {
+	anyStalled := false
+	for i := range reports {
+		r := &reports[i]
+		switch {
+		case r.barGen != released || len(r.sent) != len(reports):
+			return false
+		case r.flags&probeStalled != 0:
+			anyStalled = true
+		case r.flags&probeFinished == 0:
+			return false
+		}
+	}
+	if !anyStalled {
+		return false
+	}
+	for i := range reports {
+		for j := range reports {
+			if i != j && reports[i].sent[j] != reports[j].recv[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// noteReportLocked records a node's latest state and, when the states now
+// form a candidate cut, wakes the watcher to confirm it (execProbe).
+// Callers hold er.mu.
+func (t *IPCTransport) noteReportLocked(er *execRun, node int, rep nodeReport) {
+	er.reports[node] = rep
+	if er.declared || !candidateCut(er.reports, er.released) {
+		return
+	}
+	er.stats.CandidateCuts++
+	select {
+	case t.watch <- struct{}{}:
+	default:
+	}
 }
 
 // RunDistributed executes one run inside the worker fleet: spec is an
@@ -94,13 +221,9 @@ func (t *IPCTransport) RunDistributed(spec []byte) ([]RankResult, error) {
 	// The fence: stale frames drained, counters zeroed on both sides, any
 	// leftover run from a failed predecessor joined and discarded. After a
 	// clean run the sockets are already drained and the fence needs no
-	// round trip (fastFence); anything else — first run, failed run, relay
-	// traffic in between — pays for the full Reset exchange.
-	if t.execClean.CompareAndSwap(true, false) {
-		t.fastFence()
-	} else {
-		t.Reset()
-	}
+	// round trip; anything else — first run, failed run, relay traffic in
+	// between — pays for the full Reset exchange.
+	t.fence(!t.execClean.Swap(false))
 
 	t.execGen++
 	er := &execRun{
@@ -108,39 +231,33 @@ func (t *IPCTransport) RunDistributed(spec []byte) ([]RankResult, error) {
 		results: make([]RankResult, t.n),
 		got:     make([]bool, t.n),
 		barArr:  make(map[uint64]int),
+		reports: make([]nodeReport, t.nnodes),
+		stats:   ExecStats{Nodes: make([]NodeExecStats, t.nnodes)},
 		done:    make(chan struct{}),
 		fail:    make(chan struct{}),
 	}
 	t.exec.Store(er)
 	defer t.exec.Store(nil)
+	defer func() {
+		er.mu.Lock()
+		st := er.stats
+		er.mu.Unlock()
+		for _, cn := range t.conns {
+			st.CoordData += int64(cn.sent.Load() + cn.delivered.Load())
+		}
+		t.lastExec.Store(&st)
+	}()
 
-	// Broadcast the spec while holding every socket's write lock: each
-	// worker starts executing the moment it reads its spec, and its
-	// inter-node sends are routed by the read loops into these same
-	// sockets — blocking those writers until every spec is flushed is what
-	// guarantees spec-before-data on every FIFO (see the protocol comment
-	// above).
+	// The spec doubles as the start signal: a worker executes the moment
+	// it reads it, and its peers hold any Data frame that outruns their own
+	// spec (see the protocol comment above), so the broadcast needs no
+	// ordering beyond each socket's FIFO.
 	f := wire.Frame{Kind: wire.KindRunSpec, Seq: er.gen, A: uint64(len(spec)), Payload: wire.PackBytes(spec)}
-	var werr error
-	var wconn *ipcConn
 	for _, cn := range t.conns {
-		cn.wmu.Lock()
-	}
-	for _, cn := range t.conns {
-		err := wire.WriteFrame(cn.bw, &cn.wscratch, &f)
-		if err == nil {
-			err = cn.bw.Flush()
-			cn.dirty = false
+		if err := cn.writeCtrl(&f, 0); err != nil && !t.closed.Load() {
+			t.workerFailed(cn, fmt.Errorf("run spec to node %d: %w", cn.node, err))
+			break
 		}
-		if err != nil && werr == nil {
-			werr, wconn = err, cn
-		}
-	}
-	for _, cn := range t.conns {
-		cn.wmu.Unlock()
-	}
-	if werr != nil && !t.closed.Load() {
-		t.workerFailed(wconn, fmt.Errorf("run spec to node %d: %w", wconn.node, werr))
 	}
 
 	select {
@@ -162,58 +279,42 @@ func (t *IPCTransport) RunDistributed(spec []byte) ([]RankResult, error) {
 	return er.results, nil
 }
 
-// execProbe is the execution-mode distributed stall verdict, run by the
-// watcher when a StallHint armed it. The frame counters alone cannot
-// distinguish "deadlocked" from "every rank computing locally" — sockets
-// are quiet either way — so quiescence is combined with the per-worker
-// status flags the probe acks carry: two identical quiescent snapshots
-// whose flags show every node either stalled or finished, with at least one
-// stalled, bracket a cut where no frame was in flight anywhere and no rank
-// could ever proceed. The verdict is broadcast as Abort{Seq:1}; each worker
-// unwinds its blocked ranks with the exact ErrDeadlock cause the
-// single-process transports produce, and the run completes through the
-// normal RankResult path.
+// execProbe confirms a candidate cut, run by the watcher when noteReport
+// found one. The reports are the first quiescent snapshot; a probe round
+// issued now — after every one of them arrived — is the second, and only a
+// round whose acks repeat the reported states exactly declares the stall.
+// The verdict is broadcast as Abort{Seq:1}; each worker unwinds its blocked
+// ranks with the exact ErrDeadlock cause the single-process transports
+// produce, and the run completes through the normal RankResult path. A
+// round that disagrees decides nothing: whatever moved reports again.
 func (t *IPCTransport) execProbe(er *execRun) {
-	if !er.hint.Load() || t.down.Load() || t.closed.Load() {
+	if t.down.Load() || t.closed.Load() {
 		return
 	}
 	t.probeMu.Lock()
-	var ok bool
-	t.snap1, ok = t.probeSnapshot(t.snap1[:0])
+	defer t.probeMu.Unlock()
+	er.mu.Lock()
+	cut := append([]nodeReport(nil), er.reports...)
+	ok := !er.declared && candidateCut(cut, er.released)
+	if ok {
+		er.stats.ProbeRounds++
+	}
+	er.mu.Unlock()
+	if !ok || !t.probeRound() {
+		return
+	}
+	t.pmu.Lock()
+	for i, cn := range t.conns {
+		ok = ok && cn.ack.equal(cut[i])
+	}
+	t.pmu.Unlock()
 	if !ok {
-		t.probeMu.Unlock()
 		return
 	}
-	t.snap2, ok = t.probeSnapshot(t.snap2[:0])
-	if !ok || len(t.snap1) != len(t.snap2) {
-		t.probeMu.Unlock()
-		return
-	}
-	for i := range t.snap1 {
-		if t.snap1[i] != t.snap2[i] {
-			t.probeMu.Unlock()
-			return
-		}
-	}
-	// Five values per connection; flags are the fifth (see probeSnapshot).
-	anyStalled, allSettled := false, true
-	for i := 4; i < len(t.snap2); i += 5 {
-		switch {
-		case t.snap2[i]&probeStalled != 0:
-			anyStalled = true
-		case t.snap2[i]&probeFinished == 0:
-			allSettled = false
-		}
-	}
-	t.probeMu.Unlock()
-	if !allSettled || !anyStalled {
-		// Not a deadlock (some node is still computing, or everything
-		// finished). Leave the hint armed: the next delivery or hint
-		// re-triggers the probe, and a finished fleet completes through
-		// RankResult frames regardless.
-		return
-	}
-	er.hint.Store(false)
+	er.mu.Lock()
+	er.declared = true
+	er.stats.Verdicts++
+	er.mu.Unlock()
 	verdict := wire.Frame{Kind: wire.KindAbort, Seq: abortStallDeclared}
 	for _, cn := range t.conns {
 		_ = cn.writeCtrl(&verdict, time.Second)

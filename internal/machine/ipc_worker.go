@@ -9,10 +9,14 @@ import (
 	"math"
 	"net"
 	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -87,8 +91,8 @@ const (
 )
 
 // WorkerRun is what the execution hook hands the worker for one distributed
-// run: the transport the worker delivers routed frames into (installed
-// before the run is acknowledged, so early-routed traffic has a home), and
+// run: the transport the worker delivers its peers' frames into (installed
+// before the run's generation is, so early traffic has a home), and
 // Execute, which runs the node's ranks to completion and returns one
 // RankResult per local rank.
 type WorkerRun interface {
@@ -107,9 +111,13 @@ type WorkerHost struct {
 func (h *WorkerHost) Node() int { return h.w.node }
 
 // NewTransport builds the WorkerTransport for this node's window of an
-// n-rank, nnodes-node machine, bound to the worker's socket and the
-// current run generation.
+// n-rank, nnodes-node machine, bound to the worker's sockets and the
+// current run generation. nnodes must be the fleet's size: remote sends
+// index the peer links by node.
 func (h *WorkerHost) NewTransport(n, nnodes int) (*WorkerTransport, error) {
+	if nnodes != len(h.w.peers) {
+		return nil, fmt.Errorf("machine: run spec for %d nodes on a fleet of %d", nnodes, len(h.w.peers))
+	}
 	return newWorkerTransport(h.w, h.w.node, n, nnodes, h.gen)
 }
 
@@ -129,9 +137,9 @@ func (h *WorkerHost) Rebind(t *WorkerTransport) error {
 
 // WorkerExecHook builds a WorkerRun from a coordinator's serialized run
 // spec. The hook must install every resource a run needs (transport via
-// h.NewTransport, machine, executor) before returning: the worker
-// acknowledges the spec the moment the hook returns, and inter-node frames
-// may arrive immediately after.
+// h.NewTransport, machine, executor) before returning: the worker installs
+// the run the moment the hook returns, and its peers' frames are delivered
+// from then on.
 type WorkerExecHook func(h *WorkerHost, spec []byte) (WorkerRun, error)
 
 var (
@@ -181,7 +189,12 @@ func loadWorkerExecHook() WorkerExecHook {
 // returning the process exit code: 0 for an orderly end (Shutdown frame,
 // coordinator EOF, or a write error — both mean the coordinator is gone,
 // and a dead coordinator must never leave orphans hanging or stderr
-// noise), 1 for a protocol violation, 2 for a FIFO sequence gap.
+// noise), 1 for a protocol violation, 2 for a FIFO sequence gap. An
+// exec-capable worker (one armed with an execution hook) is also a peer of
+// the data mesh: it listens beside the coordinator's socket (node<k>.sock
+// in the fleet directory, or an ephemeral port of the interface it reached
+// a TCP coordinator through), announces the address in its Hello, and
+// joins the mesh before serving its first frame.
 func runIPCWorker(node int, network, addr string) int {
 	conn, err := net.Dial(network, addr)
 	if err != nil {
@@ -191,82 +204,202 @@ func runIPCWorker(node int, network, addr string) int {
 	defer conn.Close()
 	w := &ipcWorker{
 		node: node,
+		conn: conn,
 		br:   bufio.NewReaderSize(conn, 1<<16),
 		bw:   bufio.NewWriterSize(conn, 1<<16),
 		fch:  make(chan struct{}, 1),
 	}
-	if err := wire.WriteFrame(w.bw, &w.wscratch, &wire.Frame{Kind: wire.KindHello, Seq: uint64(node)}); err != nil {
+	w.rcond = sync.NewCond(&w.rmu)
+	hello := wire.Frame{Kind: wire.KindHello, Seq: uint64(node)}
+	var ln net.Listener
+	if loadWorkerExecHook() != nil {
+		laddr := filepath.Join(filepath.Dir(addr), "node"+strconv.Itoa(node)+".sock")
+		if network != "unix" {
+			host, _, _ := net.SplitHostPort(conn.LocalAddr().String())
+			laddr = net.JoinHostPort(host, "0")
+		}
+		if ln, err = net.Listen(network, laddr); err != nil {
+			return w.fail(1, "peer listener: %v", err)
+		}
+		a := []byte(ln.Addr().String())
+		hello.A, hello.Payload = uint64(len(a)), wire.PackBytes(a)
+	}
+	if err := wire.WriteFrame(w.bw, &w.wscratch, &hello); err != nil {
 		return 1
 	}
 	if err := w.bw.Flush(); err != nil {
 		return 1
 	}
+	if ln != nil {
+		if err := w.joinMesh(ln, network); err == io.EOF {
+			return 0 // the coordinator went away mid-handshake
+		} else if err != nil {
+			return w.fail(1, "data mesh: %v", err)
+		}
+	}
 	go w.flushLoop()
 	return w.loop()
+}
+
+// joinMesh reads the coordinator's peer table (its answer to Hello: Seq =
+// node count, payload = the newline-joined listen addresses in node order),
+// dials every higher-numbered peer and accepts every lower-numbered one, so
+// each node pair shares one full-duplex socket, then starts a reader per
+// link. Every listener exists before its address is announced and a dial
+// completes in the listener's backlog, so dial-then-accept cannot deadlock
+// whatever order the peers get here in.
+func (w *ipcWorker) joinMesh(ln net.Listener, network string) error {
+	defer ln.Close()
+	deadline := time.Now().Add(ipcStartTimeout)
+	var f wire.Frame
+	var scratch []byte
+	w.conn.SetReadDeadline(deadline)
+	if err := wire.ReadFrame(w.br, &f, &scratch, nil); err != nil {
+		return err
+	}
+	w.conn.SetReadDeadline(time.Time{})
+	table, err := wire.UnpackBytes(f.Payload, int(f.A))
+	addrs := strings.Split(string(table), "\n")
+	if err != nil || f.Kind != wire.KindHello || uint64(len(addrs)) != f.Seq || w.node >= len(addrs) {
+		return fmt.Errorf("bad peer table: %v frame, %d addresses for %d nodes", f.Kind, len(addrs), f.Seq)
+	}
+	// This node's own slot holds a link to nowhere (nothing is ever queued
+	// on it), so the loops over peers need no special case.
+	w.peers = make([]*peerLink, len(addrs))
+	w.peers[w.node] = &peerLink{node: w.node}
+	link := func(j int, c net.Conn) {
+		w.peers[j] = &peerLink{node: j, c: c, bw: bufio.NewWriterSize(c, 1<<16)}
+	}
+	for j := w.node + 1; j < len(addrs); j++ {
+		c, err := net.DialTimeout(network, addrs[j], time.Until(deadline))
+		if err == nil {
+			err = wire.WriteFrame(c, &scratch, &wire.Frame{Kind: wire.KindHello, Seq: uint64(w.node)})
+		}
+		if err != nil {
+			return fmt.Errorf("dial node %d: %w", j, err)
+		}
+		link(j, c)
+	}
+	if d, ok := ln.(deadliner); ok {
+		d.SetDeadline(deadline)
+	}
+	for i := 0; i < w.node; i++ {
+		c, err := ln.Accept()
+		if err != nil {
+			return err
+		}
+		c.SetReadDeadline(deadline)
+		if err := wire.ReadFrame(c, &f, &scratch, nil); err != nil || f.Kind != wire.KindHello ||
+			f.Seq >= uint64(w.node) || w.peers[f.Seq] != nil {
+			return fmt.Errorf("peer handshake: %v frame, node %d, err %v", f.Kind, f.Seq, err)
+		}
+		c.SetReadDeadline(time.Time{})
+		link(int(f.Seq), c)
+	}
+	for _, pl := range w.peers {
+		if pl.c == nil {
+			continue
+		}
+		go func() {
+			// The link simply ending is nothing: the peer exited (every
+			// Close looks like that) or died, and the coordinator owns that
+			// news. A protocol violation is this node's to report, the only
+			// way a worker can: by dropping its coordinator socket, which
+			// surfaces as ErrWorkerLost naming this node.
+			if err := w.peerLoop(pl); err != nil {
+				w.fail(1, "peer link from node %d: %v", pl.node, err)
+				w.conn.Close()
+			}
+		}()
+	}
+	return nil
 }
 
 // ipcWorker is one node's daemon. With no active run it is a relay: Data
 // frames reflect back to the coordinator as Deliver frames (raw byte
 // passthrough — only the kind byte changes, so that hot path never decodes
 // a payload). With a run active (RunSpec accepted, see the exec protocol
-// in ipc.go) it is an execution host: routed Data frames deliver into the
-// run's WorkerTransport, the node's ranks execute locally, and their
-// inter-node sends leave through sendRemote. Either way it answers the
-// control protocol (stall probes, reset fences, shutdown).
+// in ipc_exec.go) it is an execution host: the node's ranks execute
+// locally, their inter-node sends leave through sendRemote on the peer
+// links, and the peer readers deliver the other nodes' frames into the
+// run's WorkerTransport. Either way it answers the control protocol (stall
+// probes, reset fences, shutdown).
 //
 // Writes are shared between the read loop and the run's rank goroutines,
-// so they serialize under wmu and batch through the buffered writer: data
-// and result frames stay in the buffer and kick the flusher goroutine,
+// so they serialize under wmu and batch through the buffered writers: data
+// and result frames stay in the buffers and kick the flusher goroutine,
 // which pushes whatever accumulated once it gets the CPU — back-to-back
-// sends coalesce into one socket write even from a single goroutine.
-// Control frames (acks, hints) flush inline, carrying any batched frames
-// ahead of them on the FIFO.
+// sends coalesce into one socket write per peer even from a single
+// goroutine. Control frames (acks, reports) flush inline.
 type ipcWorker struct {
 	node int
+	conn net.Conn // coordinator socket
 	br   *bufio.Reader
-	body []byte // read-loop frame body buffer
-	rbuf []byte // read-loop full-decode buffer
+	rbuf []byte // read-loop frame buffer
 
 	wmu      sync.Mutex
 	bw       *bufio.Writer
 	wscratch []byte // frame encode buffer, under wmu
-	txData   uint64 // Data/Deliver frames written since the last reset fence, under wmu
+	txData   uint64 // relay mode: Deliver frames written since the last reset fence, under wmu
 	dirty    bool   // unflushed frames in bw, under wmu
 	fch      chan struct{}
-	pend     []pendBatch // per-destination-node queued sends, under wmu (index = node)
+	peers    []*peerLink // data mesh links by node (this node's own slot is inert); none in a relay-only worker
+	flushes  uint64      // socket flushes since the last run spec, under wmu
+	reported []float64   // the stall-plane state last sent for this generation, under wmu
+	status   []float64   // statusLocked scratch, under wmu
 
-	rxData uint64 // Data frames received since the last reset fence (read loop only)
-	barGen uint64 // relay mode: latest host-barrier generation announced
+	reportArmed atomic.Bool // a debounced look at the stall-plane state is pending
 
-	// Exec-mode run state, owned by the read loop.
-	active     *WorkerTransport
-	runner     WorkerRun
-	activeGen  uint64
-	runStarted bool // spec accepted; executeRun is (or was) in flight
-	runDone    chan struct{}
-	finished   atomic.Bool // all local ranks done; results written or being written
+	rxData uint64 // relay mode: Data frames received since the last reset fence (read loop only)
+
+	// Exec-mode run state, written only by the read loop. The peer readers
+	// consult specGen and active under rmu and hold it while they deliver,
+	// so a run is never torn down or rebound under a delivery; rcond wakes
+	// the readers parked on a frame that outran its spec.
+	rmu      sync.Mutex
+	rcond    *sync.Cond
+	specGen  uint64 // latest run spec handled, accepted or rejected
+	active   *WorkerTransport
+	runDone  chan struct{} // closed when the active run's executeRun returns
+	finished atomic.Bool   // all local ranks done; results written or being written
 }
 
-// errFencedBySpec is the fixed reason an in-flight run is unwound when a
-// new run spec arrives (hoisted: it is on the per-run warm path).
-var errFencedBySpec = errors.New("machine: ipc run fenced by new run spec")
+// peerLink is this node's end of the socket it shares with one peer, and
+// the queue of sends waiting to leave on it. Everything but recv is
+// guarded by the worker's wmu.
+type peerLink struct {
+	node int
+	c    net.Conn
+	bw   *bufio.Writer
+	// The destination node's queued inter-node sends between flush points.
+	// Each message contributes five header words — src, dst, tag, arrival,
+	// payload word count; all but arrival are bit containers in the
+	// PackBytes sense — followed by its payload words. The batch leaves as
+	// one Data frame: Src/Dst carry the two nodes, A the run generation, B
+	// the message count, Seq the frame's number on this link within the
+	// generation.
+	words []float64
+	msgs  uint64
+	gen   uint64
 
-// pendBatch accumulates one destination node's queued inter-node sends
-// between flush points. Each message contributes five header words — src,
-// dst, tag, arrival, payload word count; all but arrival are bit
-// containers in the PackBytes sense — followed by its payload words. The
-// batch leaves as a single Data frame: Src/Dst carry the first message's
-// ranks (the coordinator routes on Dst and sanity-checks Src against the
-// sending node), B the message count, Tag the summed payload bytes so the
-// coordinator's per-link traffic accounting stays message-exact without
-// walking the payload.
-type pendBatch struct {
-	words    []float64
-	msgs     uint64
-	bytes    uint64
-	gen      uint64
-	src, dst int32
+	dirty     bool   // unflushed frames in bw
+	sent      uint64 // Data frames encoded this generation
+	linkMsgs  uint64 // messages and payload bytes queued this generation: the
+	linkBytes uint64 // run's link census row, shipped home with the results
+
+	recv atomic.Uint64 // Data frames of this generation delivered (written under rmu)
 }
+
+// The fixed reasons an in-flight run is unwound by a fence (hoisted: the
+// spec fence is on the per-run warm path).
+var (
+	errFencedBySpec  = errors.New("machine: ipc run fenced by new run spec")
+	errFencedByReset = errors.New("machine: ipc run fenced by coordinator reset")
+)
+
+// errFrameRange marks a length prefix no frame can have — garbage on the
+// socket rather than a socket failure.
+var errFrameRange = errors.New("frame body length out of range")
 
 // maxDataBatchWords bounds one batch frame's payload; a fuller batch is
 // encoded early. One oversized message still fits in its own frame (the
@@ -278,18 +411,30 @@ func (w *ipcWorker) fail(code int, format string, args ...any) int {
 	return code
 }
 
-// writeBatched writes one frame under wmu without flushing; the kicked
-// flusher goroutine coalesces the burst into one socket write. Pending
-// sends encode first so the frame (a result record) never overtakes the
-// run's own data on the FIFO.
-func (w *ipcWorker) writeBatched(f *wire.Frame) error {
-	w.wmu.Lock()
-	w.encodePendingLocked()
-	err := wire.WriteFrame(w.bw, &w.wscratch, f)
-	w.dirty = true
-	w.kick()
-	w.wmu.Unlock()
-	return err
+// readRawFrame reads one length-prefixed frame, prefix included, into *buf
+// (grown as needed) without decoding it: the hot paths route on fixed
+// header offsets first. A socket failure comes back as the I/O error, an
+// impossible length as errFrameRange.
+func readRawFrame(br *bufio.Reader, buf *[]byte) ([]byte, error) {
+	if cap(*buf) < 4+wire.HeaderLen {
+		*buf = make([]byte, 512)
+	}
+	b := (*buf)[:4]
+	if _, err := io.ReadFull(br, b); err != nil {
+		return nil, err
+	}
+	n := int(binary.LittleEndian.Uint32(b))
+	if n < wire.HeaderLen || n > wire.MaxBody {
+		return nil, fmt.Errorf("%w: %d bytes", errFrameRange, n)
+	}
+	if cap(*buf) < 4+n {
+		*buf = append(make([]byte, 0, 4+n), b...)
+	}
+	b = (*buf)[:4+n]
+	if _, err := io.ReadFull(br, b[4:]); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // kick schedules a flush (single-slot, never blocks, never loses a wakeup:
@@ -301,9 +446,7 @@ func (w *ipcWorker) kick() {
 	}
 }
 
-// flushLoop drains flush kicks for the worker's socket. Flush errors are
-// swallowed for the same reason sendRemote swallows them: a dead socket
-// means the coordinator is gone and the read loop is about to exit.
+// flushLoop drains flush kicks for the worker's sockets.
 func (w *ipcWorker) flushLoop() {
 	for range w.fch {
 		// Step to the back of the run queue once before draining: the
@@ -312,28 +455,42 @@ func (w *ipcWorker) flushLoop() {
 		// so the whole burst leaves as one batch in one socket write.
 		runtime.Gosched()
 		w.wmu.Lock()
-		w.encodePendingLocked()
-		if w.dirty {
-			w.dirty = false
-			w.bw.Flush()
-		}
+		w.flushLocked()
 		w.wmu.Unlock()
 	}
 }
 
-// writeControl writes one frame and flushes immediately (acks, hints,
-// results-complete boundaries — anything the coordinator blocks on).
-// Pending sends encode first: a barrier announcement or stall hint must
-// ride behind every message this node emitted before it.
-func (w *ipcWorker) writeControl(f *wire.Frame) error {
-	w.wmu.Lock()
+// flushLocked encodes every pending batch and flushes every socket holding
+// unflushed frames, peers first. Errors are swallowed: the coordinator's
+// socket failing means the coordinator is gone and the read loop is about
+// to find out; a peer's means that peer is gone, which is the coordinator's
+// to notice and announce. Callers hold wmu.
+func (w *ipcWorker) flushLocked() {
 	w.encodePendingLocked()
+	for _, pl := range w.peers {
+		if pl.dirty {
+			pl.dirty = false
+			w.flushes++
+			_ = pl.bw.Flush()
+		}
+	}
+	if w.dirty {
+		w.dirty = false
+		w.flushes++
+		_ = w.bw.Flush()
+	}
+}
+
+// writeControlLocked writes one frame to the coordinator and flushes it
+// immediately (acks, reports, barrier arrivals — anything the coordinator
+// acts on). Callers hold wmu.
+func (w *ipcWorker) writeControlLocked(f *wire.Frame) error {
 	err := wire.WriteFrame(w.bw, &w.wscratch, f)
 	if err == nil {
+		w.flushes++
 		err = w.bw.Flush()
 		w.dirty = false
 	}
-	w.wmu.Unlock()
 	return err
 }
 
@@ -346,99 +503,133 @@ func (w *ipcWorker) flushIfIdle() error {
 	}
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	w.encodePendingLocked()
 	w.dirty = false
 	return w.bw.Flush()
 }
 
 // sendRemote implements workerIO: one local rank's inter-node send joins
-// the destination node's pending batch under wmu (so the per-socket FIFO
+// the destination node's pending batch under wmu (so the link's FIFO
 // carries each (src, tag) stream in program order) and kicks the flusher,
-// which turns each pending batch into a single multi-message Data frame.
-// A burst of fine-grained sends to one neighbor node thus costs one frame
-// and one socket write instead of one per message. Write errors on the
-// eventual encode are deliberately swallowed: they mean the coordinator
-// is gone and the read loop is about to hit the same broken socket.
+// which turns each pending batch into one multi-message Data frame on that
+// peer's socket: a burst of fine-grained sends to one neighbor node costs
+// one frame and one socket write.
 func (w *ipcWorker) sendRemote(gen uint64, src, dst, dstNode int, tag Tag, data []float64, arrival float64) {
 	w.wmu.Lock()
-	if dstNode >= len(w.pend) {
-		w.pend = append(w.pend, make([]pendBatch, dstNode+1-len(w.pend))...)
+	pl := w.peers[dstNode]
+	if pl.msgs > 0 && len(pl.words)+5+len(data) > maxDataBatchWords {
+		w.encodeBatchLocked(pl)
 	}
-	b := &w.pend[dstNode]
-	if b.msgs > 0 && len(b.words)+5+len(data) > maxDataBatchWords {
-		w.encodeBatchLocked(b)
-	}
-	if b.msgs == 0 {
-		b.gen, b.src, b.dst = gen, int32(src), int32(dst)
-	}
-	b.words = append(b.words,
+	pl.gen = gen
+	pl.words = append(pl.words,
 		math.Float64frombits(uint64(src)),
 		math.Float64frombits(uint64(dst)),
 		math.Float64frombits(uint64(tag)),
 		arrival,
 		math.Float64frombits(uint64(len(data))))
-	b.words = append(b.words, data...)
-	b.msgs++
-	b.bytes += uint64(len(data) * wordBytes)
+	pl.words = append(pl.words, data...)
+	pl.msgs++
+	pl.linkMsgs++
+	pl.linkBytes += uint64(len(data) * wordBytes)
 	w.kick()
 	w.wmu.Unlock()
 }
 
-// encodeBatchLocked turns one pending batch into a Data frame in the write
-// buffer and rearms it. Callers hold wmu.
-func (w *ipcWorker) encodeBatchLocked(b *pendBatch) {
-	w.txData++
-	f := wire.Frame{
-		Kind:    wire.KindData,
-		Src:     b.src,
-		Dst:     b.dst,
-		Tag:     b.bytes,
-		Seq:     w.txData,
-		A:       b.gen,
-		B:       b.msgs,
-		Payload: b.words,
-	}
-	_ = wire.WriteFrame(w.bw, &w.wscratch, &f)
-	w.dirty = true
-	b.words = b.words[:0]
-	b.msgs, b.bytes = 0, 0
+// encodeBatchLocked turns one link's pending batch into a Data frame in its
+// write buffer and rearms it. A write error is the peer's death; see
+// flushLocked. Callers hold wmu.
+func (w *ipcWorker) encodeBatchLocked(pl *peerLink) {
+	pl.sent++
+	f := wire.Frame{Kind: wire.KindData, Src: int32(w.node), Dst: int32(pl.node),
+		Seq: pl.sent, A: pl.gen, B: pl.msgs, Payload: pl.words}
+	_ = wire.WriteFrame(pl.bw, &w.wscratch, &f)
+	pl.dirty = true
+	pl.words, pl.msgs = pl.words[:0], 0
 }
 
-// encodePendingLocked drains every pending batch into the write buffer —
-// the step every flush point takes first, so queued sends always precede
-// whatever control frame or flush triggered it on the FIFO. Callers hold
-// wmu.
+// encodePendingLocked drains every pending batch into its link's write
+// buffer — the step every flush and every state snapshot takes first, so
+// sent[] counts each queued send as a frame on its way. Callers hold wmu.
 func (w *ipcWorker) encodePendingLocked() {
-	for i := range w.pend {
-		if b := &w.pend[i]; b.msgs > 0 {
-			w.encodeBatchLocked(b)
+	for _, pl := range w.peers {
+		if pl.msgs > 0 {
+			w.encodeBatchLocked(pl)
 		}
 	}
 }
 
-// clearPendingLocked drops queued sends (reset and spec fences: the run
-// they belong to is being unwound and its traffic must not leak into the
-// next epoch's counters). Callers hold wmu.
-func (w *ipcWorker) clearPendingLocked() {
-	for i := range w.pend {
-		b := &w.pend[i]
-		b.words = b.words[:0]
-		b.msgs, b.bytes = 0, 0
+// statusLocked snapshots this node's stall-plane state (layout: see
+// nodeReport) into the reused status buffer. The order makes it one
+// instant's truth: wmu freezes sent[] (no rank can complete a send), and
+// recv[] is read before the flags, so a delivery racing the snapshot can
+// only leave recv[] stale — failing the cut rule until the reader's own
+// recheck reports again — never count a frame the flags have not seen.
+// Callers hold wmu.
+func (w *ipcWorker) statusLocked(t *WorkerTransport) []float64 {
+	w.encodePendingLocked()
+	k := len(w.peers)
+	s := append(w.status[:0], make([]float64, reportWords(k))...)
+	for j, pl := range w.peers {
+		s[2+k+j] = math.Float64frombits(pl.recv.Load())
+	}
+	var flags uint64
+	if w.finished.Load() {
+		flags = probeFinished
+	} else if t.stallStatus() {
+		flags = probeStalled
+	}
+	s[0], s[1] = math.Float64frombits(flags), math.Float64frombits(t.releasedBarrier())
+	for j, pl := range w.peers {
+		s[2+j] = math.Float64frombits(pl.sent)
+	}
+	w.status = s
+	return s
+}
+
+// stallReportDelay debounces the stall plane. Most quiet moments of a
+// dependency chain end within microseconds — the next hop is already on
+// its way — so a quiescence trigger only arms a timer, and the state gets
+// one look (reportNow) once it has had this long to resolve itself. A
+// deadlock's final state is reported that much late, never lost: any
+// trigger after the look re-arms it.
+const stallReportDelay = time.Millisecond
+
+// reportStall implements workerIO; see stallReportDelay.
+func (w *ipcWorker) reportStall() {
+	if w.reportArmed.CompareAndSwap(false, true) {
+		time.AfterFunc(stallReportDelay, w.reportNow)
 	}
 }
 
-// sendStallHint implements workerIO: report local quiescence. The flush
-// pushes out any batched Data frames first (same buffer, FIFO), so the
-// coordinator's probe sees counters consistent with everything this node
-// has sent.
-func (w *ipcWorker) sendStallHint(gen uint64) {
-	_ = w.writeControl(&wire.Frame{Kind: wire.KindStallHint, Src: int32(w.node), Seq: gen})
+// reportNow tells the coordinator the node's state if it is quiescent
+// (stalled, or finished and still receiving) and differs from the last one
+// reported this generation. Snapshot, comparison and write share one wmu
+// hold, so reports reach the coordinator in the order their states
+// occurred and its latest is the node's latest.
+func (w *ipcWorker) reportNow() {
+	w.reportArmed.Store(false)
+	w.rmu.Lock()
+	gen, t := w.specGen, w.active
+	w.rmu.Unlock()
+	if t == nil {
+		return
+	}
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	s := w.statusLocked(t)
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if math.Float64bits(s[0]) == 0 || slices.EqualFunc(s, w.reported, sameBits) {
+		return
+	}
+	w.reported = append(w.reported[:0], s...)
+	_ = w.writeControlLocked(&wire.Frame{Kind: wire.KindStallHint, Src: int32(w.node), Seq: gen, Payload: s})
 }
 
 // sendBarrierArrive implements workerIO: every local rank reached
 // host-barrier generation barGen.
 func (w *ipcWorker) sendBarrierArrive(gen, barGen uint64) {
-	_ = w.writeControl(&wire.Frame{Kind: wire.KindBarrier, Src: int32(w.node), Seq: barGen, A: gen})
+	w.wmu.Lock()
+	_ = w.writeControlLocked(&wire.Frame{Kind: wire.KindBarrier, Src: int32(w.node), Seq: barGen, A: gen})
+	w.wmu.Unlock()
 }
 
 // maxResultBatchWords bounds one result frame's payload so a node with
@@ -453,21 +644,39 @@ const maxResultBatchWords = 1 << 20
 // instead of one frame per rank. Record layout: four header words — rank,
 // error class, error byte length, payload word count, each a bit container
 // in the PackBytes sense — then the payload words, then the packed error
-// text. Closing done lets a reset fence join in-flight runs.
-func (w *ipcWorker) executeRun(run WorkerRun, gen uint64, done chan struct{}) {
+// text. The last frame ends in a B-word trailer: the node's final
+// stall-plane state (a finished node hints no more, and its finishing can
+// complete a deadlock), its per-peer link message and byte counts, and its
+// flush count. Closing done lets a reset fence join in-flight runs.
+func (w *ipcWorker) executeRun(run WorkerRun, done chan struct{}) {
 	defer close(done)
 	results := run.Execute()
 	w.finished.Store(true)
+	t := run.Transport()
 	var words []float64
 	var count uint64
-	ship := func() error {
-		if count == 0 {
-			return nil
+	ship := func(last bool) {
+		w.wmu.Lock()
+		defer w.wmu.Unlock()
+		f := wire.Frame{Kind: wire.KindRankResult, Src: int32(w.node), Seq: t.gen, A: count}
+		if last {
+			s := w.statusLocked(t)
+			w.reported = append(w.reported[:0], s...)
+			words = append(words, s...)
+			for _, pl := range w.peers {
+				words = append(words, math.Float64frombits(pl.linkMsgs))
+			}
+			for _, pl := range w.peers {
+				words = append(words, math.Float64frombits(pl.linkBytes))
+			}
+			words = append(words, math.Float64frombits(w.flushes))
+			f.B = uint64(len(s) + 2*len(w.peers) + 1)
 		}
-		f := wire.Frame{Kind: wire.KindRankResult, Src: int32(w.node), Seq: gen, A: count, Payload: words}
-		err := w.writeBatched(&f)
+		f.Payload = words
+		_ = wire.WriteFrame(w.bw, &w.wscratch, &f)
+		w.dirty = true
+		w.flushLocked()
 		words, count = nil, 0
-		return err
 	}
 	for i := range results {
 		r := &results[i]
@@ -476,9 +685,7 @@ func (w *ipcWorker) executeRun(run WorkerRun, gen uint64, done chan struct{}) {
 			errWords = wire.PackBytes([]byte(r.ErrText))
 		}
 		if len(words) > 0 && len(words)+4+len(r.Payload)+len(errWords) > maxResultBatchWords {
-			if err := ship(); err != nil {
-				return
-			}
+			ship(false)
 		}
 		words = append(words,
 			math.Float64frombits(uint64(r.Rank)),
@@ -489,172 +696,190 @@ func (w *ipcWorker) executeRun(run WorkerRun, gen uint64, done chan struct{}) {
 		words = append(words, errWords...)
 		count++
 	}
-	if err := ship(); err != nil {
-		return
+	ship(true)
+}
+
+// endRun is the worker side of a fence (reset, new spec): abort and join
+// the active run — take its transport down with the given reason, wait for
+// every local rank to unwind and the result stream to complete, so any
+// frames the dying run wrote reach the socket before whatever the caller
+// writes next — then rewind the relay counters.
+func (w *ipcWorker) endRun(reason error) {
+	if w.active != nil {
+		w.active.hostDown(reason)
+		<-w.runDone
+		w.install(w.specGen, nil)
 	}
+	w.finished.Store(false)
+	w.rxData = 0
 	w.wmu.Lock()
-	w.encodePendingLocked()
-	w.bw.Flush()
-	w.dirty = false
+	w.txData = 0
 	w.wmu.Unlock()
 }
 
-// endRun aborts and joins the active run (reset fence, shutdown): take the
-// transport down with the given reason, wait for every local rank to unwind
-// and the result stream to complete. Any frames the dying run wrote reach
-// the socket before whatever the caller writes next.
-func (w *ipcWorker) endRun(reason error) {
-	if w.active == nil {
-		return
+// install publishes the run the peer readers deliver into (nil: drop this
+// generation's frames) and wakes the readers parked on a frame that outran
+// its spec. A new generation restarts the per-link counters on both sides
+// of every link — they count current-generation frames only, which lets
+// the receiver's generation check stand in for a fence — and drops the
+// previous generation's queued sends and report history.
+func (w *ipcWorker) install(gen uint64, t *WorkerTransport) {
+	fresh := gen != w.specGen
+	if fresh {
+		// Not nested inside rmu: a reader must never wait on a flush.
+		w.wmu.Lock()
+		for _, pl := range w.peers {
+			pl.words, pl.msgs = pl.words[:0], 0
+			pl.sent, pl.linkMsgs, pl.linkBytes = 0, 0, 0
+		}
+		w.flushes, w.reported = 0, w.reported[:0]
+		w.wmu.Unlock()
 	}
-	w.active.hostDown(reason)
-	if w.runStarted {
-		// Only a started run has an executeRun goroutine to join; a spec
-		// that was accepted but never started (another node rejected it)
-		// is simply discarded.
-		<-w.runDone
+	w.rmu.Lock()
+	if fresh {
+		for _, pl := range w.peers {
+			pl.recv.Store(0)
+		}
 	}
-	w.active, w.runner, w.runDone, w.runStarted = nil, nil, nil, false
+	w.specGen, w.active = gen, t
+	w.rcond.Broadcast()
+	w.rmu.Unlock()
+}
+
+// peerLoop delivers one peer's Data frames into the active run. The run
+// generation (header field A) gates every frame before anything is
+// decoded: older than the latest spec this worker handled — or of a spec
+// it rejected or already fenced — and the frame is dropped; newer, and the
+// reader waits for the coordinator-socket loop to reach that spec (peers
+// start sending the moment they read theirs). It returns nil when the
+// socket ends and an error on a frame no well-behaved peer sends.
+func (w *ipcWorker) peerLoop(pl *peerLink) error {
+	br := bufio.NewReaderSize(pl.c, 1<<16)
+	var buf []byte
+	var f wire.Frame
+	for {
+		raw, err := readRawFrame(br, &buf)
+		if errors.Is(err, errFrameRange) {
+			return err
+		} else if err != nil {
+			return nil
+		}
+		if k := wire.Kind(raw[4]); k != wire.KindData {
+			return fmt.Errorf("unexpected %v frame", k)
+		}
+		gen := binary.LittleEndian.Uint64(raw[4+25:])
+		w.rmu.Lock()
+		for gen > w.specGen {
+			w.rcond.Wait()
+		}
+		t := w.active
+		if gen < w.specGen || t == nil {
+			w.rmu.Unlock()
+			continue
+		}
+		if _, err := wire.DecodeFrame(raw, &f, t.acquire); err != nil {
+			w.rmu.Unlock()
+			return err
+		}
+		if f.Seq != pl.recv.Load()+1 {
+			w.rmu.Unlock()
+			return fmt.Errorf("FIFO gap: data frame seq %d after %d", f.Seq, pl.recv.Load())
+		}
+		woke, err := t.deliverBatch(pl.node, f.Payload, f.B)
+		t.release(f.Payload)
+		// Counted only now: a state snapshot must never include a frame
+		// whose messages are not all in the mailboxes yet.
+		pl.recv.Add(1)
+		w.rmu.Unlock()
+		if err != nil {
+			return err
+		}
+		// One look per frame, and none when a delivery woke its receiver:
+		// the woken rank's next block or finish runs the check on both
+		// engines. A finished node has no rank left to do that.
+		if w.finished.Load() {
+			w.reportStall()
+		} else if !woke {
+			t.recheckStall()
+		}
+	}
 }
 
 func (w *ipcWorker) loop() int {
-	var prefix [4]byte
 	for {
-		if _, err := io.ReadFull(w.br, prefix[:]); err != nil {
+		raw, err := readRawFrame(w.br, &w.rbuf)
+		if errors.Is(err, errFrameRange) {
+			return w.fail(1, "%v", err)
+		} else if err != nil {
 			// EOF, connection reset, or any other socket-level failure: the
 			// coordinator is gone. Exit quietly — don't linger as an orphan.
 			return 0
 		}
-		n := binary.LittleEndian.Uint32(prefix[:])
-		if n < wire.HeaderLen || n > wire.MaxBody {
-			return w.fail(1, "frame body of %d bytes out of range", n)
-		}
-		if cap(w.body) < int(n) {
-			w.body = make([]byte, n)
-		}
-		body := w.body[:n]
-		if _, err := io.ReadFull(w.br, body); err != nil {
-			return 0 // socket died mid-frame: coordinator is gone
-		}
-		kind := wire.Kind(body[0])
-		switch kind {
-		case wire.KindData:
-			seq := binary.LittleEndian.Uint64(body[17:25])
+		kind := wire.Kind(raw[4])
+		if kind == wire.KindData {
+			// Relay mode hot path: flip the kind byte and reflect the
+			// identical bytes back. (A worker-exec run's Data frames travel
+			// the peer links; the coordinator sends none.)
+			if w.active != nil {
+				return w.fail(1, "data frame from the coordinator during a worker-exec run")
+			}
+			seq := binary.LittleEndian.Uint64(raw[4+17:])
 			if seq != w.rxData+1 {
 				return w.fail(2, "FIFO gap: data frame seq %d after %d", seq, w.rxData)
 			}
 			w.rxData++
-			if w.active != nil {
-				// Exec mode: a routed multi-message Data frame holding
-				// another node's batched inter-node sends (B messages; see
-				// pendBatch for the record layout). Decode once, then peel
-				// each message into its own pooled buffer and make the
-				// mailbox delivery every intra-node send uses.
-				var f wire.Frame
-				if err := w.decode(prefix[:], body, &f, w.active.acquire); err != nil {
-					return w.fail(1, "routed data: %v", err)
-				}
-				p := f.Payload
-				for m := uint64(0); m < f.B; m++ {
-					if len(p) < 5 {
-						return w.fail(1, "routed data batch truncated")
-					}
-					src := int(int64(math.Float64bits(p[0])))
-					dst := int(int64(math.Float64bits(p[1])))
-					tag := Tag(math.Float64bits(p[2]))
-					arrival := p[3]
-					plen := math.Float64bits(p[4])
-					if plen > uint64(len(p)-5) {
-						return w.fail(1, "routed data message overruns batch")
-					}
-					data := w.active.acquire(int(plen))
-					copy(data, p[5:5+plen])
-					if err := w.active.deliverRemote(src, dst, tag, data, arrival); err != nil {
-						return w.fail(1, "%v", err)
-					}
-					p = p[5+plen:]
-				}
-				w.active.release(f.Payload)
-				break
-			}
-			// Relay mode hot path: flip the kind byte and reflect the
-			// identical bytes back.
-			body[0] = byte(wire.KindDeliver)
+			raw[4] = byte(wire.KindDeliver)
 			w.wmu.Lock()
-			_, err1 := w.bw.Write(prefix[:])
-			_, err2 := w.bw.Write(body)
+			_, err := w.bw.Write(raw)
 			w.txData++
 			w.dirty = true
 			w.wmu.Unlock()
-			if err1 != nil || err2 != nil {
+			if err != nil {
 				return 0 // write failed: coordinator is gone
 			}
 			if err := w.flushIfIdle(); err != nil {
 				return 0
 			}
+			continue
+		}
+		var f wire.Frame
+		if _, err := wire.DecodeFrame(raw, &f, nil); err != nil {
+			return w.fail(1, "%v frame: %v", kind, err)
+		}
+		switch kind {
 		case wire.KindProbe:
-			var f wire.Frame
-			if err := w.decode(prefix[:], body, &f, nil); err != nil {
-				return w.fail(1, "probe: %v", err)
-			}
-			var flags uint64
-			if w.active != nil {
-				if w.finished.Load() {
-					flags |= probeFinished
-				} else if w.active.stallStatus() {
-					flags |= probeStalled
-				}
-			}
+			// The ack carries the relay counters and, with a run active,
+			// the node's stall-plane state — pending sends encoded first
+			// (statusLocked), so a probe that lands between a rank's send
+			// and the flusher's pass never reads "quiescent" around a
+			// queued message.
 			w.wmu.Lock()
-			// Queued sends encode first so the counters the ack reports are
-			// settled: a probe that lands between a rank's send and the
-			// flusher's pass must not see "quiescent" with messages still
-			// waiting in a pending batch. txData is read under wmu.
-			w.encodePendingLocked()
-			ack := wire.Frame{Kind: wire.KindProbeAck, Src: int32(w.node), Seq: f.Seq, A: w.rxData, B: w.txData, Tag: flags}
-			err := wire.WriteFrame(w.bw, &w.wscratch, &ack)
-			if err == nil {
-				err = w.bw.Flush()
-				w.dirty = false
+			ack := wire.Frame{Kind: wire.KindProbeAck, Src: int32(w.node), Seq: f.Seq, A: w.rxData, B: w.txData}
+			if w.active != nil {
+				ack.Payload = w.statusLocked(w.active)
 			}
+			err := w.writeControlLocked(&ack)
 			w.wmu.Unlock()
 			if err != nil {
 				return 0
 			}
 		case wire.KindReset:
-			var f wire.Frame
-			if err := w.decode(prefix[:], body, &f, nil); err != nil {
-				return w.fail(1, "reset: %v", err)
-			}
 			// A fence joins any in-flight run first: its ranks unwind, its
 			// last frames reach the socket, and only then do the counters
 			// rewind and the ack release the coordinator.
-			w.endRun(fmt.Errorf("machine: ipc run fenced by coordinator reset"))
-			w.finished.Store(false)
 			seen := w.rxData
-			w.rxData = 0
-			ack := wire.Frame{Kind: wire.KindResetAck, Src: int32(w.node), Seq: f.Seq, A: seen}
+			w.endRun(errFencedByReset)
 			w.wmu.Lock()
-			w.clearPendingLocked()
-			w.txData = 0
-			err := wire.WriteFrame(w.bw, &w.wscratch, &ack)
-			if err == nil {
-				err = w.bw.Flush()
-				w.dirty = false
-			}
+			err := w.writeControlLocked(&wire.Frame{Kind: wire.KindResetAck, Src: int32(w.node), Seq: f.Seq, A: seen})
 			w.wmu.Unlock()
 			if err != nil {
 				return 0
 			}
 		case wire.KindBarrier:
-			var f wire.Frame
-			if err := w.decode(prefix[:], body, &f, nil); err != nil {
-				return w.fail(1, "barrier: %v", err)
-			}
+			// Relay mode: an epoch announcement between the coordinator's
+			// own ranks, nothing to do here.
 			if w.active != nil {
 				w.active.releaseBarrier(f.Seq)
-			} else {
-				w.barGen = f.Seq
 			}
 		case wire.KindAbort:
 			// Exec mode: the coordinator's verdict on the active run —
@@ -663,10 +888,6 @@ func (w *ipcWorker) loop() int {
 			// not joined here: its ranks unwind concurrently and the
 			// results still stream back. Relay mode: the abort is between
 			// the coordinator's ranks; the daemon just keeps relaying.
-			var f wire.Frame
-			if err := w.decode(prefix[:], body, &f, nil); err != nil {
-				return w.fail(1, "abort: %v", err)
-			}
 			if w.active != nil {
 				if f.Seq == abortStallDeclared {
 					w.active.declareStall()
@@ -675,23 +896,13 @@ func (w *ipcWorker) loop() int {
 				}
 			}
 		case wire.KindRunSpec:
-			var f wire.Frame
-			if err := w.decode(prefix[:], body, &f, nil); err != nil {
-				return w.fail(1, "run spec: %v", err)
-			}
 			// The spec doubles as the fence for back-to-back runs (the
 			// coordinator skips the Reset exchange when the previous run
-			// completed cleanly): join any prior run and rewind the frame
+			// completed cleanly): join any prior run and rewind the relay
 			// counters exactly here — everything earlier in the FIFO was
 			// counted in the old epoch on both sides, so the cuts align
 			// with the coordinator's pre-broadcast rewind.
 			w.endRun(errFencedBySpec)
-			w.finished.Store(false)
-			w.rxData = 0
-			w.wmu.Lock()
-			w.clearPendingLocked()
-			w.txData = 0
-			w.wmu.Unlock()
 			spec, err := wire.UnpackBytes(f.Payload, int(f.A))
 			if err == nil {
 				if hook := loadWorkerExecHook(); hook == nil {
@@ -704,25 +915,27 @@ func (w *ipcWorker) loop() int {
 					}
 					if err == nil {
 						// Install, then execute straight away: the spec is
-						// also the start signal (the coordinator broadcasts
-						// it under every socket's write lock, so any Data
-						// frame another node's ranks emit is routed behind
-						// this node's spec on the FIFO and finds the
-						// mailboxes ready). Success is never acked — the
-						// first RankResult says it all.
-						w.active, w.runner, w.activeGen = run.Transport(), run, f.Seq
-						w.finished.Store(false)
+						// also the start signal, and the peers' frames of
+						// this generation — parked until now if they got
+						// here first — find the mailboxes ready. Success is
+						// never acked; the first RankResult says it all.
+						w.install(f.Seq, run.Transport())
 						w.runDone = make(chan struct{})
-						w.runStarted = true
-						go w.executeRun(w.runner, w.activeGen, w.runDone)
+						go w.executeRun(run, w.runDone)
 						break
 					}
 				}
 			}
+			// Rejected: the generation still counts as handled, so the
+			// other nodes' frames for it are dropped, not waited on.
+			w.install(f.Seq, nil)
 			text := err.Error()
 			ack := wire.Frame{Kind: wire.KindRunAck, Src: int32(w.node), Seq: f.Seq,
 				A: 1, B: uint64(len(text)), Payload: wire.PackBytes([]byte(text))}
-			if werr := w.writeControl(&ack); werr != nil {
+			w.wmu.Lock()
+			werr := w.writeControlLocked(&ack)
+			w.wmu.Unlock()
+			if werr != nil {
 				return 0
 			}
 		case wire.KindShutdown:
@@ -731,13 +944,4 @@ func (w *ipcWorker) loop() int {
 			return w.fail(1, "unexpected %v frame", kind)
 		}
 	}
-}
-
-// decode re-assembles the already-read prefix and body into a full decode
-// for control frames and routed Data (the relay hot path never pays for
-// this).
-func (w *ipcWorker) decode(prefix, body []byte, f *wire.Frame, acquire func(n int) []float64) error {
-	w.rbuf = append(append(w.rbuf[:0], prefix...), body...)
-	_, err := wire.DecodeFrame(w.rbuf, f, acquire)
-	return err
 }

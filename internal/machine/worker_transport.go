@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -9,17 +11,16 @@ import (
 // workerIO is the WorkerTransport's face toward the IPC worker hosting it:
 // the three frame emissions a worker-local run needs. sendRemote queues an
 // inter-node send for the destination node dstNode — the worker batches
-// queued sends per destination into multi-message Data frames at its next
-// flush point, appending under its write lock so each (src, tag) stream
-// keeps program order on the wire; sendStallHint tells the coordinator
-// this node's live ranks are all blocked (the distributed probe's
-// trigger); sendBarrierArrive announces that every local rank reached
-// host-barrier generation barGen. All three stamp gen, the run
-// generation, so the coordinator can discard stragglers from an aborted
-// run.
+// queued sends per destination into multi-message Data frames on that
+// peer's socket at its next flush point, appending under its write lock so
+// each (src, tag) stream keeps program order on the wire; reportStall has
+// the worker look at the node's stall-plane state and, if it is quiescent
+// and new, report it to the coordinator; sendBarrierArrive announces that
+// every local rank reached host-barrier generation barGen. All three stamp
+// the run generation, so stragglers from an aborted run are discarded.
 type workerIO interface {
 	sendRemote(gen uint64, src, dst, dstNode int, tag Tag, data []float64, arrival float64)
-	sendStallHint(gen uint64)
+	reportStall()
 	sendBarrierArrive(gen, barGen uint64)
 }
 
@@ -29,33 +30,32 @@ type workerIO interface {
 // localRanker); intra-node sends go straight to the local mailbox array —
 // the same 0-alloc fast path as SharedTransport, no wire, no syscall — and
 // only sends whose destination lives on another node become frames on the
-// worker's coordinator socket. Deliveries arrive from the worker's read
-// loop (the coordinator routes each inter-node frame to the destination
-// node) into the same mailboxes.
+// socket the worker shares with that node's worker. Deliveries arrive from
+// the worker's peer readers into the same mailboxes.
 //
 // A WorkerTransport serves one run at a time: built fresh via
 // WorkerHost.NewTransport, or rebound to a new run generation
 // (WorkerHost.Rebind) when the execution hook reuses a cached
 // sub-machine. Reset is a no-op either way — the machine's unconditional
-// start-of-run Reset must not discard inter-node frames the coordinator
-// routed ahead of the run-start signal; the between-runs rewind happens
-// in rebind, before the worker acknowledges the spec. Stall handling is
-// split: the local
-// quiescence triggers (executor quiescence, blocked-count crossings) call
-// CheckStalled here, which never declares anything — a single node cannot
-// distinguish "deadlocked" from "waiting on a frame another node has yet
-// to send" — but reports the local stall to the coordinator as a
-// StallHint frame. The coordinator's two-phase probe establishes the
-// global quiescent cut and broadcasts the verdict back, which lands here
-// as declareStall (unwinding blocked ranks with the exact deadlock cause
-// the single-process transports produce) or hostDown with a reason.
+// start-of-run Reset must not discard inter-node frames a faster peer
+// sent before this node's ranks started; the between-runs rewind happens
+// in rebind, before the worker installs the run. Stall handling is split:
+// the local quiescence triggers (executor quiescence, blocked-count
+// crossings) call CheckStalled here, which never declares anything — a
+// single node cannot distinguish "deadlocked" from "waiting on a frame
+// another node has yet to send" — but has the worker report the node's
+// state to the coordinator (once per distinct state). The coordinator
+// matches the nodes' reports into a global quiescent cut, confirms it with
+// a probe round and broadcasts the verdict back, which lands here as
+// declareStall (unwinding blocked ranks with the exact deadlock cause the
+// single-process transports produce) or hostDown with a reason.
 type WorkerTransport struct {
 	n       int // global rank-space size
 	nnodes  int
 	perNode int
 	node    int
 	lo, hi  int    // this node's rank window
-	gen     uint64 // run generation, fixed at construction
+	gen     uint64 // run generation; rebind moves a cached transport to the next
 	boxes   []mailbox
 	coord   Coordinator
 	pool    bufPool
@@ -165,13 +165,15 @@ func (t *WorkerTransport) release(buf []float64) {
 
 // deliverLocal places a message in a local rank's mailbox and wakes the
 // owner if it waits on exactly this stream — SharedTransport's delivery
-// step over the windowed mailbox array.
-func (t *WorkerTransport) deliverLocal(src, dst int, tag Tag, data []float64, arrival float64) {
+// step over the windowed mailbox array. It reports whether the delivery
+// woke a waiting owner.
+func (t *WorkerTransport) deliverLocal(src, dst int, tag Tag, data []float64, arrival float64) bool {
 	mb := &t.boxes[dst-t.lo]
 	k := msgKey{src: src, tag: tag}
 	mb.mu.Lock()
 	mb.putLocked(k, message{data: data, arrival: arrival})
-	if mb.waiting && mb.await == k {
+	woke := mb.waiting && mb.await == k
+	if woke {
 		if pk := parkerOf(t.coord); pk != nil {
 			pk.Wake(dst)
 		} else {
@@ -179,31 +181,54 @@ func (t *WorkerTransport) deliverLocal(src, dst int, tag Tag, data []float64, ar
 		}
 	}
 	mb.mu.Unlock()
+	return woke
 }
 
-// deliverRemote completes an inter-node crossing: the worker's read loop
-// hands over a routed Data frame's fields. It errors on a destination
-// outside this node's window — the coordinator misrouted, which the worker
-// treats as a protocol failure.
-func (t *WorkerTransport) deliverRemote(src, dst int, tag Tag, data []float64, arrival float64) error {
-	if dst < t.lo || dst >= t.hi {
-		return fmt.Errorf("machine: routed frame for rank %d outside node %d's window [%d, %d)", dst, t.node, t.lo, t.hi)
+// deliverBatch completes the inter-node crossing of one multi-message Data
+// frame from node from: p holds msgs records in peerLink's batch layout.
+// Each message is peeled into its own pooled buffer and makes the mailbox
+// delivery every intra-node send uses. It reports whether any delivery
+// woke its receiver, and errors on a malformed batch or a message that
+// does not run from the sender's window into this one — a peer protocol
+// failure.
+func (t *WorkerTransport) deliverBatch(from int, p []float64, msgs uint64) (woke bool, err error) {
+	for m := uint64(0); m < msgs; m++ {
+		if len(p) < 5 {
+			return woke, errors.New("machine: data batch truncated")
+		}
+		src := int(int64(math.Float64bits(p[0])))
+		dst := int(int64(math.Float64bits(p[1])))
+		plen := math.Float64bits(p[4])
+		if plen > uint64(len(p)-5) {
+			return woke, errors.New("machine: data message overruns its batch")
+		}
+		if dst < t.lo || dst >= t.hi || src < 0 || src >= t.n || src/t.perNode != from {
+			return woke, fmt.Errorf("machine: frame from node %d carries a message %d -> %d, outside the link into node %d's window [%d, %d)", from, src, dst, t.node, t.lo, t.hi)
+		}
+		data := t.acquire(int(plen))
+		copy(data, p[5:5+plen])
+		if t.deliverLocal(src, dst, Tag(math.Float64bits(p[2])), data, p[3]) {
+			woke = true
+		}
+		p = p[5+plen:]
 	}
-	t.deliverLocal(src, dst, tag, data, arrival)
+	return woke, nil
+}
+
+// recheckStall re-runs the sub-machine's stall decision after a delivery
+// that woke no rank: the state the node last reported predates the frame,
+// and if the node is still stalled with it consumed, only a fresh report
+// lets the coordinator's cut rule see it.
+func (t *WorkerTransport) recheckStall() {
 	if t.recheck != nil {
-		// A delivery that wakes no rank must still re-run the local stall
-		// decision: the hint that armed the coordinator's probe predates
-		// this frame, and if the node is still stalled with it consumed,
-		// only a fresh hint keeps the probe live.
 		t.recheck.RecheckStall()
 	}
-	return nil
 }
 
 // Send routes a message: intra-node to the mailbox fast path, inter-node
-// onto the worker's coordinator socket as a Data frame. The sender's
+// onto the destination node's peer socket as a Data frame. The sender's
 // payload buffer is recycled through the pool once encoded, exactly
-// balancing the buffers the read loop acquires for deliveries.
+// balancing the buffers the peer readers acquire for deliveries.
 func (t *WorkerTransport) Send(src, dst int, tag Tag, data []float64, arrival float64) {
 	if dst/t.perNode == t.node {
 		t.deliverLocal(src, dst, tag, data, arrival)
@@ -332,10 +357,10 @@ func (t *WorkerTransport) releaseBarrier(g uint64) {
 // The fence that ended the previous run took the transport down
 // (hostDown), so the down flag, reason, mailboxes and barrier ladder all
 // rewind here. Called from the worker's read loop between the
-// coordinator's RunSpec and its ack — no rank goroutine is live and the
-// coordinator routes no Data frame before the ack, so nothing races the
-// rewind, and frames routed after the ack land in the cleared mailboxes
-// exactly as they would in a freshly built transport.
+// coordinator's RunSpec and the run's installation — no rank goroutine is
+// live and the peer readers deliver nothing while no run is installed, so
+// nothing races the rewind, and the new generation's frames land in the
+// cleared mailboxes exactly as they would in a freshly built transport.
 func (t *WorkerTransport) rebind(gen uint64) {
 	t.gen = gen
 	t.down.Store(false)
@@ -355,7 +380,7 @@ func (t *WorkerTransport) rebind(gen uint64) {
 }
 
 // Reset is a no-op: a WorkerTransport serves one run per (re)bind, and
-// the coordinator may route inter-node frames here between the run's
+// peers may deliver inter-node frames here between the run's
 // installation and the machine's Run call — the machine's unconditional
 // start-of-run Reset must not discard them. Fence semantics between runs
 // belong to the coordinator's reset protocol plus rebind.
@@ -403,8 +428,8 @@ func (t *WorkerTransport) declareStall() { t.Abort() }
 // stallStatus evaluates the local stall condition without declaring
 // anything: all live local ranks blocked (confirmed by the machine under
 // every mailbox lock) and no waiter has a matching pending message. This
-// is the per-node half of the distributed probe; the worker reports it in
-// ProbeAck status flags.
+// is the stalled flag of the node's stall-plane state, in reports and
+// probe acks alike.
 func (t *WorkerTransport) stallStatus() bool {
 	if t.coord == nil || t.down.Load() {
 		return false
@@ -436,14 +461,18 @@ func (t *WorkerTransport) stallStatus() bool {
 	return stalled
 }
 
+// releasedBarrier returns the latest host-barrier generation released.
+func (t *WorkerTransport) releasedBarrier() uint64 {
+	t.bmu.Lock()
+	defer t.bmu.Unlock()
+	return t.released
+}
+
 // CheckStalled never declares a stall — one node cannot tell a deadlock
-// from a frame another node has yet to send — but forwards a locally
-// quiescent state to the coordinator as a StallHint, arming the two-phase
-// distributed probe. Always false: the verdict arrives asynchronously as
-// declareStall.
+// from a frame another node has yet to send — but has the worker report a
+// locally quiescent state to the coordinator, whose cut rule decides.
+// Always false: the verdict arrives asynchronously as declareStall.
 func (t *WorkerTransport) CheckStalled() bool {
-	if t.stallStatus() {
-		t.host.sendStallHint(t.gen)
-	}
+	t.host.reportStall()
 	return false
 }

@@ -6,6 +6,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
+
+	"repro/internal/machine"
 )
 
 // Minimal Prometheus text-format metrics — counters and fixed-bucket
@@ -72,6 +75,30 @@ type Metrics struct {
 	// return); queueSeconds the admission wait.
 	runSeconds   *histogram
 	queueSeconds *histogram
+
+	// The ipc execution plane's own counters, summed over every run whose
+	// ranks executed inside worker processes (core.Run.Exec).
+	ipcStallReports, ipcProbeRounds, ipcPeerFrames atomic.Int64
+}
+
+// countExec folds one run's execution-plane counters in; st is nil for
+// runs that stayed in this process.
+func (m *Metrics) countExec(st *machine.ExecStats) {
+	if st == nil {
+		return
+	}
+	m.ipcStallReports.Add(st.StallReports)
+	m.ipcProbeRounds.Add(st.ProbeRounds)
+	for _, n := range st.Nodes {
+		m.ipcPeerFrames.Add(n.PeerFrames)
+	}
+}
+
+// writeExec renders the execution-plane counters.
+func (m *Metrics) writeExec(b *strings.Builder) {
+	fmt.Fprintf(b, "# TYPE kfserve_ipc_stall_reports_total counter\nkfserve_ipc_stall_reports_total %d\n", m.ipcStallReports.Load())
+	fmt.Fprintf(b, "# TYPE kfserve_ipc_probe_rounds_total counter\nkfserve_ipc_probe_rounds_total %d\n", m.ipcProbeRounds.Load())
+	fmt.Fprintf(b, "# TYPE kfserve_ipc_peer_frames_total counter\nkfserve_ipc_peer_frames_total %d\n", m.ipcPeerFrames.Load())
 }
 
 func newMetrics() *Metrics {

@@ -279,6 +279,7 @@ func (s *Server) execute(req *RunRequest, key string, queueWait time.Duration) (
 		lease.Discard()
 		return nil, &RunError{Program: prog.Name, Err: err}
 	}
+	s.metrics.countExec(run.Exec)
 	resp := &RunResponse{
 		Program:        prog.Name,
 		Key:            key,
@@ -296,6 +297,7 @@ func (s *Server) execute(req *RunRequest, key string, queueWait time.Duration) (
 			lease.Discard()
 			return nil, &RunError{Program: prog.Name, Err: err}
 		}
+		s.metrics.countExec(again.Exec)
 		cmp := core.CompareRuns(run, again)
 		resp.Verify = &VerifyResult{
 			Identical:       cmp.Identical,
@@ -374,6 +376,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(&b, "# TYPE kfserve_draining gauge\nkfserve_draining %d\n", draining)
 	s.metrics.writeRuns(&b)
+	s.metrics.writeExec(&b)
 	s.metrics.runSeconds.write(&b, "kfserve_run_seconds")
 	s.metrics.queueSeconds.write(&b, "kfserve_queue_seconds")
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")

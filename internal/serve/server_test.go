@@ -282,3 +282,35 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsCountIPCExecutionPlane: the kfserve_ipc_* counters sum
+// core.Run.Exec over the runs whose ranks executed in worker processes —
+// an in-process run moves none of them, a clean ipc run moves the peer
+// frames and never the probe rounds.
+func TestMetricsCountIPCExecutionPlane(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{})
+	metrics := func() string {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return string(data)
+	}
+	postRun(t, ts, serve.RunRequest{Program: "jacobi", Args: []float64{8, 2}, Grid: []int{2, 2}})
+	text := metrics()
+	for _, want := range []string{"kfserve_ipc_stall_reports_total 0", "kfserve_ipc_probe_rounds_total 0", "kfserve_ipc_peer_frames_total 0"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("after an in-process run, metrics missing %q", want)
+		}
+	}
+	resp, data := postRun(t, ts, serve.RunRequest{Program: "jacobi", Args: []float64{8, 2}, Grid: []int{2, 2}, Transport: "ipc", Nodes: 2})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ipc run: %d %s", resp.StatusCode, data)
+	}
+	text = metrics()
+	if strings.Contains(text, "kfserve_ipc_peer_frames_total 0") || !strings.Contains(text, "kfserve_ipc_probe_rounds_total 0") {
+		t.Errorf("after a clean ipc run: want peer frames counted and no probe round\n%s", text)
+	}
+}

@@ -11,8 +11,10 @@
 // announcements, reset fencing, abort broadcast, the two-phase stall
 // probe, shutdown, and the execution-plane run protocol (RunSpec out to
 // the workers; RunAck, RankResult and StallHint back). Opaque bytes —
-// run specs, error texts — ride in the float64 payload via PackBytes/
-// UnpackBytes. The encoding is canonical: any frame that decodes
+// run specs, error texts, socket addresses — ride in the float64 payload
+// via PackBytes/UnpackBytes, and counters ride there as bit-container
+// words (a node's stall-plane state: flags, barrier generation, then one
+// sent and one received frame count per node of the fleet). The encoding is canonical: any frame that decodes
 // re-encodes to exactly the same bytes, which is what lets the round-trip
 // fuzzer compare raw bytes instead of trusting the decoder twice.
 //
@@ -37,10 +39,10 @@ import (
 // Kind discriminates the frame vocabulary.
 type Kind uint8
 
-// The frame kinds. Data carries one simulated message in either direction:
-// coordinator -> worker it is an inter-node edge being routed toward the
-// destination node, worker -> coordinator it is an inter-node send leaving
-// a worker-hosted rank. Deliver is a Data frame reflected back off a relay
+// The frame kinds. Data carries simulated messages: coordinator -> worker
+// it is one inter-node message on its way to be reflected by a relay
+// worker, worker -> worker it is a batch of a worker-hosted node's sends
+// to one peer node. Deliver is a Data frame reflected back off a relay
 // worker (the two differ only in the kind byte, so a relay worker routes
 // without re-encoding). RunSpec through StallHint are the execution-plane
 // control vocabulary: the coordinator ships a serialized run request to
@@ -49,21 +51,21 @@ type Kind uint8
 // control frames.
 const (
 	KindInvalid    Kind = iota
-	KindHello           // worker session opener; Seq = node id
-	KindData            // simulated message; Seq = per-socket FIFO sequence, A = run generation on worker->coordinator frames
+	KindHello           // session opener; Seq = node id. An exec-capable worker adds the address it listens on for its peers (A = byte length, payload = PackBytes(address)); the coordinator answers with the peer table (Seq = node count, A = byte length, payload = PackBytes(newline-joined addresses in node order)); a worker dialling a peer sends the bare form
+	KindData            // simulated message(s); Seq = per-socket FIFO sequence (per run generation on a peer socket), and on worker->worker frames A = run generation, B = message count
 	KindDeliver         // simulated message, relay worker -> coordinator; same fields as the Data it reflects
 	KindBarrier         // host-barrier epoch announcement; Seq = generation, A = run generation on worker->coordinator arrivals
 	KindReset           // run fence, coordinator -> worker; Seq = reset generation
 	KindResetAck        // run fence acknowledgement; Seq echoes the generation, A = data frames seen before the fence
 	KindAbort           // abort broadcast, coordinator -> worker; Seq = 1 when a distributed stall was declared (ranks unwind with the deadlock cause)
 	KindProbe           // stall probe, coordinator -> worker; Seq = probe epoch
-	KindProbeAck        // stall probe reply; Seq echoes the epoch, A = frames received, B = frames forwarded, Tag = worker status flags (bit 0 locally stalled, bit 1 all local ranks finished)
+	KindProbeAck        // stall probe reply; Seq echoes the epoch, A = frames received, B = frames forwarded (the relay counters), payload = the node's stall-plane state while a run is active (flags — bit 0 locally stalled, bit 1 all local ranks finished — released barrier generation, sent[nodes], recv[nodes])
 	KindShutdown        // orderly teardown, coordinator -> worker
 	KindRunSpec         // distributed run request (and start signal), coordinator -> worker; Seq = run generation, A = spec byte length, payload = PackBytes(spec JSON)
 	KindRunAck          // run request rejection, worker -> coordinator; Seq echoes the generation, A = 1, B = error byte length, payload = PackBytes(error text). Acceptance is not acked.
 	KindRunStart        // retired: run start, coordinator -> worker (the spec now doubles as the start signal); kept in the vocabulary for frame-log compatibility
-	KindRankResult      // a node's rank results, worker -> coordinator; Src = node, Seq = run generation, A = record count, payload = packed per-rank records (rank, error class, error byte length, payload word count header words — pure bit containers — then payload words, then PackBytes(error text))
-	KindStallHint       // worker -> coordinator: the node's live ranks are all blocked; Seq = run generation
+	KindRankResult      // a node's rank results, worker -> coordinator; Src = node, Seq = run generation, A = record count, payload = packed per-rank records (rank, error class, error byte length, payload word count header words — pure bit containers — then payload words, then PackBytes(error text)), then on the node's last frame a B-word trailer: its final stall-plane state, link message counts [nodes], link byte counts [nodes], flush count
+	KindStallHint       // worker -> coordinator: the node is locally quiescent (stalled, or finished and still receiving) in a state it has not reported before; Seq = run generation, payload = the stall-plane state as in ProbeAck
 	kindEnd
 )
 
