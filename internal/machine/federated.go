@@ -3,60 +3,7 @@ package machine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
-
-// FederatedTransport partitions a machine's processors into nodes of equal
-// size — the NUMA-style multi-machine federation past the reach of one
-// shared mailbox array. Intra-node messages go through the node's own
-// mailbox (one lock per node, private to its processors); inter-node
-// messages are routed through a per-ordered-node-pair link that serializes
-// delivery, so each directed node pair behaves like one FIFO network
-// channel and carries byte/message counters — the numbers a performance
-// estimator needs to price node interconnect traffic.
-//
-// Under a flat cost model a program's clocks, statistics and results are
-// bit-identical on a FederatedTransport and a SharedTransport; the
-// conformance suite and the S2 experiment hold both transports to that.
-// With a hierarchical cost model (CostModel.InterNode) the federation
-// additionally prices inter-node messages at their link's latency and
-// bandwidth through MessageTime, so values and message counts stay
-// identical while virtual times honestly diverge — the NUMA effect the
-// paper's performance-estimation story needs the clock to see.
-type FederatedTransport struct {
-	n       int
-	nnodes  int
-	perNode int
-	nodes   []nodeBox
-	links   []link // directed node pairs, row-major [src*nnodes+dst]
-	coord   Coordinator
-	down    atomic.Bool
-	bar     hostBarrier
-}
-
-// fedKey matches receives to sends inside one node's shared mailbox:
-// point-to-point by destination rank, source rank and tag (the same
-// (src, tag) stream discipline as the shared transport, with the receiving
-// endpoint made explicit because the mailbox is shared by the node).
-type fedKey struct {
-	dst int
-	src int
-	tag Tag
-}
-
-// nodeBox is one node's incoming message state: a single queue map guarded
-// by one lock for all of the node's processors, with one condition variable
-// per local processor for targeted wakeups.
-type nodeBox struct {
-	mu     sync.Mutex
-	queues map[fedKey][]message
-	spare  [][]message
-	// Per local processor (index = rank - node*perNode): the stream the
-	// processor is parked on, if any.
-	conds   []*sync.Cond
-	awaits  []fedKey
-	waiting []bool
-}
 
 // link is one directed inter-node channel. Delivery holds the link lock,
 // so messages crossing the same node pair are handed to the destination
@@ -68,61 +15,44 @@ type link struct {
 	bytes int64
 }
 
-// NewFederatedTransport returns a transport with n endpoints partitioned
-// into nnodes equal nodes (nnodes must divide n). Node k owns ranks
-// [k*n/nnodes, (k+1)*n/nnodes).
-func NewFederatedTransport(n, nnodes int) *FederatedTransport {
-	if n <= 0 {
-		panic(fmt.Sprintf("machine: transport endpoint count must be positive, got %d", n))
-	}
+// linkSet is the node partition of a federated machine and its interconnect
+// census: n processors in nnodes equal nodes (node k owns ranks
+// [k*n/nnodes, (k+1)*n/nnodes)), one counted link per directed node pair,
+// and the per-link message pricing. FederatedTransport and IPCTransport
+// embed it beside the local plane.
+type linkSet struct {
+	nnodes  int
+	perNode int
+	links   []link // directed node pairs, row-major [src*nnodes+dst]
+}
+
+func (ls *linkSet) initLinks(n, nnodes int) {
 	if nnodes <= 0 || n%nnodes != 0 {
 		panic(fmt.Sprintf("machine: federation of %d processors needs a positive node count dividing it, got %d", n, nnodes))
 	}
-	t := &FederatedTransport{
-		n:       n,
-		nnodes:  nnodes,
-		perNode: n / nnodes,
-		nodes:   make([]nodeBox, nnodes),
-		links:   make([]link, nnodes*nnodes),
-	}
-	for i := range t.nodes {
-		nb := &t.nodes[i]
-		nb.queues = make(map[fedKey][]message)
-		nb.conds = make([]*sync.Cond, t.perNode)
-		nb.awaits = make([]fedKey, t.perNode)
-		nb.waiting = make([]bool, t.perNode)
-		for j := range nb.conds {
-			nb.conds[j] = sync.NewCond(&nb.mu)
-		}
-	}
-	t.bar.init(n)
-	return t
+	ls.nnodes = nnodes
+	ls.perNode = n / nnodes
+	ls.links = make([]link, nnodes*nnodes)
 }
 
-// Size returns the number of endpoints.
-func (t *FederatedTransport) Size() int { return t.n }
-
 // Nodes returns the number of federation nodes.
-func (t *FederatedTransport) Nodes() int { return t.nnodes }
+func (ls *linkSet) Nodes() int { return ls.nnodes }
 
 // ProcsPerNode returns the number of processors on each node.
-func (t *FederatedTransport) ProcsPerNode() int { return t.perNode }
+func (ls *linkSet) ProcsPerNode() int { return ls.perNode }
 
 // NodeOf returns the node owning the given rank.
-func (t *FederatedTransport) NodeOf(rank int) int { return rank / t.perNode }
-
-// Bind installs the machine's coordinator (nil for standalone use).
-func (t *FederatedTransport) Bind(c Coordinator) { t.coord = c }
-
-// Down reports whether the transport has been aborted since the last Reset.
-func (t *FederatedTransport) Down() bool { return t.down.Load() }
+func (ls *linkSet) NodeOf(rank int) int { return rank / ls.perNode }
 
 // LinkTraffic returns the message and byte counts carried by the directed
 // link from node src to node dst since the last Reset. Counts are a
 // deterministic function of the program (every inter-node message crosses
 // exactly one link), so they can be asserted exactly.
-func (t *FederatedTransport) LinkTraffic(src, dst int) (msgs, bytes int64) {
-	l := &t.links[src*t.nnodes+dst]
+func (ls *linkSet) LinkTraffic(src, dst int) (msgs, bytes int64) {
+	if src < 0 || src >= ls.nnodes || dst < 0 || dst >= ls.nnodes {
+		panic(fmt.Sprintf("machine: link traffic of node pair (%d, %d) on a federation of %d nodes", src, dst, ls.nnodes))
+	}
+	l := &ls.links[src*ls.nnodes+dst]
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.msgs, l.bytes
@@ -130,9 +60,9 @@ func (t *FederatedTransport) LinkTraffic(src, dst int) (msgs, bytes int64) {
 
 // InterNodeTraffic returns the total message and byte counts that crossed
 // node boundaries since the last Reset.
-func (t *FederatedTransport) InterNodeTraffic() (msgs, bytes int64) {
-	for i := range t.links {
-		l := &t.links[i]
+func (ls *linkSet) InterNodeTraffic() (msgs, bytes int64) {
+	for i := range ls.links {
+		l := &ls.links[i]
 		l.mu.Lock()
 		msgs += l.msgs
 		bytes += l.bytes
@@ -145,242 +75,75 @@ func (t *FederatedTransport) InterNodeTraffic() (msgs, bytes int64) {
 // pay the flat cost, inter-node messages pay the cost model's per-link
 // price. With a flat cost model (no InterNode table) every pair prices
 // identically to SharedTransport — the degenerate case the conformance
-// suite's bit-identical-times battery pins.
-func (t *FederatedTransport) MessageTime(cost CostModel, src, dst, b int) float64 {
-	return cost.LinkMessageTime(src/t.perNode, dst/t.perNode, b)
+// suite's bit-identical-times battery pins. Every node-partitioned
+// transport prices through LinkMessageTime, which is what keeps virtual
+// times bit-identical across federated, ipc and the worker sub-machines.
+func (ls *linkSet) MessageTime(cost CostModel, src, dst, b int) float64 {
+	return cost.LinkMessageTime(src/ls.perNode, dst/ls.perNode, b)
 }
 
-// deliver places the message in dst's node mailbox and wakes dst if it is
-// parked on exactly this stream (through the machine's Parker when a
-// parking engine is driving; see SharedTransport.Send).
-func (t *FederatedTransport) deliver(k fedKey, msg message) {
-	nb := &t.nodes[k.dst/t.perNode]
-	li := k.dst % t.perNode
-	nb.mu.Lock()
-	q, ok := nb.queues[k]
-	if !ok && len(nb.spare) > 0 {
-		q = nb.spare[len(nb.spare)-1]
-		nb.spare = nb.spare[:len(nb.spare)-1]
+// clearLinks zeroes the census. Each link lock is held while its counters
+// are cleared, so a concurrent reader (a stress harness, a monitoring
+// goroutine) observes either the old counts or zero, never a torn mixture.
+func (ls *linkSet) clearLinks() {
+	for i := range ls.links {
+		l := &ls.links[i]
+		l.mu.Lock()
+		l.msgs, l.bytes = 0, 0
+		l.mu.Unlock()
 	}
-	nb.queues[k] = append(q, msg)
-	if nb.waiting[li] && nb.awaits[li] == k {
-		if pk := parkerOf(t.coord); pk != nil {
-			pk.Wake(k.dst)
-		} else {
-			nb.conds[li].Signal()
-		}
-	}
-	nb.mu.Unlock()
 }
 
-// Send routes a message: directly into the destination node's mailbox for
+// FederatedTransport partitions a machine's processors into nodes of equal
+// size — the NUMA-style multi-machine federation past the reach of one
+// shared mailbox array. It is the local plane plus a linkSet: every message
+// lands in its destination rank's mailbox exactly as on SharedTransport,
+// and a message whose endpoints live on different nodes is delivered under
+// its directed node pair's link lock, so each pair behaves like one FIFO
+// network channel and carries byte/message counters — the numbers a
+// performance estimator needs to price node interconnect traffic.
+//
+// Under a flat cost model a program's clocks, statistics and results are
+// bit-identical on a FederatedTransport and a SharedTransport; the
+// conformance suite and the S2 experiment hold both transports to that.
+// With a hierarchical cost model (CostModel.InterNode) the federation
+// additionally prices inter-node messages at their link's latency and
+// bandwidth through MessageTime, so values and message counts stay
+// identical while virtual times honestly diverge — the NUMA effect the
+// paper's performance-estimation story needs the clock to see.
+type FederatedTransport struct {
+	localPlane
+	linkSet
+}
+
+// NewFederatedTransport returns a transport with n endpoints partitioned
+// into nnodes equal nodes (nnodes must divide n).
+func NewFederatedTransport(n, nnodes int) *FederatedTransport {
+	t := &FederatedTransport{}
+	t.initPlane(n)
+	t.initLinks(n, nnodes)
+	return t
+}
+
+// Send routes a message: straight into the destination's mailbox for
 // intra-node traffic, through the (srcNode, dstNode) link — counted and
 // order-preserved under the link lock — for inter-node traffic.
 func (t *FederatedTransport) Send(src, dst int, tag Tag, data []float64, arrival float64) {
-	k := fedKey{dst: dst, src: src, tag: tag}
-	msg := message{data: data, arrival: arrival}
 	sn, dn := src/t.perNode, dst/t.perNode
 	if sn == dn {
-		t.deliver(k, msg)
+		t.deliver(src, dst, tag, data, arrival)
 		return
 	}
 	l := &t.links[sn*t.nnodes+dn]
 	l.mu.Lock()
 	l.msgs++
 	l.bytes += int64(len(data) * wordBytes)
-	t.deliver(k, msg)
+	t.deliver(src, dst, tag, data, arrival)
 	l.mu.Unlock()
 }
 
-// Recv blocks the calling endpoint until a message matching (src, tag) is
-// available in its node's mailbox, then returns it. ok is false if the
-// transport went down while waiting.
-func (t *FederatedTransport) Recv(dst, src int, tag Tag) ([]float64, float64, bool) {
-	nb := &t.nodes[dst/t.perNode]
-	li := dst % t.perNode
-	k := fedKey{dst: dst, src: src, tag: tag}
-	nb.mu.Lock()
-	if msg, ok := nb.takeLocked(k); ok {
-		nb.mu.Unlock()
-		return msg.data, msg.arrival, true
-	}
-	if t.down.Load() {
-		nb.mu.Unlock()
-		return nil, 0, false
-	}
-	nb.awaits[li] = k
-	nb.waiting[li] = true
-	nb.mu.Unlock()
-
-	if t.coord != nil {
-		t.coord.Blocked()
-	}
-
-	pk := parkerOf(t.coord)
-	nb.mu.Lock()
-	for {
-		if msg, ok := nb.takeLocked(k); ok {
-			nb.waiting[li] = false
-			nb.mu.Unlock()
-			if t.coord != nil {
-				t.coord.Unblocked()
-			}
-			return msg.data, msg.arrival, true
-		}
-		if t.down.Load() {
-			nb.waiting[li] = false
-			nb.mu.Unlock()
-			if t.coord != nil {
-				t.coord.Unblocked()
-			}
-			return nil, 0, false
-		}
-		if pk != nil {
-			nb.mu.Unlock()
-			pk.Park(dst)
-			nb.mu.Lock()
-		} else {
-			nb.conds[li].Wait()
-		}
-	}
-}
-
-// takeLocked removes the oldest message matching k from the node mailbox,
-// recycling drained queue slices. Caller holds nb.mu.
-func (nb *nodeBox) takeLocked(k fedKey) (message, bool) {
-	q := nb.queues[k]
-	if len(q) == 0 {
-		return message{}, false
-	}
-	msg := q[0]
-	copy(q, q[1:])
-	q[len(q)-1] = message{}
-	q = q[:len(q)-1]
-	if len(q) == 0 {
-		delete(nb.queues, k)
-		nb.spare = append(nb.spare, q)
-	} else {
-		nb.queues[k] = q
-	}
-	return msg, true
-}
-
-// Barrier parks the calling endpoint until all endpoints arrive.
-func (t *FederatedTransport) Barrier(rank int) bool {
-	if rank < 0 || rank >= t.n {
-		panic(fmt.Sprintf("machine: barrier from invalid rank %d", rank))
-	}
-	return t.bar.await(rank, &t.down, parkerOf(t.coord))
-}
-
-// Reset clears all node mailboxes, waiter state, link counters and the down
-// flag, keeping allocated capacity. Each node and link lock is held while
-// its state is cleared, so a concurrent CheckStalled or link-counter reader
-// (a stress harness, a monitoring goroutine) observes either the old state
-// or the cleared one, never a torn mixture.
+// Reset clears the local plane and the link census.
 func (t *FederatedTransport) Reset() {
-	for i := range t.nodes {
-		nb := &t.nodes[i]
-		nb.mu.Lock()
-		for k, q := range nb.queues {
-			for j := range q {
-				q[j] = message{}
-			}
-			delete(nb.queues, k)
-			nb.spare = append(nb.spare, q[:0])
-		}
-		for j := range nb.waiting {
-			nb.waiting[j] = false
-			nb.awaits[j] = fedKey{}
-		}
-		nb.mu.Unlock()
-	}
-	for i := range t.links {
-		l := &t.links[i]
-		l.mu.Lock()
-		l.msgs = 0
-		l.bytes = 0
-		l.mu.Unlock()
-	}
-	t.bar.reset()
-	t.down.Store(false)
-}
-
-// Abort marks the transport down and wakes every blocked receiver.
-func (t *FederatedTransport) Abort() {
-	t.down.Store(true)
-	for i := range t.nodes {
-		nb := &t.nodes[i]
-		nb.mu.Lock()
-		for _, c := range nb.conds {
-			c.Broadcast()
-		}
-		nb.mu.Unlock()
-	}
-	t.bar.wake()
-	if pk := parkerOf(t.coord); pk != nil {
-		pk.WakeAll()
-	}
-}
-
-// CheckStalled takes every node lock (in node order) for a consistent
-// snapshot and flags a deadlock when all live processors are parked with no
-// matching pending message anywhere. See SharedTransport.CheckStalled for
-// the protocol; the federated version differs only in where waiters and
-// queues live.
-func (t *FederatedTransport) CheckStalled() bool { return t.stallCheck(true) }
-
-// probeStalled evaluates the stall condition without declaring it; see
-// SharedTransport.probeStalled.
-func (t *FederatedTransport) probeStalled() bool { return t.stallCheck(false) }
-
-// stallCheck is the shared body of CheckStalled (declare=true) and
-// probeStalled (declare=false).
-func (t *FederatedTransport) stallCheck(declare bool) bool {
-	if t.coord == nil {
-		return false
-	}
-	for i := range t.nodes {
-		t.nodes[i].mu.Lock()
-	}
-	stalled := false
-	if !t.down.Load() {
-		if live := t.coord.ConfirmStall(); live > 0 {
-			waiting := 0
-			canProceed := false
-			for i := range t.nodes {
-				nb := &t.nodes[i]
-				for j, w := range nb.waiting {
-					if !w {
-						continue
-					}
-					waiting++
-					if len(nb.queues[nb.awaits[j]]) > 0 {
-						canProceed = true
-					}
-				}
-			}
-			if waiting >= live && !canProceed {
-				stalled = true
-			}
-		}
-	}
-	if stalled && declare {
-		t.down.Store(true)
-		for i := range t.nodes {
-			for _, c := range t.nodes[i].conds {
-				c.Broadcast()
-			}
-		}
-	}
-	for i := range t.nodes {
-		t.nodes[i].mu.Unlock()
-	}
-	if stalled && declare {
-		t.bar.wake()
-		if pk := parkerOf(t.coord); pk != nil {
-			pk.WakeAll()
-		}
-	}
-	return stalled
+	t.localPlane.Reset()
+	t.clearLinks()
 }

@@ -73,21 +73,19 @@ type bufPool interface {
 // cost model (MessageTime prices node pairs exactly as FederatedTransport
 // does, so a hierarchical CostModel.InterNode diverges identically too).
 //
-// Stall detection cannot take a global-lock snapshot across processes, so
-// CheckStalled runs a coordinator-driven two-phase probe; see stalledCheck.
+// The coordinator side is the local plane (mailboxes, receive loop, barrier,
+// stall snapshot — see boxSet) plus a linkSet (partition, census, pricing)
+// plus the sockets, probes and fence in this file. Stall detection cannot
+// take a global-lock snapshot across processes, so CheckStalled brackets the
+// core's snapshot with a coordinator-driven two-phase probe; see
+// stalledCheck.
 // Workers spawn lazily on the first inter-node send: a transport that never
 // crosses nodes (or is used standalone via Bind(nil)) costs no processes.
 type IPCTransport struct {
-	n       int
-	nnodes  int
-	perNode int
-	boxes   []mailbox
-	links   []link // directed node pairs, row-major [src*nnodes+dst]
-	coord   Coordinator
+	localPlane
+	linkSet
 	pool    bufPool
 	recheck stallRechecker
-	down    atomic.Bool
-	bar     hostBarrier
 
 	startMu    sync.Mutex // serializes start; guards startDone/startErr/cmds/listenAddr
 	startDone  bool
@@ -251,54 +249,24 @@ func (t *IPCTransport) flushLoop(cn *ipcConn) {
 // partitioned into nnodes equal nodes (nnodes must divide n). Worker
 // processes spawn on the first inter-node send; Close tears them down.
 func NewIPCTransport(n, nnodes int) *IPCTransport {
-	if n <= 0 {
-		panic(fmt.Sprintf("machine: transport endpoint count must be positive, got %d", n))
-	}
-	if nnodes <= 0 || n%nnodes != 0 {
-		panic(fmt.Sprintf("machine: ipc transport of %d processors needs a positive node count dividing it, got %d", n, nnodes))
-	}
 	t := &IPCTransport{
-		n:       n,
-		nnodes:  nnodes,
-		perNode: n / nnodes,
-		boxes:   make([]mailbox, n),
-		links:   make([]link, nnodes*nnodes),
-		watch:   make(chan struct{}, 1),
-		stopc:   make(chan struct{}),
+		watch: make(chan struct{}, 1),
+		stopc: make(chan struct{}),
 	}
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.cond = sync.NewCond(&mb.mu)
-		mb.queues = make(map[msgKey][]message)
-	}
+	t.initPlane(n)
+	t.initLinks(n, nnodes)
 	t.pcond = sync.NewCond(&t.pmu)
-	t.bar.init(n)
 	t.bar.onRelease = t.announceBarrier
 	return t
 }
 
-// Size returns the number of endpoints.
-func (t *IPCTransport) Size() int { return t.n }
-
-// Nodes returns the number of nodes (worker processes once started).
-func (t *IPCTransport) Nodes() int { return t.nnodes }
-
-// ProcsPerNode returns the number of processors on each node.
-func (t *IPCTransport) ProcsPerNode() int { return t.perNode }
-
-// NodeOf returns the node owning the given rank.
-func (t *IPCTransport) NodeOf(rank int) int { return rank / t.perNode }
-
 // Bind installs the machine's coordinator (nil for standalone use) and
 // picks up its optional pool and stall-recheck capabilities.
 func (t *IPCTransport) Bind(c Coordinator) {
-	t.coord = c
+	t.localPlane.Bind(c)
 	t.pool, _ = c.(bufPool)
 	t.recheck, _ = c.(stallRechecker)
 }
-
-// Down reports whether the transport has been aborted since the last Reset.
-func (t *IPCTransport) Down() bool { return t.down.Load() }
 
 // DownReason returns the structured cause of the current down state (a
 // wrapped ErrWorkerLost when a worker process died), or nil.
@@ -322,36 +290,6 @@ func (t *IPCTransport) WorkerPIDs() []int {
 	return pids
 }
 
-// LinkTraffic returns the message and byte counts carried by the directed
-// socket link from node src to node dst since the last Reset.
-func (t *IPCTransport) LinkTraffic(src, dst int) (msgs, bytes int64) {
-	l := &t.links[src*t.nnodes+dst]
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.msgs, l.bytes
-}
-
-// InterNodeTraffic returns the total message and byte counts that crossed
-// node boundaries since the last Reset.
-func (t *IPCTransport) InterNodeTraffic() (msgs, bytes int64) {
-	for i := range t.links {
-		l := &t.links[i]
-		l.mu.Lock()
-		msgs += l.msgs
-		bytes += l.bytes
-		l.mu.Unlock()
-	}
-	return msgs, bytes
-}
-
-// MessageTime prices a message by the node pair it crosses, identically to
-// FederatedTransport: flat cost intra-node, the cost model's per-link price
-// inter-node. Identical pricing is what keeps virtual times bit-identical
-// across federated and ipc for the same program and cost model.
-func (t *IPCTransport) MessageTime(cost CostModel, src, dst, b int) float64 {
-	return cost.LinkMessageTime(src/t.perNode, dst/t.perNode, b)
-}
-
 // acquire supplies payload buffers for decoded Deliver frames from the
 // machine pool when bound, satisfying wire.ReadFrame's hook signature.
 func (t *IPCTransport) acquire(n int) []float64 {
@@ -369,25 +307,6 @@ func (t *IPCTransport) release(p []float64) {
 	}
 }
 
-// deliverLocal places a message in dst's mailbox and wakes dst if it is
-// waiting for exactly this stream — the same delivery step as
-// SharedTransport.Send, shared by the intra-node fast path and the reader
-// goroutines completing an inter-node crossing.
-func (t *IPCTransport) deliverLocal(src, dst int, tag Tag, data []float64, arrival float64) {
-	mb := &t.boxes[dst]
-	k := msgKey{src: src, tag: tag}
-	mb.mu.Lock()
-	mb.putLocked(k, message{data: data, arrival: arrival})
-	if mb.waiting && mb.await == k {
-		if pk := parkerOf(t.coord); pk != nil {
-			pk.Wake(dst)
-		} else {
-			mb.cond.Signal()
-		}
-	}
-	mb.mu.Unlock()
-}
-
 // Send routes a message: intra-node traffic goes straight to the mailbox;
 // inter-node traffic is serialized into a Data frame and written to the
 // destination node's worker socket (spawning the workers on first use).
@@ -398,7 +317,7 @@ func (t *IPCTransport) deliverLocal(src, dst int, tag Tag, data []float64, arriv
 func (t *IPCTransport) Send(src, dst int, tag Tag, data []float64, arrival float64) {
 	sn, dn := src/t.perNode, dst/t.perNode
 	if sn == dn {
-		t.deliverLocal(src, dst, tag, data, arrival)
+		t.deliver(src, dst, tag, data, arrival)
 		return
 	}
 	if err := t.ensureStarted(); err != nil {
@@ -429,71 +348,11 @@ func (t *IPCTransport) Send(src, dst int, tag Tag, data []float64, arrival float
 	t.release(data)
 }
 
-// Recv blocks the calling endpoint until a message matching (src, tag) is
-// available in dst's mailbox; identical protocol to SharedTransport.Recv
-// (reader goroutines feed the same mailboxes the intra-node path uses).
-func (t *IPCTransport) Recv(dst, src int, tag Tag) ([]float64, float64, bool) {
-	mb := &t.boxes[dst]
-	k := msgKey{src: src, tag: tag}
-	mb.mu.Lock()
-	if msg, ok := mb.takeLocked(k); ok {
-		mb.mu.Unlock()
-		return msg.data, msg.arrival, true
-	}
-	if t.down.Load() {
-		mb.mu.Unlock()
-		return nil, 0, false
-	}
-	mb.await = k
-	mb.waiting = true
-	mb.mu.Unlock()
-
-	if t.coord != nil {
-		t.coord.Blocked()
-	}
-
-	pk := parkerOf(t.coord)
-	mb.mu.Lock()
-	for {
-		if msg, ok := mb.takeLocked(k); ok {
-			mb.waiting = false
-			mb.mu.Unlock()
-			if t.coord != nil {
-				t.coord.Unblocked()
-			}
-			return msg.data, msg.arrival, true
-		}
-		if t.down.Load() {
-			mb.waiting = false
-			mb.mu.Unlock()
-			if t.coord != nil {
-				t.coord.Unblocked()
-			}
-			return nil, 0, false
-		}
-		if pk != nil {
-			mb.mu.Unlock()
-			pk.Park(dst)
-			mb.mu.Lock()
-		} else {
-			mb.cond.Wait()
-		}
-	}
-}
-
-// Barrier parks the calling endpoint until all endpoints arrive; each
-// release is announced to the workers as a Barrier frame (epoch alignment
-// for the node daemons, best effort).
-func (t *IPCTransport) Barrier(rank int) bool {
-	if rank < 0 || rank >= t.n {
-		panic(fmt.Sprintf("machine: barrier from invalid rank %d", rank))
-	}
-	return t.bar.await(rank, &t.down, parkerOf(t.coord))
-}
-
-// announceBarrier broadcasts a released barrier generation to the workers.
-// Called under the barrier lock, so it must never take pmu or declare a
-// failure (an I/O error here will resurface on the next Send or probe).
+// announceBarrier broadcasts a released barrier generation to the workers
+// (epoch alignment for the node daemons, best effort); the local plane's
+// barrier calls it on every release. Called under the barrier lock, so it
+// must never take pmu or declare a failure (an I/O error here will
+// resurface on the next Send or probe).
 func (t *IPCTransport) announceBarrier(gen uint64) {
 	if !t.started.Load() {
 		return
@@ -559,21 +418,8 @@ func (t *IPCTransport) fence(roundTrip bool) {
 		t.pmu.Unlock()
 		t.probeMu.Unlock()
 	}
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.mu.Lock()
-		mb.reset()
-		mb.mu.Unlock()
-	}
-	for i := range t.links {
-		l := &t.links[i]
-		l.mu.Lock()
-		l.msgs = 0
-		l.bytes = 0
-		l.mu.Unlock()
-	}
-	t.bar.reset()
-	t.down.Store(false)
+	t.localPlane.Reset()
+	t.clearLinks()
 	t.reasonMu.Lock()
 	t.reason = nil
 	t.reasonMu.Unlock()
@@ -582,17 +428,7 @@ func (t *IPCTransport) fence(roundTrip bool) {
 // Abort marks the transport down and wakes every blocked receiver, barrier
 // waiter, probe waiter and parked rank; workers are notified best-effort.
 func (t *IPCTransport) Abort() {
-	t.down.Store(true)
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.mu.Lock()
-		mb.cond.Broadcast()
-		mb.mu.Unlock()
-	}
-	t.bar.wake()
-	if pk := parkerOf(t.coord); pk != nil {
-		pk.WakeAll()
-	}
+	t.localPlane.Abort()
 	if t.started.Load() {
 		f := wire.Frame{Kind: wire.KindAbort}
 		for _, cn := range t.conns {
@@ -652,7 +488,7 @@ func (t *IPCTransport) stalledCheck(declare bool) bool {
 		return false
 	}
 	if !t.started.Load() {
-		return t.localStall(declare)
+		return t.stallCheck(declare)
 	}
 	if t.inFlight() != 0 {
 		return false
@@ -664,7 +500,7 @@ func (t *IPCTransport) stalledCheck(declare bool) bool {
 	if !ok {
 		return false
 	}
-	if !t.localStall(false) {
+	if !t.stallCheck(false) {
 		return false
 	}
 	t.snap2, ok = t.probeSnapshot(t.snap2[:0])
@@ -676,7 +512,7 @@ func (t *IPCTransport) stalledCheck(declare bool) bool {
 			return false
 		}
 	}
-	return t.localStall(declare)
+	return t.stallCheck(declare)
 }
 
 // probeRound sends a Probe frame to every worker and waits for every
@@ -734,50 +570,6 @@ func (t *IPCTransport) probeSnapshot(dst []uint64) ([]uint64, bool) {
 	}
 	t.pmu.Unlock()
 	return dst, quiescent
-}
-
-// localStall is the in-process stall snapshot over the coordinator's
-// mailboxes — the same protocol as SharedTransport.stallCheck.
-func (t *IPCTransport) localStall(declare bool) bool {
-	for i := range t.boxes {
-		t.boxes[i].mu.Lock()
-	}
-	stalled := false
-	if !t.down.Load() {
-		if live := t.coord.ConfirmStall(); live > 0 {
-			waiting := 0
-			canProceed := false
-			for i := range t.boxes {
-				mb := &t.boxes[i]
-				if !mb.waiting {
-					continue
-				}
-				waiting++
-				if len(mb.queues[mb.await]) > 0 {
-					canProceed = true
-				}
-			}
-			if waiting >= live && !canProceed {
-				stalled = true
-			}
-		}
-	}
-	if stalled && declare {
-		t.down.Store(true)
-		for i := range t.boxes {
-			t.boxes[i].cond.Broadcast()
-		}
-	}
-	for i := range t.boxes {
-		t.boxes[i].mu.Unlock()
-	}
-	if stalled && declare {
-		t.bar.wake()
-		if pk := parkerOf(t.coord); pk != nil {
-			pk.WakeAll()
-		}
-	}
-	return stalled
 }
 
 // SetListenAddr selects an explicit TCP address (host:port, port 0 for
@@ -1011,7 +803,7 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 		var err error
 		switch f.Kind {
 		case wire.KindDeliver:
-			t.deliverLocal(int(f.Src), int(f.Dst), Tag(f.Tag), f.Payload, f.Arrival)
+			t.deliver(int(f.Src), int(f.Dst), Tag(f.Tag), f.Payload, f.Arrival)
 			f.Payload = nil // the mailbox owns it now
 			cn.delivered.Add(1)
 			if t.inFlight() == 0 {
@@ -1110,7 +902,7 @@ func (t *IPCTransport) absorbResults(er *execRun, node int, f *wire.Frame) error
 		if plen > uint64(len(p)-4) || errWords > uint64(len(p)-4)-plen {
 			return fmt.Errorf("rank result record overruns batch (node %d)", node)
 		}
-		if rank < 0 || rank >= t.n || rank/t.perNode != node {
+		if rank < 0 || rank >= t.Size() || rank/t.perNode != node {
 			return fmt.Errorf("rank result for rank %d from node %d", rank, node)
 		}
 		text, err := wire.UnpackBytes(p[4+plen:4+plen+errWords], int(errLen))

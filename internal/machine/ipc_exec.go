@@ -228,8 +228,8 @@ func (t *IPCTransport) RunDistributed(spec []byte) ([]RankResult, error) {
 	t.execGen++
 	er := &execRun{
 		gen:     t.execGen,
-		results: make([]RankResult, t.n),
-		got:     make([]bool, t.n),
+		results: make([]RankResult, t.Size()),
+		got:     make([]bool, t.Size()),
 		barArr:  make(map[uint64]int),
 		reports: make([]nodeReport, t.nnodes),
 		stats:   ExecStats{Nodes: make([]NodeExecStats, t.nnodes)},

@@ -25,7 +25,7 @@ type msgKey struct {
 // goroutine receives from a mailbox; any processor may put into it.
 type mailbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond // L = &mu, set by boxSet.initBoxes; mailboxes are never copied
 	queues map[msgKey][]message
 	// spare recycles drained per-key queue slices so steady-state
 	// traffic performs no allocation: a phase's keys are used once and
@@ -82,114 +82,93 @@ func (mb *mailbox) reset() {
 	mb.await = msgKey{}
 }
 
-// SharedTransport is the single-machine message substrate: one individually
-// locked mailbox per receiving processor, shared-memory delivery with no
-// intermediate hops. It is the default transport of machine.New and the
-// zero-allocation fast path — a warmed ping-pong performs no heap
-// allocation, which the conformance suite pins.
-type SharedTransport struct {
+// boxSet is the match/park/stall/abort core every bundled transport is a
+// configuration of: one mailbox per rank of the window [lo, lo+len(boxes)),
+// the bound Coordinator and the down flag. SharedTransport,
+// FederatedTransport and IPCTransport run it over the whole machine (through
+// localPlane); WorkerTransport runs it over its node's window.
+type boxSet struct {
 	boxes []mailbox
+	lo    int // boxes[i] is rank lo+i's mailbox
 	coord Coordinator
 	down  atomic.Bool
-	bar   hostBarrier
 }
 
-// NewSharedTransport returns a shared-memory transport with n endpoints.
-func NewSharedTransport(n int) *SharedTransport {
-	if n <= 0 {
-		panic(fmt.Sprintf("machine: transport endpoint count must be positive, got %d", n))
-	}
-	t := &SharedTransport{boxes: make([]mailbox, n)}
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.cond = sync.NewCond(&mb.mu)
+func (s *boxSet) initBoxes(lo, n int) {
+	s.lo = lo
+	s.boxes = make([]mailbox, n)
+	for i := range s.boxes {
+		mb := &s.boxes[i]
+		mb.cond.L = &mb.mu
 		mb.queues = make(map[msgKey][]message)
 	}
-	t.bar.init(n)
-	return t
 }
 
-// Size returns the number of endpoints.
-func (t *SharedTransport) Size() int { return len(t.boxes) }
+// Down reports whether the transport has been taken down (abort, declared
+// stall, or a failure of whatever hosts it) since it was last cleared.
+func (s *boxSet) Down() bool { return s.down.Load() }
 
-// Bind installs the machine's coordinator (nil for standalone use).
-func (t *SharedTransport) Bind(c Coordinator) { t.coord = c }
-
-// Down reports whether the transport has been aborted since the last Reset.
-func (t *SharedTransport) Down() bool { return t.down.Load() }
-
-// MessageTime prices every processor pair at the flat cost: the shared
-// transport is one node, so no message ever crosses an inter-node link.
-func (t *SharedTransport) MessageTime(cost CostModel, src, dst, b int) float64 {
-	return cost.MessageTime(b)
-}
-
-// Send delivers a message and wakes the destination if it is waiting for
-// exactly this stream — through the machine's Parker when a parking engine
-// is driving (moving dst from parked to runnable on the calendar), through
-// the mailbox condition variable otherwise. Only the destination's mailbox
-// lock is taken, so concurrent sends to different receivers proceed in
-// parallel.
-func (t *SharedTransport) Send(src, dst int, tag Tag, data []float64, arrival float64) {
-	mb := &t.boxes[dst]
+// deliver places a message in dst's mailbox and wakes dst if it is waiting
+// for exactly this stream — through the machine's Parker when a parking
+// engine is driving (moving dst from parked to runnable on the calendar),
+// through the mailbox condition variable otherwise. Only the destination's
+// mailbox lock is taken, so concurrent deliveries to different receivers
+// proceed in parallel. It reports whether it woke the owner.
+func (s *boxSet) deliver(src, dst int, tag Tag, data []float64, arrival float64) bool {
+	mb := &s.boxes[dst-s.lo]
 	k := msgKey{src: src, tag: tag}
 	mb.mu.Lock()
 	mb.putLocked(k, message{data: data, arrival: arrival})
-	if mb.waiting && mb.await == k {
-		if pk := parkerOf(t.coord); pk != nil {
+	woke := mb.waiting && mb.await == k
+	if woke {
+		if pk := parkerOf(s.coord); pk != nil {
 			pk.Wake(dst)
 		} else {
 			mb.cond.Signal()
 		}
 	}
 	mb.mu.Unlock()
+	return woke
 }
 
 // Recv blocks the calling endpoint until a message matching (src, tag) is
 // available in dst's mailbox, then returns it. ok is false if the transport
 // went down (deadlock or abort) while waiting.
-func (t *SharedTransport) Recv(dst, src int, tag Tag) ([]float64, float64, bool) {
-	mb := &t.boxes[dst]
+func (s *boxSet) Recv(dst, src int, tag Tag) ([]float64, float64, bool) {
+	mb := &s.boxes[dst-s.lo]
 	k := msgKey{src: src, tag: tag}
 	mb.mu.Lock()
 	if msg, ok := mb.takeLocked(k); ok {
 		mb.mu.Unlock()
 		return msg.data, msg.arrival, true
 	}
-	if t.down.Load() {
+	if s.down.Load() {
 		mb.mu.Unlock()
 		return nil, 0, false
 	}
 	// Slow path: publish what we are waiting for, then report ourselves
 	// blocked. The order matters: once the machine's blocked count
-	// reaches its live count, CheckStalled must be able to see every
+	// reaches its live count, the stall snapshot must be able to see every
 	// blocked processor's awaited key.
 	mb.await = k
 	mb.waiting = true
 	mb.mu.Unlock()
 
-	if t.coord != nil {
-		t.coord.Blocked()
+	if s.coord != nil {
+		s.coord.Blocked()
 	}
 
-	pk := parkerOf(t.coord)
+	pk := parkerOf(s.coord)
 	mb.mu.Lock()
 	for {
-		if msg, ok := mb.takeLocked(k); ok {
+		msg, ok := mb.takeLocked(k)
+		if ok || s.down.Load() {
 			mb.waiting = false
 			mb.mu.Unlock()
-			if t.coord != nil {
-				t.coord.Unblocked()
+			if s.coord != nil {
+				s.coord.Unblocked()
 			}
-			return msg.data, msg.arrival, true
-		}
-		if t.down.Load() {
-			mb.waiting = false
-			mb.mu.Unlock()
-			if t.coord != nil {
-				t.coord.Unblocked()
-			}
-			return nil, 0, false
+			return msg.data, msg.arrival, ok
 		}
 		if pk != nil {
 			// Park the rank's continuation with no locks held; a Wake
@@ -205,77 +184,38 @@ func (t *SharedTransport) Recv(dst, src int, tag Tag) ([]float64, float64, bool)
 	}
 }
 
-// Barrier parks the calling endpoint until all endpoints arrive.
-func (t *SharedTransport) Barrier(rank int) bool {
-	if rank < 0 || rank >= len(t.boxes) {
-		panic(fmt.Sprintf("machine: barrier from invalid rank %d", rank))
-	}
-	return t.bar.await(rank, &t.down, parkerOf(t.coord))
-}
-
-// Reset clears all mailboxes and the down flag, keeping capacity. Each
-// mailbox lock is held while it is cleared, so a concurrent CheckStalled
-// never observes a torn mixture of old and cleared state.
-func (t *SharedTransport) Reset() {
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.mu.Lock()
-		mb.reset()
-		mb.mu.Unlock()
-	}
-	t.bar.reset()
-	t.down.Store(false)
-}
-
-// Abort marks the transport down and wakes every blocked receiver.
-func (t *SharedTransport) Abort() {
-	t.down.Store(true)
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.mu.Lock()
-		mb.cond.Broadcast()
-		mb.mu.Unlock()
-	}
-	t.bar.wake()
-	if pk := parkerOf(t.coord); pk != nil {
-		pk.WakeAll()
-	}
-}
-
-// CheckStalled flags a deadlock when every live processor is blocked and
-// none of them has a pending message matching its awaited key. It takes all
-// mailbox locks (in rank order) to get a consistent snapshot; with every
-// lock held, "all live processors waiting and no matches anywhere" is a
-// true deadlock: no future send can occur.
+// stalled is the all-locks stall snapshot: true when every live processor
+// of the window is blocked and none of them has a pending message matching
+// its awaited key. It takes all mailbox locks (in rank order) to get a
+// consistent snapshot; with every lock held, "all live processors waiting
+// and no matches anywhere" means no rank of the window can send again — a
+// true deadlock when the window is the whole machine, the node's stalled
+// flag when it is not. With every lock held it asks the coordinator's
+// ConfirmStall for the live count (-1 vetoes).
 //
 // A processor that has been woken but not yet re-counted shows
 // waiting==false, which keeps the waiting count below live and prevents a
 // false positive while it finishes proceeding.
-func (t *SharedTransport) CheckStalled() bool { return t.stallCheck(true) }
-
-// probeStalled evaluates the full stall condition without declaring the
-// transport down or waking anyone — the non-destructive confirmation the
-// chaos layer uses to distinguish "stalled on a lost message" from a true
-// deadlock before deciding between retransmission and declaration.
-func (t *SharedTransport) probeStalled() bool { return t.stallCheck(false) }
-
-// stallCheck is the shared body of CheckStalled (declare=true: mark down
-// and wake everyone on a stall) and probeStalled (declare=false: evaluate
-// only).
-func (t *SharedTransport) stallCheck(declare bool) bool {
-	if t.coord == nil {
+//
+// With declare, a stall marks the set down (under the locks, so the verdict
+// is atomic with the snapshot) and wakes everyone; without, it only
+// evaluates — the non-destructive look the chaos layer, the relay probe and
+// the worker's stall-plane state take. False with no coordinator bound or
+// when already down.
+func (s *boxSet) stalled(declare bool) bool {
+	if s.coord == nil {
 		return false
 	}
-	for i := range t.boxes {
-		t.boxes[i].mu.Lock()
+	for i := range s.boxes {
+		s.boxes[i].mu.Lock()
 	}
 	stalled := false
-	if !t.down.Load() {
-		if live := t.coord.ConfirmStall(); live > 0 {
+	if !s.down.Load() {
+		if live := s.coord.ConfirmStall(); live > 0 {
 			waiting := 0
 			canProceed := false
-			for i := range t.boxes {
-				mb := &t.boxes[i]
+			for i := range s.boxes {
+				mb := &s.boxes[i]
 				if !mb.waiting {
 					continue
 				}
@@ -284,25 +224,145 @@ func (t *SharedTransport) stallCheck(declare bool) bool {
 					canProceed = true
 				}
 			}
-			if waiting >= live && !canProceed {
-				stalled = true
-			}
+			stalled = waiting >= live && !canProceed
 		}
 	}
 	if stalled && declare {
-		t.down.Store(true)
-		for i := range t.boxes {
-			t.boxes[i].cond.Broadcast()
-		}
+		s.down.Store(true)
 	}
-	for i := range t.boxes {
-		t.boxes[i].mu.Unlock()
+	for i := range s.boxes {
+		s.boxes[i].mu.Unlock()
 	}
 	if stalled && declare {
-		t.bar.wake()
-		if pk := parkerOf(t.coord); pk != nil {
-			pk.WakeAll()
-		}
+		s.wakeAll()
 	}
 	return stalled
+}
+
+// takeDown marks the set down and wakes every blocked receiver and parked
+// rank; their calls return ok=false.
+func (s *boxSet) takeDown() {
+	s.down.Store(true)
+	s.wakeAll()
+}
+
+// wakeAll wakes every receiver waiting on a mailbox condition variable and
+// every rank parked through the engine, after the down flag is set.
+func (s *boxSet) wakeAll() {
+	for i := range s.boxes {
+		mb := &s.boxes[i]
+		mb.mu.Lock()
+		mb.cond.Broadcast()
+		mb.mu.Unlock()
+	}
+	if pk := parkerOf(s.coord); pk != nil {
+		pk.WakeAll()
+	}
+}
+
+// clearBoxes empties every mailbox and lowers the down flag, keeping
+// capacity. Each mailbox lock is held while it is cleared, so a concurrent
+// stall snapshot never observes a torn mixture of old and cleared state.
+func (s *boxSet) clearBoxes() {
+	for i := range s.boxes {
+		mb := &s.boxes[i]
+		mb.mu.Lock()
+		mb.reset()
+		mb.mu.Unlock()
+	}
+	s.down.Store(false)
+}
+
+// localPlane is a boxSet over the whole machine, ranks [0, n), plus the
+// host barrier: the complete single-process control plane (Bind, Barrier,
+// Reset, Abort, CheckStalled) of the shared, federated and ipc transports.
+type localPlane struct {
+	boxSet
+	bar hostBarrier
+}
+
+func (p *localPlane) initPlane(n int) {
+	if n <= 0 {
+		panic(fmt.Sprintf("machine: transport endpoint count must be positive, got %d", n))
+	}
+	p.initBoxes(0, n)
+	p.bar.init(n)
+}
+
+// Size returns the number of endpoints.
+func (p *localPlane) Size() int { return len(p.boxes) }
+
+// Bind installs the machine's coordinator (nil for standalone use).
+func (p *localPlane) Bind(c Coordinator) { p.coord = c }
+
+// Barrier parks the calling endpoint until all endpoints arrive.
+func (p *localPlane) Barrier(rank int) bool {
+	if rank < 0 || rank >= len(p.boxes) {
+		panic(fmt.Sprintf("machine: barrier from invalid rank %d", rank))
+	}
+	return p.bar.await(rank, &p.down, parkerOf(p.coord))
+}
+
+// Reset clears all mailboxes, the barrier and the down flag, keeping
+// capacity.
+func (p *localPlane) Reset() {
+	p.bar.reset()
+	p.clearBoxes()
+}
+
+// Abort marks the transport down and wakes every blocked receiver and
+// barrier waiter.
+func (p *localPlane) Abort() {
+	p.takeDown()
+	p.bar.wake()
+}
+
+// CheckStalled flags a deadlock — marks the transport down, wakes everyone
+// and returns true — when every live processor is blocked with nothing
+// matching pending; see boxSet.stalled.
+func (p *localPlane) CheckStalled() bool { return p.stallCheck(true) }
+
+// probeStalled evaluates the full stall condition without declaring the
+// transport down or waking anyone — the non-destructive confirmation the
+// chaos layer uses to distinguish "stalled on a lost message" from a true
+// deadlock before deciding between retransmission and declaration.
+func (p *localPlane) probeStalled() bool { return p.stallCheck(false) }
+
+// stallCheck is the core's snapshot plus the barrier wakeup a declared stall
+// owes the plane's barrier waiters.
+func (p *localPlane) stallCheck(declare bool) bool {
+	stalled := p.stalled(declare)
+	if stalled && declare {
+		p.bar.wake()
+	}
+	return stalled
+}
+
+// SharedTransport is the single-machine message substrate: the local plane
+// and nothing else — one individually locked mailbox per receiving
+// processor, shared-memory delivery with no intermediate hops. It is the
+// default transport of machine.New and the zero-allocation fast path — a
+// warmed ping-pong performs no heap allocation, which the conformance suite
+// pins.
+type SharedTransport struct {
+	localPlane
+}
+
+// NewSharedTransport returns a shared-memory transport with n endpoints.
+func NewSharedTransport(n int) *SharedTransport {
+	t := &SharedTransport{}
+	t.initPlane(n)
+	return t
+}
+
+// MessageTime prices every processor pair at the flat cost: the shared
+// transport is one node, so no message ever crosses an inter-node link.
+func (t *SharedTransport) MessageTime(cost CostModel, src, dst, b int) float64 {
+	return cost.MessageTime(b)
+}
+
+// Send delivers a message into dst's mailbox and wakes dst if it waits on
+// exactly this stream.
+func (t *SharedTransport) Send(src, dst int, tag Tag, data []float64, arrival float64) {
+	t.deliver(src, dst, tag, data, arrival)
 }

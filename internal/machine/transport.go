@@ -20,11 +20,23 @@ import (
 // unchanged, with bit-identical virtual times, on every conforming
 // transport.
 //
-// Two implementations ship with the package: SharedTransport (one
-// per-receiver mailbox array, the single-machine fast path) and
-// FederatedTransport (processors partitioned into nodes, inter-node traffic
-// routed through per-node-pair ordered links — the NUMA-style federation
-// that is the door to a real network transport).
+// The bundled transports are configurations of one mailbox core (mailbox.go,
+// federated.go). boxSet owns a per-rank mailbox array over a rank window,
+// the bound Coordinator and the down flag: deliver-and-wake, the park-aware
+// receive loop, the all-locks stall snapshot, clearing and take-down.
+// linkSet owns the node partition, the per-directed-node-pair traffic census
+// and per-link message pricing. localPlane is a boxSet over the whole
+// machine plus the host barrier: Bind, Barrier, Reset, Abort, CheckStalled.
+//
+//   - SharedTransport is localPlane alone, priced flat.
+//   - FederatedTransport adds a linkSet: an inter-node message is counted
+//     and delivered under its node pair's link lock.
+//   - IPCTransport adds a linkSet and worker processes: an inter-node
+//     message crosses sockets before it is delivered, so its stall check
+//     brackets the core's snapshot with probes of the workers.
+//   - WorkerTransport, the sub-machine inside an ipc worker, is a boxSet over
+//     its node's window with a cross-process barrier and the worker's
+//     sockets for everything addressed outside the window.
 type Transport interface {
 	// Size returns the number of processor endpoints.
 	Size() int
@@ -42,8 +54,8 @@ type Transport interface {
 	// machine threads through every Send. The transport knows which link
 	// the message crosses; the cost model knows what each link charges.
 	// Flat transports return cost.MessageTime(b) for every pair;
-	// FederatedTransport prices inter-node messages with the cost model's
-	// per-link table. Implementations must be pure and deterministic.
+	// node-partitioned ones (linkSet) price inter-node messages with the
+	// cost model's per-link table. Implementations must be pure and deterministic.
 	MessageTime(cost CostModel, src, dst, b int) float64
 
 	// Recv blocks until a message on the (src, tag) stream addressed to

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // workerIO is the WorkerTransport's face toward the IPC worker hosting it:
@@ -27,11 +26,13 @@ type workerIO interface {
 // WorkerTransport is the transport a worker-hosted sub-machine runs on: the
 // execution-plane half of the IPC transport. The machine above it owns the
 // full rank space [0, n) but executes only this node's window [lo, hi) (see
-// localRanker); intra-node sends go straight to the local mailbox array —
-// the same 0-alloc fast path as SharedTransport, no wire, no syscall — and
-// only sends whose destination lives on another node become frames on the
-// socket the worker shares with that node's worker. Deliveries arrive from
-// the worker's peer readers into the same mailboxes.
+// localRanker). It is the mailbox core (boxSet: delivery, the receive loop,
+// the stall snapshot, take-down) over that window, plus the cross-process
+// barrier and the workerIO below: intra-node sends go straight to the local
+// mailboxes — the same 0-alloc fast path as SharedTransport, no wire, no
+// syscall — and only sends whose destination lives on another node become
+// frames on the socket the worker shares with that node's worker.
+// Deliveries arrive from the worker's peer readers into the same mailboxes.
 //
 // A WorkerTransport serves one run at a time: built fresh via
 // WorkerHost.NewTransport, or rebound to a new run generation
@@ -50,18 +51,15 @@ type workerIO interface {
 // declareStall (unwinding blocked ranks with the exact deadlock cause the
 // single-process transports produce) or hostDown with a reason.
 type WorkerTransport struct {
+	boxSet      // this node's rank window [lo, hi)
 	n       int // global rank-space size
-	nnodes  int
 	perNode int
 	node    int
-	lo, hi  int    // this node's rank window
+	hi      int
 	gen     uint64 // run generation; rebind moves a cached transport to the next
-	boxes   []mailbox
-	coord   Coordinator
 	pool    bufPool
 	recheck stallRechecker
 	host    workerIO
-	down    atomic.Bool
 
 	reasonMu sync.Mutex
 	reason   error
@@ -90,20 +88,13 @@ func newWorkerTransport(host workerIO, node, n, nnodes int, gen uint64) (*Worker
 	perNode := n / nnodes
 	t := &WorkerTransport{
 		n:       n,
-		nnodes:  nnodes,
 		perNode: perNode,
 		node:    node,
-		lo:      node * perNode,
 		hi:      (node + 1) * perNode,
 		gen:     gen,
-		boxes:   make([]mailbox, perNode),
 		host:    host,
 	}
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.cond = sync.NewCond(&mb.mu)
-		mb.queues = make(map[msgKey][]message)
-	}
+	t.initBoxes(node*perNode, perNode)
 	t.bcond = sync.NewCond(&t.bmu)
 	return t, nil
 }
@@ -123,10 +114,6 @@ func (t *WorkerTransport) Bind(c Coordinator) {
 	t.pool, _ = c.(bufPool)
 	t.recheck, _ = c.(stallRechecker)
 }
-
-// Down reports whether the transport has been taken down (coordinator
-// verdict, abort, or worker-side failure).
-func (t *WorkerTransport) Down() bool { return t.down.Load() }
 
 // DownReason returns the structured cause of the down state, or nil — nil
 // after a declared distributed stall, so blocked receivers unwind with
@@ -163,27 +150,6 @@ func (t *WorkerTransport) release(buf []float64) {
 	}
 }
 
-// deliverLocal places a message in a local rank's mailbox and wakes the
-// owner if it waits on exactly this stream — SharedTransport's delivery
-// step over the windowed mailbox array. It reports whether the delivery
-// woke a waiting owner.
-func (t *WorkerTransport) deliverLocal(src, dst int, tag Tag, data []float64, arrival float64) bool {
-	mb := &t.boxes[dst-t.lo]
-	k := msgKey{src: src, tag: tag}
-	mb.mu.Lock()
-	mb.putLocked(k, message{data: data, arrival: arrival})
-	woke := mb.waiting && mb.await == k
-	if woke {
-		if pk := parkerOf(t.coord); pk != nil {
-			pk.Wake(dst)
-		} else {
-			mb.cond.Signal()
-		}
-	}
-	mb.mu.Unlock()
-	return woke
-}
-
 // deliverBatch completes the inter-node crossing of one multi-message Data
 // frame from node from: p holds msgs records in peerLink's batch layout.
 // Each message is peeled into its own pooled buffer and makes the mailbox
@@ -207,7 +173,7 @@ func (t *WorkerTransport) deliverBatch(from int, p []float64, msgs uint64) (woke
 		}
 		data := t.acquire(int(plen))
 		copy(data, p[5:5+plen])
-		if t.deliverLocal(src, dst, Tag(math.Float64bits(p[2])), data, p[3]) {
+		if t.deliver(src, dst, Tag(math.Float64bits(p[2])), data, p[3]) {
 			woke = true
 		}
 		p = p[5+plen:]
@@ -231,63 +197,12 @@ func (t *WorkerTransport) recheckStall() {
 // balancing the buffers the peer readers acquire for deliveries.
 func (t *WorkerTransport) Send(src, dst int, tag Tag, data []float64, arrival float64) {
 	if dst/t.perNode == t.node {
-		t.deliverLocal(src, dst, tag, data, arrival)
+		t.deliver(src, dst, tag, data, arrival)
 		return
 	}
 	t.host.sendRemote(t.gen, src, dst, dst/t.perNode, tag, data, arrival)
 	if t.pool != nil && data != nil {
 		t.pool.releasePooled(data)
-	}
-}
-
-// Recv blocks the calling endpoint until a message matching (src, tag) is
-// available; identical protocol to SharedTransport.Recv.
-func (t *WorkerTransport) Recv(dst, src int, tag Tag) ([]float64, float64, bool) {
-	mb := &t.boxes[dst-t.lo]
-	k := msgKey{src: src, tag: tag}
-	mb.mu.Lock()
-	if msg, ok := mb.takeLocked(k); ok {
-		mb.mu.Unlock()
-		return msg.data, msg.arrival, true
-	}
-	if t.down.Load() {
-		mb.mu.Unlock()
-		return nil, 0, false
-	}
-	mb.await = k
-	mb.waiting = true
-	mb.mu.Unlock()
-
-	if t.coord != nil {
-		t.coord.Blocked()
-	}
-
-	pk := parkerOf(t.coord)
-	mb.mu.Lock()
-	for {
-		if msg, ok := mb.takeLocked(k); ok {
-			mb.waiting = false
-			mb.mu.Unlock()
-			if t.coord != nil {
-				t.coord.Unblocked()
-			}
-			return msg.data, msg.arrival, true
-		}
-		if t.down.Load() {
-			mb.waiting = false
-			mb.mu.Unlock()
-			if t.coord != nil {
-				t.coord.Unblocked()
-			}
-			return nil, 0, false
-		}
-		if pk != nil {
-			mb.mu.Unlock()
-			pk.Park(dst)
-			mb.mu.Lock()
-		} else {
-			mb.cond.Wait()
-		}
 	}
 }
 
@@ -363,16 +278,10 @@ func (t *WorkerTransport) releaseBarrier(g uint64) {
 // cleared mailboxes exactly as they would in a freshly built transport.
 func (t *WorkerTransport) rebind(gen uint64) {
 	t.gen = gen
-	t.down.Store(false)
+	t.clearBoxes()
 	t.reasonMu.Lock()
 	t.reason = nil
 	t.reasonMu.Unlock()
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.mu.Lock()
-		mb.reset()
-		mb.mu.Unlock()
-	}
 	t.bmu.Lock()
 	t.arrived, t.localGen, t.released = 0, 0, 0
 	t.waiters = t.waiters[:0]
@@ -390,19 +299,10 @@ func (t *WorkerTransport) Reset() {}
 // waiter and parked rank. It is local to this node: the coordinator learns
 // of the run's failure from the rank errors in the RankResult frames.
 func (t *WorkerTransport) Abort() {
-	t.down.Store(true)
-	for i := range t.boxes {
-		mb := &t.boxes[i]
-		mb.mu.Lock()
-		mb.cond.Broadcast()
-		mb.mu.Unlock()
-	}
+	t.takeDown()
 	t.bmu.Lock()
 	t.bcond.Broadcast()
 	t.bmu.Unlock()
-	if pk := parkerOf(t.coord); pk != nil {
-		pk.WakeAll()
-	}
 }
 
 // hostDown takes the run down on the coordinator's order with a structured
@@ -426,40 +326,10 @@ func (t *WorkerTransport) hostDown(reason error) {
 func (t *WorkerTransport) declareStall() { t.Abort() }
 
 // stallStatus evaluates the local stall condition without declaring
-// anything: all live local ranks blocked (confirmed by the machine under
-// every mailbox lock) and no waiter has a matching pending message. This
-// is the stalled flag of the node's stall-plane state, in reports and
-// probe acks alike.
-func (t *WorkerTransport) stallStatus() bool {
-	if t.coord == nil || t.down.Load() {
-		return false
-	}
-	for i := range t.boxes {
-		t.boxes[i].mu.Lock()
-	}
-	stalled := false
-	if live := t.coord.ConfirmStall(); live > 0 {
-		waiting := 0
-		canProceed := false
-		for i := range t.boxes {
-			mb := &t.boxes[i]
-			if !mb.waiting {
-				continue
-			}
-			waiting++
-			if len(mb.queues[mb.await]) > 0 {
-				canProceed = true
-			}
-		}
-		if waiting >= live && !canProceed {
-			stalled = true
-		}
-	}
-	for i := range t.boxes {
-		t.boxes[i].mu.Unlock()
-	}
-	return stalled
-}
+// anything — the core's snapshot over this node's window. This is the
+// stalled flag of the node's stall-plane state, in reports and probe acks
+// alike.
+func (t *WorkerTransport) stallStatus() bool { return t.stalled(false) }
 
 // releasedBarrier returns the latest host-barrier generation released.
 func (t *WorkerTransport) releasedBarrier() uint64 {

@@ -29,7 +29,7 @@ type Pool struct {
 	mu     sync.Mutex
 	cap    int
 	closed bool
-	idle   *list.List               // of *poolEntry; front = MRU, evict from back
+	idle   *list.List                 // of *poolEntry; front = MRU, evict from back
 	byKey  map[string][]*list.Element // idle entries per key, top of slice = MRU
 
 	hits, misses, evictions, discards int64
