@@ -1,6 +1,6 @@
 // Package repro's benchmark harness: one benchmark per reproduced paper
-// artifact (figures F1-F5, claims E1-E9; see DESIGN.md for the index and
-// EXPERIMENTS.md for a recorded reference run), plus microbenchmarks of the
+// artifact (figures F1-F5, claims E1-E9; `kfbench -list` is the index, README
+// "Running the paper's experiments" the guide), plus microbenchmarks of the
 // substrate layers. Run with:
 //
 //	go test -bench=. -benchmem

@@ -1,6 +1,6 @@
 // Command kfbench runs the paper-reproduction experiment suite (figures
-// F1-F5 and claims E1-E9 from DESIGN.md) and prints each experiment's
-// report. EXPERIMENTS.md records a reference run.
+// F1-F5 and claims E1-E9; -list prints the index) and prints each
+// experiment's report. See README "Running the paper's experiments".
 //
 // Usage:
 //
@@ -79,6 +79,7 @@ import (
 
 	"repro/internal/benchkit"
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -143,18 +144,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "kfbench: -seed and -chaos-report require -chaos")
 		return 1
 	}
-	if *transport != "" {
-		if err := experiments.SetTransport(*transport, *nodes); err != nil {
-			fmt.Fprintf(os.Stderr, "kfbench: %v\n", err)
-			return 1
-		}
-	}
-	if *executor != "" {
-		if err := experiments.SetExecutor(*executor); err != nil {
-			fmt.Fprintf(os.Stderr, "kfbench: %v\n", err)
-			return 1
-		}
-	}
+	overlay := core.Spec{Transport: *transport, Nodes: *nodes, Executor: *executor}
 	if *chaosFile != "" {
 		sc, err := chaos.Load(*chaosFile)
 		if err != nil {
@@ -164,10 +154,11 @@ func run() int {
 		if seedSet() {
 			sc.Seed = *seed
 		}
-		if err := experiments.SetChaos(sc); err != nil {
-			fmt.Fprintf(os.Stderr, "kfbench: %v\n", err)
-			return 1
-		}
+		overlay.Chaos = &sc
+	}
+	if err := experiments.SetOverlay(overlay); err != nil {
+		fmt.Fprintf(os.Stderr, "kfbench: %v\n", err)
+		return 1
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

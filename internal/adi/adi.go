@@ -22,7 +22,8 @@
 // Peaceman-Rachford is the standard concrete realization with the same
 // parallel structure — two stencil sweeps and two families of tridiagonal
 // solves per iteration — and it actually converges, which the experiments
-// need. The deviation is recorded in DESIGN.md.
+// need. This paragraph is the record of that deviation; experiments E4 and
+// E5 (`kfbench -list`, README "Running the paper's experiments") run it.
 package adi
 
 import (

@@ -536,11 +536,11 @@ func serveJacobiBench(b *testing.B) (*core.Program, string, func() (*core.System
 	if err != nil {
 		b.Fatal(err)
 	}
-	key := core.PoolKey([]int{8, 8}, "ipc", 4, "", machine.CostModel{})
-	build := func() (*core.System, error) {
-		return core.NewSystem(core.Grid(8, 8), core.Transport("ipc"), core.Nodes(4))
+	spec, err := core.Spec{Grid: []int{8, 8}, Transport: "ipc", Nodes: 4}.Resolve()
+	if err != nil {
+		b.Fatal(err)
 	}
-	return prog, key, build
+	return prog, spec.Key(), spec.Build
 }
 
 // ServeWarmJacobi8x8 measures one request on kfserve's warm path: an

@@ -1,10 +1,8 @@
 // Package core is the one entry point user code declares a simulated
 // machine through — the paper's "only one real processor declaration is
-// allowed in the whole program", grown into a configuration surface:
-// examples, experiments, benchmarks and command-line tools all construct
-// and run systems here, never against the lower layers directly.
-//
-// A System is declared with functional options:
+// allowed in the whole program", taken literally: the declaration is one
+// value, Spec, and everything else is derived from it. Functional options
+// fill it,
 //
 //	sys, err := core.NewSystem(
 //	    core.Grid(4, 4),                    // the processor array
@@ -14,12 +12,13 @@
 //	    core.Trace(),                       // record per-processor timelines
 //	)
 //
-// Every option is independent and optional except Grid; the defaults are a
-// shared-memory transport and the iPSC/2-like cost preset. Transports are
-// resolved by name through the registry in internal/machine
-// (machine.RegisterTransport), so a new substrate — a cross-process one,
-// say — reaches every caller of core with a single Register call and zero
-// facade edits.
+// Spec.Resolve applies the defaults and refuses conflicts, Spec.Build
+// constructs the System, Spec.Key is its identity for pooling (kfserve) and
+// what ipc workers rebuild their share of the machine from. Every option is
+// independent and optional except Grid. Transports and engines are resolved
+// by name through the registries in internal/machine, so a new substrate
+// reaches every caller of core with a single Register call and zero facade
+// edits.
 //
 // Programs separate the computation from the machine: declare once, run on
 // any System, and Compare two systems' runs for the loosely-coupled model's
@@ -37,29 +36,26 @@ package core
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/chaos"
-	"repro/internal/darray"
 	"repro/internal/kf"
 	"repro/internal/machine"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
-// System is a simulated machine with a declared processor array — the
-// paper's single machine declaration, from which the runtime derives
-// everything else.
+// System is a simulated machine built from one resolved Spec — the paper's
+// single machine declaration, from which the runtime derives everything
+// else: transport, federation shape, cost model, engine, derivation mode,
+// trace recorder and pool identity all read that one value.
 //
-// Run and RunProgram are the system's execution surface: they apply the
-// run-shaping options (DirectScheduling's derivation mode, the per-run
-// trace reset) around every execution. The exported Machine and Procs
-// fields are the low-level handles for driver wrappers that predate
-// Programs (jacobi.KF1(sys.Machine, sys.Procs, ...)); code driving the
-// Machine directly bypasses the run-shaping options by construction, so
-// systems declared with DirectScheduling or Trace should be executed
-// through Run/RunProgram.
+// Run and RunProgram are the system's execution surface. The exported
+// Machine and Procs fields are the low-level handles for driver wrappers
+// that predate Programs (jacobi.KF1(sys.Machine, sys.Procs, ...)); every
+// option is state of the machine itself, so code driving the Machine
+// directly runs under the same declaration — only the per-run trace reset
+// is Run/RunProgram's.
 type System struct {
 	// Machine is the simulated multicomputer.
 	Machine *machine.Machine
@@ -68,116 +64,79 @@ type System struct {
 	// Trace records per-processor timelines when the Trace option is on.
 	Trace *trace.Recorder
 
-	transport string
-	executor  string
-	direct    bool
-	runs      atomic.Int64 // completed runs; see Warmed
+	spec Spec         // the resolved declaration the system was built from
+	runs atomic.Int64 // completed runs; see Warmed
 }
 
-// settings accumulates option state before validation.
-type settings struct {
-	shape     []int
-	transport string
-	executor  string
-	nodes     int
-	nodesSet  bool
-	cost      machine.CostModel
-	trace     bool
-	direct    bool
-	linkSet   bool
-	linkLat   float64
-	linkByte  float64
-	links     []LinkSpec
-	chaosSet  bool
-	chaosSc   chaos.Scenario
-	listen    string
-}
-
-// Option configures a System under construction. Options are applied in
-// order; later options override earlier ones where they overlap.
-type Option func(*settings) error
+// Option fills one part of a Spec under construction. Options are applied
+// in order; later options override earlier ones where they overlap.
+type Option func(*Spec) error
 
 // Grid declares the processor array shape, e.g. Grid(4) or Grid(2, 4); the
 // machine has exactly prod(shape) processors. Exactly what the paper's
 // processor declaration says, and the one option every System needs.
 func Grid(shape ...int) Option {
-	s := append([]int(nil), shape...)
-	return func(cfg *settings) error {
-		if len(s) == 0 {
+	g := append([]int(nil), shape...)
+	return func(s *Spec) error {
+		if len(g) == 0 {
 			return fmt.Errorf("core: Grid needs at least one extent")
 		}
-		for _, e := range s {
-			if e <= 0 {
-				return fmt.Errorf("core: Grid extents must be positive, got %v", s)
-			}
-		}
-		cfg.shape = s
+		s.Grid = g
 		return nil
 	}
 }
 
 // Transport selects the message-delivery substrate by its registry name
-// (machine.RegisterTransport): "shared" (the default) or "federated" ship
-// with the runtime; future transports resolve the same way. Unknown names
-// surface as errors from NewSystem.
+// (machine.RegisterTransport); new transports resolve the same way.
+// Unknown names surface as errors from NewSystem.
 func Transport(name string) Option {
-	return func(cfg *settings) error {
+	return func(s *Spec) error {
 		if name == "" {
 			return fmt.Errorf("core: Transport needs a non-empty name (registered: %v)", machine.TransportNames())
 		}
-		cfg.transport = name
+		s.Transport = name
 		return nil
 	}
 }
 
 // Executor selects the engine driving every run by its registry name
-// (machine.RegisterExecutor): "goroutine" (the default, one goroutine per
-// virtual processor) or "calendar" (a bounded worker pool resuming runnable
-// processors in virtual-time order); future engines resolve the same way.
-// Programs behave bit-identically on every engine — the conformance battery
-// in internal/machine pins it — so the choice is purely a host-performance
+// (machine.RegisterExecutor): one goroutine per virtual processor, or
+// "calendar" (a bounded worker pool resuming runnable processors in
+// virtual-time order); future engines resolve the same way. Programs behave
+// bit-identically on every engine — the conformance battery in
+// internal/machine pins it — so the choice is purely a host-performance
 // one. Unknown names surface as errors from NewSystem.
 func Executor(name string) Option {
-	return func(cfg *settings) error {
+	return func(s *Spec) error {
 		if name == "" {
 			return fmt.Errorf("core: Executor needs a non-empty name (registered: %v)", machine.ExecutorNames())
 		}
-		cfg.executor = name
+		s.Executor = name
 		return nil
 	}
 }
 
 // Nodes sets the federation shape: the processors are partitioned into n
 // equal nodes joined by counted inter-node links. It requires a federating
-// transport — Nodes(2) on the shared transport is a configuration conflict
-// reported by NewSystem — and n must divide the processor count.
+// transport — Nodes(2) on a transport without nodes is a configuration
+// conflict reported by NewSystem — and n must divide the processor count.
 func Nodes(n int) Option {
-	return func(cfg *settings) error {
+	return func(s *Spec) error {
 		if n < 1 {
 			return fmt.Errorf("core: Nodes must be at least 1, got %d", n)
 		}
-		cfg.nodes = n
-		cfg.nodesSet = true
+		s.Nodes = n
 		return nil
 	}
 }
 
 // Cost sets the virtual-time cost model. The zero value keeps selecting
-// the iPSC/2-like preset, as it always has.
+// the preset, as it always has.
 func Cost(cm machine.CostModel) Option {
-	return func(cfg *settings) error {
-		cfg.cost = cm
+	return func(s *Spec) error {
+		s.Cost = cm
 		return nil
 	}
-}
-
-// LinkSpec overrides the price of one directed inter-node link inside a
-// LinkCosts option: the latency and byte-period multipliers messages
-// crossing from node Src to node Dst pay instead of the sweep's defaults —
-// a slow uplink, or a fast backbone pair.
-type LinkSpec struct {
-	Src, Dst      int
-	Latency, Byte float64
 }
 
 // LinkCosts prices the node interconnect of a federating transport: every
@@ -191,11 +150,9 @@ type LinkSpec struct {
 // degenerate zero-surcharge case node sweeps deliberately include; set
 // Nodes(n >= 2) for the interconnect to exist.
 func LinkCosts(latency, bytePeriod float64, links ...LinkSpec) Option {
-	ls := append([]LinkSpec(nil), links...)
-	return func(cfg *settings) error {
-		cfg.linkSet = true
-		cfg.linkLat, cfg.linkByte = latency, bytePeriod
-		cfg.links = ls
+	ic := &Interconnect{Latency: latency, Byte: bytePeriod, Links: append([]LinkSpec(nil), links...)}
+	return func(s *Spec) error {
+		s.Interconnect = ic
 		return nil
 	}
 }
@@ -207,11 +164,11 @@ func LinkCosts(latency, bytePeriod float64, links ...LinkSpec) Option {
 // transport (bare or chaos-wrapped); the KF_IPC_ADDR environment variable
 // sets the same default without a code change.
 func ListenAddr(addr string) Option {
-	return func(cfg *settings) error {
+	return func(s *Spec) error {
 		if addr == "" {
 			return fmt.Errorf("core: ListenAddr needs a non-empty TCP address")
 		}
-		cfg.listen = addr
+		s.Listen = addr
 		return nil
 	}
 }
@@ -224,9 +181,8 @@ func ListenAddr(addr string) Option {
 // fault/recovery reports are read back with System.ChaosReport and
 // System.ChaosTotalReport.
 func Chaos(sc chaos.Scenario) Option {
-	return func(cfg *settings) error {
-		cfg.chaosSet = true
-		cfg.chaosSc = sc
+	return func(s *Spec) error {
+		s.Chaos = &sc
 		return nil
 	}
 }
@@ -234,8 +190,8 @@ func Chaos(sc chaos.Scenario) Option {
 // Trace attaches a per-processor timeline recorder, available as
 // System.Trace after construction.
 func Trace() Option {
-	return func(cfg *settings) error {
-		cfg.trace = true
+	return func(s *Spec) error {
+		s.Trace = true
 		return nil
 	}
 }
@@ -244,105 +200,26 @@ func Trace() Option {
 // directly on every call instead of replaying compiled schedules — the
 // verification mode of the inspector/executor split. Runs on a direct
 // system must be bit-identical to scheduled ones; Compare a system with
-// and without this option to check. The mode is applied by Run and
-// RunProgram; driving sys.Machine directly bypasses it (see System).
+// and without this option to check.
 func DirectScheduling() Option {
-	return func(cfg *settings) error {
-		cfg.direct = true
+	return func(s *Spec) error {
+		s.Direct = true
 		return nil
 	}
 }
 
-// NewSystem builds a simulated system from the given options. Grid is
-// required; everything else defaults (shared transport, one node, iPSC/2
-// costs, no trace, scheduled communication). Conflicting or invalid
-// options — Nodes on a non-federating transport, LinkCosts without a
-// federation, an unregistered transport name, a node count that does not
-// divide the processor count — are reported as errors, never panics.
+// NewSystem builds a simulated system from the given options: they fill a
+// Spec, and Spec.Build resolves and constructs it. Grid is required;
+// everything else defaults. Conflicting or invalid options are reported as
+// errors, never panics — see Spec.Resolve and Spec.Build for which.
 func NewSystem(opts ...Option) (*System, error) {
-	cfg := settings{transport: "shared", nodes: 1}
+	var s Spec
 	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
+		if err := opt(&s); err != nil {
 			return nil, err
 		}
 	}
-	if len(cfg.shape) == 0 {
-		return nil, fmt.Errorf("core: no processor grid declared (use core.Grid)")
-	}
-	cost := cfg.cost
-	if cost.IsZero() {
-		cost = machine.IPSC2()
-	}
-	if cfg.linkSet {
-		if cfg.linkLat <= 0 || cfg.linkByte <= 0 {
-			return nil, fmt.Errorf("core: LinkCosts multipliers must be positive, got (%g, %g)", cfg.linkLat, cfg.linkByte)
-		}
-		for _, l := range cfg.links {
-			if l.Src < 0 || l.Src >= cfg.nodes || l.Dst < 0 || l.Dst >= cfg.nodes {
-				return nil, fmt.Errorf("core: LinkSpec %d->%d outside the federation's %d nodes", l.Src, l.Dst, cfg.nodes)
-			}
-			if l.Src == l.Dst {
-				return nil, fmt.Errorf("core: LinkSpec %d->%d prices an intra-node path, which never crosses a link", l.Src, l.Dst)
-			}
-			if l.Latency <= 0 || l.Byte <= 0 {
-				return nil, fmt.Errorf("core: LinkSpec %d->%d multipliers must be positive, got (%g, %g)", l.Src, l.Dst, l.Latency, l.Byte)
-			}
-		}
-		cost = cost.WithInterNode(cfg.linkLat, cfg.linkByte)
-		for _, l := range cfg.links {
-			cost = cost.WithLink(l.Src, l.Dst, machine.LinkCost{Latency: l.Latency, Byte: l.Byte})
-		}
-	}
-	g := topology.New(cfg.shape...)
-	tr, err := machine.NewTransportByName(cfg.transport, g.Size(), cfg.nodes)
-	if err != nil {
-		return nil, err
-	}
-	// Capability checks see through the chaos wrapper: chaos:shared must
-	// fail federation-only options exactly like shared does.
-	_, federates := unwrapTransport(tr).(nodeCounter)
-	if cfg.nodesSet && cfg.nodes > 1 && !federates {
-		return nil, fmt.Errorf("core: Nodes(%d) set but transport %q does not federate", cfg.nodes, cfg.transport)
-	}
-	if cfg.linkSet && !federates {
-		return nil, fmt.Errorf("core: LinkCosts set but transport %q does not federate (inter-node links would never be crossed)", cfg.transport)
-	}
-	if cfg.chaosSet {
-		ct, ok := tr.(*machine.ChaosTransport)
-		if !ok {
-			return nil, fmt.Errorf("core: Chaos set but transport %q injects nothing: select a chaos-wrapped transport, e.g. Transport(%q)", cfg.transport, machine.ChaosPrefix+cfg.transport)
-		}
-		if err := ct.SetScenario(cfg.chaosSc); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.listen != "" {
-		ipc, ok := unwrapTransport(tr).(*machine.IPCTransport)
-		if !ok {
-			return nil, fmt.Errorf("core: ListenAddr set but transport %q spawns no workers: it requires the ipc transport", cfg.transport)
-		}
-		ipc.SetListenAddr(cfg.listen)
-	}
-	m := machine.NewWithTransport(tr, cost)
-	if cfg.executor != "" {
-		ex, err := machine.NewExecutorByName(cfg.executor)
-		if err != nil {
-			return nil, err
-		}
-		m.SetExecutor(ex)
-	}
-	sys := &System{
-		Machine:   m,
-		Procs:     g,
-		transport: cfg.transport,
-		executor:  m.ExecutorName(),
-		direct:    cfg.direct,
-	}
-	if cfg.trace {
-		sys.Trace = trace.NewRecorder(g.Size())
-		m.SetSink(sys.Trace)
-	}
-	return sys, nil
+	return s.Build()
 }
 
 // MustSystem is NewSystem for benchmarks, experiments and tools whose
@@ -356,13 +233,29 @@ func MustSystem(opts ...Option) *System {
 	return sys
 }
 
-// TransportName returns the registry name the system's transport was
-// resolved under.
-func (s *System) TransportName() string { return s.transport }
+// TransportName returns the transport's registry name.
+func (s *System) TransportName() string { return s.spec.Transport }
 
-// ExecutorName returns the registry name of the engine driving the system's
-// runs ("goroutine" unless the Executor option selected another).
-func (s *System) ExecutorName() string { return s.executor }
+// ExecutorName returns the registry name of the engine driving the runs.
+func (s *System) ExecutorName() string { return s.spec.Executor }
+
+// Nodes returns the federation's node count (1 on non-federating
+// transports).
+func (s *System) Nodes() int { return s.spec.Nodes }
+
+// PoolKey returns the system's pool identity — its Spec's Key, under which
+// a warmed-System pool files it.
+func (s *System) PoolKey() string { return s.spec.key }
+
+// RunCount returns how many runs (Run or RunProgram) have completed
+// successfully on this system.
+func (s *System) RunCount() int64 { return s.runs.Load() }
+
+// Warmed reports whether the system has completed at least one run — its
+// compiled schedules, loop plans and size-classed buffer pools are
+// populated, so the next run replays instead of compiling. The warmed-pool
+// hit metrics in internal/serve are counted off this.
+func (s *System) Warmed() bool { return s.runs.Load() > 0 }
 
 // Close releases any external resources the system's transport holds —
 // for the cross-process "ipc" transport that means shutting down its
@@ -376,12 +269,6 @@ func (s *System) Close() error {
 	return nil
 }
 
-// nodeCounter is the capability a transport exposes when it partitions
-// processors into nodes; FederatedTransport (and any future multi-node
-// transport) implements it. linkCounters in program.go extends it with
-// the per-link traffic counters the censuses read.
-type nodeCounter interface{ Nodes() int }
-
 // unwrapTransport sees through a chaos wrapper to the base transport, so
 // capability checks (does it federate? does it count links?) answer for the
 // transport that actually delivers.
@@ -390,15 +277,6 @@ func unwrapTransport(tr machine.Transport) machine.Transport {
 		return ct.Base()
 	}
 	return tr
-}
-
-// Nodes returns the federation's node count (1 on non-federating
-// transports).
-func (s *System) Nodes() int {
-	if f, ok := s.Machine.Transport().(nodeCounter); ok {
-		return f.Nodes()
-	}
-	return 1
 }
 
 // ChaosReport returns the fault/recovery report of the most recent run on a
@@ -427,8 +305,6 @@ func (s *System) ChaosTotalReport() (chaos.Report, bool) {
 // counters, the trace recorder (when attached) is reset at the start, so
 // a System runs any number of programs in sequence, each cleanly.
 func (s *System) Run(body func(c *kf.Ctx) error) (float64, error) {
-	restore := s.applyScheduling()
-	defer restore()
 	if s.Trace != nil {
 		s.Trace.Reset()
 	}
@@ -437,28 +313,6 @@ func (s *System) Run(body func(c *kf.Ctx) error) (float64, error) {
 	}
 	s.runs.Add(1)
 	return s.Machine.Elapsed(), nil
-}
-
-// schedMu guards the darray scheduling switch, which is process-global: a
-// DirectScheduling run holds the write side for its whole duration, any
-// other run the read side, so concurrent systems never observe (or
-// clobber) another run's scheduling mode.
-var schedMu sync.RWMutex
-
-// applyScheduling flips the darray layer into direct derivation for the
-// duration of a run on a DirectScheduling system, returning the restore
-// function. Scheduled systems share the read lock and touch nothing.
-func (s *System) applyScheduling() func() {
-	if !s.direct {
-		schedMu.RLock()
-		return schedMu.RUnlock
-	}
-	schedMu.Lock()
-	prev := darray.SetScheduling(false)
-	return func() {
-		darray.SetScheduling(prev)
-		schedMu.Unlock()
-	}
 }
 
 // Stats returns the aggregate machine counters from the last Run.

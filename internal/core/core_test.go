@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/darray"
 	"repro/internal/dist"
 	"repro/internal/kf"
@@ -75,7 +76,7 @@ func TestEveryOptionTogether(t *testing.T) {
 	if sys.Trace == nil {
 		t.Error("Trace option not applied")
 	}
-	if !sys.direct {
+	if !sys.spec.Direct {
 		t.Error("DirectScheduling option not applied")
 	}
 }
@@ -137,26 +138,39 @@ func TestLaterOptionsWin(t *testing.T) {
 	}
 }
 
+// keyOf resolves a declaration and returns its canonical key.
+func keyOf(t *testing.T, s Spec) string {
+	t.Helper()
+	r, err := s.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Key()
+}
+
 func TestPoolKeyIdentityAndDivergence(t *testing.T) {
-	base := PoolKey([]int{4, 4}, "federated", 4, "calendar", machine.IPSC2())
-	if again := PoolKey([]int{4, 4}, "federated", 4, "calendar", machine.IPSC2()); again != base {
+	fed := func(grid []int, nodes int, executor string, cm machine.CostModel) Spec {
+		return Spec{Grid: grid, Transport: "federated", Nodes: nodes, Executor: executor, Cost: cm}
+	}
+	base := keyOf(t, fed([]int{4, 4}, 4, "calendar", machine.IPSC2()))
+	if again := keyOf(t, fed([]int{4, 4}, 4, "calendar", machine.IPSC2())); again != base {
 		t.Errorf("equal configurations got distinct keys:\n%s\n%s", base, again)
 	}
-	// Defaults normalize the way NewSystem applies them: an omitted field
-	// and its spelled-out default share a key.
-	if PoolKey([]int{2}, "", 0, "", machine.CostModel{}) !=
-		PoolKey([]int{2}, "shared", 1, "goroutine", machine.IPSC2()) {
+	// Defaults are applied once, by Resolve: an omitted field and its
+	// spelled-out default share a key.
+	if keyOf(t, Spec{Grid: []int{2}}) !=
+		keyOf(t, Spec{Grid: []int{2}, Transport: "shared", Nodes: 1, Executor: "goroutine", Cost: machine.IPSC2()}) {
 		t.Error("normalized defaults should share a pool key")
 	}
 	variants := []string{
-		PoolKey([]int{4, 4}, "shared", 1, "calendar", machine.IPSC2()),
-		PoolKey([]int{16}, "federated", 4, "calendar", machine.IPSC2()),
-		PoolKey([]int{4, 4}, "federated", 2, "calendar", machine.IPSC2()),
-		PoolKey([]int{4, 4}, "federated", 4, "goroutine", machine.IPSC2()),
-		PoolKey([]int{4, 4}, "federated", 4, "calendar", machine.Uniform()),
-		PoolKey([]int{4, 4}, "federated", 4, "calendar", machine.IPSC2().WithInterNode(4, 8)),
-		PoolKey([]int{4, 4}, "federated", 4, "calendar",
-			machine.IPSC2().WithInterNode(4, 8).WithLink(0, 1, machine.LinkCost{Latency: 2, Byte: 2})),
+		keyOf(t, Spec{Grid: []int{4, 4}, Transport: "shared", Nodes: 1, Executor: "calendar", Cost: machine.IPSC2()}),
+		keyOf(t, fed([]int{16}, 4, "calendar", machine.IPSC2())),
+		keyOf(t, fed([]int{4, 4}, 2, "calendar", machine.IPSC2())),
+		keyOf(t, fed([]int{4, 4}, 4, "goroutine", machine.IPSC2())),
+		keyOf(t, fed([]int{4, 4}, 4, "calendar", machine.Uniform())),
+		keyOf(t, fed([]int{4, 4}, 4, "calendar", machine.IPSC2().WithInterNode(4, 8))),
+		keyOf(t, fed([]int{4, 4}, 4, "calendar",
+			machine.IPSC2().WithInterNode(4, 8).WithLink(0, 1, machine.LinkCost{Latency: 2, Byte: 2}))),
 	}
 	seen := map[string]bool{base: true}
 	for i, v := range variants {
@@ -173,14 +187,59 @@ func TestSystemPoolKeyMatchesConfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := PoolKey([]int{4, 2}, "federated", 2, "calendar", machine.IPSC2().WithInterNode(4, 8))
+	want := keyOf(t, Spec{Grid: []int{4, 2}, Transport: "federated", Nodes: 2, Executor: "calendar",
+		Cost: machine.IPSC2().WithInterNode(4, 8)})
 	if got := sys.PoolKey(); got != want {
 		t.Errorf("system key\n%s\nwant\n%s", got, want)
 	}
 	// A default-everything system keys identically to the normalized form.
 	plain := MustSystem(Grid(3))
-	if plain.PoolKey() != PoolKey([]int{3}, "", 0, "", machine.CostModel{}) {
+	if plain.PoolKey() != keyOf(t, Spec{Grid: []int{3}}) {
 		t.Error("default system key does not normalize")
+	}
+}
+
+// TestPoolKeyCoversDirectTraceChaos: two Systems may share a pool
+// slot only when a run on one is a run on the other. The derivation mode,
+// the trace recorder and the fault scenario all shape a run, so each must
+// show in the key; where the ipc sockets listen, how a default was spelled
+// and the order a LinkCosts link list was written in do not.
+func TestPoolKeyCoversDirectTraceChaos(t *testing.T) {
+	key := func(opts ...Option) string {
+		t.Helper()
+		sys, err := NewSystem(append([]Option{Grid(4)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		return sys.PoolKey()
+	}
+	plain := key()
+	chaosOn := func(sc chaos.Scenario) string { return key(Transport("chaos:shared"), Chaos(sc)) }
+	differ := map[string][2]string{
+		"DirectScheduling": {plain, key(DirectScheduling())},
+		"Trace":            {plain, key(Trace())},
+		"Chaos vs none":    {key(Transport("chaos:shared")), chaosOn(chaos.Scenario{Name: "a", Seed: 1, Drop: 0.1})},
+		"Chaos seed":       {chaosOn(chaos.Scenario{Name: "a", Seed: 1, Drop: 0.1}), chaosOn(chaos.Scenario{Name: "a", Seed: 2, Drop: 0.1})},
+		"Chaos name":       {chaosOn(chaos.Scenario{Name: "a", Seed: 1, Drop: 0.1}), chaosOn(chaos.Scenario{Name: "b", Seed: 1, Drop: 0.1})},
+	}
+	for what, pair := range differ {
+		if pair[0] == pair[1] {
+			t.Errorf("Systems differing only in %s share a pool key:\n%s", what, pair[0])
+		}
+	}
+	if spelled := key(Transport("shared"), Nodes(1), Executor("goroutine"), Cost(machine.IPSC2())); spelled != plain {
+		t.Errorf("spelled-out defaults change the key:\n%s\n%s", spelled, plain)
+	}
+	ipc := []Option{Transport("ipc"), Nodes(2)}
+	if a, b := key(ipc...), key(append(ipc, ListenAddr("127.0.0.1:0"))...); a != b {
+		t.Errorf("ListenAddr changes the key:\n%s\n%s", a, b)
+	}
+	up := LinkSpec{Src: 0, Dst: 1, Latency: 16, Byte: 32}
+	down := LinkSpec{Src: 1, Dst: 0, Latency: 2, Byte: 3}
+	fed := []Option{Transport("federated"), Nodes(2)}
+	if a, b := key(append(fed, LinkCosts(4, 8, up, down))...), key(append(fed, LinkCosts(4, 8, down, up))...); a != b {
+		t.Errorf("permuting the LinkCosts link list changes the key:\n%s\n%s", a, b)
 	}
 }
 
@@ -376,17 +435,14 @@ func TestDirectSchedulingBitIdentical(t *testing.T) {
 	if !cmp.Identical || !cmp.TimesIdentical {
 		t.Errorf("direct derivation must be bit-identical to schedule replay: %+v", cmp)
 	}
-	// The global scheduling switch must be restored after the run.
-	if prev := darray.SetScheduling(true); !prev {
-		t.Error("DirectScheduling leaked the global scheduling switch")
-	}
 }
 
 func TestDirectSchedulingConcurrentRuns(t *testing.T) {
-	// The scheduling switch is process-global; direct runs must be
-	// serialized against scheduled ones so concurrent systems — the
-	// natural use of declare-once Programs — neither race on it nor
-	// leave the process stuck in direct mode.
+	// The derivation mode is state of each System's machine, so a direct
+	// and a scheduled System — the natural use of declare-once Programs —
+	// run side by side sharing nothing: no lock to serialize on, no switch
+	// to race on (go test -race), and each concurrent run bit-identical to
+	// the same System's solo run.
 	prog := shiftProgram(16, 0)
 	mk := func(opts ...Option) *System {
 		sys, err := NewSystem(append([]Option{Grid(4), Cost(machine.ZeroComm())}, opts...)...)
@@ -395,23 +451,38 @@ func TestDirectSchedulingConcurrentRuns(t *testing.T) {
 		}
 		return sys
 	}
-	direct := mk(DirectScheduling())
-	sched := mk()
-	var wg sync.WaitGroup
-	var errs [2]error
+	systems := [2]*System{mk(DirectScheduling()), mk()}
+	var solo [2]Run
+	for i, sys := range systems {
+		run, err := sys.RunProgram(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = run
+	}
+	if cmp := CompareRuns(solo[0], solo[1]); !cmp.Identical || !cmp.TimesIdentical {
+		t.Fatalf("direct and scheduled solo runs differ: %+v", cmp)
+	}
 	for round := 0; round < 10; round++ {
-		wg.Add(2)
-		go func() { defer wg.Done(); _, errs[0] = direct.RunProgram(prog) }()
-		go func() { defer wg.Done(); _, errs[1] = sched.RunProgram(prog) }()
+		var wg sync.WaitGroup
+		var runs [2]Run
+		var errs [2]error
+		for i, sys := range systems {
+			wg.Add(1)
+			go func(i int, sys *System) {
+				defer wg.Done()
+				runs[i], errs[i] = sys.RunProgram(prog)
+			}(i, sys)
+		}
 		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
+		for i := range systems {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if cmp := CompareRuns(solo[i], runs[i]); !cmp.Identical || !cmp.TimesIdentical {
+				t.Errorf("round %d, system %d: concurrent run differs from its solo run: %+v", round, i, cmp)
 			}
 		}
-	}
-	if prev := darray.SetScheduling(true); !prev {
-		t.Error("concurrent direct/scheduled runs left the process in direct mode")
 	}
 }
 

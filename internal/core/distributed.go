@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
-	"repro/internal/kf"
 	"repro/internal/machine"
 	"repro/internal/topology"
 )
@@ -16,12 +14,12 @@ import (
 // This file is the core half of the ipc execution plane: when a registered
 // program runs on a bare ipc transport in an exec-armed binary, the ranks
 // execute inside the worker processes instead of the coordinator. The
-// coordinator serializes everything a worker needs to rebuild the run — the
-// program's registry key and args, the grid shape, the federation's node
-// count, the executor name and the full cost model — into a runSpec, the
-// transport ships it (machine.RunDistributed), and each worker's execution
-// hook (buildWorkerRun below) constructs the identical sub-machine over its
-// node's rank window. Per-rank outcomes come back as opaque records that
+// coordinator ships a runSpec — the program's registry key and args, and
+// the System's own Spec.Key — the transport broadcasts it
+// (machine.RunDistributed), and each worker's execution hook
+// (buildWorkerRun below) resolves that declaration and builds the identical
+// sub-machine over its node's rank window through the same Spec.machine
+// the coordinator used. Per-rank outcomes come back as opaque records that
 // runDistributed reassembles into exactly the Run a coordinator-side
 // execution would have produced: values concatenated in rank order, stats
 // summed in rank order, elapsed times as maxima, censuses from the
@@ -30,75 +28,18 @@ import (
 // interchangeable too.
 //
 // Systems that shape the run coordinator-side keep the relay path: Trace
-// needs every event in one process, DirectScheduling flips a process-global
-// mode the workers cannot see, and a chaos-wrapped transport injects faults
-// above the wire (the scenario would have to replicate into every worker to
-// mean the same thing). Programs built literally (not via BuildProgram)
-// have no registry identity to ship and also run coordinator-side.
-
-// specLink is one directed inter-node link override in a serialized cost
-// model.
-type specLink struct {
-	Src  int     `json:"src"`
-	Dst  int     `json:"dst"`
-	Lat  float64 `json:"lat"`
-	Byte float64 `json:"byte"`
-}
-
-// specCost is the wire form of machine.CostModel. JSON float64 encoding is
-// shortest-round-trip, so every finite value crosses bit-exactly — the
-// virtual times the workers compute must match a coordinator-side run to
-// the last bit.
-type specCost struct {
-	Flop    float64    `json:"flop"`
-	Lat     float64    `json:"lat"`
-	Byte    float64    `json:"byte"`
-	Send    float64    `json:"send"`
-	Recv    float64    `json:"recv"`
-	HasIn   bool       `json:"hasInter,omitempty"`
-	InLat   float64    `json:"interLat,omitempty"`
-	InByte  float64    `json:"interByte,omitempty"`
-	InLinks []specLink `json:"interLinks,omitempty"`
-}
-
-func encodeCost(c machine.CostModel) specCost {
-	sc := specCost{Flop: c.FlopTime, Lat: c.Latency, Byte: c.BytePeriod, Send: c.SendOverhead, Recv: c.RecvOverhead}
-	if in := c.InterNode; in != nil {
-		sc.HasIn = true
-		sc.InLat, sc.InByte = in.Default.Latency, in.Default.Byte
-		for k, v := range in.Links {
-			sc.InLinks = append(sc.InLinks, specLink{Src: k[0], Dst: k[1], Lat: v.Latency, Byte: v.Byte})
-		}
-		sort.Slice(sc.InLinks, func(i, j int) bool {
-			a, b := sc.InLinks[i], sc.InLinks[j]
-			if a.Src != b.Src {
-				return a.Src < b.Src
-			}
-			return a.Dst < b.Dst
-		})
-	}
-	return sc
-}
-
-func (sc specCost) model() machine.CostModel {
-	c := machine.CostModel{FlopTime: sc.Flop, Latency: sc.Lat, BytePeriod: sc.Byte, SendOverhead: sc.Send, RecvOverhead: sc.Recv}
-	if sc.HasIn {
-		c = c.WithInterNode(sc.InLat, sc.InByte)
-		for _, l := range sc.InLinks {
-			c = c.WithLink(l.Src, l.Dst, machine.LinkCost{Latency: l.Lat, Byte: l.Byte})
-		}
-	}
-	return c
-}
+// needs every event in one process, and a chaos-wrapped transport injects
+// faults above the wire (the scenario would have to replicate into every
+// worker to mean the same thing). Programs built literally (not via
+// BuildProgram) have no registry identity to ship and also run
+// coordinator-side.
 
 // runSpec is everything a worker needs to rebuild one distributed run.
 type runSpec struct {
-	Program  string    `json:"program"`
-	Args     []float64 `json:"args,omitempty"`
-	Shape    []int     `json:"shape"`
-	Nodes    int       `json:"nodes"`
-	Executor string    `json:"executor,omitempty"`
-	Cost     specCost  `json:"cost"`
+	Program string    `json:"program"`
+	Args    []float64 `json:"args,omitempty"`
+	// System is the coordinator System's Spec.Key, verbatim.
+	System json.RawMessage `json:"system"`
 }
 
 // rankRecordLen is the fixed prefix of a per-rank result record:
@@ -117,13 +58,10 @@ func bitsI64(f float64) int64 { return int64(math.Float64bits(f)) }
 // chaos wrapper (or any other shaping layer) falls through to the relay
 // path.
 func (s *System) distributedTransport(p *Program) *machine.IPCTransport {
-	if p.key == "" || s.Trace != nil || s.direct || !machine.WorkerExecEnabled() {
+	if p.key == "" || s.Trace != nil || !machine.WorkerExecEnabled() {
 		return nil
 	}
-	t, ok := s.Machine.Transport().(*machine.IPCTransport)
-	if !ok {
-		return nil
-	}
+	t, _ := s.Machine.Transport().(*machine.IPCTransport)
 	return t
 }
 
@@ -146,23 +84,16 @@ func rankError(r machine.RankResult) error {
 }
 
 // runDistributed executes p inside the transport's worker fleet and
-// reassembles the Run record a coordinator-side execution would produce.
+// reassembles the Run record a coordinator-side execution would produce;
+// RunProgram finishes it.
 func (s *System) runDistributed(p *Program, t *machine.IPCTransport) (Run, error) {
-	spec := runSpec{
-		Program:  p.key,
-		Args:     p.args,
-		Shape:    s.Procs.Shape(),
-		Nodes:    t.Nodes(),
-		Executor: s.executor,
-		Cost:     encodeCost(s.Machine.Cost()),
-	}
-	raw, err := json.Marshal(spec)
+	raw, err := json.Marshal(runSpec{Program: p.key, Args: p.args, System: json.RawMessage(s.spec.key)})
 	if err != nil {
-		return Run{}, fmt.Errorf("core: program %q: encode run spec: %w", p.Name, err)
+		return Run{}, fmt.Errorf("encode run spec: %w", err)
 	}
 	results, err := t.RunDistributed(raw)
 	if err != nil {
-		return Run{}, fmt.Errorf("core: program %q: %w", p.Name, err)
+		return Run{}, err
 	}
 	var run Run
 	var firstErr error
@@ -173,7 +104,7 @@ func (s *System) runDistributed(p *Program, t *machine.IPCTransport) (Run, error
 		}
 		rec := r.Payload
 		if len(rec) < rankRecordLen || len(rec) != rankRecordLen+int(rec[8]) {
-			return Run{}, fmt.Errorf("core: program %q: malformed result record for rank %d", p.Name, rank)
+			return Run{}, fmt.Errorf("malformed result record for rank %d", rank)
 		}
 		if rec[0] > run.Elapsed {
 			run.Elapsed = rec[0]
@@ -193,16 +124,8 @@ func (s *System) runDistributed(p *Program, t *machine.IPCTransport) (Run, error
 		})
 		run.Values = append(run.Values, rec[rankRecordLen:]...)
 	}
-	if firstErr != nil {
-		return Run{}, fmt.Errorf("core: program %q: %w", p.Name, firstErr)
-	}
-	if run.Elapsed == 0 {
-		run.Elapsed = run.MachineElapsed
-	}
-	run.Links = s.linkCensus()
 	run.Exec = t.ExecStats()
-	s.runs.Add(1)
-	return run, nil
+	return run, firstErr
 }
 
 // workerRun hosts one node's share of a distributed run inside a worker
@@ -219,16 +142,9 @@ func (r *workerRun) Transport() *machine.WorkerTransport { return r.wt }
 // Execute runs the node's rank window to completion and packs one result
 // record per local rank.
 func (r *workerRun) Execute() []machine.RankResult {
-	outs := make([]Output, r.g.Size())
-	// The first rank-body error is also in RankErrors; Exec's return adds
-	// nothing here.
-	_ = kf.Exec(r.m, r.g, func(c *kf.Ctx) error {
-		out, err := r.p.Body(c)
-		if idx, ok := r.g.Index(c.P.Rank()); ok {
-			outs[idx] = out
-		}
-		return err
-	})
+	// The first rank-body error is also in RankErrors; the returned error
+	// adds nothing here.
+	outs, _ := execProgram(r.m, r.g, r.p)
 	lo, hi := r.wt.LocalRanks()
 	errs := r.m.RankErrors()
 	results := make([]machine.RankResult, 0, hi-lo)
@@ -266,9 +182,9 @@ func (r *workerRun) Execute() []machine.RankResult {
 }
 
 // workerRunCache keeps recently built sub-machines warm inside a worker
-// process. The raw spec bytes are the cache key — they carry everything
-// that shaped the build (program, args, shape, nodes, executor, cost), so
-// equal bytes mean an interchangeable sub-machine; the node number keeps
+// process. The raw spec bytes are the cache key — program, args and the
+// System's Spec.Key, which is everything that shaped the build, so equal
+// bytes mean an interchangeable sub-machine; the node number keeps
 // in-process worker fleets from colliding. A cached hit skips program
 // construction, grid and transport setup and machine allocation, which is
 // what makes a warm pooled System's runs cheap on the worker side too:
@@ -319,6 +235,26 @@ func (c *runCache) touch(key string) {
 	c.order = append(c.order, key)
 }
 
+// decodeRunSpec parses a run spec into the program to run and the resolved
+// machine declaration to run it on. Resolve is the same one the coordinator
+// ran, so a worker refuses exactly what NewSystem would.
+func decodeRunSpec(raw []byte) (*Program, Spec, error) {
+	var rs runSpec
+	if err := json.Unmarshal(raw, &rs); err != nil {
+		return nil, Spec{}, fmt.Errorf("decode run spec: %v", err)
+	}
+	p, err := BuildProgram(rs.Program, rs.Args...)
+	if err != nil {
+		return nil, Spec{}, err
+	}
+	var spec Spec
+	if err := json.Unmarshal(rs.System, &spec); err != nil {
+		return nil, Spec{}, fmt.Errorf("decode run spec system: %v", err)
+	}
+	spec, err = spec.Resolve()
+	return p, spec, err
+}
+
 // buildWorkerRun is the worker-side execution hook: parse the spec, rebuild
 // the program from the registry, and stand up the sub-machine over this
 // node's rank window — or rebind a cached one when this worker has run the
@@ -330,34 +266,18 @@ func buildWorkerRun(h *machine.WorkerHost, raw []byte) (machine.WorkerRun, error
 			return r, nil
 		}
 	}
-	var spec runSpec
-	if err := json.Unmarshal(raw, &spec); err != nil {
-		return nil, fmt.Errorf("decode run spec: %v", err)
-	}
-	p, err := BuildProgram(spec.Program, spec.Args...)
+	p, spec, err := decodeRunSpec(raw)
 	if err != nil {
 		return nil, err
 	}
-	if len(spec.Shape) == 0 || spec.Nodes <= 0 {
-		return nil, fmt.Errorf("run spec has no machine shape")
-	}
-	for _, e := range spec.Shape {
-		if e <= 0 {
-			return nil, fmt.Errorf("run spec grid shape %v invalid", spec.Shape)
-		}
-	}
-	g := topology.New(spec.Shape...)
+	g := topology.New(spec.Grid...)
 	wt, err := h.NewTransport(g.Size(), spec.Nodes)
 	if err != nil {
 		return nil, err
 	}
-	m := machine.NewWithTransport(wt, spec.Cost.model())
-	if spec.Executor != "" {
-		ex, err := machine.NewExecutorByName(spec.Executor)
-		if err != nil {
-			return nil, err
-		}
-		m.SetExecutor(ex)
+	m, err := spec.machine(wt)
+	if err != nil {
+		return nil, err
 	}
 	r := &workerRun{p: p, g: g, wt: wt, m: m}
 	workerRunCache.put(key, r)

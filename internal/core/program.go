@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/kf"
 	"repro/internal/machine"
+	"repro/internal/topology"
 )
 
 // Program is a parallel computation declared once, independently of any
@@ -112,11 +113,12 @@ func (lc *LinkCensus) Sub(prev *LinkCensus) *LinkCensus {
 	return out
 }
 
-// linkCounters is the observability surface a federating transport offers;
-// FederatedTransport implements it, and so would any future multi-node
-// transport that wants its traffic priced and censused.
+// linkCounters is what makes a transport a federation in core's eyes: it
+// partitions the processors into nodes and counts the traffic on every
+// directed link between them. FederatedTransport and IPCTransport implement
+// it, and so would any future multi-node transport that wants its traffic
+// priced and censused.
 type linkCounters interface {
-	nodeCounter
 	LinkTraffic(src, dst int) (msgs, bytes int64)
 }
 
@@ -131,7 +133,7 @@ func (s *System) linkCensus() *LinkCensus {
 	if !ok {
 		return nil
 	}
-	nodes := f.Nodes()
+	nodes := s.spec.Nodes
 	lc := &LinkCensus{Nodes: nodes}
 	lc.Msgs = make([][]int64, nodes)
 	lc.Bytes = make([][]int64, nodes)
@@ -148,46 +150,60 @@ func (s *System) linkCensus() *LinkCensus {
 	return lc
 }
 
-// RunProgram executes p on the system and returns the run record. The
-// machine's clocks, counters, transport and trace recorder are reset at
-// the start, so a System can run any number of programs in sequence.
-func (s *System) RunProgram(p *Program) (Run, error) {
-	if p == nil || p.Body == nil {
-		return Run{}, fmt.Errorf("core: RunProgram needs a program with a body")
-	}
-	if t := s.distributedTransport(p); t != nil {
-		return s.runDistributed(p, t)
-	}
-	outs := make([]Output, s.Procs.Size())
-	restore := s.applyScheduling()
-	defer restore()
-	if s.Trace != nil {
-		s.Trace.Reset()
-	}
-	err := kf.Exec(s.Machine, s.Procs, func(c *kf.Ctx) error {
+// execProgram runs p's body on every rank m executes — the whole machine
+// coordinator-side, one node's window inside an ipc worker — and returns
+// the per-rank Outputs in grid order (zero for ranks outside the window).
+func execProgram(m *machine.Machine, g *topology.Grid, p *Program) ([]Output, error) {
+	outs := make([]Output, g.Size())
+	err := kf.Exec(m, g, func(c *kf.Ctx) error {
 		out, err := p.Body(c)
-		if idx, ok := s.Procs.Index(c.P.Rank()); ok {
+		if idx, ok := g.Index(c.P.Rank()); ok {
 			outs[idx] = out
 		}
 		return err
 	})
-	if err != nil {
-		return Run{}, fmt.Errorf("core: program %q: %w", p.Name, err)
+	return outs, err
+}
+
+// runLocal executes p on the coordinator's own machine.
+func (s *System) runLocal(p *Program) (Run, error) {
+	if s.Trace != nil {
+		s.Trace.Reset()
 	}
-	run := Run{
-		MachineElapsed: s.Machine.Elapsed(),
-		Stats:          s.Machine.TotalStats(),
-		Links:          s.linkCensus(),
-	}
+	outs, err := execProgram(s.Machine, s.Procs, p)
+	run := Run{MachineElapsed: s.Machine.Elapsed(), Stats: s.Machine.TotalStats()}
 	for _, out := range outs {
 		if out.Elapsed > run.Elapsed {
 			run.Elapsed = out.Elapsed
 		}
 		run.Values = append(run.Values, out.Values...)
 	}
+	return run, err
+}
+
+// RunProgram executes p on the system — inside the ipc workers when the
+// system and program are eligible (see distributedTransport), on the
+// coordinator's machine otherwise — and returns the run record. The
+// machine's clocks, counters, transport and trace recorder are reset at
+// the start, so a System can run any number of programs in sequence.
+func (s *System) RunProgram(p *Program) (Run, error) {
+	if p == nil || p.Body == nil {
+		return Run{}, fmt.Errorf("core: RunProgram needs a program with a body")
+	}
+	var run Run
+	var err error
+	if t := s.distributedTransport(p); t != nil {
+		run, err = s.runDistributed(p, t)
+	} else {
+		run, err = s.runLocal(p)
+	}
+	if err != nil {
+		return Run{}, fmt.Errorf("core: program %q: %w", p.Name, err)
+	}
 	if run.Elapsed == 0 {
 		run.Elapsed = run.MachineElapsed
 	}
+	run.Links = s.linkCensus()
 	s.runs.Add(1)
 	return run, nil
 }

@@ -37,8 +37,9 @@ func chaosScenario(seed int64) chaos.Scenario {
 }
 
 // captureChaosRun executes prog on a fresh chaos:shared machine under the
-// scenario and records the same observables as captureRun.
-func captureChaosRun(t *testing.T, n int, sc chaos.Scenario, prog func(p *machine.Proc) []float64) capture {
+// scenario, in the given derivation mode, and records the same observables
+// as captureRun.
+func captureChaosRun(t *testing.T, n int, direct bool, sc chaos.Scenario, prog func(p *machine.Proc) []float64) capture {
 	t.Helper()
 	tr, err := machine.NewTransportByName("chaos:shared", n, 1)
 	if err != nil {
@@ -49,6 +50,7 @@ func captureChaosRun(t *testing.T, n int, sc chaos.Scenario, prog func(p *machin
 		t.Fatal(err)
 	}
 	m := machine.NewWithTransport(ct, machine.IPSC2())
+	m.SetDirect(direct)
 	c := capture{
 		clocks: make([]float64, n),
 		stats:  make([]machine.Stats, n),
@@ -81,12 +83,9 @@ func TestRandomizedChaosEquivalence(t *testing.T) {
 		sc := chaosScenario(int64(1000 + ci))
 		prog := func(p *machine.Proc) []float64 { return c.run(p, g) }
 
-		prev := SetScheduling(false)
-		faultFree := captureRun(t, n, prog)
-		direct := captureChaosRun(t, n, sc, prog)
-		SetScheduling(true)
-		replay := captureChaosRun(t, n, sc, prog)
-		SetScheduling(prev)
+		faultFree := captureRun(t, n, true, prog)
+		direct := captureChaosRun(t, n, true, sc, prog)
+		replay := captureChaosRun(t, n, false, sc, prog)
 
 		for rk := 0; rk < n; rk++ {
 			// Invariant 1: faults never change values (clocks honestly move,

@@ -347,10 +347,10 @@ func (a *Array) PackRuns(runs []sched.Run, dst []float64) int {
 // steady-state allocation).
 func (a *Array) GatherTo(sc machine.Scope, rootIdx int) []float64 {
 	a.mustParticipate()
-	if scheduling {
-		return a.gatherToScheduled(sc, rootIdx)
+	if a.st.p.Direct() {
+		return a.gatherToDirect(sc, rootIdx)
 	}
-	return a.gatherToDirect(sc, rootIdx)
+	return a.gatherToScheduled(sc, rootIdx)
 }
 
 // gatherToDirect is the uncompiled reference path: it interleaves layout
@@ -506,19 +506,19 @@ func moveContents(sc machine.Scope, src, dst *Array) {
 			panic(fmt.Sprintf("darray: redistribute extent mismatch in dim %d: %d vs %d", d, src.Extent(d), dst.Extent(d)))
 		}
 	}
-	if scheduling {
-		s := moveScheduleFor(src, dst)
-		var srcData, dstData []float64
-		if src.st.member {
-			srcData = src.st.data
-		}
-		if dst.st.member {
-			dstData = dst.st.data
-		}
-		s.Execute(src.st.p, sc, srcData, dstData)
+	if src.st.p.Direct() {
+		moveContentsDirect(sc, src, dst)
 		return
 	}
-	moveContentsDirect(sc, src, dst)
+	s := moveScheduleFor(src, dst)
+	var srcData, dstData []float64
+	if src.st.member {
+		srcData = src.st.data
+	}
+	if dst.st.member {
+		dstData = dst.st.data
+	}
+	s.Execute(src.st.p, sc, srcData, dstData)
 }
 
 // moveContentsDirect is the uncompiled reference path for Redistribute.

@@ -215,11 +215,11 @@ func (a *Array) planeSize(sd int) int {
 // back to its pool.
 func (a *Array) ExchangeHalo(sc machine.Scope, dims ...int) {
 	a.mustParticipate()
-	if scheduling {
-		a.haloSchedule(dims).Execute(a.st.p, sc, a.st.data, a.st.data)
+	if a.st.p.Direct() {
+		a.exchangeHaloDirect(sc, dims...)
 		return
 	}
-	a.exchangeHaloDirect(sc, dims...)
+	a.haloSchedule(dims).Execute(a.st.p, sc, a.st.data, a.st.data)
 }
 
 // exchangeHaloDirect is the uncompiled reference path: it re-derives owner

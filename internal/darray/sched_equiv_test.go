@@ -22,11 +22,13 @@ type capture struct {
 	data   [][]float64
 }
 
-// captureRun executes prog on a fresh n-processor machine and records
-// clocks, per-processor statistics and each processor's returned payload.
-func captureRun(t *testing.T, n int, prog func(p *machine.Proc) []float64) capture {
+// captureRun executes prog on a fresh n-processor machine in the given
+// derivation mode (machine.SetDirect) and records clocks, per-processor
+// statistics and each processor's returned payload.
+func captureRun(t *testing.T, n int, direct bool, prog func(p *machine.Proc) []float64) capture {
 	t.Helper()
 	m := machine.New(n, machine.IPSC2())
+	m.SetDirect(direct)
 	c := capture{
 		clocks: make([]float64, n),
 		stats:  make([]machine.Stats, n),
@@ -50,11 +52,8 @@ func captureRun(t *testing.T, n int, prog func(p *machine.Proc) []float64) captu
 // requires bit-identical outcomes.
 func assertEquivalent(t *testing.T, name string, n int, prog func(p *machine.Proc) []float64) {
 	t.Helper()
-	prev := SetScheduling(false)
-	direct := captureRun(t, n, prog)
-	SetScheduling(true)
-	replay := captureRun(t, n, prog)
-	SetScheduling(prev)
+	direct := captureRun(t, n, true, prog)
+	replay := captureRun(t, n, false, prog)
 	for r := 0; r < n; r++ {
 		if direct.clocks[r] != replay.clocks[r] {
 			t.Errorf("%s: rank %d clock %v (direct) != %v (scheduled)", name, r, direct.clocks[r], replay.clocks[r])

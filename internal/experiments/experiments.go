@@ -1,9 +1,10 @@
 // Package experiments contains one driver per reproduced artifact of the
 // paper: the five figures (F1-F5) and the measured claims (E1-E9) indexed
-// in DESIGN.md. Each driver is deterministic — it runs on the simulated
-// machine with fixed seeds — and returns both a rendered text report and a
-// map of named metrics that the test and benchmark harnesses assert on.
-// cmd/kfbench prints the reports; EXPERIMENTS.md records them.
+// by Suite (`kfbench -list`). Each driver is deterministic — it runs on the
+// simulated machine with fixed seeds — and returns both a rendered text
+// report and a map of named metrics that the test and benchmark harnesses
+// assert on. cmd/kfbench prints the reports; README "Running the paper's
+// experiments" shows how.
 package experiments
 
 import (
@@ -17,62 +18,50 @@ import (
 	"repro/internal/machine"
 )
 
-// transportCfg is the package-wide transport selection: kfbench's
-// -transport and -nodes flags route every system built through newSys onto
-// a named transport, exercising the whole experiment suite over any
-// registered substrate (values and message censuses are transport-
-// invariant, so the metrics must not move under a flat cost model).
-var transportCfg struct {
-	name  string
-	nodes int
-}
+// overlay is what kfbench's -transport, -nodes, -executor and -chaos flags
+// select, as one partial core.Spec laid over every system newSys builds:
+// the whole experiment suite then runs on any registered substrate, engine
+// or fault scenario (values and message censuses are invariant under all
+// three, so the metrics must not move under a flat cost model). The zero
+// Spec keeps the per-experiment defaults. chaosSystems tracks the systems
+// built under a scenario so their fault/recovery reports can be aggregated
+// afterwards.
+var (
+	overlay      core.Spec
+	chaosSystems []*core.System
+)
 
-// SetTransport selects the transport every newSys-built experiment system
-// runs on, by registry name. nodes is the requested federation node count;
-// because the suite's machines come in many sizes, each system clamps it
-// to gcd(nodes, processor count) so it always divides. An empty name
-// restores the per-experiment defaults. Unknown names and federation
-// shapes the transport rejects are reported as errors.
-func SetTransport(name string, nodes int) error {
-	if name == "" {
-		transportCfg.name, transportCfg.nodes = "", 0
-		return nil
+// SetOverlay installs the overlay (see above), replacing any earlier one.
+// Only Transport, Nodes, Executor and Chaos are read. Because the suite's
+// machines come in many sizes, each system clamps Nodes to gcd(Nodes,
+// processor count) so it always divides; a Chaos scenario replaces the
+// selected transport (default "shared") by its chaos-wrapped variant. The
+// scaling experiments (S1-S6), which declare their transports explicitly,
+// are not disturbed — their entire point is a specific arrangement.
+// Unknown names, federation shapes the transport rejects and invalid
+// scenarios are reported here instead of as a panic mid-experiment.
+func SetOverlay(o core.Spec) error {
+	if o.Nodes < 0 {
+		return fmt.Errorf("experiments: negative node count %d", o.Nodes)
 	}
-	if nodes < 0 {
-		return fmt.Errorf("experiments: negative node count %d", nodes)
+	if o.Transport != "" {
+		// Probe the registry with an n the node count trivially divides.
+		probe := max(o.Nodes, 1)
+		if _, err := machine.NewTransportByName(o.Transport, probe, probe); err != nil {
+			return err
+		}
 	}
-	probe := nodes
-	if probe < 1 {
-		probe = 1
+	if o.Executor != "" {
+		if _, err := machine.NewExecutorByName(o.Executor); err != nil {
+			return err
+		}
 	}
-	// Probe the registry with an n the node count trivially divides, so
-	// "unknown transport" and "transport does not federate" both surface
-	// here instead of as a panic mid-experiment.
-	if _, err := machine.NewTransportByName(name, probe, probe); err != nil {
-		return err
+	if o.Chaos != nil {
+		if err := o.Chaos.Validate(); err != nil {
+			return err
+		}
 	}
-	transportCfg.name, transportCfg.nodes = name, nodes
-	return nil
-}
-
-// executorCfg is the package-wide execution-engine selection: kfbench's
-// -executor flag routes every newSys-built experiment system onto a named
-// engine. Values, censuses and virtual times are engine-invariant, so the
-// metrics must not move.
-var executorCfg string
-
-// SetExecutor selects the execution engine every newSys-built experiment
-// system runs on, by registry name (machine.RegisterExecutor). An empty
-// name restores the default engine; unknown names are reported as errors.
-func SetExecutor(name string) error {
-	if name == "" {
-		executorCfg = ""
-		return nil
-	}
-	if _, err := machine.NewExecutorByName(name); err != nil {
-		return err
-	}
-	executorCfg = name
+	overlay, chaosSystems = o, nil
 	return nil
 }
 
@@ -83,49 +72,40 @@ func gcd(a, b int) int {
 	return a
 }
 
-// chaosCfg is the package-wide fault-injection selection: kfbench's -chaos
-// flag routes every newSys-built experiment system through a chaos-wrapped
-// transport running the given scenario, and tracks those systems so the
-// suite's fault/recovery reports can be aggregated afterwards.
-var chaosCfg struct {
-	set     bool
-	sc      chaos.Scenario
-	systems []*core.System
-}
-
-// SetChaos installs a fault scenario on every system newSys builds from now
-// on: the selected transport (default "shared") is replaced by its
-// chaos-wrapped variant and the scenario applied. The scaling experiments
-// (S1-S5), which declare their transports explicitly, are not disturbed —
-// their entire point is a specific arrangement. Call ClearChaos (or a fresh
-// process) to restore fault-free runs.
-func SetChaos(sc chaos.Scenario) error {
-	if err := sc.Validate(); err != nil {
-		return err
+// applyOverlay is the core.Option that lays the overlay over a declaration
+// whose Grid is already filled.
+func applyOverlay(s *core.Spec) error {
+	if overlay.Transport != "" {
+		size := 1
+		for _, e := range s.Grid {
+			size *= e
+		}
+		s.Transport, s.Nodes = overlay.Transport, gcd(max(overlay.Nodes, 1), size)
 	}
-	chaosCfg.set = true
-	chaosCfg.sc = sc
-	chaosCfg.systems = nil
+	if overlay.Chaos != nil {
+		if s.Transport == "" {
+			s.Transport = "shared"
+		}
+		if !strings.HasPrefix(s.Transport, machine.ChaosPrefix) {
+			s.Transport = machine.ChaosPrefix + s.Transport
+		}
+		s.Chaos = overlay.Chaos
+	}
+	if overlay.Executor != "" {
+		s.Executor = overlay.Executor
+	}
 	return nil
 }
 
-// ClearChaos restores fault-free experiment systems and drops the tracked
-// reports.
-func ClearChaos() {
-	chaosCfg.set = false
-	chaosCfg.sc = chaos.Scenario{}
-	chaosCfg.systems = nil
-}
-
 // ChaosReport aggregates the fault/recovery reports of every chaos-wrapped
-// system built since SetChaos — the whole-suite census kfbench writes out.
-// ok is false when no scenario is installed.
+// system built since SetOverlay installed a scenario — the whole-suite
+// census kfbench writes out. ok is false when no scenario is installed.
 func ChaosReport() (rep chaos.Report, ok bool) {
-	if !chaosCfg.set {
+	if overlay.Chaos == nil {
 		return chaos.Report{}, false
 	}
-	rep = chaos.Report{Name: chaosCfg.sc.Name, Seed: chaosCfg.sc.Seed}
-	for _, sys := range chaosCfg.systems {
+	rep = chaos.Report{Name: overlay.Chaos.Name, Seed: overlay.Chaos.Seed}
+	for _, sys := range chaosSystems {
 		if r, sysOK := sys.ChaosTotalReport(); sysOK {
 			rep = rep.Add(r)
 		}
@@ -134,46 +114,20 @@ func ChaosReport() (rep chaos.Report, ok bool) {
 }
 
 // newSys declares the experiment's system on the given processor grid
-// shape — iPSC/2 costs and the shared transport unless the extra options
-// (or a kfbench -transport selection) say otherwise. Experiments panic on
-// misconfiguration, as they do on any internal failure.
+// shape — core's defaults unless the extra options (or kfbench's overlay)
+// say otherwise. Experiments panic on misconfiguration, as they do on any
+// internal failure.
 func newSys(shape []int, opts ...core.Option) *core.System {
-	all := []core.Option{core.Grid(shape...)}
-	name := transportCfg.name
-	if transportCfg.name != "" {
-		size := 1
-		for _, e := range shape {
-			size *= e
-		}
-		nodes := transportCfg.nodes
-		if nodes < 1 {
-			nodes = 1
-		}
-		if chaosCfg.set && !strings.HasPrefix(name, machine.ChaosPrefix) {
-			name = machine.ChaosPrefix + name
-		}
-		all = append(all, core.Transport(name), core.Nodes(gcd(nodes, size)))
-	} else if chaosCfg.set {
-		name = machine.ChaosPrefix + "shared"
-		all = append(all, core.Transport(name))
-	}
-	if chaosCfg.set {
-		all = append(all, core.Chaos(chaosCfg.sc))
-	}
-	if executorCfg != "" {
-		all = append(all, core.Executor(executorCfg))
-	}
-	all = append(all, opts...)
-	sys := mustSys(all...)
-	if chaosCfg.set {
-		chaosCfg.systems = append(chaosCfg.systems, sys)
+	sys := mustSys(append([]core.Option{core.Grid(shape...), applyOverlay}, opts...)...)
+	if overlay.Chaos != nil {
+		chaosSystems = append(chaosSystems, sys)
 	}
 	return sys
 }
 
 // mustSys builds a system from explicit options only — for the scaling
-// experiments (S1-S4) whose entire point is a specific transport
-// arrangement, which a global -transport selection must not disturb.
+// experiments (S1-S6) whose entire point is a specific transport
+// arrangement, which kfbench's overlay must not disturb.
 func mustSys(opts ...core.Option) *core.System { return core.MustSystem(opts...) }
 
 // runProg runs prog on sys, panicking on failure (experiment style).
@@ -187,7 +141,7 @@ func runProg(sys *core.System, prog *core.Program) core.Run {
 
 // Result is one experiment's output.
 type Result struct {
-	// ID is the experiment identifier from DESIGN.md (F1..F5, E1..E9).
+	// ID is the experiment identifier from Suite (F1..F5, E1..E9, ...).
 	ID string
 	// Title is a one-line description.
 	Title string
@@ -200,8 +154,8 @@ type Result struct {
 // Entry indexes one experiment without running it: selection and listing
 // stay cheap no matter how heavy the suite grows.
 type Entry struct {
-	// ID is the experiment identifier from DESIGN.md (F1..F5, E1..E9,
-	// A1..A3, S1..S4).
+	// ID is the experiment identifier `kfbench -list` prints (F1..F5,
+	// E1..E9, A1..A3, S1..S6).
 	ID string
 	// Title is the one-line description (matches the Result's Title).
 	Title string

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // The experiment suite's assertions encode the paper's qualitative claims:
@@ -208,18 +210,18 @@ func TestS4LinkAsymmetry(t *testing.T) {
 // point of resolving transports by registry name is that any experiment's
 // values and censuses are invariant under a flat-cost transport swap.
 func TestTransportSelection(t *testing.T) {
-	if err := SetTransport("no-such-transport", 1); err == nil {
+	if err := SetOverlay(core.Spec{Transport: "no-such-transport", Nodes: 1}); err == nil {
 		t.Error("unknown transport accepted")
 	}
-	if err := SetTransport("shared", 4); err == nil {
+	if err := SetOverlay(core.Spec{Transport: "shared", Nodes: 4}); err == nil {
 		t.Error("shared transport accepted a federation")
 	}
 	base := E1Jacobi()
-	if err := SetTransport("federated", 4); err != nil {
+	if err := SetOverlay(core.Spec{Transport: "federated", Nodes: 4}); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
-		if err := SetTransport("", 0); err != nil {
+		if err := SetOverlay(core.Spec{}); err != nil {
 			t.Fatal(err)
 		}
 	}()

@@ -1,5 +1,10 @@
 package machine
 
+import (
+	"encoding/json"
+	"sort"
+)
+
 // CostModel describes the virtual-time cost of computation and communication
 // on the simulated multicomputer. All quantities are in (virtual) seconds.
 //
@@ -13,6 +18,15 @@ package machine
 // InterNodeCost); the transport's MessageTime method decides which link a
 // message crosses.
 //
+// The JSON form is the one serialization of a cost model — what crosses the
+// process boundary to ipc workers and what configuration layers compare for
+// identity — and it is canonical: link overrides are listed in ascending
+// (src, dst) order and encoding/json writes each float64 as its shortest
+// round-tripping decimal, so equal models yield equal bytes and every finite
+// term decodes bit-exactly (a worker's virtual times must match a
+// coordinator-side run to the last bit; a non-finite term has no spelling
+// and fails to encode).
+//
 // The receiver, executing a matching Recv at local time t', resumes at
 //
 //	max(t', arrival) + RecvOverhead
@@ -21,22 +35,22 @@ package machine
 // clock by n*FlopTime.
 type CostModel struct {
 	// FlopTime is the virtual time per floating point operation.
-	FlopTime float64
+	FlopTime float64 `json:"flop"`
 	// Latency is the per-message network latency (the "alpha" term).
-	Latency float64
+	Latency float64 `json:"lat"`
 	// BytePeriod is the per-byte transfer time (the "beta" term,
 	// 1/bandwidth).
-	BytePeriod float64
+	BytePeriod float64 `json:"byte"`
 	// SendOverhead is processor time consumed by issuing a send.
-	SendOverhead float64
+	SendOverhead float64 `json:"send"`
 	// RecvOverhead is processor time consumed by completing a receive.
-	RecvOverhead float64
+	RecvOverhead float64 `json:"recv"`
 	// InterNode, when non-nil, prices messages that cross node boundaries
 	// on a hierarchical transport: Latency and BytePeriod are scaled by
 	// the crossed link's LinkCost. A nil table is the flat model — every
 	// message pays the same price regardless of the delivering transport's
 	// topology.
-	InterNode *InterNodeCost
+	InterNode *InterNodeCost `json:"inter,omitempty"`
 }
 
 // MessageTime returns the end-to-end transfer time for a message of b bytes,
@@ -60,9 +74,9 @@ func (c CostModel) IsZero() bool {
 // a link exactly like intra-node traffic.
 type LinkCost struct {
 	// Latency multiplies CostModel.Latency on this link.
-	Latency float64
+	Latency float64 `json:"lat"`
 	// Byte multiplies CostModel.BytePeriod on this link.
-	Byte float64
+	Byte float64 `json:"byte"`
 }
 
 // InterNodeCost extends a flat CostModel with hierarchical per-link pricing:
@@ -77,6 +91,51 @@ type InterNodeCost struct {
 	// Links overrides Default for specific directed node pairs, keyed by
 	// [2]int{srcNode, dstNode}.
 	Links map[[2]int]LinkCost
+}
+
+// interJSON is InterNodeCost's JSON form: the map, whose array keys JSON
+// cannot spell, becomes a list of directed links.
+type interJSON struct {
+	LinkCost
+	Links []linkJSON `json:"links,omitempty"`
+}
+
+type linkJSON struct {
+	Src int `json:"src"`
+	Dst int `json:"dst"`
+	LinkCost
+}
+
+// MarshalJSON lists the link overrides in ascending (src, dst) order; see
+// CostModel for why the order is fixed.
+func (ic InterNodeCost) MarshalJSON() ([]byte, error) {
+	out := interJSON{LinkCost: ic.Default}
+	for k, v := range ic.Links {
+		out.Links = append(out.Links, linkJSON{Src: k[0], Dst: k[1], LinkCost: v})
+	}
+	sort.Slice(out.Links, func(i, j int) bool {
+		a, b := out.Links[i], out.Links[j]
+		if a.Src != b.Src {
+			return a.Src < b.Src
+		}
+		return a.Dst < b.Dst
+	})
+	return json.Marshal(out)
+}
+
+func (ic *InterNodeCost) UnmarshalJSON(raw []byte) error {
+	var in interJSON
+	if err := json.Unmarshal(raw, &in); err != nil {
+		return err
+	}
+	*ic = InterNodeCost{Default: in.LinkCost}
+	if len(in.Links) > 0 {
+		ic.Links = make(map[[2]int]LinkCost, len(in.Links))
+	}
+	for _, l := range in.Links {
+		ic.Links[[2]int{l.Src, l.Dst}] = l.LinkCost
+	}
+	return nil
 }
 
 // scale returns the link cost of the directed node pair (a, b).

@@ -56,6 +56,8 @@ type Machine struct {
 	parker atomic.Pointer[Parker]
 	errs   []error
 
+	direct bool // see SetDirect
+
 	// coord adapts the machine to the transport's Coordinator interface
 	// without exposing the callbacks as Machine methods (and without
 	// allocating: &m.coord shares the machine's allocation).
@@ -235,6 +237,18 @@ func (m *Machine) SetExecutor(e Executor) {
 	}
 	m.exec = e
 }
+
+// SetDirect selects how the data layer derives collective communication for
+// arrays on this machine: false (the default) compiles a communication
+// schedule once and replays it — the inspector/executor path a KF1 compiler
+// would generate for iterative loops — true derives it inline on every call,
+// the reference path the schedules were compiled from. The two produce
+// bit-identical traffic (same messages, order, bytes, virtual times), which
+// the darray equivalence suite and the 64-processor scaling experiment
+// verify by running one machine of each kind side by side: the mode is the
+// machine's, not the process's. Like SetExecutor it must not be called
+// while a Run is in flight; it exists for verification, not for tuning.
+func (m *Machine) SetDirect(on bool) { m.direct = on }
 
 // ExecutorName returns the registry name of the engine driving Run.
 func (m *Machine) ExecutorName() string { return m.exec.Name() }

@@ -150,6 +150,10 @@ func (p *Proc) Size() int { return p.m.n }
 // Machine returns the machine the processor belongs to.
 func (p *Proc) Machine() *Machine { return p.m }
 
+// Direct reports whether the processor's machine derives collectives
+// directly instead of replaying compiled schedules; see Machine.SetDirect.
+func (p *Proc) Direct() bool { return p.m.direct }
+
 // Clock returns the processor's current virtual time.
 func (p *Proc) Clock() float64 { return p.clock }
 

@@ -246,3 +246,91 @@ func TestWireTrafficMatchesPerfEst(t *testing.T) {
 			dMsgs, dBytes, 2*wantMsgs, 2*wantBytes)
 	}
 }
+
+// TestDirectSchedulingRunsInsideWorkers: the derivation mode is state of the
+// machine the arrays live on and rides in the Spec the workers rebuild from,
+// so a DirectScheduling System on ipc is as eligible for worker execution as
+// a scheduled one — pid-verified — and jacobi, adi and madi stay
+// bit-identical to a scheduled shared-memory run on both engines.
+func TestDirectSchedulingRunsInsideWorkers(t *testing.T) {
+	direct := []core.Option{core.Grid(4, 4), core.Transport("ipc"), core.Nodes(4), core.DirectScheduling()}
+	sys := mustSys(t, direct...)
+	run, err := sys.RunProgram(mustProg(t, "hostpid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Exec == nil {
+		t.Fatal("DirectScheduling on ipc took the relay path")
+	}
+	pids := ipcTransport(t, sys).WorkerPIDs()
+	if len(pids) != 4 || len(run.Values) != 16 {
+		t.Fatalf("fleet pids %v, hostpid values %v", pids, run.Values)
+	}
+	for rank, v := range run.Values {
+		if v != float64(pids[rank/4]) {
+			t.Errorf("rank %d ran in pid %v, want node %d worker pid %d", rank, v, rank/4, pids[rank/4])
+		}
+	}
+	par := adi.Params{N: 32, A: 1, B: 1, Iters: 2}
+	jp, err := progs.Jacobi(64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap, err := progs.ADI(par, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp, err := progs.ADI(par, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, executor := range []string{"goroutine", "calendar"} {
+		for _, prog := range []*core.Program{jp, ap, mp} {
+			t.Run(executor+"/"+prog.Name, func(t *testing.T) {
+				shared := mustSys(t, core.Grid(4, 4), core.Executor(executor))
+				ipc := mustSys(t, append(direct, core.Executor(executor))...)
+				cmp, err := core.Compare(prog, shared, ipc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !cmp.Identical || !cmp.TimesIdentical {
+					t.Errorf("scheduled shared vs direct ipc(workers): values=%v census=%v times=%v",
+						cmp.ValuesIdentical, cmp.CensusIdentical, cmp.TimesIdentical)
+				}
+				if cmp.B.Exec == nil {
+					t.Error("direct run took the relay path")
+				}
+			})
+		}
+	}
+}
+
+// TestRelayEligibilityUnchanged: what still shapes a run coordinator-side
+// keeps every rank in the coordinator process — a Trace recorder, a
+// chaos-wrapped transport, a program with no registry identity.
+func TestRelayEligibilityUnchanged(t *testing.T) {
+	ipc := []core.Option{core.Grid(2, 2), core.Transport("ipc"), core.Nodes(2)}
+	hostpid := mustProg(t, "hostpid")
+	literal := &core.Program{Name: "literal", Body: hostpid.Body}
+	for name, tc := range map[string]struct {
+		sys  *core.System
+		prog *core.Program
+	}{
+		"trace":   {mustSys(t, append(ipc, core.Trace())...), hostpid},
+		"chaos":   {mustSys(t, core.Grid(2, 2), core.Transport("chaos:ipc"), core.Nodes(2)), hostpid},
+		"literal": {mustSys(t, ipc...), literal},
+	} {
+		run, err := tc.sys.RunProgram(tc.prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if run.Exec != nil {
+			t.Errorf("%s: run executed inside the workers", name)
+		}
+		for rank, v := range run.Values {
+			if v != float64(os.Getpid()) {
+				t.Errorf("%s: rank %d ran in pid %v, not the coordinator", name, rank, v)
+			}
+		}
+	}
+}

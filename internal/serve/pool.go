@@ -9,7 +9,7 @@ import (
 )
 
 // Pool is a bounded LRU pool of warmed core.Systems, keyed by
-// core.PoolKey. A System is expensive to construct (machine, transport,
+// core.Spec.Key. A System is expensive to construct (machine, transport,
 // and for ipc a fleet of worker processes) and cheap to reuse
 // (Machine.Run resets clocks, counters and the transport at the start of
 // every run, and compiled schedules, loop plans and buffer pools survive
@@ -62,9 +62,6 @@ type Lease struct {
 
 // Hit reports whether the lease reused a warmed System from the pool.
 func (l *Lease) Hit() bool { return l.hit }
-
-// Key returns the pool key the lease was checked out under.
-func (l *Lease) Key() string { return l.key }
 
 // Checkout takes an idle System filed under key, or builds a fresh one
 // with build when none is idle (construction happens outside the pool

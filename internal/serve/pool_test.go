@@ -13,8 +13,17 @@ func shared2() (*core.System, error) {
 	return core.NewSystem(core.Grid(2), core.Cost(machine.Uniform()))
 }
 
+// specKey is the pool key of a declaration: its resolved Spec's Key.
+func specKey(s core.Spec) string {
+	r, err := s.Resolve()
+	if err != nil {
+		panic(err)
+	}
+	return r.Key()
+}
+
 func key2() string {
-	return core.PoolKey([]int{2}, "", 0, "", machine.Uniform())
+	return specKey(core.Spec{Grid: []int{2}, Cost: machine.Uniform()})
 }
 
 func TestPoolHitMissAndWarmth(t *testing.T) {
@@ -46,7 +55,7 @@ func TestPoolHitMissAndWarmth(t *testing.T) {
 		t.Error("reused system not warmed")
 	}
 	// A different key misses even with an idle system present.
-	other := core.PoolKey([]int{3}, "", 0, "", machine.Uniform())
+	other := specKey(core.Spec{Grid: []int{3}, Cost: machine.Uniform()})
 	l3, err := p.Checkout(other, func() (*core.System, error) {
 		return core.NewSystem(core.Grid(3), core.Cost(machine.Uniform()))
 	})
@@ -74,7 +83,7 @@ func TestPoolEvictsLRUAcrossKeys(t *testing.T) {
 			return core.NewSystem(core.Grid(n), core.Cost(machine.Uniform()))
 		}
 	}
-	keyN := func(n int) string { return core.PoolKey([]int{n}, "", 0, "", machine.Uniform()) }
+	keyN := func(n int) string { return specKey(core.Spec{Grid: []int{n}, Cost: machine.Uniform()}) }
 	var leases []*Lease
 	for n := 2; n <= 4; n++ {
 		l, err := p.Checkout(keyN(n), mk(n))

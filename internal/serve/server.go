@@ -133,79 +133,40 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// validate checks the cheap request invariants — program schema, grid
-// shape and caps — before the request is allowed to queue. Everything the
-// System constructor itself validates (transport names, node
-// divisibility, link specs) is deferred to it and classified as a bad
-// request there.
-func (s *Server) validate(req *RunRequest) error {
+// validate checks the request before it is allowed to queue — program
+// schema, the server's caps, and everything core.Spec.Resolve can refuse
+// without a transport (grid shape, link pricing) — and returns the resolved
+// declaration. What only construction can answer (transport names, node
+// divisibility) surfaces from Build on a pool miss and is classified as a
+// bad request there.
+func (s *Server) validate(req *RunRequest) (core.Spec, error) {
 	if req.Program == "" {
-		return &BadRequestError{Msg: fmt.Sprintf("no program named (registered: %v)", core.ProgramNames())}
+		return core.Spec{}, &BadRequestError{Msg: fmt.Sprintf("no program named (registered: %v)", core.ProgramNames())}
 	}
 	if _, ok := progs.Schema(req.Program); !ok {
-		return &BadRequestError{Msg: fmt.Sprintf("unknown program %q (registered: %v)", req.Program, core.ProgramNames())}
+		return core.Spec{}, &BadRequestError{Msg: fmt.Sprintf("unknown program %q (registered: %v)", req.Program, core.ProgramNames())}
 	}
 	if err := progs.ValidateArgs(req.Program, req.Args); err != nil {
-		return err
+		return core.Spec{}, err
 	}
-	if len(req.Grid) == 0 {
-		return &BadRequestError{Msg: "no processor grid declared"}
+	if req.Nodes < 0 || req.Nodes > s.cfg.MaxNodes {
+		return core.Spec{}, &BadRequestError{Msg: fmt.Sprintf("nodes %d outside [0, %d]", req.Nodes, s.cfg.MaxNodes)}
+	}
+	if req.TimeoutMs < 0 {
+		return core.Spec{}, &BadRequestError{Msg: "timeout_ms must be non-negative"}
+	}
+	spec, err := req.spec().Resolve()
+	if err != nil {
+		return core.Spec{}, &BadRequestError{Msg: err.Error()}
 	}
 	size := 1
-	for _, e := range req.Grid {
-		if e <= 0 {
-			return &BadRequestError{Msg: fmt.Sprintf("grid extents must be positive, got %v", req.Grid)}
-		}
+	for _, e := range spec.Grid {
 		if size > s.cfg.MaxProcessors/e {
-			return &BadRequestError{Msg: fmt.Sprintf("grid %v exceeds the server's %d-processor cap", req.Grid, s.cfg.MaxProcessors)}
+			return core.Spec{}, &BadRequestError{Msg: fmt.Sprintf("grid %v exceeds the server's %d-processor cap", req.Grid, s.cfg.MaxProcessors)}
 		}
 		size *= e
 	}
-	if req.Nodes < 0 || req.Nodes > s.cfg.MaxNodes {
-		return &BadRequestError{Msg: fmt.Sprintf("nodes %d outside [0, %d]", req.Nodes, s.cfg.MaxNodes)}
-	}
-	if req.TimeoutMs < 0 {
-		return &BadRequestError{Msg: "timeout_ms must be non-negative"}
-	}
-	return nil
-}
-
-// options translates a validated request into the core option list its
-// System is constructed from.
-func (req *RunRequest) options() []core.Option {
-	opts := []core.Option{core.Grid(req.Grid...)}
-	if req.Transport != "" {
-		opts = append(opts, core.Transport(req.Transport))
-	}
-	if req.Nodes > 0 {
-		opts = append(opts, core.Nodes(req.Nodes))
-	}
-	if req.Executor != "" {
-		opts = append(opts, core.Executor(req.Executor))
-	}
-	if req.LinkLatency != 0 || req.LinkByte != 0 || len(req.Links) > 0 {
-		links := make([]core.LinkSpec, len(req.Links))
-		for i, l := range req.Links {
-			links[i] = core.LinkSpec{Src: l.Src, Dst: l.Dst, Latency: l.Latency, Byte: l.Byte}
-		}
-		opts = append(opts, core.LinkCosts(req.LinkLatency, req.LinkByte, links...))
-	}
-	return opts
-}
-
-// costModel mirrors the cost NewSystem would derive from the request, for
-// keying the pool without constructing anything. It may describe an
-// invalid configuration (negative multipliers); the constructor is the
-// arbiter, this only has to be deterministic per configuration.
-func (req *RunRequest) costModel() machine.CostModel {
-	cm := machine.IPSC2()
-	if req.LinkLatency != 0 || req.LinkByte != 0 || len(req.Links) > 0 {
-		cm = cm.WithInterNode(req.LinkLatency, req.LinkByte)
-		for _, l := range req.Links {
-			cm = cm.WithLink(l.Src, l.Dst, machine.LinkCost{Latency: l.Latency, Byte: l.Byte})
-		}
-	}
-	return cm
+	return spec, nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -220,7 +181,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, req.Program, ErrDraining)
 		return
 	}
-	if err := s.validate(&req); err != nil {
+	spec, err := s.validate(&req)
+	if err != nil {
 		s.fail(w, req.Program, err)
 		return
 	}
@@ -240,8 +202,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	queueWait := time.Since(queued)
 	s.metrics.queueSeconds.observe(queueWait.Seconds())
 
-	key := core.PoolKey(req.Grid, req.Transport, req.Nodes, req.Executor, req.costModel())
-	resp, err := s.execute(&req, key, queueWait)
+	resp, err := s.execute(&req, spec, queueWait)
 	if err != nil {
 		s.fail(w, req.Program, err)
 		return
@@ -254,18 +215,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // verify), and files the System back — or discards it when the run
 // failed, since a failed run may leave a poisoned transport (a lost ipc
 // worker does not come back).
-func (s *Server) execute(req *RunRequest, key string, queueWait time.Duration) (*RunResponse, error) {
+func (s *Server) execute(req *RunRequest, spec core.Spec, queueWait time.Duration) (*RunResponse, error) {
 	prog, err := core.BuildProgram(req.Program, req.Args...)
 	if err != nil {
 		// Args were schema-validated, so this is a factory-level
 		// rejection; surface it as the client's error.
 		return nil, &BadRequestError{Msg: err.Error()}
 	}
-	lease, err := s.pool.Checkout(key, func() (*core.System, error) {
-		sys, err := core.NewSystem(req.options()...)
+	lease, err := s.pool.Checkout(spec.Key(), func() (*core.System, error) {
+		sys, err := spec.Build()
 		if err != nil {
 			// Constructor rejections (unknown transport, node count that
-			// does not divide, bad link specs) are configuration errors.
+			// does not divide) are configuration errors.
 			return nil, &BadRequestError{Msg: err.Error()}
 		}
 		return sys, nil
@@ -282,7 +243,7 @@ func (s *Server) execute(req *RunRequest, key string, queueWait time.Duration) (
 	s.metrics.countExec(run.Exec)
 	resp := &RunResponse{
 		Program:        prog.Name,
-		Key:            key,
+		Key:            spec.Key(),
 		Values:         run.Values,
 		Elapsed:        run.Elapsed,
 		MachineElapsed: run.MachineElapsed,

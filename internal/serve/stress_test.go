@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/serve"
 )
 
@@ -22,28 +21,24 @@ func TestPoolReuseBitIdenticalUnderStress(t *testing.T) {
 	cases := []struct {
 		name       string
 		opts       []core.Option
-		key        string
 		goroutines int
 		iters      int
 	}{
 		{
 			name:       "shared",
 			opts:       []core.Option{core.Grid(2, 2)},
-			key:        core.PoolKey([]int{2, 2}, "", 0, "", machine.CostModel{}),
 			goroutines: 8,
 			iters:      6,
 		},
 		{
 			name:       "federated",
 			opts:       []core.Option{core.Grid(2, 2), core.Transport("federated"), core.Nodes(2)},
-			key:        core.PoolKey([]int{2, 2}, "federated", 2, "", machine.CostModel{}),
 			goroutines: 6,
 			iters:      4,
 		},
 		{
 			name:       "ipc",
 			opts:       []core.Option{core.Grid(2, 2), core.Transport("ipc"), core.Nodes(2)},
-			key:        core.PoolKey([]int{2, 2}, "ipc", 2, "", machine.CostModel{}),
 			goroutines: 3,
 			iters:      2,
 		},
@@ -60,6 +55,7 @@ func TestPoolReuseBitIdenticalUnderStress(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			key := fresh.PoolKey()
 			want, err := fresh.RunProgram(prog)
 			fresh.Close()
 			if err != nil {
@@ -75,7 +71,7 @@ func TestPoolReuseBitIdenticalUnderStress(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < tc.iters; i++ {
-						lease, err := pool.Checkout(tc.key, func() (*core.System, error) {
+						lease, err := pool.Checkout(key, func() (*core.System, error) {
 							return core.NewSystem(tc.opts...)
 						})
 						if err != nil {

@@ -6,22 +6,15 @@ import (
 	"repro/internal/progs"
 )
 
-// The HTTP/JSON request and response shapes. A RunRequest is exactly the
-// tuple core needs to key a warmed System (grid, transport, nodes,
-// executor, cost) plus the registry identity of the program to run on it
-// ((name, args), the same pair the ipc execution plane ships to its
-// workers) — nothing here requires shipping code, which is what makes the
-// server multi-tenant-safe: clients select from registered programs, they
-// do not define them.
+// The HTTP/JSON request and response shapes. A RunRequest is a core.Spec
+// written flat (spec() reads it back into one) plus the registry identity
+// of the program to run on it ((name, args), the same pair the ipc
+// execution plane ships to its workers) — nothing here requires shipping
+// code, which is what makes the server multi-tenant-safe: clients select
+// from registered programs, they do not define them.
 
-// LinkSpec is one directed inter-node link price override, mirroring
-// core.LinkSpec.
-type LinkSpec struct {
-	Src     int     `json:"src"`
-	Dst     int     `json:"dst"`
-	Latency float64 `json:"latency"`
-	Byte    float64 `json:"byte"`
-}
+// LinkSpec is one directed inter-node link price override.
+type LinkSpec = core.LinkSpec
 
 // RunRequest asks the server to run one registered program on one System
 // configuration.
@@ -33,13 +26,12 @@ type RunRequest struct {
 
 	// Grid is the processor array shape, e.g. [8, 8]. Required.
 	Grid []int `json:"grid"`
-	// Transport is the registry name of the delivery substrate
-	// ("shared" when empty).
+	// Transport and Executor are registry names and Nodes the federation
+	// node count (federating transports only); left empty or zero, each
+	// takes core.Spec's default.
 	Transport string `json:"transport,omitempty"`
-	// Nodes is the federation node count (federating transports only).
-	Nodes int `json:"nodes,omitempty"`
-	// Executor is the engine registry name ("goroutine" when empty).
-	Executor string `json:"executor,omitempty"`
+	Nodes     int    `json:"nodes,omitempty"`
+	Executor  string `json:"executor,omitempty"`
 	// LinkLatency/LinkByte price the node interconnect (core.LinkCosts);
 	// both zero means unpriced. Links carries per-directed-link overrides.
 	LinkLatency float64    `json:"link_latency,omitempty"`
@@ -55,6 +47,16 @@ type RunRequest struct {
 	// slot; 0 uses the server default. Runs are never cancelled once
 	// started.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
+}
+
+// spec reads the request's System declaration into the core.Spec it is the
+// flat spelling of.
+func (req *RunRequest) spec() core.Spec {
+	s := core.Spec{Grid: req.Grid, Transport: req.Transport, Nodes: req.Nodes, Executor: req.Executor}
+	if req.LinkLatency != 0 || req.LinkByte != 0 || len(req.Links) > 0 {
+		s.Interconnect = &core.Interconnect{Latency: req.LinkLatency, Byte: req.LinkByte, Links: req.Links}
+	}
+	return s
 }
 
 // RunResponse reports one completed run.
