@@ -85,11 +85,13 @@ type store struct {
 //
 // An Array is an immutable view private to one simulated processor; the
 // caches below memoize derived views and compiled communication schedules
-// so iterative programs pay for derivation once, not per loop pass.
+// so iterative programs pay for derivation once, not per loop pass. Only
+// Section derives (and keeps) a view; the queries an on-clause needs —
+// OwnerGrid, SectionGrid, SectionParticipates — are index arithmetic and
+// build none.
 type Array struct {
 	st   *store
 	grid *topology.Grid // grid of this array/section
-	dims []int          // array dim -> store dim
 	pfix []int          // per store dim: fixed global index, or -1 if free
 	axes []int          // root-grid axes remaining in grid, in order
 
@@ -121,14 +123,16 @@ type Array struct {
 	walkIdx, walkLoc       []int
 	walkIdxBuf, walkLocBuf [maxInlineDims]int
 
-	// secArena chunk-allocates the Array structs of this view's sections
-	// (several sections per heap allocation). Chunks are never grown in
-	// place — cached section pointers must stay valid — so a full chunk
-	// is simply replaced by a fresh one.
+	// secArena chunk-allocates the Array structs of this view's sections:
+	// chunks hold 1, 2, 4, then secChunk views, so a view sectioned once
+	// pays for one section and one sectioned along a whole dimension for
+	// ~n/secChunk allocations. Chunks are never grown in place — cached
+	// section pointers must stay valid — so a full chunk is simply
+	// replaced by a fresh one.
 	secArena []Array
 }
 
-// secChunk is how many section views one arena chunk holds.
+// secChunk is the most section views one arena chunk holds.
 const secChunk = 8
 
 // bindWalkScratch points the owned-walk scratch at the inline buffers (or
@@ -146,7 +150,7 @@ func (a *Array) bindWalkScratch(nfree int) {
 // newSection carves one Array out of the view's section arena.
 func (a *Array) newSection() *Array {
 	if len(a.secArena) == cap(a.secArena) {
-		a.secArena = make([]Array, 0, secChunk)
+		a.secArena = make([]Array, 0, min(max(2*cap(a.secArena), 1), secChunk))
 	}
 	a.secArena = a.secArena[:len(a.secArena)+1]
 	return &a.secArena[len(a.secArena)-1]
@@ -167,7 +171,10 @@ const (
 )
 
 // axisAccess caches everything needed to turn one global index into a
-// local storage offset without interface calls or slice walks.
+// local storage offset without interface calls or slice walks. An axGeneral
+// dimension asks its distribution anyway, and reads it from the store: every
+// view carries maxInlineDims of these inline, so a field here is paid for
+// four times per view whether or not any dimension is general.
 type axisAccess struct {
 	kind   uint8
 	sd     int // store dimension
@@ -176,7 +183,6 @@ type axisAccess struct {
 	extent int
 	lower  int // first owned global index (axContig)
 	lsize  int // owned extent
-	d      dist.Dist
 	q, P   int // grid coordinate and axis length (axGeneral)
 }
 
@@ -222,7 +228,6 @@ func (a *Array) finishView() {
 				ax.lower = st.lower[sd]
 			} else {
 				ax.kind = axGeneral
-				ax.d = st.dists[sd]
 				ax.q = st.coord[st.axisOf[sd]]
 				ax.P = st.rootGrid.Extent(st.axisOf[sd])
 			}
@@ -231,16 +236,16 @@ func (a *Array) finishView() {
 	}
 }
 
-// globalOf returns the global index of the l-th owned element along this
-// free dimension.
-func (ax *axisAccess) globalOf(l int) int {
-	switch ax.kind {
+// globalOf returns the global index of the l-th owned element along free
+// dimension k.
+func (a *Array) globalOf(k, l int) int {
+	switch ax := &a.acc[k]; ax.kind {
 	case axStar:
 		return l
 	case axContig:
 		return ax.lower + l
 	default:
-		return ax.d.ToGlobal(l, ax.q, ax.extent, ax.P)
+		return a.st.dists[ax.sd].ToGlobal(l, ax.q, ax.extent, ax.P)
 	}
 }
 
@@ -262,11 +267,12 @@ func (a *Array) roff(k, g int) int {
 		}
 		return (l + ax.halo) * ax.stride
 	default:
-		if ax.d.Owner(g, ax.extent, ax.P) != ax.q {
+		d := a.st.dists[ax.sd]
+		if d.Owner(g, ax.extent, ax.P) != ax.q {
 			panic(fmt.Sprintf("darray: proc %d does not own global index %d of %s dim %d",
-				a.st.p.Rank(), g, ax.d.Name(), ax.sd))
+				a.st.p.Rank(), g, d.Name(), ax.sd))
 		}
-		return (ax.d.ToLocal(g, ax.extent, ax.P) + ax.halo) * ax.stride
+		return (d.ToLocal(g, ax.extent, ax.P) + ax.halo) * ax.stride
 	}
 }
 
@@ -344,14 +350,12 @@ func New(p *machine.Proc, g *topology.Grid, spec Spec) *Array {
 		st.allocate()
 	}
 	a := &Array{st: st, grid: g}
-	a.dims = make([]int, nd)
 	if nd <= maxInlineDims {
 		a.pfix = a.pfixBuf[:nd]
 	} else {
 		a.pfix = make([]int, nd)
 	}
-	for d := range a.dims {
-		a.dims[d] = d
+	for d := range a.pfix {
 		a.pfix[d] = -1
 	}
 	if g.Dims() <= maxInlineDims {
@@ -453,9 +457,7 @@ func (st *store) ownsStoreIndex(sd, i int) bool {
 	if st.axisOf[sd] < 0 {
 		return true
 	}
-	q := st.coord[st.axisOf[sd]]
-	P := st.rootGrid.Extent(st.axisOf[sd])
-	return st.dists[sd].Owner(i, st.extents[sd], P) == q
+	return st.ownerOf(sd, i) == st.coord[st.axisOf[sd]]
 }
 
 // storeDim maps a free (view) dimension index to the underlying store dim.
@@ -502,11 +504,10 @@ func (a *Array) LocalSize(d int) int {
 // for Star dimensions, which have no owner.
 func (a *Array) OwnerIndex(d, i int) int {
 	sd := a.storeDim(d)
-	ax := a.st.axisOf[sd]
-	if ax < 0 {
+	if a.st.axisOf[sd] < 0 {
 		panic("darray: OwnerIndex on an undistributed (*) dimension")
 	}
-	return a.st.dists[sd].Owner(i, a.st.extents[sd], a.st.rootGrid.Extent(ax))
+	return a.st.ownerOf(sd, i)
 }
 
 // Owns reports whether the calling processor owns the element at the given
@@ -672,9 +673,9 @@ func (a *Array) Section(d, i int) *Array {
 	if sec, ok := a.secs[key]; ok {
 		return sec
 	}
-	sec := a.buildSection(sd, i, true)
+	sec := a.buildSection(sd, i)
 	if a.secs == nil {
-		a.secs = make(map[sectionKey]*Array, 2*secChunk)
+		a.secs = make(map[sectionKey]*Array)
 	}
 	a.secs[key] = sec
 	return sec
@@ -686,43 +687,84 @@ func (a *Array) checkSectionIndex(sd, i int) {
 	}
 }
 
-// SectionGrid returns Section(d, i).Grid() without memoizing a section
-// view: the grid itself comes from the bounded per-processor grid-slice
-// cache, but the throwaway view is garbage-collected. Per-iteration
-// on-clause resolution uses this so a loop over n indices does not retain
-// O(n) views.
+// SectionGrid returns Section(d, i).Grid() — the pointer-identical grid,
+// out of the same bounded per-processor grid-slice cache — without building
+// a view at all. On-clause resolution uses it (and OwnerGrid, and
+// SectionParticipates) so that neither compiling a doall header nor
+// running the generic per-iteration path retains, or even allocates, a
+// section view: a view is retained only when a program calls Section.
 func (a *Array) SectionGrid(d, i int) *topology.Grid {
 	sd := a.storeDim(d)
 	a.checkSectionIndex(sd, i)
-	return a.buildSection(sd, i, false).grid
+	ax := a.st.axisOf[sd]
+	if ax < 0 {
+		return a.grid
+	}
+	return a.st.gridSliceThrough(a.grid, axisPos(a.axes, ax), a.st.ownerOf(sd, i))
+}
+
+// SectionParticipates returns Section(d, i).Participates(), again without
+// a view: a processor holding part of a holds part of the section exactly
+// when it owns i along d's grid axis (everyone does on a Star dimension).
+func (a *Array) SectionParticipates(d, i int) bool {
+	sd := a.storeDim(d)
+	a.checkSectionIndex(sd, i)
+	return a.participates && a.st.ownsStoreIndex(sd, i)
 }
 
 // OwnerGrid returns the iteration grid of the element (or leading-index
-// section chain) at idx — Section(0, idx[0]).Section(0, idx[1])...Grid()
-// — again without memoizing any intermediate view.
+// section chain) at idx — Section(0, idx[0]).Section(0, idx[1])...Grid() —
+// by walking the free dimensions and slicing the grid through each owner
+// directly; like SectionGrid it builds no view and, once the grid-slice
+// cache holds the slices, allocates nothing.
 func (a *Array) OwnerGrid(idx ...int) *topology.Grid {
-	sec := a
+	st := a.st
+	var axesBuf [maxInlineDims]int
+	axes := append(axesBuf[:0], a.axes...) // root-grid axes left in g
+	g := a.grid
+	sd := -1
 	for _, i := range idx {
-		sd := sec.storeDim(0)
-		sec.checkSectionIndex(sd, i)
-		sec = sec.buildSection(sd, i, false)
+		// Section(0, i) fixes the first dimension that is still free.
+		for sd++; sd < len(a.pfix) && a.pfix[sd] >= 0; sd++ {
+		}
+		if sd == len(a.pfix) {
+			panic("darray: dimension 0 out of 0") // storeDim(0)'s message on a fully fixed view
+		}
+		a.checkSectionIndex(sd, i)
+		ax := st.axisOf[sd]
+		if ax < 0 {
+			continue
+		}
+		pos := axisPos(axes, ax)
+		g = st.gridSliceThrough(g, pos, st.ownerOf(sd, i))
+		axes = append(axes[:pos], axes[pos+1:]...)
 	}
-	return sec.grid
+	return g
 }
 
-// buildSection constructs the section view fixing store dim sd at i.
-// Cached views are carved from the parent's arena; uncached ones are
-// standalone allocations the collector reclaims.
-func (a *Array) buildSection(sd, i int, cached bool) *Array {
-	var sec *Array
-	if cached {
-		sec = a.newSection()
-	} else {
-		sec = &Array{}
+// ownerOf returns the coordinate, along store dim sd's grid axis, of the
+// processor owning global index i (sd must be distributed).
+func (st *store) ownerOf(sd, i int) int {
+	return st.dists[sd].Owner(i, st.extents[sd], st.rootGrid.Extent(st.axisOf[sd]))
+}
+
+// axisPos returns the position of root-grid axis ax among the axes a grid
+// still has.
+func axisPos(axes []int, ax int) int {
+	for k, rootAx := range axes {
+		if rootAx == ax {
+			return k
+		}
 	}
+	panic("darray: internal error: sectioned axis not in current grid")
+}
+
+// buildSection constructs the section view fixing store dim sd at i, carved
+// from the parent's arena.
+func (a *Array) buildSection(sd, i int) *Array {
+	sec := a.newSection()
 	sec.st = a.st
 	sec.grid = a.grid
-	sec.dims = a.dims
 	sec.axes = a.axes
 	if nd := len(a.pfix); nd <= maxInlineDims {
 		sec.pfix = sec.pfixBuf[:nd]
@@ -731,20 +773,9 @@ func (a *Array) buildSection(sd, i int, cached bool) *Array {
 	}
 	copy(sec.pfix, a.pfix)
 	sec.pfix[sd] = i
-	ax := a.st.axisOf[sd]
-	if ax >= 0 {
+	if ax := a.st.axisOf[sd]; ax >= 0 {
 		// Slice the current grid through the owner of i along ax.
-		pos := -1
-		for k, rootAx := range a.axes {
-			if rootAx == ax {
-				pos = k
-				break
-			}
-		}
-		if pos < 0 {
-			panic("darray: internal error: sectioned axis not in current grid")
-		}
-		owner := a.st.dists[sd].Owner(i, a.st.extents[sd], a.st.rootGrid.Extent(ax))
+		pos := axisPos(a.axes, ax)
 		var newAxes []int
 		if len(a.axes)-1 <= maxInlineDims {
 			newAxes = sec.axesBuf[:0]
@@ -756,7 +787,7 @@ func (a *Array) buildSection(sd, i int, cached bool) *Array {
 				newAxes = append(newAxes, a.axes[k])
 			}
 		}
-		sec.grid = a.gridSliceThrough(pos, owner)
+		sec.grid = a.st.gridSliceThrough(a.grid, pos, a.st.ownerOf(sd, i))
 		sec.axes = newAxes
 	}
 	sec.finishView()
@@ -773,22 +804,23 @@ type gridSliceKey struct {
 // gridSliceCacheKey is this package's Proc.Scratch registration key.
 type gridSliceCacheKey struct{}
 
-// gridSliceThrough returns the slice of the view's grid with the dimension
-// at position pos fixed at coordinate owner, memoized per processor and
-// parent grid: every section through the same owner — of any array on that
-// grid — shares one grid object, so sectioning a dimension of extent n
-// costs O(owners), not O(n · arrays), grid constructions.
-func (a *Array) gridSliceThrough(pos, owner int) *topology.Grid {
-	cache := a.st.p.Scratch(gridSliceCacheKey{}, func() any {
+// gridSliceThrough returns the slice of grid g with the dimension at
+// position pos fixed at coordinate owner, memoized per processor and parent
+// grid: every section through the same owner — of any array on that grid,
+// whether a view is built for it or not — shares one grid object, so
+// sectioning a dimension of extent n costs O(owners), not O(n · arrays),
+// grid constructions.
+func (st *store) gridSliceThrough(g *topology.Grid, pos, owner int) *topology.Grid {
+	cache := st.p.Scratch(gridSliceCacheKey{}, func() any {
 		return make(map[gridSliceKey]*topology.Grid)
 	}).(map[gridSliceKey]*topology.Grid)
-	key := gridSliceKey{g: a.grid, pos: pos, owner: owner}
-	if g, ok := cache[key]; ok {
-		return g
+	key := gridSliceKey{g: g, pos: pos, owner: owner}
+	if sl, ok := cache[key]; ok {
+		return sl
 	}
 	var specBuf [maxInlineDims]int
 	var spec []int
-	if gd := a.grid.Dims(); gd <= maxInlineDims {
+	if gd := g.Dims(); gd <= maxInlineDims {
 		spec = specBuf[:gd]
 	} else {
 		spec = make([]int, gd)
@@ -800,9 +832,9 @@ func (a *Array) gridSliceThrough(pos, owner int) *topology.Grid {
 			spec[k] = topology.All
 		}
 	}
-	g := a.grid.Slice(spec...)
-	cache[key] = g
-	return g
+	sl := g.Slice(spec...)
+	cache[key] = sl
+	return sl
 }
 
 // String describes the array for diagnostics.

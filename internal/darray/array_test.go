@@ -262,6 +262,40 @@ func TestSectionOfSection(t *testing.T) {
 	})
 }
 
+// SectionParticipates answers Section(d, i).Participates() without building
+// the view; it must agree with it on members and non-members, from root
+// arrays and from sections, and reject the same indices.
+func TestSectionParticipatesMatchesSection(t *testing.T) {
+	g := topology.New(2, 3)
+	run(t, 8, func(p *machine.Proc) error { // ranks 6 and 7 are outside g
+		a := New(p, g, Spec{
+			Extents: []int{3, 5, 7},
+			Dists:   []dist.Dist{dist.Star{}, dist.Block{}, dist.Cyclic{}},
+		})
+		check := func(v *Array) {
+			for d := 0; d < v.Dims(); d++ {
+				for i := 0; i < v.Extent(d); i++ {
+					if got, want := v.SectionParticipates(d, i), v.Section(d, i).Participates(); got != want {
+						t.Errorf("rank %d: %v.SectionParticipates(%d, %d) = %v, Section(...).Participates() = %v",
+							p.Rank(), v, d, i, got, want)
+					}
+				}
+			}
+		}
+		check(a)
+		for j := 0; j < a.Extent(1); j++ {
+			check(a.Section(1, j))
+		}
+		defer func() {
+			if got, want := recover(), "darray: section index 7 out of extent 7"; got != want {
+				t.Errorf("rank %d: SectionParticipates past the extent: panic %v, want %q", p.Rank(), got, want)
+			}
+		}()
+		a.SectionParticipates(2, 7)
+		return nil
+	})
+}
+
 func TestSectionGridBinding(t *testing.T) {
 	g := topology.New(2, 3)
 	run(t, 6, func(p *machine.Proc) error {

@@ -36,7 +36,7 @@ func (a *Array) ownedWalk(visit func(idx []int, off int)) {
 	for k := range a.acc {
 		ax := &a.acc[k]
 		loc[k] = 0
-		idx[k] = ax.globalOf(0)
+		idx[k] = a.globalOf(k, 0)
 		off += ax.halo * ax.stride
 	}
 	for {
@@ -48,7 +48,7 @@ func (a *Array) ownedWalk(visit func(idx []int, off int)) {
 			off += ax.stride
 			if loc[k] < ax.lsize {
 				if ax.kind == axGeneral {
-					idx[k] = ax.globalOf(loc[k])
+					idx[k] = a.globalOf(k, loc[k])
 				} else {
 					idx[k]++
 				}
@@ -56,7 +56,7 @@ func (a *Array) ownedWalk(visit func(idx []int, off int)) {
 			}
 			off -= ax.lsize * ax.stride
 			loc[k] = 0
-			idx[k] = ax.globalOf(0)
+			idx[k] = a.globalOf(k, 0)
 			k--
 		}
 		if k < 0 {
@@ -110,7 +110,7 @@ func (a *Array) OwnedRuns(visit func(idx []int, vals []float64)) {
 	for k := range a.acc {
 		ax := &a.acc[k]
 		loc[k] = 0
-		idx[k] = ax.globalOf(0)
+		idx[k] = a.globalOf(k, 0)
 		off += ax.halo * ax.stride
 	}
 	n := inner.lsize
@@ -123,7 +123,7 @@ func (a *Array) OwnedRuns(visit func(idx []int, vals []float64)) {
 			off += ax.stride
 			if loc[k] < ax.lsize {
 				if ax.kind == axGeneral {
-					idx[k] = ax.globalOf(loc[k])
+					idx[k] = a.globalOf(k, loc[k])
 				} else {
 					idx[k]++
 				}
@@ -131,7 +131,7 @@ func (a *Array) OwnedRuns(visit func(idx []int, vals []float64)) {
 			}
 			off -= ax.lsize * ax.stride
 			loc[k] = 0
-			idx[k] = ax.globalOf(0)
+			idx[k] = a.globalOf(k, 0)
 			k--
 		}
 		if k < 0 {

@@ -57,7 +57,7 @@ type On2 interface {
 // the calling processor's owned subrange directly, plus the iteration grid
 // (which is the same for every owned iteration), so the doall can iterate
 // owned indices instead of scanning the whole range with per-iteration
-// ownership tests and per-iteration Section allocations.
+// ownership tests and grid-slice lookups.
 type strip1 interface {
 	// ownedStrip returns the inclusive owned index range and the cached
 	// iteration grid. ok reports whether the fast path applies at all
@@ -79,7 +79,7 @@ func ownedStripOf(a *darray.Array, dim int) (lo, hi int, g *topology.Grid, ok bo
 	if lo > hi {
 		return lo, hi, nil, true
 	}
-	return lo, hi, a.Section(dim, lo).Grid(), true
+	return lo, hi, a.SectionGrid(dim, lo), true
 }
 
 // onOwner1 implements "on owner(A(i))".
@@ -94,8 +94,8 @@ func (o onOwner1) Owns(c *Ctx, i int) bool {
 }
 
 func (o onOwner1) IterGrid(c *Ctx, i int) *topology.Grid {
-	// OwnerGrid, not Section(...).Grid(): per-iteration grids must not
-	// memoize one view per loop index on the generic (non-strip) path.
+	// OwnerGrid, not Section(...).Grid(): an on-clause never builds (let
+	// alone retains) a section view.
 	return o.a.OwnerGrid(i)
 }
 
@@ -125,7 +125,7 @@ func (o onOwnerSection) Owns(c *Ctx, i int) bool {
 	if i < 0 || i >= o.a.Extent(o.dim) {
 		return false // out-of-extent iterations have no owner
 	}
-	return o.a.Participates() && o.a.Section(o.dim, i).Participates()
+	return o.a.SectionParticipates(o.dim, i)
 }
 
 func (o onOwnerSection) IterGrid(c *Ctx, i int) *topology.Grid {
@@ -202,7 +202,7 @@ func (o onOwner2) ownedStrip2(c *Ctx) ([2]span, *topology.Grid, bool) {
 	if s[0].empty() || s[1].empty() {
 		return s, nil, true // no iterations here: grid unused
 	}
-	return s, o.a.Section(0, ilo).Section(0, jlo).Grid(), true
+	return s, o.a.OwnerGrid(ilo, jlo), true
 }
 
 // eachOwned calls f for every index of r that falls inside the owned span,
@@ -464,8 +464,7 @@ func (o onOwner3) ownedStrip3(c *Ctx) ([3]span, *topology.Grid, bool) {
 	if s[0].empty() || s[1].empty() || s[2].empty() {
 		return s, nil, true
 	}
-	g := o.a.Section(0, s[0].lo).Section(0, s[1].lo).Section(0, s[2].lo).Grid()
-	return s, g, true
+	return s, o.a.OwnerGrid(s[0].lo, s[1].lo, s[2].lo), true
 }
 
 // Doall3 executes a three-dimensional doall loop over the product of three

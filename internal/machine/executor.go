@@ -212,6 +212,7 @@ type calendarExecutor struct {
 	parked   []bool    // r is waiting for a Wake
 	pending  []bool    // a Wake arrived before r's Park; next Park is a no-op
 	gates    []chan struct{}
+	loops    []func() // loops[r] runs rankLoop(r): bound once, so starting a rank allocates nothing
 
 	wg sync.WaitGroup
 }
@@ -244,10 +245,12 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 	e.finished = 0
 	if len(e.gates) != n {
 		e.gates = make([]chan struct{}, n)
+		e.loops = make([]func(), n)
 		for i := range e.gates {
 			// Capacity 1: a grant may be issued before (or after) the
 			// rank reaches its gate wait; either order delivers.
 			e.gates[i] = make(chan struct{}, 1)
+			e.loops[i] = func() { e.rankLoop(i) }
 		}
 		e.heap = make([]int32, 0, n)
 		e.keys = make([]float64, n)
@@ -268,7 +271,7 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 
 	e.wg.Add(nl)
 	for r := m.lo; r < m.hi; r++ {
-		go e.rankLoop(r)
+		go e.loops[r]()
 	}
 	// Seed the calendar with every local rank at clock zero (rank order
 	// breaks the tie) and grant the first w tokens. Ranks outside the

@@ -423,6 +423,22 @@ func (t *IPCTransport) fence(roundTrip bool) {
 	t.reasonMu.Lock()
 	t.reason = nil
 	t.reasonMu.Unlock()
+	// A lost worker stays lost. Clearing the down flag above must not let
+	// a run start on a fleet with a dead member: its frames would vanish
+	// into a socket nobody reads, the in-flight count would never drain,
+	// and no stall check could ever fire. Re-declare the loss instead, so
+	// the run fails at once with the structured reason.
+	if t.started.Load() {
+		for _, cn := range t.conns {
+			t.pmu.Lock()
+			dead := cn.dead
+			t.pmu.Unlock()
+			if dead && !t.closed.Load() {
+				t.workerFailed(cn, errors.New("worker exited before this run"))
+				break
+			}
+		}
+	}
 }
 
 // Abort marks the transport down and wakes every blocked receiver, barrier

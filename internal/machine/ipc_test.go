@@ -146,6 +146,44 @@ func TestIPCWorkerCrashSurfacesStructuredError(t *testing.T) {
 	}
 }
 
+func TestIPCResetDoesNotForgetLostWorker(t *testing.T) {
+	// A loss noticed between two runs (the reader hits EOF while no rank is
+	// there to see the abort) must survive the next run's reset fence: the
+	// fence lowers the down flag and clears the reason, and a run started
+	// on a fleet with a dead member would wait forever on frames nobody
+	// reflects.
+	m, tr := ipcMachine(t, 4, 2, Uniform())
+	if err := m.Run(func(p *Proc) error {
+		peer := (p.Rank() + 2) % 4
+		p.SendValue(peer, 1, 1)
+		p.RecvValue(peer, 1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Kill(tr.WorkerPIDs()[1], syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		tr.pmu.Lock()
+		dead := tr.conns[1].dead
+		tr.pmu.Unlock()
+		if dead {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the reader never noticed the killed worker")
+		}
+	}
+	tr.Reset()
+	if !tr.Down() {
+		t.Fatal("transport is up after a reset with a dead worker")
+	}
+	if err := tr.DownReason(); !errors.Is(err, ErrWorkerLost) || !strings.Contains(err.Error(), "node 1") {
+		t.Fatalf("down reason after the reset: %v, want ErrWorkerLost naming node 1", err)
+	}
+}
+
 func TestIPCWorkerExitsOnCoordinatorEOF(t *testing.T) {
 	// The orphan-hardening contract at its root: a worker whose socket hits
 	// EOF (coordinator died) exits cleanly instead of lingering. Driven

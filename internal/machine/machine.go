@@ -206,9 +206,13 @@ func NewWithTransport(t Transport, cost CostModel) *Machine {
 	}
 	m.coord.m = m
 	t.Bind(&m.coord)
+	// One slab for every rank's Proc, not n allocations. A Proc is ten
+	// cache lines long, so no two ranks' clocks share one.
+	slab := make([]Proc, n)
 	m.procs = make([]*Proc, n)
-	for i := range m.procs {
-		m.procs[i] = newProc(m, i)
+	for i := range slab {
+		slab[i].m, slab[i].rank = m, i
+		m.procs[i] = &slab[i]
 	}
 	return m
 }

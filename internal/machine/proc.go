@@ -132,10 +132,6 @@ func (p *Proc) Scratch(key any, mk func() any) any {
 	return v
 }
 
-func newProc(m *Machine, rank int) *Proc {
-	return &Proc{m: m, rank: rank}
-}
-
 func (p *Proc) reset() {
 	p.clock = 0
 	p.stats = Stats{}

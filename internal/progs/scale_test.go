@@ -1,0 +1,112 @@
+package progs_test
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// These are the rank-lifecycle cost pins: what a warmed System keeps
+// resident per virtual processor, and what a warm run allocates per rank.
+// Both are host-side counts that repeat to within a few percent on any
+// machine, unlike the host times bench/ reports beside them.
+
+// calendarSys is a warmed shared-transport System on the calendar engine:
+// two runs, as the benchmark's set-up does (the second installs the
+// per-rank scratch caches, so every later run is a pure cache hit).
+func calendarSys(t *testing.T, p *core.Program, rows, cols int) *core.System {
+	t.Helper()
+	sys := mustSys(t, core.Grid(rows, cols), core.Executor("calendar"))
+	for i := 0; i < 2; i++ {
+		if _, err := sys.RunProgram(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sys
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestResidencyPerRank pins the live heap a warmed System holds per rank
+// for a 2x2 (or 4x4) block of Jacobi data: two arrays with their halo and
+// gather schedules, the compiled sweep, the rank's Proc and mailbox, and
+// the engine's per-rank slots. Goroutine stacks are not heap and are not
+// counted (a finished run has none).
+func TestResidencyPerRank(t *testing.T) {
+	const budget = 12 << 10
+	for _, side := range []int{64, 128} {
+		if side == 128 && testing.Short() {
+			continue
+		}
+		p := mustProg(t, "jacobi", 256, 1)
+		before := liveHeap()
+		sys := calendarSys(t, p, side, side)
+		after := liveHeap()
+		ranks := side * side
+		perRank := float64(after-before) / float64(ranks)
+		t.Logf("Grid(%d, %d): %.0f bytes of live heap per rank", side, side, perRank)
+		if perRank > budget {
+			t.Errorf("Grid(%d, %d): %.0f bytes of live heap per rank, budget %d", side, side, perRank, budget)
+		}
+		sys.Close() // before the next size's baseline
+	}
+}
+
+// TestWarmRunAllocsIndependentOfRanks pins that a warm run's allocations do
+// not scale with the rank count: quadrupling the ranks may add the gather's
+// larger buffers and a few slice growths, but nothing per rank.
+func TestWarmRunAllocsIndependentOfRanks(t *testing.T) {
+	p := mustProg(t, "jacobi", 256, 1)
+	allocs := func(side int) float64 {
+		sys := calendarSys(t, p, side, side)
+		defer sys.Close()
+		return testing.AllocsPerRun(5, func() {
+			if _, err := sys.RunProgram(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(32), allocs(64)
+	perAdded := (large - small) / float64(64*64-32*32)
+	t.Logf("warm RunProgram: %.0f allocs at 32x32, %.0f at 64x64 (%.3f per added rank)", small, large, perAdded)
+	if perAdded >= 0.1 {
+		t.Errorf("warm run allocates %.3f objects per added rank (%.0f at 1,024 ranks, %.0f at 4,096), want < 0.1",
+			perAdded, small, large)
+	}
+}
+
+// TestJacobi65536Ranks runs the Jacobi program on 65,536 virtual
+// processors — a quarter of the regime the README names — and checks the
+// gathered values against the 1,024-rank run bit for bit.
+func TestJacobi65536Ranks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("65,536 ranks take ~3 s and ~1 GB")
+	}
+	p := mustProg(t, "jacobi", 256, 1)
+	ref := mustSys(t, core.Grid(32, 32), core.Executor("calendar"))
+	want, err := ref.RunProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+	sys := mustSys(t, core.Grid(256, 256), core.Executor("calendar"))
+	got, err := sys.RunProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Values) != len(want.Values) || len(want.Values) != 256*256 {
+		t.Fatalf("gathered %d values, reference %d, want %d", len(got.Values), len(want.Values), 256*256)
+	}
+	for i := range want.Values {
+		if got.Values[i] != want.Values[i] {
+			t.Fatalf("value %d: %v on 65,536 ranks, %v on 1,024", i, got.Values[i], want.Values[i])
+		}
+	}
+}
