@@ -66,6 +66,7 @@ type System struct {
 
 	spec Spec         // the resolved declaration the system was built from
 	runs atomic.Int64 // completed runs; see Warmed
+	outs []Output     // runLocal's per-rank Output table, kept between runs
 }
 
 // Option fills one part of a Spec under construction. Options are applied

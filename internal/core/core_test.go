@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -521,5 +522,46 @@ func TestLinkCensusSub(t *testing.T) {
 	}
 	if b.Links.Sub(nil) != nil {
 		t.Error("Sub with nil should be nil")
+	}
+}
+
+// TestRunValuesAdoptLoneEmitter: when one rank alone emits values the Run
+// holds that rank's slice itself; several emitters are concatenated in rank
+// order; and the per-rank Output table a System keeps between runs never
+// shows a later run an earlier run's output.
+func TestRunValuesAdoptLoneEmitter(t *testing.T) {
+	sys := MustSystem(Grid(4), Cost(machine.Uniform()))
+	defer sys.Close()
+	emitted := make([][]float64, 4)
+	prog := func(emit func(rank int) bool) *Program {
+		return &Program{Name: "emit", Body: func(c *kf.Ctx) (Output, error) {
+			r := c.P.Rank()
+			emitted[r] = nil
+			if emit(r) {
+				emitted[r] = []float64{float64(r), float64(10 * r)}
+			}
+			return Output{Values: emitted[r]}, nil
+		}}
+	}
+	run, err := sys.RunProgram(prog(func(r int) bool { return true }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{0, 0, 1, 10, 2, 20, 3, 30}; !slices.Equal(run.Values, want) {
+		t.Errorf("four emitters: values %v, want %v", run.Values, want)
+	}
+	run, err = sys.RunProgram(prog(func(r int) bool { return r == 2 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Values) != 2 || &run.Values[0] != &emitted[2][0] {
+		t.Errorf("lone emitter: values %v are not rank 2's own slice %v", run.Values, emitted[2])
+	}
+	run, err = sys.RunProgram(prog(func(r int) bool { return false }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Values != nil {
+		t.Errorf("no emitter: values %v left over from an earlier run", run.Values)
 	}
 }

@@ -135,6 +135,8 @@ type workerRun struct {
 	g  *topology.Grid
 	wt *machine.WorkerTransport
 	m  *machine.Machine
+
+	outs []Output // execProgram's table, kept between runs
 }
 
 func (r *workerRun) Transport() *machine.WorkerTransport { return r.wt }
@@ -144,7 +146,8 @@ func (r *workerRun) Transport() *machine.WorkerTransport { return r.wt }
 func (r *workerRun) Execute() []machine.RankResult {
 	// The first rank-body error is also in RankErrors; the returned error
 	// adds nothing here.
-	outs, _ := execProgram(r.m, r.g, r.p)
+	r.outs, _ = execProgram(r.m, r.g, r.p, r.outs)
+	outs := r.outs
 	lo, hi := r.wt.LocalRanks()
 	errs := r.m.RankErrors()
 	results := make([]machine.RankResult, 0, hi-lo)

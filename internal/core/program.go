@@ -37,7 +37,9 @@ type Program struct {
 type Output struct {
 	// Values carries program-defined result values (typically the
 	// gathered solution, emitted by the root rank only). Per-rank values
-	// are concatenated in rank order into Run.Values.
+	// are concatenated in rank order into Run.Values. The slice passes to
+	// the Run — when one rank alone emits values, Run.Values is that
+	// slice, not a copy — so a body must not keep or reuse it.
 	Values []float64
 	// Elapsed optionally reports a program-defined elapsed time — e.g.
 	// the iteration loop's finish time, excluding a verification gather.
@@ -153,8 +155,15 @@ func (s *System) linkCensus() *LinkCensus {
 // execProgram runs p's body on every rank m executes — the whole machine
 // coordinator-side, one node's window inside an ipc worker — and returns
 // the per-rank Outputs in grid order (zero for ranks outside the window).
-func execProgram(m *machine.Machine, g *topology.Grid, p *Program) ([]Output, error) {
-	outs := make([]Output, g.Size())
+// outs is the caller's table from its previous run, reused when it still
+// fits: whoever owns the machine keeps the table, so a warm run allocates
+// nothing per rank.
+func execProgram(m *machine.Machine, g *topology.Grid, p *Program, outs []Output) ([]Output, error) {
+	if len(outs) == g.Size() {
+		clear(outs)
+	} else {
+		outs = make([]Output, g.Size())
+	}
 	err := kf.Exec(m, g, func(c *kf.Ctx) error {
 		out, err := p.Body(c)
 		if idx, ok := g.Index(c.P.Rank()); ok {
@@ -170,13 +179,24 @@ func (s *System) runLocal(p *Program) (Run, error) {
 	if s.Trace != nil {
 		s.Trace.Reset()
 	}
-	outs, err := execProgram(s.Machine, s.Procs, p)
+	var err error
+	s.outs, err = execProgram(s.Machine, s.Procs, p, s.outs)
 	run := Run{MachineElapsed: s.Machine.Elapsed(), Stats: s.Machine.TotalStats()}
-	for _, out := range outs {
+	emitters := 0
+	for _, out := range s.outs {
 		if out.Elapsed > run.Elapsed {
 			run.Elapsed = out.Elapsed
 		}
-		run.Values = append(run.Values, out.Values...)
+		if len(out.Values) > 0 {
+			emitters++
+			run.Values = out.Values // a lone emitter's slice is adopted
+		}
+	}
+	if emitters > 1 {
+		run.Values = nil
+		for _, out := range s.outs {
+			run.Values = append(run.Values, out.Values...)
+		}
 	}
 	return run, err
 }

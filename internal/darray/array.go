@@ -103,11 +103,11 @@ type Array struct {
 	acc          []axisAccess // one entry per free dimension, in order
 
 	// Inline backing for the small per-view slices: with at most
-	// maxInlineDims store dimensions a Section costs one allocation (the
-	// Array itself) instead of one per slice.
+	// maxInlineDims store dimensions (maxInlineAcc of them free) a Section
+	// costs one allocation (the Array itself) instead of one per slice.
 	pfixBuf [maxInlineDims]int
 	axesBuf [maxInlineDims]int
-	accBuf  [maxInlineDims]axisAccess
+	accBuf  [maxInlineAcc]axisAccess
 
 	// Per-view memoization (no locks needed: a view belongs to one
 	// simulated processor's goroutine):
@@ -160,6 +160,10 @@ func (a *Array) newSection() *Array {
 // buffers; larger arrays fall back to heap slices.
 const maxInlineDims = 4
 
+// maxInlineAcc bounds the free dimensions whose access data a view holds
+// inline: as many as the arity accessors go.
+const maxInlineAcc = 3
+
 // sectionKey indexes the Section cache: the fixed dimension and its index.
 type sectionKey struct{ d, i int }
 
@@ -170,18 +174,37 @@ const (
 	axGeneral              // anything else: ask the distribution
 )
 
-// axisAccess caches everything needed to turn one global index into a
-// local storage offset without interface calls or slice walks. An axGeneral
-// dimension asks its distribution anyway, and reads it from the store: every
-// view carries maxInlineDims of these inline, so a field here is paid for
-// four times per view whether or not any dimension is general.
+// axisAccess is one free dimension of a view reduced to index arithmetic:
+// what it takes to turn a global index g into a storage offset with no
+// interface call, no slice walk and no further function call.
+//
+// The arity accessors (At1-3, Old1-3, Set1-3) use the first group only. A
+// read is legal inside the read window [rlo, rlo+rspan) — the owned range
+// widened by the halo and clipped to the extent — a write inside the write
+// window [lower, lower+wspan) — the owned range — and either way the cell is
+// (g+base)*stride from the view's fixedOff, base = halo - lower turning a
+// global index into a position in the padded local block. A Star dimension
+// is both windows = [0, extent) with base 0. A general (cyclic) dimension
+// has two empty windows: ownership there is a question for the
+// distribution, which roff and woff ask; they are also where an index
+// outside its window goes to have its panic worded.
+//
+// The second group is what roff, woff, globalOf and the owned walks read.
+// An axGeneral dimension asks its distribution through the store rather
+// than carrying it: every view holds maxInlineAcc of these inline, so a
+// field here is paid for three times per view whether or not any dimension
+// is general.
 type axisAccess struct {
+	rlo, rspan int // read window
+	wspan      int // write window length; it starts at lower
+	base       int
+	stride     int
+	lower      int // first owned global index (axContig); 0 otherwise
+
 	kind   uint8
-	sd     int // store dimension
-	stride int
+	sd     int32 // store dimension
 	halo   int
 	extent int
-	lower  int // first owned global index (axContig)
 	lsize  int // owned extent
 	q, P   int // grid coordinate and axis length (axGeneral)
 }
@@ -202,7 +225,7 @@ func (a *Array) finishView() {
 			nfree++
 		}
 	}
-	if nfree <= maxInlineDims {
+	if nfree <= maxInlineAcc {
 		a.acc = a.accBuf[:0]
 	} else {
 		a.acc = make([]axisAccess, 0, nfree)
@@ -213,7 +236,7 @@ func (a *Array) finishView() {
 			continue
 		}
 		ax := axisAccess{
-			sd:     sd,
+			sd:     int32(sd),
 			stride: st.stride[sd],
 			halo:   st.halo[sd],
 			extent: st.extents[sd],
@@ -231,6 +254,13 @@ func (a *Array) finishView() {
 				ax.q = st.coord[st.axisOf[sd]]
 				ax.P = st.rootGrid.Extent(st.axisOf[sd])
 			}
+		}
+		if ax.kind != axGeneral {
+			// Star: lower 0, lsize = extent, halo 0.
+			ax.base = ax.halo - ax.lower
+			ax.rlo = max(ax.lower-ax.halo, 0)
+			ax.rspan = max(min(ax.lower+ax.lsize+ax.halo, ax.extent)-ax.rlo, 0)
+			ax.wspan = max(min(ax.lower+ax.lsize, ax.extent)-ax.lower, 0)
 		}
 		a.acc = append(a.acc, ax)
 	}
@@ -608,11 +638,19 @@ func (a *Array) Set(v float64, idx ...int) {
 	st.data[a.offset(idx)] = v
 }
 
-// At1, At2, At3 are arity-specific fast paths for At: they compute the
-// storage offset from the cached per-dimension access data, with no
-// variadic slice and no per-access scan of the section's fixed dims.
+// At1, At2, At3 are the arity-specific forms of At, and the whole cost of an
+// element read in a doall body: each index is tested against its
+// dimension's read window and the offset formed inline from the cached
+// access data — no variadic slice, no scan of the section's fixed dims, no
+// call per dimension. An index outside its window (or any index of a cyclic
+// dimension) takes the per-dimension path through roff, in index order, so
+// what panics and what it says do not depend on which path found it.
 func (a *Array) At1(i int) float64 {
 	if len(a.acc) == 1 {
+		x := &a.acc[0]
+		if uint(i-x.rlo) < uint(x.rspan) {
+			return a.st.data[a.fixedOff+(i+x.base)*x.stride]
+		}
 		return a.st.data[a.fixedOff+a.roff(0, i)]
 	}
 	return a.At(i)
@@ -620,6 +658,10 @@ func (a *Array) At1(i int) float64 {
 
 func (a *Array) At2(i, j int) float64 {
 	if len(a.acc) == 2 {
+		x, y := &a.acc[0], &a.acc[1]
+		if uint(i-x.rlo) < uint(x.rspan) && uint(j-y.rlo) < uint(y.rspan) {
+			return a.st.data[a.fixedOff+(i+x.base)*x.stride+(j+y.base)*y.stride]
+		}
 		return a.st.data[a.fixedOff+a.roff(0, i)+a.roff(1, j)]
 	}
 	return a.At(i, j)
@@ -627,14 +669,24 @@ func (a *Array) At2(i, j int) float64 {
 
 func (a *Array) At3(i, j, k int) float64 {
 	if len(a.acc) == 3 {
+		x, y, z := &a.acc[0], &a.acc[1], &a.acc[2]
+		if uint(i-x.rlo) < uint(x.rspan) && uint(j-y.rlo) < uint(y.rspan) && uint(k-z.rlo) < uint(z.rspan) {
+			return a.st.data[a.fixedOff+(i+x.base)*x.stride+(j+y.base)*y.stride+(k+z.base)*z.stride]
+		}
 		return a.st.data[a.fixedOff+a.roff(0, i)+a.roff(1, j)+a.roff(2, k)]
 	}
 	return a.At(i, j, k)
 }
 
-// Set1, Set2, Set3 are arity-specific fast paths for Set.
+// Set1, Set2, Set3 are the arity-specific forms of Set: At1-3 with the write
+// window, and woff behind it.
 func (a *Array) Set1(i int, v float64) {
 	if len(a.acc) == 1 {
+		x := &a.acc[0]
+		if uint(i-x.lower) < uint(x.wspan) {
+			a.st.data[a.fixedOff+(i+x.base)*x.stride] = v
+			return
+		}
 		a.st.data[a.fixedOff+a.woff(0, i)] = v
 		return
 	}
@@ -643,6 +695,11 @@ func (a *Array) Set1(i int, v float64) {
 
 func (a *Array) Set2(i, j int, v float64) {
 	if len(a.acc) == 2 {
+		x, y := &a.acc[0], &a.acc[1]
+		if uint(i-x.lower) < uint(x.wspan) && uint(j-y.lower) < uint(y.wspan) {
+			a.st.data[a.fixedOff+(i+x.base)*x.stride+(j+y.base)*y.stride] = v
+			return
+		}
 		a.st.data[a.fixedOff+a.woff(0, i)+a.woff(1, j)] = v
 		return
 	}
@@ -651,6 +708,11 @@ func (a *Array) Set2(i, j int, v float64) {
 
 func (a *Array) Set3(i, j, k int, v float64) {
 	if len(a.acc) == 3 {
+		x, y, z := &a.acc[0], &a.acc[1], &a.acc[2]
+		if uint(i-x.lower) < uint(x.wspan) && uint(j-y.lower) < uint(y.wspan) && uint(k-z.lower) < uint(z.wspan) {
+			a.st.data[a.fixedOff+(i+x.base)*x.stride+(j+y.base)*y.stride+(k+z.base)*z.stride] = v
+			return
+		}
 		a.st.data[a.fixedOff+a.woff(0, i)+a.woff(1, j)+a.woff(2, k)] = v
 		return
 	}

@@ -215,10 +215,14 @@ func (a *Array) Old(idx ...int) float64 {
 	return a.st.shadow[a.offset(idx)]
 }
 
-// Old1, Old2, Old3 are arity-specific fast paths for Old, mirroring
-// At1/At2/At3.
+// Old1, Old2, Old3 are the arity-specific forms of Old: At1/At2/At3 reading
+// the snapshot.
 func (a *Array) Old1(i int) float64 {
 	if len(a.acc) == 1 && a.st.snapOn {
+		x := &a.acc[0]
+		if uint(i-x.rlo) < uint(x.rspan) {
+			return a.st.shadow[a.fixedOff+(i+x.base)*x.stride]
+		}
 		return a.st.shadow[a.fixedOff+a.roff(0, i)]
 	}
 	return a.Old(i)
@@ -226,6 +230,10 @@ func (a *Array) Old1(i int) float64 {
 
 func (a *Array) Old2(i, j int) float64 {
 	if len(a.acc) == 2 && a.st.snapOn {
+		x, y := &a.acc[0], &a.acc[1]
+		if uint(i-x.rlo) < uint(x.rspan) && uint(j-y.rlo) < uint(y.rspan) {
+			return a.st.shadow[a.fixedOff+(i+x.base)*x.stride+(j+y.base)*y.stride]
+		}
 		return a.st.shadow[a.fixedOff+a.roff(0, i)+a.roff(1, j)]
 	}
 	return a.Old(i, j)
@@ -233,6 +241,10 @@ func (a *Array) Old2(i, j int) float64 {
 
 func (a *Array) Old3(i, j, k int) float64 {
 	if len(a.acc) == 3 && a.st.snapOn {
+		x, y, z := &a.acc[0], &a.acc[1], &a.acc[2]
+		if uint(i-x.rlo) < uint(x.rspan) && uint(j-y.rlo) < uint(y.rspan) && uint(k-z.rlo) < uint(z.rspan) {
+			return a.st.shadow[a.fixedOff+(i+x.base)*x.stride+(j+y.base)*y.stride+(k+z.base)*z.stride]
+		}
 		return a.st.shadow[a.fixedOff+a.roff(0, i)+a.roff(1, j)+a.roff(2, k)]
 	}
 	return a.Old(i, j, k)

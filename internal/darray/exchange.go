@@ -232,13 +232,13 @@ func (a *Array) exchangeHaloDirect(sc machine.Scope, dims ...int) {
 	// generate (and what the hand message-passing baselines do).
 	if len(dims) == 0 {
 		for k := range a.acc {
-			sd := a.acc[k].sd
+			sd := int(a.acc[k].sd)
 			if st.halo[sd] > 0 && st.axisOf[sd] >= 0 {
 				a.sendHalo(sc, sd)
 			}
 		}
 		for k := range a.acc {
-			sd := a.acc[k].sd
+			sd := int(a.acc[k].sd)
 			if st.halo[sd] > 0 && st.axisOf[sd] >= 0 {
 				a.recvHalo(sc, sd)
 			}

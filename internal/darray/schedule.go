@@ -61,7 +61,7 @@ func (a *Array) compileHalo(dims []int) *sched.Schedule {
 	sds := sdsBuf[:0]
 	if len(dims) == 0 {
 		for k := range a.acc {
-			sd := a.acc[k].sd
+			sd := int(a.acc[k].sd)
 			if st.halo[sd] > 0 && st.axisOf[sd] >= 0 {
 				sds = append(sds, sd)
 			}
@@ -81,6 +81,7 @@ func (a *Array) compileHalo(dims []int) *sched.Schedule {
 	for _, sd := range sds {
 		a.compileHaloRecvs(s, sd)
 	}
+	s.Compact()
 	return s
 }
 
@@ -185,21 +186,16 @@ func (a *Array) appendPlaneRuns(s *sched.Schedule, sd, l int, send bool) {
 
 // --- GatherTo ------------------------------------------------------------
 
-// gatherPlan is a compiled GatherTo: the calling processor's pack runs and,
-// on the root, every member's unpack runs into the dense result.
+// gatherPlan is a compiled GatherTo, held as a schedule it replays itself
+// (the root stages its own pack instead of sending it, and allocates the
+// dense result the unpack runs index): Sends is the calling processor's one
+// pack message — the storage runs of its owned cells, in OwnedEach order —
+// and, on the root only, Recvs has one message per grid member, in rank
+// order, whose runs are the cells of the dense result that member's pack
+// fills.
 type gatherPlan struct {
-	n        int         // values this member contributes
-	packRuns []sched.Run // storage runs of owned cells, in OwnedEach order
-	root     bool
-	size     int            // dense result length (root only)
-	members  []memberUnpack // per grid member, in rank order (root only)
-}
-
-// memberUnpack holds one member's contribution layout on the root: the runs
-// of the dense result its pack fills, in the member's pack order.
-type memberUnpack struct {
-	n    int
-	runs []sched.Run
+	sched.Schedule     // replayed by gatherToScheduled, never Executed
+	size           int // dense result length (root only)
 }
 
 // gatherPlanFor compiles (or returns the cached) gather plan of this view
@@ -208,13 +204,15 @@ func (a *Array) gatherPlanFor(me, rootIdx int) *gatherPlan {
 	if pl, ok := a.gatherPlans[rootIdx]; ok {
 		return pl
 	}
+	g := a.grid
 	pl := &gatherPlan{}
+	pl.Sends = []sched.Msg{{Peer: g.RankAt(rootIdx), Part: uint16(me)}}
+	pack := &pl.Sends[0]
 	a.ownedWalk(func(idx []int, off int) {
-		pl.packRuns = appendRun(pl.packRuns, off)
-		pl.n++
+		pack.Runs = appendRun(pack.Runs, off)
+		pack.N++
 	})
 	if me == rootIdx {
-		pl.root = true
 		nd := a.Dims()
 		ext := make([]int, nd)
 		pl.size = 1
@@ -222,20 +220,21 @@ func (a *Array) gatherPlanFor(me, rootIdx int) *gatherPlan {
 			ext[d] = a.Extent(d)
 			pl.size *= ext[d]
 		}
-		pl.members = make([]memberUnpack, a.grid.Size())
-		for m := range pl.members {
-			mu := &pl.members[m]
-			mu.runs = make([]sched.Run, 0, 8)
+		pl.Recvs = make([]sched.Msg, g.Size())
+		for m := range pl.Recvs {
+			mu := &pl.Recvs[m]
+			mu.Peer, mu.Part, mu.Runs = g.RankAt(m), uint16(m), make([]sched.Run, 0, 8)
 			a.memberOwnedEach(m, func(idx []int) {
 				off := 0
 				for d := 0; d < nd; d++ {
 					off = off*ext[d] + idx[d]
 				}
-				mu.runs = appendRun(mu.runs, off)
-				mu.n++
+				mu.Runs = appendRun(mu.Runs, off)
+				mu.N++
 			})
 		}
 	}
+	pl.Compact()
 	if a.gatherPlans == nil {
 		a.gatherPlans = make(map[int]*gatherPlan)
 	}
@@ -256,32 +255,33 @@ func (a *Array) gatherToScheduled(sc machine.Scope, rootIdx int) []float64 {
 		panic("darray: GatherTo caller not in the array's grid")
 	}
 	pl := a.gatherPlanFor(me, rootIdx)
+	send := &pl.Sends[0]
 	pack := func() []float64 {
-		buf := p.AcquireBuf(pl.n)
+		buf := p.AcquireBuf(send.N)
 		k := 0
-		for _, r := range pl.packRuns {
+		for _, r := range send.Runs {
 			k += copy(buf[k:], st.data[r.Off:r.Off+r.Len])
 		}
 		return buf
 	}
 	if me != rootIdx {
-		p.SendOwned(g.RankAt(rootIdx), sc.Tag(uint16(me)), pack())
+		p.SendOwned(send.Peer, sc.Tag(send.Part), pack())
 		return nil
 	}
 	out := make([]float64, pl.size)
-	for m := 0; m < g.Size(); m++ {
-		mu := &pl.members[m]
+	for m := range pl.Recvs {
+		mu := &pl.Recvs[m]
 		var buf []float64
 		if m == me {
 			buf = pack()
 		} else {
-			buf = p.Recv(g.RankAt(m), sc.Tag(uint16(m)))
+			buf = p.Recv(mu.Peer, sc.Tag(mu.Part))
 		}
-		if len(buf) != mu.n {
-			panic(fmt.Sprintf("darray: GatherTo: member %d sent %d values, want %d", m, len(buf), mu.n))
+		if len(buf) != mu.N {
+			panic(fmt.Sprintf("darray: GatherTo: member %d sent %d values, want %d", m, len(buf), mu.N))
 		}
 		k := 0
-		for _, r := range mu.runs {
+		for _, r := range mu.Runs {
 			k += copy(out[r.Off:r.Off+r.Len], buf[k:k+r.Len])
 		}
 		p.ReleaseBuf(buf)
@@ -359,6 +359,7 @@ func compileMove(src, dst *Array) *sched.Schedule {
 	n := p.Size()
 	self := p.Rank()
 	s := &sched.Schedule{}
+	defer s.Compact() // on either return below
 
 	outRuns := make([][]sched.Run, n)
 	outN := make([]int, n)

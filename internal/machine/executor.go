@@ -166,11 +166,18 @@ func (goroutineExecutor) Execute(m *Machine, body func(p *Proc) error, errs []er
 // continuation — but a rank only executes while it holds one of the worker
 // tokens. A rank that blocks (receive with no matching message, barrier
 // with peers missing) parks: it releases its token, the calendar grants the
-// token to the runnable rank with the smallest virtual clock (an indexed
-// min-heap keyed on Proc clock, rank as tie-break), and the parked
+// token to the runnable rank with the smallest virtual clock, and the parked
 // goroutine waits on its private gate channel. Mailbox delivery and barrier
 // release move ranks from parked back onto the calendar via Wake instead of
 // signalling a dedicated goroutine.
+//
+// The calendar is a binary min-heap whose entries are the (clock, rank)
+// pairs themselves, ordered lexicographically: a rank enters with the clock
+// it had when it became runnable (it cannot advance while off a token), a
+// grant pops the root, and both sift a hole rather than swap, so finding the
+// next rank costs log n compares of adjacent cells and no lookup by rank. A
+// rank is on the heap at most once — parked[] is what says whether a Wake
+// has work to do — so nothing ever needs to find or move an entry by rank.
 //
 // Every rank is in exactly one of four states: on the calendar heap
 // (runnable, no token), granted (token held, running or about to), parked
@@ -204,13 +211,11 @@ type calendarExecutor struct {
 	workers  int
 	free     int
 	finished int
-	n        int       // rank-space size (arrays are rank-indexed)
-	nl       int       // local rank count actually executing here (m.hi - m.lo)
-	heap     []int32   // calendar: rank indices ordered by keys
-	keys     []float64 // keys[r] = r's clock when it became runnable
-	pos      []int32   // pos[r] = index of r in heap, -1 if absent
-	parked   []bool    // r is waiting for a Wake
-	pending  []bool    // a Wake arrived before r's Park; next Park is a no-op
+	n        int        // rank-space size (arrays are rank-indexed)
+	nl       int        // local rank count actually executing here (m.hi - m.lo)
+	heap     []calEntry // the calendar: runnable ranks, min-heap on (clock, rank)
+	parked   []bool     // r is waiting for a Wake
+	pending  []bool     // a Wake arrived before r's Park; next Park is a no-op
 	gates    []chan struct{}
 	loops    []func() // loops[r] runs rankLoop(r): bound once, so starting a rank allocates nothing
 
@@ -252,15 +257,12 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 			e.gates[i] = make(chan struct{}, 1)
 			e.loops[i] = func() { e.rankLoop(i) }
 		}
-		e.heap = make([]int32, 0, n)
-		e.keys = make([]float64, n)
-		e.pos = make([]int32, n)
+		e.heap = make([]calEntry, 0, n)
 		e.parked = make([]bool, n)
 		e.pending = make([]bool, n)
 	}
 	e.heap = e.heap[:0]
 	for i := 0; i < n; i++ {
-		e.pos[i] = -1
 		e.parked[i] = false
 		e.pending[i] = false
 	}
@@ -400,64 +402,68 @@ func (e *calendarExecutor) dispatchLocked() {
 	}
 }
 
-// --- indexed min-heap keyed on (clock, rank) ---------------------------
+// --- the calendar: a binary min-heap of (clock, rank) entries ------------
 
-func (e *calendarExecutor) lessLocked(a, b int32) bool {
-	if e.keys[a] != e.keys[b] {
-		return e.keys[a] < e.keys[b]
+// calEntry is one runnable rank and the clock it became runnable at. The
+// entry carries its own key, so a compare reads two adjacent heap cells and
+// nothing else.
+type calEntry struct {
+	clock float64
+	rank  int32
+}
+
+// before is the grant order: earlier clock first, lower rank on a tie.
+func (a calEntry) before(b calEntry) bool {
+	if a.clock != b.clock {
+		return a.clock < b.clock
 	}
-	return a < b
+	return a.rank < b.rank
 }
 
-func (e *calendarExecutor) swapLocked(i, j int) {
-	e.heap[i], e.heap[j] = e.heap[j], e.heap[i]
-	e.pos[e.heap[i]] = int32(i)
-	e.pos[e.heap[j]] = int32(j)
-}
-
+// pushLocked puts rank r on the calendar at its current clock, sifting a
+// hole up from the end: parents move down into it until r's place is found.
 func (e *calendarExecutor) pushLocked(r int) {
-	e.keys[r] = e.m.procs[r].clock
-	e.heap = append(e.heap, int32(r))
-	i := len(e.heap) - 1
-	e.pos[r] = int32(i)
+	x := calEntry{clock: e.m.procs[r].clock, rank: int32(r)}
+	e.heap = append(e.heap, x)
+	h := e.heap
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.lessLocked(e.heap[i], e.heap[parent]) {
+		if !x.before(h[parent]) {
 			break
 		}
-		e.swapLocked(i, parent)
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = x
 }
 
+// popMinLocked removes and returns the earliest rank, sifting the hole it
+// leaves down the smaller-child path until the last entry fits.
 func (e *calendarExecutor) popMinLocked() int {
-	r := e.heap[0]
-	last := len(e.heap) - 1
-	e.heap[0] = e.heap[last]
-	e.heap = e.heap[:last]
-	e.pos[r] = -1
-	if last > 0 {
-		e.pos[e.heap[0]] = 0
-		e.siftDownLocked(0)
+	h := e.heap
+	r := h[0].rank
+	n := len(h) - 1
+	x := h[n]
+	h = h[:n]
+	e.heap = h
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = x
 	}
 	return int(r)
-}
-
-func (e *calendarExecutor) siftDownLocked(i int) {
-	n := len(e.heap)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		small := l
-		if ri := l + 1; ri < n && e.lessLocked(e.heap[ri], e.heap[l]) {
-			small = ri
-		}
-		if !e.lessLocked(e.heap[small], e.heap[i]) {
-			return
-		}
-		e.swapLocked(i, small)
-		i = small
-	}
 }

@@ -2,6 +2,8 @@ package machine
 
 import (
 	"errors"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -342,5 +344,55 @@ func TestCalendarVirtualTimeOrder(t *testing.T) {
 		if r != n-1-i {
 			t.Fatalf("post-barrier execution order %v, want reverse rank order (clock order)", order)
 		}
+	}
+}
+
+// TestCalendarHeapMatchesSort drives the calendar's heap directly with a
+// seeded sequence of pushes and pops — clocks drawn from a handful of
+// values, so most compares are decided by the rank tie-break — and requires
+// every pop to return what sorting the pending (clock, rank) pairs
+// lexicographically puts first.
+func TestCalendarHeapMatchesSort(t *testing.T) {
+	const n = 512
+	rng := rand.New(rand.NewSource(19))
+	m := New(n, Uniform())
+	e := NewCalendarExecutor(1)
+	e.m = m
+	var model []calEntry // pending, unordered
+	onHeap := make([]bool, n)
+	pop := func(step int) {
+		sort.Slice(model, func(i, j int) bool {
+			if model[i].clock != model[j].clock {
+				return model[i].clock < model[j].clock
+			}
+			return model[i].rank < model[j].rank
+		})
+		want := model[0]
+		model = model[1:]
+		if got := e.popMinLocked(); got != int(want.rank) {
+			t.Fatalf("step %d: popped rank %d, sorted order has rank %d at clock %v first", step, got, want.rank, want.clock)
+		}
+		onHeap[want.rank] = false
+	}
+	for step := 0; step < 20000; step++ {
+		if r := rng.Intn(n); !onHeap[r] && (rng.Intn(3) > 0 || len(model) == 0) {
+			// A rank re-enters at a later clock than it left, as a woken
+			// rank does; the clocks collide across ranks all the time.
+			m.procs[r].clock += float64(rng.Intn(4))
+			e.pushLocked(r)
+			model = append(model, calEntry{clock: m.procs[r].clock, rank: int32(r)})
+			onHeap[r] = true
+		} else if len(model) > 0 {
+			pop(step)
+		}
+		if len(e.heap) != len(model) {
+			t.Fatalf("step %d: heap holds %d entries, model %d", step, len(e.heap), len(model))
+		}
+	}
+	for len(model) > 0 {
+		pop(-1)
+	}
+	if len(e.heap) != 0 {
+		t.Fatalf("drained heap still holds %d entries", len(e.heap))
 	}
 }

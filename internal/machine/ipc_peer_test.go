@@ -75,7 +75,7 @@ func pending(wt *WorkerTransport, dst, src int, tag Tag) int {
 	mb := &wt.boxes[dst-wt.lo]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	return len(mb.queues[msgKey{src: src, tag: tag}])
+	return mb.depthLocked(msgKey{src: src, tag: tag})
 }
 
 // TestPeerReaderDropsStaleGenerations: frames of a generation older than

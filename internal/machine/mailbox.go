@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -19,64 +20,166 @@ type msgKey struct {
 	tag Tag
 }
 
-// mailbox is one processor's incoming message state. Each mailbox has its
-// own lock, so senders targeting different receivers never contend — the
-// post office is sharded by destination. Only the owning processor's
-// goroutine receives from a mailbox; any processor may put into it.
+// mailbox is one processor's incoming message state: the pending messages,
+// indexed so that a match is arithmetic and two array reads, and the receive
+// its owner is blocked on. Each mailbox has its own lock, so senders targeting
+// different receivers never contend — the post office is sharded by
+// destination. Only the owning processor's goroutine receives from a mailbox;
+// any processor may put into it.
+//
+// The index is a chained hash table the mailbox owns outright, in one array:
+// cell i is both bucket i (the head and tail of a chain) and slot i (one
+// pending message and its link). Slots hashing to the same bucket form a
+// singly linked chain in arrival order, appended at the tail and matched
+// from the head, so the first slot carrying a key is that (src, tag)
+// stream's oldest message — FIFO per stream with no per-stream queue. The
+// array is a power of two no smaller than the number of pending messages,
+// which keeps the expected chain a receive walks to O(1) however deep one
+// stream runs or however many distinct keys are pending (a gather root holds
+// one per rank), and is always room enough for their slots. Freed slots go
+// on a free list threaded through the same next field, so traffic that
+// stays inside the high-water mark allocates nothing; reset keeps the array.
+//
+// Slot references are index+1, so the zero value of a head, a tail, a next
+// field and the free list all mean "none".
 type mailbox struct {
-	mu     sync.Mutex
-	cond   sync.Cond // L = &mu, set by boxSet.initBoxes; mailboxes are never copied
-	queues map[msgKey][]message
-	// spare recycles drained per-key queue slices so steady-state
-	// traffic performs no allocation: a phase's keys are used once and
-	// deleted, but their backing arrays live on here.
-	spare [][]message
+	mu      sync.Mutex
+	cond    sync.Cond // L = &mu, set by boxSet.initBoxes; mailboxes are never copied
+	cells   []cell
+	used    uint32 // slots handed out since the last reset: refs 1..used
+	free    uint32 // head of the free-slot list
+	pending int    // messages put and not yet taken
+	shift   uint8  // 64 - log2(len(cells)): the hash keeps its top bits
 	// await/waiting describe the receive the owner is blocked on, for
 	// targeted wakeups and deadlock detection.
 	await   msgKey
 	waiting bool
 }
 
+// cell is one bucket and one slot of a mailbox's table (64 bytes).
+type cell struct {
+	head, tail uint32 // bucket: its oldest and newest slot
+	next       uint32 // slot: the next of its chain, or of the free list
+	key        msgKey
+	msg        message
+}
+
+// minCells is the table a mailbox starts with on its first put; a
+// halo-exchanging rank rarely needs more.
+const minCells = 4
+
+// bucketOf hashes k to its bucket: a multiply-mix of (src, tag), top bits
+// kept, so neither consecutive sources under one tag nor one source's
+// consecutive tags cluster.
+func (mb *mailbox) bucketOf(k msgKey) *cell {
+	h := (uint64(k.src)*0x9e3779b97f4a7c15 ^ uint64(k.tag)) * 0xbf58476d1ce4e5b9
+	return &mb.cells[h>>mb.shift]
+}
+
 // putLocked appends a message to the mailbox. Caller holds mb.mu.
 func (mb *mailbox) putLocked(k msgKey, msg message) {
-	q, ok := mb.queues[k]
-	if !ok && len(mb.spare) > 0 {
-		q = mb.spare[len(mb.spare)-1]
-		mb.spare = mb.spare[:len(mb.spare)-1]
+	if mb.pending == len(mb.cells) {
+		mb.grow()
 	}
-	mb.queues[k] = append(q, msg)
+	ref := mb.free
+	if ref != 0 {
+		mb.free = mb.cells[ref-1].next
+	} else {
+		mb.used++ // used <= the most ever pending at once < len(cells)
+		ref = mb.used
+	}
+	s := &mb.cells[ref-1]
+	s.key, s.msg, s.next = k, msg, 0
+	mb.link(mb.bucketOf(k), ref)
+	mb.pending++
+}
+
+// link appends slot ref (whose next is already zero) to bucket b's chain.
+func (mb *mailbox) link(b *cell, ref uint32) {
+	if b.tail != 0 {
+		mb.cells[b.tail-1].next = ref
+	} else {
+		b.head = ref
+	}
+	b.tail = ref
+}
+
+// grow doubles the table (or creates it), slots staying where they are, and
+// rehashes the pending ones. Walking the old buckets chain by chain keeps
+// every stream's messages in arrival order: a stream lives in one chain
+// before and one after.
+func (mb *mailbox) grow() {
+	old := mb.cells
+	n := max(2*len(old), minCells)
+	mb.cells = make([]cell, n)
+	mb.shift = uint8(64 - bits.TrailingZeros(uint(n)))
+	for i := range old[:mb.used] {
+		s := &mb.cells[i]
+		s.key, s.msg, s.next = old[i].key, old[i].msg, old[i].next
+	}
+	for i := range old {
+		for ref := old[i].head; ref != 0; {
+			s := &mb.cells[ref-1]
+			next := s.next
+			s.next = 0
+			mb.link(mb.bucketOf(s.key), ref)
+			ref = next
+		}
+	}
 }
 
 // takeLocked removes the oldest message matching k, reporting whether one
-// was present. Drained queues return their backing array to the spare list.
+// was present; the slot drops its payload reference and joins the free list.
 // Caller holds mb.mu.
 func (mb *mailbox) takeLocked(k msgKey) (message, bool) {
-	q := mb.queues[k]
-	if len(q) == 0 {
+	if mb.pending == 0 {
 		return message{}, false
 	}
-	msg := q[0]
-	copy(q, q[1:])
-	q[len(q)-1] = message{} // drop the payload reference
-	q = q[:len(q)-1]
-	if len(q) == 0 {
-		delete(mb.queues, k)
-		mb.spare = append(mb.spare, q)
-	} else {
-		mb.queues[k] = q
+	b := mb.bucketOf(k)
+	for prev, ref := uint32(0), b.head; ref != 0; {
+		s := &mb.cells[ref-1]
+		if s.key != k {
+			prev, ref = ref, s.next
+			continue
+		}
+		if prev != 0 {
+			mb.cells[prev-1].next = s.next
+		} else {
+			b.head = s.next
+		}
+		if b.tail == ref {
+			b.tail = prev
+		}
+		msg := s.msg
+		s.msg, s.next = message{}, mb.free
+		mb.free = ref
+		mb.pending--
+		return msg, true
 	}
-	return msg, true
+	return message{}, false
 }
 
-// reset clears the mailbox between Runs, keeping the allocated map and
-// spare queue capacity for reuse.
-func (mb *mailbox) reset() {
-	for k, q := range mb.queues {
-		for i := range q {
-			q[i] = message{}
+// hasLocked reports whether a message matching k is pending. Caller holds
+// mb.mu.
+func (mb *mailbox) hasLocked(k msgKey) bool {
+	if mb.pending == 0 {
+		return false
+	}
+	for ref := mb.bucketOf(k).head; ref != 0; ref = mb.cells[ref-1].next {
+		if mb.cells[ref-1].key == k {
+			return true
 		}
-		delete(mb.queues, k)
-		mb.spare = append(mb.spare, q[:0])
+	}
+	return false
+}
+
+// reset clears the mailbox between Runs, dropping every payload reference
+// and keeping the table for reuse. A mailbox its run drained — every clean
+// run's — is already clear.
+func (mb *mailbox) reset() {
+	if mb.pending != 0 {
+		clear(mb.cells)
+		mb.used, mb.free, mb.pending = 0, 0, 0
 	}
 	mb.waiting = false
 	mb.await = msgKey{}
@@ -100,7 +203,6 @@ func (s *boxSet) initBoxes(lo, n int) {
 	for i := range s.boxes {
 		mb := &s.boxes[i]
 		mb.cond.L = &mb.mu
-		mb.queues = make(map[msgKey][]message)
 	}
 }
 
@@ -220,7 +322,7 @@ func (s *boxSet) stalled(declare bool) bool {
 					continue
 				}
 				waiting++
-				if len(mb.queues[mb.await]) > 0 {
+				if mb.hasLocked(mb.await) {
 					canProceed = true
 				}
 			}

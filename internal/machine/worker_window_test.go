@@ -466,7 +466,7 @@ func TestWindowStallStatus(t *testing.T) {
 		}
 		mb := &f.trs[last].boxes[0]
 		mb.mu.Lock()
-		other, waiting := len(mb.queues[msgKey{src: 0, tag: TagOf(9)}]), mb.waiting
+		other, waiting := mb.depthLocked(msgKey{src: 0, tag: TagOf(9)}), mb.waiting
 		mb.mu.Unlock()
 		if other != 1 || !waiting {
 			t.Errorf("rank %d: %d messages pending on the other stream, waiting = %v; want 1, true", waiter, other, waiting)

@@ -134,9 +134,32 @@ func (s *Schedule) Execute(p *machine.Proc, sc machine.Scope, src, dst []float64
 	}
 }
 
-// runCap is the initial run capacity of a compiled message: one allocation
-// covers the common strided-plane case instead of a doubling sequence.
+// runCap is the run capacity a message under compilation starts with: one
+// allocation covers the common strided-plane case instead of a doubling
+// sequence. Compact gives the slack back.
 const runCap = 8
+
+// Compact moves every message's runs into one slab of exactly their total
+// length. An inspector calls it once its schedule is complete: what a
+// processor keeps for a cached schedule is then the runs it replays and no
+// growth capacity, in one allocation. Adding runs afterwards still works
+// (each message's share of the slab is capped, so an append copies it out).
+func (s *Schedule) Compact() {
+	n := 0
+	for _, msgs := range [2][]Msg{s.Sends, s.Recvs} {
+		for i := range msgs {
+			n += len(msgs[i].Runs)
+		}
+	}
+	slab := make([]Run, 0, n)
+	for _, msgs := range [2][]Msg{s.Sends, s.Recvs} {
+		for i := range msgs {
+			k := len(slab)
+			slab = append(slab, msgs[i].Runs...)
+			msgs[i].Runs = slab[k:len(slab):len(slab)]
+		}
+	}
+}
 
 // BeginSend starts a new (empty) send message to peer with the given tag
 // part; fill it with AddSendRun.

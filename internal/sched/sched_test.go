@@ -2,6 +2,7 @@ package sched
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/machine"
 )
@@ -96,5 +97,51 @@ func TestExecuteLocalMovesAndSizeCheck(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompact: the runs survive unchanged in one exact-size slab, and a run
+// added after Compact leaves its neighbours alone.
+func TestCompact(t *testing.T) {
+	var s Schedule
+	s.BeginSend(1, 0)
+	s.AddSendRun(0, 2)
+	s.AddSendRun(10, 2)
+	s.BeginSend(2, 1)
+	s.AddSendRun(4, 1)
+	s.BeginRecv(1, 0)
+	s.BeginRecv(2, 1)
+	s.AddRecvRun(20, 3)
+	s.AddRecvRun(30, 3)
+	s.AddRecvRun(40, 3)
+	want := [][]Run{
+		{{0, 2}, {10, 2}}, {{4, 1}},
+		{}, {{20, 3}, {30, 3}, {40, 3}},
+	}
+	s.Compact()
+	msgs := append(append([]*Msg{}, &s.Sends[0], &s.Sends[1]), &s.Recvs[0], &s.Recvs[1])
+	total := 0
+	for i, m := range msgs {
+		if len(m.Runs) != len(want[i]) || cap(m.Runs) != len(m.Runs) {
+			t.Fatalf("message %d: %d runs with capacity %d, want %d exactly", i, len(m.Runs), cap(m.Runs), len(want[i]))
+		}
+		for k, r := range m.Runs {
+			if r != want[i][k] {
+				t.Errorf("message %d run %d: %v, want %v", i, k, r, want[i][k])
+			}
+		}
+		total += len(m.Runs)
+	}
+	first, last := &s.Sends[0].Runs[0], &s.Recvs[1].Runs[2]
+	if got := int(uintptr(unsafe.Pointer(last))-uintptr(unsafe.Pointer(first)))/int(unsafe.Sizeof(Run{})) + 1; got != total {
+		t.Errorf("the runs span %d slab cells, want %d: not one slab", got, total)
+	}
+	s.Sends = s.Sends[:1]
+	s.AddSendRun(50, 1) // outgrows its share of the slab: must copy out
+	if got := s.Sends[0].Runs; len(got) != 3 || got[2] != (Run{50, 1}) {
+		t.Errorf("send 0 after a late run: %v", got)
+	}
+	if got := msgs[1].Runs[0]; got != (Run{4, 1}) {
+		t.Errorf("send 1's run was overwritten by its neighbour's append: %v", got)
 	}
 }
