@@ -184,6 +184,36 @@ func Parallel(m *machine.Machine, g *topology.Grid, par Params, f [][]float64, p
 	return res, err
 }
 
+// decl is ParallelCtx's declaration half, kept on the root context across
+// runs (kf.Declared) and rebuilt when N changes: the four arrays, every loop
+// header, and the owned lines madi hands the pipelined solver per direction.
+type decl struct {
+	u, ustar, rhs, fd        *darray.Array
+	sweep1, sweep2, residual *kf.Plan2
+	solveX, solveY           *kf.Plan1
+	linesX, linesY           lines
+}
+
+// build declares the arrays and compiles every loop header once, outside
+// the iteration loop — the hoisting a KF1 compiler performs: halo
+// schedules, owned strips and iteration grids derive here, and the loop
+// body only moves data.
+func (d *decl) build(c *kf.Ctx, n int) {
+	spec := darray.Spec{
+		Extents: []int{n, n},
+		Dists:   []dist.Dist{dist.Block{}, dist.Block{}},
+		Halo:    []int{1, 1},
+	}
+	d.u, d.ustar, d.rhs, d.fd = c.NewArray(spec), c.NewArray(spec), c.NewArray(spec), c.NewArray(spec)
+	all := kf.R(0, n-1)
+	d.sweep1 = c.Plan2(all, all, kf.OnOwner2(d.rhs), kf.Reads(d.u, 1))
+	d.sweep2 = c.Plan2(all, all, kf.OnOwner2(d.rhs), kf.Reads(d.ustar, 0))
+	d.residual = c.Plan2(all, all, kf.OnOwner2(d.u), kf.Reads(d.u))
+	d.solveX = c.Plan1(all, kf.OnOwnerSection(d.rhs, 1))
+	d.solveY = c.Plan1(all, kf.OnOwnerSection(d.rhs, 0))
+	d.linesX, d.linesY = ownedLines(d.ustar, d.rhs, 1), ownedLines(d.u, d.rhs, 0)
+}
+
 // ParallelCtx is the ADI iteration as a plain parallel subroutine body —
 // the declare-once form a core.Program wraps to run the identical
 // computation on any system. It returns the flat gathered solution on
@@ -195,15 +225,11 @@ func ParallelCtx(c *kf.Ctx, par Params, f [][]float64, pipelined bool) (flat, re
 	rho := par.rho()
 	ax := par.A / (h * h)
 	by := par.B / (h * h)
-	spec := darray.Spec{
-		Extents: []int{n, n},
-		Dists:   []dist.Dist{dist.Block{}, dist.Block{}},
-		Halo:    []int{1, 1},
+	d, fresh := kf.Declared[decl](c, n)
+	if fresh {
+		d.build(c, n)
 	}
-	u := c.NewArray(spec)
-	ustar := c.NewArray(spec)
-	rhs := c.NewArray(spec)
-	fd := c.NewArray(spec)
+	u, ustar, rhs, fd := d.u, d.ustar, d.rhs, d.fd
 	u.Zero()
 	ustar.Zero()
 	rhs.Zero()
@@ -236,42 +262,31 @@ func ParallelCtx(c *kf.Ctx, par Params, f [][]float64, pipelined bool) (flat, re
 		}
 	}
 
-	// Compile every loop header once, outside the iteration loop —
-	// the hoisting a KF1 compiler performs: halo schedules, owned
-	// strips and iteration grids derive here, and the loop body only
-	// moves data.
-	all := kf.R(0, n-1)
-	sweep1 := c.Plan2(all, all, kf.OnOwner2(rhs), kf.Reads(u, 1))
-	sweep2 := c.Plan2(all, all, kf.OnOwner2(rhs), kf.Reads(ustar, 0))
-	residual := c.Plan2(all, all, kf.OnOwner2(u), kf.Reads(u))
-	solveX := c.Plan1(all, kf.OnOwnerSection(rhs, 1))
-	solveY := c.Plan1(all, kf.OnOwnerSection(rhs, 0))
-
 	for it := 0; it < par.Iters; it++ {
 		// Sweep 1 right-hand side: y-stencil of u.
-		sweep1.Run(stencilY(u, by))
+		d.sweep1.Run(stencilY(u, by))
 		// x-direction solves: columns j, each on the grid column
 		// slice owning it.
 		if pipelined {
-			solveLinesPipelined(c, ustar, rhs, 1, -ax, rho+2*ax, -ax)
+			solveLinesPipelined(c, d.linesX, -ax, rho+2*ax, -ax)
 		} else {
-			solveX.Run(func(cc *kf.Ctx, j int) {
+			d.solveX.Run(func(cc *kf.Ctx, j int) {
 				must(tridiag.TriC(cc, ustar.Section(1, j), rhs.Section(1, j), -ax, rho+2*ax, -ax))
 			})
 		}
 		// Sweep 2 right-hand side: x-stencil of u*.
-		sweep2.Run(stencilX(ustar, ax))
+		d.sweep2.Run(stencilX(ustar, ax))
 		// y-direction solves: rows i on grid row slices.
 		if pipelined {
-			solveLinesPipelined(c, u, rhs, 0, -by, rho+2*by, -by)
+			solveLinesPipelined(c, d.linesY, -by, rho+2*by, -by)
 		} else {
-			solveY.Run(func(cc *kf.Ctx, i int) {
+			d.solveY.Run(func(cc *kf.Ctx, i int) {
 				must(tridiag.TriC(cc, u.Section(0, i), rhs.Section(0, i), -by, rho+2*by, -by))
 			})
 		}
 		// Residual in the max norm.
 		worst := 0.0
-		residual.Run(func(cc *kf.Ctx, i, j int) {
+		d.residual.Run(func(cc *kf.Ctx, i, j int) {
 			lap := ax*(edge(u, i-1, j, n)-2*u.Old2(i, j)+edge(u, i+1, j, n)) +
 				by*(edge(u, i, j-1, n)-2*u.Old2(i, j)+edge(u, i, j+1, n))
 			if r := math.Abs(fd.At2(i, j) + lap); r > worst {
@@ -301,27 +316,30 @@ func edge(u *darray.Array, i, j, n int) float64 {
 	return u.Old2(i, j)
 }
 
-// solveLinesPipelined gives each grid slice (perpendicular to dim) all of
-// its lines at once via the pipelined multi-system solver — the madi
-// upgrade of Listing 8.
-func solveLinesPipelined(c *kf.Ctx, x, rhs *darray.Array, dim int, b0, a0, c0 float64) {
-	// Lines with the same owner coordinate along dim share a slice;
-	// every processor participates in exactly the slices of its own
-	// coordinate. Group the owned lines and solve them together.
-	n := x.Extent(dim)
+// lines are the sections of x and rhs through the calling processor's owned
+// indices of one dimension. Lines with the same owner coordinate along that
+// dimension share a grid slice, and every processor participates in exactly
+// the slices of its own coordinate.
+type lines struct{ xs, fs []*darray.Array }
+
+func ownedLines(x, rhs *darray.Array, dim int) (l lines) {
 	lo, hi := x.Lower(dim), x.Upper(dim)
-	_ = n
-	var xs, fs []*darray.Array
+	l.xs, l.fs = make([]*darray.Array, 0, hi-lo+1), make([]*darray.Array, 0, hi-lo+1)
 	for i := lo; i <= hi; i++ {
-		xs = append(xs, x.Section(dim, i))
-		fs = append(fs, rhs.Section(dim, i))
+		l.xs = append(l.xs, x.Section(dim, i))
+		l.fs = append(l.fs, rhs.Section(dim, i))
 	}
+	return l
+}
+
+// solveLinesPipelined gives each grid slice all of its lines at once via
+// the pipelined multi-system solver — the madi upgrade of Listing 8.
+func solveLinesPipelined(c *kf.Ctx, l lines, b0, a0, c0 float64) {
 	phase := c.NextScope()
-	if len(xs) == 0 {
+	if len(l.xs) == 0 {
 		return
 	}
-	sub := xs[0].Grid()
-	must(tridiag.MTriCOn(c.P, sub, phase, xs, fs, b0, a0, c0))
+	must(tridiag.MTriCOn(c.P, l.xs[0].Grid(), phase, l.xs, l.fs, b0, a0, c0))
 }
 
 func must(err error) {

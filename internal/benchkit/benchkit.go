@@ -452,9 +452,8 @@ func Jacobi1024ProcPriced(b *testing.B) {
 	cost := machine.CostModel{Latency: 1e-6, BytePeriod: 1e-9}.WithInterNode(4, 8)
 	sys := core.MustSystem(core.Grid(32, 32), core.Transport("federated"), core.Nodes(16),
 		core.Cost(cost), core.Executor("calendar"))
-	// Two warm runs: the first builds (uncached, as any one-shot run
-	// would), the second is the first reused run and installs the scratch
-	// caches — so every timed op is a pure cache hit.
+	// Two warm runs: the first builds the declarations, the second leaves
+	// the buffer pools as every timed op finds them.
 	for i := 0; i < 2; i++ {
 		if _, err := jacobi.KF1(sys.Machine, sys.Procs, x0, f, 1); err != nil {
 			b.Fatal(err)
@@ -486,7 +485,7 @@ func Jacobi1024ProcIPC4Node(b *testing.B) {
 		core.Cost(machine.ZeroComm()), core.Executor("calendar"))
 	defer sys.Close()
 	// Two warm runs: spawn the worker fleet and let each worker's
-	// sub-machine install its scratch caches, so every timed op is a pure
+	// sub-machine build its declarations, so every timed op is a pure
 	// cache hit on both sides of the sockets.
 	for i := 0; i < 2; i++ {
 		if _, err := sys.RunProgram(prog); err != nil {
@@ -511,8 +510,8 @@ func Jacobi16384Proc(b *testing.B) {
 	x0, f := jacobi.Problem(256)
 	sys := core.MustSystem(core.Grid(128, 128), core.Cost(machine.ZeroComm()),
 		core.Executor("calendar"))
-	// Two warm runs, as in Jacobi1024ProcPriced: build, then install the
-	// scratch caches, so every timed op is a pure cache hit.
+	// Two warm runs, as in Jacobi1024ProcPriced: every timed op is a pure
+	// cache hit.
 	for i := 0; i < 2; i++ {
 		if _, err := jacobi.KF1(sys.Machine, sys.Procs, x0, f, 1); err != nil {
 			b.Fatal(err)

@@ -240,7 +240,8 @@ func (c *runCache) touch(key string) {
 
 // decodeRunSpec parses a run spec into the program to run and the resolved
 // machine declaration to run it on. Resolve is the same one the coordinator
-// ran, so a worker refuses exactly what NewSystem would.
+// ran, so a worker refuses exactly what NewSystem would — and, beyond that,
+// what only a coordinator can honour.
 func decodeRunSpec(raw []byte) (*Program, Spec, error) {
 	var rs runSpec
 	if err := json.Unmarshal(raw, &rs); err != nil {
@@ -254,8 +255,22 @@ func decodeRunSpec(raw []byte) (*Program, Spec, error) {
 	if err := json.Unmarshal(rs.System, &spec); err != nil {
 		return nil, Spec{}, fmt.Errorf("decode run spec system: %v", err)
 	}
-	spec, err = spec.Resolve()
-	return p, spec, err
+	if spec, err = spec.Resolve(); err != nil {
+		return nil, Spec{}, err
+	}
+	// Spec.machine applies neither a fault scenario nor a trace sink and
+	// builds over the worker's window whatever transport was named; the
+	// coordinator keeps such Systems on the relay path
+	// (distributedTransport), so one arriving here would silently run as
+	// something else. Resolve admits Chaos only under a chaos: name, so the
+	// transport check is also the scenario's.
+	if spec.Transport != "ipc" {
+		return nil, Spec{}, fmt.Errorf("core: a worker runs its share of a bare ipc System, not of transport %q", spec.Transport)
+	}
+	if spec.Trace {
+		return nil, Spec{}, fmt.Errorf("core: a worker cannot record a Trace (a traced System runs its ranks coordinator-side)")
+	}
+	return p, spec, nil
 }
 
 // buildWorkerRun is the worker-side execution hook: parse the spec, rebuild

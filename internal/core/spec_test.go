@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/kf"
 	"repro/internal/machine"
 )
@@ -87,6 +88,26 @@ func TestWorkerSpecRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Declarations Resolve accepts but only a coordinator can honour: the
+	// shared machine helper attaches no trace sink, injects no faults and
+	// would build over the worker's window whatever transport was named.
+	for name, tc := range map[string]struct {
+		spec Spec
+		want string
+	}{
+		"trace":     {Spec{Grid: []int{4}, Transport: "ipc", Nodes: 2, Trace: true}, "Trace"},
+		"chaos":     {Spec{Grid: []int{4}, Transport: "chaos:ipc", Nodes: 2, Chaos: &chaos.Scenario{Seed: 1, Drop: 0.5}}, `"chaos:ipc"`},
+		"federated": {Spec{Grid: []int{4}, Transport: "federated", Nodes: 2}, `"federated"`},
+		"default":   {Spec{Grid: []int{4}}, `"shared"`},
+	} {
+		s, err := tc.spec.Resolve()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, _, err := decodeRunSpec(encodeRunSpec(t, workerNoop, s)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: worker's answer %v, want a refusal naming %s", name, err, tc.want)
+		}
+	}
 	if a, b := specs["links"], specs["links swapped"]; keyOf(t, a) != keyOf(t, b) {
 		t.Error("link order reached the key")
 	}
@@ -134,6 +155,9 @@ func FuzzWorkerSpec(f *testing.F) {
 		`{"program":"no-such-program","system":` + valid.Key() + `}`,
 		`{"program":"` + workerNoop + `"}`,
 		``,
+		sys(`{"grid":[4],"transport":"ipc","nodes":2,"trace":true}`),                        // a worker records no trace
+		sys(`{"grid":[4],"transport":"chaos:ipc","nodes":2,"chaos":{"seed":1,"drop":0.5}}`), // nor injects faults
+		sys(`{"grid":[4],"transport":"federated","nodes":2}`),                               // nor runs another transport's System
 	} {
 		f.Add([]byte(seed))
 	}

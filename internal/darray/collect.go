@@ -140,18 +140,6 @@ func (a *Array) OwnedRuns(visit func(idx []int, vals []float64)) {
 	}
 }
 
-// ownedGlobal returns the global index of the l-th owned element of store
-// dim sd on the calling processor.
-func (a *Array) ownedGlobal(sd, l int) int {
-	st := a.st
-	if st.axisOf[sd] < 0 {
-		return l
-	}
-	q := st.coord[st.axisOf[sd]]
-	P := st.rootGrid.Extent(st.axisOf[sd])
-	return st.dists[sd].ToGlobal(l, q, st.extents[sd], P)
-}
-
 // Fill sets every owned element to f(idx). No communication is performed;
 // for replicated (Star) dimensions every holder computes its own copy, so f
 // must be deterministic in idx. Fill is FillOwned under its original name.

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/core"
 	"repro/internal/darray"
 	"repro/internal/dist"
@@ -186,29 +183,3 @@ func E9Inspector() Result {
 		},
 	}
 }
-
-// sparkline renders values as a crude one-line bar chart (helper for
-// series-style reports).
-func sparkline(vals []float64) string {
-	if len(vals) == 0 {
-		return ""
-	}
-	max := vals[0]
-	for _, v := range vals {
-		if v > max {
-			max = v
-		}
-	}
-	marks := []byte("._-=+*#")
-	var sb strings.Builder
-	for _, v := range vals {
-		idx := 0
-		if max > 0 {
-			idx = int(v / max * float64(len(marks)-1))
-		}
-		sb.WriteByte(marks[idx])
-	}
-	return sb.String()
-}
-
-var _ = fmt.Sprintf // keep fmt for the sparkline-using files

@@ -42,6 +42,14 @@
 // distributed procedures of the paper's multigrid example — cannot confuse
 // each other's messages even when different processors execute different
 // numbers of nested collectives.
+//
+// Declare once: Declared(c, sig) is the state a subroutine body keeps between
+// runs on the root context Exec hands it — one per (processor, grid) for the
+// life of the machine; a child context's slots die with the child. sig must
+// cover everything the build reads besides the context (extents,
+// distributions, halo widths, loop ranges) and nothing a run refills. Building
+// declares arrays and compiles plans but takes no message scope, so a run
+// that builds and a run that reuses are bit-identical.
 package kf
 
 import (
@@ -65,10 +73,9 @@ type Ctx struct {
 	scope machine.Scope
 	seq   int
 
-	// runs counts Exec invocations served by this root context; reused
-	// reports whether the current run is a repeat (see Reused).
-	runs   int
-	reused bool
+	// decls holds what the subroutine declared on this context, one slot
+	// per state type — see Declared.
+	decls []any
 
 	// plans memoizes compiled doall headers by (ranges, on-clause,
 	// read-set), so iterative loops written with plain Doall calls pay
@@ -90,8 +97,9 @@ type rootCtxKey struct{ g *topology.Grid }
 // The root context is cached per (processor, grid) across Exec calls: its
 // message scope and phase counter restart at the root every run (so scope
 // streams are identical whether the context is fresh or reused), while the
-// plan cache persists — an iterative driver re-running the same subroutine
-// pays for doall communication derivation once, not once per run.
+// declaration slots (Declared) and the plan cache persist — a driver
+// re-running the same subroutine declares its arrays and derives its doall
+// communication once per System, not once per run.
 func Exec(m *machine.Machine, g *topology.Grid, body func(c *Ctx) error) error {
 	return m.Run(func(p *machine.Proc) error {
 		if !g.Contains(p.Rank()) {
@@ -100,19 +108,42 @@ func Exec(m *machine.Machine, g *topology.Grid, body func(c *Ctx) error) error {
 		c := p.Scratch(rootCtxKey{g}, func() any { return &Ctx{P: p, G: g} }).(*Ctx)
 		c.scope = machine.RootScope()
 		c.seq = 0
-		c.reused = c.runs > 0
-		c.runs++
 		return body(c)
 	})
 }
 
-// Reused reports whether the calling run is a repeat on this root context —
-// the same machine executing the same grid's subroutines again. Subroutine
-// bodies use it to decide when caching compiled state in Proc.Scratch will
-// ever pay off: a first run (every run on a freshly constructed machine)
-// skips the cache bookkeeping entirely, so one-shot programs pay nothing
-// for the reuse machinery. Always false on child contexts.
-func (c *Ctx) Reused() bool { return c.reused }
+// declared is one declaration slot: the state and the signature it was
+// built for.
+type declared[T any, S comparable] struct {
+	sig S
+	st  T
+}
+
+// Declared returns the calling subroutine's declaration state of type T on
+// context c — its distributed arrays, compiled plans, section lists — and
+// whether the caller has to build it: fresh is true the first time, and
+// again whenever sig differs from the signature the kept state was built
+// for, in which case the old state is dropped and a zero T takes its place.
+// A context keeps one state per type (a type is declared under one signature
+// type), so a pooled System serving one program at varying sizes retains one
+// set of declarations, the latest. The package comment states the contract.
+func Declared[T any, S comparable](c *Ctx, sig S) (st *T, fresh bool) {
+	// A context holds a slot per program family it has run — one or two —
+	// so the slots are a slice searched by type; a hit allocates nothing.
+	for i, e := range c.decls {
+		if d, ok := e.(*declared[T, S]); ok {
+			if d.sig == sig {
+				return &d.st, false
+			}
+			d = &declared[T, S]{sig: sig}
+			c.decls[i] = d
+			return &d.st, true
+		}
+	}
+	d := &declared[T, S]{sig: sig}
+	c.decls = append(c.decls, d)
+	return &d.st, true
+}
 
 // NextScope returns a fresh message scope for the next communication phase.
 // Every processor of the grid must call it the same number of times in the

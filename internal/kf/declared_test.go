@@ -1,0 +1,127 @@
+package kf
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/darray"
+	"repro/internal/dist"
+	"repro/internal/machine"
+	"repro/internal/topology"
+)
+
+// sweepDecl is a declaration as the programs keep one: an array with halos
+// and the compiled loop over it.
+type sweepDecl struct {
+	a    *darray.Array
+	plan *Plan1
+}
+
+func (d *sweepDecl) build(c *Ctx, n int) {
+	d.a = c.NewArray(darray.Spec{Extents: []int{n}, Dists: []dist.Dist{dist.Block{}}, Halo: []int{1}})
+	d.plan = c.Plan1(R(1, n-2), OnOwner1(d.a), Reads(d.a))
+}
+
+// otherDecl is a second state type: its slot is its own.
+type otherDecl struct{ built int }
+
+// TestDeclaredSlot drives one machine through a sequence of runs and holds
+// Declared to its contract: fresh exactly on the first call and on a sig
+// change, the same state otherwise, one slot per state type, a zero state
+// after a rebuild, and nothing allocated on a hit.
+func TestDeclaredSlot(t *testing.T) {
+	m := machine.New(4, machine.ZeroComm())
+	g := topology.New1D(4)
+	type step struct {
+		n         int
+		wantFresh bool
+	}
+	var kept [4]*sweepDecl
+	for run, s := range []step{{16, true}, {16, false}, {16, false}, {32, true}, {32, false}, {16, true}} {
+		err := Exec(m, g, func(c *Ctx) error {
+			r := c.P.Rank()
+			d, fresh := Declared[sweepDecl](c, s.n)
+			if fresh != s.wantFresh {
+				t.Errorf("run %d rank %d: fresh = %v at n = %d, want %v", run, r, fresh, s.n, s.wantFresh)
+			}
+			if fresh {
+				if d.a != nil || d.plan != nil {
+					t.Errorf("run %d rank %d: a rebuilt slot is not the zero state", run, r)
+				}
+				d.build(c, s.n)
+			} else if d != kept[r] {
+				t.Errorf("run %d rank %d: a hit returned a different state", run, r)
+			}
+			kept[r] = d
+			if d.a.Extent(0) != s.n {
+				t.Errorf("run %d rank %d: kept array has extent %d, want %d", run, r, d.a.Extent(0), s.n)
+			}
+			// The other type's slot is untouched by all of the above, and a
+			// second call in the same run is a hit.
+			o, oFresh := Declared[otherDecl](c, "once")
+			if oFresh != (run == 0) {
+				t.Errorf("run %d rank %d: second slot fresh = %v", run, r, oFresh)
+			}
+			o.built++
+			if again, f := Declared[otherDecl](c, "once"); f || again != o || o.built != run+1 {
+				t.Errorf("run %d rank %d: second slot lost its state (fresh %v, built %d)", run, r, f, o.built)
+			}
+			// The kept loop still runs on the kept array.
+			d.a.FillOwned(func(idx []int) float64 { return float64(idx[0]) })
+			d.plan.Run(func(cc *Ctx, i int) { d.a.Set1(i, d.a.Old1(i-1)+d.a.Old1(i+1)) })
+			if r == 0 {
+				if got := d.a.At1(1); got != 2 {
+					t.Errorf("run %d: a[1] = %v after the kept sweep, want 2", run, got)
+				}
+				if allocs := testing.AllocsPerRun(10, func() { Declared[sweepDecl](c, s.n) }); allocs != 0 {
+					t.Errorf("run %d: a hit allocates %v objects, want 0", run, allocs)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDeclaredRetainsOneStatePerSlot: a long-lived context serving one
+// program at many sizes keeps the latest declaration only. Every rebuild
+// here is ~1.6 MB of array and snapshot (the sizes share one class of the
+// machine's buffer pool, which keeps the gather's buffer); eight of them
+// must leave what one leaves.
+func TestDeclaredRetainsOneStatePerSlot(t *testing.T) {
+	const n = 100_000
+	m := machine.New(1, machine.ZeroComm())
+	g := topology.New1D(1)
+	run := func(size int) {
+		t.Helper()
+		if err := Exec(m, g, func(c *Ctx) error {
+			d, fresh := Declared[sweepDecl](c, size)
+			if !fresh {
+				t.Errorf("size %d: not rebuilt", size)
+			}
+			d.build(c, size)
+			d.plan.Run(func(cc *Ctx, i int) { d.a.Set1(i, d.a.Old1(i-1)) })
+			d.a.GatherTo(c.NextScope(), 0)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := liveHeap()
+	run(n)
+	one := liveHeap() - before
+	for k := 1; k <= 8; k++ {
+		run(n + k)
+	}
+	eight := liveHeap() - before
+	runtime.KeepAlive(m)
+	t.Logf("live heap after one declaration: %d B; after eight more sizes: %d B", one, eight)
+	if one < n*8 {
+		t.Fatalf("one declaration retains %d B, less than its own array: the measurement is broken", one)
+	}
+	if eight > one+one/2 {
+		t.Errorf("nine sizes retain %d B, one retains %d B: old declarations are still reachable", eight, one)
+	}
+}

@@ -306,44 +306,12 @@ func (cc *Ctx) bindIter(c *Ctx, g *topology.Grid, phase, disc int) {
 // Owner-computes clauses over contiguously distributed dimensions are
 // strip-mined: the processor iterates its owned subrange directly with a
 // cached iteration grid, instead of testing ownership (and re-deriving the
-// section grid) for every index of the range. The compiled header (strip,
-// iteration grid, child context) is memoized per Ctx, so an iterative loop
-// of Doall1 calls derives its communication structure once — see plan.go.
+// section grid) for every index of the range. The loop is the compiled
+// header's Run (plan.go); the header is memoized per Ctx, so an iterative
+// loop of Doall1 calls derives its communication structure once, and a
+// header that cannot be keyed is compiled for this one pass.
 func (c *Ctx) Doall1(r Range, on On1, opts []LoopOpt, body func(cc *Ctx, i int)) {
-	if pl := c.plan1For(r, on, opts); pl != nil {
-		pl.Run(body)
-		return
-	}
-	for _, o := range opts {
-		o.prepare(c)
-	}
-	phase := c.seq
-	c.seq++
-	if s, ok := on.(strip1); ok {
-		if lo, hi, g, fast := s.ownedStrip(c); fast {
-			if lo <= hi {
-				cc := c.reuseChild()
-				eachOwned(r, span{lo, hi}, func(i int) {
-					cc.bindIter(c, g, phase, i)
-					body(cc, i)
-				})
-			}
-			for _, o := range opts {
-				o.finish(c)
-			}
-			return
-		}
-	}
-	cc := c.reuseChild()
-	r.Each(func(i int) {
-		if on.Owns(c, i) {
-			cc.bindIter(c, on.IterGrid(c, i), phase, i)
-			body(cc, i)
-		}
-	})
-	for _, o := range opts {
-		o.finish(c)
-	}
+	c.plan1For(r, on, opts).Run(body)
 }
 
 // Doall2 executes a two-dimensional doall loop over the product of ranges
@@ -352,76 +320,7 @@ func (c *Ctx) Doall1(r Range, on On1, opts []LoopOpt, body func(cc *Ctx, i int))
 // strip-mined to the owned subrectangle, and the compiled header is
 // memoized per Ctx (see plan.go).
 func (c *Ctx) Doall2(ri, rj Range, on On2, opts []LoopOpt, body func(cc *Ctx, i, j int)) {
-	if pl := c.plan2For(ri, rj, on, opts); pl != nil {
-		pl.Run(body)
-		return
-	}
-	for _, o := range opts {
-		o.prepare(c)
-	}
-	phase := c.seq
-	c.seq++
-	if s, ok := on.(strip2); ok {
-		if sp, g, fast := s.ownedStrip2(c); fast {
-			if !sp[0].empty() && !sp[1].empty() {
-				cc := c.reuseChild()
-				eachOwned(ri, sp[0], func(i int) {
-					eachOwned(rj, sp[1], func(j int) {
-						cc.bindIter(c, g, phase, i*(rj.Hi+1)+j)
-						body(cc, i, j)
-					})
-				})
-			}
-			for _, o := range opts {
-				o.finish(c)
-			}
-			return
-		}
-	}
-	cc := c.reuseChild()
-	ri.Each(func(i int) {
-		rj.Each(func(j int) {
-			if on.Owns(c, i, j) {
-				cc.bindIter(c, on.IterGrid(c, i, j), phase, i*(rj.Hi+1)+j)
-				body(cc, i, j)
-			}
-		})
-	})
-	for _, o := range opts {
-		o.finish(c)
-	}
-}
-
-// Doall1Owned is an optimized strip-mined form of Doall1 with an
-// owner-computes clause over a block-distributed dimension: instead of
-// scanning the whole range and testing ownership, each processor iterates
-// only its owned subrange. Semantically identical to
-// Doall1(r, OnOwner1(a), ...) for block distributions, except that the
-// body's context stays bound to the caller's grid. Like the other doalls,
-// the compiled header is memoized per Ctx (see plan.go).
-func (c *Ctx) Doall1Owned(r Range, a *darray.Array, dim int, opts []LoopOpt, body func(cc *Ctx, i int)) {
-	if pl := c.plan1OwnedFor(r, a, dim, opts); pl != nil {
-		pl.Run(body)
-		return
-	}
-	for _, o := range opts {
-		o.prepare(c)
-	}
-	phase := c.seq
-	c.seq++
-	if a.Participates() {
-		if step := r.Step; step < 0 {
-			panic("kf: Doall1Owned requires a positive stride")
-		}
-		cc := c.reuseChild()
-		eachOwned(r, span{a.Lower(dim), a.Upper(dim)}, func(i int) {
-			cc.bindIter(c, c.G, phase, i)
-			body(cc, i)
-		})
-	}
-	for _, o := range opts {
-		o.finish(c)
-	}
+	c.plan2For(ri, rj, on, opts).Run(body)
 }
 
 // On3 is a three-dimensional on-clause.
@@ -472,46 +371,5 @@ func (o onOwner3) ownedStrip3(c *Ctx) ([3]span, *topology.Grid, bool) {
 // clauses over contiguous distributions are strip-mined to the owned
 // subvolume, and the compiled header is memoized per Ctx (see plan.go).
 func (c *Ctx) Doall3(ri, rj, rk Range, on On3, opts []LoopOpt, body func(cc *Ctx, i, j, k int)) {
-	if pl := c.plan3For(ri, rj, rk, on, opts); pl != nil {
-		pl.Run(body)
-		return
-	}
-	for _, o := range opts {
-		o.prepare(c)
-	}
-	phase := c.seq
-	c.seq++
-	if s, ok := on.(strip3); ok {
-		if sp, g, fast := s.ownedStrip3(c); fast {
-			if !sp[0].empty() && !sp[1].empty() && !sp[2].empty() {
-				cc := c.reuseChild()
-				eachOwned(ri, sp[0], func(i int) {
-					eachOwned(rj, sp[1], func(j int) {
-						eachOwned(rk, sp[2], func(k int) {
-							cc.bindIter(c, g, phase, (i*(rj.Hi+1)+j)*(rk.Hi+1)+k)
-							body(cc, i, j, k)
-						})
-					})
-				})
-			}
-			for _, o := range opts {
-				o.finish(c)
-			}
-			return
-		}
-	}
-	cc := c.reuseChild()
-	ri.Each(func(i int) {
-		rj.Each(func(j int) {
-			rk.Each(func(k int) {
-				if on.Owns(c, i, j, k) {
-					cc.bindIter(c, on.IterGrid(c, i, j, k), phase, (i*(rj.Hi+1)+j)*(rk.Hi+1)+k)
-					body(cc, i, j, k)
-				}
-			})
-		})
-	})
-	for _, o := range opts {
-		o.finish(c)
-	}
+	c.plan3For(ri, rj, rk, on, opts).Run(body)
 }

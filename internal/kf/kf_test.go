@@ -191,30 +191,6 @@ func TestDoall2JacobiStep(t *testing.T) {
 	})
 }
 
-func TestDoall1OwnedMatchesDoall1(t *testing.T) {
-	g := topology.New1D(4)
-	exec(t, 4, g, func(c *Ctx) error {
-		a := c.NewArray(darray.Spec{Extents: []int{23}, Dists: []dist.Dist{dist.Block{}}})
-		b := c.NewArray(darray.Spec{Extents: []int{23}, Dists: []dist.Dist{dist.Block{}}})
-		c.Doall1(RStep(2, 21, 3), OnOwner1(a), nil, func(cc *Ctx, i int) {
-			a.Set1(i, float64(i)+0.5)
-		})
-		c.Doall1Owned(RStep(2, 21, 3), b, 0, nil, func(cc *Ctx, i int) {
-			b.Set1(i, float64(i)+0.5)
-		})
-		fa := a.GatherTo(c.NextScope(), 0)
-		fb := b.GatherTo(c.NextScope(), 0)
-		if c.P.Rank() == 0 {
-			for i := range fa {
-				if fa[i] != fb[i] {
-					t.Errorf("mismatch at %d: %v vs %v", i, fa[i], fb[i])
-				}
-			}
-		}
-		return nil
-	})
-}
-
 func TestCallOnGridSlice(t *testing.T) {
 	// Distributed procedure on a row of a 2x3 grid: only that row's
 	// processors execute, and collectives inside span just the row.

@@ -21,10 +21,11 @@ import (
 //
 // A warmed Run performs the same messages, in the same order, with the same
 // virtual-time costs as the equivalent Doall call — and no heap allocation.
-// The Doall1/2/3 entry points themselves consult a per-Ctx plan cache keyed
-// by (ranges, on-clause, read-set), so existing callers get the hoisting
-// transparently; plans are never invalidated because arrays are immutable
-// views (redistributing produces a new array, hence a new cache key).
+// The Doall1/2/3 entry points are this Run too: they consult a per-Ctx plan
+// cache keyed by (ranges, on-clause, read-set), so existing callers get the
+// hoisting transparently, and compile a header they cannot key for the one
+// pass; plans are never invalidated because arrays are immutable views
+// (redistributing produces a new array, hence a new cache key).
 
 // planCore holds what every arity's plan shares: the owning context, the
 // loop's read-set options, the reusable child context bound to each
@@ -38,7 +39,7 @@ type planCore struct {
 }
 
 // prepare runs the loop options (halo exchanges and snapshots) and claims
-// the loop's phase ordinal, exactly as the direct Doall path does.
+// the loop's phase ordinal.
 func (pl *planCore) prepare() int {
 	c := pl.c
 	for _, o := range pl.opts {
@@ -198,49 +199,10 @@ func (pl *Plan3) Run(body func(cc *Ctx, i, j, k int)) {
 	pl.finish()
 }
 
-// Plan1Owned compiles the header of Doall1Owned(r, a, dim, opts, ...): the
-// owned span of a's dimension dim, iterated on the caller's own grid.
-func (c *Ctx) Plan1Owned(r Range, a *darray.Array, dim int, opts ...LoopOpt) *Plan1Owned {
-	pl := &Plan1Owned{planCore: planCore{c: c, opts: opts, cc: c.reuseChild(), fast: true}, r: r}
-	if a.Participates() {
-		if r.Step < 0 {
-			panic("kf: Doall1Owned requires a positive stride")
-		}
-		pl.sp = span{a.Lower(dim), a.Upper(dim)}
-	} else {
-		pl.sp = span{0, -1}
-	}
-	return pl
-}
-
-// Plan1Owned is a compiled Doall1Owned header.
-type Plan1Owned struct {
-	planCore
-	r  Range
-	sp span
-}
-
-// Run executes one pass of the compiled loop; see Plan1.Run.
-func (pl *Plan1Owned) Run(body func(cc *Ctx, i int)) {
-	c := pl.c
-	phase := pl.prepare()
-	if pl.sp.lo <= pl.sp.hi {
-		cc := pl.cc
-		// The iteration grid is the caller's own grid, read at Run time:
-		// a plan cached on a reusable child context must track that
-		// context's current binding.
-		eachOwned(pl.r, pl.sp, func(i int) {
-			cc.bindIter(c, c.G, phase, i)
-			body(cc, i)
-		})
-	}
-	pl.finish()
-}
-
 // --- Transparent plan caching for the Doall entry points -----------------
 
 // maxKeyOpts bounds how many loop options a cacheable doall may carry;
-// loops with more (none exist today) fall back to uncached execution.
+// loops with more (none exist today) compile their header every pass.
 const maxKeyOpts = 3
 
 // optKey canonicalizes one Reads/ReadsNoHalo option for cache keying: the
@@ -271,12 +233,11 @@ const (
 	okOwnerSection
 	okOwner2
 	okOwner3
-	okOwned1
 )
 
 // optsKey canonicalizes a doall's options; ok is false when some option is
 // not a Reads/ReadsNoHalo (an unknown LoopOpt implementation cannot be
-// compared for cache identity, so such loops run uncached).
+// compared for cache identity, so such headers are not kept).
 func optsKey(opts []LoopOpt) (k [maxKeyOpts]optKey, n int8, ok bool) {
 	if len(opts) > maxKeyOpts {
 		return k, 0, false
@@ -306,102 +267,70 @@ func optsKey(opts []LoopOpt) (k [maxKeyOpts]optKey, n int8, ok bool) {
 // current working set instead of pinning the first 256 headers it ever saw.
 const maxCachedPlans = 256
 
-// plans returns the per-context plan cache, creating it on first use.
-func (c *Ctx) planCache() map[planKey]any {
+// cachePlan stores a compiled plan, emptying the cache first when it is at
+// capacity (see maxCachedPlans).
+func (c *Ctx) cachePlan(key planKey, pl any) {
 	if c.plans == nil {
 		c.plans = make(map[planKey]any)
 	}
-	return c.plans
-}
-
-// cachePlan stores a compiled plan, emptying the cache first when it is at
-// capacity (see maxCachedPlans).
-func (c *Ctx) cachePlan(cache map[planKey]any, key planKey, pl any) {
-	if len(cache) >= maxCachedPlans {
-		clear(cache)
+	if len(c.plans) >= maxCachedPlans {
+		clear(c.plans)
 	}
-	cache[key] = pl
+	c.plans[key] = pl
 }
 
+// plan1For returns the compiled header of a Doall1 call: the context's
+// memoized plan when the header can be keyed (a bundled on-clause, at most
+// maxKeyOpts Reads/ReadsNoHalo options), a plan compiled for this one pass
+// otherwise. plan2For and plan3For are the same for their arities.
 func (c *Ctx) plan1For(r Range, on On1, opts []LoopOpt) *Plan1 {
-	var key planKey
+	keyOpts, n, keyed := optsKey(opts)
+	key := planKey{arity: 1, ri: r, opts: keyOpts, nopts: n}
 	switch o := on.(type) {
 	case onOwner1:
 		key.onKind, key.onArr = okOwner1, o.a
 	case onOwnerSection:
-		if o.dim > 63 {
-			return nil
+		if o.dim <= 63 {
+			key.onKind, key.onArr, key.onDim = okOwnerSection, o.a, int8(o.dim)
 		}
-		key.onKind, key.onArr, key.onDim = okOwnerSection, o.a, int8(o.dim)
-	default:
-		return nil
 	}
-	keyOpts, n, ok := optsKey(opts)
-	if !ok {
-		return nil
+	if !keyed || key.onKind == 0 {
+		return c.Plan1(r, on, opts...)
 	}
-	key.arity, key.ri, key.opts, key.nopts = 1, r, keyOpts, n
-	cache := c.planCache()
-	if v, hit := cache[key]; hit {
+	if v, hit := c.plans[key]; hit {
 		return v.(*Plan1)
 	}
 	pl := c.Plan1(r, on, opts...)
-	c.cachePlan(cache, key, pl)
+	c.cachePlan(key, pl)
 	return pl
 }
 
 func (c *Ctx) plan2For(ri, rj Range, on On2, opts []LoopOpt) *Plan2 {
 	o, isOwner := on.(onOwner2)
-	if !isOwner {
-		return nil
-	}
-	keyOpts, n, ok := optsKey(opts)
-	if !ok {
-		return nil
+	keyOpts, n, keyed := optsKey(opts)
+	if !isOwner || !keyed {
+		return c.Plan2(ri, rj, on, opts...)
 	}
 	key := planKey{arity: 2, onKind: okOwner2, onArr: o.a, ri: ri, rj: rj, opts: keyOpts, nopts: n}
-	cache := c.planCache()
-	if v, hit := cache[key]; hit {
+	if v, hit := c.plans[key]; hit {
 		return v.(*Plan2)
 	}
 	pl := c.Plan2(ri, rj, on, opts...)
-	c.cachePlan(cache, key, pl)
+	c.cachePlan(key, pl)
 	return pl
 }
 
 func (c *Ctx) plan3For(ri, rj, rk Range, on On3, opts []LoopOpt) *Plan3 {
 	o, isOwner := on.(onOwner3)
-	if !isOwner {
-		return nil
-	}
-	keyOpts, n, ok := optsKey(opts)
-	if !ok {
-		return nil
+	keyOpts, n, keyed := optsKey(opts)
+	if !isOwner || !keyed {
+		return c.Plan3(ri, rj, rk, on, opts...)
 	}
 	key := planKey{arity: 3, onKind: okOwner3, onArr: o.a, ri: ri, rj: rj, rk: rk, opts: keyOpts, nopts: n}
-	cache := c.planCache()
-	if v, hit := cache[key]; hit {
+	if v, hit := c.plans[key]; hit {
 		return v.(*Plan3)
 	}
 	pl := c.Plan3(ri, rj, rk, on, opts...)
-	c.cachePlan(cache, key, pl)
-	return pl
-}
-
-func (c *Ctx) plan1OwnedFor(r Range, a *darray.Array, dim int, opts []LoopOpt) *Plan1Owned {
-	if dim > 63 {
-		return nil
-	}
-	keyOpts, n, ok := optsKey(opts)
-	if !ok {
-		return nil
-	}
-	key := planKey{arity: 1, onKind: okOwned1, onArr: a, onDim: int8(dim), ri: r, opts: keyOpts, nopts: n}
-	cache := c.planCache()
-	if v, hit := cache[key]; hit {
-		return v.(*Plan1Owned)
-	}
-	pl := c.Plan1Owned(r, a, dim, opts...)
-	c.cachePlan(cache, key, pl)
+	c.cachePlan(key, pl)
 	return pl
 }

@@ -169,7 +169,7 @@ func lineSolve2(cc *kf.Ctx, u, f *darray.Array, j int, par Params) {
 		solveLineLocal(cc, xsec, rhs, ax, diag, nx)
 		return
 	}
-	if err := tridiag.TriCDirichletOn(cc.P, cc.G, cc.NextScope(), xsec, rhs, ax, diag, ax); err != nil {
+	if err := tridiag.TriCDirichlet(cc, xsec, rhs, ax, diag, ax); err != nil {
 		panic(fmt.Sprintf("multigrid: line solve failed: %v", err))
 	}
 }

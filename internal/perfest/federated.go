@@ -210,19 +210,6 @@ func JacobiFederatedTime(cost machine.CostModel, n, p, iters, nodes int) float64
 	return worst
 }
 
-// JacobiFederated predicts the iteration loop of the KF1 Jacobi program on
-// a federated machine: counts are exact (and transport-invariant — the
-// federation moves the same messages), time is the exact finish-time
-// recurrence under the hierarchical cost model.
-func JacobiFederated(cost machine.CostModel, n, p, iters, nodes int) Estimate {
-	flat := Jacobi(cost, n, p, iters)
-	return Estimate{
-		Msgs:  flat.Msgs,
-		Bytes: flat.Bytes,
-		Time:  JacobiFederatedTime(cost, n, p, iters, nodes),
-	}
-}
-
 // JacobiFederatedSurcharge predicts how much longer the iters-iteration
 // Jacobi loop runs on the federation than on the shared machine under the
 // same hierarchical cost model: the inter-node ghost messages on the

@@ -334,3 +334,66 @@ func TestRelayEligibilityUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// TestDeclareOnceBitIdenticalToFresh: a System keeps each program family's
+// declarations between runs (kf.Declared on the root context; inside an ipc
+// worker, on the cached sub-machine of each run spec) and rebuilds them
+// when the size changes. Whatever a System ran before — the same program,
+// the same family at another size, adi after madi on shared arrays — every
+// run must be the run a fresh System produces: values, census, link census
+// and virtual times, on every transport and both engines. The sequence ends
+// on the tenth run of a program whose first run opened it.
+func TestDeclareOnceBitIdenticalToFresh(t *testing.T) {
+	j64, j32 := mustProg(t, "jacobi", 64, 2), mustProg(t, "jacobi", 32, 2)
+	a32, m32 := mustProg(t, "adi", 32, 1, 1, 1, 2), mustProg(t, "madi", 32, 1, 1, 1, 2)
+	a64, m64 := mustProg(t, "adi", 64, 1, 1, 1, 1), mustProg(t, "madi", 64, 1, 1, 1, 1)
+	sequence := []*core.Program{
+		j64, j32, j64, // one family at two sizes, and back
+		a32, m32, a32, // adi and madi on one set of arrays
+		m64, a64, m32, // and across a size change
+		j64, j64, j64, j64, j64, j64, j64, // j64's tenth run is its first
+	}
+	for _, transport := range []struct {
+		name string
+		opts []core.Option
+	}{
+		{"shared", nil},
+		{"federated", []core.Option{core.Transport("federated"), core.Nodes(4)}},
+		{"ipc", []core.Option{core.Transport("ipc"), core.Nodes(4)}},
+	} {
+		for _, executor := range []string{"goroutine", "calendar"} {
+			t.Run(transport.name+"/"+executor, func(t *testing.T) {
+				opts := append([]core.Option{core.Grid(4, 4), core.Executor(executor)}, transport.opts...)
+				fresh := map[*core.Program]core.Run{}
+				for _, p := range sequence {
+					if _, ok := fresh[p]; ok {
+						continue
+					}
+					sys, err := core.NewSystem(opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh[p], err = sys.RunProgram(p)
+					sys.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				sys := mustSys(t, opts...)
+				for i, p := range sequence {
+					got, err := sys.RunProgram(p)
+					if err != nil {
+						t.Fatalf("run %d (%s): %v", i, p.Name, err)
+					}
+					want := fresh[p]
+					cmp := core.CompareRuns(want, got)
+					links := want.Links == nil && got.Links == nil || sameCensus(want.Links, got.Links)
+					if !cmp.Identical || !cmp.TimesIdentical || !links {
+						t.Errorf("run %d (%s) differs from a fresh System's: values=%v census=%v times=%v links=%v",
+							i, p.Name, cmp.ValuesIdentical, cmp.CensusIdentical, cmp.TimesIdentical, links)
+					}
+				}
+			})
+		}
+	}
+}

@@ -13,8 +13,9 @@ import (
 // machine, unlike the host times bench/ reports beside them.
 
 // calendarSys is a warmed shared-transport System on the calendar engine:
-// two runs, as the benchmark's set-up does (the second installs the
-// per-rank scratch caches, so every later run is a pure cache hit).
+// two runs, as the benchmark's set-up does (the first builds the program's
+// declarations, the second leaves the buffer pools as every later run
+// finds them).
 func calendarSys(t *testing.T, p *core.Program, rows, cols int) *core.System {
 	t.Helper()
 	sys := mustSys(t, core.Grid(rows, cols), core.Executor("calendar"))
@@ -107,6 +108,34 @@ func TestJacobi65536Ranks(t *testing.T) {
 	for i := range want.Values {
 		if got.Values[i] != want.Values[i] {
 			t.Fatalf("value %d: %v on 65,536 ranks, %v on 1,024", i, got.Values[i], want.Values[i])
+		}
+	}
+}
+
+// TestWarmADIRunAllocs pins that ADI's declarations — four arrays, five
+// compiled loop headers with their halo schedules, the gather plan and
+// madi's line lists — are built once per System (kf.Declared), not once per
+// run: a warm run allocates its closures, its result and the solver's
+// per-call scratch, nothing per array, plan or section.
+func TestWarmADIRunAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		budget float64
+	}{
+		{"adi", 200},  // measures 9; 7,567 when every run rebuilt the declarations
+		{"madi", 200}, // measures 10; 9,614
+	} {
+		p := mustProg(t, tc.name, 64, 1, 1, 1, 2)
+		sys := calendarSys(t, p, 8, 8)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := sys.RunProgram(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		sys.Close()
+		t.Logf("warm %s(64, iters 2) on Grid(8, 8): %.0f allocs per RunProgram", tc.name, allocs)
+		if allocs >= tc.budget {
+			t.Errorf("warm %s run allocates %.0f objects, want < %.0f", tc.name, allocs, tc.budget)
 		}
 	}
 }

@@ -83,7 +83,7 @@ func FitParallel(c *kf.Ctx, x0, h float64, y *darray.Array) (*Spline, error) {
 	}
 	c.P.Compute(5 * rhs.LocalSize(0))
 	msec := c.NewArray(darray.Spec{Extents: []int{n}, Dists: []dist.Dist{dist.Block{}}})
-	if err := tridiag.TriCDirichletOn(c.P, c.G, c.NextScope(), msec, rhs, 1, 4, 1); err != nil {
+	if err := tridiag.TriCDirichlet(c, msec, rhs, 1, 4, 1); err != nil {
 		return nil, err
 	}
 	// Assemble the spline everywhere (fits are small relative to the

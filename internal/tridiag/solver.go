@@ -10,13 +10,58 @@ import (
 	"repro/internal/topology"
 )
 
-// buildLocal copies the owned rows of the 1-D arrays into a localSystem.
-// Constant-coefficient systems pass b0/a0/c0 with nil coefficient arrays,
-// mirroring the paper's tric. The first and last global rows get zeroed
-// outer couplings. The five slices come from the processor's pooled solver
-// scratch; callers return them with releaseSystems once the solution has
-// been copied out.
-func buildLocal(p *machine.Proc, x, f, b, a, cc *darray.Array, b0, a0, c0 float64) localSystem {
+// job is one call of the substructured solver as every front end below
+// states it: the systems — solution xs[j], right-hand side fs[j] and either
+// coefficient arrays or one constant row — and how they are run. All arrays
+// are one-dimensional and block-distributed over the solver grid.
+type job struct {
+	xs, fs     []*darray.Array
+	bs, as, cs []*darray.Array // nil: every row is (b0, a0, c0), the paper's tric
+	b0, a0, c0 float64
+	// dirichlet replaces the first and last global rows by identity rows
+	// with zero right-hand side.
+	dirichlet bool
+	// marks emits step marks into the machine's trace sink; freeCopyOut
+	// leaves the solution's copy-out uncharged (TriTraced, whose timeline
+	// is the solver's steps alone).
+	marks, freeCopyOut bool
+	mapping            Mapping
+}
+
+// on runs the job on the subroutine's own grid, under its next scope.
+func (jb job) on(c *kf.Ctx) error { return jb.run(c.P, c.G, c.NextScope()) }
+
+// run is the one driver: copy each system's owned rows into the processor's
+// pooled scratch, pipeline the systems through the tree on grid g under
+// scope sc, copy the solutions out and return the scratch. Every processor
+// of g must call it.
+func (jb job) run(p *machine.Proc, g *topology.Grid, sc machine.Scope) error {
+	if len(jb.xs) != len(jb.fs) {
+		return fmt.Errorf("tridiag: %d solution arrays for %d right-hand sides", len(jb.xs), len(jb.fs))
+	}
+	systems := takeSystems(p, len(jb.xs))
+	for j := range systems {
+		systems[j] = jb.buildLocal(p, j)
+	}
+	if err := solvePipeline(p, g, sc, systems, jb.marks, jb.mapping); err != nil {
+		return err
+	}
+	for j, x := range jb.xs {
+		x.SetOwned1(systems[j].x)
+		if !jb.freeCopyOut {
+			p.Compute(len(systems[j].x))
+		}
+	}
+	releaseSystems(p, systems)
+	return nil
+}
+
+// buildLocal copies the owned rows of system j into a localSystem. The
+// first and last global rows get zeroed outer couplings. The five slices
+// come from the processor's pooled solver scratch; releaseSystems returns
+// them once the solution has been copied out.
+func (jb job) buildLocal(p *machine.Proc, j int) localSystem {
+	f := jb.fs[j]
 	n := f.Extent(0)
 	ln := f.LocalSize(0)
 	scr := scratchOf(p)
@@ -28,24 +73,32 @@ func buildLocal(p *machine.Proc, x, f, b, a, cc *darray.Array, b0, a0, c0 float6
 		x: scr.take(ln),
 	}
 	f.CopyOwned1(sys.f)
-	if b != nil {
-		b.CopyOwned1(sys.b)
-		a.CopyOwned1(sys.a)
-		cc.CopyOwned1(sys.c)
+	if jb.bs != nil {
+		jb.bs[j].CopyOwned1(sys.b)
+		jb.as[j].CopyOwned1(sys.a)
+		jb.cs[j].CopyOwned1(sys.c)
 	} else {
 		for i := range sys.b {
-			sys.b[i], sys.a[i], sys.c[i] = b0, a0, c0
+			sys.b[i], sys.a[i], sys.c[i] = jb.b0, jb.a0, jb.c0
 		}
 	}
-	if lo := f.Lower(0); lo == 0 && ln > 0 {
+	if ln > 0 && f.Lower(0) == 0 {
 		sys.b[0] = 0
+		if jb.dirichlet {
+			sys.a[0], sys.c[0], sys.f[0] = 1, 0, 0
+		}
 	}
-	if hi := f.Upper(0); hi == n-1 && ln > 0 {
+	if ln > 0 && f.Upper(0) == n-1 {
 		sys.c[ln-1] = 0
+		if jb.dirichlet {
+			sys.b[ln-1], sys.a[ln-1], sys.f[ln-1] = 0, 1, 0
+		}
 	}
 	p.Compute(2 * ln) // copy-in traffic
 	return sys
 }
+
+func one(a *darray.Array) []*darray.Array { return []*darray.Array{a} }
 
 // Tri solves the tridiagonal system with coefficient arrays b (lower
 // diagonal), a (diagonal), cc (upper diagonal) and right-hand side f,
@@ -57,38 +110,26 @@ func buildLocal(p *machine.Proc, x, f, b, a, cc *darray.Array, b0, a0, c0 float6
 // Every processor of c.G must call Tri; the grid size must be a power of
 // two with at least two rows per processor (otherwise use SolveGather).
 func Tri(c *kf.Ctx, x, f, b, a, cc *darray.Array) error {
-	return solveOne(c, buildLocal(c.P, x, f, b, a, cc, 0, 0, 0), x)
-}
-
-// TriC is the constant-coefficient variant of Tri (the paper's tric, used
-// by the ADI driver): every row is (b0, a0, c0).
-func TriC(c *kf.Ctx, x, f *darray.Array, b0, a0, c0 float64) error {
-	return solveOne(c, buildLocal(c.P, x, f, nil, nil, nil, b0, a0, c0), x)
-}
-
-func solveOne(c *kf.Ctx, sys localSystem, x *darray.Array) error {
-	systems := takeSystems(c.P, 1)
-	systems[0] = sys
-	if err := solvePipeline(c.P, c.G, c.NextScope(), systems, false, ShuffleMapping); err != nil {
-		return err
-	}
-	x.SetOwned1(systems[0].x)
-	c.P.Compute(len(systems[0].x))
-	releaseSystems(c.P, systems)
-	return nil
+	return job{xs: one(x), fs: one(f), bs: one(b), as: one(a), cs: one(cc)}.on(c)
 }
 
 // TriTraced is Tri with step marks emitted into the machine's trace sink,
 // used by the Figure 3 and Figure 5 generators.
 func TriTraced(c *kf.Ctx, x, f, b, a, cc *darray.Array) error {
-	systems := takeSystems(c.P, 1)
-	systems[0] = buildLocal(c.P, x, f, b, a, cc, 0, 0, 0)
-	if err := solvePipeline(c.P, c.G, c.NextScope(), systems, true, ShuffleMapping); err != nil {
-		return err
-	}
-	x.SetOwned1(systems[0].x)
-	releaseSystems(c.P, systems)
-	return nil
+	return job{xs: one(x), fs: one(f), bs: one(b), as: one(a), cs: one(cc), marks: true, freeCopyOut: true}.on(c)
+}
+
+// TriC is the constant-coefficient variant of Tri (the paper's tric, used
+// by the ADI driver): every row is (b0, a0, c0).
+func TriC(c *kf.Ctx, x, f *darray.Array, b0, a0, c0 float64) error {
+	return job{xs: one(x), fs: one(f), b0: b0, a0: a0, c0: c0}.on(c)
+}
+
+// TriCDirichlet is TriC with the first and last rows replaced by identity
+// rows with zero right-hand side — the form the multigrid and spline line
+// solves use to pin Dirichlet boundary nodes.
+func TriCDirichlet(c *kf.Ctx, x, f *darray.Array, b0, a0, c0 float64) error {
+	return job{xs: one(x), fs: one(f), b0: b0, a0: a0, c0: c0, dirichlet: true}.on(c)
 }
 
 // MTriC solves m constant-coefficient tridiagonal systems through the
@@ -98,54 +139,20 @@ func TriTraced(c *kf.Ctx, x, f, b, a, cc *darray.Array) error {
 // processor groups of the shuffle/unshuffle mapping, keeping all groups
 // busy once the pipeline fills.
 func MTriC(c *kf.Ctx, xs, fs []*darray.Array, b0, a0, c0 float64) error {
-	return MTriCTraced(c, xs, fs, b0, a0, c0, false)
+	return job{xs: xs, fs: fs, b0: b0, a0: a0, c0: c0}.on(c)
 }
 
 // MTriCTraced is MTriC with optional step marks for the trace analyzers.
 func MTriCTraced(c *kf.Ctx, xs, fs []*darray.Array, b0, a0, c0 float64, marks bool) error {
-	if len(xs) != len(fs) {
-		return fmt.Errorf("tridiag: %d solution arrays for %d right-hand sides", len(xs), len(fs))
-	}
-	systems := takeSystems(c.P, len(xs))
-	for j := range xs {
-		systems[j] = buildLocal(c.P, xs[j], fs[j], nil, nil, nil, b0, a0, c0)
-	}
-	if err := solvePipeline(c.P, c.G, c.NextScope(), systems, marks, ShuffleMapping); err != nil {
-		return err
-	}
-	for j := range xs {
-		xs[j].SetOwned1(systems[j].x)
-		c.P.Compute(len(systems[j].x))
-	}
-	releaseSystems(c.P, systems)
-	return nil
+	return job{xs: xs, fs: fs, b0: b0, a0: a0, c0: c0, marks: marks}.on(c)
 }
 
-// TriCDirichletOn solves a constant-coefficient tridiagonal system whose
-// first and last rows are replaced by identity rows with zero right-hand
-// side — the form the multigrid line solves use to pin Dirichlet boundary
-// nodes. Grid and scope are explicit so it can run inside doall bodies
-// whose context is already bound to the line's grid slice.
-func TriCDirichletOn(p *machine.Proc, g *topology.Grid, sc machine.Scope, x, f *darray.Array, b0, a0, c0 float64) error {
-	systems := takeSystems(p, 1)
-	systems[0] = buildLocal(p, x, f, nil, nil, nil, b0, a0, c0)
-	sys := &systems[0]
-	n := f.Extent(0)
-	if ln := len(sys.a); ln > 0 {
-		if f.Lower(0) == 0 {
-			sys.b[0], sys.a[0], sys.c[0], sys.f[0] = 0, 1, 0, 0
-		}
-		if f.Upper(0) == n-1 {
-			sys.b[ln-1], sys.a[ln-1], sys.c[ln-1], sys.f[ln-1] = 0, 1, 0, 0
-		}
-	}
-	if err := solvePipeline(p, g, sc, systems, false, ShuffleMapping); err != nil {
-		return err
-	}
-	x.SetOwned1(sys.x)
-	p.Compute(len(sys.x))
-	releaseSystems(p, systems)
-	return nil
+// MTriCMapped is MTriC with an explicit dataflow-to-processor mapping, used
+// by the mapping ablation experiment: ShuffleMapping (the paper's Figure 5
+// choice) pipelines without contention; PackedMapping makes low-numbered
+// processors serve every tree level and stalls the pipeline.
+func MTriCMapped(c *kf.Ctx, xs, fs []*darray.Array, b0, a0, c0 float64, mapping Mapping) error {
+	return job{xs: xs, fs: fs, b0: b0, a0: a0, c0: c0, mapping: mapping}.on(c)
 }
 
 // MTriCOn is MTriC with an explicit solver grid and message scope, for
@@ -153,40 +160,13 @@ func TriCDirichletOn(p *machine.Proc, g *topology.Grid, sc machine.Scope, x, f *
 // ADI driver runs one MTriCOn per grid slice, concurrently, all derived
 // from a single scope (safe because the slices are disjoint).
 func MTriCOn(p *machine.Proc, g *topology.Grid, sc machine.Scope, xs, fs []*darray.Array, b0, a0, c0 float64) error {
-	if len(xs) != len(fs) {
-		return fmt.Errorf("tridiag: %d solution arrays for %d right-hand sides", len(xs), len(fs))
-	}
-	systems := takeSystems(p, len(xs))
-	for j := range xs {
-		systems[j] = buildLocal(p, xs[j], fs[j], nil, nil, nil, b0, a0, c0)
-	}
-	if err := solvePipeline(p, g, sc, systems, false, ShuffleMapping); err != nil {
-		return err
-	}
-	for j := range xs {
-		xs[j].SetOwned1(systems[j].x)
-		p.Compute(len(systems[j].x))
-	}
-	releaseSystems(p, systems)
-	return nil
+	return job{xs: xs, fs: fs, b0: b0, a0: a0, c0: c0}.run(p, g, sc)
 }
 
 // MTri is the variable-coefficient pipelined solver: system j has
 // coefficient arrays bs[j], as[j], cs[j].
 func MTri(c *kf.Ctx, xs, fs, bs, as, cs []*darray.Array) error {
-	systems := takeSystems(c.P, len(xs))
-	for j := range xs {
-		systems[j] = buildLocal(c.P, xs[j], fs[j], bs[j], as[j], cs[j], 0, 0, 0)
-	}
-	if err := solvePipeline(c.P, c.G, c.NextScope(), systems, false, ShuffleMapping); err != nil {
-		return err
-	}
-	for j := range xs {
-		xs[j].SetOwned1(systems[j].x)
-		c.P.Compute(len(systems[j].x))
-	}
-	releaseSystems(c.P, systems)
-	return nil
+	return job{xs: xs, fs: fs, bs: bs, as: as, cs: cs}.on(c)
 }
 
 // SolveGather is the naive baseline: gather the whole system onto the
@@ -240,27 +220,4 @@ func SolveSeq(b, a, c, f []float64) []float64 {
 	x := make([]float64, len(a))
 	kernels.Thomas(nil, b, a, c, f, x)
 	return x
-}
-
-// MTriCMapped is MTriC with an explicit dataflow-to-processor mapping, used
-// by the mapping ablation experiment: ShuffleMapping (the paper's Figure 5
-// choice) pipelines without contention; PackedMapping makes low-numbered
-// processors serve every tree level and stalls the pipeline.
-func MTriCMapped(c *kf.Ctx, xs, fs []*darray.Array, b0, a0, c0 float64, mapping Mapping) error {
-	if len(xs) != len(fs) {
-		return fmt.Errorf("tridiag: %d solution arrays for %d right-hand sides", len(xs), len(fs))
-	}
-	systems := takeSystems(c.P, len(xs))
-	for j := range xs {
-		systems[j] = buildLocal(c.P, xs[j], fs[j], nil, nil, nil, b0, a0, c0)
-	}
-	if err := solvePipeline(c.P, c.G, c.NextScope(), systems, false, mapping); err != nil {
-		return err
-	}
-	for j := range xs {
-		xs[j].SetOwned1(systems[j].x)
-		c.P.Compute(len(systems[j].x))
-	}
-	releaseSystems(c.P, systems)
-	return nil
 }
