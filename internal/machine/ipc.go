@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -134,8 +135,9 @@ type IPCTransport struct {
 
 // ipcConn is the coordinator's endpoint of one worker's socket.
 type ipcConn struct {
-	node int
-	c    net.Conn
+	node  int
+	c     net.Conn
+	procs int // the worker's GOMAXPROCS, from its Hello
 
 	// wmu serializes frame writes; sent is the per-socket Data sequence
 	// (incremented under wmu, read atomically by the in-flight check) and
@@ -288,6 +290,20 @@ func (t *IPCTransport) WorkerPIDs() []int {
 		pids = append(pids, cmd.Process.Pid)
 	}
 	return pids
+}
+
+// WorkerProcs returns the GOMAXPROCS each worker reported in its Hello, in
+// node order; empty before the workers spawn. Every entry is this
+// process's GOMAXPROCS divided by the node count, at least 1 (workerProcs).
+func (t *IPCTransport) WorkerProcs() []int {
+	if !t.started.Load() {
+		return nil
+	}
+	procs := make([]int, len(t.conns))
+	for i, cn := range t.conns {
+		procs[i] = cn.procs
+	}
+	return procs
 }
 
 // acquire supplies payload buffers for decoded Deliver frames from the
@@ -629,6 +645,36 @@ const ipcStartTimeout = 30 * time.Second
 
 type deadliner interface{ SetDeadline(time.Time) error }
 
+// workerProcs is the GOMAXPROCS each worker of a fleet runs with: its share
+// of the coordinator's budget, and never less than one thread. A node is a
+// processor of the simulated machine, not a host of its own — workers that
+// each inherit the full budget oversubscribe the CPUs nodes-fold, and on a
+// dependency chain the runtimes' wakeups and steals are the latency. A
+// nested fleet divides the share its coordinator was given.
+func workerProcs(budget, nodes int) int { return max(1, budget/nodes) }
+
+// workerEnv is the environment every worker of a fleet starts in, less its
+// node index: the parent's, with any inherited worker coordinates (a worker
+// can itself host an ipc machine) and thread budget scrubbed and exactly one
+// of each installed.
+func workerEnv(parent []string, network, addr string, procs int, execArmed bool) []string {
+	scrub := [...]string{ipcEnvNet + "=", ipcEnvAddr + "=", ipcEnvNode + "=", ipcEnvExec + "=", "GOMAXPROCS="}
+	env := make([]string, 0, len(parent)+5)
+	for _, kv := range parent {
+		if !slices.ContainsFunc(scrub[:], func(name string) bool { return strings.HasPrefix(kv, name) }) {
+			env = append(env, kv)
+		}
+	}
+	env = append(env, ipcEnvNet+"="+network, ipcEnvAddr+"="+addr, "GOMAXPROCS="+strconv.Itoa(procs))
+	if execArmed {
+		// Exec-armed coordinators spawn exec-capable workers: the worker
+		// defers its daemon entry until its own EnableWorkerExec runs, so
+		// the program registry it will build runs from is fully populated.
+		env = append(env, ipcEnvExec+"=1")
+	}
+	return env
+}
+
 // start launches one worker per node and wires up the sockets: a listener
 // in a private temp directory (UDS, falling back to TCP loopback), a
 // re-exec of the current binary per node with the coordinates in the
@@ -678,26 +724,7 @@ func (t *IPCTransport) start() (err error) {
 	}
 	t.dir = dir
 
-	// Scrub any inherited worker coordinates (a worker can itself host an
-	// ipc machine in tests) before installing ours.
-	env := make([]string, 0, len(os.Environ())+4)
-	for _, kv := range os.Environ() {
-		switch {
-		case len(kv) > len(ipcEnvNet) && kv[:len(ipcEnvNet)+1] == ipcEnvNet+"=",
-			len(kv) > len(ipcEnvAddr) && kv[:len(ipcEnvAddr)+1] == ipcEnvAddr+"=",
-			len(kv) > len(ipcEnvNode) && kv[:len(ipcEnvNode)+1] == ipcEnvNode+"=",
-			len(kv) > len(ipcEnvExec) && kv[:len(ipcEnvExec)+1] == ipcEnvExec+"=":
-		default:
-			env = append(env, kv)
-		}
-	}
-	env = append(env, ipcEnvNet+"="+network, ipcEnvAddr+"="+addr)
-	if WorkerExecEnabled() {
-		// Exec-armed coordinators spawn exec-capable workers: the worker
-		// defers its daemon entry until its own EnableWorkerExec runs, so
-		// the program registry it will build runs from is fully populated.
-		env = append(env, ipcEnvExec+"=1")
-	}
+	env := workerEnv(os.Environ(), network, addr, workerProcs(runtime.GOMAXPROCS(0), t.nnodes), WorkerExecEnabled())
 
 	t.cmds = make([]*exec.Cmd, 0, t.nnodes)
 	t.conns = make([]*ipcConn, t.nnodes)
@@ -753,7 +780,7 @@ func (t *IPCTransport) start() (err error) {
 			c.Close()
 			return fail(fmt.Errorf("worker handshake: bad or duplicate node %d", node))
 		}
-		t.conns[node] = &ipcConn{node: node, c: c, bw: bufio.NewWriterSize(c, 1<<16), fch: make(chan struct{}, 1)}
+		t.conns[node] = &ipcConn{node: node, c: c, procs: int(hello.B), bw: bufio.NewWriterSize(c, 1<<16), fch: make(chan struct{}, 1)}
 		addr, _ := wire.UnpackBytes(hello.Payload, int(hello.A))
 		peers[node] = string(addr)
 	}
@@ -895,12 +922,12 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 // absorbResults unpacks one RankResult frame from node: A rank records (see
 // the worker's executeRun for the layout), then — on the node's last frame
 // — a B-word trailer holding its final stall-plane state, its per-peer link
-// message and byte counters (which become the run's link census) and its
-// flush count. The run completes with the last rank's record, trailer
-// already absorbed.
+// message and byte counters (which become the run's link census), its flush
+// count and the CPU time the worker process spent on the run. The run
+// completes with the last rank's record, trailer already absorbed.
 func (t *IPCTransport) absorbResults(er *execRun, node int, f *wire.Frame) error {
 	k := t.nnodes
-	if f.B != 0 && f.B != uint64(reportWords(k)+2*k+1) || f.B > uint64(len(f.Payload)) {
+	if f.B != 0 && f.B != uint64(resultTrailerWords(k)) || f.B > uint64(len(f.Payload)) {
 		return fmt.Errorf("rank result trailer of %d words (node %d)", f.B, node)
 	}
 	p, tail := f.Payload[:len(f.Payload)-int(f.B)], f.Payload[len(f.Payload)-int(f.B):]
@@ -938,7 +965,8 @@ func (t *IPCTransport) absorbResults(er *execRun, node int, f *wire.Frame) error
 		final, _ := parseReport(tail[:reportWords(k)], k)
 		counters := tail[reportWords(k):]
 		ns := &er.stats.Nodes[node]
-		*ns = NodeExecStats{Flushes: int64(math.Float64bits(counters[2*k]))}
+		*ns = NodeExecStats{Procs: t.conns[node].procs,
+			Flushes: int64(math.Float64bits(counters[2*k])), CPUMicros: int64(math.Float64bits(counters[2*k+1]))}
 		for j := 0; j < k; j++ {
 			l := &t.links[node*k+j]
 			l.mu.Lock()

@@ -100,8 +100,8 @@ func (er *execRun) failWith(err error) {
 }
 
 // ExecStats are one distributed run's control- and data-plane counters:
-// plain counts, no clock reads. The per-node rows are measured inside the
-// workers and shipped home in the result batch.
+// plain counts and no clock reads on the coordinator. The per-node rows are
+// measured inside the workers and shipped home in the result batch.
 type ExecStats struct {
 	StallReports  int64 // worker quiescence reports received
 	CandidateCuts int64 // reports that completed a candidate cut
@@ -112,8 +112,16 @@ type ExecStats struct {
 }
 
 // NodeExecStats is one worker's share of a run: Data frames and messages
-// it wrote to its peers, and socket flushes (peer and coordinator sockets).
-type NodeExecStats struct{ PeerFrames, PeerMsgs, Flushes int64 }
+// it wrote to its peers, socket flushes (peer and coordinator sockets), the
+// GOMAXPROCS the worker process runs with (its share of the coordinator's,
+// see workerProcs) and the user+system CPU time the process spent between
+// reading the run spec and shipping its last result. Σ CPUMicros far above
+// the run's wall time × Procs is a fleet fighting over the host's CPUs.
+type NodeExecStats struct {
+	PeerFrames, PeerMsgs, Flushes int64
+	Procs                         int
+	CPUMicros                     int64
+}
 
 // ExecStats returns the counters of the most recent distributed run, or
 // nil before the first.
@@ -130,6 +138,11 @@ type nodeReport struct {
 }
 
 func reportWords(k int) int { return 2 + 2*k }
+
+// resultTrailerWords is the length of the trailer closing a k-node fleet
+// worker's last RankResult frame: its final state, link message and byte
+// counts per peer, flush count and CPU microseconds (see executeRun).
+func resultTrailerWords(k int) int { return reportWords(k) + 2*k + 2 }
 
 // parseReport decodes a k-node fleet's status payload; the counter slices
 // are never written again, so reports may be copied by value.

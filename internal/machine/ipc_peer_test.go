@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"math"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,10 +22,8 @@ type peerHarness struct {
 func newPeerHarness(t *testing.T) *peerHarness {
 	t.Helper()
 	near, far := net.Pipe()
-	w := &ipcWorker{node: 1, fch: make(chan struct{}, 1)}
-	w.rcond = sync.NewCond(&w.rmu)
 	coord, _ := net.Pipe() // a coordinator socket nobody reads: nothing here may write to it
-	w.conn, w.bw = coord, bufio.NewWriter(coord)
+	w := newIPCWorker(1, coord)
 	pl := &peerLink{node: 0, c: near, bw: bufio.NewWriter(near)}
 	w.peers = []*peerLink{pl, {node: 1}}
 	h := &peerHarness{w: w, pl: pl, far: far, done: make(chan error, 1)}

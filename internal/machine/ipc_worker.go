@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/wire"
@@ -202,15 +203,8 @@ func runIPCWorker(node int, network, addr string) int {
 		return 1
 	}
 	defer conn.Close()
-	w := &ipcWorker{
-		node: node,
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 1<<16),
-		bw:   bufio.NewWriterSize(conn, 1<<16),
-		fch:  make(chan struct{}, 1),
-	}
-	w.rcond = sync.NewCond(&w.rmu)
-	hello := wire.Frame{Kind: wire.KindHello, Seq: uint64(node)}
+	w := newIPCWorker(node, conn)
+	hello := wire.Frame{Kind: wire.KindHello, Seq: uint64(node), B: uint64(runtime.GOMAXPROCS(0))}
 	var ln net.Listener
 	if loadWorkerExecHook() != nil {
 		laddr := filepath.Join(filepath.Dir(addr), "node"+strconv.Itoa(node)+".sock")
@@ -239,6 +233,22 @@ func runIPCWorker(node int, network, addr string) int {
 	}
 	go w.flushLoop()
 	return w.loop()
+}
+
+// newIPCWorker returns node's daemon state around its coordinator socket,
+// stall-report timer created and stopped.
+func newIPCWorker(node int, conn net.Conn) *ipcWorker {
+	w := &ipcWorker{
+		node: node,
+		conn: conn,
+		br:   bufio.NewReaderSize(conn, 1<<16),
+		bw:   bufio.NewWriterSize(conn, 1<<16),
+		fch:  make(chan struct{}, 1),
+	}
+	w.rcond = sync.NewCond(&w.rmu)
+	w.reportTimer = time.AfterFunc(time.Hour, w.reportNow)
+	w.reportTimer.Stop()
+	return w
 }
 
 // joinMesh reads the coordinator's peer table (its answer to Hello: Seq =
@@ -349,6 +359,7 @@ type ipcWorker struct {
 	status   []float64   // statusLocked scratch, under wmu
 
 	reportArmed atomic.Bool // a debounced look at the stall-plane state is pending
+	reportTimer *time.Timer // runs reportNow; re-armed only by whoever set reportArmed
 
 	rxData uint64 // relay mode: Data frames received since the last reset fence (read loop only)
 
@@ -361,6 +372,7 @@ type ipcWorker struct {
 	specGen  uint64 // latest run spec handled, accepted or rejected
 	active   *WorkerTransport
 	runDone  chan struct{} // closed when the active run's executeRun returns
+	cpuStart int64         // processCPUMicros when the active run's spec was read
 	finished atomic.Bool   // all local ranks done; results written or being written
 }
 
@@ -567,7 +579,7 @@ func (w *ipcWorker) encodePendingLocked() {
 func (w *ipcWorker) statusLocked(t *WorkerTransport) []float64 {
 	w.encodePendingLocked()
 	k := len(w.peers)
-	s := append(w.status[:0], make([]float64, reportWords(k))...)
+	s := slices.Grow(w.status[:0], reportWords(k))[:reportWords(k)] // every word is assigned below
 	for j, pl := range w.peers {
 		s[2+k+j] = math.Float64frombits(pl.recv.Load())
 	}
@@ -596,7 +608,7 @@ const stallReportDelay = time.Millisecond
 // reportStall implements workerIO; see stallReportDelay.
 func (w *ipcWorker) reportStall() {
 	if w.reportArmed.CompareAndSwap(false, true) {
-		time.AfterFunc(stallReportDelay, w.reportNow)
+		w.reportTimer.Reset(stallReportDelay)
 	}
 }
 
@@ -632,6 +644,16 @@ func (w *ipcWorker) sendBarrierArrive(gen, barGen uint64) {
 	w.wmu.Unlock()
 }
 
+// processCPUMicros is the user+system CPU time this process has used, every
+// thread of it: what the fleet costs the host beyond the coordinator.
+func processCPUMicros() int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return (ru.Utime.Nano() + ru.Stime.Nano()) / 1e3
+}
+
 // maxResultBatchWords bounds one result frame's payload so a node with
 // huge per-rank records splits into several frames well short of the wire
 // codec's MaxPayloadWords guard.
@@ -644,10 +666,11 @@ const maxResultBatchWords = 1 << 20
 // instead of one frame per rank. Record layout: four header words — rank,
 // error class, error byte length, payload word count, each a bit container
 // in the PackBytes sense — then the payload words, then the packed error
-// text. The last frame ends in a B-word trailer: the node's final
-// stall-plane state (a finished node hints no more, and its finishing can
-// complete a deadlock), its per-peer link message and byte counts, and its
-// flush count. Closing done lets a reset fence join in-flight runs.
+// text. The last frame ends in a B-word trailer (resultTrailerWords): the
+// node's final stall-plane state (a finished node hints no more, and its
+// finishing can complete a deadlock), its per-peer link message and byte
+// counts, its flush count and the CPU time this process spent since it read
+// the run's spec. Closing done lets a reset fence join in-flight runs.
 func (w *ipcWorker) executeRun(run WorkerRun, done chan struct{}) {
 	defer close(done)
 	results := run.Execute()
@@ -669,8 +692,8 @@ func (w *ipcWorker) executeRun(run WorkerRun, done chan struct{}) {
 			for _, pl := range w.peers {
 				words = append(words, math.Float64frombits(pl.linkBytes))
 			}
-			words = append(words, math.Float64frombits(w.flushes))
-			f.B = uint64(len(s) + 2*len(w.peers) + 1)
+			words = append(words, math.Float64frombits(w.flushes), math.Float64frombits(uint64(processCPUMicros()-w.cpuStart)))
+			f.B = uint64(resultTrailerWords(len(w.peers)))
 		}
 		f.Payload = words
 		_ = wire.WriteFrame(w.bw, &w.wscratch, &f)
@@ -903,6 +926,7 @@ func (w *ipcWorker) loop() int {
 			// counted in the old epoch on both sides, so the cuts align
 			// with the coordinator's pre-broadcast rewind.
 			w.endRun(errFencedBySpec)
+			w.cpuStart = processCPUMicros()
 			spec, err := wire.UnpackBytes(f.Payload, int(f.A))
 			if err == nil {
 				if hook := loadWorkerExecHook(); hook == nil {

@@ -3,6 +3,7 @@ package progs_test
 import (
 	"errors"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -78,6 +79,43 @@ func TestRanksRunInsideWorkers(t *testing.T) {
 	// are untouched while the assembled run carries the workers' times.
 	if got := sys.Machine.Elapsed(); got != 0 {
 		t.Errorf("coordinator machine elapsed = %v after a distributed run, want 0", got)
+	}
+}
+
+// TestFleetSharesHostCPUs: a node is a processor, not a host. Every worker
+// of a fleet runs with this process's GOMAXPROCS divided by the node count
+// (at least one thread) — also when this process inherited a GOMAXPROCS
+// variable of its own, which must not reach the workers — and each run's
+// own account says so, beside the CPU time every worker spent on it. Run it
+// under -cpu 1,2,4 (internal/machine holds the relay-only twin).
+func TestFleetSharesHostCPUs(t *testing.T) {
+	prog := mustProg(t, "jacobi", 64, 2)
+	for _, inherited := range []string{"", "7"} {
+		if inherited != "" {
+			t.Setenv("GOMAXPROCS", inherited)
+		}
+		for _, nodes := range []int{1, 2, 4} {
+			sys := mustSys(t, core.Grid(4, 4), core.Transport("ipc"), core.Nodes(nodes))
+			run, err := sys.RunProgram(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := max(1, runtime.GOMAXPROCS(0)/nodes)
+			procs := ipcTransport(t, sys).WorkerProcs()
+			if run.Exec == nil || len(run.Exec.Nodes) != nodes || len(procs) != nodes {
+				t.Fatalf("nodes=%d: exec stats %+v, worker procs %v", nodes, run.Exec, procs)
+			}
+			for node, ns := range run.Exec.Nodes {
+				if procs[node] != want || ns.Procs != want {
+					t.Errorf("GOMAXPROCS=%d (env %q), nodes=%d: node %d reports %d Ps in its Hello and %d in the run's account, want %d",
+						runtime.GOMAXPROCS(0), inherited, nodes, node, procs[node], ns.Procs, want)
+				}
+				if ns.CPUMicros <= 0 {
+					t.Errorf("nodes=%d: node %d spent %d µs of CPU on a run", nodes, node, ns.CPUMicros)
+				}
+			}
+			sys.Close()
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ type Metrics struct {
 
 	// The ipc execution plane's own counters, summed over every run whose
 	// ranks executed inside worker processes (core.Run.Exec).
-	ipcStallReports, ipcProbeRounds, ipcPeerFrames atomic.Int64
+	ipcStallReports, ipcProbeRounds, ipcPeerFrames, ipcWorkerCPUMicros atomic.Int64
 }
 
 // countExec folds one run's execution-plane counters in; st is nil for
@@ -91,6 +91,7 @@ func (m *Metrics) countExec(st *machine.ExecStats) {
 	m.ipcProbeRounds.Add(st.ProbeRounds)
 	for _, n := range st.Nodes {
 		m.ipcPeerFrames.Add(n.PeerFrames)
+		m.ipcWorkerCPUMicros.Add(n.CPUMicros)
 	}
 }
 
@@ -99,6 +100,7 @@ func (m *Metrics) writeExec(b *strings.Builder) {
 	fmt.Fprintf(b, "# TYPE kfserve_ipc_stall_reports_total counter\nkfserve_ipc_stall_reports_total %d\n", m.ipcStallReports.Load())
 	fmt.Fprintf(b, "# TYPE kfserve_ipc_probe_rounds_total counter\nkfserve_ipc_probe_rounds_total %d\n", m.ipcProbeRounds.Load())
 	fmt.Fprintf(b, "# TYPE kfserve_ipc_peer_frames_total counter\nkfserve_ipc_peer_frames_total %d\n", m.ipcPeerFrames.Load())
+	fmt.Fprintf(b, "# TYPE kfserve_ipc_worker_cpu_seconds_total counter\nkfserve_ipc_worker_cpu_seconds_total %.6f\n", float64(m.ipcWorkerCPUMicros.Load())/1e6)
 }
 
 func newMetrics() *Metrics {

@@ -286,7 +286,7 @@ func TestMetricsExposition(t *testing.T) {
 // TestMetricsCountIPCExecutionPlane: the kfserve_ipc_* counters sum
 // core.Run.Exec over the runs whose ranks executed in worker processes —
 // an in-process run moves none of them, a clean ipc run moves the peer
-// frames and never the probe rounds.
+// frames and the workers' CPU seconds and never the probe rounds.
 func TestMetricsCountIPCExecutionPlane(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{})
 	metrics := func() string {
@@ -300,7 +300,7 @@ func TestMetricsCountIPCExecutionPlane(t *testing.T) {
 	}
 	postRun(t, ts, serve.RunRequest{Program: "jacobi", Args: []float64{8, 2}, Grid: []int{2, 2}})
 	text := metrics()
-	for _, want := range []string{"kfserve_ipc_stall_reports_total 0", "kfserve_ipc_probe_rounds_total 0", "kfserve_ipc_peer_frames_total 0"} {
+	for _, want := range []string{"kfserve_ipc_stall_reports_total 0", "kfserve_ipc_probe_rounds_total 0", "kfserve_ipc_peer_frames_total 0", "kfserve_ipc_worker_cpu_seconds_total 0.000000"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("after an in-process run, metrics missing %q", want)
 		}
@@ -310,7 +310,8 @@ func TestMetricsCountIPCExecutionPlane(t *testing.T) {
 		t.Fatalf("ipc run: %d %s", resp.StatusCode, data)
 	}
 	text = metrics()
-	if strings.Contains(text, "kfserve_ipc_peer_frames_total 0") || !strings.Contains(text, "kfserve_ipc_probe_rounds_total 0") {
-		t.Errorf("after a clean ipc run: want peer frames counted and no probe round\n%s", text)
+	if strings.Contains(text, "kfserve_ipc_peer_frames_total 0") || strings.Contains(text, "kfserve_ipc_worker_cpu_seconds_total 0.000000") ||
+		!strings.Contains(text, "kfserve_ipc_probe_rounds_total 0") {
+		t.Errorf("after a clean ipc run: want peer frames and worker CPU counted and no probe round\n%s", text)
 	}
 }

@@ -51,7 +51,7 @@ type Kind uint8
 // control frames.
 const (
 	KindInvalid    Kind = iota
-	KindHello           // session opener; Seq = node id. An exec-capable worker adds the address it listens on for its peers (A = byte length, payload = PackBytes(address)); the coordinator answers with the peer table (Seq = node count, A = byte length, payload = PackBytes(newline-joined addresses in node order)); a worker dialling a peer sends the bare form
+	KindHello           // session opener; Seq = node id, B = the worker's GOMAXPROCS. An exec-capable worker adds the address it listens on for its peers (A = byte length, payload = PackBytes(address)); the coordinator answers with the peer table (Seq = node count, A = byte length, payload = PackBytes(newline-joined addresses in node order)); a worker dialling a peer sends the bare form
 	KindData            // simulated message(s); Seq = per-socket FIFO sequence (per run generation on a peer socket), and on worker->worker frames A = run generation, B = message count
 	KindDeliver         // simulated message, relay worker -> coordinator; same fields as the Data it reflects
 	KindBarrier         // host-barrier epoch announcement; Seq = generation, A = run generation on worker->coordinator arrivals

@@ -34,16 +34,17 @@ func sampleFrames() []Frame {
 			Payload: []float64{1.25, 2.5, math.Float64frombits(300), math.Float64frombits(12), 0, 0, 0.5, 0.25, 1, 3.75}},
 		{Kind: KindStallHint, Seq: 2},
 		// The mesh handshake and the stall plane's payloads: a worker's
-		// Hello with its peer address, the coordinator's peer table, a
-		// 2-node state (flags, barrier generation, sent[2], recv[2]) in a
-		// report and in a probe ack, and a result batch ending in the
-		// 11-word trailer (state, link msgs[2], link bytes[2], flushes).
-		{Kind: KindHello, Seq: 1, A: 22, Payload: PackBytes([]byte("/tmp/kfipc1/node1.sock"))},
+		// Hello with its peer address (and its GOMAXPROCS in B), the
+		// coordinator's peer table, a 2-node state (flags, barrier
+		// generation, sent[2], recv[2]) in a report and in a probe ack, and
+		// a result batch ending in the 12-word trailer (state, link
+		// msgs[2], link bytes[2], flushes, CPU microseconds).
+		{Kind: KindHello, Seq: 1, A: 22, B: 2, Payload: PackBytes([]byte("/tmp/kfipc1/node1.sock"))},
 		{Kind: KindHello, Seq: 2, A: 31, Payload: PackBytes([]byte("127.0.0.1:40001\n127.0.0.1:40002"))},
 		{Kind: KindStallHint, Src: 1, Seq: 2, Payload: bitWords(1, 3, 0, 17, 0, 16)},
 		{Kind: KindProbeAck, Src: 1, Seq: 6, Payload: bitWords(2, 0, 0, math.MaxUint64, 0, 0x7FF8000000000001)},
-		{Kind: KindRankResult, Src: 1, Seq: 1, A: 1, B: 11,
-			Payload: append(bitWords(2, 0, 0, 0), bitWords(2, 3, 0, 17, 0, 16, 0, 40, 0, 2160, 9)...)},
+		{Kind: KindRankResult, Src: 1, Seq: 1, A: 1, B: 12,
+			Payload: append(bitWords(2, 0, 0, 0), bitWords(2, 3, 0, 17, 0, 16, 0, 40, 0, 2160, 9, 5700)...)},
 	}
 }
 
