@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Executor is the engine that drives one Machine.Run: it decides which host
@@ -159,30 +160,48 @@ func (goroutineExecutor) Execute(m *Machine, body func(p *Proc) error, errs []er
 
 // calendarExecutor is the worker-pool/event-calendar engine: the n virtual
 // processors run on at most `workers` concurrently executing goroutines
-// (min(GOMAXPROCS, n) unless pinned), with execution order owned by a
-// virtual-time calendar instead of the host scheduler.
+// (min(GOMAXPROCS, n) unless pinned), with execution order owned by
+// virtual-time calendars instead of the host scheduler.
+//
+// The workers are themselves a processor array and the ranks are dist(block)
+// over it — the paper's declaration, applied to the host. The nl local ranks
+// are cut into w = ⌈nl / per⌉ partitions of per = ⌈nl / workers⌉ contiguous
+// ranks (the last may be short, none is empty). A partition owns its ranks
+// for the whole run and holds one lock, one calendar and one token: a
+// partition's ranks are only ever resumed by that partition, so ranks that
+// run at the same time are a block apart, and grid neighbours — which share
+// mailboxes and halo buffers — mostly run one after the other on one worker.
+// Scheduling traffic crosses a partition boundary only where the program's
+// own messages do: a Wake takes the lock of the woken rank's partition and
+// nothing else.
 //
 // Each rank keeps its own goroutine — Go cannot snapshot a blocked
-// continuation — but a rank only executes while it holds one of the worker
-// tokens. A rank that blocks (receive with no matching message, barrier
-// with peers missing) parks: it releases its token, the calendar grants the
-// token to the runnable rank with the smallest virtual clock, and the parked
-// goroutine waits on its private gate channel. Mailbox delivery and barrier
-// release move ranks from parked back onto the calendar via Wake instead of
-// signalling a dedicated goroutine.
+// continuation — but a rank only executes while it holds its partition's
+// token. A rank that blocks (receive with no matching message, barrier with
+// peers missing) parks: it passes the token to the runnable rank of its
+// partition with the smallest virtual clock, or leaves the partition idle,
+// and waits on its private gate channel. Mailbox delivery and barrier
+// release move ranks from parked back onto their calendar via Wake instead
+// of signalling a dedicated goroutine; a Wake that finds the partition idle
+// grants the token on the spot.
 //
-// The calendar is a binary min-heap whose entries are the (clock, rank)
-// pairs themselves, ordered lexicographically: a rank enters with the clock
-// it had when it became runnable (it cannot advance while off a token), a
-// grant pops the root, and both sift a hole rather than swap, so finding the
-// next rank costs log n compares of adjacent cells and no lookup by rank. A
-// rank is on the heap at most once — parked[] is what says whether a Wake
-// has work to do — so nothing ever needs to find or move an entry by rank.
+// A calendar is a binary min-heap whose entries are the (clock, rank) pairs
+// themselves, ordered lexicographically: a rank enters with the clock it had
+// when it became runnable (it cannot advance while off the token), a grant
+// pops the root, and both sift a hole rather than swap, so finding the next
+// rank costs log n compares of adjacent cells and no lookup by rank. A rank
+// is on its heap at most once — parked[] is what says whether a Wake has
+// work to do — so nothing ever needs to find or move an entry by rank.
+// Virtual-time order therefore holds per partition: with one worker that is
+// the whole machine, with more it is all the order there ever was, since
+// ranks on different tokens always ran unordered. Results do not care — the
+// machine is a Kahn network and the goroutine engine has no order at all.
 //
-// Every rank is in exactly one of four states: on the calendar heap
+// Every rank is in exactly one of four states: on its partition's heap
 // (runnable, no token), granted (token held, running or about to), parked
-// (waiting for a Wake), or finished. The token invariant free + granted ==
-// workers holds at every scheduler-lock release, which is what makes the
+// (waiting for a Wake), or finished. At every release of a partition's lock
+// at most one of its ranks is granted, and !busy implies its heap is empty:
+// a free token and a runnable rank never coexist, which is what makes the
 // engine cooperative rather than busy-waiting — with one worker, any lost
 // wakeup or spin would deadlock immediately, a property the conformance
 // battery's GOMAXPROCS=1 row pins.
@@ -191,12 +210,15 @@ func (goroutineExecutor) Execute(m *Machine, body func(p *Proc) error, errs []er
 // CheckStalled trigger is suppressed (a parked rank is a continuation, not
 // a blocked goroutine, and with k workers the blocked count crosses the
 // live count constantly). Instead the scheduler itself triggers exactly one
-// CheckStalled at each true quiescence — all tokens free, calendar empty,
-// ranks unfinished — the only state from which no send can ever happen
-// again without outside help. That is precisely when the goroutine engine's
-// detector fires too (all live ranks blocked), so deadlock verdicts and
-// chaos retransmission rounds land at the same program states on both
-// engines.
+// CheckStalled at each true quiescence. idle counts the partitions whose
+// token is free; it moves only under the lock of the partition that changes
+// state, so the Park or finish whose increment brings it to w saw, at that
+// instant, every token free and (by the invariant above) every calendar
+// empty — with ranks unfinished, the only state from which no send can ever
+// happen again without outside help, and that caller alone runs the check.
+// That is precisely when the goroutine engine's detector fires too (all live
+// ranks blocked), so deadlock verdicts and chaos retransmission rounds land
+// at the same program states on both engines.
 //
 // A calendarExecutor may be reused across sequential runs (state is reset
 // per Execute) but never shared by two machines running concurrently.
@@ -206,27 +228,75 @@ type calendarExecutor struct {
 	m    *Machine
 	body func(p *Proc) error
 	errs []error
+	self Parker // e, boxed once: what m.parker points at during a run
 
-	mu       sync.Mutex
-	workers  int
-	free     int
-	finished int
-	n        int        // rank-space size (arrays are rank-indexed)
-	nl       int        // local rank count actually executing here (m.hi - m.lo)
-	heap     []calEntry // the calendar: runnable ranks, min-heap on (clock, rank)
-	parked   []bool     // r is waiting for a Wake
-	pending  []bool     // a Wake arrived before r's Park; next Park is a no-op
-	gates    []chan struct{}
-	loops    []func() // loops[r] runs rankLoop(r): bound once, so starting a rank allocates nothing
+	parts []calPartition
+	per   int // ranks per partition: rank r belongs to parts[(r-m.lo)/per]
+	nl    int // local rank count actually executing here (m.hi - m.lo)
+	stats CalendarStats
+
+	// The two words every partition writes, on a line of their own: the
+	// fields above are read by every Park and Wake.
+	_        [64]byte
+	idle     atomic.Int32 // partitions whose token is free
+	finished atomic.Int32 // local ranks whose body has returned
+	_        [64]byte
+
+	// Rank-indexed; a rank's entries are guarded by its partition's lock.
+	parked  []bool // r is waiting for a Wake
+	pending []bool // a Wake arrived before r's Park; next Park is a no-op
+	gates   []chan struct{}
+	loops   []func() // loops[r] runs rankLoop(r): bound once, so starting a rank allocates nothing
 
 	wg sync.WaitGroup
 }
 
+// calPartition is one worker's share of the machine: a contiguous block of
+// ranks, the calendar of those that are runnable, and the single token that
+// lets one of them execute. The padding keeps two partitions' locks, heap
+// headers and counters off one cache line and off one prefetched pair of
+// lines, wherever the slice happens to be aligned.
+type calPartition struct {
+	mu    sync.Mutex
+	busy  bool       // the token is granted; !busy ⇒ heap is empty
+	heap  []calEntry // runnable ranks of this partition, min-heap on (clock, rank)
+	stats CalendarStats
+	_     [128]byte
+}
+
+// CalendarStats counts what the calendar engine's scheduler did during the
+// most recent run, summed over its partitions (see Machine.CalendarStats).
+// Each partition keeps its own counts in one, under the lock it already holds.
+// Every grant is either a hand-off or a grant from idle. A hand-off stays on
+// one worker; a grant from idle is a Wake that found no rank of the woken
+// rank's partition running, so the waker is a rank of another partition or a
+// transport goroutine — the wakes that cost a hand-over between host CPUs.
+type CalendarStats struct {
+	Partitions     int   // partitions (= tokens) the local ranks were split over
+	Parks          int64 // Park calls that gave the token up (no wake was pending)
+	Wakes          int64 // Wake/WakeAll calls that found their rank parked
+	HandoffGrants  int64 // a Park, a finish or Execute's seeding passed its token on
+	FromIdleGrants int64 // a Wake granted the token of an idle partition
+	Idles          int64 // times a partition's token found no runnable rank
+	MaxDepth       int64 // deepest any one partition's calendar got
+}
+
+func (s *CalendarStats) add(o CalendarStats) {
+	s.Parks += o.Parks
+	s.Wakes += o.Wakes
+	s.HandoffGrants += o.HandoffGrants
+	s.FromIdleGrants += o.FromIdleGrants
+	s.Idles += o.Idles
+	s.MaxDepth = max(s.MaxDepth, o.MaxDepth)
+}
+
 // NewCalendarExecutor returns a calendar engine running on the given number
-// of workers; workers <= 0 selects min(GOMAXPROCS, n) at Execute time, and
-// requests above n are clamped to n.
+// of workers, one partition of the ranks each; workers <= 0 selects
+// min(GOMAXPROCS, n) at Execute time, and requests above n are clamped to n.
 func NewCalendarExecutor(workers int) *calendarExecutor {
-	return &calendarExecutor{req: workers}
+	e := &calendarExecutor{req: workers}
+	e.self = e
+	return e
 }
 
 func (e *calendarExecutor) Name() string { return "calendar" }
@@ -237,6 +307,10 @@ func (e *calendarExecutor) Workers() int { return e.req }
 func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []error) {
 	n := m.n
 	nl := m.hi - m.lo
+	e.stats = CalendarStats{}
+	if nl <= 0 {
+		return
+	}
 	w := e.req
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -244,10 +318,10 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 	if w > nl {
 		w = nl
 	}
+	per := (nl + w - 1) / w
+	w = (nl + per - 1) / per // no partition is empty
 	e.m, e.body, e.errs = m, body, errs
-	e.workers, e.n, e.nl = w, n, nl
-	e.free = w
-	e.finished = 0
+	e.per, e.nl = per, nl
 	if len(e.gates) != n {
 		e.gates = make([]chan struct{}, n)
 		e.loops = make([]func(), n)
@@ -257,36 +331,66 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 			e.gates[i] = make(chan struct{}, 1)
 			e.loops[i] = func() { e.rankLoop(i) }
 		}
-		e.heap = make([]calEntry, 0, n)
 		e.parked = make([]bool, n)
 		e.pending = make([]bool, n)
 	}
-	e.heap = e.heap[:0]
-	for i := 0; i < n; i++ {
-		e.parked[i] = false
-		e.pending[i] = false
+	if len(e.parts) != w {
+		e.parts = make([]calPartition, w)
+	}
+
+	// Seed every calendar with its partition's ranks at clock zero (rank
+	// order breaks the tie). Execute holds all w tokens while it does, so
+	// nothing is idle and nothing can look quiescent before the last
+	// partition is started. Ranks outside the machine's local window (the
+	// IPC worker's remote peers) never run here: they are message
+	// endpoints, not continuations, and belong to no partition.
+	e.idle.Store(0)
+	e.finished.Store(0)
+	for k := range e.parts {
+		pt := &e.parts[k]
+		lo, hi := e.span(k)
+		pt.mu.Lock()
+		pt.busy = true
+		pt.heap = pt.heap[:0]
+		pt.stats = CalendarStats{}
+		for r := lo; r < hi; r++ {
+			e.parked[r], e.pending[r] = false, false
+			pt.push(calEntry{clock: m.procs[r].clock, rank: int32(r)})
+		}
+		pt.mu.Unlock()
 	}
 
 	// Publish the parker before any rank goroutine exists, so transports
 	// route every blocking wait of this run through the calendar.
-	m.setParker(e)
+	m.setParker(&e.self)
 
 	e.wg.Add(nl)
 	for r := m.lo; r < m.hi; r++ {
 		go e.loops[r]()
 	}
-	// Seed the calendar with every local rank at clock zero (rank order
-	// breaks the tie) and grant the first w tokens. Ranks outside the
-	// machine's local window (the IPC worker's remote peers) never run
-	// here: they are message endpoints, not continuations.
-	e.mu.Lock()
-	for r := m.lo; r < m.hi; r++ {
-		e.pushLocked(r)
+	for k := range e.parts {
+		pt := &e.parts[k]
+		pt.mu.Lock()
+		e.passLocked(pt)
+		pt.mu.Unlock()
 	}
-	e.dispatchLocked()
-	e.mu.Unlock()
 	e.wg.Wait()
+	e.stats.Partitions = w
+	for k := range e.parts {
+		e.stats.add(e.parts[k].stats)
+	}
 	e.body, e.errs = nil, nil
+}
+
+// span returns partition k's ranks [lo, hi).
+func (e *calendarExecutor) span(k int) (lo, hi int) {
+	lo = e.m.lo + k*e.per
+	return lo, min(lo+e.per, e.m.hi)
+}
+
+// partOf returns the partition that owns local rank r.
+func (e *calendarExecutor) partOf(r int) *calPartition {
+	return &e.parts[(r-e.m.lo)/e.per]
 }
 
 // rankLoop is one virtual processor's goroutine: wait for the first token
@@ -312,22 +416,22 @@ func (e *calendarExecutor) rankLoop(r int) {
 	e.finish(r)
 }
 
-// Park releases the calling rank's worker token and blocks until a Wake. A
-// wake that raced ahead of the park (the sender ran on another worker
-// between this rank publishing its wait and parking) is consumed here and
-// Park returns immediately — the caller's re-check loop does the rest.
+// Park gives up the calling rank's token and blocks until a Wake. A wake
+// that raced ahead of the park (the sender ran on another worker between
+// this rank publishing its wait and parking) is consumed here and Park
+// returns immediately — the caller's re-check loop does the rest.
 func (e *calendarExecutor) Park(rank int) {
-	e.mu.Lock()
+	pt := e.partOf(rank)
+	pt.mu.Lock()
 	if e.pending[rank] {
 		e.pending[rank] = false
-		e.mu.Unlock()
+		pt.mu.Unlock()
 		return
 	}
 	e.parked[rank] = true
-	e.free++
-	e.dispatchLocked()
-	quiet := e.quietLocked()
-	e.mu.Unlock()
+	pt.stats.Parks++
+	quiet := e.passLocked(pt)
+	pt.mu.Unlock()
 	if quiet {
 		// This park completed a quiescence: no token is granted, so no
 		// rank can send, and nothing will ever change without the stall
@@ -338,67 +442,94 @@ func (e *calendarExecutor) Park(rank int) {
 	<-e.gates[rank]
 }
 
-// Wake moves rank from parked onto the calendar (keyed at its current
-// clock — safe to read: rank wrote it before parking, and parked[rank]
-// under e.mu orders that write before this read) and dispatches; a wake for
-// a rank that has not parked yet is remembered as pending.
+// Wake moves rank from parked onto its partition's calendar (keyed at its
+// current clock — safe to read: rank wrote it before parking, and
+// parked[rank] under the partition's lock orders that write before this
+// read) and grants the token if the partition was idle; a wake for a rank
+// that has not parked yet is remembered as pending. Only local ranks park,
+// so only local ranks are woken.
 func (e *calendarExecutor) Wake(rank int) {
-	e.mu.Lock()
-	if e.parked[rank] {
-		e.parked[rank] = false
-		e.pushLocked(rank)
-		e.dispatchLocked()
-	} else {
-		e.pending[rank] = true
-	}
-	e.mu.Unlock()
+	pt := e.partOf(rank)
+	pt.mu.Lock()
+	e.wakeLocked(pt, rank)
+	e.grantIdleLocked(pt)
+	pt.mu.Unlock()
 }
 
 // WakeAll is the abort/stall broadcast: every parked rank becomes runnable,
 // and every rank between its down-check and its park gets a pending wake so
-// it cannot sleep through the shutdown.
+// it cannot sleep through the shutdown. It holds every partition's lock (in
+// index order; no other path holds two) until all of them are restarted, so
+// a partition that drains at once cannot make the machine look quiescent
+// while its neighbours are still to be woken.
 func (e *calendarExecutor) WakeAll() {
-	e.mu.Lock()
-	for r := 0; r < e.n; r++ {
-		if e.parked[r] {
-			e.parked[r] = false
-			e.pushLocked(r)
-		} else {
-			e.pending[r] = true
-		}
+	for k := range e.parts {
+		e.parts[k].mu.Lock()
 	}
-	e.dispatchLocked()
-	e.mu.Unlock()
+	for k := range e.parts {
+		pt := &e.parts[k]
+		lo, hi := e.span(k)
+		for r := lo; r < hi; r++ {
+			e.wakeLocked(pt, r)
+		}
+		e.grantIdleLocked(pt)
+	}
+	for k := range e.parts {
+		e.parts[k].mu.Unlock()
+	}
 }
 
-// finish returns a completed rank's token and re-dispatches; like Park it
-// triggers the stall check when it completes a quiescence (ranks parked on
-// streams only a now-finished rank could have fed).
+// wakeLocked puts rank on pt's calendar if it is parked and marks a pending
+// wake if it is not. Caller holds pt.mu.
+func (e *calendarExecutor) wakeLocked(pt *calPartition, rank int) {
+	if !e.parked[rank] {
+		e.pending[rank] = true
+		return
+	}
+	e.parked[rank] = false
+	pt.stats.Wakes++
+	pt.push(calEntry{clock: e.m.procs[rank].clock, rank: int32(rank)})
+}
+
+// grantIdleLocked grants pt's token to its earliest runnable rank if the
+// token is free. Caller holds pt.mu.
+func (e *calendarExecutor) grantIdleLocked(pt *calPartition) {
+	if pt.busy || len(pt.heap) == 0 {
+		return
+	}
+	pt.busy = true
+	e.idle.Add(-1)
+	pt.stats.FromIdleGrants++
+	e.gates[pt.popMin()] <- struct{}{}
+}
+
+// passLocked disposes of pt's token on behalf of a caller that holds it (and
+// pt.mu): it goes to the partition's earliest runnable rank, or the
+// partition falls idle. It reports whether that completed a quiescence —
+// every partition idle with ranks unfinished — which obliges the caller to
+// run the stall check once it has released the lock.
+func (e *calendarExecutor) passLocked(pt *calPartition) (quiet bool) {
+	if len(pt.heap) > 0 {
+		pt.stats.HandoffGrants++
+		e.gates[pt.popMin()] <- struct{}{}
+		return false
+	}
+	pt.busy = false
+	pt.stats.Idles++
+	return int(e.idle.Add(1)) == len(e.parts) && int(e.finished.Load()) < e.nl
+}
+
+// finish passes a completed rank's token on; like Park it triggers the
+// stall check when it completes a quiescence (ranks parked on streams only
+// a now-finished rank could have fed).
 func (e *calendarExecutor) finish(rank int) {
-	e.mu.Lock()
-	e.finished++
-	e.free++
-	e.dispatchLocked()
-	quiet := e.quietLocked()
-	e.mu.Unlock()
+	e.finished.Add(1)
+	pt := e.partOf(rank)
+	pt.mu.Lock()
+	quiet := e.passLocked(pt)
+	pt.mu.Unlock()
 	if quiet {
 		e.m.tr.CheckStalled()
-	}
-}
-
-// quietLocked reports true quiescence: every token free, no runnable rank,
-// and unfinished local ranks remaining. Caller holds e.mu.
-func (e *calendarExecutor) quietLocked() bool {
-	return e.free == e.workers && len(e.heap) == 0 && e.finished < e.nl
-}
-
-// dispatchLocked grants free tokens to the earliest-clock runnable ranks.
-// Caller holds e.mu.
-func (e *calendarExecutor) dispatchLocked() {
-	for e.free > 0 && len(e.heap) > 0 {
-		r := e.popMinLocked()
-		e.free--
-		e.gates[r] <- struct{}{}
 	}
 }
 
@@ -420,12 +551,12 @@ func (a calEntry) before(b calEntry) bool {
 	return a.rank < b.rank
 }
 
-// pushLocked puts rank r on the calendar at its current clock, sifting a
-// hole up from the end: parents move down into it until r's place is found.
-func (e *calendarExecutor) pushLocked(r int) {
-	x := calEntry{clock: e.m.procs[r].clock, rank: int32(r)}
-	e.heap = append(e.heap, x)
-	h := e.heap
+// push puts x on the calendar, sifting a hole up from the end: parents move
+// down into it until x's place is found.
+func (pt *calPartition) push(x calEntry) {
+	pt.heap = append(pt.heap, x)
+	h := pt.heap
+	pt.stats.MaxDepth = max(pt.stats.MaxDepth, int64(len(h)))
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -438,15 +569,15 @@ func (e *calendarExecutor) pushLocked(r int) {
 	h[i] = x
 }
 
-// popMinLocked removes and returns the earliest rank, sifting the hole it
-// leaves down the smaller-child path until the last entry fits.
-func (e *calendarExecutor) popMinLocked() int {
-	h := e.heap
+// popMin removes and returns the earliest rank, sifting the hole it leaves
+// down the smaller-child path until the last entry fits.
+func (pt *calPartition) popMin() int {
+	h := pt.heap
 	r := h[0].rank
 	n := len(h) - 1
 	x := h[n]
 	h = h[:n]
-	e.heap = h
+	pt.heap = h
 	i := 0
 	for {
 		c := 2*i + 1

@@ -347,7 +347,7 @@ func TestCalendarVirtualTimeOrder(t *testing.T) {
 	}
 }
 
-// TestCalendarHeapMatchesSort drives the calendar's heap directly with a
+// TestCalendarHeapMatchesSort drives one partition's heap directly with a
 // seeded sequence of pushes and pops — clocks drawn from a handful of
 // values, so most compares are decided by the rank tie-break — and requires
 // every pop to return what sorting the pending (clock, rank) pairs
@@ -355,9 +355,8 @@ func TestCalendarVirtualTimeOrder(t *testing.T) {
 func TestCalendarHeapMatchesSort(t *testing.T) {
 	const n = 512
 	rng := rand.New(rand.NewSource(19))
-	m := New(n, Uniform())
-	e := NewCalendarExecutor(1)
-	e.m = m
+	var pt calPartition
+	clock := make([]float64, n)
 	var model []calEntry // pending, unordered
 	onHeap := make([]bool, n)
 	pop := func(step int) {
@@ -369,7 +368,7 @@ func TestCalendarHeapMatchesSort(t *testing.T) {
 		})
 		want := model[0]
 		model = model[1:]
-		if got := e.popMinLocked(); got != int(want.rank) {
+		if got := pt.popMin(); got != int(want.rank) {
 			t.Fatalf("step %d: popped rank %d, sorted order has rank %d at clock %v first", step, got, want.rank, want.clock)
 		}
 		onHeap[want.rank] = false
@@ -378,21 +377,22 @@ func TestCalendarHeapMatchesSort(t *testing.T) {
 		if r := rng.Intn(n); !onHeap[r] && (rng.Intn(3) > 0 || len(model) == 0) {
 			// A rank re-enters at a later clock than it left, as a woken
 			// rank does; the clocks collide across ranks all the time.
-			m.procs[r].clock += float64(rng.Intn(4))
-			e.pushLocked(r)
-			model = append(model, calEntry{clock: m.procs[r].clock, rank: int32(r)})
+			clock[r] += float64(rng.Intn(4))
+			x := calEntry{clock: clock[r], rank: int32(r)}
+			pt.push(x)
+			model = append(model, x)
 			onHeap[r] = true
 		} else if len(model) > 0 {
 			pop(step)
 		}
-		if len(e.heap) != len(model) {
-			t.Fatalf("step %d: heap holds %d entries, model %d", step, len(e.heap), len(model))
+		if len(pt.heap) != len(model) {
+			t.Fatalf("step %d: heap holds %d entries, model %d", step, len(pt.heap), len(model))
 		}
 	}
 	for len(model) > 0 {
 		pop(-1)
 	}
-	if len(e.heap) != 0 {
-		t.Fatalf("drained heap still holds %d entries", len(e.heap))
+	if len(pt.heap) != 0 {
+		t.Fatalf("drained heap still holds %d entries", len(pt.heap))
 	}
 }

@@ -204,6 +204,7 @@ func NewWithTransport(t Transport, cost CostModel) *Machine {
 		}
 		m.lo, m.hi = lo, hi
 	}
+	m.bufs.keep = max(sharedKeep, n)
 	m.coord.m = m
 	t.Bind(&m.coord)
 	// One slab for every rank's Proc, not n allocations. A Proc is ten
@@ -258,15 +259,20 @@ func (m *Machine) SetDirect(on bool) { m.direct = on }
 func (m *Machine) ExecutorName() string { return m.exec.Name() }
 
 // setParker publishes the active run's parking engine to the transports
-// (nil clears it). Atomic so coordinator.Parker sees a consistent value
+// (nil clears it); the engine owns the boxed interface, so publishing
+// allocates nothing. Atomic so coordinator.Parker sees a consistent value
 // from any goroutine, including transport callbacks running outside the
 // rank goroutines.
-func (m *Machine) setParker(p Parker) {
-	if p == nil {
-		m.parker.Store(nil)
-		return
+func (m *Machine) setParker(p *Parker) { m.parker.Store(p) }
+
+// CalendarStats returns what the calendar engine's scheduler did during the
+// most recent Run — parks, wakes, grants by hand-off and from idle, summed
+// over its partitions; the zero value under the goroutine engine.
+func (m *Machine) CalendarStats() CalendarStats {
+	if e, ok := m.exec.(*calendarExecutor); ok {
+		return e.stats
 	}
-	m.parker.Store(&p)
+	return CalendarStats{}
 }
 
 // Run executes body once per processor under the machine's executor — one

@@ -509,3 +509,27 @@ func indexOf(s []int, v int) int {
 	}
 	return -1
 }
+
+func TestSharedPoolKeepsABufferPerRank(t *testing.T) {
+	// The machine-wide tier holds sharedKeep buffers of a class on a small
+	// machine and one per rank on a larger one: a gather to one root can
+	// have that many in flight, and what the list cannot hold is allocated
+	// again on the next replay.
+	for _, n := range []int{8, sharedKeep + 100} {
+		m := New(n, ZeroComm())
+		want := max(sharedKeep, n)
+		for i := 0; i < want+10; i++ {
+			m.bufs.put(2, make([]float64, 0, 4))
+		}
+		got := 0
+		for {
+			if _, ok := m.bufs.take(2); !ok {
+				break
+			}
+			got++
+		}
+		if got != want {
+			t.Errorf("%d ranks: the class kept %d buffers, want %d", n, got, want)
+		}
+	}
+}

@@ -29,8 +29,9 @@ const (
 	// localKeep bounds each processor's per-class free list; releases
 	// beyond it flow to the machine-wide tier.
 	localKeep = 8
-	// sharedKeep bounds each machine-wide per-class list; beyond it,
-	// buffers are dropped for the garbage collector.
+	// sharedKeep is the least a machine-wide per-class list may hold
+	// before buffers are dropped for the garbage collector; a machine of
+	// more ranks keeps one buffer per rank (see sharedPool.keep).
 	sharedKeep = 4096
 )
 
@@ -58,6 +59,13 @@ func capClass(cp int) int {
 // guarded by its own mutex so concurrent traffic in different size classes
 // never contends.
 type sharedPool struct {
+	// keep bounds each class's list: max(sharedKeep, ranks). A gather to
+	// one root puts a buffer per rank in flight when the root cannot keep
+	// up with its senders — under the calendar engine, the ranks of every
+	// partition but the root's send while the root waits for its own
+	// partition's — and a list that could not hold them all would
+	// allocate the difference again on every replay.
+	keep    int
 	classes [numClasses]struct {
 		mu   sync.Mutex
 		bufs [][]float64
@@ -85,7 +93,7 @@ func (sp *sharedPool) take(c int) ([]float64, bool) {
 func (sp *sharedPool) put(c int, buf []float64) {
 	cl := &sp.classes[c]
 	cl.mu.Lock()
-	if len(cl.bufs) < sharedKeep {
+	if len(cl.bufs) < sp.keep {
 		cl.bufs = append(cl.bufs, buf)
 	}
 	cl.mu.Unlock()

@@ -89,6 +89,12 @@ func await(tb testing.TB, ch <-chan struct{}, what string) {
 	}
 }
 
+// calendarTwoWorkers names the window battery's extra engine row: the
+// calendar engine pinned at two workers, so that every window of two ranks
+// or more is split into two partitions whose first rank is not rank 0 —
+// whatever -cpu the battery runs under.
+const calendarTwoWorkers = "calendar/2workers"
+
 // newLoopFleet builds nnodes windowed machines over an n-rank space, all on
 // the named engine.
 func newLoopFleet(tb testing.TB, n, nnodes int, engine string, cost CostModel) *loopFleet {
@@ -103,7 +109,11 @@ func newLoopFleet(tb testing.TB, n, nnodes int, engine string, cost CostModel) *
 			tb.Fatalf("node %d window = [%d, %d)", node, lo, hi)
 		}
 		m := NewWithTransport(t, cost)
-		setExecutorByName(tb, m, engine)
+		if engine == calendarTwoWorkers {
+			m.SetExecutor(NewCalendarExecutor(2))
+		} else {
+			setExecutorByName(tb, m, engine)
+		}
 		f.trs = append(f.trs, t)
 		f.ms = append(f.ms, m)
 		f.reports = append(f.reports, make(chan struct{}, 1))
@@ -161,10 +171,10 @@ func (f *loopFleet) rebind(gen uint64) {
 }
 
 // forEachWindowFleet runs f over 2- and 4-node fleets of n ranks on every
-// registered engine.
+// registered engine, and on the calendar engine at two workers.
 func forEachWindowFleet(t *testing.T, n int, cost CostModel, fn func(t *testing.T, f *loopFleet)) {
 	t.Helper()
-	for _, engine := range ExecutorNames() {
+	for _, engine := range append(ExecutorNames(), calendarTwoWorkers) {
 		for _, nnodes := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%s/%dnodes", engine, nnodes), func(t *testing.T) {
 				fn(t, newLoopFleet(t, n, nnodes, engine, cost))
