@@ -81,11 +81,11 @@ func KF1(m *machine.Machine, g *topology.Grid, x0, f [][]float64, niter int) (Re
 }
 
 // kf1State is the declaration half of KF1Ctx — the distributed arrays and
-// the compiled sweep plan — kept on the root context across runs
+// the compiled sweep statement — kept on the root context across runs
 // (kf.Declared) and rebuilt when the problem size changes.
 type kf1State struct {
 	x, fd *darray.Array
-	sweep *kf.Plan2
+	sweep *kf.Stencil
 }
 
 // KF1Ctx is the KF1 Jacobi iteration as a plain parallel subroutine body —
@@ -94,8 +94,8 @@ type kf1State struct {
 // 0 (nil elsewhere) and the iteration loop's elapsed virtual time
 // (excluding the verification gather; identical on every rank).
 //
-// The arrays and the compiled sweep header are declared once per System:
-// repeated runs re-fill the owned cells and replay the data motion without
+// The arrays and the compiled sweep are declared once per System: repeated
+// runs re-fill the owned cells and replay the data motion without
 // re-deriving distribution or communication.
 func KF1Ctx(c *kf.Ctx, x0, f [][]float64, niter int) (flat []float64, elapsed float64) {
 	n := len(x0)
@@ -104,16 +104,13 @@ func KF1Ctx(c *kf.Ctx, x0, f [][]float64, niter int) (flat []float64, elapsed fl
 		st.build(c, n)
 	}
 	x, fd := st.x, st.fd
-	// (Re)fill the owned cells every run; halo ghosts left over from a
-	// previous run are refreshed by the first sweep's exchange before any
-	// read.
-	x.FillOwned(func(idx []int) float64 { return x0[idx[0]][idx[1]] })
-	fd.FillOwned(func(idx []int) float64 { return f[idx[0]][idx[1]] })
+	// (Re)fill the owned cells every run, one copy per owned row; halo
+	// ghosts left over from a previous run are refreshed by the first
+	// sweep's exchange before any read.
+	x.OwnedRuns(func(idx []int, row []float64) { copy(row, x0[idx[0]][idx[1]:]) })
+	fd.OwnedRuns(func(idx []int, row []float64) { copy(row, f[idx[0]][idx[1]:]) })
 	for it := 0; it < niter; it++ {
-		st.sweep.Run(func(cc *kf.Ctx, i, j int) {
-			x.Set2(i, j, 0.25*(x.Old2(i+1, j)+x.Old2(i-1, j)+x.Old2(i, j+1)+x.Old2(i, j-1))-fd.Old2(i, j))
-			cc.P.Compute(5)
-		})
+		st.sweep.Run()
 	}
 	elapsed = c.AllReduceMax(c.P.Clock())
 	out := x.GatherTo(c.NextScope(), 0)
@@ -123,8 +120,20 @@ func KF1Ctx(c *kf.Ctx, x0, f [][]float64, niter int) (flat []float64, elapsed fl
 	return flat, elapsed
 }
 
-// build declares the arrays and compiles the sweep header — halo schedule,
-// snapshots, owned strip — once; each pass only replays the data motion.
+// sweepStmt is the statement of Listing 3 over the parameters (X, f),
+//
+//	X(i,j) = 0.25*(X(i+1,j) + X(i-1,j) + X(i,j+1) + X(i,j-1)) - f(i,j)
+//
+// charged 5 flops a cell: declared once, for every processor of every
+// System, and bound by each processor to its own arrays.
+var sweepStmt = func() *kf.Statement {
+	x, f := kf.Param(0), kf.Param(1)
+	return kf.Assign(x, kf.Sub(kf.Scale(0.25, kf.Sum(x.Old(1, 0), x.Old(-1, 0), x.Old(0, 1), x.Old(0, -1))), f.Old(0, 0)))
+}()
+
+// build declares the arrays and compiles the sweep — halo schedule,
+// snapshots, owned strip and the bound statement — once; each pass only
+// replays the data motion and runs the statement over the owned rows.
 func (st *kf1State) build(c *kf.Ctx, n int) {
 	spec := darray.Spec{
 		Extents: []int{n, n},
@@ -134,7 +143,7 @@ func (st *kf1State) build(c *kf.Ctx, n int) {
 	st.x = c.NewArray(spec)
 	st.fd = c.NewArray(spec)
 	st.sweep = c.Plan2(kf.R(1, n-2), kf.R(1, n-2), kf.OnOwner2(st.x),
-		kf.Reads(st.x), kf.ReadsNoHalo(st.fd))
+		kf.Reads(st.x), kf.ReadsNoHalo(st.fd)).Stencil(sweepStmt, st.x, st.fd)
 }
 
 // Tags for the hand-written message passing version, one per edge

@@ -32,7 +32,9 @@
 // generated and takes the copy-in snapshot that gives doall loops their
 // copy-in/copy-out semantics; the body reads old values via Old and writes
 // new values via Set, with no temporary array, exactly as in the paper's
-// Listing 3.
+// Listing 3. A body that is one such assignment can instead be declared as
+// a stencil statement (Assign over Param reads, bound by Plan2.Stencil;
+// stencil.go), which runs whole owned rows with no closure call per cell.
 //
 // SPMD discipline: a Ctx's methods must be called unconditionally by every
 // processor of its grid, in the same order (the usual single-program rule).

@@ -51,6 +51,59 @@ func TestComputeAdvancesClock(t *testing.T) {
 	}
 }
 
+// eventLog is a Sink that keeps every event, in order (one processor).
+type eventLog []Event
+
+func (l *eventLog) Record(e Event) { *l = append(*l, e) }
+
+// TestComputeEachMatchesCompute pins ComputeEach to what it stands for: n
+// calls of Compute — the same clock to the bit (n additions, which one
+// multiplied charge would not give), the same flop count and, under a
+// trace, the same events.
+func TestComputeEachMatchesCompute(t *testing.T) {
+	cost := Balanced() // a FlopTime whose multiples do not add exactly
+	for _, traced := range []bool{false, true} {
+		for _, c := range []struct{ flops, n int }{{5, 64}, {8, 1}, {3, 1000}, {0, 10}, {-2, 4}, {5, 0}, {7, -3}} {
+			var clocks [2]float64
+			var stats [2]Stats
+			var logs [2]eventLog
+			for form := 0; form < 2; form++ {
+				m := New(1, cost)
+				if traced {
+					m.SetSink(&logs[form])
+				}
+				err := m.Run(func(p *Proc) error {
+					p.Compute(3) // a clock that is not zero
+					if form == 0 {
+						for k := 0; k < c.n; k++ {
+							p.Compute(c.flops)
+						}
+					} else {
+						p.ComputeEach(c.flops, c.n)
+					}
+					clocks[form], stats[form] = p.Clock(), p.Stats()
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if math.Float64bits(clocks[0]) != math.Float64bits(clocks[1]) || stats[0] != stats[1] {
+				t.Errorf("traced=%v ComputeEach(%d, %d): clock %v stats %+v, Compute loop clock %v stats %+v",
+					traced, c.flops, c.n, clocks[1], stats[1], clocks[0], stats[0])
+			}
+			if len(logs[0]) != len(logs[1]) {
+				t.Fatalf("traced=%v ComputeEach(%d, %d): %d events, Compute loop %d", traced, c.flops, c.n, len(logs[1]), len(logs[0]))
+			}
+			for k := range logs[0] {
+				if logs[0][k] != logs[1][k] {
+					t.Errorf("traced=%v ComputeEach(%d, %d): event %d is %+v, want %+v", traced, c.flops, c.n, k, logs[1][k], logs[0][k])
+				}
+			}
+		}
+	}
+}
+
 func TestSendRecvRoundTrip(t *testing.T) {
 	m := New(2, Uniform())
 	payload := []float64{1, 2, 3}

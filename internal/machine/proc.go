@@ -158,14 +158,31 @@ func (p *Proc) Stats() Stats { return p.stats }
 
 // Compute advances the processor's clock by flops floating point operations
 // under the machine's cost model. Negative values are ignored.
-func (p *Proc) Compute(flops int) {
-	if flops <= 0 {
+func (p *Proc) Compute(flops int) { p.ComputeEach(flops, 1) }
+
+// ComputeEach is n calls of Compute(flops): n separate clock additions
+// (floating-point addition does not associate, so one charge of n·flops
+// would not land on the same virtual time) and, under a trace, n compute
+// events. A compiled loop charges all its cells with one call.
+func (p *Proc) ComputeEach(flops, n int) {
+	if flops <= 0 || n <= 0 {
 		return
 	}
-	start := p.clock
-	p.clock += float64(flops) * p.m.cost.FlopTime
-	p.stats.Flops += int64(flops)
-	p.emit(Event{Proc: p.rank, Kind: EvCompute, Start: start, End: p.clock, Peer: -1})
+	d := float64(flops) * p.m.cost.FlopTime
+	p.stats.Flops += int64(flops) * int64(n)
+	if p.m.sink == nil {
+		clock := p.clock
+		for ; n > 0; n-- {
+			clock += d
+		}
+		p.clock = clock
+		return
+	}
+	for ; n > 0; n-- {
+		start := p.clock
+		p.clock += d
+		p.emit(Event{Proc: p.rank, Kind: EvCompute, Start: start, End: p.clock, Peer: -1})
+	}
 }
 
 // Send transmits a copy of data to processor dst under the given tag. The
