@@ -70,6 +70,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -189,9 +190,8 @@ func run() int {
 		return 0
 	}
 
-	suite := experiments.Suite()
 	if *list {
-		for _, e := range suite {
+		for _, e := range experiments.Suite() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
 		return 0
@@ -200,17 +200,7 @@ func run() int {
 	for _, arg := range flag.Args() {
 		want[strings.ToUpper(arg)] = true
 	}
-	ran := 0
-	for _, e := range suite {
-		if len(want) > 0 && !want[e.ID] {
-			continue
-		}
-		// Selection filters the index before running, so asking for one
-		// experiment pays for one experiment.
-		fmt.Println(experiments.Render(e.Run()))
-		ran++
-	}
-	if ran == 0 {
+	if writeTranscript(os.Stdout, want) == 0 {
 		fmt.Fprintf(os.Stderr, "kfbench: no experiments matched %v\n", flag.Args())
 		return 1
 	}
@@ -226,6 +216,21 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// writeTranscript runs the selected experiments (every one when want is
+// empty) in index order, prints each report to w, and returns how many ran.
+// Selection filters the index before running, so asking for one experiment
+// pays for one experiment.
+func writeTranscript(w io.Writer, want map[string]bool) (ran int) {
+	for _, e := range experiments.Suite() {
+		if len(want) > 0 && !want[e.ID] {
+			continue
+		}
+		fmt.Fprintln(w, experiments.Render(e.Run()))
+		ran++
+	}
+	return ran
 }
 
 // writeMemProfile records an up-to-date allocation profile at path.
