@@ -442,10 +442,16 @@ func (t *ChaosTransport) transmitLocked(sid streamID, st *chaosStream, data []fl
 		arrival += extra
 		t.rep.Brownouts++
 	}
+	// The duplicate is copied before the first forward: from then on the
+	// base owns data (the ipc transport returns it to the buffer pool).
+	var dup []float64
+	dupped := pr.dup > 0 && pr.next() < pr.dup
+	if dupped {
+		dup = append([]float64(nil), data...)
+	}
 	t.forwardLocked(sid, st, data, arrival)
-	if pr.dup > 0 && pr.next() < pr.dup {
-		cp := append([]float64(nil), data...)
-		pos := t.forwardLocked(sid, st, cp, arrival)
+	if dupped {
+		pos := t.forwardLocked(sid, st, dup, arrival)
 		st.dups = append(st.dups, pos)
 		t.rep.Dups++
 	}

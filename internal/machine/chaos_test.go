@@ -146,6 +146,57 @@ func TestChaosDupAbsorptionExactlyOnce(t *testing.T) {
 	}
 }
 
+// scribblingTransport is a base that owns a payload once Send takes it, as
+// the ipc transport does: it records what it was handed, delivers a copy and
+// overwrites the original, as a buffer returned to the pool and reused would
+// be.
+type scribblingTransport struct {
+	*SharedTransport
+	handed [][]float64 // what each Send was given, copied on entry
+}
+
+func (s *scribblingTransport) Send(src, dst int, tag Tag, data []float64, arrival float64) {
+	cp := append([]float64(nil), data...)
+	s.handed = append(s.handed, cp) // Sends reach the base one at a time, under the chaos lock
+	for i := range data {
+		data[i] = -1
+	}
+	s.SharedTransport.Send(src, dst, tag, append([]float64(nil), cp...), arrival)
+}
+
+func TestChaosDupCopiedBeforeBaseOwnsPayload(t *testing.T) {
+	// A duplicate must carry the message's values, not whatever the base
+	// left in a buffer it already owned.
+	base := &scribblingTransport{SharedTransport: NewSharedTransport(2)}
+	ct := NewChaosTransport(base)
+	if err := ct.SetScenario(chaos.Scenario{Name: "dup", Seed: 1, Dup: 1}); err != nil {
+		t.Fatal(err)
+	}
+	m := NewWithTransport(ct, IPSC2())
+	want := []float64{1, 2, 3}
+	err := m.Run(func(p *Proc) error {
+		if p.Rank() == 0 {
+			p.Send(1, Tag(7), append([]float64(nil), want...))
+			return nil
+		}
+		if got := p.Recv(0, Tag(7)); !reflect.DeepEqual(got, want) {
+			t.Errorf("received %v, want %v", got, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.handed) != 2 {
+		t.Fatalf("base was handed %d payloads, want the message and its duplicate", len(base.handed))
+	}
+	for i, got := range base.handed {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("payload %d handed to the base = %v, want %v", i, got, want)
+		}
+	}
+}
+
 func TestChaosAbortPropagationWakesEveryBlockedReceiver(t *testing.T) {
 	// Drop probability 1 on one directed pair makes its message unrecoverable.
 	// When the retry budget exhausts, the whole machine must come down
