@@ -27,11 +27,11 @@
 // transport arrangements and ignore the flag.
 //
 // -executor selects, by registry name (machine.RegisterExecutor), the engine
-// driving every run: "goroutine" (the default) or "calendar" (virtual
-// processors multiplexed over a bounded worker pool in virtual-time order).
-// Values, censuses and virtual times are engine-invariant, so the reported
-// metrics must not move — running the suite this way exercises an engine
-// end to end.
+// driving every run: "goroutine" (the default; one partition per virtual
+// processor) or "calendar" (the processors multiplexed over GOMAXPROCS
+// partitions in virtual-time order). Values, censuses and virtual times are
+// engine-invariant, so the reported metrics must not move — running the
+// suite this way exercises an engine end to end.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of whatever the
 // invocation runs (experiments or -bench), for `go tool pprof`.

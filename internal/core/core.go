@@ -101,12 +101,13 @@ func Transport(name string) Option {
 }
 
 // Executor selects the engine driving every run by its registry name
-// (machine.RegisterExecutor): one goroutine per virtual processor, or
-// "calendar" (a bounded worker pool resuming runnable processors in
-// virtual-time order); future engines resolve the same way. Programs behave
-// bit-identically on every engine — the conformance battery in
-// internal/machine pins it — so the choice is purely a host-performance
-// one. Unknown names surface as errors from NewSystem.
+// (machine.RegisterExecutor): "goroutine" (one partition per virtual
+// processor, the default) or "calendar" (min(GOMAXPROCS, n) partitions
+// resuming runnable processors in virtual-time order); future engines
+// resolve the same way. Programs behave bit-identically on every engine —
+// the conformance battery in internal/machine pins it — so the choice is
+// purely a host-performance one. Unknown names surface as errors from
+// NewSystem.
 func Executor(name string) Option {
 	return func(s *Spec) error {
 		if name == "" {

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -9,39 +10,41 @@ import (
 )
 
 // Executor is the engine that drives one Machine.Run: it decides which host
-// goroutines execute the n virtual processors and in what order. The
-// reference engine ("goroutine") spawns one goroutine per processor and
-// lets the Go scheduler interleave them; the calendar engine ("calendar")
-// multiplexes the processors over a bounded worker pool, resuming runnable
-// ranks in virtual-time order from an event calendar. Programs produce
-// bit-identical values, message/byte censuses and virtual times on every
-// engine: the machine is a Kahn network — each receive names its (source,
-// tag) stream — so results are a function of the program, not of which host
-// thread ran which rank when. The conformance battery pins that identity.
+// goroutines execute the n virtual processors and in what order. There is
+// one engine, the calendar (calendarExecutor), registered under two names:
+// "goroutine", the default, gives every rank a partition of its own, so
+// every runnable rank runs at once; "calendar" multiplexes the ranks over
+// min(GOMAXPROCS, n) partitions, resuming them in virtual-time order.
+// Programs produce bit-identical values, message/byte censuses and virtual
+// times under either name and at every partition count: the machine is a
+// Kahn network — each receive names its (source, tag) stream — so results
+// are a function of the program, not of which host thread ran which rank
+// when, and any two schedules are each other's reference. The conformance
+// battery pins that identity.
 type Executor interface {
 	// Name returns the engine's registry name.
 	Name() string
 	// Execute runs body once per processor of m and returns when all of
 	// them have finished. Per-rank errors (including recovered panics,
-	// converted to errors exactly as the reference engine does) are
-	// written to errs[rank]. Execute is called with the machine already
-	// reset; it must call m.retire() as each rank's body finishes so the
-	// deadlock detector's live count stays honest.
+	// converted to errors) are written to errs[rank]. Execute is called
+	// with the machine already reset; it must publish its Parker
+	// (m.setParker) before any rank runs, and call m.retire() as each
+	// rank's body finishes so the live count stays honest.
 	Execute(m *Machine, body func(p *Proc) error, errs []error)
 }
 
-// Parker is the calendar engine's face toward the transports: when a
-// machine runs under a parking executor, a blocking wait must yield the
-// worker token instead of blocking a dedicated goroutine, and a delivery
-// must move the destination rank from parked to runnable instead of
-// signalling a condition variable. Transports reach the machine's parker
-// (if any) through parkerOf on their bound Coordinator.
+// Parker is the engine's face toward the transports, and their one blocking
+// protocol: a blocking wait (a receive with no matching message, a host
+// barrier with peers missing) parks the calling rank, yielding its worker
+// token, and a delivery or release that satisfies the wait moves the rank
+// from parked to runnable. Transports reach it through their bound
+// Coordinator's Parker method.
 //
 // The protocol is lost-wakeup safe without requiring Park and Wake to be
 // ordered: a Wake for a rank that has not parked yet is remembered as
 // pending, and that rank's next Park returns immediately. Spurious returns
 // are therefore possible and callers must re-check their wait condition in
-// a loop, exactly as they would around sync.Cond.Wait.
+// a loop.
 type Parker interface {
 	// Park blocks the calling rank until a Wake (or WakeAll) aimed at it,
 	// releasing its worker token while it waits. Must be called with no
@@ -52,22 +55,20 @@ type Parker interface {
 	Wake(rank int)
 	// WakeAll wakes every parked rank and marks every non-parked rank's
 	// next Park as pending — the abort/stall-declared broadcast. Safe to
-	// call with transport locks held.
+	// call with transport locks held, and from any goroutine.
 	WakeAll()
 }
 
-// parkerHost is implemented by the machine's coordinator: transports ask it
-// for the active run's Parker (nil when the reference engine is driving).
-type parkerHost interface{ Parker() Parker }
-
-// parkerOf extracts the active Parker from a transport's bound coordinator;
-// nil with no coordinator, and nil when the current run's engine blocks on
-// condition variables (so transports fall back to cond-based waits).
+// parkerOf returns, for a waker, the Parker of the run in flight on the
+// machine bound as c. Nil — no coordinator bound, or no run in flight —
+// means there is no parked rank to wake: the next blocking call reads the
+// down flag for itself. Wakers outside the ranks (ipc readers, the watcher,
+// Abort, System.Close) call it between runs too.
 func parkerOf(c Coordinator) Parker {
-	if h, ok := c.(parkerHost); ok {
-		return h.Parker()
+	if c == nil {
+		return nil
 	}
-	return nil
+	return c.Parker()
 }
 
 // ExecutorFactory builds a fresh executor instance. Factories return a new
@@ -123,44 +124,18 @@ func ExecutorNames() []string {
 }
 
 func init() {
-	RegisterExecutor("goroutine", func() Executor { return goroutineExecutor{} })
+	RegisterExecutor("goroutine", newDefaultExecutor)
 	RegisterExecutor("calendar", func() Executor { return NewCalendarExecutor(0) })
 }
 
-// goroutineExecutor is the reference engine: one goroutine per virtual
-// processor, interleaving owned by the Go scheduler, blocking waits parked
-// on transport condition variables. It is stateless and the default.
-type goroutineExecutor struct{}
+// newDefaultExecutor returns the "goroutine" engine: the calendar with a
+// worker count above any rank count, clamped at Execute time to one
+// partition per local rank.
+func newDefaultExecutor() Executor { return newCalendar("goroutine", math.MaxInt) }
 
-func (goroutineExecutor) Name() string { return "goroutine" }
-
-func (goroutineExecutor) Execute(m *Machine, body func(p *Proc) error, errs []error) {
-	var wg sync.WaitGroup
-	wg.Add(m.hi - m.lo)
-	for i := m.lo; i < m.hi; i++ {
-		p := m.procs[i]
-		go func() {
-			defer wg.Done()
-			defer m.retire()
-			defer func() {
-				if r := recover(); r != nil {
-					if abort, ok := r.(procAbort); ok {
-						errs[p.rank] = abort.err
-						return
-					}
-					errs[p.rank] = fmt.Errorf("machine: processor %d panicked: %v", p.rank, r)
-					m.tr.Abort()
-				}
-			}()
-			errs[p.rank] = body(p)
-		}()
-	}
-	wg.Wait()
-}
-
-// calendarExecutor is the worker-pool/event-calendar engine: the n virtual
-// processors run on at most `workers` concurrently executing goroutines
-// (min(GOMAXPROCS, n) unless pinned), with execution order owned by
+// calendarExecutor is the engine: the n virtual processors run on at most
+// `workers` concurrently executing goroutines — min(GOMAXPROCS, n) for
+// "calendar", n for "goroutine", or pinned — with execution order owned by
 // virtual-time calendars instead of the host scheduler.
 //
 // The workers are themselves a processor array and the ranks are dist(block)
@@ -195,7 +170,8 @@ func (goroutineExecutor) Execute(m *Machine, body func(p *Proc) error, errs []er
 // Virtual-time order therefore holds per partition: with one worker that is
 // the whole machine, with more it is all the order there ever was, since
 // ranks on different tokens always ran unordered. Results do not care — the
-// machine is a Kahn network and the goroutine engine has no order at all.
+// machine is a Kahn network — and with one rank per partition ("goroutine")
+// there is no order at all: every runnable rank holds a token.
 //
 // Every rank is in exactly one of four states: on its partition's heap
 // (runnable, no token), granted (token held, running or about to), parked
@@ -206,24 +182,30 @@ func (goroutineExecutor) Execute(m *Machine, body func(p *Proc) error, errs []er
 // wakeup or spin would deadlock immediately, a property the conformance
 // battery's GOMAXPROCS=1 row pins.
 //
-// Stall detection moves with the engine: the coordinator's per-block
-// CheckStalled trigger is suppressed (a parked rank is a continuation, not
-// a blocked goroutine, and with k workers the blocked count crosses the
-// live count constantly). Instead the scheduler itself triggers exactly one
-// CheckStalled at each true quiescence. idle counts the partitions whose
+// Stall detection belongs to the engine: a parked rank is a continuation,
+// not a blocked goroutine, and with k workers the machine's blocked count
+// crosses its live count constantly, so the scheduler itself triggers
+// exactly one CheckStalled at each true quiescence. idle counts the partitions whose
 // token is free; it moves only under the lock of the partition that changes
 // state, so the Park or finish whose increment brings it to w saw, at that
 // instant, every token free and (by the invariant above) every calendar
 // empty — with ranks unfinished, the only state from which no send can ever
 // happen again without outside help, and that caller alone runs the check.
-// That is precisely when the goroutine engine's detector fires too (all live
-// ranks blocked), so deadlock verdicts and chaos retransmission rounds land
-// at the same program states on both engines.
+// Every live rank is then blocked, which is what the transports' stall
+// snapshot confirms, so deadlock verdicts and chaos retransmission rounds
+// land at the same program states at every partition count.
 //
 // A calendarExecutor may be reused across sequential runs (state is reset
 // per Execute) but never shared by two machines running concurrently.
 type calendarExecutor struct {
-	req int // requested worker count; 0 = min(GOMAXPROCS, n)
+	name string // registry name: "calendar" or "goroutine"
+	req  int    // requested worker count; 0 = min(GOMAXPROCS, n)
+
+	// wakeMu orders a WakeAll against the next run's setup. A WakeAll may
+	// come from outside the ranks (an abort or a stall verdict landing as a
+	// run ends) and reads the layout below, which Execute rewrites; Execute
+	// writes it and seeds the calendars under wakeMu, and WakeAll holds it.
+	wakeMu sync.Mutex
 
 	m    *Machine
 	body func(p *Proc) error
@@ -293,16 +275,15 @@ func (s *CalendarStats) add(o CalendarStats) {
 // NewCalendarExecutor returns a calendar engine running on the given number
 // of workers, one partition of the ranks each; workers <= 0 selects
 // min(GOMAXPROCS, n) at Execute time, and requests above n are clamped to n.
-func NewCalendarExecutor(workers int) *calendarExecutor {
-	e := &calendarExecutor{req: workers}
+func NewCalendarExecutor(workers int) *calendarExecutor { return newCalendar("calendar", workers) }
+
+func newCalendar(name string, workers int) *calendarExecutor {
+	e := &calendarExecutor{name: name, req: workers}
 	e.self = e
 	return e
 }
 
-func (e *calendarExecutor) Name() string { return "calendar" }
-
-// Workers returns the configured worker count (0 = GOMAXPROCS at run time).
-func (e *calendarExecutor) Workers() int { return e.req }
+func (e *calendarExecutor) Name() string { return e.name }
 
 func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []error) {
 	n := m.n
@@ -315,11 +296,10 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > nl {
-		w = nl
-	}
+	w = min(w, nl)
 	per := (nl + w - 1) / w
 	w = (nl + per - 1) / per // no partition is empty
+	e.wakeMu.Lock()
 	e.m, e.body, e.errs = m, body, errs
 	e.per, e.nl = per, nl
 	if len(e.gates) != n {
@@ -359,9 +339,10 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 		}
 		pt.mu.Unlock()
 	}
+	e.wakeMu.Unlock()
 
-	// Publish the parker before any rank goroutine exists, so transports
-	// route every blocking wait of this run through the calendar.
+	// Publish the parker before any rank goroutine exists: every blocking
+	// wait of this run parks through the calendar.
 	m.setParker(&e.self)
 
 	e.wg.Add(nl)
@@ -461,8 +442,11 @@ func (e *calendarExecutor) Wake(rank int) {
 // it cannot sleep through the shutdown. It holds every partition's lock (in
 // index order; no other path holds two) until all of them are restarted, so
 // a partition that drains at once cannot make the machine look quiescent
-// while its neighbours are still to be woken.
+// while its neighbours are still to be woken. A WakeAll that finds no run in
+// flight only marks wakes pending, which the next Execute clears.
 func (e *calendarExecutor) WakeAll() {
+	e.wakeMu.Lock()
+	defer e.wakeMu.Unlock()
 	for k := range e.parts {
 		e.parts[k].mu.Lock()
 	}

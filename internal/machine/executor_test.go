@@ -11,10 +11,12 @@ import (
 	"repro/internal/chaos"
 )
 
-// The cross-engine conformance battery: every registered execution engine
-// must drive every registered transport to bit-identical values, censuses
-// and virtual times — the machine is a Kahn network, so results are a
-// function of the program, not of which host thread ran which rank when.
+// The cross-engine conformance battery: every registered engine name — one
+// partition per rank ("goroutine"), one per worker ("calendar"), and the
+// pinned counts 1, 2, 3 and n below — must drive every registered transport
+// to bit-identical values, censuses and virtual times. The machine is a Kahn
+// network, so results are a function of the program, not of which host
+// thread ran which rank when: any two schedules are each other's reference.
 
 // setExecutorByName installs the named engine on m, failing the test on
 // resolution errors.
@@ -165,7 +167,7 @@ func TestCalendarWorkerCountsAndReuse(t *testing.T) {
 
 func TestCalendarDeadlockDetection(t *testing.T) {
 	// The quiescence-triggered stall check must reach the same deadlock
-	// verdicts as the goroutine engine's all-blocked trigger.
+	// verdicts with GOMAXPROCS partitions as with one per rank.
 	for _, tr := range []Transport{NewSharedTransport(4), NewFederatedTransport(4, 2)} {
 		m := NewWithTransport(tr, Uniform())
 		setExecutorByName(t, m, "calendar")
@@ -208,8 +210,8 @@ func TestCalendarDeadlockDetection(t *testing.T) {
 func TestCalendarPanicPropagates(t *testing.T) {
 	// Rank 0 panics; everyone else blocks on a message only rank 0 could
 	// send, so the abort raised by the recovered panic must wake them.
-	// (Rank 0 because Run reports the first error in rank order — on the
-	// reference engine too, a lower-ranked waiter's abort error would win.)
+	// (Rank 0 because Run reports the first error in rank order — under any
+	// schedule, a lower-ranked waiter's abort error would win.)
 	m := New(4, ZeroComm())
 	setExecutorByName(t, m, "calendar")
 	err := m.Run(func(p *Proc) error {

@@ -520,7 +520,7 @@ func (t *IPCTransport) stalledCheck(declare bool) bool {
 		return false
 	}
 	if !t.started.Load() {
-		return t.stallCheck(declare)
+		return t.stalled(declare)
 	}
 	if t.inFlight() != 0 {
 		return false
@@ -532,7 +532,7 @@ func (t *IPCTransport) stalledCheck(declare bool) bool {
 	if !ok {
 		return false
 	}
-	if !t.stallCheck(false) {
+	if !t.stalled(false) {
 		return false
 	}
 	t.snap2, ok = t.probeSnapshot(t.snap2[:0])
@@ -544,7 +544,7 @@ func (t *IPCTransport) stalledCheck(declare bool) bool {
 			return false
 		}
 	}
-	return t.stallCheck(declare)
+	return t.stalled(declare)
 }
 
 // probeRound sends a Probe frame to every worker and waits for every

@@ -46,12 +46,11 @@ type Machine struct {
 	blocked int        // processors currently waiting in Recv
 	live    int        // processors still executing the current Run body
 
-	// exec is the engine driving Run (goroutine-per-proc by default);
-	// parker holds the active engine's Parker while a parking engine's
-	// run is in flight (nil otherwise) — atomic because transports read
-	// it from Send/Abort/CheckStalled paths that may run on external
-	// goroutines while Run publishes or clears it — and errs is the
-	// pooled per-rank error slice reused across runs.
+	// exec is the engine driving Run ("goroutine" by default); parker
+	// holds its Parker while a run is in flight (nil between runs) —
+	// atomic because transports read it from Send/Abort/CheckStalled paths
+	// that may run on external goroutines while Run publishes or clears
+	// it — and errs is the pooled per-rank error slice reused across runs.
 	exec   Executor
 	parker atomic.Pointer[Parker]
 	errs   []error
@@ -67,24 +66,19 @@ type Machine struct {
 // coordinator implements Coordinator on behalf of its Machine.
 type coordinator struct{ m *Machine }
 
-// Blocked counts a processor parked in Recv; when every live processor is
-// parked the stall check runs. Under a parking engine the count still
-// feeds ConfirmStall, but the trigger moves to the engine's quiescence
-// detection: with k workers multiplexing n ranks, blocked >= live is the
-// steady state, not a suspicion.
+// Blocked counts a processor parked in Recv. The count feeds ConfirmStall;
+// the stall check itself is triggered by the engine's quiescence detection
+// (with k workers multiplexing n ranks, blocked >= live is the steady
+// state, not a suspicion).
 func (c *coordinator) Blocked() {
 	m := c.m
 	m.dmu.Lock()
 	m.blocked++
-	suspicious := m.parker.Load() == nil && m.blocked >= m.live
 	m.dmu.Unlock()
-	if suspicious {
-		m.tr.CheckStalled()
-	}
 }
 
-// Parker exposes the active run's parking engine to the transports (nil
-// when the reference engine is driving); see the Parker interface.
+// Parker returns the Parker of the run in flight, nil between runs; see
+// the Parker interface.
 func (c *coordinator) Parker() Parker {
 	if p := c.m.parker.Load(); p != nil {
 		return *p
@@ -116,15 +110,13 @@ func (c *coordinator) ConfirmStall() int {
 
 // RecheckStall re-runs the stall decision on behalf of a transport whose
 // delivery pipeline just drained (the IPC transport's watcher; see
-// stallRechecker): the rank whose Blocked() ran the previous check could
-// not see frames still in flight, so the drain gets another look. Unlike
-// Blocked, the trigger is not gated on the parking engine being absent —
-// under a parking engine, blocked >= live is the steady state, but the
-// transport's CheckStalled re-confirms every condition (including the
-// engine's own quiescence through ConfirmStall's counters), so a false
-// trigger is a no-op. Routing through m.tr enters at the top of the
-// transport stack: with a chaos wrapper, the recheck drives fault recovery
-// too.
+// stallRechecker): the quiescence that ran the previous check could not
+// see frames still in flight, so the drain gets another look. blocked >=
+// live is the engine's steady state, but the transport's CheckStalled
+// re-confirms every condition (including the engine's own quiescence
+// through ConfirmStall's counters), so a false trigger is a no-op. Routing
+// through m.tr enters at the top of the transport stack: with a chaos
+// wrapper, the recheck drives fault recovery too.
 func (c *coordinator) RecheckStall() {
 	m := c.m
 	m.dmu.Lock()
@@ -196,7 +188,7 @@ func NewWithTransport(t Transport, cost CostModel) *Machine {
 	if n <= 0 {
 		panic(fmt.Sprintf("machine: processor count must be positive, got %d", n))
 	}
-	m := &Machine{n: n, lo: 0, hi: n, cost: cost, tr: t, exec: goroutineExecutor{}}
+	m := &Machine{n: n, lo: 0, hi: n, cost: cost, tr: t, exec: newDefaultExecutor()}
 	if lr, ok := t.(localRanker); ok {
 		lo, hi := lr.LocalRanks()
 		if lo < 0 || hi > n || lo >= hi {
@@ -234,11 +226,12 @@ func (m *Machine) Cost() CostModel { return m.cost }
 func (m *Machine) Transport() Transport { return m.tr }
 
 // SetExecutor selects the engine driving Run (see Executor); nil restores
-// the default goroutine-per-processor engine. It must not be called while
-// a Run is in flight, and the executor must be exclusive to this machine.
+// the default, "goroutine" (one partition per processor). It must not be
+// called while a Run is in flight, and the executor must be exclusive to
+// this machine.
 func (m *Machine) SetExecutor(e Executor) {
 	if e == nil {
-		e = goroutineExecutor{}
+		e = newDefaultExecutor()
 	}
 	m.exec = e
 }
@@ -258,16 +251,17 @@ func (m *Machine) SetDirect(on bool) { m.direct = on }
 // ExecutorName returns the registry name of the engine driving Run.
 func (m *Machine) ExecutorName() string { return m.exec.Name() }
 
-// setParker publishes the active run's parking engine to the transports
-// (nil clears it); the engine owns the boxed interface, so publishing
+// setParker publishes the run's Parker to the transports (nil clears it
+// when the run ends); the engine owns the boxed interface, so publishing
 // allocates nothing. Atomic so coordinator.Parker sees a consistent value
 // from any goroutine, including transport callbacks running outside the
 // rank goroutines.
 func (m *Machine) setParker(p *Parker) { m.parker.Store(p) }
 
-// CalendarStats returns what the calendar engine's scheduler did during the
-// most recent Run — parks, wakes, grants by hand-off and from idle, summed
-// over its partitions; the zero value under the goroutine engine.
+// CalendarStats returns what the engine's scheduler did during the most
+// recent Run — parks, wakes, grants by hand-off and from idle, summed over
+// its partitions (one per processor under "goroutine"); the zero value
+// under an engine of another kind.
 func (m *Machine) CalendarStats() CalendarStats {
 	if e, ok := m.exec.(*calendarExecutor); ok {
 		return e.stats
@@ -276,8 +270,8 @@ func (m *Machine) CalendarStats() CalendarStats {
 }
 
 // Run executes body once per processor under the machine's executor — one
-// goroutine per processor on the default engine, a virtual-time-ordered
-// worker pool on the calendar engine (see SetExecutor) — and waits for all
+// partition per processor by default, min(GOMAXPROCS, n) virtual-time-
+// ordered partitions under "calendar" (see SetExecutor) — and waits for all
 // of them. It returns the first non-nil error produced by any body (by
 // rank order), or an error wrapping ErrDeadlock if the processors
 // deadlock. Clocks, counters and the transport are reset at the start of
@@ -302,10 +296,9 @@ func (m *Machine) Run(body func(p *Proc) error) error {
 			m.errs[i] = nil
 		}
 	}
-	// The engine publishes a Parker (via setParker) before spawning rank
-	// goroutines if it parks continuations; the reference engine leaves
-	// it nil.
-	m.setParker(nil)
+	// The engine publishes its Parker (via setParker) before spawning
+	// rank goroutines; clearing it afterwards tells late wakers that
+	// there is no run to wake.
 	m.exec.Execute(m, body, m.errs)
 	m.setParker(nil)
 	for _, err := range m.errs {
@@ -355,18 +348,13 @@ func (m *Machine) ProcClock(rank int) float64 { return m.procs[rank].clock }
 // local rank — reads the rest from here.
 func (m *Machine) RankErrors() []error { return m.errs }
 
-// retire marks the calling processor's body as finished and re-checks the
-// deadlock condition: processors still blocked can never be satisfied by a
-// processor that has exited. Under a parking engine the trigger is the
-// engine's quiescence detection instead (see coordinator.Blocked).
+// retire marks the calling processor's body as finished. A finish that
+// leaves every live processor blocked is a quiescence, which the engine
+// detects and checks (see coordinator.Blocked).
 func (m *Machine) retire() {
 	m.dmu.Lock()
 	m.live--
-	suspicious := m.parker.Load() == nil && m.live > 0 && m.blocked >= m.live
 	m.dmu.Unlock()
-	if suspicious {
-		m.tr.CheckStalled()
-	}
 }
 
 // procAbort carries a structured per-processor failure through the panic

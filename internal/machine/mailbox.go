@@ -44,7 +44,6 @@ type msgKey struct {
 // field and the free list all mean "none".
 type mailbox struct {
 	mu      sync.Mutex
-	cond    sync.Cond // L = &mu, set by boxSet.initBoxes; mailboxes are never copied
 	cells   []cell
 	used    uint32 // slots handed out since the last reset: refs 1..used
 	free    uint32 // head of the free-slot list
@@ -200,22 +199,19 @@ type boxSet struct {
 func (s *boxSet) initBoxes(lo, n int) {
 	s.lo = lo
 	s.boxes = make([]mailbox, n)
-	for i := range s.boxes {
-		mb := &s.boxes[i]
-		mb.cond.L = &mb.mu
-	}
 }
 
 // Down reports whether the transport has been taken down (abort, declared
 // stall, or a failure of whatever hosts it) since it was last cleared.
 func (s *boxSet) Down() bool { return s.down.Load() }
 
-// deliver places a message in dst's mailbox and wakes dst if it is waiting
-// for exactly this stream — through the machine's Parker when a parking
-// engine is driving (moving dst from parked to runnable on the calendar),
-// through the mailbox condition variable otherwise. Only the destination's
-// mailbox lock is taken, so concurrent deliveries to different receivers
-// proceed in parallel. It reports whether it woke the owner.
+// deliver places a message in dst's mailbox and, if dst is waiting for
+// exactly this stream, wakes it through the machine's Parker (moving dst
+// from parked to runnable on its calendar). A waiting owner means a run in
+// flight that cannot end before this wake: dst leaves its receive only under
+// the mailbox lock held here. Only the destination's mailbox lock is taken,
+// so concurrent deliveries to different receivers proceed in parallel. It
+// reports whether it woke the owner.
 func (s *boxSet) deliver(src, dst int, tag Tag, data []float64, arrival float64) bool {
 	mb := &s.boxes[dst-s.lo]
 	k := msgKey{src: src, tag: tag}
@@ -223,18 +219,15 @@ func (s *boxSet) deliver(src, dst int, tag Tag, data []float64, arrival float64)
 	mb.putLocked(k, message{data: data, arrival: arrival})
 	woke := mb.waiting && mb.await == k
 	if woke {
-		if pk := parkerOf(s.coord); pk != nil {
-			pk.Wake(dst)
-		} else {
-			mb.cond.Signal()
-		}
+		s.coord.Parker().Wake(dst)
 	}
 	mb.mu.Unlock()
 	return woke
 }
 
 // Recv blocks the calling endpoint until a message matching (src, tag) is
-// available in dst's mailbox, then returns it. ok is false if the transport
+// available in dst's mailbox, then returns it, parking the calling rank
+// through the machine's Parker while it waits. ok is false if the transport
 // went down (deadlock or abort) while waiting.
 func (s *boxSet) Recv(dst, src int, tag Tag) ([]float64, float64, bool) {
 	mb := &s.boxes[dst-s.lo]
@@ -256,33 +249,23 @@ func (s *boxSet) Recv(dst, src int, tag Tag) ([]float64, float64, bool) {
 	mb.waiting = true
 	mb.mu.Unlock()
 
-	if s.coord != nil {
-		s.coord.Blocked()
-	}
-
-	pk := parkerOf(s.coord)
+	s.coord.Blocked()
+	pk := s.coord.Parker()
 	mb.mu.Lock()
 	for {
 		msg, ok := mb.takeLocked(k)
 		if ok || s.down.Load() {
 			mb.waiting = false
 			mb.mu.Unlock()
-			if s.coord != nil {
-				s.coord.Unblocked()
-			}
+			s.coord.Unblocked()
 			return msg.data, msg.arrival, ok
 		}
-		if pk != nil {
-			// Park the rank's continuation with no locks held; a Wake
-			// that raced ahead (the message arrived between the checks
-			// above and here) returns immediately, and the loop
-			// re-checks either way.
-			mb.mu.Unlock()
-			pk.Park(dst)
-			mb.mu.Lock()
-		} else {
-			mb.cond.Wait()
-		}
+		// Park the rank's continuation with no locks held; a Wake that
+		// raced ahead (the message arrived between the checks above and
+		// here) returns immediately, and the loop re-checks either way.
+		mb.mu.Unlock()
+		pk.Park(dst)
+		mb.mu.Lock()
 	}
 }
 
@@ -341,22 +324,17 @@ func (s *boxSet) stalled(declare bool) bool {
 	return stalled
 }
 
-// takeDown marks the set down and wakes every blocked receiver and parked
-// rank; their calls return ok=false.
+// takeDown marks the set down and wakes every parked rank — receivers and
+// barrier waiters alike; their calls return ok=false.
 func (s *boxSet) takeDown() {
 	s.down.Store(true)
 	s.wakeAll()
 }
 
-// wakeAll wakes every receiver waiting on a mailbox condition variable and
-// every rank parked through the engine, after the down flag is set.
+// wakeAll wakes every rank parked through the engine, after the down flag
+// is set. With no run in flight there is none: the next blocking call reads
+// the flag itself.
 func (s *boxSet) wakeAll() {
-	for i := range s.boxes {
-		mb := &s.boxes[i]
-		mb.mu.Lock()
-		mb.cond.Broadcast()
-		mb.mu.Unlock()
-	}
 	if pk := parkerOf(s.coord); pk != nil {
 		pk.WakeAll()
 	}
@@ -388,13 +366,14 @@ func (p *localPlane) initPlane(n int) {
 		panic(fmt.Sprintf("machine: transport endpoint count must be positive, got %d", n))
 	}
 	p.initBoxes(0, n)
-	p.bar.init(n)
+	p.bar.size = n
 }
 
 // Size returns the number of endpoints.
 func (p *localPlane) Size() int { return len(p.boxes) }
 
-// Bind installs the machine's coordinator (nil for standalone use).
+// Bind installs the machine's coordinator (nil for a transport that never
+// blocks; see Transport.Bind).
 func (p *localPlane) Bind(c Coordinator) { p.coord = c }
 
 // Barrier parks the calling endpoint until all endpoints arrive.
@@ -402,7 +381,7 @@ func (p *localPlane) Barrier(rank int) bool {
 	if rank < 0 || rank >= len(p.boxes) {
 		panic(fmt.Sprintf("machine: barrier from invalid rank %d", rank))
 	}
-	return p.bar.await(rank, &p.down, parkerOf(p.coord))
+	return p.bar.await(rank, &p.down, p.coord.Parker())
 }
 
 // Reset clears all mailboxes, the barrier and the down flag, keeping
@@ -414,31 +393,18 @@ func (p *localPlane) Reset() {
 
 // Abort marks the transport down and wakes every blocked receiver and
 // barrier waiter.
-func (p *localPlane) Abort() {
-	p.takeDown()
-	p.bar.wake()
-}
+func (p *localPlane) Abort() { p.takeDown() }
 
 // CheckStalled flags a deadlock — marks the transport down, wakes everyone
 // and returns true — when every live processor is blocked with nothing
 // matching pending; see boxSet.stalled.
-func (p *localPlane) CheckStalled() bool { return p.stallCheck(true) }
+func (p *localPlane) CheckStalled() bool { return p.stalled(true) }
 
 // probeStalled evaluates the full stall condition without declaring the
 // transport down or waking anyone — the non-destructive confirmation the
 // chaos layer uses to distinguish "stalled on a lost message" from a true
 // deadlock before deciding between retransmission and declaration.
-func (p *localPlane) probeStalled() bool { return p.stallCheck(false) }
-
-// stallCheck is the core's snapshot plus the barrier wakeup a declared stall
-// owes the plane's barrier waiters.
-func (p *localPlane) stallCheck(declare bool) bool {
-	stalled := p.stalled(declare)
-	if stalled && declare {
-		p.bar.wake()
-	}
-	return stalled
-}
+func (p *localPlane) probeStalled() bool { return p.stalled(false) }
 
 // SharedTransport is the single-machine message substrate: the local plane
 // and nothing else — one individually locked mailbox per receiving

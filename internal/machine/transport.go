@@ -22,7 +22,7 @@ import (
 //
 // The bundled transports are configurations of one mailbox core (mailbox.go,
 // federated.go). boxSet owns a per-rank mailbox array over a rank window,
-// the bound Coordinator and the down flag: deliver-and-wake, the park-aware
+// the bound Coordinator and the down flag: deliver-and-wake, the parking
 // receive loop, the all-locks stall snapshot, clearing and take-down.
 // linkSet owns the node partition, the per-directed-node-pair traffic census
 // and per-link message pricing. localPlane is a boxSet over the whole
@@ -104,15 +104,23 @@ type Transport interface {
 	CheckStalled() bool
 
 	// Bind installs the machine's coordinator. It is called once, before
-	// any traffic; nil is legal for standalone (testing) use.
+	// any traffic. A transport with none bound (nil) can be sent through,
+	// drained, aborted and reset, but cannot block: every blocking wait
+	// parks through the coordinator's Parker.
 	Bind(c Coordinator)
 }
 
-// Coordinator is the owning machine's face toward its transport: the
-// callbacks a Transport must invoke around blocking waits so parked
-// processors can be counted for deadlock detection. Machine implements it
-// without per-call allocation; a standalone transport may run with none.
+// Coordinator is the owning machine's face toward its transport: the engine
+// every blocking wait parks through, and the callbacks a Transport must
+// invoke around blocking waits so parked processors can be counted for
+// deadlock detection. Machine implements it without per-call allocation. A
+// transport blocks only under a machine: with no coordinator it has no
+// Parker to block with.
 type Coordinator interface {
+	// Parker returns the Parker of the run in flight: ranks park through
+	// it, and deliveries and releases wake them through it. Nil between
+	// runs, when there is no rank to wake.
+	Parker() Parker
 	// Blocked is called after a receiver has published the stream it is
 	// waiting for, before it parks. No transport locks are held.
 	Blocked()
@@ -129,15 +137,13 @@ type Coordinator interface {
 // transports. It synchronizes host goroutines, not virtual clocks.
 type hostBarrier struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	size    int
 	arrived int
 	gen     uint64
-	// waiters lists the ranks parked through a Parker on the current
-	// generation; the releasing arrival wakes each one. Under a parking
-	// engine a barrier waiter must yield its worker token — with one
-	// worker, a cond-blocked waiter would hold the only token and no
-	// later endpoint could ever arrive.
+	// waiters lists the ranks parked on the current generation; the
+	// releasing arrival wakes each one. A waiter yields its worker token —
+	// with one worker, a waiter holding it would leave no later endpoint
+	// able to arrive.
 	waiters []int
 	// onRelease, when set, is invoked by the releasing arrival with the
 	// new generation, under the barrier lock — the hook a networked
@@ -146,16 +152,9 @@ type hostBarrier struct {
 	onRelease func(gen uint64)
 }
 
-func (b *hostBarrier) init(size int) {
-	b.size = size
-	b.cond = sync.NewCond(&b.mu)
-}
-
-// await parks the caller until all size endpoints have arrived, reporting
-// false if down was raised while waiting. With a non-nil Parker the wait
-// parks through the engine (releasing the worker token) instead of the
-// condition variable; the down path needs no barrier-local wakeup because
-// whatever raised down broadcasts a WakeAll.
+// await parks the caller through pk until all size endpoints have arrived,
+// reporting false if down was raised while waiting. The down path needs no
+// barrier-local wakeup: whatever raised down broadcasts a WakeAll.
 func (b *hostBarrier) await(rank int, down *atomic.Bool, pk Parker) bool {
 	b.mu.Lock()
 	if down.Load() {
@@ -170,7 +169,6 @@ func (b *hostBarrier) await(rank int, down *atomic.Bool, pk Parker) bool {
 		if b.onRelease != nil {
 			b.onRelease(b.gen)
 		}
-		b.cond.Broadcast()
 		// Waking under b.mu keeps this generation's waiter list intact:
 		// a woken rank cannot re-enter await (and append to waiters)
 		// until this unlock.
@@ -181,29 +179,15 @@ func (b *hostBarrier) await(rank int, down *atomic.Bool, pk Parker) bool {
 		b.mu.Unlock()
 		return true
 	}
-	if pk == nil {
-		for b.gen == gen && !down.Load() {
-			b.cond.Wait()
-		}
-		b.mu.Unlock()
-		return b.gen != gen
-	}
 	b.waiters = append(b.waiters, rank)
 	for b.gen == gen && !down.Load() {
 		b.mu.Unlock()
 		pk.Park(rank)
 		b.mu.Lock()
 	}
+	released := b.gen != gen
 	b.mu.Unlock()
-	return b.gen != gen
-}
-
-// wake releases barrier waiters after the down flag is set (parked waiters
-// are woken by the abort/stall WakeAll broadcast).
-func (b *hostBarrier) wake() {
-	b.mu.Lock()
-	b.cond.Broadcast()
-	b.mu.Unlock()
+	return released
 }
 
 // reset clears arrival state (waiters from an aborted Run have all exited

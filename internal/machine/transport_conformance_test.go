@@ -3,7 +3,6 @@ package machine
 import (
 	"errors"
 	"io"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -142,26 +141,24 @@ func TestConformanceBarrier(t *testing.T) {
 	// entered it, across repeated reusable generations.
 	const n, gens = 8, 5
 	forEachTransport(t, n, func(t *testing.T, tr Transport) {
-		tr.Bind(nil)
 		var entered [gens]atomic.Int32
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for rank := 0; rank < n; rank++ {
-			go func(rank int) {
-				defer wg.Done()
-				for g := 0; g < gens; g++ {
-					entered[g].Add(1)
-					if !tr.Barrier(rank) {
-						t.Errorf("rank %d: barrier gen %d reported down", rank, g)
-						return
-					}
-					if got := entered[g].Load(); got != n {
-						t.Errorf("rank %d left barrier gen %d with %d/%d entered", rank, g, got, n)
-					}
+		err := NewWithTransport(tr, Uniform()).Run(func(p *Proc) error {
+			rank := p.Rank()
+			for g := 0; g < gens; g++ {
+				entered[g].Add(1)
+				if !tr.Barrier(rank) {
+					t.Errorf("rank %d: barrier gen %d reported down", rank, g)
+					return nil
 				}
-			}(rank)
+				if got := entered[g].Load(); got != n {
+					t.Errorf("rank %d left barrier gen %d with %d/%d entered", rank, g, got, n)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		wg.Wait()
 	})
 }
 
@@ -227,30 +224,38 @@ func TestConformanceDeadlockDetection(t *testing.T) {
 }
 
 func TestConformanceAbortUnblocksReceiversAndBarrier(t *testing.T) {
+	// An Abort from outside the ranks — a host goroutine, as the ipc
+	// watcher or System.Close would be — wakes a rank parked in Recv and one
+	// parked in Barrier, and both calls report down. Ranks 1 and 3 return at
+	// once, so nothing is left to send and no barrier can complete; the
+	// barrier waiter is not counted as blocked, so no stall is declared.
 	forEachTransport(t, 4, func(t *testing.T, tr Transport) {
-		tr.Bind(nil)
-		tr.Reset()
-		var wg sync.WaitGroup
-		wg.Add(2)
+		m := NewWithTransport(tr, Uniform())
 		started := make(chan struct{}, 2)
+		done := make(chan error, 1)
 		go func() {
-			defer wg.Done()
-			started <- struct{}{}
-			if _, _, ok := tr.Recv(0, 1, TagOf(5)); ok {
-				t.Error("Recv succeeded after abort")
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			started <- struct{}{}
-			if tr.Barrier(2) {
-				t.Error("Barrier succeeded after abort")
-			}
+			done <- m.Run(func(p *Proc) error {
+				switch p.Rank() {
+				case 0:
+					started <- struct{}{}
+					if _, _, ok := tr.Recv(0, 1, TagOf(5)); ok {
+						t.Error("Recv succeeded after abort")
+					}
+				case 2:
+					started <- struct{}{}
+					if tr.Barrier(2) {
+						t.Error("Barrier succeeded after abort")
+					}
+				}
+				return nil
+			})
 		}()
 		<-started
 		<-started
 		tr.Abort()
-		wg.Wait()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 		if !tr.Down() {
 			t.Fatal("transport not down after Abort")
 		}

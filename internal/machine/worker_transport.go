@@ -41,13 +41,13 @@ type workerIO interface {
 // start-of-run Reset must not discard inter-node frames a faster peer
 // sent before this node's ranks started; the between-runs rewind happens
 // in rebind, before the worker installs the run. Stall handling is split:
-// the local quiescence triggers (executor quiescence, blocked-count
-// crossings) call CheckStalled here, which never declares anything — a
-// single node cannot distinguish "deadlocked" from "waiting on a frame
-// another node has yet to send" — but has the worker report the node's
-// state to the coordinator (once per distinct state). The coordinator
-// matches the nodes' reports into a global quiescent cut, confirms it with
-// a probe round and broadcasts the verdict back, which lands here as
+// the engine's local quiescence trigger calls CheckStalled here, which
+// never declares anything — a single node cannot distinguish "deadlocked"
+// from "waiting on a frame another node has yet to send" — but has the
+// worker report the node's state to the coordinator (once per distinct
+// state). The coordinator matches the nodes' reports into a global
+// quiescent cut, confirms it with a probe round and broadcasts the verdict
+// back, which lands here as
 // declareStall (unwinding blocked ranks with the exact deadlock cause the
 // single-process transports produce) or hostDown with a reason.
 type WorkerTransport struct {
@@ -69,11 +69,10 @@ type WorkerTransport struct {
 	// and the waiters park until the coordinator (having heard the same
 	// from every node) releases the generation via releaseBarrier.
 	bmu      sync.Mutex
-	bcond    *sync.Cond
 	arrived  int
 	localGen uint64 // generations fully arrived locally (announced)
 	released uint64 // generations released by the coordinator
-	waiters  []int  // ranks parked through a Parker on the current generation
+	waiters  []int  // ranks parked on the current generation
 }
 
 // newWorkerTransport wires a transport for one node's window of an n-rank,
@@ -95,7 +94,6 @@ func newWorkerTransport(host workerIO, node, n, nnodes int, gen uint64) (*Worker
 		host:    host,
 	}
 	t.initBoxes(node*perNode, perNode)
-	t.bcond = sync.NewCond(&t.bmu)
 	return t, nil
 }
 
@@ -230,17 +228,13 @@ func (t *WorkerTransport) Barrier(rank int) bool {
 	} else {
 		g = t.localGen + 1
 	}
-	pk := parkerOf(t.coord)
-	if pk != nil && t.released < g {
+	if t.released < g {
+		pk := t.coord.Parker()
 		t.waiters = append(t.waiters, rank)
-	}
-	for t.released < g && !t.down.Load() {
-		if pk != nil {
+		for t.released < g && !t.down.Load() {
 			t.bmu.Unlock()
 			pk.Park(rank)
 			t.bmu.Lock()
-		} else {
-			t.bcond.Wait()
 		}
 	}
 	ok := t.released >= g
@@ -250,13 +244,13 @@ func (t *WorkerTransport) Barrier(rank int) bool {
 
 // releaseBarrier applies the coordinator's release of host-barrier
 // generation g (every node announced it); called from the worker's read
-// loop.
+// loop. Waiters left behind by a run that went down are not woken once the
+// run has ended (there is no Parker); rebind forgets them.
 func (t *WorkerTransport) releaseBarrier(g uint64) {
 	t.bmu.Lock()
 	if g > t.released {
 		t.released = g
 	}
-	t.bcond.Broadcast()
 	if pk := parkerOf(t.coord); pk != nil {
 		// Waking under bmu keeps the waiter list intact: a woken rank
 		// cannot re-enter Barrier (and append again) until the unlock.
@@ -295,15 +289,10 @@ func (t *WorkerTransport) rebind(gen uint64) {
 // belong to the coordinator's reset protocol plus rebind.
 func (t *WorkerTransport) Reset() {}
 
-// Abort marks the transport down and wakes every blocked receiver, barrier
-// waiter and parked rank. It is local to this node: the coordinator learns
-// of the run's failure from the rank errors in the RankResult frames.
-func (t *WorkerTransport) Abort() {
-	t.takeDown()
-	t.bmu.Lock()
-	t.bcond.Broadcast()
-	t.bmu.Unlock()
-}
+// Abort marks the transport down and wakes every parked rank, receivers
+// and barrier waiters alike. It is local to this node: the coordinator
+// learns of the run's failure from the rank errors in the RankResult frames.
+func (t *WorkerTransport) Abort() { t.takeDown() }
 
 // hostDown takes the run down on the coordinator's order with a structured
 // reason (worker-side of IPCTransport's abort broadcast); first reason

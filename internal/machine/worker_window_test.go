@@ -321,34 +321,35 @@ func TestWindowBarrierRejectsRankOutsideWindow(t *testing.T) {
 }
 
 func TestWindowAbortUnblocksReceiversAndBarrier(t *testing.T) {
-	// TestConformanceAbortUnblocksReceiversAndBarrier on the upper window
-	// of a standalone transport; rebind, not Reset, is what rewinds it.
-	tr, err := newWorkerTransport(&loopIO{f: &loopFleet{}}, 1, 8, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Bind(nil)
-	var wg sync.WaitGroup
-	wg.Add(2)
+	// TestConformanceAbortUnblocksReceiversAndBarrier on the upper window,
+	// node 1's machine running alone; rebind, not Reset, is what rewinds it.
+	f := newLoopFleet(t, 8, 2, "goroutine", Uniform())
+	tr, m := f.trs[1], f.ms[1]
 	started := make(chan struct{}, 2)
+	done := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		started <- struct{}{}
-		if _, _, ok := tr.Recv(4, 1, TagOf(5)); ok {
-			t.Error("Recv succeeded after abort")
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		started <- struct{}{}
-		if tr.Barrier(6) {
-			t.Error("Barrier succeeded after abort")
-		}
+		done <- m.Run(func(p *Proc) error {
+			switch p.Rank() {
+			case 4:
+				started <- struct{}{}
+				if _, _, ok := tr.Recv(4, 1, TagOf(5)); ok {
+					t.Error("Recv succeeded after abort")
+				}
+			case 6:
+				started <- struct{}{}
+				if tr.Barrier(6) {
+					t.Error("Barrier succeeded after abort")
+				}
+			}
+			return nil
+		})
 	}()
 	<-started
 	<-started
 	tr.Abort()
-	wg.Wait()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 	if !tr.Down() {
 		t.Fatal("transport not down after Abort")
 	}
