@@ -30,12 +30,6 @@ var update = flag.Bool("update", false, "rewrite testdata/kfbench.golden from th
 
 const goldenPath = "testdata/kfbench.golden"
 
-// goldenHeader is the golden file's first line: the architecture its bits
-// belong to.
-func goldenHeader(goarch string) string {
-	return "# kfbench transcript, GOARCH=" + goarch + "; rewrite with: go test ./cmd/kfbench -run TestGoldenTranscript -update\n"
-}
-
 func TestGoldenTranscript(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole experiment suite six times")
@@ -51,7 +45,8 @@ func TestGoldenTranscript(t *testing.T) {
 		{"ipc4/goroutine", core.Spec{Transport: "ipc", Nodes: 4, Executor: "goroutine"}},
 		{"ipc4/calendar", core.Spec{Transport: "ipc", Nodes: 4, Executor: "calendar"}},
 	}
-	header := goldenHeader(runtime.GOARCH)
+	// The first line records the architecture the bits belong to.
+	header := "# kfbench transcript, GOARCH=" + runtime.GOARCH + "; rewrite with: go test ./cmd/kfbench -run TestGoldenTranscript -update\n"
 	var want string
 	if !*update {
 		raw, err := os.ReadFile(goldenPath)

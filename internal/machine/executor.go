@@ -185,12 +185,13 @@ func newDefaultExecutor() Executor { return newCalendar("goroutine", math.MaxInt
 // Stall detection belongs to the engine: a parked rank is a continuation,
 // not a blocked goroutine, and with k workers the machine's blocked count
 // crosses its live count constantly, so the scheduler itself triggers
-// exactly one CheckStalled at each true quiescence. idle counts the partitions whose
-// token is free; it moves only under the lock of the partition that changes
-// state, so the Park or finish whose increment brings it to w saw, at that
-// instant, every token free and (by the invariant above) every calendar
-// empty — with ranks unfinished, the only state from which no send can ever
-// happen again without outside help, and that caller alone runs the check.
+// exactly one CheckStalled at each true quiescence. idle counts the
+// partitions whose token is free; it moves only under the lock of the
+// partition that changes state, so the Park or finish whose increment
+// brings it to w saw, at that instant, every token free and (by the
+// invariant above) every calendar empty — with ranks unfinished, the only
+// state from which no send can ever happen again without outside help, and
+// that caller alone runs the check.
 // Every live rank is then blocked, which is what the transports' stall
 // snapshot confirms, so deadlock verdicts and chaos retransmission rounds
 // land at the same program states at every partition count.
