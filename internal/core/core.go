@@ -259,16 +259,20 @@ func (s *System) RunCount() int64 { return s.runs.Load() }
 // hit metrics in internal/serve are counted off this.
 func (s *System) Warmed() bool { return s.runs.Load() > 0 }
 
-// Close releases any external resources the system's transport holds —
-// for the cross-process "ipc" transport that means shutting down its
-// worker processes and removing the socket directory. Transports without
-// external state (shared, federated) make this a no-op, so callers can
-// defer a Close on every system unconditionally. Idempotent.
+// Close ends the goroutines the machine keeps for its ranks between runs
+// (machine.Machine.Close) and releases any external resources the system's
+// transport holds — for the cross-process "ipc" transport that means
+// shutting down its worker processes and removing the socket directory.
+// Callers can defer a Close on every system unconditionally; a System
+// dropped unclosed has its rank goroutines ended by the garbage collector,
+// but not its worker processes. Idempotent, and safe during a run.
 func (s *System) Close() error {
+	var err error
 	if c, ok := s.Machine.Transport().(io.Closer); ok {
-		return c.Close()
+		err = c.Close()
 	}
-	return nil
+	s.Machine.Close()
+	return err
 }
 
 // unwrapTransport sees through a chaos wrapper to the base transport, so

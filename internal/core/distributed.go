@@ -192,8 +192,10 @@ func (r *workerRun) Execute() []machine.RankResult {
 // construction, grid and transport setup and machine allocation, which is
 // what makes a warm pooled System's runs cheap on the worker side too:
 // the coordinator's reset fence already tore the cached transport down,
-// and Rebind rewinds it for the new run generation. Entries are plain
-// memory (no processes, no sockets), so eviction is just forgetting.
+// and Rebind rewinds it for the new run generation. Entries hold no
+// processes or sockets, only the sub-machine's rank goroutines, so a run
+// leaving the cache (evicted, or replaced after a failed Rebind) has its
+// machine closed.
 const workerRunCacheCap = 4
 
 type runCache struct {
@@ -220,7 +222,10 @@ func (c *runCache) put(key string, r *workerRun) {
 	if c.runs == nil {
 		c.runs = make(map[string]*workerRun)
 	}
-	if _, ok := c.runs[key]; !ok && len(c.order) >= workerRunCacheCap {
+	if old, ok := c.runs[key]; ok {
+		old.m.Close()
+	} else if !ok && len(c.order) >= workerRunCacheCap {
+		c.runs[c.order[0]].m.Close()
 		delete(c.runs, c.order[0])
 		c.order = c.order[1:]
 	}

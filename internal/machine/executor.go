@@ -25,10 +25,10 @@ type Executor interface {
 	// Name returns the engine's registry name.
 	Name() string
 	// Execute runs body once per processor of m and returns when all of
-	// them have finished. Per-rank errors (including recovered panics,
-	// converted to errors) are written to errs[rank]. Execute is called
-	// with the machine already reset; it must publish its Parker
-	// (m.setParker) before any rank runs, and call m.retire() as each
+	// them have finished. Per-rank errors (including recovered panics and
+	// runtime.Goexit, converted to errors) are written to errs[rank].
+	// Execute is called with the machine already reset; it must publish its
+	// Parker (m.setParker) before any rank runs, and call m.retire() as each
 	// rank's body finishes so the live count stays honest.
 	Execute(m *Machine, body func(p *Proc) error, errs []error)
 }
@@ -196,27 +196,42 @@ func newDefaultExecutor() Executor { return newCalendar("goroutine", math.MaxInt
 // snapshot confirms, so deadlock verdicts and chaos retransmission rounds
 // land at the same program states at every partition count.
 //
+// Like the paper's processor declaration, which lasts as long as the
+// program, a rank's goroutine lasts as long as the engine's machine: the
+// first run that executes a rank starts it, and between runs it waits on
+// its gate exactly as a parked rank does, so a warm run starts no goroutine
+// and regrows no stack. Machine.Close ends them (a later run starts them
+// again), and so does the garbage collector once an unclosed Machine is
+// dropped: between runs the engine keeps no reference to the machine.
+//
 // A calendarExecutor may be reused across sequential runs (state is reset
 // per Execute) but never shared by two machines running concurrently.
 type calendarExecutor struct {
 	name string // registry name: "calendar" or "goroutine"
 	req  int    // requested worker count; 0 = min(GOMAXPROCS, n)
 
-	// wakeMu orders a WakeAll against the next run's setup. A WakeAll may
-	// come from outside the ranks (an abort or a stall verdict landing as a
-	// run ends) and reads the layout below, which Execute rewrites; Execute
-	// writes it and seeds the calendars under wakeMu, and WakeAll holds it.
-	wakeMu sync.Mutex
+	// mu orders what reaches the engine from outside the ranks against a
+	// run's setup and end. A WakeAll (an abort or a stall verdict landing as
+	// a run ends) reads the layout below, which Execute rewrites; Close ends
+	// the rank goroutines, which Execute starts. Execute writes the layout,
+	// seeds the calendars and starts missing ranks under mu, and takes it
+	// again to mark the run over.
+	mu      sync.Mutex
+	running bool // an Execute is in flight
+	closing bool // Close arrived during the run: end the ranks when it does
 
+	// The run in flight; all nil between runs, so that the rank goroutines
+	// (which reach e) keep no dropped Machine alive.
 	m    *Machine
 	body func(p *Proc) error
 	errs []error
 	self Parker // e, boxed once: what m.parker points at during a run
 
-	parts []calPartition
-	per   int // ranks per partition: rank r belongs to parts[(r-m.lo)/per]
-	nl    int // local rank count actually executing here (m.hi - m.lo)
-	stats CalendarStats
+	parts  []calPartition
+	lo, hi int // the last run's local window
+	per    int // ranks per partition: rank r belongs to parts[(r-lo)/per]
+	nl     int // local rank count actually executing here (hi - lo)
+	stats  CalendarStats
 
 	// The two words every partition writes, on a line of their own: the
 	// fields above are read by every Park and Wake.
@@ -229,9 +244,13 @@ type calendarExecutor struct {
 	parked  []bool // r is waiting for a Wake
 	pending []bool // a Wake arrived before r's Park; next Park is a no-op
 	gates   []chan struct{}
-	loops   []func() // loops[r] runs rankLoop(r): bound once, so starting a rank allocates nothing
+	loops   []func() // loops[r] runs rankLoop(r), bound once per machine size
+	// alive[r]: r's goroutine is in rankLoop. Written under mu, or by the
+	// rank itself during a run as a Goexit ends it.
+	alive []bool
 
-	wg sync.WaitGroup
+	wg    sync.WaitGroup // ranks of the run in flight that have not finished
+	exits sync.WaitGroup // rank goroutines that have not returned
 }
 
 // calPartition is one worker's share of the machine: a contiguous block of
@@ -256,6 +275,7 @@ type calPartition struct {
 // transport goroutine — the wakes that cost a hand-over between host CPUs.
 type CalendarStats struct {
 	Partitions     int   // partitions (= tokens) the local ranks were split over
+	Starts         int   // rank goroutines the run started: the local ranks on a machine's first run, 0 on a warm one
 	Parks          int64 // Park calls that gave the token up (no wake was pending)
 	Wakes          int64 // Wake/WakeAll calls that found their rank parked
 	HandoffGrants  int64 // a Park, a finish or Execute's seeding passed its token on
@@ -300,21 +320,23 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 	w = min(w, nl)
 	per := (nl + w - 1) / w
 	w = (nl + per - 1) / per // no partition is empty
-	e.wakeMu.Lock()
-	e.m, e.body, e.errs = m, body, errs
-	e.per, e.nl = per, nl
+	e.mu.Lock()
 	if len(e.gates) != n {
+		// A machine of another size: the ranks of the last one wait on
+		// gates about to be dropped.
+		e.endRanksLocked()
 		e.gates = make([]chan struct{}, n)
+		e.alive = make([]bool, n)
 		e.loops = make([]func(), n)
-		for i := range e.gates {
-			// Capacity 1: a grant may be issued before (or after) the
-			// rank reaches its gate wait; either order delivers.
-			e.gates[i] = make(chan struct{}, 1)
+		for i := range e.loops {
 			e.loops[i] = func() { e.rankLoop(i) }
 		}
 		e.parked = make([]bool, n)
 		e.pending = make([]bool, n)
 	}
+	e.running = true
+	e.m, e.body, e.errs = m, body, errs
+	e.lo, e.hi, e.per, e.nl = m.lo, m.hi, per, nl
 	if len(e.parts) != w {
 		e.parts = make([]calPartition, w)
 	}
@@ -340,16 +362,27 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 		}
 		pt.mu.Unlock()
 	}
-	e.wakeMu.Unlock()
+	// Start the ranks that have no goroutine yet: all of them on the
+	// machine's first run, afterwards only after a Close, a Goexit or a
+	// window the engine has not run. A started rank waits for its grant.
+	for r := m.lo; r < m.hi; r++ {
+		if !e.alive[r] {
+			// Capacity 1: a grant may be issued before (or after) the
+			// rank reaches its gate wait; either order delivers.
+			e.gates[r] = make(chan struct{}, 1)
+			e.alive[r] = true
+			e.exits.Add(1)
+			go e.loops[r]()
+			e.stats.Starts++
+		}
+	}
+	e.mu.Unlock()
 
-	// Publish the parker before any rank goroutine exists: every blocking
-	// wait of this run parks through the calendar.
+	// Publish the parker before any rank is granted: every blocking wait
+	// of this run parks through the calendar.
 	m.setParker(&e.self)
 
 	e.wg.Add(nl)
-	for r := m.lo; r < m.hi; r++ {
-		go e.loops[r]()
-	}
 	for k := range e.parts {
 		pt := &e.parts[k]
 		pt.mu.Lock()
@@ -361,41 +394,90 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 	for k := range e.parts {
 		e.stats.add(e.parts[k].stats)
 	}
-	e.body, e.errs = nil, nil
+	e.mu.Lock()
+	e.m, e.body, e.errs = nil, nil, nil
+	e.running = false
+	if e.closing {
+		e.closing = false
+		e.endRanksLocked()
+	}
+	e.mu.Unlock()
 }
 
 // span returns partition k's ranks [lo, hi).
 func (e *calendarExecutor) span(k int) (lo, hi int) {
-	lo = e.m.lo + k*e.per
-	return lo, min(lo+e.per, e.m.hi)
+	lo = e.lo + k*e.per
+	return lo, min(lo+e.per, e.hi)
 }
 
 // partOf returns the partition that owns local rank r.
 func (e *calendarExecutor) partOf(r int) *calPartition {
-	return &e.parts[(r-e.m.lo)/e.per]
+	return &e.parts[(r-e.lo)/e.per]
 }
 
-// rankLoop is one virtual processor's goroutine: wait for the first token
-// grant, run the body to completion, then hand the token back.
+// rankLoop is one virtual processor's goroutine for as long as the engine
+// keeps it: wait on the gate for a run's first grant, run the body once
+// (which passes the token on), and wait again. A closed gate ends it.
 func (e *calendarExecutor) rankLoop(r int) {
-	defer e.wg.Done()
-	<-e.gates[r]
-	p := e.m.procs[r]
-	func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				if abort, ok := rec.(procAbort); ok {
-					e.errs[r] = abort.err
-					return
-				}
+	defer e.exits.Done()
+	for {
+		if _, ok := <-e.gates[r]; !ok {
+			return
+		}
+		e.runBody(r)
+	}
+}
+
+// runBody runs rank r's body for the run in flight and, however the body
+// ends — a return, a panic or runtime.Goexit — records its error, retires
+// it and passes its token on. A Goexit also ends the goroutine, once this
+// returns; the next run starts another.
+func (e *calendarExecutor) runBody(r int) {
+	returned := false
+	defer func() {
+		if rec := recover(); rec != nil {
+			if abort, ok := rec.(procAbort); ok {
+				e.errs[r] = abort.err
+			} else {
 				e.errs[r] = fmt.Errorf("machine: processor %d panicked: %v", r, rec)
 				e.m.tr.Abort()
 			}
-		}()
-		e.errs[r] = e.body(p)
+		} else if !returned {
+			e.errs[r] = fmt.Errorf("machine: processor %d called runtime.Goexit", r)
+			e.alive[r] = false
+			e.m.tr.Abort()
+		}
+		e.m.retire()
+		e.finish(r)
+		e.wg.Done()
 	}()
-	e.m.retire()
-	e.finish(r)
+	e.errs[r] = e.body(e.m.procs[r])
+	returned = true
+}
+
+// close ends the rank goroutines: at once between runs, or as the run in
+// flight ends. A later run starts them again.
+func (e *calendarExecutor) close() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.running {
+		e.closing = true
+		return
+	}
+	e.endRanksLocked()
+}
+
+// endRanksLocked closes the gate of every rank goroutine and waits for them
+// to return. Caller holds e.mu with no run in flight, so every rank is
+// waiting on its gate, or about to.
+func (e *calendarExecutor) endRanksLocked() {
+	for r, ok := range e.alive {
+		if ok {
+			close(e.gates[r])
+			e.alive[r] = false
+		}
+	}
+	e.exits.Wait()
 }
 
 // Park gives up the calling rank's token and blocks until a Wake. A wake
@@ -446,8 +528,8 @@ func (e *calendarExecutor) Wake(rank int) {
 // while its neighbours are still to be woken. A WakeAll that finds no run in
 // flight only marks wakes pending, which the next Execute clears.
 func (e *calendarExecutor) WakeAll() {
-	e.wakeMu.Lock()
-	defer e.wakeMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for k := range e.parts {
 		e.parts[k].mu.Lock()
 	}

@@ -24,6 +24,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -54,6 +55,9 @@ type Machine struct {
 	exec   Executor
 	parker atomic.Pointer[Parker]
 	errs   []error
+	// cleanup ends exec's rank goroutines once the machine is unreachable
+	// (see Close); re-armed by SetExecutor.
+	cleanup runtime.Cleanup
 
 	direct bool // see SetDirect
 
@@ -188,7 +192,8 @@ func NewWithTransport(t Transport, cost CostModel) *Machine {
 	if n <= 0 {
 		panic(fmt.Sprintf("machine: processor count must be positive, got %d", n))
 	}
-	m := &Machine{n: n, lo: 0, hi: n, cost: cost, tr: t, exec: newDefaultExecutor()}
+	m := &Machine{n: n, lo: 0, hi: n, cost: cost, tr: t}
+	m.SetExecutor(nil)
 	if lr, ok := t.(localRanker); ok {
 		lo, hi := lr.LocalRanks()
 		if lo < 0 || hi > n || lo >= hi {
@@ -226,14 +231,35 @@ func (m *Machine) Cost() CostModel { return m.cost }
 func (m *Machine) Transport() Transport { return m.tr }
 
 // SetExecutor selects the engine driving Run (see Executor); nil restores
-// the default, "goroutine" (one partition per processor). It must not be
-// called while a Run is in flight, and the executor must be exclusive to
-// this machine.
+// the default, "goroutine" (one partition per processor). The engine it
+// replaces is closed (see Close). It must not be called while a Run is in
+// flight, and the executor must be exclusive to this machine.
 func (m *Machine) SetExecutor(e Executor) {
 	if e == nil {
 		e = newDefaultExecutor()
 	}
+	if e != m.exec {
+		closeEngine(m.exec)
+	}
 	m.exec = e
+	m.cleanup.Stop()
+	m.cleanup = runtime.AddCleanup(m, closeEngine, e)
+}
+
+// Close ends the goroutines the engine keeps for the machine's ranks. A
+// rank's goroutine is started by the first Run that executes it and then
+// lives as long as the machine, waiting between runs; Close ends them at
+// once between runs, or as the run in flight ends, and a later Run starts
+// them again. A Machine that is dropped unclosed has them ended after a
+// garbage collection finds it unreachable. Close leaves the transport
+// alone, and is safe to call concurrently with a Run and with itself.
+func (m *Machine) Close() { closeEngine(m.exec) }
+
+// closeEngine ends e's rank goroutines; see Close.
+func closeEngine(e Executor) {
+	if c, ok := e.(*calendarExecutor); ok {
+		c.close()
+	}
 }
 
 // SetDirect selects how the data layer derives collective communication for
@@ -296,9 +322,9 @@ func (m *Machine) Run(body func(p *Proc) error) error {
 			m.errs[i] = nil
 		}
 	}
-	// The engine publishes its Parker (via setParker) before spawning
-	// rank goroutines; clearing it afterwards tells late wakers that
-	// there is no run to wake.
+	// The engine publishes its Parker (via setParker) before granting
+	// any rank; clearing it afterwards tells late wakers that there is no
+	// run to wake.
 	m.exec.Execute(m, body, m.errs)
 	m.setParker(nil)
 	for _, err := range m.errs {

@@ -239,7 +239,8 @@ func TestWindowAllPairsTraffic(t *testing.T) {
 func TestWindowIdenticalToShared(t *testing.T) {
 	// The conformance program over windowed machines: each node's ranks
 	// reach the values, statistics and clocks the same ranks reach on one
-	// shared machine, bit for bit — and again after a rebind.
+	// shared machine, bit for bit — and again after a rebind, on the rank
+	// goroutines the first run started.
 	const n = 8
 	ref := New(n, IPSC2())
 	wantValues, wantStats, _, err := conformanceProgram(ref)
@@ -260,6 +261,13 @@ func TestWindowIdenticalToShared(t *testing.T) {
 					if err != nil {
 						t.Errorf("gen %d node %d: %v", gen, node, err)
 						return
+					}
+					wantStarts := 0
+					if gen == 1 {
+						wantStarts = f.trs[node].hi - f.trs[node].lo
+					}
+					if got := m.CalendarStats().Starts; got != wantStarts {
+						t.Errorf("gen %d node %d: %d rank goroutines started, want %d", gen, node, got, wantStarts)
 					}
 					for r := f.trs[node].lo; r < f.trs[node].hi; r++ {
 						if values[r] != wantValues[r] {
