@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/machine"
 )
 
 // These are the rank-lifecycle cost pins: what a warmed System keeps
@@ -137,5 +138,35 @@ func TestWarmADIRunAllocs(t *testing.T) {
 		if allocs >= tc.budget {
 			t.Errorf("warm %s run allocates %.0f objects, want < %.0f", tc.name, allocs, tc.budget)
 		}
+	}
+}
+
+// TestCalendarOnePartitionCounts pins the scheduler's exact account of the
+// benchmark's inproc_jacobi_1024 op on one partition: with one token there
+// is one grant order, so every count below is a function of the program and
+// the calendar, not of the host. A change to how a partition hands its token
+// from rank to rank must grant the same ranks in the same order, and reads
+// the same counts.
+func TestCalendarOnePartitionCounts(t *testing.T) {
+	priced := machine.CostModel{Latency: 1e-6, BytePeriod: 1e-9}.WithInterNode(4, 8)
+	p := mustProg(t, "jacobi", 256, 4)
+	sys := mustSys(t, core.Grid(32, 32), core.Transport("federated"), core.Nodes(16), core.Cost(priced))
+	sys.Machine.SetExecutor(machine.NewCalendarExecutor(1))
+	for run := 0; run < 3; run++ {
+		if _, err := sys.RunProgram(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := machine.CalendarStats{
+		Partitions:     1,
+		Parks:          7251,
+		Wakes:          7251,
+		HandoffGrants:  8275,
+		FromIdleGrants: 0,
+		Idles:          1,
+		MaxDepth:       1024,
+	}
+	if got := sys.Machine.CalendarStats(); got != want {
+		t.Errorf("warm run on one partition: %+v, want %+v", got, want)
 	}
 }
