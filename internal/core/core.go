@@ -264,7 +264,7 @@ func (s *System) Warmed() bool { return s.runs.Load() > 0 }
 // transport holds — for the cross-process "ipc" transport that means
 // shutting down its worker processes and removing the socket directory.
 // Callers can defer a Close on every system unconditionally; a System
-// dropped unclosed has its rank goroutines ended by the garbage collector,
+// dropped unclosed has its rank continuations ended by the garbage collector,
 // but not its worker processes. Idempotent, and safe during a run.
 func (s *System) Close() error {
 	var err error

@@ -193,7 +193,7 @@ func (r *workerRun) Execute() []machine.RankResult {
 // what makes a warm pooled System's runs cheap on the worker side too:
 // the coordinator's reset fence already tore the cached transport down,
 // and Rebind rewinds it for the new run generation. Entries hold no
-// processes or sockets, only the sub-machine's rank goroutines, so a run
+// processes or sockets, only the sub-machine's partition goroutines, so a run
 // leaving the cache (evicted, or replaced after a failed Rebind) has its
 // machine closed.
 const workerRunCacheCap = 4

@@ -10,7 +10,7 @@ import (
 )
 
 // settledGoroutines collects garbage until the goroutine count stops
-// falling, and returns it: the rank goroutines of machines that earlier
+// falling, and returns it: the partition goroutines of machines that earlier
 // tests dropped end in cleanups that a collection queues.
 func settledGoroutines() int {
 	n := runtime.NumGoroutine()
@@ -27,7 +27,7 @@ func settledGoroutines() int {
 }
 
 func TestRankLifecycleSystemClose(t *testing.T) {
-	// A System's rank goroutines live between its runs, and Close ends
+	// A System's rank continuations live between its runs, and Close ends
 	// every one of them.
 	const n = 8
 	for _, tr := range []struct {
@@ -93,7 +93,7 @@ func TestRankLifecycleWorkerRunEviction(t *testing.T) {
 			want = 4
 		}
 		if got := r.m.CalendarStats().Starts; got != want {
-			t.Errorf("run %d: %d rank goroutines started, want %d", i, got, want)
+			t.Errorf("run %d: %d rank continuations started, want %d", i, got, want)
 		}
 		r.m.Close()
 	}

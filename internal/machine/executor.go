@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"runtime"
 	"sort"
@@ -29,7 +30,12 @@ type Executor interface {
 	// runtime.Goexit, converted to errors) are written to errs[rank].
 	// Execute is called with the machine already reset; it must publish its
 	// Parker (m.setParker) before any rank runs, and call m.retire() as each
-	// rank's body finishes so the live count stays honest.
+	// rank's body finishes so the live count stays honest. It may be called
+	// from a goroutine locked to its OS thread. A body must not hold
+	// runtime.LockOSThread across a blocking call (a receive with no
+	// matching message, a barrier): the calendar resumes the ranks of a
+	// partition as coroutines, and parking a thread-locked coroutine is a
+	// fatal runtime error.
 	Execute(m *Machine, body func(p *Proc) error, errs []error)
 }
 
@@ -150,15 +156,25 @@ func newDefaultExecutor() Executor { return newCalendar("goroutine", math.MaxInt
 // own messages do: a Wake takes the lock of the woken rank's partition and
 // nothing else.
 //
-// Each rank keeps its own goroutine — Go cannot snapshot a blocked
-// continuation — but a rank only executes while it holds its partition's
-// token. A rank that blocks (receive with no matching message, barrier with
-// peers missing) parks: it passes the token to the runnable rank of its
-// partition with the smallest virtual clock, or leaves the partition idle,
-// and waits on its private gate channel. Mailbox delivery and barrier
-// release move ranks from parked back onto their calendar via Wake instead
-// of signalling a dedicated goroutine; a Wake that finds the partition idle
-// grants the token on the spot.
+// The partition is the goroutine; a rank is a continuation it resumes. With
+// one rank per partition (per == 1: "goroutine", or no more ranks than
+// workers) the partition's goroutine runs that rank's body inline, and a
+// rank that blocks waits on the partition's gate. With several, each rank is
+// a coroutine (iter.Pull) — the snapshot of a blocked continuation that a
+// plain goroutine cannot take — and the partition's goroutine is the loop
+// that resumes them one after another, each to its next blocking point. A
+// rank only executes while it holds its partition's token. A rank that
+// blocks (receive with no matching message, barrier with peers missing)
+// parks: it passes the token to the runnable rank of its partition with the
+// smallest virtual clock, which its coroutine yields to the partition's
+// goroutine to resume next, or it leaves the partition idle, and the
+// goroutine waits on the gate. Mailbox delivery and barrier release move
+// ranks from parked back onto their calendar via Wake instead of signalling
+// a dedicated goroutine; a Wake that finds the partition idle grants the
+// token through the gate on the spot. A hand-off inside a partition is thus
+// two coroutine switches, with no trip through the Go scheduler. A partition
+// of one rank has no hand-off to save: every grant it gets comes from idle,
+// through the gate, where a coroutine would only add its two switches.
 //
 // A calendar is a binary min-heap whose entries are the (clock, rank) pairs
 // themselves, ordered lexicographically: a rank enters with the clock it had
@@ -197,12 +213,19 @@ func newDefaultExecutor() Executor { return newCalendar("goroutine", math.MaxInt
 // land at the same program states at every partition count.
 //
 // Like the paper's processor declaration, which lasts as long as the
-// program, a rank's goroutine lasts as long as the engine's machine: the
-// first run that executes a rank starts it, and between runs it waits on
-// its gate exactly as a parked rank does, so a warm run starts no goroutine
-// and regrows no stack. Machine.Close ends them (a later run starts them
-// again), and so does the garbage collector once an unclosed Machine is
-// dropped: between runs the engine keeps no reference to the machine.
+// program, a partition's goroutine and its ranks' coroutines last as long as
+// the engine's machine: the first run starts the goroutine, which creates
+// each coroutine the first time it resumes that rank, and between runs the
+// goroutine waits on its gate and every coroutine sits where its body
+// returned, so a warm run starts nothing and regrows no stack. Only the
+// partition's goroutine creates, resumes and stops its coroutines: a
+// coroutine may not change hands between goroutines of different OS-thread
+// locking, and the caller of Run (the ipc worker's main goroutine, say) may
+// be locked. Machine.Close closes the gates, and each goroutine stops its
+// coroutines and returns (a later run starts them again); the garbage
+// collector does the same once an unclosed Machine is dropped: between runs
+// the engine keeps no reference to the machine. A run on another layout —
+// machine size, window or ranks per partition — ends them all first.
 //
 // A calendarExecutor may be reused across sequential runs (state is reset
 // per Execute) but never shared by two machines running concurrently.
@@ -213,22 +236,23 @@ type calendarExecutor struct {
 	// mu orders what reaches the engine from outside the ranks against a
 	// run's setup and end. A WakeAll (an abort or a stall verdict landing as
 	// a run ends) reads the layout below, which Execute rewrites; Close ends
-	// the rank goroutines, which Execute starts. Execute writes the layout,
-	// seeds the calendars and starts missing ranks under mu, and takes it
-	// again to mark the run over.
+	// the partition goroutines, which Execute starts. Execute writes the
+	// layout, seeds the calendars and starts missing goroutines under mu,
+	// and takes it again to mark the run over.
 	mu      sync.Mutex
 	running bool // an Execute is in flight
-	closing bool // Close arrived during the run: end the ranks when it does
+	closing bool // Close arrived during the run: end the partitions when it does
 
-	// The run in flight; all nil between runs, so that the rank goroutines
-	// (which reach e) keep no dropped Machine alive.
+	// The run in flight; all nil between runs, so that the partition
+	// goroutines and coroutines (which reach e) keep no dropped Machine
+	// alive.
 	m    *Machine
 	body func(p *Proc) error
 	errs []error
 	self Parker // e, boxed once: what m.parker points at during a run
 
 	parts  []calPartition
-	lo, hi int // the last run's local window
+	lo, hi int // the layout's local window
 	per    int // ranks per partition: rank r belongs to parts[(r-lo)/per]
 	nl     int // local rank count actually executing here (hi - lo)
 	stats  CalendarStats
@@ -243,27 +267,50 @@ type calendarExecutor struct {
 	// Rank-indexed; a rank's entries are guarded by its partition's lock.
 	parked  []bool // r is waiting for a Wake
 	pending []bool // a Wake arrived before r's Park; next Park is a no-op
-	gates   []chan struct{}
-	loops   []func() // loops[r] runs rankLoop(r), bound once per machine size
-	// alive[r]: r's goroutine is in rankLoop. Written under mu, or by the
-	// rank itself during a run as a Goexit ends it.
-	alive []bool
+	// cos[r] is r's coroutine when per > 1 (nil otherwise); an entry is
+	// touched only by r's partition goroutine and by r itself.
+	cos []rankCo
 
 	wg    sync.WaitGroup // ranks of the run in flight that have not finished
-	exits sync.WaitGroup // rank goroutines that have not returned
+	exits sync.WaitGroup // partition goroutines that have not returned
+}
+
+// rankCo is one rank's coroutine: the iter.Pull pair its partition's
+// goroutine resumes and stops it with, and the yield through which the rank
+// hands the token back (zero until the rank is first resumed).
+type rankCo struct {
+	next  func() (int, bool)
+	stop  func()
+	yield func(int) bool
 }
 
 // calPartition is one worker's share of the machine: a contiguous block of
-// ranks, the calendar of those that are runnable, and the single token that
-// lets one of them execute. The padding keeps two partitions' locks, heap
-// headers and counters off one cache line and off one prefetched pair of
-// lines, wherever the slice happens to be aligned.
+// ranks, the calendar of those that are runnable, the single token that
+// lets one of them execute, and the goroutine that runs them. The padding
+// keeps two partitions' locks, heap headers and counters off one cache line
+// and off one prefetched pair of lines, wherever the slice happens to be
+// aligned.
 type calPartition struct {
-	mu    sync.Mutex
-	busy  bool       // the token is granted; !busy ⇒ heap is empty
-	heap  []calEntry // runnable ranks of this partition, min-heap on (clock, rank)
-	stats CalendarStats
-	_     [128]byte
+	mu     sync.Mutex
+	busy   bool       // the token is granted; !busy ⇒ heap is empty
+	inline bool       // per == 1: the goroutine runs its rank's body itself
+	lo, hi int        // the partition's ranks
+	heap   []calEntry // runnable ranks of this partition, min-heap on (clock, rank)
+	stats  CalendarStats
+	starts int // coroutines the partition's goroutine created this run
+
+	// gate carries the rank granted to an idle partition (by a Wake, or
+	// Execute's seeding); closed, it ends the goroutine. Capacity 1: at most
+	// one grant is outstanding, and it may be issued before or after the
+	// goroutine reaches its wait. alive says the goroutine exists: written
+	// under e.mu, or during a run by an inline rank that Goexits. after is
+	// where a coroutine that Goexits passed the token, for the goroutine
+	// that replaces the one its exit ends.
+	gate  chan int
+	alive bool
+	after int
+
+	_ [128]byte
 }
 
 // CalendarStats counts what the calendar engine's scheduler did during the
@@ -274,8 +321,12 @@ type calPartition struct {
 // rank's partition running, so the waker is a rank of another partition or a
 // transport goroutine — the wakes that cost a hand-over between host CPUs.
 type CalendarStats struct {
-	Partitions     int   // partitions (= tokens) the local ranks were split over
-	Starts         int   // rank goroutines the run started: the local ranks on a machine's first run, 0 on a warm one
+	Partitions int // partitions (= tokens) the local ranks were split over
+	// Starts counts the rank continuations the run created: coroutines,
+	// or partition goroutines when every partition holds one rank. Either
+	// way it is the local rank count on a machine's first run, 0 on a warm
+	// one, and 1 after one rank's runtime.Goexit.
+	Starts         int
 	Parks          int64 // Park calls that gave the token up (no wake was pending)
 	Wakes          int64 // Wake/WakeAll calls that found their rank parked
 	HandoffGrants  int64 // a Park, a finish or Execute's seeding passed its token on
@@ -321,59 +372,59 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 	per := (nl + w - 1) / w
 	w = (nl + per - 1) / per // no partition is empty
 	e.mu.Lock()
-	if len(e.gates) != n {
-		// A machine of another size: the ranks of the last one wait on
-		// gates about to be dropped.
-		e.endRanksLocked()
-		e.gates = make([]chan struct{}, n)
-		e.alive = make([]bool, n)
-		e.loops = make([]func(), n)
-		for i := range e.loops {
-			e.loops[i] = func() { e.rankLoop(i) }
-		}
+	if len(e.parked) != n || e.lo != m.lo || e.hi != m.hi || e.per != per {
+		// A layout the partitions were not cut for (which fixes w too):
+		// their goroutines and coroutines belong to slices about to be
+		// dropped.
+		e.endPartsLocked()
+		e.lo, e.hi, e.per, e.nl = m.lo, m.hi, per, nl
 		e.parked = make([]bool, n)
 		e.pending = make([]bool, n)
+		e.cos = nil
+		if per > 1 {
+			e.cos = make([]rankCo, n)
+		}
+		e.parts = make([]calPartition, w)
+		for k := range e.parts {
+			pt := &e.parts[k]
+			pt.lo = e.lo + k*per
+			pt.hi = min(pt.lo+per, e.hi)
+			pt.inline = per == 1
+		}
 	}
 	e.running = true
 	e.m, e.body, e.errs = m, body, errs
-	e.lo, e.hi, e.per, e.nl = m.lo, m.hi, per, nl
-	if len(e.parts) != w {
-		e.parts = make([]calPartition, w)
-	}
 
 	// Seed every calendar with its partition's ranks at clock zero (rank
 	// order breaks the tie). Execute holds all w tokens while it does, so
 	// nothing is idle and nothing can look quiescent before the last
 	// partition is started. Ranks outside the machine's local window (the
 	// IPC worker's remote peers) never run here: they are message
-	// endpoints, not continuations, and belong to no partition.
+	// endpoints, not continuations, and belong to no partition. A partition
+	// without a goroutine — on the machine's first run, after a Close, or
+	// after its inline rank's Goexit — gets one, which waits for its grant.
 	e.idle.Store(0)
 	e.finished.Store(0)
 	for k := range e.parts {
 		pt := &e.parts[k]
-		lo, hi := e.span(k)
 		pt.mu.Lock()
 		pt.busy = true
 		pt.heap = pt.heap[:0]
 		pt.stats = CalendarStats{}
-		for r := lo; r < hi; r++ {
+		pt.starts = 0
+		for r := pt.lo; r < pt.hi; r++ {
 			e.parked[r], e.pending[r] = false, false
 			pt.push(calEntry{clock: m.procs[r].clock, rank: int32(r)})
 		}
 		pt.mu.Unlock()
-	}
-	// Start the ranks that have no goroutine yet: all of them on the
-	// machine's first run, afterwards only after a Close, a Goexit or a
-	// window the engine has not run. A started rank waits for its grant.
-	for r := m.lo; r < m.hi; r++ {
-		if !e.alive[r] {
-			// Capacity 1: a grant may be issued before (or after) the
-			// rank reaches its gate wait; either order delivers.
-			e.gates[r] = make(chan struct{}, 1)
-			e.alive[r] = true
+		if !pt.alive {
+			pt.gate = make(chan int, 1)
+			pt.alive = true
 			e.exits.Add(1)
-			go e.loops[r]()
-			e.stats.Starts++
+			go e.partLoop(pt, -1)
+			if pt.inline {
+				e.stats.Starts++
+			}
 		}
 	}
 	e.mu.Unlock()
@@ -386,28 +437,24 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 	for k := range e.parts {
 		pt := &e.parts[k]
 		pt.mu.Lock()
-		e.passLocked(pt)
+		r, _ := e.passLocked(pt)
+		pt.gate <- r
 		pt.mu.Unlock()
 	}
 	e.wg.Wait()
 	e.stats.Partitions = w
 	for k := range e.parts {
 		e.stats.add(e.parts[k].stats)
+		e.stats.Starts += e.parts[k].starts
 	}
 	e.mu.Lock()
 	e.m, e.body, e.errs = nil, nil, nil
 	e.running = false
 	if e.closing {
 		e.closing = false
-		e.endRanksLocked()
+		e.endPartsLocked()
 	}
 	e.mu.Unlock()
-}
-
-// span returns partition k's ranks [lo, hi).
-func (e *calendarExecutor) span(k int) (lo, hi int) {
-	lo = e.lo + k*e.per
-	return lo, min(lo+e.per, e.hi)
 }
 
 // partOf returns the partition that owns local rank r.
@@ -415,26 +462,75 @@ func (e *calendarExecutor) partOf(r int) *calPartition {
 	return &e.parts[(r-e.lo)/e.per]
 }
 
-// rankLoop is one virtual processor's goroutine for as long as the engine
-// keeps it: wait on the gate for a run's first grant, run the body once
-// (which passes the token on), and wait again. A closed gate ends it.
-func (e *calendarExecutor) rankLoop(r int) {
+// partLoop is a partition's goroutine for as long as the engine keeps it.
+// Granted rank r (or, with r < 0, waiting on the gate for a grant), it runs
+// r until the token leaves r, then runs the rank the token went to, or
+// waits again if the partition fell idle. A closed gate stops the
+// partition's coroutines and ends it. Once a run's last rank has finished,
+// the wait on the gate is all a partition goroutine does: Execute may
+// already be returning.
+func (e *calendarExecutor) partLoop(pt *calPartition, r int) {
 	defer e.exits.Done()
 	for {
-		if _, ok := <-e.gates[r]; !ok {
-			return
+		if r < 0 {
+			var ok bool
+			if r, ok = <-pt.gate; !ok {
+				for i := pt.lo; i < pt.hi && !pt.inline; i++ {
+					if c := &e.cos[i]; c.stop != nil {
+						c.stop()
+						*c = rankCo{}
+					}
+				}
+				return
+			}
 		}
-		e.runBody(r)
+		if pt.inline {
+			r = e.runBody(r)
+		} else {
+			r = e.resume(pt, r)
+		}
 	}
+}
+
+// resume runs rank r's coroutine, creating it on r's first grant, until r
+// parks or finishes, and returns the rank r passed the token to (-1: the
+// partition fell idle). A Goexit in r's body ends r's coroutine and, as
+// iter.Pull re-raises it here, this goroutine too; r's exit path (runBody)
+// has passed the token on and accounted for a replacement, which this
+// starts from wherever the token went.
+func (e *calendarExecutor) resume(pt *calPartition, r int) int {
+	c := &e.cos[r]
+	if c.next == nil {
+		c.next, c.stop = iter.Pull(func(yield func(int) bool) {
+			e.cos[r].yield = yield
+			for yield(e.runBody(r)) {
+			}
+		})
+		pt.starts++
+	}
+	exited := true
+	defer func() {
+		if exited {
+			go e.partLoop(pt, pt.after)
+		}
+	}()
+	next, _ := c.next()
+	exited = false
+	return next
 }
 
 // runBody runs rank r's body for the run in flight and, however the body
 // ends — a return, a panic or runtime.Goexit — records its error, retires
-// it and passes its token on. A Goexit also ends the goroutine, once this
-// returns; the next run starts another.
-func (e *calendarExecutor) runBody(r int) {
+// it and passes its token on, returning the rank the token went to. A
+// Goexit also ends the goroutine the body runs on: an inline partition's
+// goroutine, which the next run replaces, or r's coroutine, taking its
+// partition's goroutine with it, which resume replaces at once — the
+// partition's other ranks are mid-run — and which the next resume of r
+// recreates.
+func (e *calendarExecutor) runBody(r int) (next int) {
 	returned := false
 	defer func() {
+		goexit := false
 		if rec := recover(); rec != nil {
 			if abort, ok := rec.(procAbort); ok {
 				e.errs[r] = abort.err
@@ -443,20 +539,31 @@ func (e *calendarExecutor) runBody(r int) {
 				e.m.tr.Abort()
 			}
 		} else if !returned {
+			goexit = true
 			e.errs[r] = fmt.Errorf("machine: processor %d called runtime.Goexit", r)
-			e.alive[r] = false
 			e.m.tr.Abort()
 		}
 		e.m.retire()
-		e.finish(r)
+		next = e.finish(r)
+		if goexit {
+			pt := e.partOf(r)
+			if pt.inline {
+				pt.alive = false
+			} else {
+				pt.after = next
+				e.cos[r] = rankCo{}
+				e.exits.Add(1)
+			}
+		}
 		e.wg.Done()
 	}()
 	e.errs[r] = e.body(e.m.procs[r])
 	returned = true
+	return -1 // unreachable: the deferred exit path sets next
 }
 
-// close ends the rank goroutines: at once between runs, or as the run in
-// flight ends. A later run starts them again.
+// close ends the partition goroutines and their coroutines: at once between
+// runs, or as the run in flight ends. A later run starts them again.
 func (e *calendarExecutor) close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -464,17 +571,17 @@ func (e *calendarExecutor) close() {
 		e.closing = true
 		return
 	}
-	e.endRanksLocked()
+	e.endPartsLocked()
 }
 
-// endRanksLocked closes the gate of every rank goroutine and waits for them
-// to return. Caller holds e.mu with no run in flight, so every rank is
-// waiting on its gate, or about to.
-func (e *calendarExecutor) endRanksLocked() {
-	for r, ok := range e.alive {
-		if ok {
-			close(e.gates[r])
-			e.alive[r] = false
+// endPartsLocked closes the gate of every partition goroutine and waits for
+// them to stop their coroutines and return. Caller holds e.mu with no run
+// in flight, so every goroutine is waiting on its gate, or about to.
+func (e *calendarExecutor) endPartsLocked() {
+	for k := range e.parts {
+		if pt := &e.parts[k]; pt.alive {
+			close(pt.gate)
+			pt.alive = false
 		}
 	}
 	e.exits.Wait()
@@ -494,7 +601,7 @@ func (e *calendarExecutor) Park(rank int) {
 	}
 	e.parked[rank] = true
 	pt.stats.Parks++
-	quiet := e.passLocked(pt)
+	next, quiet := e.passLocked(pt)
 	pt.mu.Unlock()
 	if quiet {
 		// This park completed a quiescence: no token is granted, so no
@@ -503,7 +610,13 @@ func (e *calendarExecutor) Park(rank int) {
 		// deadlock and wakes everyone through WakeAll).
 		e.m.tr.CheckStalled()
 	}
-	<-e.gates[rank]
+	if pt.inline {
+		<-pt.gate
+		return
+	}
+	// Hand the token's next holder to the partition's goroutine; it
+	// resumes this rank when the token comes back.
+	e.cos[rank].yield(next)
 }
 
 // Wake moves rank from parked onto its partition's calendar (keyed at its
@@ -535,8 +648,7 @@ func (e *calendarExecutor) WakeAll() {
 	}
 	for k := range e.parts {
 		pt := &e.parts[k]
-		lo, hi := e.span(k)
-		for r := lo; r < hi; r++ {
+		for r := pt.lo; r < pt.hi; r++ {
 			e.wakeLocked(pt, r)
 		}
 		e.grantIdleLocked(pt)
@@ -567,37 +679,38 @@ func (e *calendarExecutor) grantIdleLocked(pt *calPartition) {
 	pt.busy = true
 	e.idle.Add(-1)
 	pt.stats.FromIdleGrants++
-	e.gates[pt.popMin()] <- struct{}{}
+	pt.gate <- pt.popMin()
 }
 
 // passLocked disposes of pt's token on behalf of a caller that holds it (and
-// pt.mu): it goes to the partition's earliest runnable rank, or the
-// partition falls idle. It reports whether that completed a quiescence —
-// every partition idle with ranks unfinished — which obliges the caller to
-// run the stall check once it has released the lock.
-func (e *calendarExecutor) passLocked(pt *calPartition) (quiet bool) {
+// pt.mu): it goes to the partition's earliest runnable rank, which it
+// returns for the caller to hand it to, or the partition falls idle (-1).
+// It reports whether that completed a quiescence — every partition idle
+// with ranks unfinished — which obliges the caller to run the stall check
+// once it has released the lock.
+func (e *calendarExecutor) passLocked(pt *calPartition) (next int, quiet bool) {
 	if len(pt.heap) > 0 {
 		pt.stats.HandoffGrants++
-		e.gates[pt.popMin()] <- struct{}{}
-		return false
+		return pt.popMin(), false
 	}
 	pt.busy = false
 	pt.stats.Idles++
-	return int(e.idle.Add(1)) == len(e.parts) && int(e.finished.Load()) < e.nl
+	return -1, int(e.idle.Add(1)) == len(e.parts) && int(e.finished.Load()) < e.nl
 }
 
-// finish passes a completed rank's token on; like Park it triggers the
-// stall check when it completes a quiescence (ranks parked on streams only
-// a now-finished rank could have fed).
-func (e *calendarExecutor) finish(rank int) {
+// finish passes a completed rank's token on and returns the rank it went to;
+// like Park it triggers the stall check when it completes a quiescence
+// (ranks parked on streams only a now-finished rank could have fed).
+func (e *calendarExecutor) finish(rank int) int {
 	e.finished.Add(1)
 	pt := e.partOf(rank)
 	pt.mu.Lock()
-	quiet := e.passLocked(pt)
+	next, quiet := e.passLocked(pt)
 	pt.mu.Unlock()
 	if quiet {
 		e.m.tr.CheckStalled()
 	}
+	return next
 }
 
 // --- the calendar: a binary min-heap of (clock, rank) entries ------------

@@ -335,7 +335,7 @@ func (w *ipcWorker) joinMesh(ln net.Listener, network string) error {
 // run's WorkerTransport. Either way it answers the control protocol (stall
 // probes, reset fences, shutdown).
 //
-// Writes are shared between the read loop and the run's rank goroutines,
+// Writes are shared between the read loop and the run's ranks,
 // so they serialize under wmu and batch through the buffered writers: data
 // and result frames stay in the buffers and kick the flusher goroutine,
 // which pushes whatever accumulated once it gets the CPU — back-to-back

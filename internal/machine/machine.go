@@ -3,9 +3,10 @@
 // messages, in the style of the distributed-memory machines targeted by
 // Mehrotra and Van Rosendale's KF1 language constructs (ICASE 89-41).
 //
-// Each processor runs as a goroutine and carries a virtual clock advanced by
-// an explicit CostModel: computation via Compute, communication via
-// Send/Recv. Message matching is point-to-point by (source, tag), so a
+// Each processor runs as a continuation of its own — a goroutine, or a
+// coroutine of its partition's goroutine (see Executor) — and carries a
+// virtual clock advanced by an explicit CostModel: computation via Compute,
+// communication via Send/Recv. Message matching is point-to-point by (source, tag), so a
 // program's virtual-time behaviour is a deterministic function of the program
 // alone — every run of an experiment produces identical clocks, counters and
 // traces regardless of host scheduling.
@@ -55,7 +56,7 @@ type Machine struct {
 	exec   Executor
 	parker atomic.Pointer[Parker]
 	errs   []error
-	// cleanup ends exec's rank goroutines once the machine is unreachable
+	// cleanup ends exec's partition goroutines once the machine is unreachable
 	// (see Close); re-armed by SetExecutor.
 	cleanup runtime.Cleanup
 
@@ -246,16 +247,18 @@ func (m *Machine) SetExecutor(e Executor) {
 	m.cleanup = runtime.AddCleanup(m, closeEngine, e)
 }
 
-// Close ends the goroutines the engine keeps for the machine's ranks. A
-// rank's goroutine is started by the first Run that executes it and then
-// lives as long as the machine, waiting between runs; Close ends them at
-// once between runs, or as the run in flight ends, and a later Run starts
-// them again. A Machine that is dropped unclosed has them ended after a
-// garbage collection finds it unreachable. Close leaves the transport
-// alone, and is safe to call concurrently with a Run and with itself.
+// Close ends the goroutines and coroutines the engine keeps for the
+// machine's ranks. A partition's goroutine is started by the first Run and
+// its ranks' coroutines by their first resume; they then live as long as
+// the machine, waiting between runs. Close ends them at once between runs,
+// or as the run in flight ends, and a later Run starts them again. A
+// Machine that is dropped unclosed has them ended after a garbage
+// collection finds it unreachable. Close leaves the transport alone, and is
+// safe to call concurrently with a Run and with itself, and from a
+// goroutine locked to its OS thread.
 func (m *Machine) Close() { closeEngine(m.exec) }
 
-// closeEngine ends e's rank goroutines; see Close.
+// closeEngine ends e's partition goroutines and coroutines; see Close.
 func closeEngine(e Executor) {
 	if c, ok := e.(*calendarExecutor); ok {
 		c.close()
@@ -281,7 +284,7 @@ func (m *Machine) ExecutorName() string { return m.exec.Name() }
 // when the run ends); the engine owns the boxed interface, so publishing
 // allocates nothing. Atomic so coordinator.Parker sees a consistent value
 // from any goroutine, including transport callbacks running outside the
-// rank goroutines.
+// ranks.
 func (m *Machine) setParker(p *Parker) { m.parker.Store(p) }
 
 // CalendarStats returns what the engine's scheduler did during the most
@@ -305,6 +308,12 @@ func (m *Machine) CalendarStats() CalendarStats {
 //
 // A panic inside body on any processor is recovered and returned as an
 // error; the remaining processors are woken and terminated.
+//
+// Run may be called from a goroutine locked to its OS thread. A body must
+// not hold runtime.LockOSThread across a blocking call (a receive with no
+// matching message, a barrier): where a partition holds several ranks they
+// run as coroutines, and parking a thread-locked coroutine is a fatal
+// runtime error, not an error Run could return.
 func (m *Machine) Run(body func(p *Proc) error) error {
 	m.dmu.Lock()
 	m.blocked = 0

@@ -9,11 +9,13 @@ import (
 	"time"
 )
 
-// The rank lifecycle: a rank's goroutine is started by the first run that
-// executes it and then lives as long as its machine, waiting on its gate
-// between runs. CalendarStats.Starts is the exact account of it. Close ends
-// the goroutines (at once, or as the run in flight ends), a later run starts
-// them again, and the garbage collector ends those of a dropped machine.
+// The rank lifecycle: a rank's continuation — its partition's goroutine when
+// the partition holds it alone, else a coroutine of that goroutine — is
+// created by the first run that executes it and then lives as long as its
+// machine, parked between runs where its body returned. CalendarStats.Starts
+// is the exact account of it. Close ends them (at once, or as the run in
+// flight ends), a later run creates them again, and the garbage collector
+// ends those of a dropped machine.
 
 // ringRun runs a one-message ring with compute on m and returns the values
 // and clocks it leaves, failing the test on an error.
@@ -38,14 +40,25 @@ func ringRun(t *testing.T, m *Machine) (vals, clocks []float64) {
 	return vals, clocks
 }
 
-// ranksAlive counts the rank goroutines e keeps.
+// ranksAlive counts the rank continuations e keeps: the goroutines of
+// partitions that run their one rank inline, and the coroutines of the
+// others.
 func ranksAlive(e *calendarExecutor) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	alive := 0
-	for _, a := range e.alive {
-		if a {
+	for k := range e.parts {
+		pt := &e.parts[k]
+		switch {
+		case !pt.alive:
+		case pt.inline:
 			alive++
+		default:
+			for r := pt.lo; r < pt.hi; r++ {
+				if e.cos[r].next != nil {
+					alive++
+				}
+			}
 		}
 	}
 	return alive
@@ -66,21 +79,28 @@ func runWithin(t *testing.T, m *Machine, body func(p *Proc) error) error {
 	}
 }
 
+// lifecycleEngine names an engine that each subtest builds afresh.
+type lifecycleEngine struct {
+	name string
+	new  func() Executor
+}
+
+// withPinned appends to engines the calendar pinned at each worker count.
+func withPinned(engines []lifecycleEngine, workers ...int) []lifecycleEngine {
+	for _, w := range workers {
+		engines = append(engines, lifecycleEngine{fmt.Sprintf("%dworkers", w), func() Executor { return NewCalendarExecutor(w) }})
+	}
+	return engines
+}
+
 func TestRankLifecycleStarts(t *testing.T) {
 	// Both names and the pinned partition counts: the first run starts
 	// every rank, a warm run none, and a run after Close all of them again.
 	const n = 6
-	type engine struct {
-		name string
-		new  func() Executor
-	}
-	engines := []engine{
+	engines := withPinned([]lifecycleEngine{
 		{"goroutine", newDefaultExecutor},
 		{"calendar", func() Executor { return NewCalendarExecutor(0) }},
-	}
-	for _, workers := range []int{1, 2, 3, n} {
-		engines = append(engines, engine{fmt.Sprintf("%dworkers", workers), func() Executor { return NewCalendarExecutor(workers) }})
-	}
+	}, 1, 2, 3, n)
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
 			m := New(n, Uniform())
@@ -92,7 +112,7 @@ func TestRankLifecycleStarts(t *testing.T) {
 				}
 				vals, clocks := ringRun(t, m)
 				if got := m.CalendarStats().Starts; got != want {
-					t.Errorf("run %d started %d rank goroutines, want %d", run, got, want)
+					t.Errorf("run %d started %d rank continuations, want %d", run, got, want)
 				}
 				for r := range vals {
 					if vals[r] != wantVals[r] || clocks[r] != wantClocks[r] {
@@ -105,31 +125,82 @@ func TestRankLifecycleStarts(t *testing.T) {
 	}
 }
 
+// goroutinesBackTo waits for the goroutine count to fall to base, failing
+// the test if it does not: Close returns once every partition goroutine has
+// left its loop, but the last few may still be on their way out of the
+// runtime.
+func goroutinesBackTo(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for got := runtime.NumGoroutine(); got > base; got = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the machine", got, base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestRankLifecycleGoexit(t *testing.T) {
-	// Rank 0 leaves its goroutine with runtime.Goexit while the others wait
-	// for its message. That must surface as rank 0's error and abort the
-	// run, like a panic, not hang it (the token would die with the
-	// goroutine) or report success; the next run replaces the one goroutine
-	// and is bit-identical to a fresh machine's.
-	const n = 4
-	for _, name := range ExecutorNames() {
-		t.Run(name, func(t *testing.T) {
+	// A rank leaves its body with runtime.Goexit once it has parked, while
+	// the others wait for its message. That must surface as the rank's
+	// error and abort the run, like a panic, not hang it (the token would
+	// die with the goroutine) or report success. Under a partition of
+	// several ranks the exit ends the rank's coroutine mid-life, with its
+	// partition-mates parked behind it, and the partition's goroutine with
+	// it: the first, middle and last rank of a partition each exit. The
+	// next run recreates the one continuation and is bit-identical to a
+	// fresh machine's, and Close leaves no goroutine behind.
+	const n = 9
+	type goexitCase struct {
+		lifecycleEngine
+		rank int
+	}
+	cases := []goexitCase{
+		{lifecycleEngine{"goroutine", newDefaultExecutor}, 0},
+		{lifecycleEngine{"calendar", func() Executor { return NewCalendarExecutor(0) }}, 0},
+	}
+	for _, workers := range []int{1, 2, 3} {
+		per := (n + workers - 1) / workers // partition 0 is ranks [0, per)
+		for _, at := range []struct {
+			name string
+			rank int
+		}{{"first", 0}, {"middle", per / 2}, {"last", per - 1}} {
+			eng := withPinned(nil, workers)[0]
+			eng.name += "/" + at.name
+			cases = append(cases, goexitCase{eng, at.rank})
+		}
+	}
+	wantVals, wantClocks := ringRun(t, New(n, Uniform()))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
 			m := New(n, Uniform())
-			setExecutorByName(t, m, name)
+			m.SetExecutor(tc.new())
 			err := runWithin(t, m, func(p *Proc) error {
-				if p.Rank() == 0 {
+				// A chain down the ranks: every rank but the last waits
+				// for its upper neighbour, which runs after it on its
+				// partition, and the last waits for rank 0.
+				me := p.Rank()
+				if me < n-1 {
+					p.RecvValue(me+1, 1)
+				}
+				p.SendValue((me+n-1)%n, 1, float64(me))
+				if me == n-1 {
+					p.RecvValue(0, 1)
+				}
+				if me == tc.rank {
 					runtime.Goexit()
 				}
-				p.Recv(0, 9)
+				p.Recv(tc.rank, 9)
 				return nil
 			})
-			if err == nil || !strings.Contains(err.Error(), "processor 0 called runtime.Goexit") {
-				t.Fatalf("err = %v, want rank 0's Goexit", err)
+			want := fmt.Sprintf("processor %d called runtime.Goexit", tc.rank)
+			if err == nil || !strings.Contains(fmt.Sprint(m.RankErrors()[tc.rank]), want) {
+				t.Fatalf("err = %v, rank %d's %v, want its Goexit", err, tc.rank, m.RankErrors()[tc.rank])
 			}
-			wantVals, wantClocks := ringRun(t, New(n, Uniform()))
 			vals, clocks := ringRun(t, m)
 			if got := m.CalendarStats().Starts; got != 1 {
-				t.Errorf("the run after a Goexit started %d rank goroutines, want 1", got)
+				t.Errorf("the run after a Goexit started %d rank continuations, want 1", got)
 			}
 			for r := range vals {
 				if vals[r] != wantVals[r] || clocks[r] != wantClocks[r] {
@@ -137,6 +208,38 @@ func TestRankLifecycleGoexit(t *testing.T) {
 				}
 			}
 			m.Close()
+			goroutinesBackTo(t, base)
+		})
+	}
+}
+
+func TestRankLifecycleLockedCaller(t *testing.T) {
+	// The caller of Run and Close may hold its OS thread, as the ipc
+	// worker's main goroutine does while still in init. A coroutine must
+	// be switched to only by goroutines of its creator's locking, so the
+	// engine may never create, resume or stop one on the caller: Run, Run,
+	// Close, Run, Close from a locked goroutine match a fresh machine.
+	const n = 6
+	engines := withPinned([]lifecycleEngine{{"goroutine", newDefaultExecutor}}, 1, 2, 3)
+	wantVals, wantClocks := ringRun(t, New(n, Uniform()))
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			m := New(n, Uniform())
+			m.SetExecutor(eng.new())
+			for step := 0; step < 5; step++ {
+				if step == 2 || step == 4 {
+					m.Close()
+					continue
+				}
+				vals, clocks := ringRun(t, m)
+				for r := range vals {
+					if vals[r] != wantVals[r] || clocks[r] != wantClocks[r] {
+						t.Errorf("step %d rank %d: %v at %v, fresh machine %v at %v", step, r, vals[r], clocks[r], wantVals[r], wantClocks[r])
+					}
+				}
+			}
 		})
 	}
 }
@@ -180,16 +283,16 @@ func TestRankLifecycleCloseDuringRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			if alive := ranksAlive(e); alive != 0 {
-				t.Errorf("%d rank goroutines outlived a run closed in flight", alive)
+				t.Errorf("%d rank continuations outlived a run closed in flight", alive)
 			}
 			ringRun(t, m)
 			if got := m.CalendarStats().Starts; got != n {
-				t.Errorf("the run after Close started %d rank goroutines, want %d", got, n)
+				t.Errorf("the run after Close started %d rank continuations, want %d", got, n)
 			}
 			m.Close()
 			m.Close()
 			if alive := ranksAlive(e); alive != 0 {
-				t.Errorf("%d rank goroutines outlived Close", alive)
+				t.Errorf("%d rank continuations outlived Close", alive)
 			}
 		})
 	}
@@ -206,14 +309,14 @@ func TestRankLifecycleRebind(t *testing.T) {
 	big.SetExecutor(e)
 	ringRun(t, big)
 	if got := big.CalendarStats().Starts; got != 6 {
-		t.Errorf("the rebound engine started %d rank goroutines, want 6", got)
+		t.Errorf("the rebound engine started %d rank continuations, want 6", got)
 	}
 	if alive := ranksAlive(e); alive != 6 {
-		t.Errorf("%d rank goroutines alive after the rebind, want 6", alive)
+		t.Errorf("%d rank continuations alive after the rebind, want 6", alive)
 	}
 	big.SetExecutor(nil)
 	if alive := ranksAlive(e); alive != 0 {
-		t.Errorf("%d rank goroutines outlived SetExecutor replacing their engine", alive)
+		t.Errorf("%d rank continuations outlived SetExecutor replacing their engine", alive)
 	}
 }
 
@@ -229,7 +332,7 @@ func TestRankLifecycleDroppedMachine(t *testing.T) {
 				return m.exec.(*calendarExecutor)
 			}()
 			if alive := ranksAlive(e); alive != 8 {
-				t.Fatalf("%d rank goroutines alive after the run, want 8", alive)
+				t.Fatalf("%d rank continuations alive after the run, want 8", alive)
 			}
 			deadline := time.Now().Add(30 * time.Second)
 			for ranksAlive(e) != 0 {

@@ -266,7 +266,7 @@ func (t *WorkerTransport) releaseBarrier(g uint64) {
 // The fence that ended the previous run took the transport down
 // (hostDown), so the down flag, reason, mailboxes and barrier ladder all
 // rewind here. Called from the worker's read loop between the
-// coordinator's RunSpec and the run's installation — no rank goroutine is
+// coordinator's RunSpec and the run's installation — no rank is
 // live and the peer readers deliver nothing while no run is installed, so
 // nothing races the rewind, and the new generation's frames land in the
 // cleared mailboxes exactly as they would in a freshly built transport.

@@ -267,7 +267,7 @@ func TestWindowIdenticalToShared(t *testing.T) {
 						wantStarts = f.trs[node].hi - f.trs[node].lo
 					}
 					if got := m.CalendarStats().Starts; got != wantStarts {
-						t.Errorf("gen %d node %d: %d rank goroutines started, want %d", gen, node, got, wantStarts)
+						t.Errorf("gen %d node %d: %d rank continuations started, want %d", gen, node, got, wantStarts)
 					}
 					for r := f.trs[node].lo; r < f.trs[node].hi; r++ {
 						if values[r] != wantValues[r] {
