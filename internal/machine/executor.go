@@ -385,11 +385,15 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 			e.cos = make([]rankCo, n)
 		}
 		e.parts = make([]calPartition, w)
+		// A partition's calendar never holds more than its own ranks, so
+		// one backing array serves them all and push never grows one.
+		heaps := make([]calEntry, nl)
 		for k := range e.parts {
 			pt := &e.parts[k]
 			pt.lo = e.lo + k*per
 			pt.hi = min(pt.lo+per, e.hi)
 			pt.inline = per == 1
+			pt.heap = heaps[pt.lo-e.lo : pt.lo-e.lo : pt.hi-e.lo]
 		}
 	}
 	e.running = true
