@@ -1,6 +1,8 @@
 // Command kfbench runs the paper-reproduction experiment suite (figures
 // F1-F5 and claims E1-E9; -list prints the index) and prints each
 // experiment's report. See README "Running the paper's experiments".
+// Host-side timing is the bench/ package's (BENCHMARK.json), not this
+// command's.
 //
 // Usage:
 //
@@ -12,9 +14,6 @@
 //	kfbench -cpuprofile cpu.pprof S6       # profile a run (also -memprofile)
 //	kfbench -chaos scenarios/smoke.json E1     # run under injected faults
 //	kfbench -chaos s.json -seed 7 -chaos-report R.json E1  # override seed, save report
-//	kfbench -bench -o B.json               # run the perf snapshot and write JSON
-//	kfbench -bench -o B.json -compare A.json   # ... and fail on regressions
-//	kfbench -bench -o B.json -compare latest   # ... against the highest BENCH_<n>.json
 //	kfbench -serve-bench localhost:7070    # mixed-tenant load against a live kfserve
 //
 // -transport selects, by registry name (machine.RegisterTransport), the
@@ -33,8 +32,8 @@
 // engine-invariant, so the reported metrics must not move — running the
 // suite this way exercises an engine end to end.
 //
-// -cpuprofile and -memprofile write runtime/pprof profiles of whatever the
-// invocation runs (experiments or -bench), for `go tool pprof`.
+// -cpuprofile and -memprofile write runtime/pprof profiles of the
+// experiments the invocation runs, for `go tool pprof`.
 //
 // -chaos loads a fault-injection scenario (see internal/chaos for the JSON
 // format) and runs the selected experiments on a chaos-wrapped transport:
@@ -46,17 +45,6 @@
 // messages and absorbs duplicates, so a completing run means the same thing
 // it means fault-free. The aggregated fault/recovery report is printed
 // after the suite, and -chaos-report writes it as JSON.
-//
-// The -bench mode measures the host-side cost of the runtime's hot paths
-// (halo exchange, ADI, Jacobi at 4, 64, 256 and 1024 processors, message
-// ping-pong over the shared, federated and cost-priced federated
-// transports) with allocation counts and writes a JSON snapshot, so
-// successive PRs accumulate a perf trajectory that can be diffed
-// mechanically. With -compare the snapshot is diffed against a previous
-// BENCH_<n>.json — or against the highest-numbered committed snapshot when
-// given the literal value "latest", so CI need never name one — and the
-// command exits nonzero when any benchmark's allocs/op grew, or its ns/op
-// grew by more than 25%.
 //
 // The -serve-bench mode is a load generator for a live kfserve daemon: for
 // -serve-duration, -serve-conc concurrent workers POST a rotation of
@@ -75,10 +63,8 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"testing"
 	"time"
 
-	"repro/internal/benchkit"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -90,15 +76,10 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	bench := flag.Bool("bench", false, "run the perf snapshot benchmarks and write JSON")
-	out := flag.String("o", "BENCH_1.json", "output path for -bench JSON ('-' for stdout)")
-	compare := flag.String("compare", "", "previous BENCH_<n>.json to diff against ('latest' auto-discovers the highest-numbered one); regressions exit nonzero")
-	nsTol := flag.Float64("ns-tol", benchkit.NsTolerance,
-		"relative ns/op growth tolerated by -compare (allocs/op always tolerates none); raise when comparing across machines")
 	transport := flag.String("transport", "", "transport registry name the experiments' systems run on (default: per-experiment)")
 	nodes := flag.Int("nodes", 0, "federation node count for -transport (clamped to a divisor of each system's processor count)")
 	executor := flag.String("executor", "", "execution engine registry name the experiments' systems run on (default: goroutine)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiments run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	chaosFile := flag.String("chaos", "", "fault-injection scenario JSON; experiments run on the chaos-wrapped transport")
 	seed := flag.Int64("seed", 0, "override the -chaos scenario's seed")
@@ -109,7 +90,7 @@ func run() int {
 	flag.Parse()
 
 	if *serveAddr != "" {
-		if *bench || *chaosFile != "" || *transport != "" || *executor != "" {
+		if *chaosFile != "" || *transport != "" || *executor != "" {
 			fmt.Fprintln(os.Stderr, "kfbench: -serve-bench runs against a live server and combines only with -serve-duration and -serve-conc")
 			return 1
 		}
@@ -122,23 +103,6 @@ func run() int {
 
 	if *nodes != 0 && *transport == "" {
 		fmt.Fprintln(os.Stderr, "kfbench: -nodes requires -transport")
-		return 1
-	}
-	if *transport != "" && *bench {
-		// The perf snapshot must measure the workload the committed
-		// BENCH_<n>.json baselines recorded; rerouting its experiment-
-		// driven benchmarks onto another transport would diff apples
-		// against oranges.
-		fmt.Fprintln(os.Stderr, "kfbench: -transport cannot be combined with -bench")
-		return 1
-	}
-	if *executor != "" && *bench {
-		// Same reasoning: each snapshot benchmark pins its own engine.
-		fmt.Fprintln(os.Stderr, "kfbench: -executor cannot be combined with -bench")
-		return 1
-	}
-	if *chaosFile != "" && *bench {
-		fmt.Fprintln(os.Stderr, "kfbench: -chaos cannot be combined with -bench (the perf baselines are fault-free)")
 		return 1
 	}
 	if *chaosFile == "" && (*chaosReport != "" || seedSet()) {
@@ -180,14 +144,6 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "kfbench: %v\n", err)
 			}
 		}()
-	}
-
-	if *bench {
-		if err := runBench(*out, *compare, *nsTol); err != nil {
-			fmt.Fprintf(os.Stderr, "kfbench: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 
 	if *list {
@@ -268,74 +224,4 @@ func writeChaosReport(path string, rep chaos.Report) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-func runBench(out, compare string, nsTol float64) error {
-	// Resolve "latest" and load the baseline before anything is written,
-	// so the freshly saved output can never become its own baseline —
-	// not even when -o names the current latest snapshot to re-record it
-	// in place.
-	var prev benchkit.SnapshotFile
-	if compare == "latest" {
-		resolved, err := benchkit.LatestSnapshot(".")
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "comparing against latest snapshot %s\n", resolved)
-		compare = resolved
-	}
-	if compare != "" {
-		var err error
-		if prev, err = benchkit.Load(compare); err != nil {
-			return err
-		}
-	}
-	gmp, ncpu := benchkit.HostParallelism()
-	snap := benchkit.SnapshotFile{
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  benchkit.GoVersion(),
-		GoMaxProcs: gmp,
-		NumCPU:     ncpu,
-	}
-	for _, bm := range benchkit.Snapshot() {
-		r := testing.Benchmark(bm.Fn)
-		snap.Results = append(snap.Results, benchkit.Result{
-			Name:        bm.Name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-		fmt.Fprintf(os.Stderr, "%-28s %12.0f ns/op %8d B/op %6d allocs/op\n",
-			bm.Name, float64(r.T.Nanoseconds())/float64(r.N), r.AllocedBytesPerOp(), r.AllocsPerOp())
-	}
-	if err := benchkit.Save(out, snap); err != nil {
-		return err
-	}
-	if compare == "" {
-		return nil
-	}
-	if warn := benchkit.ParallelismWarning(prev, snap); warn != "" {
-		fmt.Fprintf(os.Stderr, "warning: %s\n", warn)
-	}
-	failed := 0
-	for _, d := range benchkit.Compare(prev, snap, nsTol) {
-		status := "ok"
-		if d.Regression {
-			status = "REGRESSION"
-			failed++
-		} else if d.Reason != "" {
-			status = d.Reason
-		}
-		fmt.Fprintf(os.Stderr, "compare %-28s prev %10.0f ns/op %6d allocs/op | cur %10.0f ns/op %6d allocs/op  %s\n",
-			d.Name, d.PrevNs, d.PrevAllocs, d.CurNs, d.CurAllocs, status)
-		if d.Regression {
-			fmt.Fprintf(os.Stderr, "        ^ %s\n", d.Reason)
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed versus %s", failed, compare)
-	}
-	fmt.Fprintf(os.Stderr, "no regressions versus %s\n", compare)
-	return nil
 }

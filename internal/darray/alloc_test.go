@@ -111,35 +111,49 @@ func TestExchangeHaloZeroAllocsSteadyState(t *testing.T) {
 }
 
 func TestExchangeHalo2DZeroAllocsSteadyState(t *testing.T) {
-	// The 2-D version exercises strided (non-innermost) plane packing.
+	// The 2-D version exercises strided (non-innermost) plane packing, on
+	// one fixed scope and, at 256x256, on a fresh scope per exchange as
+	// kf.Ctx.NextScope hands out (new tags every time).
 	const warm, runs = 8, 30
-	m := machine.New(4, machine.ZeroComm())
-	g := topology.New(2, 2)
-	sc := machine.RootScope()
-	err := m.Run(func(p *machine.Proc) error {
-		a := New(p, g, Spec{
-			Extents: []int{32, 32},
-			Dists:   []dist.Dist{dist.Block{}, dist.Block{}},
-			Halo:    []int{1, 1},
+	for _, tc := range []struct {
+		n     int
+		fresh bool
+	}{{32, false}, {256, true}} {
+		m := machine.New(4, machine.ZeroComm())
+		g := topology.New(2, 2)
+		err := m.Run(func(p *machine.Proc) error {
+			a := New(p, g, Spec{
+				Extents: []int{tc.n, tc.n},
+				Dists:   []dist.Dist{dist.Block{}, dist.Block{}},
+				Halo:    []int{1, 1},
+			})
+			a.Fill(func(idx []int) float64 { return float64(idx[0] + idx[1]) })
+			sc, seq := machine.RootScope(), 0
+			exchange := func() {
+				if tc.fresh {
+					a.ExchangeHalo(sc.Child(seq, -1))
+					seq++
+				} else {
+					a.ExchangeHalo(sc)
+				}
+			}
+			for i := 0; i < warm; i++ {
+				exchange()
+			}
+			if p.Rank() == 0 {
+				if avg := testing.AllocsPerRun(runs, exchange); avg != 0 {
+					t.Errorf("warmed 2-D ExchangeHalo of %dx%d: %v allocs per run, want 0", tc.n, tc.n, avg)
+				}
+			} else {
+				for i := 0; i < runs+1; i++ {
+					exchange()
+				}
+			}
+			return nil
 		})
-		a.Fill(func(idx []int) float64 { return float64(idx[0] + idx[1]) })
-		for i := 0; i < warm; i++ {
-			a.ExchangeHalo(sc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.Rank() == 0 {
-			avg := testing.AllocsPerRun(runs, func() { a.ExchangeHalo(sc) })
-			if avg != 0 {
-				t.Errorf("warmed 2-D ExchangeHalo: %v allocs per run, want 0", avg)
-			}
-		} else {
-			for i := 0; i < runs+1; i++ {
-				a.ExchangeHalo(sc)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

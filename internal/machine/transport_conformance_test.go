@@ -377,31 +377,41 @@ func TestSharedTransportPingPongZeroAllocs(t *testing.T) {
 
 func TestFederatedTransportSteadyStateAllocs(t *testing.T) {
 	// The federated path shares the pooling discipline: a warmed
-	// intra-node and inter-node ping-pong both run allocation-free.
-	m := NewFederated(8, 2, ZeroComm())
-	err := m.Run(func(p *Proc) error {
-		// Nodes are {0..3} and {4..7}: pairs (0,1) and (4,5) ping-pong
-		// inside a node, pairs (2,6) and (3,7) across the link.
-		peers := [8]int{1, 0, 6, 7, 5, 4, 2, 3}
-		peer := peers[p.Rank()]
-		lead := p.Rank() < peer
-		pingPong := func() {
-			if lead {
-				p.SendValue(peer, 1, 1)
-				p.RecvValue(peer, 2)
-			} else {
-				p.RecvValue(peer, 1)
-				p.SendValue(peer, 2, 1)
+	// intra-node and inter-node ping-pong both run allocation-free, on
+	// flat links and on priced ones (the hierarchical cost model's
+	// per-link price lookup on every send).
+	for _, tc := range []struct {
+		name string
+		cost CostModel
+	}{
+		{"flat", ZeroComm()},
+		{"priced", CostModel{Latency: 1e-6, BytePeriod: 1e-9}.WithInterNode(4, 8)},
+	} {
+		m := NewFederated(8, 2, tc.cost)
+		err := m.Run(func(p *Proc) error {
+			// Nodes are {0..3} and {4..7}: pairs (0,1) and (4,5) ping-pong
+			// inside a node, pairs (2,6) and (3,7) across the link.
+			peers := [8]int{1, 0, 6, 7, 5, 4, 2, 3}
+			peer := peers[p.Rank()]
+			lead := p.Rank() < peer
+			pingPong := func() {
+				if lead {
+					p.SendValue(peer, 1, 1)
+					p.RecvValue(peer, 2)
+				} else {
+					p.RecvValue(peer, 1)
+					p.SendValue(peer, 2, 1)
+				}
 			}
+			pingPong()
+			if avg := testing.AllocsPerRun(200, pingPong); avg != 0 {
+				t.Errorf("warmed %s federated ping-pong (rank %d): %v allocs per run, want 0", tc.name, p.Rank(), avg)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		pingPong()
-		if avg := testing.AllocsPerRun(200, pingPong); avg != 0 {
-			t.Errorf("warmed federated ping-pong (rank %d): %v allocs per run, want 0", p.Rank(), avg)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,10 +1,14 @@
 package progs_test
 
 import (
+	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/jacobi"
 	"repro/internal/machine"
 )
 
@@ -169,4 +173,76 @@ func TestCalendarOnePartitionCounts(t *testing.T) {
 	if got := sys.Machine.CalendarStats(); got != want {
 		t.Errorf("warm run on one partition: %+v, want %+v", got, want)
 	}
+}
+
+// raceEnabled is set by race_test.go in a binary built with -race.
+var raceEnabled bool
+
+// pinAllocs holds f's allocations per call to measured, the count when the
+// pin was set, plus max(1, 1 %): room for a few allocations that move with
+// the host's scheduling, none for one more per rank. The collector is off
+// while it counts: with it on, a fresh System's count spreads by about a
+// hundred from run to run; with it off it repeats.
+func pinAllocs(t *testing.T, name string, measured float64, runs int, f func()) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the pinned ones")
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	got := testing.AllocsPerRun(runs, f)
+	bound := measured + max(1, math.Floor(measured/100))
+	t.Logf("%s: %.0f allocs per run (%.0f when pinned, bound %.0f)", name, got, measured, bound)
+	if got > bound {
+		t.Errorf("%s: %.0f allocs per run, want <= %.0f", name, got, bound)
+	}
+}
+
+// TestColdSystemAllocs pins what a fresh System and its first run allocate:
+// machine, transport, engine partitions and every rank's Proc, mailbox and
+// declarations. Jacobi(256, 2) on 256 ranks over a 4-node federation, and
+// the E4 ADI experiment on a 2x2 grid.
+func TestColdSystemAllocs(t *testing.T) {
+	x0, f := jacobi.Problem(256)
+	// 19,902; 20,157 when every partition's calendar was its own allocation.
+	pinAllocs(t, "cold jacobi(256, 2) on Grid(16, 16), federated/4", 19902, 5, func() {
+		sys := core.MustSystem(core.Grid(16, 16), core.Transport("federated"), core.Nodes(4),
+			core.Cost(machine.ZeroComm()))
+		defer sys.Close()
+		if _, err := jacobi.KF1(sys.Machine, sys.Procs, x0, f, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	pinAllocs(t, "cold experiments.E4ADI", 758, 5, func() { experiments.E4ADI() }) // 761 before
+}
+
+// TestWarmJacobi1024Allocs pins a warm Jacobi(256, 1) run on 1,024 ranks
+// under the calendar engine, on a priced 16-node federation and inside four
+// ipc workers. The ipc count is the coordinator's alone: the ranks, and
+// what they allocate, are in the workers. Each count averages a hundred
+// runs, because the buffer free lists still grow now and then with the
+// order the partitions ran in.
+func TestWarmJacobi1024Allocs(t *testing.T) {
+	x0, f := jacobi.Problem(256)
+	priced := machine.CostModel{Latency: 1e-6, BytePeriod: 1e-9}.WithInterNode(4, 8)
+	fed := mustSys(t, core.Grid(32, 32), core.Transport("federated"), core.Nodes(16),
+		core.Cost(priced), core.Executor("calendar"))
+	runFed := func() {
+		if _, err := jacobi.KF1(fed.Machine, fed.Procs, x0, f, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runFed() // AllocsPerRun's own first call is the second warm run
+	pinAllocs(t, "warm jacobi.KF1(256, 1) on Grid(32, 32), priced federated/16", 5, 100, runFed)
+
+	p := mustProg(t, "jacobi", 256, 1)
+	ipc := mustSys(t, core.Grid(32, 32), core.Transport("ipc"), core.Nodes(4),
+		core.Cost(machine.ZeroComm()), core.Executor("calendar"))
+	runIPC := func() {
+		if _, err := ipc.RunProgram(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runIPC()
+	pinAllocs(t, "warm jacobi(256, 1) on Grid(32, 32), ipc/4", 1057, 100, runIPC) // 1,056-1,057
 }

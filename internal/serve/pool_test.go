@@ -2,11 +2,15 @@ package serve
 
 import (
 	"errors"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/kf"
 	"repro/internal/machine"
+	"repro/internal/progs"
 )
 
 func shared2() (*core.System, error) {
@@ -158,5 +162,68 @@ func TestPoolDiscardNeverPools(t *testing.T) {
 	st := p.Stats()
 	if st.Discards != 1 || st.Idle != 0 {
 		t.Errorf("stats after discard: %+v", st)
+	}
+}
+
+// raceEnabled is set by race_test.go in a binary built with -race.
+var raceEnabled bool
+
+// TestPoolRunAllocs pins what one pooled run costs the serving process,
+// HTTP aside: a warm pool hit of ipc/4 jacobi(8, 1) on Grid(8, 8), and a
+// cold checkout that builds the System (spawning its four workers), runs
+// it once and discards it. The counts are the coordinator's: the ranks run
+// in the workers. Each bound is the count when pinned plus max(1, 1 %),
+// and the collector is off while the counts are taken, as in
+// internal/progs' pins.
+func TestPoolRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the pinned ones")
+	}
+	prog, err := progs.Jacobi(8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.Spec{Grid: []int{8, 8}, Transport: "ipc", Nodes: 4}
+	key := specKey(spec)
+	request := func(p *Pool, hit bool, done func(*Lease)) func() {
+		return func() {
+			l, err := p.Checkout(key, spec.Build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.Hit() != hit {
+				t.Fatalf("checkout hit %v, want %v", l.Hit(), hit)
+			}
+			if _, err := l.Sys.RunProgram(prog); err != nil {
+				t.Fatal(err)
+			}
+			done(l)
+		}
+	}
+	warm, cold := NewPool(1), NewPool(1)
+	defer warm.Close()
+	defer cold.Close()
+	// The first checkout builds and the next settles the workers' run
+	// caches; AllocsPerRun's own first call is one more warm run.
+	request(warm, false, (*Lease).Return)()
+	request(warm, true, (*Lease).Return)()
+	for _, tc := range []struct {
+		name     string
+		measured float64
+		runs     int
+		f        func()
+	}{
+		{"warm pool hit", 97, 100, request(warm, true, (*Lease).Return)},              // 97-98
+		{"cold build, run, discard", 405, 20, request(cold, false, (*Lease).Discard)}, // 399-405
+	} {
+		runtime.GC()
+		old := debug.SetGCPercent(-1)
+		got := testing.AllocsPerRun(tc.runs, tc.f)
+		debug.SetGCPercent(old)
+		bound := tc.measured + max(1, math.Floor(tc.measured/100))
+		t.Logf("%s: %.0f allocs per run (%.0f when pinned, bound %.0f)", tc.name, got, tc.measured, bound)
+		if got > bound {
+			t.Errorf("%s: %.0f allocs per run, want <= %.0f", tc.name, got, bound)
+		}
 	}
 }
