@@ -1,7 +1,6 @@
-// Package repro's benchmark harness: one benchmark per reproduced paper
-// artifact (figures F1-F5, claims E1-E9; `kfbench -list` is the index, README
-// "Running the paper's experiments" the guide), plus microbenchmarks of the
-// substrate layers. Run with:
+// Package repro's benchmark harness: BenchmarkSuite runs each reproduced
+// paper artifact (`kfbench -list` is the index) as a sub-benchmark, beside
+// microbenchmarks of the substrate layers. Run with:
 //
 //	go test -bench=. -benchmem
 package repro
@@ -26,92 +25,18 @@ import (
 	"repro/internal/tridiag"
 )
 
-// --- paper artifacts: figures ---
-
-func BenchmarkF1FirstReduction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.F1FirstReduction()
-	}
-}
-
-func BenchmarkF2FourRowReduction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.F2FourRowReduction()
-	}
-}
-
-func BenchmarkF3DataflowTrace(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.F3Dataflow()
-	}
-}
-
-func BenchmarkF4Substitution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.F4Substitution()
-	}
-}
-
-func BenchmarkF5Mapping(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.F5Mapping()
-	}
-}
-
-// --- paper artifacts: measured claims ---
-
-func BenchmarkE1Jacobi(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E1Jacobi()
-	}
-}
-
-func BenchmarkE2Tri(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E2Tri()
-	}
-}
-
-func BenchmarkE3Pipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E3Pipeline()
-	}
-}
-
-func BenchmarkE4ADI(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.E4ADI()
-	}
-}
-
-func BenchmarkE5MADIvsADI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E5MADI()
-	}
-}
-
-func BenchmarkE6Multigrid(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E6Multigrid()
-	}
-}
-
-func BenchmarkE7Distribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E7Distribution()
-	}
-}
-
-func BenchmarkE8CodeSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E8CodeSize()
-	}
-}
-
-func BenchmarkE9InspectorExecutor(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E9Inspector()
+// BenchmarkSuite runs every experiment of the suite (figures, claims,
+// ablations and the scaling rows) once per iteration, as kfbench does.
+func BenchmarkSuite(b *testing.B) {
+	for _, e := range experiments.Suite() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := e.Run(core.Spec{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -285,24 +210,6 @@ func BenchmarkJacobi256Proc(b *testing.B) {
 		if _, err := jacobi.KF1(sys.Machine, sys.Procs, x0, f, 2); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkA1MappingAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.A1Mapping()
-	}
-}
-
-func BenchmarkA2Estimator(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.A2Estimator()
-	}
-}
-
-func BenchmarkA3CyclicLU(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.A3Cyclic()
 	}
 }
 

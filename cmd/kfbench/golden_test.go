@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 )
 
 // The determinism contract as a test: one program gives the same bits on
@@ -58,27 +57,41 @@ func TestGoldenTranscript(t *testing.T) {
 			t.Skipf("golden transcript recorded as %q; this is GOARCH=%s", first, runtime.GOARCH)
 		}
 	}
-	t.Cleanup(func() { experiments.SetOverlay(core.Spec{}) })
-	for _, c := range configs {
-		t.Run(c.name, func(t *testing.T) {
-			if err := experiments.SetOverlay(c.spec); err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			buf.WriteString(header)
-			writeTranscript(&buf, nil)
-			got := buf.String()
-			if *update && want == "" {
-				if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				want = got
+	// The configurations run concurrently, each with its own overlay. With
+	// -update they must still agree with one another, and the file is
+	// written once, after the last of them.
+	got := make([]string, len(configs))
+	t.Cleanup(func() {
+		if !*update || t.Failed() {
+			return
+		}
+		for i, c := range configs[1:] {
+			if got[i+1] != got[0] {
+				line, g, w := firstDiff(got[i+1], got[0])
+				t.Errorf("%s differs from %s at line %d:\n got: %s\nwant: %s", c.name, configs[0].name, line, g, w)
 				return
 			}
-			if got != want {
-				line, g, w := firstDiff(got, want)
+		}
+		if err := os.WriteFile(goldenPath, []byte(got[0]), 0o644); err != nil {
+			t.Error(err)
+		}
+	})
+	for i, c := range configs {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			var buf bytes.Buffer
+			buf.WriteString(header)
+			if _, _, err := writeTranscript(&buf, c.spec, nil); err != nil {
+				t.Fatal(err)
+			}
+			got[i] = buf.String()
+			if *update {
+				return
+			}
+			if got[i] != want {
+				line, g, w := firstDiff(got[i], want)
 				t.Errorf("transcript differs from %s at line %d (%d lines against %d):\n got: %s\nwant: %s",
-					goldenPath, line, strings.Count(got, "\n"), strings.Count(want, "\n"), g, w)
+					goldenPath, line, strings.Count(got[i], "\n"), strings.Count(want, "\n"), g, w)
 			}
 		})
 	}

@@ -1,8 +1,10 @@
 // Command kfbench runs the paper-reproduction experiment suite (figures
-// F1-F5 and claims E1-E9; -list prints the index) and prints each
-// experiment's report. See README "Running the paper's experiments".
-// Host-side timing is the bench/ package's (BENCHMARK.json), not this
-// command's.
+// F1-F5, claims E1-E9, ablations A1-A3 and scaling rows S1-S6; -list prints
+// the index) and prints each experiment's report: `kfbench F1 F2 F3 F4 F5`
+// renders the paper's figures as text. Each selected experiment runs
+// through experiments.Entry.Run with the overlay the flags below select,
+// and closes every system it built before the next one starts. Host-side
+// timing is the bench/ package's (BENCHMARK.json), not this command's.
 //
 // Usage:
 //
@@ -121,10 +123,6 @@ func run() int {
 		}
 		overlay.Chaos = &sc
 	}
-	if err := experiments.SetOverlay(overlay); err != nil {
-		fmt.Fprintf(os.Stderr, "kfbench: %v\n", err)
-		return 1
-	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -156,11 +154,16 @@ func run() int {
 	for _, arg := range flag.Args() {
 		want[strings.ToUpper(arg)] = true
 	}
-	if writeTranscript(os.Stdout, want) == 0 {
+	ran, rep, err := writeTranscript(os.Stdout, overlay, want)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "kfbench: %v\n", err)
+		return 1
+	}
+	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "kfbench: no experiments matched %v\n", flag.Args())
 		return 1
 	}
-	if rep, ok := experiments.ChaosReport(); ok {
+	if overlay.Chaos != nil {
 		fmt.Fprintf(os.Stderr, "chaos %q (seed %d): %d sends, %d faults injected (%d drops, %d outage holds, %d dups, %d delays, %d brownouts), %d recovered (%d retransmits, %d dups absorbed) over %d retry rounds\n",
 			rep.Name, rep.Seed, rep.Sends, rep.Injected(), rep.Drops, rep.OutageHolds, rep.Dups, rep.Delays, rep.Brownouts,
 			rep.Recovered(), rep.Retransmits, rep.Absorbed, rep.RetryRounds)
@@ -175,18 +178,24 @@ func run() int {
 }
 
 // writeTranscript runs the selected experiments (every one when want is
-// empty) in index order, prints each report to w, and returns how many ran.
-// Selection filters the index before running, so asking for one experiment
-// pays for one experiment.
-func writeTranscript(w io.Writer, want map[string]bool) (ran int) {
+// empty) in index order under overlay, prints each report to w, and returns
+// how many ran and the sum of their chaos reports. Selection filters the
+// index before running, so asking for one experiment pays for one
+// experiment.
+func writeTranscript(w io.Writer, overlay core.Spec, want map[string]bool) (ran int, rep chaos.Report, err error) {
 	for _, e := range experiments.Suite() {
 		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		fmt.Fprintln(w, experiments.Render(e.Run()))
+		r, er, err := e.Run(overlay)
+		if err != nil {
+			return ran, rep, err
+		}
+		fmt.Fprintln(w, experiments.Render(r))
+		rep = rep.Add(er)
 		ran++
 	}
-	return ran
+	return ran, rep, nil
 }
 
 // writeMemProfile records an up-to-date allocation profile at path.

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/darray"
 	"repro/internal/dist"
@@ -13,58 +15,33 @@ import (
 	"repro/internal/tridiag"
 )
 
-// A1Mapping is the dataflow-mapping ablation: the paper picks the
+// a1Mapping is the dataflow-mapping ablation: the paper picks the
 // shuffle/unshuffle mapping of Figure 5 because its disjoint processor
 // groups pipeline multiple systems without contention. This experiment
 // runs the same pipelined solve under the naive left-packed mapping
 // (low-index processors serve every tree level) and quantifies the
 // difference.
-func A1Mapping() Result {
+func a1Mapping(e *env) Result {
 	const p, n = 8, 128
 	tbl := report.NewTable("pipelined solve of m systems, p=8, n=128 (iPSC/2 costs)",
 		"systems", "shuffle (s)", "left-packed (s)", "packed/shuffle")
 	metrics := map[string]float64{}
 	for _, msys := range []int{1, 4, 16, 32} {
-		tS := runMapped(p, n, msys, tridiag.ShuffleMapping)
-		tP := runMapped(p, n, msys, tridiag.PackedMapping)
+		_, tS := e.tri(p, n, triSystems{m: msys}, pipelined(tridiag.ShuffleMapping))
+		_, tP := e.tri(p, n, triSystems{m: msys}, pipelined(tridiag.PackedMapping))
 		tbl.AddRow(msys, tS, tP, tP/tS)
-		metrics[keyf("ratio_m%d", msys)] = tP / tS
+		metrics[fmt.Sprintf("ratio_m%d", msys)] = tP / tS
 	}
 	tbl.AddNote("paper: the shuffle/unshuffle mapping 'is advantageous when there are multiple tridiagonal systems'")
-	return Result{
-		ID:      "A1",
-		Title:   "ablation: shuffle/unshuffle vs left-packed dataflow mapping (Figure 5 design choice)",
-		Text:    tbl.String(),
-		Metrics: metrics,
-	}
+	return Result{Text: tbl.String(), Metrics: metrics}
 }
 
-func runMapped(p, n, msys int, mapping tridiag.Mapping) float64 {
-	sys := newSys([]int{p})
-	elapsed, err := sys.Run(func(ctx *kf.Ctx) error {
-		xs := make([]*darray.Array, msys)
-		fs := make([]*darray.Array, msys)
-		for j := 0; j < msys; j++ {
-			jj := j
-			fa := ctx.NewArray(darray.Spec{Extents: []int{n}, Dists: []dist.Dist{dist.Block{}}})
-			fa.FillOwned(func(idx []int) float64 { return float64((idx[0]*jj)%13) - 6 })
-			xs[j] = ctx.NewArray(darray.Spec{Extents: []int{n}, Dists: []dist.Dist{dist.Block{}}})
-			fs[j] = fa
-		}
-		return tridiag.MTriCMapped(ctx, xs, fs, -1, 4, -1, mapping)
-	})
-	if err != nil {
-		panic(err)
-	}
-	return elapsed
-}
-
-// A2Estimator exercises the performance-estimation tool the paper's
+// a2Estimator exercises the performance-estimation tool the paper's
 // Section 2 promises ("we plan to address this issue by providing
 // performance estimation tools"): static predictions of message counts,
 // volumes and virtual time for the Jacobi iteration and the tridiagonal
 // solve, compared against the simulator's measurements.
-func A2Estimator() Result {
+func a2Estimator(e *env) Result {
 	tbl := report.NewTable("static performance estimates vs simulated measurements (iPSC/2 costs)",
 		"program", "msgs est", "msgs meas", "bytes est", "bytes meas", "time est (s)", "time meas (s)", "time err")
 	metrics := map[string]float64{}
@@ -75,11 +52,8 @@ func A2Estimator() Result {
 		const n, p, iters = 32, 2, 10
 		est := perfest.Jacobi(cost, n, p, iters)
 		x0, f := jacobi.Problem(n)
-		sys := newSys([]int{p, p}, core.Cost(cost))
-		res, err := jacobi.KF1(sys.Machine, sys.Procs, x0, f, iters)
-		if err != nil {
-			panic(err)
-		}
+		sys := e.sys([]int{p, p}, core.Cost(cost))
+		res := must(jacobi.KF1(sys.Machine, sys.Procs, x0, f, iters))
 		st := sys.Stats()
 		// Exclude the verification gather/reduce from the measured
 		// messages: the estimator predicts the iteration loop only.
@@ -96,7 +70,8 @@ func A2Estimator() Result {
 	{
 		const n, p = 2048, 8
 		est := perfest.TriSolve(cost, n, p)
-		t, st := triOnce(p, n, cost)
+		sys, t := e.tri(p, n, triSystems{seed: 31}, tridiag.MTri, core.Cost(cost))
+		st := sys.Stats()
 		terr := relErr(est.Time, t)
 		tbl.AddRow("tri n=2048 on p=8", est.Msgs, st.MsgsSent, est.Bytes, st.BytesSent, est.Time, t, terr)
 		metrics["tri_msg_exact"] = boolMetric(int64(est.Msgs) == st.MsgsSent)
@@ -104,12 +79,7 @@ func A2Estimator() Result {
 		metrics["tri_time_err"] = terr
 	}
 	tbl.AddNote("message counts and volumes predict exactly; time within the model's overlap slack")
-	return Result{
-		ID:      "A2",
-		Title:   "performance estimator vs simulator (the tool Section 2 promises)",
-		Text:    tbl.String(),
-		Metrics: metrics,
-	}
+	return Result{Text: tbl.String(), Metrics: metrics}
 }
 
 func relErr(est, meas float64) float64 {
@@ -130,17 +100,17 @@ func boolMetric(b bool) float64 {
 	return 0
 }
 
-// A3Cyclic is the distribution experiment the paper attaches to the cyclic
+// a3Cyclic is the distribution experiment the paper attaches to the cyclic
 // pattern ("especially useful in numerical linear algebra"): dense LU
 // factorization with block versus cyclic column distribution. Block
 // retires the owners of early columns; cyclic keeps every processor busy
 // to the end.
-func A3Cyclic() Result {
+func a3Cyclic(e *env) Result {
 	const n, p = 96, 4
 	tbl := report.NewTable("dense LU of a 96x96 matrix, 4 processors (balanced machine)",
 		"column distribution", "virtual time (s)", "busy max/min", "factor agreement")
 	metrics := map[string]float64{}
-	a := randMatrixA3(3, n)
+	a := randMatrix(3, n)
 	var luRef []float64
 	for _, v := range []struct {
 		name string
@@ -149,10 +119,8 @@ func A3Cyclic() Result {
 		{"block", dist.Block{}},
 		{"cyclic", dist.Cyclic{}},
 	} {
-		sys := newSys([]int{p}, core.Cost(machine.Balanced()), core.Trace())
-		rec := sys.Trace
 		var flat []float64
-		elapsed, err := sys.Run(func(c *kf.Ctx) error {
+		sys, elapsed := e.run([]int{p}, func(c *kf.Ctx) error {
 			ad := c.NewArray(darray.Spec{
 				Extents: []int{n, n},
 				Dists:   []dist.Dist{dist.Star{}, v.d},
@@ -166,10 +134,7 @@ func A3Cyclic() Result {
 				flat = out
 			}
 			return nil
-		})
-		if err != nil {
-			panic(err)
-		}
+		}, core.Cost(machine.Balanced()), core.Trace())
 		agreement := 0.0
 		if luRef == nil {
 			luRef = flat
@@ -178,7 +143,7 @@ func A3Cyclic() Result {
 		}
 		min, max := 1e300, 0.0
 		for q := 0; q < p; q++ {
-			bt := rec.BusyTime(q)
+			bt := sys.Trace.BusyTime(q)
 			if bt < min {
 				min = bt
 			}
@@ -187,29 +152,17 @@ func A3Cyclic() Result {
 			}
 		}
 		tbl.AddRow(v.name, elapsed, max/min, agreement)
-		metrics[keyf("time_%s", v.name)] = elapsed
-		metrics[keyf("imbalance_%s", v.name)] = max / min
+		metrics["time_"+v.name] = elapsed
+		metrics["imbalance_"+v.name] = max / min
 	}
 	tbl.AddNote("paper: 'a cyclic distribution, especially useful in numerical linear algebra'")
-	return Result{
-		ID:      "A3",
-		Title:   "block vs cyclic columns for dense LU (Section 2's cyclic motivation)",
-		Text:    tbl.String(),
-		Metrics: metrics,
-	}
+	return Result{Text: tbl.String(), Metrics: metrics}
 }
 
-func randMatrixA3(seed uint64, n int) []float64 {
+// randMatrix builds a diagonally dominant n×n matrix from a seed.
+func randMatrix(seed uint64, n int) []float64 {
 	a := make([]float64, n*n)
-	s := seed
-	next := func() float64 {
-		s += 0x9e3779b97f4a7c15
-		z := s
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		return float64(z%2000)/1000 - 1
-	}
+	next := splitmix(seed)
 	for i := 0; i < n; i++ {
 		rowSum := 0.0
 		for j := 0; j < n; j++ {

@@ -1,18 +1,46 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 )
+
+// entry returns the Suite entry with the given ID.
+func entry(t *testing.T, id string) Entry {
+	t.Helper()
+	for _, e := range Suite() {
+		if e.ID == id {
+			return e
+		}
+	}
+	t.Fatalf("no experiment %s", id)
+	return Entry{}
+}
+
+// run runs experiment id under overlay.
+func run(t *testing.T, id string, overlay core.Spec) Result {
+	t.Helper()
+	r, _, err := entry(t, id).Run(overlay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 // The experiment suite's assertions encode the paper's qualitative claims:
 // who wins, by roughly what factor, where the shapes bend. Absolute numbers
 // are simulated virtual time and free to drift; these bounds are not.
 
 func TestF1Structure(t *testing.T) {
-	r := F1FirstReduction()
+	r := run(t, "F1", core.Spec{})
 	if r.Metrics["boundary_error"] > 1e-9 {
 		t.Errorf("boundary error %v", r.Metrics["boundary_error"])
 	}
@@ -25,14 +53,14 @@ func TestF1Structure(t *testing.T) {
 }
 
 func TestF2FourRows(t *testing.T) {
-	r := F2FourRowReduction()
+	r := run(t, "F2", core.Spec{})
 	if r.Metrics["boundary_error"] > 1e-9 || r.Metrics["interior_error"] > 1e-9 {
 		t.Errorf("errors %v / %v", r.Metrics["boundary_error"], r.Metrics["interior_error"])
 	}
 }
 
 func TestF3DataflowShape(t *testing.T) {
-	r := F3Dataflow()
+	r := run(t, "F3", core.Spec{})
 	// p=8: active counts must be the Figure 3 diamond 8,4,2,1,2,4,8.
 	want := map[string]float64{
 		"step0": 8, "step1": 4, "step2": 2, "step3": 1,
@@ -46,14 +74,14 @@ func TestF3DataflowShape(t *testing.T) {
 }
 
 func TestF4SubstitutionAccuracy(t *testing.T) {
-	r := F4Substitution()
+	r := run(t, "F4", core.Spec{})
 	if r.Metrics["max_error"] > 1e-8 {
 		t.Errorf("max error %v", r.Metrics["max_error"])
 	}
 }
 
 func TestF5PipelineUtilization(t *testing.T) {
-	r := F5Mapping()
+	r := run(t, "F5", core.Spec{})
 	if r.Metrics["util_pipelined"] <= r.Metrics["util_single"] {
 		t.Errorf("pipelined utilization %v <= single %v",
 			r.Metrics["util_pipelined"], r.Metrics["util_single"])
@@ -61,7 +89,7 @@ func TestF5PipelineUtilization(t *testing.T) {
 }
 
 func TestE1JacobiClaims(t *testing.T) {
-	r := E1Jacobi()
+	r := run(t, "E1", core.Spec{})
 	if r.Metrics["maxdiff_mp"] != 0 || r.Metrics["maxdiff_kf1"] != 0 {
 		t.Errorf("variants not bitwise identical: %v / %v",
 			r.Metrics["maxdiff_mp"], r.Metrics["maxdiff_kf1"])
@@ -75,12 +103,12 @@ func TestE1JacobiClaims(t *testing.T) {
 }
 
 func TestE2TriScalingShape(t *testing.T) {
-	r := E2Tri()
+	r := run(t, "E2", core.Spec{})
 	// On the balanced machine speedup must grow monotonically through
 	// p=16 for n=2048.
 	prev := 0.0
 	for _, p := range []int{1, 2, 4, 8, 16} {
-		s := r.Metrics[keyf("speedup_balanced_p%d", p)]
+		s := r.Metrics[fmt.Sprintf("speedup_balanced_p%d", p)]
 		if s < prev {
 			t.Errorf("balanced speedup shrank at p=%d: %v -> %v", p, prev, s)
 		}
@@ -92,7 +120,7 @@ func TestE2TriScalingShape(t *testing.T) {
 }
 
 func TestE3PipelineRatioGrows(t *testing.T) {
-	r := E3Pipeline()
+	r := run(t, "E3", core.Spec{})
 	if r.Metrics["ratio_m1"] > 1.15 {
 		t.Errorf("m=1 pipelined should not beat single solve: ratio %v", r.Metrics["ratio_m1"])
 	}
@@ -106,7 +134,7 @@ func TestE3PipelineRatioGrows(t *testing.T) {
 }
 
 func TestE4ADIAgreesAndContracts(t *testing.T) {
-	r := E4ADI()
+	r := run(t, "E4", core.Spec{})
 	if r.Metrics["maxdiff"] > 1e-8 {
 		t.Errorf("parallel vs sequential maxdiff %v", r.Metrics["maxdiff"])
 	}
@@ -116,7 +144,7 @@ func TestE4ADIAgreesAndContracts(t *testing.T) {
 }
 
 func TestE5MADIWinsEverywhere(t *testing.T) {
-	r := E5MADI()
+	r := run(t, "E5", core.Spec{})
 	for k, v := range r.Metrics {
 		if v <= 1 {
 			t.Errorf("%s = %v, want > 1 (madi must win)", k, v)
@@ -130,7 +158,7 @@ func TestE5MADIWinsEverywhere(t *testing.T) {
 }
 
 func TestE6MultigridFactors(t *testing.T) {
-	r := E6Multigrid()
+	r := run(t, "E6", core.Spec{})
 	if r.Metrics["mg2_factor"] > 0.25 {
 		t.Errorf("MG2 factor %v", r.Metrics["mg2_factor"])
 	}
@@ -147,7 +175,7 @@ func TestE6MultigridFactors(t *testing.T) {
 }
 
 func TestE7DistributionVariantsRun(t *testing.T) {
-	r := E7Distribution()
+	r := run(t, "E7", core.Spec{})
 	if len(r.Metrics) != 3 {
 		t.Fatalf("expected 3 variants, got %v", r.Metrics)
 	}
@@ -159,7 +187,7 @@ func TestE7DistributionVariantsRun(t *testing.T) {
 }
 
 func TestE8CodeSizeBands(t *testing.T) {
-	r := E8CodeSize()
+	r := run(t, "E8", core.Spec{})
 	if ratio := r.Metrics["ratio_mp_seq"]; ratio < 4 || ratio > 12 {
 		t.Errorf("claim C1: MP/seq statement ratio %v outside the 5-10x band (tolerance 4-12)", ratio)
 	}
@@ -169,7 +197,7 @@ func TestE8CodeSizeBands(t *testing.T) {
 }
 
 func TestE9InspectorOverheadShape(t *testing.T) {
-	r := E9Inspector()
+	r := run(t, "E9", core.Spec{})
 	if r.Metrics["maxdiff"] != 0 {
 		t.Errorf("paths disagree by %v", r.Metrics["maxdiff"])
 	}
@@ -179,7 +207,7 @@ func TestE9InspectorOverheadShape(t *testing.T) {
 }
 
 func TestS4LinkAsymmetry(t *testing.T) {
-	r := S4LinkAsymmetry()
+	r := run(t, "S4", core.Spec{})
 	if r.Metrics["s4_identical"] != 1 {
 		t.Error("link asymmetry changed values or message censuses")
 	}
@@ -200,7 +228,7 @@ func TestS4LinkAsymmetry(t *testing.T) {
 	}
 	// Every federation pays a real surcharge over the shared machine.
 	for _, k := range []string{"uplink1x", "uplink2x", "uplink8x", "uplink32x", "backbone"} {
-		if !(r.Metrics[keyf("s4_time_%s", k)] > r.Metrics["s4_time_shared"]) {
+		if !(r.Metrics[fmt.Sprintf("s4_time_%s", k)] > r.Metrics["s4_time_shared"]) {
 			t.Errorf("%s not slower than shared", k)
 		}
 	}
@@ -210,22 +238,15 @@ func TestS4LinkAsymmetry(t *testing.T) {
 // point of resolving transports by registry name is that any experiment's
 // values and censuses are invariant under a flat-cost transport swap.
 func TestTransportSelection(t *testing.T) {
-	if err := SetOverlay(core.Spec{Transport: "no-such-transport", Nodes: 1}); err == nil {
+	e1 := entry(t, "E1")
+	if _, _, err := e1.Run(core.Spec{Transport: "no-such-transport", Nodes: 1}); err == nil {
 		t.Error("unknown transport accepted")
 	}
-	if err := SetOverlay(core.Spec{Transport: "shared", Nodes: 4}); err == nil {
+	if _, _, err := e1.Run(core.Spec{Transport: "shared", Nodes: 4}); err == nil {
 		t.Error("shared transport accepted a federation")
 	}
-	base := E1Jacobi()
-	if err := SetOverlay(core.Spec{Transport: "federated", Nodes: 4}); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := SetOverlay(core.Spec{}); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	fed := E1Jacobi()
+	base := run(t, "E1", core.Spec{})
+	fed := run(t, "E1", core.Spec{Transport: "federated", Nodes: 4})
 	for k, v := range base.Metrics {
 		if fed.Metrics[k] != v {
 			t.Errorf("metric %s moved under the federated transport: %v -> %v", k, v, fed.Metrics[k])
@@ -234,28 +255,100 @@ func TestTransportSelection(t *testing.T) {
 }
 
 func TestAllRunAndRender(t *testing.T) {
-	entries := Suite()
-	results := All()
-	if len(results) != len(entries) {
-		t.Fatalf("Suite has %d entries, All produced %d results", len(entries), len(results))
-	}
-	for i, r := range results {
-		if r.ID == "" || r.Title == "" || r.Text == "" {
-			t.Errorf("experiment %q incomplete", r.ID)
+	for _, e := range Suite() {
+		r := run(t, e.ID, core.Spec{})
+		if r.ID != e.ID || r.Title != e.Title || r.Text == "" {
+			t.Errorf("experiment %q incomplete: %+v", e.ID, r)
 		}
 		if s := Render(r); !strings.Contains(s, r.ID) {
 			t.Errorf("render of %s missing ID", r.ID)
 		}
-		// The lazy index must describe exactly what running it produces.
-		if entries[i].ID != r.ID || entries[i].Title != r.Title {
-			t.Errorf("Suite entry %d (%s, %q) disagrees with its Result (%s, %q)",
-				i, entries[i].ID, entries[i].Title, r.ID, r.Title)
+	}
+}
+
+// TestSuiteConcurrentOverlays runs experiments at once, each under its own
+// overlay, and requires every result to equal its solo run: an overlay is
+// an argument of the run, not state of the package.
+func TestSuiteConcurrentOverlays(t *testing.T) {
+	overlays := []core.Spec{{Transport: "shared"}, {Transport: "federated", Nodes: 4}}
+	ids := []string{"E1", "E2", "E9", "A1"}
+	solo := map[string]Result{}
+	for _, o := range overlays {
+		for _, id := range ids {
+			solo[fmt.Sprint(id, o)] = run(t, id, o)
 		}
+	}
+	var wg sync.WaitGroup
+	for _, o := range overlays {
+		for _, id := range ids {
+			e := entry(t, id)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r, _, err := e.Run(o)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want := solo[fmt.Sprint(id, o)]; !reflect.DeepEqual(r, want) {
+					t.Errorf("%s under %+v run concurrently differs from its solo run:\n%s\nwant:\n%s",
+						id, o, Render(r), Render(want))
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// TestRunClosesWorkerFleets runs E2 on the ipc transport and requires that
+// none of the worker processes its systems spawned outlives the run.
+func TestRunClosesWorkerFleets(t *testing.T) {
+	if _, err := os.Stat("/proc/self/stat"); err != nil {
+		t.Skip("no /proc on this platform")
+	}
+	run(t, "E2", core.Spec{Transport: "ipc", Nodes: 4})
+	if kids := children(t); len(kids) > 0 {
+		t.Errorf("%d worker processes outlive the experiment: %v", len(kids), kids)
+	}
+}
+
+// children lists the live child processes of the test binary, read from
+// /proc/<pid>/stat: after the parenthesized command come the state and
+// the parent pid.
+func children(t *testing.T) []string {
+	t.Helper()
+	dirs, err := os.ReadDir("/proc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := strconv.Itoa(os.Getpid())
+	var kids []string
+	for _, d := range dirs {
+		raw, err := os.ReadFile(filepath.Join("/proc", d.Name(), "stat"))
+		if err != nil {
+			continue // not a process, or it has exited
+		}
+		stat := string(raw)
+		if f := strings.Fields(stat[strings.LastIndexByte(stat, ')')+1:]); len(f) > 1 && f[1] == self {
+			kids = append(kids, d.Name()+" ("+f[0]+")")
+		}
+	}
+	return kids
+}
+
+// TestE8OutsideTheModule runs E8 from a directory outside the module: the
+// statement counts come from jacobi's embedded source, not from a file
+// found above the working directory.
+func TestE8OutsideTheModule(t *testing.T) {
+	want := run(t, "E8", core.Spec{})
+	t.Chdir(t.TempDir())
+	if got := run(t, "E8", core.Spec{}); !reflect.DeepEqual(got, want) {
+		t.Errorf("E8 outside the module:\n%s\nwant:\n%s", Render(got), Render(want))
 	}
 }
 
 func TestA1MappingAblation(t *testing.T) {
-	r := A1Mapping()
+	r := run(t, "A1", core.Spec{})
 	if r.Metrics["ratio_m1"] > 1.05 {
 		t.Errorf("mappings should tie for one system: %v", r.Metrics["ratio_m1"])
 	}
@@ -269,7 +362,7 @@ func TestA1MappingAblation(t *testing.T) {
 }
 
 func TestA2EstimatorAccuracy(t *testing.T) {
-	r := A2Estimator()
+	r := run(t, "A2", core.Spec{})
 	for _, k := range []string{"jacobi_msg_exact", "jacobi_byte_exact", "tri_msg_exact", "tri_byte_exact"} {
 		if r.Metrics[k] != 1 {
 			t.Errorf("%s: prediction not exact", k)
@@ -284,7 +377,7 @@ func TestA2EstimatorAccuracy(t *testing.T) {
 }
 
 func TestA3CyclicBeatsBlockOnLU(t *testing.T) {
-	r := A3Cyclic()
+	r := run(t, "A3", core.Spec{})
 	if r.Metrics["time_cyclic"] >= r.Metrics["time_block"] {
 		t.Errorf("cyclic %v should beat block %v",
 			r.Metrics["time_cyclic"], r.Metrics["time_block"])
@@ -296,7 +389,7 @@ func TestA3CyclicBeatsBlockOnLU(t *testing.T) {
 }
 
 func TestS1Scale64(t *testing.T) {
-	r := S1Scale64()
+	r := run(t, "S1", core.Spec{})
 	if r.Metrics["jacobi64_schedule_identical"] != 1 {
 		t.Error("64-processor Jacobi: schedule replay diverged from direct derivation")
 	}
@@ -320,7 +413,7 @@ func TestS2Transport256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-processor experiment skipped in short mode")
 	}
-	r := S2Transport256()
+	r := run(t, "S2", core.Spec{})
 	for _, key := range []string{"s2_jacobi_identical", "s2_adi_identical"} {
 		if r.Metrics[key] != 1 {
 			t.Errorf("%s: the federated transport diverged from the shared one", key)
@@ -342,7 +435,7 @@ func TestS3Hierarchical1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-processor experiment skipped in short mode")
 	}
-	r := S3Hierarchical1024()
+	r := run(t, "S3", core.Spec{})
 	for _, key := range []string{"s3_jacobi_identical", "s3_adi_identical"} {
 		if r.Metrics[key] != 1 {
 			t.Errorf("%s: values or message census diverged across transports", key)
@@ -363,10 +456,10 @@ func TestS3Hierarchical1024(t *testing.T) {
 	// The hierarchy must actually price something: every multi-node
 	// federation runs strictly slower than the shared machine.
 	for _, nodes := range []int{4, 16, 64} {
-		if !(r.Metrics[keyf("s3_jacobi_time_nodes%d", nodes)] > r.Metrics["s3_jacobi_time_shared"]) {
+		if !(r.Metrics[fmt.Sprintf("s3_jacobi_time_nodes%d", nodes)] > r.Metrics["s3_jacobi_time_shared"]) {
 			t.Errorf("jacobi at %d nodes not slower than shared", nodes)
 		}
-		if !(r.Metrics[keyf("s3_adi_time_nodes%d", nodes)] > r.Metrics["s3_adi_time_shared"]) {
+		if !(r.Metrics[fmt.Sprintf("s3_adi_time_nodes%d", nodes)] > r.Metrics["s3_adi_time_shared"]) {
 			t.Errorf("madi at %d nodes not slower than shared", nodes)
 		}
 	}

@@ -58,11 +58,11 @@ func structureString(n int, blockOf func(i int) (lo, hi int), reduced bool) stri
 	return sb.String()
 }
 
-// F1FirstReduction regenerates Figure 1: the structure of an n-row system
+// f1FirstReduction regenerates Figure 1: the structure of an n-row system
 // distributed over p processors before and after the first local reduction,
 // and verifies numerically that the boundary rows form a tridiagonal system
 // of size 2p whose solution agrees with the full solve.
-func F1FirstReduction() Result {
+func f1FirstReduction(*env) Result {
 	const n, p = 16, 4
 	blockOf := func(i int) (int, int) {
 		q := dist.Block{}.Owner(i, n, p)
@@ -105,9 +105,7 @@ func F1FirstReduction() Result {
 	}
 	fmt.Fprintf(&sb, "reduced 2p = %d row system solves boundary values to max error %.2e\n", 2*p, worst)
 	return Result{
-		ID:    "F1",
-		Title: "first reduction step of the substructured tridiagonal solver (Figure 1)",
-		Text:  sb.String(),
+		Text: sb.String(),
 		Metrics: map[string]float64{
 			"boundary_error": worst,
 			"reduced_rows":   float64(2 * p),
@@ -115,9 +113,9 @@ func F1FirstReduction() Result {
 	}
 }
 
-// F2FourRowReduction regenerates Figure 2: one four-row block reduces so
+// f2FourRowReduction regenerates Figure 2: one four-row block reduces so
 // that its first and last rows couple directly.
-func F2FourRowReduction() Result {
+func f2FourRowReduction(*env) Result {
 	blockOf := func(i int) (int, int) { return 0, 3 }
 	var sb strings.Builder
 	sb.WriteString("four rows before reduction:\n")
@@ -138,9 +136,7 @@ func F2FourRowReduction() Result {
 	errI := maxAbsDiff(got, want)
 	fmt.Fprintf(&sb, "boundary solve error %.2e, interior recovery error %.2e\n", errB, errI)
 	return Result{
-		ID:    "F2",
-		Title: "reduction of four rows of a tridiagonal system (Figure 2)",
-		Text:  sb.String(),
+		Text: sb.String(),
 		Metrics: map[string]float64{
 			"boundary_error": errB,
 			"interior_error": errI,
@@ -148,33 +144,13 @@ func F2FourRowReduction() Result {
 	}
 }
 
-// runTraced solves one random system on p processors with step marks and
-// returns the recorder and the virtual elapsed time.
-func runTraced(p, n int) (*trace.Recorder, float64) {
-	sys := newSys([]int{p}, core.Trace())
-	b, a, c, f := randTridiag(7, n)
-	elapsed, err := sys.Run(func(ctx *kf.Ctx) error {
-		mk := func(v []float64) *darray.Array {
-			arr := ctx.NewArray(darray.Spec{Extents: []int{n}, Dists: []dist.Dist{dist.Block{}}})
-			arr.OwnedRuns(func(idx []int, vals []float64) { copy(vals, v[idx[0]:]) })
-			return arr
-		}
-		x := ctx.NewArray(darray.Spec{Extents: []int{n}, Dists: []dist.Dist{dist.Block{}}})
-		return tridiag.TriTraced(ctx, x, mk(f), mk(b), mk(a), mk(c))
-	})
-	if err != nil {
-		panic(err)
-	}
-	return sys.Trace, elapsed
-}
-
-// F3Dataflow regenerates Figure 3: the dataflow graph of the substructured
+// f3Dataflow regenerates Figure 3: the dataflow graph of the substructured
 // algorithm, as the count of active processors per algorithm step —
 // halving through the reduction phase, doubling through substitution.
-func F3Dataflow() Result {
+func f3Dataflow(e *env) Result {
 	const p, n = 8, 64
-	rec, _ := runTraced(p, n)
-	steps, active := rec.StepActivity("step:")
+	sys, _ := e.tri(p, n, triSystems{seed: 7}, triMarked, core.Trace())
+	steps, active := sys.Trace.StepActivity("step:")
 	counts := trace.ActiveCounts(active)
 	var sb strings.Builder
 	sb.WriteString("active processors per step (reduction then substitution):\n")
@@ -185,76 +161,55 @@ func F3Dataflow() Result {
 	for k := range steps {
 		metrics[fmt.Sprintf("step%d", steps[k])] = float64(counts[k])
 	}
-	return Result{
-		ID:      "F3",
-		Title:   "dataflow graph of the substructured algorithm (Figure 3)",
-		Text:    sb.String(),
-		Metrics: metrics,
-	}
+	return Result{Text: sb.String(), Metrics: metrics}
 }
 
-// F4Substitution regenerates Figure 4: the substitution phase recovers the
+// f4Substitution regenerates Figure 4: the substitution phase recovers the
 // interior values from the boundary pair; across many random systems and
 // grid sizes the parallel solver matches the sequential Thomas solve.
-func F4Substitution() Result {
+func f4Substitution(e *env) Result {
 	var sb strings.Builder
 	worstAll := 0.0
 	for _, p := range []int{2, 4, 8} {
 		const n = 48
-		b, a, c, f := randTridiag(uint64(p)*101, n)
-		want := tridiag.SolveSeq(b, a, c, f)
+		seed := uint64(p) * 101
+		want := tridiag.SolveSeq(randTridiag(seed, n))
 		var got []float64
-		sys := newSys([]int{p}, core.Cost(machine.ZeroComm()))
-		_, err := sys.Run(func(ctx *kf.Ctx) error {
-			mk := func(v []float64) *darray.Array {
-				arr := ctx.NewArray(darray.Spec{Extents: []int{n}, Dists: []dist.Dist{dist.Block{}}})
-				arr.OwnedRuns(func(idx []int, vals []float64) { copy(vals, v[idx[0]:]) })
-				return arr
-			}
-			x := ctx.NewArray(darray.Spec{Extents: []int{n}, Dists: []dist.Dist{dist.Block{}}})
-			if err := tridiag.Tri(ctx, x, mk(f), mk(b), mk(a), mk(c)); err != nil {
+		e.tri(p, n, triSystems{seed: seed}, func(c *kf.Ctx, xs, fs, bs, as, cs []*darray.Array) error {
+			if err := tridiag.MTri(c, xs, fs, bs, as, cs); err != nil {
 				return err
 			}
-			flat := x.GatherTo(ctx.NextScope(), 0)
-			if ctx.P.Rank() == 0 {
+			flat := xs[0].GatherTo(c.NextScope(), 0)
+			if c.P.Rank() == 0 {
 				got = flat
 			}
 			return nil
-		})
-		if err != nil {
-			panic(err)
-		}
+		}, core.Cost(machine.ZeroComm()))
 		d := maxAbsDiff(got, want)
 		fmt.Fprintf(&sb, "p=%d: max |x_parallel - x_thomas| = %.2e\n", p, d)
 		if d > worstAll {
 			worstAll = d
 		}
 	}
-	return Result{
-		ID:      "F4",
-		Title:   "substitution phase recovers the sequential solution (Figure 4)",
-		Text:    sb.String(),
-		Metrics: map[string]float64{"max_error": worstAll},
-	}
+	return Result{Text: sb.String(), Metrics: map[string]float64{"max_error": worstAll}}
 }
 
-// F5Mapping regenerates Figure 5: the shuffle/unshuffle mapping of the
+// f5Mapping regenerates Figure 5: the shuffle/unshuffle mapping of the
 // dataflow graph onto processor groups, shown as a step-by-processor
 // activity table for one system, and the same table once a pipeline of
 // systems fills the groups.
-func F5Mapping() Result {
+func f5Mapping(e *env) Result {
 	const p, n, msys = 8, 128, 8
 	var sb strings.Builder
 
-	rec, elapsed1 := runTraced(p, n)
-	steps, active := rec.StepActivity("step:")
+	sys1, elapsed1 := e.tri(p, n, triSystems{seed: 7}, triMarked, core.Trace())
+	steps, active := sys1.Trace.StepActivity("step:")
 	sb.WriteString("one system (Listing 4): levels occupy disjoint processor groups\n")
 	sb.WriteString(trace.ActivityTable(steps, active))
-	uSingle := rec.MeanUtilization(elapsed1)
+	uSingle := sys1.Trace.MeanUtilization(elapsed1)
 
 	// Pipelined: msys systems through MTriC with marks.
-	sys2 := newSys([]int{p}, core.Trace())
-	elapsed2, err := sys2.Run(func(ctx *kf.Ctx) error {
+	sys2, elapsed2 := e.run([]int{p}, func(ctx *kf.Ctx) error {
 		xs := make([]*darray.Array, msys)
 		fs := make([]*darray.Array, msys)
 		for j := 0; j < msys; j++ {
@@ -269,19 +224,14 @@ func F5Mapping() Result {
 			fs[j] = fa
 		}
 		return tridiag.MTriCTraced(ctx, xs, fs, -1, 4, -1, true)
-	})
-	if err != nil {
-		panic(err)
-	}
+	}, core.Trace())
 	steps2, active2 := sys2.Trace.StepActivity("step:")
 	fmt.Fprintf(&sb, "\n%d systems pipelined (Listing 6): groups overlap in time\n", msys)
 	sb.WriteString(trace.ActivityTable(steps2, active2))
 	uPipe := sys2.Trace.MeanUtilization(elapsed2)
 	fmt.Fprintf(&sb, "mean utilization: single %.3f, pipelined %.3f\n", uSingle, uPipe)
 	return Result{
-		ID:    "F5",
-		Title: "shuffle/unshuffle mapping of the dataflow graph (Figure 5)",
-		Text:  sb.String(),
+		Text: sb.String(),
 		Metrics: map[string]float64{
 			"util_single":    uSingle,
 			"util_pipelined": uPipe,

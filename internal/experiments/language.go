@@ -11,10 +11,10 @@ import (
 	"repro/internal/report"
 )
 
-// E1Jacobi compares the three Jacobi implementations (Listings 1-3):
+// e1Jacobi compares the three Jacobi implementations (Listings 1-3):
 // bitwise-identical results, and — claim C2 — matching virtual execution
 // time and communication volume for KF1 versus hand message passing.
-func E1Jacobi() Result {
+func e1Jacobi(e *env) Result {
 	const n, niter = 32, 10
 	x0, f := jacobi.Problem(n)
 	seq := jacobi.Sequential(x0, f, niter)
@@ -22,32 +22,11 @@ func E1Jacobi() Result {
 	tbl := report.NewTable("Jacobi three ways, n=32, 10 iterations, 2x2 processors (iPSC/2 costs)",
 		"variant", "virtual time (s)", "msgs", "bytes", "max |diff| vs sequential")
 
-	sysMP := newSys([]int{2, 2})
-	mp, err := jacobi.MessagePassing(sysMP.Machine, sysMP.Procs, x0, f, niter)
-	if err != nil {
-		panic(err)
-	}
-	sysKF := newSys([]int{2, 2})
-	k1, err := jacobi.KF1(sysKF.Machine, sysKF.Procs, x0, f, niter)
-	if err != nil {
-		panic(err)
-	}
-	diff := func(x [][]float64) float64 {
-		worst := 0.0
-		for i := range x {
-			for j := range x[i] {
-				d := x[i][j] - seq[i][j]
-				if d < 0 {
-					d = -d
-				}
-				if d > worst {
-					worst = d
-				}
-			}
-		}
-		return worst
-	}
-	dm, dk := diff(mp.X), diff(k1.X)
+	sysMP := e.sys([]int{2, 2})
+	mp := must(jacobi.MessagePassing(sysMP.Machine, sysMP.Procs, x0, f, niter))
+	sysKF := e.sys([]int{2, 2})
+	k1 := must(jacobi.KF1(sysKF.Machine, sysKF.Procs, x0, f, niter))
+	dm, dk := maxAbsDiffRows(mp.X, seq), maxAbsDiffRows(k1.X, seq)
 	tbl.AddRow("sequential (Listing 1)", 0.0, 0, 0, 0.0)
 	tbl.AddRow("message passing (Listing 2)", mp.Elapsed, mp.Stats.MsgsSent, mp.Stats.BytesSent, dm)
 	tbl.AddRow("KF1 runtime (Listing 3)", k1.Elapsed, k1.Stats.MsgsSent, k1.Stats.BytesSent, dk)
@@ -61,11 +40,8 @@ func E1Jacobi() Result {
 	var t1 float64
 	var s4 float64
 	for _, p := range []int{1, 2, 4} {
-		sys := newSys([]int{p, p}, core.Cost(machine.Balanced()))
-		res, err := jacobi.KF1(sys.Machine, sys.Procs, x0b, fb, 4)
-		if err != nil {
-			panic(err)
-		}
+		sys := e.sys([]int{p, p}, core.Cost(machine.Balanced()))
+		res := must(jacobi.KF1(sys.Machine, sys.Procs, x0b, fb, 4))
 		if p == 1 {
 			t1 = res.Elapsed
 		}
@@ -75,9 +51,7 @@ func E1Jacobi() Result {
 		}
 	}
 	return Result{
-		ID:    "E1",
-		Title: "Jacobi: sequential vs message passing vs KF1 (Listings 1-3, claim C2)",
-		Text:  tbl.String() + "\n" + sp.String(),
+		Text: tbl.String() + "\n" + sp.String(),
 		Metrics: map[string]float64{
 			"time_ratio_kf1_mp": ratio,
 			"maxdiff_mp":        dm,
@@ -87,19 +61,12 @@ func E1Jacobi() Result {
 	}
 }
 
-// E8CodeSize measures claim C1: statement counts of the three Jacobi
+// e8CodeSize measures claim C1: statement counts of the three Jacobi
 // variants. The paper: "the message passing version of a program is often
 // five to ten times longer than the sequential version", while the KF1
 // version stays near sequential length.
-func E8CodeSize() Result {
-	path, err := loc.FindSource("internal/jacobi/jacobi.go")
-	if err != nil {
-		panic(err)
-	}
-	stats, err := loc.CountFile(path, "Sequential", "MessagePassing", "KF1", "maxReduce")
-	if err != nil {
-		panic(err)
-	}
+func e8CodeSize(*env) Result {
+	stats := must(loc.Count(jacobi.Source, "Sequential", "MessagePassing", "KF1", "maxReduce"))
 	seq := stats["Sequential"].Statements
 	// The hand-written version needs its hand-written reduction too.
 	mp := stats["MessagePassing"].Statements + stats["maxReduce"].Statements
@@ -111,9 +78,7 @@ func E8CodeSize() Result {
 	tbl.AddRow("KF1 runtime (Listing 3)", k1, float64(k1)/float64(seq))
 	tbl.AddNote("paper claim C1: message passing is 5-10x the sequential version")
 	return Result{
-		ID:    "E8",
-		Title: "code size: message passing vs sequential vs KF1 (claim C1)",
-		Text:  tbl.String(),
+		Text: tbl.String(),
 		Metrics: map[string]float64{
 			"ratio_mp_seq":  float64(mp) / float64(seq),
 			"ratio_kf1_seq": float64(k1) / float64(seq),
@@ -121,16 +86,16 @@ func E8CodeSize() Result {
 	}
 }
 
-// E9Inspector compares the two communication-derivation paths of Section 2
+// e9Inspector compares the two communication-derivation paths of Section 2
 // on the same shift loop A(i) = A(idx(i)): the compiled stencil exchange
 // (static analysis succeeds) versus the inspector/executor runtime
 // resolution (the paper's "gather such information on the fly"), measuring
 // the traffic overhead of runtime resolution.
-func E9Inspector() Result {
+func e9Inspector(e *env) Result {
 	const n, p = 256, 8
-	run := func(irregular bool) (elapsed float64, stats machine.Stats, flat []float64) {
-		sys := newSys([]int{p})
-		elapsed, err := sys.Run(func(c *kf.Ctx) error {
+	run := func(irregular bool) (float64, machine.Stats, []float64) {
+		var flat []float64
+		sys, elapsed := e.run([]int{p}, func(c *kf.Ctx) error {
 			a := c.NewArray(darray.Spec{Extents: []int{n}, Dists: []dist.Dist{dist.Block{}}, Halo: []int{1}})
 			a.FillOwned(func(idx []int) float64 { return float64(idx[0] * idx[0] % 97) })
 			if irregular {
@@ -158,9 +123,6 @@ func E9Inspector() Result {
 			}
 			return nil
 		})
-		if err != nil {
-			panic(err)
-		}
 		return elapsed, sys.Stats(), flat
 	}
 	tC, sC, fC := run(false)
@@ -173,9 +135,7 @@ func E9Inspector() Result {
 	tbl.AddNote("identical results (max diff %.1e); runtime resolution costs %.2fx the messages",
 		diff, float64(sI.MsgsSent)/float64(sC.MsgsSent))
 	return Result{
-		ID:    "E9",
-		Title: "implicit communication: compiled exchange vs runtime gathering (Section 2)",
-		Text:  tbl.String(),
+		Text: tbl.String(),
 		Metrics: map[string]float64{
 			"maxdiff":    diff,
 			"msg_ratio":  float64(sI.MsgsSent) / float64(sC.MsgsSent),

@@ -1,14 +1,18 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
+
 	"repro/internal/adi"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/perfest"
+	"repro/internal/progs"
 	"repro/internal/report"
 )
 
-// S3Hierarchical1024 scales the runtime to 1024 simulated processors (a
+// s3Hierarchical1024 scales the runtime to 1024 simulated processors (a
 // 32x32 grid) under a hierarchical cost model that prices the node
 // interconnect: inter-node messages pay 4x the latency and 8x the byte
 // period of intra-node ones (core.LinkCosts). Sweeping the federation
@@ -24,7 +28,7 @@ import (
 // nodes outnumber grid rows (64 nodes = half-row nodes) every dimension-0
 // exchange and the intra-row seams cross the interconnect and the curve
 // turns sharply up.
-func S3Hierarchical1024() Result {
+func s3Hierarchical1024(*env) Result {
 	const (
 		n, p, iters = 256, 32, 3
 		adiN        = 64
@@ -37,69 +41,51 @@ func S3Hierarchical1024() Result {
 	tbl := report.NewTable("1024-processor hierarchical federation (iPSC/2 costs, inter-node 4x latency / 8x byte period)",
 		"program", "nodes", "time (s)", "vs shared", "surcharge predicted", "identical")
 
-	// fedSys declares one swept federation: the shared iPSC/2 model plus
+	// fed declares one swept federation: the shared iPSC/2 model plus
 	// the interconnect pricing, layered on by LinkCosts.
-	fedSys := func(nodes int) *core.System {
-		return mustSys(core.Grid(p, p),
+	fed := func(nodes int) []core.Option {
+		return []core.Option{core.Grid(p, p),
 			core.Transport("federated"), core.Nodes(nodes),
-			core.LinkCosts(linkLat, linkByte))
+			core.LinkCosts(linkLat, linkByte)}
 	}
 
 	// Jacobi across the node sweep.
-	jp := jacobiProgram(n, iters)
-	shared := runProg(mustSys(core.Grid(p, p), core.Cost(cost)), jp)
+	jp := must(progs.Jacobi(n, iters))
+	shared := runLast(core.MustSystem(core.Grid(p, p), core.Cost(cost)), jp)
 	tbl.AddRow("jacobi 32x32", "shared", shared.Elapsed, 1.0, 0.0, true)
 	metrics["s3_jacobi_time_shared"] = shared.Elapsed
-	allIdentical, surchargeExact := 1.0, 1.0
+	allIdentical, jacobiExact := 1.0, 1.0
 	var fed16 core.Run
 	for _, nodes := range nodeSweep {
-		fed := runProg(fedSys(nodes), jp)
+		run := runLast(core.MustSystem(fed(nodes)...), jp)
 		if nodes == 16 {
-			fed16 = fed
+			fed16 = run
 		}
-		cmp := core.CompareRuns(shared, fed)
+		cmp := core.CompareRuns(shared, run)
 		if !cmp.Identical {
 			allIdentical = 0
 		}
 		pred := perfest.JacobiFederatedSurcharge(cost, n, p, iters, nodes)
-		got := fed.Elapsed - shared.Elapsed
-		// Zero measured surcharge only matches a zero prediction —
-		// relErr's measured==0 convention must not let a transport that
-		// stopped charging links pass as "exact".
-		exact := (pred == 0 && got == 0) || (got != 0 && relErr(pred, got) <= 1e-9)
-		if !exact {
-			surchargeExact = 0
+		got := run.Elapsed - shared.Elapsed
+		if !surchargeExact(pred, got) {
+			jacobiExact = 0
 		}
-		tbl.AddRow("jacobi 32x32", nodes, fed.Elapsed, fed.Elapsed/shared.Elapsed, pred, cmp.Identical)
-		metrics[keyf("s3_jacobi_time_nodes%d", nodes)] = fed.Elapsed
-		metrics[keyf("s3_jacobi_surcharge_nodes%d", nodes)] = got
+		tbl.AddRow("jacobi 32x32", nodes, run.Elapsed, run.Elapsed/shared.Elapsed, pred, cmp.Identical)
+		metrics[fmt.Sprintf("s3_jacobi_time_nodes%d", nodes)] = run.Elapsed
+		metrics[fmt.Sprintf("s3_jacobi_surcharge_nodes%d", nodes)] = got
 	}
 	metrics["s3_jacobi_identical"] = allIdentical
-	metrics["s3_jacobi_surcharge_exact"] = surchargeExact
+	metrics["s3_jacobi_surcharge_exact"] = jacobiExact
 
 	// Cross-process spot check: the ipc transport under the same
 	// interconnect pricing must reproduce the federated 16-node run
 	// bit-for-bit — values, censuses, per-link traffic AND virtual times
 	// (both charge cost.LinkMessageTime on exactly the same messages).
-	ipcSys := mustSys(core.Grid(p, p),
+	ipcRun := runLast(core.MustSystem(core.Grid(p, p),
 		core.Transport("ipc"), core.Nodes(16),
-		core.LinkCosts(linkLat, linkByte))
-	defer ipcSys.Close()
-	ipcRun := runProg(ipcSys, jp)
+		core.LinkCosts(linkLat, linkByte)), jp)
 	cmpIPC := core.CompareRuns(fed16, ipcRun)
-	linksEqual := fed16.Links != nil && ipcRun.Links != nil &&
-		fed16.Links.Nodes == ipcRun.Links.Nodes
-	if linksEqual {
-		for a := 0; a < fed16.Links.Nodes && linksEqual; a++ {
-			for b := 0; b < fed16.Links.Nodes; b++ {
-				if fed16.Links.Msgs[a][b] != ipcRun.Links.Msgs[a][b] ||
-					fed16.Links.Bytes[a][b] != ipcRun.Links.Bytes[a][b] {
-					linksEqual = false
-					break
-				}
-			}
-		}
-	}
+	linksEqual := fed16.Links != nil && reflect.DeepEqual(fed16.Links, ipcRun.Links)
 	metrics["s3_jacobi_ipc_identical"] = boolMetric(
 		cmpIPC.Identical && cmpIPC.TimesIdentical && linksEqual)
 	tbl.AddRow("jacobi 32x32", "ipc 16", ipcRun.Elapsed, ipcRun.Elapsed/shared.Elapsed,
@@ -108,42 +94,34 @@ func S3Hierarchical1024() Result {
 	tbl.AddNote("cross-process check: ipc at 16 nodes matches federated 16 bit-for-bit (values/census/links/times) = %v",
 		metrics["s3_jacobi_ipc_identical"] == 1)
 
-	// Per-iteration link census on the swept federations (differencing
-	// two run lengths cancels the gather/reduce epilogue), against the
+	// Per-iteration link census on the swept federations against the
 	// estimator's exact enumeration — including the intra-row seams that
 	// only exist past the whole-row regime.
 	censusMatch := 1.0
-	jpLong := jacobiProgram(n, iters+2)
 	for _, nodes := range []int{4, 64} {
-		sys := fedSys(nodes)
-		runA := runProg(sys, jp)
-		runB := runProg(sys, jpLong)
-		dMsgs, dBytes := runB.Links.Sub(runA.Links).Total()
-		gotMsgs := int(dMsgs) / 2
-		gotBytes := int(dBytes) / 2
-		wantMsgs, wantBytes := perfest.JacobiInterNode(n, p, nodes)
-		if gotMsgs != wantMsgs || gotBytes != wantBytes {
+		_, got, want := jacobiSweepLinks(core.MustSystem(fed(nodes)...), n, p, nodes, iters)
+		if got != want {
 			censusMatch = 0
 		}
 		tbl.AddNote("inter-node traffic per iteration at %d nodes: %d msgs / %d bytes (perfest predicts %d / %d)",
-			nodes, gotMsgs, gotBytes, wantMsgs, wantBytes)
+			nodes, got[0], got[1], want[0], want[1])
 	}
 	metrics["s3_internode_census_match"] = censusMatch
 
 	// Pipelined ADI (madi) across the node sweep.
 	par := adi.Params{N: adiN, A: 1, B: 1, Iters: 2}
-	ap := adiProgram(par, true)
-	adiShared := runProg(mustSys(core.Grid(p, p), core.Cost(cost)), ap)
+	ap := must(progs.ADI(par, true))
+	adiShared := runLast(core.MustSystem(core.Grid(p, p), core.Cost(cost)), ap)
 	tbl.AddRow("madi 32x32", "shared", adiShared.Elapsed, 1.0, 0.0, true)
 	metrics["s3_adi_time_shared"] = adiShared.Elapsed
 	adiIdentical, adiSurchargeOK := 1.0, 1.0
 	for _, nodes := range nodeSweep {
-		fed := runProg(fedSys(nodes), ap)
-		cmp := core.CompareRuns(adiShared, fed)
+		run := runLast(core.MustSystem(fed(nodes)...), ap)
+		cmp := core.CompareRuns(adiShared, run)
 		if !cmp.Identical {
 			adiIdentical = 0
 		}
-		got := fed.Elapsed - adiShared.Elapsed
+		got := run.Elapsed - adiShared.Elapsed
 		pred := 2 * perfest.ADIFederatedSurcharge(cost, adiN, p, nodes) // 2 iterations
 		switch {
 		case nodes == 1:
@@ -155,10 +133,10 @@ func S3Hierarchical1024() Result {
 				adiSurchargeOK = 0
 			}
 		}
-		tbl.AddRow("madi 32x32", nodes, fed.Elapsed, fed.Elapsed/adiShared.Elapsed, pred, cmp.Identical)
-		metrics[keyf("s3_adi_time_nodes%d", nodes)] = fed.Elapsed
-		metrics[keyf("s3_adi_surcharge_nodes%d", nodes)] = got
-		metrics[keyf("s3_adi_surcharge_pred_nodes%d", nodes)] = pred
+		tbl.AddRow("madi 32x32", nodes, run.Elapsed, run.Elapsed/adiShared.Elapsed, pred, cmp.Identical)
+		metrics[fmt.Sprintf("s3_adi_time_nodes%d", nodes)] = run.Elapsed
+		metrics[fmt.Sprintf("s3_adi_surcharge_nodes%d", nodes)] = got
+		metrics[fmt.Sprintf("s3_adi_surcharge_pred_nodes%d", nodes)] = pred
 	}
 	metrics["s3_adi_identical"] = adiIdentical
 	metrics["s3_adi_surcharge_ok"] = adiSurchargeOK
@@ -171,12 +149,7 @@ func S3Hierarchical1024() Result {
 	metrics["s3_jacobi_knee"] = boolMetric(knee > 4*shoulder && knee > 0)
 	tbl.AddNote("jacobi NUMA knee: slowdown step 16->64 nodes = %.4gs vs 4->16 = %.4gs", knee, shoulder)
 	tbl.AddNote("surcharges: jacobi exact=%v (tol 1e-9), madi within %.0f%%=%v",
-		surchargeExact == 1, adiTol*100, adiSurchargeOK == 1)
+		jacobiExact == 1, adiTol*100, adiSurchargeOK == 1)
 
-	return Result{
-		ID:      "S3",
-		Title:   "1024-processor federation with per-link cost model",
-		Text:    tbl.String(),
-		Metrics: metrics,
-	}
+	return Result{Text: tbl.String(), Metrics: metrics}
 }

@@ -3,10 +3,11 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/progs"
 	"repro/internal/report"
 )
 
-// S6Calendar16384 scales the runtime to 16384 virtual processors (a 128x128
+// s6Calendar16384 scales the runtime to 16384 virtual processors (a 128x128
 // grid) — the many-more-processors-than-cores regime the calendar executor
 // exists for: every rank is a parked continuation between its turns, and
 // the worker pool resumes runnable ranks in virtual-time order. The
@@ -18,7 +19,7 @@ import (
 // rather than merely reorder. Then it records the 16384-processor run's
 // census — host-side feasibility at a scale the goroutine engine also
 // handles, but the calendar engine reaches with bounded host parallelism.
-func S6Calendar16384() Result {
+func s6Calendar16384(*env) Result {
 	const (
 		n, iters = 256, 3
 		pSmall   = 32 // 1024-processor engine-parity grid
@@ -28,11 +29,11 @@ func S6Calendar16384() Result {
 	tbl := report.NewTable("16384 virtual processors on the calendar executor (iPSC/2 costs)",
 		"grid", "engine", "time (s)", "msgs", "identical")
 
-	jp := jacobiProgram(n, iters)
+	jp := must(progs.Jacobi(n, iters))
 
 	// Engine parity at 1024 processors: goroutine reference vs calendar
 	// (default worker pool) vs calendar pinned to one worker.
-	ref := runProg(mustSys(core.Grid(pSmall, pSmall)), jp)
+	ref := runLast(core.MustSystem(core.Grid(pSmall, pSmall)), jp)
 	tbl.AddRow("32x32", "goroutine", ref.Elapsed, ref.Stats.MsgsSent, true)
 	metrics["s6_time_1024_goroutine"] = ref.Elapsed
 	for _, eng := range []struct {
@@ -43,11 +44,11 @@ func S6Calendar16384() Result {
 		{"calendar", 0, "s6_identical_1024_calendar"},
 		{"calendar w=1", 1, "s6_identical_1024_calendar_w1"},
 	} {
-		sys := mustSys(core.Grid(pSmall, pSmall), core.Executor("calendar"))
+		sys := core.MustSystem(core.Grid(pSmall, pSmall), core.Executor("calendar"))
 		if eng.workers > 0 {
 			sys.Machine.SetExecutor(machine.NewCalendarExecutor(eng.workers))
 		}
-		run := runProg(sys, jp)
+		run := runLast(sys, jp)
 		cmp := core.CompareRuns(ref, run)
 		tbl.AddRow("32x32", eng.label, run.Elapsed, run.Stats.MsgsSent, cmp.Identical)
 		metrics[eng.key] = boolMetric(cmp.Identical)
@@ -56,10 +57,10 @@ func S6Calendar16384() Result {
 	// The 16384-processor run, on both engines: the calendar engine must
 	// reproduce the goroutine engine's run bit-identically at full scale,
 	// one iteration to keep the host cost proportionate.
-	jpBig := jacobiProgram(n, 1)
-	refBig := runProg(mustSys(core.Grid(pBig, pBig), core.Cost(machine.ZeroComm())), jpBig)
+	jpBig := must(progs.Jacobi(n, 1))
+	refBig := runLast(core.MustSystem(core.Grid(pBig, pBig), core.Cost(machine.ZeroComm())), jpBig)
 	tbl.AddRow("128x128", "goroutine", refBig.Elapsed, refBig.Stats.MsgsSent, true)
-	calBig := runProg(mustSys(core.Grid(pBig, pBig), core.Cost(machine.ZeroComm()),
+	calBig := runLast(core.MustSystem(core.Grid(pBig, pBig), core.Cost(machine.ZeroComm()),
 		core.Executor("calendar")), jpBig)
 	cmpBig := core.CompareRuns(refBig, calBig)
 	tbl.AddRow("128x128", "calendar", calBig.Elapsed, calBig.Stats.MsgsSent, cmpBig.Identical)
@@ -69,10 +70,5 @@ func S6Calendar16384() Result {
 	tbl.AddNote("16384-processor Jacobi iteration: %d messages, %d bytes moved",
 		calBig.Stats.MsgsSent, calBig.Stats.BytesSent)
 
-	return Result{
-		ID:      "S6",
-		Title:   "16384 virtual processors on the calendar executor, engine equivalence",
-		Text:    tbl.String(),
-		Metrics: metrics,
-	}
+	return Result{Text: tbl.String(), Metrics: metrics}
 }

@@ -4,10 +4,11 @@ import (
 	"repro/internal/adi"
 	"repro/internal/core"
 	"repro/internal/perfest"
+	"repro/internal/progs"
 	"repro/internal/report"
 )
 
-// S2Transport256 scales the runtime to 256 simulated processors (a 16x16
+// s2Transport256 scales the runtime to 256 simulated processors (a 16x16
 // grid) and proves the transport layer is semantically invisible: the same
 // Jacobi and pipelined-ADI Programs run once on the shared-memory mailbox
 // system and once on a 4-node x 64-processor federation (core.Compare),
@@ -18,14 +19,13 @@ import (
 // Unix sockets) must match the same baseline bit-for-bit. The
 // federation's link censuses are then validated exactly against perfest's
 // combinatorial prediction of the node-interconnect traffic.
-func S2Transport256() Result {
+func s2Transport256(e *env) Result {
 	const n, p, nodes, iters = 256, 16, 4, 3
 	metrics := map[string]float64{}
 
-	shared := mustSys(core.Grid(p, p))
-	fed := mustSys(core.Grid(p, p), core.Transport("federated"), core.Nodes(nodes))
-	ipc := mustSys(core.Grid(p, p), core.Transport("ipc"), core.Nodes(nodes))
-	defer ipc.Close()
+	shared := e.explicit(core.Grid(p, p))
+	fed := e.explicit(core.Grid(p, p), core.Transport("federated"), core.Nodes(nodes))
+	ipc := e.explicit(core.Grid(p, p), core.Transport("ipc"), core.Nodes(nodes))
 	sameRun := func(cmp core.Comparison) float64 {
 		return boolMetric(cmp.Identical && cmp.TimesIdentical)
 	}
@@ -34,14 +34,11 @@ func S2Transport256() Result {
 		"program", "transport", "time (s)", "msgs", "bytes")
 
 	// Jacobi across transports.
-	jp := jacobiProgram(n, iters)
-	cmpJ, err := core.Compare(jp, shared, fed)
-	if err != nil {
-		panic(err)
-	}
+	jp := must(progs.Jacobi(n, iters))
+	cmpJ := must(core.Compare(jp, shared, fed))
 	tbl.AddRow("jacobi 16x16", "shared", cmpJ.A.Elapsed, cmpJ.A.Stats.MsgsSent, cmpJ.A.Stats.BytesSent)
 	tbl.AddRow("jacobi 16x16", "federated 4x64", cmpJ.B.Elapsed, cmpJ.B.Stats.MsgsSent, cmpJ.B.Stats.BytesSent)
-	cmpJI := core.CompareRuns(cmpJ.A, runProg(ipc, jp))
+	cmpJI := core.CompareRuns(cmpJ.A, must(ipc.RunProgram(jp)))
 	tbl.AddRow("jacobi 16x16", "ipc 4x64", cmpJI.B.Elapsed, cmpJI.B.Stats.MsgsSent, cmpJI.B.Stats.BytesSent)
 	metrics["s2_jacobi_ipc_identical"] = sameRun(cmpJI)
 	metrics["s2_jacobi_identical"] = sameRun(cmpJ)
@@ -50,39 +47,29 @@ func S2Transport256() Result {
 
 	// Pipelined ADI (the paper's madi) across transports.
 	par := adi.Params{N: 64, A: 1, B: 1, Iters: 2}
-	cmpA, err := core.Compare(adiProgram(par, true), shared, fed)
-	if err != nil {
-		panic(err)
-	}
+	ap := must(progs.ADI(par, true))
+	cmpA := must(core.Compare(ap, shared, fed))
 	tbl.AddRow("madi 16x16", "shared", cmpA.A.Elapsed, cmpA.A.Stats.MsgsSent, cmpA.A.Stats.BytesSent)
 	tbl.AddRow("madi 16x16", "federated 4x64", cmpA.B.Elapsed, cmpA.B.Stats.MsgsSent, cmpA.B.Stats.BytesSent)
-	cmpAI := core.CompareRuns(cmpA.A, runProg(ipc, adiProgram(par, true)))
+	cmpAI := core.CompareRuns(cmpA.A, must(ipc.RunProgram(ap)))
 	tbl.AddRow("madi 16x16", "ipc 4x64", cmpAI.B.Elapsed, cmpAI.B.Stats.MsgsSent, cmpAI.B.Stats.BytesSent)
 	metrics["s2_adi_ipc_identical"] = sameRun(cmpAI)
 	metrics["s2_adi_identical"] = sameRun(cmpA)
 	metrics["s2_adi_time_p256"] = cmpA.A.Elapsed
 
 	// Scaling: the same problem on 64 and 256 processors.
-	s64 := runProg(mustSys(core.Grid(8, 8)), jp)
+	s64 := runLast(core.MustSystem(core.Grid(8, 8)), jp)
 	metrics["s2_speedup_64_to_256"] = s64.Elapsed / cmpJ.A.Elapsed
 	tbl.AddNote("jacobi n=%d, %d iters: 8x8 %.4gs -> 16x16 %.4gs (%.2fx)",
 		n, iters, s64.Elapsed, cmpJ.A.Elapsed, s64.Elapsed/cmpJ.A.Elapsed)
 
-	// Link census: run the federated Jacobi at two iteration counts and
-	// difference the per-run link censuses, isolating the per-iteration
-	// inter-node traffic from the one-off reduction/gather epilogue; the
-	// result must match perfest's combinatorial prediction exactly.
-	runA := runProg(fed, jp)
-	runB := runProg(fed, jacobiProgram(n, iters+2))
-	diff := runB.Links.Sub(runA.Links)
-	dMsgs, dBytes := diff.Total()
-	gotMsgs := int(dMsgs) / 2
-	gotBytes := int(dBytes) / 2
-	wantMsgs, wantBytes := perfest.JacobiInterNode(n, p, nodes)
-	metrics["s2_internode_match"] = boolMetric(gotMsgs == wantMsgs && gotBytes == wantBytes)
-	metrics["s2_internode_msgs_per_iter"] = float64(gotMsgs)
+	// Link census: the per-iteration inter-node traffic must match
+	// perfest's combinatorial prediction exactly.
+	diff, got, want := jacobiSweepLinks(fed, n, p, nodes, iters)
+	metrics["s2_internode_match"] = boolMetric(got == want)
+	metrics["s2_internode_msgs_per_iter"] = float64(got[0])
 	tbl.AddNote("inter-node traffic per iteration: %d msgs / %d bytes (perfest predicts %d / %d)",
-		gotMsgs, gotBytes, wantMsgs, wantBytes)
+		got[0], got[1], want[0], want[1])
 
 	// Per-link structure of the per-iteration halo pattern (the same
 	// differencing cancels the epilogue's asymmetric reduce/gather
@@ -111,10 +98,21 @@ func S2Transport256() Result {
 	tbl.AddNote("transport equivalence: jacobi identical=%v (ipc %v), madi identical=%v (ipc %v)",
 		metrics["s2_jacobi_identical"] == 1, metrics["s2_jacobi_ipc_identical"] == 1,
 		metrics["s2_adi_identical"] == 1, metrics["s2_adi_ipc_identical"] == 1)
-	return Result{
-		ID:      "S2",
-		Title:   "256-processor federation and transport equivalence",
-		Text:    tbl.String(),
-		Metrics: metrics,
-	}
+	return Result{Text: tbl.String(), Metrics: metrics}
+}
+
+// jacobiSweepLinks runs Jacobi (n x n points) on the federation sys of p x p
+// processors for iters and for iters+2 sweeps, closes sys, and differences
+// the two runs' link censuses, which cancels the one-off reduce/gather
+// epilogue: diff is two sweeps' per-link traffic. got is one sweep's
+// inter-node (messages, bytes), and want perfest.JacobiInterNode's exact
+// enumeration of it.
+func jacobiSweepLinks(sys *core.System, n, p, nodes, iters int) (diff *core.LinkCensus, got, want [2]int) {
+	runA := must(sys.RunProgram(must(progs.Jacobi(n, iters))))
+	runB := runLast(sys, must(progs.Jacobi(n, iters+2)))
+	diff = runB.Links.Sub(runA.Links)
+	msgs, bytes := diff.Total()
+	got = [2]int{int(msgs) / 2, int(bytes) / 2}
+	want[0], want[1] = perfest.JacobiInterNode(n, p, nodes)
+	return diff, got, want
 }

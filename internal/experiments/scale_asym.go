@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/perfest"
+	"repro/internal/progs"
 	"repro/internal/report"
 )
 
-// S4LinkAsymmetry sweeps per-link cost asymmetry — the interconnects real
+// s4LinkAsymmetry sweeps per-link cost asymmetry — the interconnects real
 // federations have and uniform multipliers cannot express: one slow uplink
 // between two nodes, or a fast backbone pair in an otherwise uniform
 // fabric. The same Jacobi Program (64 processors, 8x8 grid, 4 whole-row
@@ -25,18 +28,17 @@ import (
 // at the untouched links, and the simulator and estimator agree it stays.
 // Every elapsed time matches perfest.JacobiFederatedTime to floating-point
 // tolerance, per-pair overrides included.
-func S4LinkAsymmetry() Result {
+func s4LinkAsymmetry(*env) Result {
 	const (
 		n, p, nodes, iters = 128, 8, 4, 3
 		linkLat, linkByte  = 4.0, 8.0
 	)
-	prog := jacobiProgram(n, iters)
-	sharedSys := mustSys(core.Grid(p, p))
+	prog := must(progs.Jacobi(n, iters))
 	metrics := map[string]float64{}
 	tbl := report.NewTable("link asymmetry at 64 processors, 4 nodes (iPSC/2 costs, uniform inter-node 4x/8x)",
 		"variant", "time (s)", "surcharge vs shared", "predicted", "identical")
 
-	shared := runProg(sharedSys, prog)
+	shared := runLast(core.MustSystem(core.Grid(p, p)), prog)
 	tbl.AddRow("shared", shared.Elapsed, 0.0, 0.0, true)
 	metrics["s4_time_shared"] = shared.Elapsed
 
@@ -47,10 +49,9 @@ func S4LinkAsymmetry() Result {
 	// under the matching cost model.
 	identicalAll, exactAll := 1.0, 1.0
 	variant := func(label string, links ...core.LinkSpec) core.Run {
-		sys := mustSys(core.Grid(p, p),
+		cmp := core.CompareRuns(shared, runLast(core.MustSystem(core.Grid(p, p),
 			core.Transport("federated"), core.Nodes(nodes),
-			core.LinkCosts(linkLat, linkByte, links...))
-		cmp := core.CompareRuns(shared, runProg(sys, prog))
+			core.LinkCosts(linkLat, linkByte, links...)), prog))
 		if !cmp.Identical {
 			identicalAll = 0
 		}
@@ -61,16 +62,12 @@ func S4LinkAsymmetry() Result {
 		}
 		got := cmp.B.Elapsed - cmp.A.Elapsed
 		pred := perfest.JacobiFederatedSurcharge(cost, n, p, iters, nodes)
-		// Zero measured surcharge only matches a zero prediction —
-		// relErr's measured==0 convention must not let a transport that
-		// stopped charging links pass as "exact".
-		exact := (pred == 0 && got == 0) || (got != 0 && relErr(pred, got) <= 1e-9)
-		if !exact {
+		if !surchargeExact(pred, got) {
 			exactAll = 0
 		}
 		tbl.AddRow(label, cmp.B.Elapsed, got, pred, cmp.Identical)
-		metrics[keyf("s4_time_%s", label)] = cmp.B.Elapsed
-		metrics[keyf("s4_surcharge_%s", label)] = got
+		metrics["s4_time_"+label] = cmp.B.Elapsed
+		metrics["s4_surcharge_"+label] = got
 		return cmp.B
 	}
 
@@ -81,7 +78,7 @@ func S4LinkAsymmetry() Result {
 	monotone, strict := 1.0, 0.0
 	prev := 0.0
 	for i, k := range uplinkSweep {
-		label := keyf("uplink%gx", k)
+		label := fmt.Sprintf("uplink%gx", k)
 		run := variant(label, core.LinkSpec{Src: 0, Dst: 1, Latency: linkLat * k, Byte: linkByte * k})
 		if i == 0 {
 			uniform = run
@@ -116,10 +113,13 @@ func S4LinkAsymmetry() Result {
 		identicalAll == 1, exactAll == 1)
 	tbl.AddNote("slow uplink direction: monotone=%v, strictly slower than uniform=%v; backbone gain %.4gs (the max-recurrence bottleneck stays at the untouched links)",
 		monotone == 1, strict == 1, metrics["s4_backbone_gain"])
-	return Result{
-		ID:      "S4",
-		Title:   "per-link cost asymmetry: slow uplinks and fast backbones",
-		Text:    tbl.String(),
-		Metrics: metrics,
-	}
+	return Result{Text: tbl.String(), Metrics: metrics}
+}
+
+// surchargeExact reports whether a measured federation surcharge got
+// matches the prediction pred to 1e-9. Zero measured surcharge only
+// matches a zero prediction — relErr's measured==0 convention must not let
+// a transport that stopped charging links pass as "exact".
+func surchargeExact(pred, got float64) bool {
+	return (pred == 0 && got == 0) || (got != 0 && relErr(pred, got) <= 1e-9)
 }

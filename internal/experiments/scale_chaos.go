@@ -6,10 +6,11 @@ import (
 	"repro/internal/adi"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/progs"
 	"repro/internal/report"
 )
 
-// S5ChaosRecovery runs the 256-processor workloads of S2 — Jacobi and
+// s5ChaosRecovery runs the 256-processor workloads of S2 — Jacobi and
 // pipelined ADI on a 16x16 grid over a 4-node federation — under a sweep of
 // seeded fault scenarios (message drops, delays, duplications, a brownout
 // window, a node outage) and holds the runtime to the loosely-coupled
@@ -21,14 +22,14 @@ import (
 // counts, retry histogram) is a deterministic function of the seed: the
 // experiment reruns one scenario on the same pooled system and requires the
 // second report and values to reproduce the first exactly.
-func S5ChaosRecovery() Result {
+func s5ChaosRecovery(e *env) Result {
 	const p, n, nodes, iters = 16, 256, 4, 3
-	jp := jacobiProgram(n, iters)
+	jp := must(progs.Jacobi(n, iters))
 	metrics := map[string]float64{}
 
 	// Fault-free federated baseline.
-	fed := mustSys(core.Grid(p, p), core.Transport("federated"), core.Nodes(nodes))
-	base := runProg(fed, jp)
+	fed := e.explicit(core.Grid(p, p), core.Transport("federated"), core.Nodes(nodes))
+	base := must(fed.RunProgram(jp))
 
 	scenarios := []chaos.Scenario{
 		{Name: "drop-1pct", Seed: 42, Drop: 0.01},
@@ -49,8 +50,8 @@ func S5ChaosRecovery() Result {
 	var totalInjected, totalRecovered int64
 	var repeatOK bool
 	for i, sc := range scenarios {
-		sys := mustSys(core.Grid(p, p), core.Transport("chaos:federated"), core.Nodes(nodes), core.Chaos(sc))
-		run := runProg(sys, jp)
+		sys := e.explicit(core.Grid(p, p), core.Transport("chaos:federated"), core.Nodes(nodes), core.Chaos(sc))
+		run := must(sys.RunProgram(jp))
 		rep, _ := sys.ChaosReport()
 		cmp := core.CompareRuns(base, run)
 		identical := cmp.Identical
@@ -58,14 +59,14 @@ func S5ChaosRecovery() Result {
 		totalInjected += rep.Injected()
 		totalRecovered += rep.Recovered()
 		tbl.AddRow(sc.Name, run.Elapsed, rep.Injected(), rep.Recovered(), rep.RetryRounds, identical)
-		metrics[keyf("s5_%s_identical", sc.Name)] = boolMetric(identical)
-		metrics[keyf("s5_%s_injected", sc.Name)] = float64(rep.Injected())
+		metrics["s5_"+sc.Name+"_identical"] = boolMetric(identical)
+		metrics["s5_"+sc.Name+"_injected"] = float64(rep.Injected())
 
 		if i == len(scenarios)-1 {
 			// Seed reproducibility on a pooled system: the second run must
 			// replay the exact same faults and recoveries — report and
 			// values bit-identical to the first.
-			again := runProg(sys, jp)
+			again := must(sys.RunProgram(jp))
 			rep2, _ := sys.ChaosReport()
 			cmp2 := core.CompareRuns(run, again)
 			repeatOK = reflect.DeepEqual(rep, rep2) && cmp2.Identical && cmp2.TimesIdentical
@@ -80,10 +81,10 @@ func S5ChaosRecovery() Result {
 	// Pipelined ADI (madi) under the storm scenario: the tightly pipelined
 	// wavefront must also ride out drops, duplicates and the outage.
 	par := adi.Params{N: 64, A: 1, B: 1, Iters: 2}
-	ap := adiProgram(par, true)
-	baseADI := runProg(fed, ap)
-	sysADI := mustSys(core.Grid(p, p), core.Transport("chaos:federated"), core.Nodes(nodes), core.Chaos(scenarios[len(scenarios)-1]))
-	runADI := runProg(sysADI, ap)
+	ap := must(progs.ADI(par, true))
+	baseADI := must(fed.RunProgram(ap))
+	sysADI := e.explicit(core.Grid(p, p), core.Transport("chaos:federated"), core.Nodes(nodes), core.Chaos(scenarios[len(scenarios)-1]))
+	runADI := must(sysADI.RunProgram(ap))
 	repADI, _ := sysADI.ChaosReport()
 	cmpADI := core.CompareRuns(baseADI, runADI)
 	allIdentical = allIdentical && cmpADI.Identical
@@ -98,10 +99,5 @@ func S5ChaosRecovery() Result {
 	metrics["s5_recovered_total"] = float64(totalRecovered)
 	tbl.AddNote("across all scenarios: %d faults injected, %d recovered (drops retransmitted + dups absorbed); values bit-identical to fault-free: %v",
 		totalInjected, totalRecovered, allIdentical)
-	return Result{
-		ID:      "S5",
-		Title:   "256-processor chaos: seeded faults, recovery, bit-identical values",
-		Text:    tbl.String(),
-		Metrics: metrics,
-	}
+	return Result{Text: tbl.String(), Metrics: metrics}
 }

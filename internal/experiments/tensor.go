@@ -13,43 +13,23 @@ import (
 	"repro/internal/report"
 )
 
-func sprintf(format string, args ...interface{}) string {
-	return fmt.Sprintf(format, args...)
-}
-
-// E4ADI verifies the ADI driver (Listing 7): the parallel iterates match
+// e4ADI verifies the ADI driver (Listing 7): the parallel iterates match
 // the sequential ones and the residual history contracts.
-func E4ADI() Result {
+func e4ADI(e *env) Result {
 	par := adi.Params{N: 24, A: 1, B: 1, Iters: 8}
 	f := adi.TestProblem(par.N)
 	seqU, seqHist := adi.Sequential(par, f)
 
-	sys := newSys([]int{2, 2})
-	res, err := adi.Parallel(sys.Machine, sys.Procs, par, f, false)
-	if err != nil {
-		panic(err)
-	}
-	worst := 0.0
-	for i := 0; i < par.N; i++ {
-		for j := 0; j < par.N; j++ {
-			d := res.U[i][j] - seqU[i][j]
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
-				worst = d
-			}
-		}
-	}
+	sys := e.sys([]int{2, 2})
+	res := must(adi.Parallel(sys.Machine, sys.Procs, par, f, false))
+	worst := maxAbsDiffRows(res.U, seqU)
 	var sb string
 	sb += report.Series("sequential residual", seqHist)
 	sb += report.Series("parallel residual  ", res.ResNorm)
-	sb += sprintf("max |u_par - u_seq| = %.2e after %d iterations\n", worst, par.Iters)
+	sb += fmt.Sprintf("max |u_par - u_seq| = %.2e after %d iterations\n", worst, par.Iters)
 	factor := seqHist[len(seqHist)-1] / seqHist[len(seqHist)-2]
 	return Result{
-		ID:    "E4",
-		Title: "ADI iteration built from parallel tridiagonal kernels (Listing 7)",
-		Text:  sb,
+		Text: sb,
 		Metrics: map[string]float64{
 			"maxdiff":      worst,
 			"final_factor": factor,
@@ -58,10 +38,10 @@ func E4ADI() Result {
 	}
 }
 
-// E5MADI sweeps ADI versus pipelined MADI (Listing 8) over problem sizes
+// e5MADI sweeps ADI versus pipelined MADI (Listing 8) over problem sizes
 // and grids, the claim-C4 experiment for two-dimensional tensor product
 // computations.
-func E5MADI() Result {
+func e5MADI(e *env) Result {
 	tbl := report.NewTable("ADI vs pipelined MADI, 3 iterations (iPSC/2 costs)",
 		"interior n", "grid", "adi (s)", "madi (s)", "ratio")
 	metrics := map[string]float64{}
@@ -72,62 +52,46 @@ func E5MADI() Result {
 	} {
 		par := adi.Params{N: cfg.n, A: 1, B: 1, Iters: 3}
 		f := adi.TestProblem(par.N)
-		sys1 := newSys([]int{cfg.px, cfg.py})
-		plain, err := adi.Parallel(sys1.Machine, sys1.Procs, par, f, false)
-		if err != nil {
-			panic(err)
-		}
-		sys2 := newSys([]int{cfg.px, cfg.py})
-		piped, err := adi.Parallel(sys2.Machine, sys2.Procs, par, f, true)
-		if err != nil {
-			panic(err)
-		}
+		sys1 := e.sys([]int{cfg.px, cfg.py})
+		plain := must(adi.Parallel(sys1.Machine, sys1.Procs, par, f, false))
+		sys2 := e.sys([]int{cfg.px, cfg.py})
+		piped := must(adi.Parallel(sys2.Machine, sys2.Procs, par, f, true))
 		ratio := plain.Elapsed / piped.Elapsed
-		tbl.AddRow(cfg.n, sprintf("%dx%d", cfg.px, cfg.py), plain.Elapsed, piped.Elapsed, ratio)
-		metrics[keyf("ratio_n%d_p%dx%d", cfg.n, cfg.px, cfg.py)] = ratio
+		tbl.AddRow(cfg.n, fmt.Sprintf("%dx%d", cfg.px, cfg.py), plain.Elapsed, piped.Elapsed, ratio)
+		metrics[fmt.Sprintf("ratio_n%d_p%dx%d", cfg.n, cfg.px, cfg.py)] = ratio
 	}
 	tbl.AddNote("madi pipelines each slice's line solves through one tree (paper Listing 8)")
-	return Result{
-		ID:      "E5",
-		Title:   "pipelined ADI (madi) vs line-at-a-time ADI (claim C4)",
-		Text:    tbl.String(),
-		Metrics: metrics,
-	}
+	return Result{Text: tbl.String(), Metrics: metrics}
 }
 
-// E6Multigrid records the convergence factors of MG2 and MG3 and checks
+// e6Multigrid records the convergence factors of MG2 and MG3 and checks
 // parallel/sequential agreement — the qualitative content of Section 5.
-func E6Multigrid() Result {
+func e6Multigrid(e *env) Result {
 	var text string
 	metrics := map[string]float64{}
 
 	// MG2 on 32x32, sequential and 4 processors.
-	hist2 := runMG2(1, 32)
+	hist2 := e.mg2(1, 32)
 	text += report.Series("MG2 32x32 residual (1 proc)", hist2)
 	f2 := hist2[len(hist2)-1] / hist2[len(hist2)-2]
 	metrics["mg2_factor"] = f2
 
-	hist2p := runMG2(4, 32)
+	hist2p := e.mg2(4, 32)
 	text += report.Series("MG2 32x32 residual (4 proc)", hist2p)
 	metrics["mg2_par_vs_seq"] = relDiff(hist2, hist2p)
 
 	// MG3 on 16^3 with 1 and 2 plane cycles.
-	hist3 := runMG3(1, 16, dist.Star{}, dist.Star{}, dist.Block{}, 1)
+	hist3 := e.mg3(1, 16, dist.Star{}, dist.Star{}, dist.Block{}, 1)
 	text += report.Series("MG3 16^3 residual (1 plane cycle) ", hist3)
 	metrics["mg3_factor_pc1"] = hist3[len(hist3)-1] / hist3[len(hist3)-2]
 
-	hist3b := runMG3(1, 16, dist.Star{}, dist.Star{}, dist.Block{}, 2)
+	hist3b := e.mg3(1, 16, dist.Star{}, dist.Star{}, dist.Block{}, 2)
 	text += report.Series("MG3 16^3 residual (2 plane cycles)", hist3b)
 	metrics["mg3_factor_pc2"] = hist3b[len(hist3b)-1] / hist3b[len(hist3b)-2]
 
-	text += sprintf("asymptotic V-cycle factors: MG2 %.3f, MG3 %.3f (1 plane cycle), %.3f (2)\n",
+	text += fmt.Sprintf("asymptotic V-cycle factors: MG2 %.3f, MG3 %.3f (1 plane cycle), %.3f (2)\n",
 		f2, metrics["mg3_factor_pc1"], metrics["mg3_factor_pc2"])
-	return Result{
-		ID:      "E6",
-		Title:   "multigrid with zebra relaxation and semicoarsening (Listings 9-11)",
-		Text:    text,
-		Metrics: metrics,
-	}
+	return Result{Text: text, Metrics: metrics}
 }
 
 func relDiff(a, b []float64) float64 {
@@ -147,27 +111,22 @@ func relDiff(a, b []float64) float64 {
 	return worst
 }
 
-func runMG2(nprocs, n int) []float64 {
+func (e *env) mg2(nprocs, n int) []float64 {
 	var hist []float64
-	sys := newSys([]int{nprocs}, core.Cost(machine.ZeroComm()))
-	_, err := sys.Run(func(c *kf.Ctx) error {
+	e.run([]int{nprocs}, func(c *kf.Ctx) error {
 		u, f := mgProblem2(c, n)
 		h := multigrid.Solve2(c, u, f, multigrid.Default2D(n, n), 8)
 		if c.P.Rank() == 0 {
 			hist = h
 		}
 		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
+	}, core.Cost(machine.ZeroComm()))
 	return hist
 }
 
-func runMG3(nprocs, n int, dx, dy, dz dist.Dist, planeCycles int) []float64 {
+func (e *env) mg3(nprocs, n int, dx, dy, dz dist.Dist, planeCycles int) []float64 {
 	var hist []float64
-	sys := newSys([]int{nprocs}, core.Cost(machine.ZeroComm()))
-	_, err := sys.Run(func(c *kf.Ctx) error {
+	e.run([]int{nprocs}, func(c *kf.Ctx) error {
 		u, f := mgProblem3(c, n, dx, dy, dz)
 		par := multigrid.Default3D(n, n, n)
 		par.PlaneCycles = planeCycles
@@ -176,17 +135,14 @@ func runMG3(nprocs, n int, dx, dy, dz dist.Dist, planeCycles int) []float64 {
 			hist = h
 		}
 		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
+	}, core.Cost(machine.ZeroComm()))
 	return hist
 }
 
-// E7Distribution is the claim-C3 ablation: MG3 under three dist clauses.
+// e7Distribution is the claim-C3 ablation: MG3 under three dist clauses.
 // The code is identical; only the one-line Spec changes. The table reports
 // where the time goes under realistic costs.
-func E7Distribution() Result {
+func e7Distribution(e *env) Result {
 	const n = 16
 	tbl := report.NewTable("MG3 16^3, 2 V-cycles under different dist clauses (iPSC/2 costs, 4 processors)",
 		"dist clause", "grid", "virtual time (s)", "msgs", "bytes", "final residual")
@@ -201,9 +157,8 @@ func E7Distribution() Result {
 		{"(*, *, block)", []int{4}, dist.Star{}, dist.Star{}, dist.Block{}},
 		{"(block, block, *)", []int{2, 2}, dist.Block{}, dist.Block{}, dist.Star{}},
 	} {
-		sys := newSys(v.shape)
 		var final float64
-		elapsed, err := sys.Run(func(c *kf.Ctx) error {
+		sys, elapsed := e.run(v.shape, func(c *kf.Ctx) error {
 			u, f := mgProblem3(c, n, v.dx, v.dy, v.dz)
 			h := multigrid.Solve3(c, u, f, multigrid.Default3D(n, n, n), 2)
 			if c.P.Rank() == 0 {
@@ -211,20 +166,12 @@ func E7Distribution() Result {
 			}
 			return nil
 		})
-		if err != nil {
-			panic(err)
-		}
 		st := sys.Stats()
 		tbl.AddRow(v.name, sys.Procs.String(), elapsed, st.MsgsSent, st.BytesSent, final)
-		metrics[keyf("time_%s", sanitize(v.name))] = elapsed
+		metrics["time_"+sanitize(v.name)] = elapsed
 	}
 	tbl.AddNote("one-line dist change moves the parallelism between levels of the nested algorithm (claim C3)")
-	return Result{
-		ID:      "E7",
-		Title:   "distribution choice ablation for MG3 (Section 5 discussion, claim C3)",
-		Text:    tbl.String(),
-		Metrics: metrics,
-	}
+	return Result{Text: tbl.String(), Metrics: metrics}
 }
 
 func sanitize(s string) string {

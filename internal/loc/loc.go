@@ -11,8 +11,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
-	"path/filepath"
 )
 
 // FuncStats describes the size of one function.
@@ -26,12 +24,14 @@ type FuncStats struct {
 	Lines int
 }
 
-// CountFile returns statistics for the named functions of a Go source
-// file. Functions not found are reported as an error, so experiments fail
-// loudly when a refactor renames their subjects.
-func CountFile(path string, names ...string) (map[string]FuncStats, error) {
+// Count returns statistics for the named functions of one Go source file,
+// given as its contents (a package that embeds its own source hands it
+// over, so the count does not depend on the working directory). Functions
+// not found are reported as an error, so experiments fail loudly when a
+// refactor renames their subjects.
+func Count(src []byte, names ...string) (map[string]FuncStats, error) {
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, 0)
+	f, err := parser.ParseFile(fset, "", src, 0)
 	if err != nil {
 		return nil, fmt.Errorf("loc: %w", err)
 	}
@@ -65,29 +65,8 @@ func CountFile(path string, names ...string) (map[string]FuncStats, error) {
 	}
 	for _, n := range names {
 		if _, ok := out[n]; !ok {
-			return nil, fmt.Errorf("loc: function %q not found in %s", n, path)
+			return nil, fmt.Errorf("loc: function %q not found", n)
 		}
 	}
 	return out, nil
-}
-
-// FindSource locates a source file of this module by its repository-relative
-// path, trying the working directory and its parents (tests run from
-// package directories).
-func FindSource(rel string) (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		cand := filepath.Join(dir, rel)
-		if _, err := os.Stat(cand); err == nil {
-			return cand, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("loc: %s not found above working directory", rel)
-		}
-		dir = parent
-	}
 }

@@ -1,23 +1,9 @@
 package loc
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
-
-func writeTemp(t *testing.T, src string) string {
-	t.Helper()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "x.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
+import "testing"
 
 func TestCountFileStatements(t *testing.T) {
-	path := writeTemp(t, `package x
+	src := []byte(`package x
 
 // Small has 2 statements.
 func Small() int {
@@ -36,7 +22,7 @@ func Big() int {
 	return total
 }
 `)
-	stats, err := CountFile(path, "Small", "Big")
+	stats, err := Count(src, "Small", "Big")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,32 +39,13 @@ func Big() int {
 }
 
 func TestCountFileMissingFunction(t *testing.T) {
-	path := writeTemp(t, "package x\nfunc A() {}\n")
-	if _, err := CountFile(path, "NoSuch"); err == nil {
+	if _, err := Count([]byte("package x\nfunc A() {}\n"), "NoSuch"); err == nil {
 		t.Fatal("missing function did not error")
 	}
 }
 
 func TestCountFileParseError(t *testing.T) {
-	path := writeTemp(t, "this is not go")
-	if _, err := CountFile(path, "A"); err == nil {
+	if _, err := Count([]byte("this is not go"), "A"); err == nil {
 		t.Fatal("parse error not reported")
-	}
-}
-
-func TestFindSourceLocatesRepoFile(t *testing.T) {
-	// Running from internal/loc, the repo root is two levels up.
-	path, err := FindSource("internal/jacobi/jacobi.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("reported path does not exist: %v", err)
-	}
-}
-
-func TestFindSourceMissing(t *testing.T) {
-	if _, err := FindSource("no/such/file_at_all.go"); err == nil {
-		t.Fatal("missing file did not error")
 	}
 }
