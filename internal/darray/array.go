@@ -14,12 +14,30 @@
 //	})
 //
 // Arrays are SPMD values: every processor constructs its own descriptor (the
-// same way a compiled KF1 program would materialize one per node) holding
-// only that processor's local block, padded with halo (ghost) cells for
-// block-distributed dimensions. Remote values move only through explicit
-// collectives (ExchangeHalo, GatherTo, Redistribute, ...), each of which is
-// built on simulated message passing and therefore fully accounted in
-// virtual time.
+// same way a compiled KF1 program would materialize one per node). What is
+// its own is small: its grid coordinate, where its block starts, its local
+// block padded with halo (ghost) cells for block-distributed dimensions,
+// the snapshot of that block, and its views' walk scratch. What it derives
+// from the declaration alone, it shares with every processor that derives
+// it alike: the layout (extents, distributions, halo widths, the block's
+// shape), the compiled halo exchanges (runs into the local block, peers as
+// rank offsets), the gathers' pack runs and the redistribution schedules
+// are interned per machine by content (machine.Intern), and grid slices
+// are kept on their parent grid. In a block distribution these depend on a
+// processor's position class — first, interior or last along each axis, 9
+// classes in 2-D — not on its coordinates, so a machine holds a number of
+// them that does not grow with the processor count.
+//
+// Sharing cannot change a bit. An interned descriptor's key is its whole
+// content, so the object a processor gets is, value for value, the one it
+// compiled; nothing writes it once it is published; and replay reads it as
+// it would read a private copy — the same messages, in the same order, of
+// the same sizes. TestClassCensus counts the shared objects at three grid
+// sizes and holds their replay to the direct derivation.
+//
+// Remote values move only through explicit collectives (ExchangeHalo,
+// GatherTo, Redistribute, ...), each of which is built on simulated
+// message passing and therefore fully accounted in virtual time.
 //
 // Sections of an array — the paper's u(*, *, k) — are taken with Section,
 // which fixes one dimension and binds the result to the matching slice of
@@ -29,6 +47,7 @@
 package darray
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/dist"
@@ -52,32 +71,40 @@ type Spec struct {
 	Halo []int
 }
 
-// store holds the per-processor storage and layout of a root array.
-type store struct {
-	p        *machine.Proc
-	rootGrid *topology.Grid
-	extents  []int
-	dists    []dist.Dist
-	halo     []int
-	axisOf   []int // store dim -> root grid axis, -1 for Star dims
-	member   bool
-	coord    []int // p's coordinate in rootGrid (nil if not a member)
+// layout is the part of a root array's descriptor that every processor
+// of one position class computes alike: the declaration (extents,
+// distributions, halo widths, the dimension-to-axis map) and, for a grid
+// member, the shape of its local block. It holds no coordinate, so the
+// ranks whose blocks have equal extents share one layout per machine (see
+// internLayout): in a block distribution, one per (first / interior /
+// last)^d class. It is read-only once built.
+type layout struct {
+	extents []int
+	dists   []dist.Dist
+	halo    []int
+	axisOf  []int // store dim -> root grid axis, -1 for Star dims
 
-	// Local block layout (valid only when member):
+	// Local block shape (nil for a non-member):
 	lsize  []int // owned extent per dim
-	lower  []int // first owned global index per dim (Block); 0 for Star
 	pad    []int // lsize + 2*halo
 	stride []int // row-major strides over pad
-	data   []float64
-	shadow []float64 // copy-in snapshot buffer, kept across snapshots
-	snapOn bool      // whether a snapshot is currently active
+}
 
-	// Reusable per-store scratch for the halo-exchange hot path, so a
-	// steady-state exchange performs no heap allocation. A store is
-	// private to one simulated processor, so the scratch needs no lock.
-	coordBuf          []int      // rankAlongAxis coordinate scratch
-	runsBuf           []ghostRun // ghostRuns result scratch
-	itLo, itHi, itIdx []int      // plane pack/unpack odometer scratch
+// store is one processor's piece of a root array: the shared layout,
+// whose fields it promotes, and what only this processor has — its grid
+// coordinate, where its block starts, and the block itself.
+type store struct {
+	*layout
+	p        *machine.Proc
+	rootGrid *topology.Grid
+	member   bool
+	snapOn   bool  // whether a snapshot is currently active
+	coord    []int // p's coordinate in rootGrid (nil if not a member)
+	lower    []int // first owned global index per dim (Block); 0 for Star
+	data     []float64
+	shadow   []float64 // copy-in snapshot buffer, kept across snapshots
+
+	own [6]int // inline backing of coord and lower, up to a 3-D array on a 3-D grid
 }
 
 // Array is a distributed array or a section of one. The zero value is not
@@ -93,7 +120,6 @@ type Array struct {
 	st   *store
 	grid *topology.Grid // grid of this array/section
 	pfix []int          // per store dim: fixed global index, or -1 if free
-	axes []int          // root-grid axes remaining in grid, in order
 
 	// View cache, filled by finishView: Arrays are immutable views, so
 	// participation and the per-free-dimension index arithmetic are
@@ -106,22 +132,27 @@ type Array struct {
 	// maxInlineDims store dimensions (maxInlineAcc of them free) a Section
 	// costs one allocation (the Array itself) instead of one per slice.
 	pfixBuf [maxInlineDims]int
-	axesBuf [maxInlineDims]int
 	accBuf  [maxInlineAcc]axisAccess
 
 	// Per-view memoization (no locks needed: a view belongs to one
-	// simulated processor's goroutine):
-	secs        map[sectionKey]*Array   // Section views by (dim, index)
-	haloScheds  map[int]*sched.Schedule // compiled halo exchanges by dims key
-	gatherPlans map[int]*gatherPlan     // compiled gathers by root index
-	sig         string                  // memoized layout signature (see layoutSig)
+	// simulated processor's goroutine): the compiled halo exchanges and
+	// gathers — one or two — and, for the views that section or
+	// redistribute, the rest.
+	plans []viewPlan
+	more  *viewMemo
 
-	// Owned-walk scratch, bound on first use (to the inline buffers below
-	// when the dimensionality fits) and reused by every subsequent
-	// OwnedEach/OwnedRuns/FillOwned on this view. A walk's visitor must
-	// not start another owned walk on the same view.
-	walkIdx, walkLoc       []int
-	walkIdxBuf, walkLocBuf [maxInlineDims]int
+	// Owned-walk scratch, reused by every OwnedEach/OwnedRuns/FillOwned on
+	// this view (a view of more than maxInlineDims free dimensions
+	// allocates its own per walk). A walk's visitor must not start another
+	// owned walk on the same view.
+	walkIdx, walkLoc [maxInlineDims]int
+}
+
+// viewMemo is what a view memoizes beyond its plans, allocated by the
+// first Section or layoutSig call: most views never make either.
+type viewMemo struct {
+	secs map[sectionKey]*Array // Section views by (dim, index)
+	sig  string                // layout signature (see layoutSig)
 
 	// secArena chunk-allocates the Array structs of this view's sections:
 	// chunks hold 1, 2, 4, then secChunk views, so a view sectioned once
@@ -132,28 +163,42 @@ type Array struct {
 	secArena []Array
 }
 
+// memo returns the view's viewMemo, allocating it on first use.
+func (a *Array) memo() *viewMemo {
+	if a.more == nil {
+		a.more = &viewMemo{}
+	}
+	return a.more
+}
+
+// viewPlan is one compiled communication pattern a view keeps: a halo
+// exchange by its dims key, or a gather by its root index.
+type viewPlan struct {
+	key    int
+	halo   *sched.Schedule
+	gather *gatherPlan
+}
+
 // secChunk is the most section views one arena chunk holds.
 const secChunk = 8
 
-// bindWalkScratch points the owned-walk scratch at the inline buffers (or
-// heap slices for high-dimensional views); called on a view's first walk.
-func (a *Array) bindWalkScratch(nfree int) {
+// walkScratch returns the owned-walk index and position scratch for nfree
+// free dimensions.
+func (a *Array) walkScratch(nfree int) (idx, loc []int) {
 	if nfree <= maxInlineDims {
-		a.walkIdx = a.walkIdxBuf[:nfree]
-		a.walkLoc = a.walkLocBuf[:nfree]
-	} else {
-		a.walkIdx = make([]int, nfree)
-		a.walkLoc = make([]int, nfree)
+		return a.walkIdx[:nfree], a.walkLoc[:nfree]
 	}
+	return make([]int, nfree), make([]int, nfree)
 }
 
 // newSection carves one Array out of the view's section arena.
 func (a *Array) newSection() *Array {
-	if len(a.secArena) == cap(a.secArena) {
-		a.secArena = make([]Array, 0, min(max(2*cap(a.secArena), 1), secChunk))
+	m := a.memo()
+	if len(m.secArena) == cap(m.secArena) {
+		m.secArena = make([]Array, 0, min(max(2*cap(m.secArena), 1), secChunk))
 	}
-	a.secArena = a.secArena[:len(a.secArena)+1]
-	return &a.secArena[len(a.secArena)-1]
+	m.secArena = m.secArena[:len(m.secArena)+1]
+	return &m.secArena[len(m.secArena)-1]
 }
 
 // maxInlineDims bounds the dimensionality served by the inline view
@@ -189,11 +234,16 @@ const (
 // distribution, which roff and woff ask; they are also where an index
 // outside its window goes to have its panic worded.
 //
-// The second group is what roff, woff, globalOf and the owned walks read.
-// An axGeneral dimension asks its distribution through the store rather
-// than carrying it: every view holds maxInlineAcc of these inline, so a
-// field here is paid for three times per view whether or not any dimension
-// is general.
+// The second group says how to read the first: the dimension's kind and
+// its store dimension, through which the slow paths (roff and woff's
+// panics, the owned walks' extents) reach the shared layout — every view
+// holds maxInlineAcc of these inline, so a field here is paid for three
+// times per view whether or not any dimension is general. A general
+// dimension's every access asks its distribution, so it keeps the
+// arguments it asks with at hand: its windows are empty (rspan = wspan =
+// 0), no fast path reads its rlo, base or lower, and they hold the
+// calling processor's coordinate, the axis length and the extent instead
+// (see general).
 type axisAccess struct {
 	rlo, rspan int // read window
 	wspan      int // write window length; it starts at lower
@@ -201,13 +251,14 @@ type axisAccess struct {
 	stride     int
 	lower      int // first owned global index (axContig); 0 otherwise
 
-	kind   uint8
-	sd     int32 // store dimension
-	halo   int
-	extent int
-	lsize  int // owned extent
-	q, P   int // grid coordinate and axis length (axGeneral)
+	sd   int32 // store dimension
+	kind uint8
 }
+
+// general returns an axGeneral dimension's distribution arguments: the
+// calling processor's coordinate along the dimension's grid axis, the axis
+// length, and the extent.
+func (ax *axisAccess) general() (q, P, extent int) { return ax.lower, ax.base, ax.rlo }
 
 // finishView fills the view cache; every constructor of an Array must call
 // it last.
@@ -235,13 +286,7 @@ func (a *Array) finishView() {
 			a.fixedOff += st.localPos(sd, f) * st.stride[sd]
 			continue
 		}
-		ax := axisAccess{
-			sd:     int32(sd),
-			stride: st.stride[sd],
-			halo:   st.halo[sd],
-			extent: st.extents[sd],
-			lsize:  st.lsize[sd],
-		}
+		ax := axisAccess{sd: int32(sd), stride: st.stride[sd]}
 		switch {
 		case st.axisOf[sd] < 0:
 			ax.kind = axStar
@@ -251,16 +296,17 @@ func (a *Array) finishView() {
 				ax.lower = st.lower[sd]
 			} else {
 				ax.kind = axGeneral
-				ax.q = st.coord[st.axisOf[sd]]
-				ax.P = st.rootGrid.Extent(st.axisOf[sd])
+				axis := st.axisOf[sd] // see general
+				ax.lower, ax.base, ax.rlo = st.coord[axis], st.rootGrid.Extent(axis), st.extents[sd]
 			}
 		}
 		if ax.kind != axGeneral {
 			// Star: lower 0, lsize = extent, halo 0.
-			ax.base = ax.halo - ax.lower
-			ax.rlo = max(ax.lower-ax.halo, 0)
-			ax.rspan = max(min(ax.lower+ax.lsize+ax.halo, ax.extent)-ax.rlo, 0)
-			ax.wspan = max(min(ax.lower+ax.lsize, ax.extent)-ax.lower, 0)
+			h, n, extent := st.halo[sd], st.lsize[sd], st.extents[sd]
+			ax.base = h - ax.lower
+			ax.rlo = max(ax.lower-h, 0)
+			ax.rspan = max(min(ax.lower+n+h, extent)-ax.rlo, 0)
+			ax.wspan = max(min(ax.lower+n, extent)-ax.lower, 0)
 		}
 		a.acc = append(a.acc, ax)
 	}
@@ -275,7 +321,8 @@ func (a *Array) globalOf(k, l int) int {
 	case axContig:
 		return ax.lower + l
 	default:
-		return a.st.dists[ax.sd].ToGlobal(l, ax.q, ax.extent, ax.P)
+		q, P, extent := ax.general()
+		return a.st.dists[ax.sd].ToGlobal(l, q, extent, P)
 	}
 }
 
@@ -283,27 +330,33 @@ func (a *Array) globalOf(k, l int) int {
 // dimension k for a read: owned cells and halo cells are legal.
 func (a *Array) roff(k, g int) int {
 	ax := &a.acc[k]
-	if g < 0 || g >= ax.extent {
-		panic(fmt.Sprintf("darray: index %d out of extent %d (dim %d)", g, ax.extent, ax.sd))
-	}
-	switch ax.kind {
-	case axStar:
-		return g * ax.stride
-	case axContig:
-		l := g - ax.lower
-		if l < -ax.halo || l >= ax.lsize+ax.halo {
-			panic(fmt.Sprintf("darray: proc %d cannot access global index %d of dim %d (owns [%d,%d], halo %d)",
-				a.st.p.Rank(), g, ax.sd, ax.lower, ax.lower+ax.lsize-1, ax.halo))
+	if ax.kind == axGeneral {
+		// A general dimension has no halo.
+		q, P, extent := ax.general()
+		if g < 0 || g >= extent {
+			panic(fmt.Sprintf("darray: index %d out of extent %d (dim %d)", g, extent, ax.sd))
 		}
-		return (l + ax.halo) * ax.stride
-	default:
 		d := a.st.dists[ax.sd]
-		if d.Owner(g, ax.extent, ax.P) != ax.q {
+		if d.Owner(g, extent, P) != q {
 			panic(fmt.Sprintf("darray: proc %d does not own global index %d of %s dim %d",
 				a.st.p.Rank(), g, d.Name(), ax.sd))
 		}
-		return (d.ToLocal(g, ax.extent, ax.P) + ax.halo) * ax.stride
+		return d.ToLocal(g, extent, P) * ax.stride
 	}
+	if ax.kind == axStar && uint(g) < uint(ax.rspan) { // a Star window is the extent
+		return g * ax.stride
+	}
+	st, sd := a.st, int(ax.sd)
+	if g < 0 || g >= st.extents[sd] {
+		panic(fmt.Sprintf("darray: index %d out of extent %d (dim %d)", g, st.extents[sd], sd))
+	}
+	h, n := st.halo[sd], st.lsize[sd]
+	l := g - ax.lower
+	if l < -h || l >= n+h {
+		panic(fmt.Sprintf("darray: proc %d cannot access global index %d of dim %d (owns [%d,%d], halo %d)",
+			st.p.Rank(), g, sd, ax.lower, ax.lower+n-1, h))
+	}
+	return (l + h) * ax.stride
 }
 
 // woff is roff for writes: only owned cells are legal (ghost values are
@@ -311,11 +364,10 @@ func (a *Array) roff(k, g int) int {
 func (a *Array) woff(k, g int) int {
 	ax := &a.acc[k]
 	if ax.kind == axContig {
-		l := g - ax.lower
-		if g < 0 || g >= ax.extent || l < 0 || l >= ax.lsize {
+		if uint(g-ax.lower) >= uint(ax.wspan) {
 			panic(fmt.Sprintf("darray: proc %d writing unowned index %d of dim %d", a.st.p.Rank(), g, ax.sd))
 		}
-		return (l + ax.halo) * ax.stride
+		return (g + ax.base) * ax.stride
 	}
 	return a.roff(k, g)
 }
@@ -336,31 +388,25 @@ func New(p *machine.Proc, g *topology.Grid, spec Spec) *Array {
 	if len(halo) != nd {
 		panic(fmt.Sprintf("darray: halo has %d entries for %d dims", len(halo), nd))
 	}
-	// One backing array for the store's three per-dimension int slices.
-	hdr := make([]int, 3*nd)
-	st := &store{
-		p:        p,
-		rootGrid: g,
-		extents:  hdr[0*nd : 1*nd : 1*nd],
-		dists:    append([]dist.Dist(nil), spec.Dists...),
-		halo:     hdr[1*nd : 2*nd : 2*nd],
-		axisOf:   hdr[2*nd : 3*nd : 3*nd],
+	var dimBuf [2 * maxInlineDims]int
+	dimScratch := dimBuf[:]
+	if 2*nd > len(dimScratch) {
+		dimScratch = make([]int, 2*nd)
 	}
-	copy(st.extents, spec.Extents)
-	copy(st.halo, halo)
+	axisOf, lsize := dimScratch[:nd], dimScratch[nd:2*nd]
 	axis := 0
 	for d := 0; d < nd; d++ {
 		if spec.Extents[d] <= 0 {
 			panic(fmt.Sprintf("darray: extent %d of dim %d", spec.Extents[d], d))
 		}
 		if _, isStar := spec.Dists[d].(dist.Star); isStar {
-			st.axisOf[d] = -1
+			axisOf[d] = -1
 			continue
 		}
 		if axis >= g.Dims() {
 			panic(fmt.Sprintf("darray: more distributed dims than grid dims (%d)", g.Dims()))
 		}
-		st.axisOf[d] = axis
+		axisOf[d] = axis
 		axis++
 	}
 	if axis != 0 && axis != g.Dims() {
@@ -373,11 +419,33 @@ func New(p *machine.Proc, g *topology.Grid, spec Spec) *Array {
 			}
 		}
 	}
-	coord, member := g.CoordOf(p.Rank())
-	st.member = member
-	st.coord = coord
-	if member {
-		st.allocate()
+	st := &store{p: p, rootGrid: g}
+	own := st.own[:]
+	if gd := g.Dims(); gd+nd > len(own) {
+		own = make([]int, gd+nd)
+	}
+	coord := own[:g.Dims():g.Dims()]
+	if st.member = g.CoordInto(p.Rank(), coord); st.member {
+		st.coord = coord
+		st.lower = own[g.Dims() : g.Dims()+nd : g.Dims()+nd]
+		for d := 0; d < nd; d++ {
+			n := spec.Extents[d]
+			if axisOf[d] < 0 {
+				lsize[d] = n
+				continue
+			}
+			q, P := coord[axisOf[d]], g.Extent(axisOf[d])
+			lsize[d] = spec.Dists[d].Size(q, n, P)
+			if b, ok := spec.Dists[d].(dist.Contiguous); ok {
+				st.lower[d] = b.Lower(q, n, P)
+			}
+		}
+	} else {
+		lsize = nil
+	}
+	st.layout = internLayout(p.Machine(), spec.Extents, spec.Dists, halo, axisOf, lsize)
+	if st.member {
+		st.data = make([]float64, st.stride[0]*st.pad[0])
 	}
 	a := &Array{st: st, grid: g}
 	if nd <= maxInlineDims {
@@ -388,54 +456,80 @@ func New(p *machine.Proc, g *topology.Grid, spec Spec) *Array {
 	for d := range a.pfix {
 		a.pfix[d] = -1
 	}
-	if g.Dims() <= maxInlineDims {
-		a.axes = a.axesBuf[:g.Dims()]
-	} else {
-		a.axes = make([]int, g.Dims())
-	}
-	for i := range a.axes {
-		a.axes[i] = i
-	}
 	a.finishView()
 	return a
 }
 
-// allocate computes the local block layout and allocates storage. The
-// seven per-dimension layout/scratch slices share one backing array.
-func (st *store) allocate() {
-	nd := len(st.extents)
-	lay := make([]int, 7*nd+len(st.coord))
-	st.lsize = lay[0*nd : 1*nd : 1*nd]
-	st.lower = lay[1*nd : 2*nd : 2*nd]
-	st.pad = lay[2*nd : 3*nd : 3*nd]
-	st.stride = lay[3*nd : 4*nd : 4*nd]
-	st.itLo = lay[4*nd : 5*nd : 5*nd]
-	st.itHi = lay[5*nd : 6*nd : 6*nd]
-	st.itIdx = lay[6*nd : 7*nd : 7*nd]
-	st.coordBuf = lay[7*nd:]
-	total := 1
-	for d := 0; d < nd; d++ {
-		n := st.extents[d]
-		if st.axisOf[d] < 0 {
-			st.lsize[d] = n
-			st.lower[d] = 0
-		} else {
-			q := st.coord[st.axisOf[d]]
-			P := st.rootGrid.Extent(st.axisOf[d])
-			st.lsize[d] = st.dists[d].Size(q, n, P)
-			if b, ok := st.dists[d].(dist.Contiguous); ok {
-				st.lower[d] = b.Lower(q, n, P)
-			}
+// internLayout returns machine m's one layout with this content (see
+// machine.Intern); lsize is nil for a processor outside the grid. Two
+// layouts are equal exactly when their keys are, so a rank shares one only
+// with ranks that would have computed it identically.
+func internLayout(m *machine.Machine, extents []int, dists []dist.Dist, halo, axisOf, lsize []int) *layout {
+	var buf [128]byte
+	key := binary.AppendUvarint(append(buf[:0], 'L'), uint64(len(extents)))
+	key = binary.AppendUvarint(key, uint64(len(lsize)))
+	for d := range extents {
+		key = binary.AppendUvarint(key, uint64(extents[d]))
+		key = binary.AppendUvarint(key, uint64(halo[d]))
+		key = binary.AppendVarint(key, int64(axisOf[d]))
+		key = appendDist(key, dists[d])
+		if lsize != nil {
+			key = binary.AppendUvarint(key, uint64(lsize[d]))
 		}
-		st.pad[d] = st.lsize[d] + 2*st.halo[d]
-		total *= st.pad[d]
 	}
+	return m.Intern(key, func() any { return newLayout(extents, dists, halo, axisOf, lsize) }).(*layout)
+}
+
+// appendDist encodes a distribution for a layout key: the bundled patterns
+// by a letter and their parameters, any other by its type and value.
+func appendDist(key []byte, d dist.Dist) []byte {
+	switch d := d.(type) {
+	case dist.Block:
+		return append(key, 'b')
+	case dist.Cyclic:
+		return append(key, 'c')
+	case dist.Star:
+		return append(key, '*')
+	case dist.BlockAligned:
+		key = binary.AppendUvarint(append(key, 'a'), uint64(d.RootExtent))
+		return binary.AppendUvarint(key, uint64(d.Stride))
+	default:
+		return fmt.Appendf(append(key, '?'), "%T%v;", d, d)
+	}
+}
+
+// newLayout builds a layout from its content, the per-dimension ints in
+// one backing array.
+func newLayout(extents []int, dists []dist.Dist, halo, axisOf, lsize []int) *layout {
+	nd := len(extents)
+	k := 3
+	if lsize != nil {
+		k = 6
+	}
+	ints := make([]int, k*nd)
+	lay := &layout{
+		extents: ints[0*nd : 1*nd : 1*nd],
+		dists:   append([]dist.Dist(nil), dists...),
+		halo:    ints[1*nd : 2*nd : 2*nd],
+		axisOf:  ints[2*nd : 3*nd : 3*nd],
+	}
+	copy(lay.extents, extents)
+	copy(lay.halo, halo)
+	copy(lay.axisOf, axisOf)
+	if lsize == nil {
+		return lay
+	}
+	lay.lsize = ints[3*nd : 4*nd : 4*nd]
+	lay.pad = ints[4*nd : 5*nd : 5*nd]
+	lay.stride = ints[5*nd : 6*nd : 6*nd]
+	copy(lay.lsize, lsize)
 	stride := 1
 	for d := nd - 1; d >= 0; d-- {
-		st.stride[d] = stride
-		stride *= st.pad[d]
+		lay.pad[d] = lsize[d] + 2*halo[d]
+		lay.stride[d] = stride
+		stride *= lay.pad[d]
 	}
-	st.data = make([]float64, total)
+	return lay
 }
 
 // Dims returns the number of (free) dimensions of the array or section.
@@ -732,14 +826,15 @@ func (a *Array) Section(d, i int) *Array {
 	sd := a.storeDim(d)
 	a.checkSectionIndex(sd, i)
 	key := sectionKey{d: sd, i: i}
-	if sec, ok := a.secs[key]; ok {
+	m := a.memo()
+	if sec, ok := m.secs[key]; ok {
 		return sec
 	}
 	sec := a.buildSection(sd, i)
-	if a.secs == nil {
-		a.secs = make(map[sectionKey]*Array)
+	if m.secs == nil {
+		m.secs = make(map[sectionKey]*Array)
 	}
-	a.secs[key] = sec
+	m.secs[key] = sec
 	return sec
 }
 
@@ -750,7 +845,7 @@ func (a *Array) checkSectionIndex(sd, i int) {
 }
 
 // SectionGrid returns Section(d, i).Grid() — the pointer-identical grid,
-// out of the same bounded per-processor grid-slice cache — without building
+// the one Grid.SliceThrough keeps for every processor — without building
 // a view at all. On-clause resolution uses it (and OwnerGrid, and
 // SectionParticipates) so that neither compiling a doall header nor
 // running the generic per-iteration path retains, or even allocates, a
@@ -762,7 +857,7 @@ func (a *Array) SectionGrid(d, i int) *topology.Grid {
 	if ax < 0 {
 		return a.grid
 	}
-	return a.st.gridSliceThrough(a.grid, axisPos(a.axes, ax), a.st.ownerOf(sd, i))
+	return a.grid.SliceThrough(a.gridPos(ax), a.st.ownerOf(sd, i))
 }
 
 // SectionParticipates returns Section(d, i).Participates(), again without
@@ -777,13 +872,12 @@ func (a *Array) SectionParticipates(d, i int) bool {
 // OwnerGrid returns the iteration grid of the element (or leading-index
 // section chain) at idx — Section(0, idx[0]).Section(0, idx[1])...Grid() —
 // by walking the free dimensions and slicing the grid through each owner
-// directly; like SectionGrid it builds no view and, once the grid-slice
-// cache holds the slices, allocates nothing.
+// directly; like SectionGrid it builds no view and, once the grids hold
+// the slices, allocates nothing.
 func (a *Array) OwnerGrid(idx ...int) *topology.Grid {
 	st := a.st
-	var axesBuf [maxInlineDims]int
-	axes := append(axesBuf[:0], a.axes...) // root-grid axes left in g
 	g := a.grid
+	sliced := 0 // grid axes this walk has fixed, each below the next one's
 	sd := -1
 	for _, i := range idx {
 		// Section(0, i) fixes the first dimension that is still free.
@@ -797,9 +891,8 @@ func (a *Array) OwnerGrid(idx ...int) *topology.Grid {
 		if ax < 0 {
 			continue
 		}
-		pos := axisPos(axes, ax)
-		g = st.gridSliceThrough(g, pos, st.ownerOf(sd, i))
-		axes = append(axes[:pos], axes[pos+1:]...)
+		g = g.SliceThrough(a.gridPos(ax)-sliced, st.ownerOf(sd, i))
+		sliced++
 	}
 	return g
 }
@@ -810,15 +903,17 @@ func (st *store) ownerOf(sd, i int) int {
 	return st.dists[sd].Owner(i, st.extents[sd], st.rootGrid.Extent(st.axisOf[sd]))
 }
 
-// axisPos returns the position of root-grid axis ax among the axes a grid
-// still has.
-func axisPos(axes []int, ax int) int {
-	for k, rootAx := range axes {
-		if rootAx == ax {
-			return k
+// gridPos returns the position of root-grid axis ax among the axes the
+// view's grid still has: the grid keeps the axes of the free distributed
+// dimensions, in store-dimension order, which is axis order.
+func (a *Array) gridPos(ax int) int {
+	pos := 0
+	for sd, f := range a.pfix {
+		if f < 0 && a.st.axisOf[sd] >= 0 && a.st.axisOf[sd] < ax {
+			pos++
 		}
 	}
-	panic("darray: internal error: sectioned axis not in current grid")
+	return pos
 }
 
 // buildSection constructs the section view fixing store dim sd at i, carved
@@ -827,7 +922,6 @@ func (a *Array) buildSection(sd, i int) *Array {
 	sec := a.newSection()
 	sec.st = a.st
 	sec.grid = a.grid
-	sec.axes = a.axes
 	if nd := len(a.pfix); nd <= maxInlineDims {
 		sec.pfix = sec.pfixBuf[:nd]
 	} else {
@@ -837,66 +931,10 @@ func (a *Array) buildSection(sd, i int) *Array {
 	sec.pfix[sd] = i
 	if ax := a.st.axisOf[sd]; ax >= 0 {
 		// Slice the current grid through the owner of i along ax.
-		pos := axisPos(a.axes, ax)
-		var newAxes []int
-		if len(a.axes)-1 <= maxInlineDims {
-			newAxes = sec.axesBuf[:0]
-		} else {
-			newAxes = make([]int, 0, len(a.axes)-1)
-		}
-		for k := range a.axes {
-			if k != pos {
-				newAxes = append(newAxes, a.axes[k])
-			}
-		}
-		sec.grid = a.st.gridSliceThrough(a.grid, pos, a.st.ownerOf(sd, i))
-		sec.axes = newAxes
+		sec.grid = a.grid.SliceThrough(a.gridPos(ax), a.st.ownerOf(sd, i))
 	}
 	sec.finishView()
 	return sec
-}
-
-// gridSliceKey identifies a grid slice in the per-processor cache: the
-// parent grid, the sliced dimension position, and the fixed coordinate.
-type gridSliceKey struct {
-	g          *topology.Grid
-	pos, owner int
-}
-
-// gridSliceCacheKey is this package's Proc.Scratch registration key.
-type gridSliceCacheKey struct{}
-
-// gridSliceThrough returns the slice of grid g with the dimension at
-// position pos fixed at coordinate owner, memoized per processor and parent
-// grid: every section through the same owner — of any array on that grid,
-// whether a view is built for it or not — shares one grid object, so
-// sectioning a dimension of extent n costs O(owners), not O(n · arrays),
-// grid constructions.
-func (st *store) gridSliceThrough(g *topology.Grid, pos, owner int) *topology.Grid {
-	cache := st.p.Scratch(gridSliceCacheKey{}, func() any {
-		return make(map[gridSliceKey]*topology.Grid)
-	}).(map[gridSliceKey]*topology.Grid)
-	key := gridSliceKey{g: g, pos: pos, owner: owner}
-	if sl, ok := cache[key]; ok {
-		return sl
-	}
-	var specBuf [maxInlineDims]int
-	var spec []int
-	if gd := g.Dims(); gd <= maxInlineDims {
-		spec = specBuf[:gd]
-	} else {
-		spec = make([]int, gd)
-	}
-	for k := range spec {
-		if k == pos {
-			spec[k] = owner
-		} else {
-			spec[k] = topology.All
-		}
-	}
-	sl := g.Slice(spec...)
-	cache[key] = sl
-	return sl
 }
 
 // String describes the array for diagnostics.

@@ -108,16 +108,18 @@ func countDescriptors(decl jacobiRanks) census {
 	roots := 0
 	for r := range decl.x {
 		for _, a := range []*Array{decl.x[r], decl.f[r]} {
-			layouts[&a.st.extents[0]] = true
-			for _, s := range a.haloScheds {
-				halos[s] = true
-			}
-			for _, pl := range a.gatherPlans {
-				if runs := pl.Sends[0].Runs; len(runs) > 0 {
-					packs[&runs[0]] = true
+			layouts[a.st.layout] = true
+			for _, pl := range a.plans {
+				if pl.halo != nil {
+					halos[pl.halo] = true
 				}
-				if pl.Recvs != nil {
-					roots++
+				if g := pl.gather; g != nil {
+					if len(g.pack) > 0 {
+						packs[&g.pack[0]] = true
+					}
+					if g.root != nil {
+						roots++
+					}
 				}
 			}
 		}

@@ -23,21 +23,20 @@ func (a *Array) ownedWalk(visit func(idx []int, off int)) {
 		visit(nil, a.fixedOff) // fully fixed section: a single owned cell
 		return
 	}
+	st := a.st
+	lsize := st.lsize
 	for k := range a.acc {
-		if a.acc[k].lsize == 0 {
+		if lsize[a.acc[k].sd] == 0 {
 			return // empty local block: nothing owned
 		}
 	}
-	if a.walkIdx == nil {
-		a.bindWalkScratch(nfree)
-	}
-	idx, loc := a.walkIdx, a.walkLoc
+	idx, loc := a.walkScratch(nfree)
 	off := a.fixedOff
 	for k := range a.acc {
 		ax := &a.acc[k]
 		loc[k] = 0
 		idx[k] = a.globalOf(k, 0)
-		off += ax.halo * ax.stride
+		off += st.halo[ax.sd] * ax.stride
 	}
 	for {
 		visit(idx, off)
@@ -46,7 +45,7 @@ func (a *Array) ownedWalk(visit func(idx []int, off int)) {
 			ax := &a.acc[k]
 			loc[k]++
 			off += ax.stride
-			if loc[k] < ax.lsize {
+			if loc[k] < lsize[ax.sd] {
 				if ax.kind == axGeneral {
 					idx[k] = a.globalOf(k, loc[k])
 				} else {
@@ -54,7 +53,7 @@ func (a *Array) ownedWalk(visit func(idx []int, off int)) {
 				}
 				break
 			}
-			off -= ax.lsize * ax.stride
+			off -= lsize[ax.sd] * ax.stride
 			loc[k] = 0
 			idx[k] = a.globalOf(k, 0)
 			k--
@@ -97,23 +96,21 @@ func (a *Array) OwnedRuns(visit func(idx []int, vals []float64)) {
 		a.ownedWalk(func(idx []int, off int) { visit(idx, st.data[off:off+1]) })
 		return
 	}
+	lsize := st.lsize
 	for k := range a.acc {
-		if a.acc[k].lsize == 0 {
+		if lsize[a.acc[k].sd] == 0 {
 			return
 		}
 	}
-	if a.walkIdx == nil {
-		a.bindWalkScratch(nfree)
-	}
-	idx, loc := a.walkIdx, a.walkLoc
+	idx, loc := a.walkScratch(nfree)
 	off := a.fixedOff
 	for k := range a.acc {
 		ax := &a.acc[k]
 		loc[k] = 0
 		idx[k] = a.globalOf(k, 0)
-		off += ax.halo * ax.stride
+		off += st.halo[ax.sd] * ax.stride
 	}
-	n := inner.lsize
+	n := lsize[inner.sd]
 	for {
 		visit(idx, st.data[off:off+n])
 		k := nfree - 2
@@ -121,7 +118,7 @@ func (a *Array) OwnedRuns(visit func(idx []int, vals []float64)) {
 			ax := &a.acc[k]
 			loc[k]++
 			off += ax.stride
-			if loc[k] < ax.lsize {
+			if loc[k] < lsize[ax.sd] {
 				if ax.kind == axGeneral {
 					idx[k] = a.globalOf(k, loc[k])
 				} else {
@@ -129,7 +126,7 @@ func (a *Array) OwnedRuns(visit func(idx []int, vals []float64)) {
 				}
 				break
 			}
-			off -= ax.lsize * ax.stride
+			off -= lsize[ax.sd] * ax.stride
 			loc[k] = 0
 			idx[k] = a.globalOf(k, 0)
 			k--

@@ -18,9 +18,9 @@ type ghostRun struct {
 // ghostRuns returns the contiguous per-owner runs covering the global index
 // range [lo, hi] of store dim sd (clipped to the extent). For Contiguous
 // distributions the runs are derived from the owners' block bounds in
-// O(owners) instead of probing Owner per index. The returned slice is the
-// store's reusable scratch: it is valid until the next ghostRuns call.
-func (a *Array) ghostRuns(sd, lo, hi int) []ghostRun {
+// O(owners) instead of probing Owner per index. The runs are appended to
+// runs[:0], a caller's scratch.
+func (a *Array) ghostRuns(sd, lo, hi int, runs []ghostRun) []ghostRun {
 	st := a.st
 	n := st.extents[sd]
 	if lo < 0 {
@@ -29,7 +29,7 @@ func (a *Array) ghostRuns(sd, lo, hi int) []ghostRun {
 	if hi >= n {
 		hi = n - 1
 	}
-	runs := st.runsBuf[:0]
+	runs = runs[:0]
 	P := st.rootGrid.Extent(st.axisOf[sd])
 	if b, ok := st.dists[sd].(dist.Contiguous); ok {
 		q := 0
@@ -59,113 +59,93 @@ func (a *Array) ghostRuns(sd, lo, hi int) []ghostRun {
 			i = j + 1
 		}
 	}
-	st.runsBuf = runs
 	return runs
 }
 
 // rankAlongAxis returns the machine rank of the processor at the calling
 // processor's root coordinate with the coordinate along root axis ax
 // replaced by q.
-func (st *store) rankAlongAxis(ax, q int) int {
-	copy(st.coordBuf, st.coord)
-	st.coordBuf[ax] = q
-	return st.rootGrid.Rank(st.coordBuf...)
+func (st *store) rankAlongAxis(ax, q int) int { return st.p.Rank() + st.offsetAlongAxis(ax, q) }
+
+// offsetAlongAxis is rankAlongAxis as an offset from the calling
+// processor's rank: what a compiled schedule names a peer by.
+func (st *store) offsetAlongAxis(ax, q int) int {
+	return (q - st.coord[ax]) * st.rootGrid.Stride(ax)
 }
 
-// planeBounds fills the store's iteration scratch with the halo-relative
-// local position range of every store dim for the hyperplane at position l
-// of store dim sd (fixed dims pinned, free dims over owned cells). It
-// reports false when some dimension is empty.
-func (a *Array) planeBounds(sd, l int) bool {
+// eachPlaneRun calls visit with the storage offset and length of every
+// innermost run of the hyperplane at halo-relative local position l of
+// store dim sd — fixed dims pinned, free dims over owned cells — in
+// row-major order, and not at all when some dimension is empty. The
+// innermost store dimension is stride-1, so a run is one copy: the
+// packed-buffer staging a message-passing compiler would generate, rather
+// than a call per cell.
+func (a *Array) eachPlaneRun(sd, l int, visit func(off, n int)) {
 	st := a.st
+	nd := len(st.extents)
+	var buf [3 * maxInlineDims]int
+	scratch := buf[:]
+	if 3*nd > len(scratch) {
+		scratch = make([]int, 3*nd)
+	}
+	lo, hi, idx := scratch[:nd], scratch[nd:2*nd], scratch[2*nd:3*nd]
+	base := 0
 	for d := range st.extents {
 		switch {
 		case d == sd:
-			st.itLo[d], st.itHi[d] = l, l
+			lo[d], hi[d] = l, l
 		case a.pfix[d] >= 0:
-			st.itLo[d] = st.localPos(d, a.pfix[d])
-			st.itHi[d] = st.itLo[d]
+			lo[d] = st.localPos(d, a.pfix[d])
+			hi[d] = lo[d]
 		default:
-			st.itLo[d] = st.halo[d]
-			st.itHi[d] = st.halo[d] + st.lsize[d] - 1
+			lo[d] = st.halo[d]
+			hi[d] = st.halo[d] + st.lsize[d] - 1
 		}
-		if st.itHi[d] < st.itLo[d] {
-			return false
+		if hi[d] < lo[d] {
+			return
 		}
-		st.itIdx[d] = st.itLo[d]
+		idx[d] = lo[d]
+		base += lo[d] * st.stride[d]
 	}
-	return true
+	runLen := hi[nd-1] - lo[nd-1] + 1 // stride[nd-1] == 1
+	for {
+		visit(base, runLen)
+		d := nd - 2
+		for d >= 0 {
+			idx[d]++
+			base += st.stride[d]
+			if idx[d] <= hi[d] {
+				break
+			}
+			base -= (idx[d] - lo[d]) * st.stride[d]
+			idx[d] = lo[d]
+			d--
+		}
+		if d < 0 {
+			return
+		}
+	}
 }
 
 // packPlane copies the cells of the hyperplane at halo-relative position l
 // of store dim sd into dst in row-major order, returning the number of
-// values written. The innermost store dimension is stride-1, so each
-// innermost run moves with a single copy — the packed-buffer staging a
-// message-passing compiler would generate — rather than a call per cell.
+// values written.
 func (a *Array) packPlane(sd, l int, dst []float64) int {
-	st := a.st
-	if !a.planeBounds(sd, l) {
-		return 0
-	}
-	nd := len(st.extents)
-	base := 0
-	for d := 0; d < nd; d++ {
-		base += st.itLo[d] * st.stride[d]
-	}
-	runLen := st.itHi[nd-1] - st.itLo[nd-1] + 1 // stride[nd-1] == 1
-	k := 0
-	for {
-		copy(dst[k:k+runLen], st.data[base:base+runLen])
-		k += runLen
-		d := nd - 2
-		for d >= 0 {
-			st.itIdx[d]++
-			base += st.stride[d]
-			if st.itIdx[d] <= st.itHi[d] {
-				break
-			}
-			base -= (st.itIdx[d] - st.itLo[d]) * st.stride[d]
-			st.itIdx[d] = st.itLo[d]
-			d--
-		}
-		if d < 0 {
-			return k
-		}
-	}
+	data, k := a.st.data, 0
+	a.eachPlaneRun(sd, l, func(off, n int) {
+		k += copy(dst[k:k+n], data[off:off+n])
+	})
+	return k
 }
 
 // unpackPlane is the inverse of packPlane: it scatters src into the
 // hyperplane's cells, returning the number of values consumed.
 func (a *Array) unpackPlane(sd, l int, src []float64) int {
-	st := a.st
-	if !a.planeBounds(sd, l) {
-		return 0
-	}
-	nd := len(st.extents)
-	base := 0
-	for d := 0; d < nd; d++ {
-		base += st.itLo[d] * st.stride[d]
-	}
-	runLen := st.itHi[nd-1] - st.itLo[nd-1] + 1
-	k := 0
-	for {
-		copy(st.data[base:base+runLen], src[k:k+runLen])
-		k += runLen
-		d := nd - 2
-		for d >= 0 {
-			st.itIdx[d]++
-			base += st.stride[d]
-			if st.itIdx[d] <= st.itHi[d] {
-				break
-			}
-			base -= (st.itIdx[d] - st.itLo[d]) * st.stride[d]
-			st.itIdx[d] = st.itLo[d]
-			d--
-		}
-		if d < 0 {
-			return k
-		}
-	}
+	data, k := a.st.data, 0
+	a.eachPlaneRun(sd, l, func(off, n int) {
+		k += copy(data[off:off+n], src[k:k+n])
+	})
+	return k
 }
 
 // localPos returns the halo-relative local position of global index g in
@@ -328,7 +308,8 @@ func (a *Array) recvHalo(sc machine.Scope, sd int) {
 
 func (a *Array) recvSide(sc machine.Scope, sd, ax, side, lo, hi, plane, h int) {
 	st := a.st
-	for _, run := range a.ghostRuns(sd, lo, hi) {
+	var runs [4]ghostRun
+	for _, run := range a.ghostRuns(sd, lo, hi, runs[:0]) {
 		src := st.rankAlongAxis(ax, run.ownerCoord)
 		buf := st.p.Recv(src, sc.Tag(uint16(sd<<2|side)))
 		want := (run.hi - run.lo + 1) * plane

@@ -11,9 +11,9 @@ import (
 
 // OwnerGrid and SectionGrid derive an iteration grid by index arithmetic;
 // Section(...).Grid() derives it by building (and retaining) views. Both go
-// through the per-processor grid-slice cache, so they must agree to the
-// pointer — on every rank, for every distribution mix, and from sections of
-// sections as well as from root arrays.
+// through the slices each grid keeps (topology.Grid.SliceThrough), so they
+// must agree to the pointer — on every rank, for every distribution mix,
+// and from sections of sections as well as from root arrays.
 
 type gridCase struct {
 	name    string
@@ -98,8 +98,8 @@ func TestGridsWithoutViewsMatchSectionChain(t *testing.T) {
 	}
 }
 
-// TestGridsWithoutViewsZeroAllocs pins that, once the grid-slice cache holds
-// a processor's slices, deriving an iteration grid allocates nothing — no
+// TestGridsWithoutViewsZeroAllocs pins that, once the grids hold the
+// slices a processor asks for, deriving an iteration grid allocates nothing — no
 // throwaway view. One calendar worker runs the ranks one at a time, so
 // AllocsPerRun (a process-wide count) sees only the measuring rank.
 func TestGridsWithoutViewsZeroAllocs(t *testing.T) {
@@ -124,7 +124,7 @@ func TestGridsWithoutViewsZeroAllocs(t *testing.T) {
 						idx[d] = 0
 					}
 				}
-				sweep() // fill the grid-slice cache
+				sweep() // fill the grids' slices
 				if avg := testing.AllocsPerRun(10, sweep); avg != 0 {
 					t.Errorf("rank %d: %v allocs per sweep of SectionGrid/OwnerGrid, want 0", p.Rank(), avg)
 				}

@@ -24,11 +24,13 @@ func appendRun(runs []sched.Run, off int) []sched.Run {
 // --- Halo exchange -------------------------------------------------------
 
 // haloSchedule returns the compiled halo-exchange schedule for the given
-// free dimensions (all haloed dimensions when empty), compiling and caching
-// it on first use. The schedule depends only on the view's immutable layout
-// (extents, distributions, halo widths, grid, fixed indices), so a cached
-// schedule is never invalidated; arrays with new layouts are new views with
-// empty caches.
+// free dimensions (all haloed dimensions when empty), compiling it on first
+// use and keeping it on the view. The schedule depends only on the view's
+// immutable layout (extents, distributions, halo widths, grid, fixed
+// indices), so a kept schedule is never invalidated; arrays with new
+// layouts are new views. It is the machine's interned copy: every rank
+// whose exchange has the same runs, parts and relative peers holds the
+// same one.
 func (a *Array) haloSchedule(dims []int) *sched.Schedule {
 	key := -1
 	if len(dims) > 0 {
@@ -37,14 +39,13 @@ func (a *Array) haloSchedule(dims []int) *sched.Schedule {
 			key = key*(maxInlineDims*4) + a.storeDim(d) + 1
 		}
 	}
-	if s, ok := a.haloScheds[key]; ok {
-		return s
+	for i := range a.plans {
+		if pl := &a.plans[i]; pl.halo != nil && pl.key == key {
+			return pl.halo
+		}
 	}
-	s := a.compileHalo(dims)
-	if a.haloScheds == nil {
-		a.haloScheds = make(map[int]*sched.Schedule)
-	}
-	a.haloScheds[key] = s
+	s := a.compileHalo(dims).Intern(a.st.p.Machine())
+	a.plans = append(a.plans, viewPlan{key: key, halo: s})
 	return s
 }
 
@@ -81,7 +82,6 @@ func (a *Array) compileHalo(dims []int) *sched.Schedule {
 	for _, sd := range sds {
 		a.compileHaloRecvs(s, sd)
 	}
-	s.Compact()
 	return s
 }
 
@@ -116,7 +116,7 @@ func (a *Array) compileHaloSends(s *sched.Schedule, sd int) {
 
 func (a *Array) compileSendRun(s *sched.Schedule, sd int, part uint16, ax, qq, lo, hi int) {
 	st := a.st
-	s.BeginSend(st.rankAlongAxis(ax, qq), part)
+	s.BeginSend(st.offsetAlongAxis(ax, qq), part)
 	for g := lo; g <= hi; g++ {
 		a.appendPlaneRuns(s, sd, g-st.lower[sd]+st.halo[sd], true)
 	}
@@ -138,8 +138,9 @@ func (a *Array) compileHaloRecvs(s *sched.Schedule, sd int) {
 
 func (a *Array) compileRecvSide(s *sched.Schedule, sd, ax, side, lo, hi int) {
 	st := a.st
-	for _, run := range a.ghostRuns(sd, lo, hi) {
-		s.BeginRecv(st.rankAlongAxis(ax, run.ownerCoord), uint16(sd<<2|side))
+	var runs [4]ghostRun
+	for _, run := range a.ghostRuns(sd, lo, hi, runs[:0]) {
+		s.BeginRecv(st.offsetAlongAxis(ax, run.ownerCoord), uint16(sd<<2|side))
 		for g := run.lo; g <= run.hi; g++ {
 			a.appendPlaneRuns(s, sd, g-st.lower[sd]+st.halo[sd], false)
 		}
@@ -151,79 +152,70 @@ func (a *Array) compileRecvSide(s *sched.Schedule, sd, ax, side, lo, hi int) {
 // packPlane/unpackPlane move them, onto the schedule's current send or
 // receive message.
 func (a *Array) appendPlaneRuns(s *sched.Schedule, sd, l int, send bool) {
-	st := a.st
-	if !a.planeBounds(sd, l) {
-		return
-	}
-	nd := len(st.extents)
-	base := 0
-	for d := 0; d < nd; d++ {
-		base += st.itLo[d] * st.stride[d]
-	}
-	runLen := st.itHi[nd-1] - st.itLo[nd-1] + 1 // stride[nd-1] == 1
-	for {
+	a.eachPlaneRun(sd, l, func(off, n int) {
 		if send {
-			s.AddSendRun(base, runLen)
+			s.AddSendRun(off, n)
 		} else {
-			s.AddRecvRun(base, runLen)
+			s.AddRecvRun(off, n)
 		}
-		d := nd - 2
-		for d >= 0 {
-			st.itIdx[d]++
-			base += st.stride[d]
-			if st.itIdx[d] <= st.itHi[d] {
-				break
-			}
-			base -= (st.itIdx[d] - st.itLo[d]) * st.stride[d]
-			st.itIdx[d] = st.itLo[d]
-			d--
-		}
-		if d < 0 {
-			return
-		}
-	}
+	})
 }
 
 // --- GatherTo ------------------------------------------------------------
 
-// gatherPlan is a compiled GatherTo, held as a schedule it replays itself
-// (the root stages its own pack instead of sending it, and allocates the
-// dense result the unpack runs index): Sends is the calling processor's one
-// pack message — the storage runs of its owned cells, in OwnedEach order —
-// and, on the root only, Recvs has one message per grid member, in rank
-// order, whose runs are the cells of the dense result that member's pack
-// fills.
+// gatherPlan is a compiled GatherTo for one root (the view keeps it under
+// the root's index). Every member keeps the few words of it that are its
+// own — the root's machine rank and its own grid index (its message's tag
+// part) — and the pack's storage runs, the cells it owns in OwnedEach
+// order, which are interned: every member with the same local layout
+// holds one run list. The root also keeps, in gatherRoot, what only it
+// needs.
 type gatherPlan struct {
-	sched.Schedule     // replayed by gatherToScheduled, never Executed
-	size           int // dense result length (root only)
+	peer int // the root's machine rank
+	pack []sched.Run
+	root *gatherRoot // nil except on the root
+	part uint16      // this member's grid index
 }
 
-// gatherPlanFor compiles (or returns the cached) gather plan of this view
-// for the given root index.
+// gatherRoot is the root's half of a gather plan: one message per grid
+// member, in rank order, whose runs are the cells of the dense result that
+// member's pack fills (peers as offsets from the root), and the dense
+// result's length.
+type gatherRoot struct {
+	sched.Schedule     // Recvs only; replayed by gatherToScheduled, never Executed
+	size           int // dense result length
+}
+
+// gatherPlanFor compiles (or returns the kept) gather plan of this view for
+// the given root index.
 func (a *Array) gatherPlanFor(me, rootIdx int) *gatherPlan {
-	if pl, ok := a.gatherPlans[rootIdx]; ok {
-		return pl
+	for i := range a.plans {
+		if pl := &a.plans[i]; pl.gather != nil && pl.key == rootIdx {
+			return pl.gather
+		}
 	}
 	g := a.grid
-	pl := &gatherPlan{}
-	pl.Sends = []sched.Msg{{Peer: g.RankAt(rootIdx), Part: uint16(me)}}
-	pack := &pl.Sends[0]
-	a.ownedWalk(func(idx []int, off int) {
-		pack.Runs = appendRun(pack.Runs, off)
-		pack.N++
-	})
+	self := a.st.p.Rank()
+	var runBuf [8]sched.Run
+	runs := runBuf[:0]
+	a.ownedWalk(func(idx []int, off int) { runs = appendRun(runs, off) })
+	pl := &gatherPlan{
+		peer: g.RankAt(rootIdx),
+		pack: sched.InternRuns(a.st.p.Machine(), runs),
+		part: uint16(me),
+	}
 	if me == rootIdx {
 		nd := a.Dims()
 		ext := make([]int, nd)
-		pl.size = 1
+		rt := &gatherRoot{size: 1}
+		rt.Recvs = make([]sched.Msg, g.Size())
 		for d := 0; d < nd; d++ {
 			ext[d] = a.Extent(d)
-			pl.size *= ext[d]
+			rt.size *= ext[d]
 		}
-		pl.Recvs = make([]sched.Msg, g.Size())
-		for m := range pl.Recvs {
-			mu := &pl.Recvs[m]
-			mu.Peer, mu.Part, mu.Runs = g.RankAt(m), uint16(m), make([]sched.Run, 0, 8)
+		for m := range rt.Recvs {
+			mu := &rt.Recvs[m]
+			mu.Peer, mu.Part, mu.Runs = g.RankAt(m)-self, uint16(m), make([]sched.Run, 0, 8)
 			a.memberOwnedEach(m, func(idx []int) {
 				off := 0
 				for d := 0; d < nd; d++ {
@@ -233,12 +225,10 @@ func (a *Array) gatherPlanFor(me, rootIdx int) *gatherPlan {
 				mu.N++
 			})
 		}
+		rt.Compact()
+		pl.root = rt
 	}
-	pl.Compact()
-	if a.gatherPlans == nil {
-		a.gatherPlans = make(map[int]*gatherPlan)
-	}
-	a.gatherPlans[rootIdx] = pl
+	a.plans = append(a.plans, viewPlan{key: rootIdx, gather: pl})
 	return pl
 }
 
@@ -248,34 +238,36 @@ func (a *Array) gatherPlanFor(me, rootIdx int) *gatherPlan {
 // runs. Traffic is bit-identical to gatherToDirect.
 func (a *Array) gatherToScheduled(sc machine.Scope, rootIdx int) []float64 {
 	st := a.st
-	g := a.grid
 	p := st.p
-	me, ok := g.Index(p.Rank())
+	me, ok := a.grid.Index(p.Rank())
 	if !ok {
 		panic("darray: GatherTo caller not in the array's grid")
 	}
 	pl := a.gatherPlanFor(me, rootIdx)
-	send := &pl.Sends[0]
 	pack := func() []float64 {
-		buf := p.AcquireBuf(send.N)
+		n := 0
+		for _, r := range pl.pack {
+			n += r.Len
+		}
+		buf := p.AcquireBuf(n)
 		k := 0
-		for _, r := range send.Runs {
+		for _, r := range pl.pack {
 			k += copy(buf[k:], st.data[r.Off:r.Off+r.Len])
 		}
 		return buf
 	}
 	if me != rootIdx {
-		p.SendOwned(send.Peer, sc.Tag(send.Part), pack())
+		p.SendOwned(pl.peer, sc.Tag(pl.part), pack())
 		return nil
 	}
-	out := make([]float64, pl.size)
-	for m := range pl.Recvs {
-		mu := &pl.Recvs[m]
+	out := make([]float64, pl.root.size)
+	for m := range pl.root.Recvs {
+		mu := &pl.root.Recvs[m]
 		var buf []float64
 		if m == me {
 			buf = pack()
 		} else {
-			buf = p.Recv(mu.Peer, sc.Tag(mu.Part))
+			buf = p.Recv(p.Rank()+mu.Peer, sc.Tag(mu.Part))
 		}
 		if len(buf) != mu.N {
 			panic(fmt.Sprintf("darray: GatherTo: member %d sent %d values, want %d", m, len(buf), mu.N))
@@ -299,8 +291,9 @@ func (a *Array) gatherToScheduled(sc machine.Scope, rootIdx int) []float64 {
 // this processor, so the signature pair keys the Redistribute schedule
 // cache. The signature is memoized on the view.
 func (a *Array) layoutSig() string {
-	if a.sig != "" {
-		return a.sig
+	m := a.memo()
+	if m.sig != "" {
+		return m.sig
 	}
 	st := a.st
 	g := st.rootGrid
@@ -321,8 +314,8 @@ func (a *Array) layoutSig() string {
 		fmt.Fprintf(&sb, ";%d:%T%v:h%d:f%d",
 			st.extents[sd], st.dists[sd], st.dists[sd], st.halo[sd], a.pfix[sd])
 	}
-	a.sig = sb.String()
-	return a.sig
+	m.sig = sb.String()
+	return m.sig
 }
 
 // moveCacheKey is the Proc.Scratch key of the per-processor Redistribute
@@ -331,7 +324,8 @@ type moveCacheKey struct{}
 
 // moveScheduleFor returns the compiled move schedule for src -> dst,
 // caching it per (source layout, destination layout) pair in the
-// processor's scratch. Redistribute builds a fresh destination array per
+// processor's scratch (the schedule itself is the machine's interned
+// copy). Redistribute builds a fresh destination array per
 // call, but ping-pong redistribution (an out-of-place FFT transpose, say)
 // cycles between the same two layouts — the second and every later trip
 // replays the first trip's schedule instead of re-deriving the data motion.
@@ -343,7 +337,7 @@ func moveScheduleFor(src, dst *Array) *sched.Schedule {
 	if s, ok := cache[key]; ok {
 		return s
 	}
-	s := compileMove(src, dst)
+	s := compileMove(src, dst).Intern(src.st.p.Machine())
 	cache[key] = s
 	return s
 }
@@ -359,7 +353,6 @@ func compileMove(src, dst *Array) *sched.Schedule {
 	n := p.Size()
 	self := p.Rank()
 	s := &sched.Schedule{}
-	defer s.Compact() // on either return below
 
 	outRuns := make([][]sched.Run, n)
 	outN := make([]int, n)
@@ -375,7 +368,7 @@ func compileMove(src, dst *Array) *sched.Schedule {
 		if r == self || outRuns[r] == nil {
 			continue
 		}
-		s.Sends = append(s.Sends, sched.Msg{Peer: r, Part: 0, N: outN[r], Runs: outRuns[r]})
+		s.Sends = append(s.Sends, sched.Msg{Peer: r - self, Part: 0, N: outN[r], Runs: outRuns[r]})
 	}
 
 	if !dst.Participates() {
@@ -398,7 +391,7 @@ func compileMove(src, dst *Array) *sched.Schedule {
 			zipMoves(s, outRuns[self], inRuns[self])
 			continue
 		}
-		s.Recvs = append(s.Recvs, sched.Msg{Peer: r, Part: 0, N: inN[r], Runs: inRuns[r]})
+		s.Recvs = append(s.Recvs, sched.Msg{Peer: r - self, Part: 0, N: inN[r], Runs: inRuns[r]})
 	}
 	return s
 }

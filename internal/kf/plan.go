@@ -29,13 +29,26 @@ import (
 
 // planCore holds what every arity's plan shares: the owning context, the
 // loop's read-set options, the reusable child context bound to each
-// iteration, and the cached iteration grid of the strip-mined fast path.
+// iteration (see child), and the cached iteration grid of the strip-mined
+// fast path (nil when the loop takes the generic path).
 type planCore struct {
 	c    *Ctx
 	opts []LoopOpt
 	cc   *Ctx
-	fast bool
 	g    *topology.Grid
+}
+
+// fast reports whether the loop runs strip-mined over the owned span.
+func (pl *planCore) fast() bool { return pl.g != nil }
+
+// child returns the reusable child context bound to each iteration, made
+// by the first Run that calls a body: a stencil statement's row path never
+// does.
+func (pl *planCore) child() *Ctx {
+	if pl.cc == nil {
+		pl.cc = pl.c.reuseChild()
+	}
+	return pl.cc
 }
 
 // prepare runs the loop options (halo exchanges and snapshots) and claims
@@ -68,10 +81,10 @@ type Plan1 struct {
 // owned strip and iteration grid are derived now, so Run only moves data
 // and executes the body.
 func (c *Ctx) Plan1(r Range, on On1, opts ...LoopOpt) *Plan1 {
-	pl := &Plan1{planCore: planCore{c: c, opts: opts, cc: c.reuseChild()}, r: r, on: on}
+	pl := &Plan1{planCore: planCore{c: c, opts: opts}, r: r, on: on}
 	if s, ok := on.(strip1); ok {
 		if lo, hi, g, fast := s.ownedStrip(c); fast {
-			pl.fast, pl.sp, pl.g = true, span{lo, hi}, g
+			pl.sp, pl.g = span{lo, hi}, g
 		}
 	}
 	return pl
@@ -84,8 +97,8 @@ func (c *Ctx) Plan1(r Range, on On1, opts ...LoopOpt) *Plan1 {
 func (pl *Plan1) Run(body func(cc *Ctx, i int)) {
 	c := pl.c
 	phase := pl.prepare()
-	cc := pl.cc
-	if pl.fast {
+	cc := pl.child()
+	if pl.fast() {
 		if pl.sp.lo <= pl.sp.hi {
 			eachOwned(pl.r, pl.sp, func(i int) {
 				cc.bindIter(c, pl.g, phase, i)
@@ -113,10 +126,10 @@ type Plan2 struct {
 
 // Plan2 compiles the header of Doall2(ri, rj, on, opts, ...).
 func (c *Ctx) Plan2(ri, rj Range, on On2, opts ...LoopOpt) *Plan2 {
-	pl := &Plan2{planCore: planCore{c: c, opts: opts, cc: c.reuseChild()}, ri: ri, rj: rj, on: on}
+	pl := &Plan2{planCore: planCore{c: c, opts: opts}, ri: ri, rj: rj, on: on}
 	if s, ok := on.(strip2); ok {
 		if sp, g, fast := s.ownedStrip2(c); fast {
-			pl.fast, pl.sp, pl.g = true, sp, g
+			pl.sp, pl.g = sp, g
 		}
 	}
 	return pl
@@ -126,8 +139,8 @@ func (c *Ctx) Plan2(ri, rj Range, on On2, opts ...LoopOpt) *Plan2 {
 func (pl *Plan2) Run(body func(cc *Ctx, i, j int)) {
 	c := pl.c
 	phase := pl.prepare()
-	cc := pl.cc
-	if pl.fast {
+	cc := pl.child()
+	if pl.fast() {
 		if !pl.sp[0].empty() && !pl.sp[1].empty() {
 			eachOwned(pl.ri, pl.sp[0], func(i int) {
 				eachOwned(pl.rj, pl.sp[1], func(j int) {
@@ -159,10 +172,10 @@ type Plan3 struct {
 
 // Plan3 compiles the header of Doall3(ri, rj, rk, on, opts, ...).
 func (c *Ctx) Plan3(ri, rj, rk Range, on On3, opts ...LoopOpt) *Plan3 {
-	pl := &Plan3{planCore: planCore{c: c, opts: opts, cc: c.reuseChild()}, ri: ri, rj: rj, rk: rk, on: on}
+	pl := &Plan3{planCore: planCore{c: c, opts: opts}, ri: ri, rj: rj, rk: rk, on: on}
 	if s, ok := on.(strip3); ok {
 		if sp, g, fast := s.ownedStrip3(c); fast {
-			pl.fast, pl.sp, pl.g = true, sp, g
+			pl.sp, pl.g = sp, g
 		}
 	}
 	return pl
@@ -172,8 +185,8 @@ func (c *Ctx) Plan3(ri, rj, rk Range, on On3, opts ...LoopOpt) *Plan3 {
 func (pl *Plan3) Run(body func(cc *Ctx, i, j, k int)) {
 	c := pl.c
 	phase := pl.prepare()
-	cc := pl.cc
-	if pl.fast {
+	cc := pl.child()
+	if pl.fast() {
 		if !pl.sp[0].empty() && !pl.sp[1].empty() && !pl.sp[2].empty() {
 			eachOwned(pl.ri, pl.sp[0], func(i int) {
 				eachOwned(pl.rj, pl.sp[1], func(j int) {

@@ -1,6 +1,7 @@
 package kf
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/darray"
@@ -336,30 +337,33 @@ func (rc *rowCompiler) op(o rowOp) (int, bool) {
 // as the body of a two-dimensional doall header. Run it every pass, in the
 // same program order on every processor, like the plan.
 type Stencil struct {
-	pl *Plan2
-	st *Statement
+	pl   *Plan2
+	st   *Statement
+	arrs []*darray.Array // Param(k) is arrs[k]
 
-	// The per-cell path, when rows is false: the plan's loop body,
-	// interpreting the statement over arrs.
-	arrs []*darray.Array
+	// rows is the row path; nil runs the per-cell path, the plan's loop
+	// with body interpreting the statement over arrs.
+	rows *rowProgram
 	body func(cc *Ctx, i, j int)
-
-	// The row path: the iterated index box (first, step, count per
-	// dimension; rows run along j, with step 1) and, per register of the
-	// statement's reads and destination, where each row starts.
-	rows               bool
-	first, step, count [2]int
-	ncell              int
-	refs               []rowRef
 }
 
-// rowRef places one read (or the destination) of the row path on this
-// processor: the row of cells (i, ·) starts at element pre + i·outer of
-// arr's storage, or of its snapshot for Old.
+// rowProgram places the row path on a processor's owned block in local
+// terms: count[0] rows of count[1] cells, and per register of the
+// statement's reads and destination, where in its array's storage (or
+// snapshot, for Old) the first row starts and how far apart rows are. It
+// holds no global index and no array, so it is the same on every
+// processor whose blocks, windows and clipped index box have the same
+// shape — one per position class — and the machine interns it
+// (machine.Intern).
+type rowProgram struct {
+	count [2]int
+	refs  []rowRef
+}
+
+// rowRef places one register: row c of the box starts at element
+// pre + c*stride.
 type rowRef struct {
-	arr   *darray.Array
-	pre   int
-	outer int
+	pre, stride int
 }
 
 // Stencil binds st to arrays — st's Param(k) is arrays[k] — as the body of
@@ -368,9 +372,11 @@ func (pl *Plan2) Stencil(st *Statement, arrays ...*darray.Array) *Stencil {
 	if len(arrays) < st.nargs {
 		panic(fmt.Sprintf("kf: stencil statement over %d arrays bound to %d", st.nargs, len(arrays)))
 	}
-	s := &Stencil{pl: pl, st: st}
-	if !pl.fast || !s.compile(arrays) {
-		s.arrs = append([]*darray.Array(nil), arrays...)
+	s := &Stencil{pl: pl, st: st, arrs: append([]*darray.Array(nil), arrays...)}
+	if pl.fast() {
+		s.rows = s.compile()
+	}
+	if s.rows == nil {
 		s.body = s.cell
 	}
 	return s
@@ -381,13 +387,13 @@ func (pl *Plan2) Stencil(st *Statement, arrays ...*darray.Array) *Stencil {
 // as its body.
 func (s *Stencil) Run() {
 	pl := s.pl
-	if !s.rows {
+	if s.rows == nil {
 		pl.Run(s.body)
 		return
 	}
 	pl.prepare()
 	s.sweep()
-	pl.c.P.ComputeEach(s.st.flops, s.ncell)
+	pl.c.P.ComputeEach(s.st.flops, s.rows.count[0]*s.rows.count[1])
 	pl.finish()
 }
 
@@ -398,67 +404,85 @@ func (s *Stencil) cell(cc *Ctx, i, j int) {
 	cc.P.Compute(st.flops)
 }
 
+// arg returns the array behind row register k: a read's array, or for the
+// last register the destination.
+func (s *Stencil) arg(k int) *darray.Array {
+	if k < len(s.st.reads) {
+		return s.arrs[s.st.reads[k].arg]
+	}
+	return s.arrs[s.st.dst]
+}
+
 // compile places the row program over arrs on this processor's strip-mined
-// loop. It reports false, leaving the statement to the per-cell path, when
-// the box check cannot prove every access inside its window, or there is
-// nothing to run.
-func (s *Stencil) compile(arrs []*darray.Array) bool {
+// loop, the machine's interned copy. It returns nil, leaving the statement
+// to the per-cell path, when the box check cannot prove every access
+// inside its window, or there is nothing to run.
+func (s *Stencil) compile() *rowProgram {
 	st := s.st
 	if st.ops == nil {
-		return false
+		return nil
 	}
-	s.ncell = 1
+	var first, step [2]int
+	rp := &rowProgram{}
 	for d, r := range [2]Range{s.pl.ri, s.pl.rj} {
-		step := r.Step
-		if step == 0 {
-			step = 1
+		step[d] = r.Step
+		if step[d] == 0 {
+			step[d] = 1
 		}
-		if step < 0 || d == 1 && step != 1 {
-			return false
+		if step[d] < 0 || d == 1 && step[d] != 1 {
+			return nil
 		}
 		// eachOwned's clipping: the range's indices inside the owned span.
 		sp := s.pl.sp[d]
-		first, end := r.Lo, min(sp.hi, r.Hi)
-		if sp.lo > first {
-			first += (sp.lo - first + step - 1) / step * step
+		first[d] = r.Lo
+		end := min(sp.hi, r.Hi)
+		if sp.lo > first[d] {
+			first[d] += (sp.lo - first[d] + step[d] - 1) / step[d] * step[d]
 		}
-		if first > end {
-			return false // no cells: the per-cell path runs none
+		if first[d] > end {
+			return nil // no cells: the per-cell path runs none
 		}
-		s.first[d], s.step[d], s.count[d] = first, step, (end-first)/step+1
-		s.ncell *= s.count[d]
+		rp.count[d] = (end-first[d])/step[d] + 1
 	}
-	dst := arrs[st.dst]
-	refs := make([]rowRef, len(st.reads)+1)
+	dst := s.arrs[st.dst]
+	rp.refs = make([]rowRef, len(st.reads)+1)
 	for k, rd := range st.reads {
-		a := arrs[rd.arg]
+		a := s.arrs[rd.arg]
 		if !rd.old && rd.arg != st.dst && a.SharesStorage(dst) {
-			return false // another view of the destination's storage
+			return nil // another view of the destination's storage
 		}
 		var ok bool
-		if refs[k], ok = s.ref(a, rd.off, false); !ok {
-			return false
+		if rp.refs[k], ok = rp.ref(a, first, step[0], rd.off, false); !ok {
+			return nil
 		}
 	}
 	var ok bool
-	if refs[len(st.reads)], ok = s.ref(dst, [2]int{}, true); !ok {
-		return false
+	if rp.refs[len(st.reads)], ok = rp.ref(dst, first, step[0], [2]int{}, true); !ok {
+		return nil
 	}
-	s.refs, s.rows = refs, true
-	return true
+	var buf [256]byte
+	key := binary.AppendUvarint(append(buf[:0], 'K'), uint64(rp.count[0]))
+	key = binary.AppendUvarint(key, uint64(rp.count[1]))
+	for _, r := range rp.refs {
+		key = binary.AppendVarint(key, int64(r.pre))
+		key = binary.AppendVarint(key, int64(r.stride))
+	}
+	return s.pl.c.P.Machine().Intern(key, func() any { return rp }).(*rowProgram)
 }
 
 // ref places one access of the row path: a's addressing, with the whole
-// index box shifted by off inside a's read window (write window for the
-// destination) and unit stride along the rows.
-func (s *Stencil) ref(a *darray.Array, off [2]int, write bool) (rowRef, bool) {
+// index box — count cells from first, rows step0 apart — shifted by off
+// inside a's read window (write window for the destination) and unit
+// stride along the rows.
+func (rp *rowProgram) ref(a *darray.Array, first [2]int, step0 int, off [2]int, write bool) (rowRef, bool) {
 	st, ok := a.Strided()
 	if !ok || a.Dims() != 2 || st.Stride[1] != 1 {
 		return rowRef{}, false
 	}
+	step := [2]int{step0, 1}
 	for d := 0; d < 2; d++ {
-		lo := s.first[d] + off[d]
-		hi := lo + (s.count[d]-1)*s.step[d]
+		lo := first[d] + off[d]
+		hi := lo + (rp.count[d]-1)*step[d]
 		wlo, whi := st.ReadLo[d], st.ReadHi[d]
 		if write {
 			wlo, whi = st.WriteLo[d], st.WriteHi[d]
@@ -467,19 +491,19 @@ func (s *Stencil) ref(a *darray.Array, off [2]int, write bool) (rowRef, bool) {
 			return rowRef{}, false
 		}
 	}
-	pre := st.Origin + off[0]*st.Stride[0] + s.first[1] + off[1]
-	return rowRef{arr: a, pre: pre, outer: st.Stride[0]}, true
+	pre := st.Origin + (first[0]+off[0])*st.Stride[0] + first[1] + off[1]
+	return rowRef{pre: pre, stride: step0 * st.Stride[0]}, true
 }
 
 // sweep runs the row operations over every owned row, in the loop's order.
 // The registers live on this frame and the temporaries in one pooled
 // buffer, so a statement keeps no per-pass state between passes.
 func (s *Stencil) sweep() {
-	st := s.st
+	st, rp := s.st, s.rows
 	var bufs [maxRegs][]float64
 	var offs [maxRegs]int
-	for k := range s.refs {
-		a := s.refs[k].arr
+	for k := range rp.refs {
+		a := s.arg(k)
 		data, shadow := a.Storage()
 		bufs[k] = data
 		if k < len(st.reads) && st.reads[k].old {
@@ -489,27 +513,28 @@ func (s *Stencil) sweep() {
 			bufs[k] = shadow
 		}
 	}
-	n := s.count[1]
+	n := rp.count[1]
 	if st.ntemp > 0 {
 		p := s.pl.c.P
 		tmp := p.AcquireBuf(st.ntemp * n)
 		defer p.ReleaseBuf(tmp)
-		for t, k := 0, len(s.refs); t < st.ntemp; t, k = t+1, k+1 {
+		for t, k := 0, len(rp.refs); t < st.ntemp; t, k = t+1, k+1 {
 			bufs[k], offs[k] = tmp, t*n
 		}
 	}
-	for c, i := 0, s.first[0]; c < s.count[0]; c, i = c+1, i+s.step[0] {
-		s.row(&bufs, &offs, i)
+	for c := 0; c < rp.count[0]; c++ {
+		s.row(&bufs, &offs, c)
 	}
 }
 
-// row evaluates the statement on the row of cells (i, ·): register k is
+// row evaluates the statement on the box's row c: register k is
 // bufs[k][offs[k]:][:n].
-func (s *Stencil) row(bufs *[maxRegs][]float64, offs *[maxRegs]int, i int) {
-	n := s.count[1]
-	for k := range s.refs {
-		r := &s.refs[k]
-		offs[k] = r.pre + i*r.outer
+func (s *Stencil) row(bufs *[maxRegs][]float64, offs *[maxRegs]int, c int) {
+	rp := s.rows
+	n := rp.count[1]
+	for k := range rp.refs {
+		r := &rp.refs[k]
+		offs[k] = r.pre + c*r.stride
 	}
 	for k := range s.st.ops {
 		op := &s.st.ops[k]

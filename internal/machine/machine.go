@@ -62,6 +62,11 @@ type Machine struct {
 
 	direct bool // see SetDirect
 
+	// interned is the machine's table of read-only descriptors shared by
+	// content between its ranks; see Intern.
+	internMu sync.Mutex
+	interned map[string]any
+
 	// coord adapts the machine to the transport's Coordinator interface
 	// without exposing the callbacks as Machine methods (and without
 	// allocating: &m.coord shares the machine's allocation).
@@ -205,7 +210,7 @@ func NewWithTransport(t Transport, cost CostModel) *Machine {
 	m.bufs.keep = max(sharedKeep, n)
 	m.coord.m = m
 	t.Bind(&m.coord)
-	// One slab for every rank's Proc, not n allocations. A Proc is ten
+	// One slab for every rank's Proc, not n allocations. A Proc is two
 	// cache lines long, so no two ranks' clocks share one.
 	slab := make([]Proc, n)
 	m.procs = make([]*Proc, n)
@@ -214,6 +219,33 @@ func NewWithTransport(t Transport, cost CostModel) *Machine {
 		m.procs[i] = &slab[i]
 	}
 	return m
+}
+
+// Intern returns the machine's one copy of a compiled, read-only
+// descriptor: the value held under key if there is one, else mk()'s
+// result, stored under key first. key is the descriptor's whole content as
+// its compiler encodes it (a halo schedule's runs and relative peers, an
+// array's layout), so ranks whose compiles encode alike hold one object —
+// in a block distribution, one per position class (first, interior, last
+// per axis), whatever the rank count — and a rank whose encoding differs
+// gets its own. A value must not be changed once it is stored: ranks on
+// every partition read it without a lock.
+//
+// The table is lock-guarded and touched only where a rank compiles (a
+// cold run), never on replay; a lookup that hits allocates nothing. Values
+// live as long as the machine.
+func (m *Machine) Intern(key []byte, mk func() any) any {
+	m.internMu.Lock()
+	defer m.internMu.Unlock()
+	if v, ok := m.interned[string(key)]; ok {
+		return v
+	}
+	if m.interned == nil {
+		m.interned = make(map[string]any)
+	}
+	v := mk()
+	m.interned[string(key)] = v
+	return v
 }
 
 // SetSink installs a trace sink. It must be called before Run; a nil sink

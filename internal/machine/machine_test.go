@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -583,6 +584,35 @@ func TestSharedPoolKeepsABufferPerRank(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%d ranks: the class kept %d buffers, want %d", n, got, want)
+		}
+	}
+}
+
+// TestInternSharesByContent: ranks interning equal content on every
+// partition at once get one object, built once; other content gets its own.
+func TestInternSharesByContent(t *testing.T) {
+	m := New(64, Uniform())
+	m.SetExecutor(NewCalendarExecutor(4))
+	defer m.Close()
+	got := make([]*[]int, m.Size())
+	var built atomic.Int32
+	err := m.Run(func(p *Proc) error {
+		key := []byte{'t', byte(p.Rank() % 3)} // three classes
+		got[p.Rank()] = m.Intern(key, func() any {
+			built.Add(1)
+			return &[]int{p.Rank() % 3}
+		}).(*[]int)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := built.Load(); n != 3 {
+		t.Errorf("built %d objects for 3 contents, want 3", n)
+	}
+	for r, v := range got {
+		if v != got[r%3] || (*v)[0] != r%3 {
+			t.Errorf("rank %d holds %p = %v, want rank %d's %p", r, v, *v, r%3, got[r%3])
 		}
 	}
 }

@@ -29,6 +29,9 @@ const (
 	// localKeep bounds each processor's per-class free list; releases
 	// beyond it flow to the machine-wide tier.
 	localKeep = 8
+	// localClasses is how many classes a processor's free lists have room
+	// for before their first growth: a halo rank releases two or three.
+	localClasses = 3
 	// sharedKeep is the least a machine-wide per-class list may hold
 	// before buffers are dropped for the garbage collector; a machine of
 	// more ranks keeps one buffer per rank (see sharedPool.keep).

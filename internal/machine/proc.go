@@ -1,6 +1,9 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Stats accumulates per-processor activity counters over one Run.
 type Stats struct {
@@ -45,15 +48,28 @@ type Proc struct {
 	// per-class free lists touched only by the owning goroutine, so the
 	// symmetric steady state (halo exchanges, ping-pongs — every release
 	// backs an equal-sized later acquire) recycles without taking a lock.
-	// Overflow and misses go through the machine-wide tier, which
-	// rebalances capacity between processors whose send and receive size
-	// profiles differ. See sharedPool.
-	local [numClasses][][]float64
+	// It holds one entry per class the processor has released into, in
+	// ascending class order (two or three for most ranks, out of
+	// numClasses). Overflow and misses go through the machine-wide tier,
+	// which rebalances capacity between processors whose send and receive
+	// size profiles differ. See sharedPool.
+	local []freeList
 	// scratch holds per-processor state registered by runtime subsystems
-	// (solver scratch, compiled schedules) so derived state survives
-	// across calls without globals or locks. See Scratch.
-	scratch map[any]any
+	// (solver scratch, root contexts) so derived state survives across
+	// calls without globals or locks: a handful of keys in the whole tree,
+	// so a slice searched by key. See Scratch.
+	scratch []scratchEntry
+	_       [8]byte // pads a Proc to two cache lines: no two ranks' clocks share one
 }
+
+// freeList is one size class of a processor's buffer free lists.
+type freeList struct {
+	class int
+	bufs  [][]float64
+}
+
+// scratchEntry is one Scratch registration.
+type scratchEntry struct{ key, val any }
 
 // AcquireBuf returns a message payload buffer of length n with unspecified
 // contents, reusing a previously released buffer when one is available in
@@ -70,11 +86,12 @@ func (p *Proc) AcquireBuf(n int) []float64 {
 	// First tier: the processor's own lists, exact class outward. Larger
 	// classes are legal backing (capacity rides the message to its
 	// receiver's pool, it is never wasted).
-	for cc := c; cc < numClasses; cc++ {
-		if l := len(p.local[cc]); l > 0 {
-			buf := p.local[cc][l-1]
-			p.local[cc][l-1] = nil
-			p.local[cc] = p.local[cc][:l-1]
+	for i := range p.local {
+		l := &p.local[i]
+		if k := len(l.bufs); l.class >= c && k > 0 {
+			buf := l.bufs[k-1]
+			l.bufs[k-1] = nil
+			l.bufs = l.bufs[:k-1]
 			return buf[:n]
 		}
 	}
@@ -102,11 +119,18 @@ func (p *Proc) ReleaseBuf(buf []float64) {
 	if c < 0 {
 		return
 	}
-	if l := &p.local[c]; len(*l) < localKeep {
-		if *l == nil {
-			*l = make([][]float64, 0, localKeep)
+	i := 0
+	for i < len(p.local) && p.local[i].class < c {
+		i++
+	}
+	if i == len(p.local) || p.local[i].class != c {
+		if p.local == nil {
+			p.local = make([]freeList, 0, localClasses)
 		}
-		*l = append(*l, buf)
+		p.local = slices.Insert(p.local, i, freeList{class: c, bufs: make([][]float64, 0, localKeep/2)})
+	}
+	if l := &p.local[i]; len(l.bufs) < localKeep {
+		l.bufs = append(l.bufs, buf)
 		return
 	}
 	p.m.bufs.put(c, buf)
@@ -119,16 +143,18 @@ func (p *Proc) ReleaseBuf(buf []float64) {
 // package-level globals. Only the owning goroutine may call it.
 //
 // Scratch values survive Machine.Run resets — like the message buffer pool
-// they must hold only reusable capacity, never per-Run semantic state.
+// they must hold only reusable capacity, never per-Run semantic state. The
+// registrations are a slice searched by key: the whole tree uses a handful
+// of keys. State that is the same on many processors belongs in
+// Machine.Intern instead.
 func (p *Proc) Scratch(key any, mk func() any) any {
-	if v, ok := p.scratch[key]; ok {
-		return v
-	}
-	if p.scratch == nil {
-		p.scratch = make(map[any]any)
+	for i := range p.scratch {
+		if p.scratch[i].key == key {
+			return p.scratch[i].val
+		}
 	}
 	v := mk()
-	p.scratch[key] = v
+	p.scratch = append(p.scratch, scratchEntry{key: key, val: v})
 	return v
 }
 

@@ -14,6 +14,12 @@
 // messages, in the same order, with the same byte counts as the direct
 // derivation it was compiled from, so virtual times are bit-identical.
 //
+// A schedule names its peers as rank offsets from the executing processor,
+// so it is a position-class object: in a block distribution every interior
+// rank compiles the same halo exchange — the same runs into the same local
+// layout, to the same relative neighbours — and Intern lets them hold one
+// copy, whatever the rank count. Execute adds p.Rank() to each offset.
+//
 // Schedules speak only to machine.Proc's Send/Recv, never to a delivery
 // mechanism, so a compiled schedule replays unchanged — same messages, same
 // virtual times — on any machine.Transport (shared-memory mailboxes or the
@@ -22,6 +28,7 @@
 package sched
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/machine"
@@ -32,9 +39,10 @@ type Run struct {
 	Off, Len int
 }
 
-// Msg is one compiled message: the peer's machine rank, the tag part
-// distinguishing the stream within the executing phase's scope, the payload
-// length in values, and the pack/unpack runs in payload order.
+// Msg is one compiled message: the peer's machine rank as an offset from
+// the executing processor's, the tag part distinguishing the stream within
+// the executing phase's scope, the payload length in values, and the
+// pack/unpack runs in payload order.
 type Msg struct {
 	Peer int
 	Part uint16
@@ -97,7 +105,8 @@ func (s *Schedule) Counts() (msgs, words int) {
 	return len(s.Sends), words
 }
 
-// Execute replays the schedule on processor p under scope sc: every send is
+// Execute replays the schedule on processor p under scope sc — each peer is
+// p.Rank() plus its message's offset: every send is
 // packed from src into a pooled buffer and shipped with ownership transfer;
 // local moves copy src into dst; every receive is unpacked into dst and its
 // buffer released back to the pool. Steady-state replay allocates nothing.
@@ -113,17 +122,17 @@ func (s *Schedule) Execute(p *machine.Proc, sc machine.Scope, src, dst []float64
 			copy(buf[k:k+r.Len], src[r.Off:r.Off+r.Len])
 			k += r.Len
 		}
-		p.SendOwned(m.Peer, sc.Tag(m.Part), buf)
+		p.SendOwned(p.Rank()+m.Peer, sc.Tag(m.Part), buf)
 	}
 	for _, mv := range s.Local {
 		copy(dst[mv.DstOff:mv.DstOff+mv.Len], src[mv.SrcOff:mv.SrcOff+mv.Len])
 	}
 	for i := range s.Recvs {
 		m := &s.Recvs[i]
-		buf := p.Recv(m.Peer, sc.Tag(m.Part))
+		buf := p.Recv(p.Rank()+m.Peer, sc.Tag(m.Part))
 		if len(buf) != m.N {
 			panic(fmt.Sprintf("sched: message from rank %d part %d has %d values, schedule expects %d",
-				m.Peer, m.Part, len(buf), m.N))
+				p.Rank()+m.Peer, m.Part, len(buf), m.N))
 		}
 		k := 0
 		for _, r := range m.Runs {
@@ -140,10 +149,12 @@ func (s *Schedule) Execute(p *machine.Proc, sc machine.Scope, src, dst []float64
 const runCap = 8
 
 // Compact moves every message's runs into one slab of exactly their total
-// length. An inspector calls it once its schedule is complete: what a
-// processor keeps for a cached schedule is then the runs it replays and no
-// growth capacity, in one allocation. Adding runs afterwards still works
-// (each message's share of the slab is capped, so an append copies it out).
+// length. Intern calls it on the schedule it publishes (and an inspector
+// that keeps a schedule of its own, once it is complete): what a machine
+// keeps is then the runs it replays and no growth capacity, in one
+// allocation. Adding runs afterwards still works (each message's share of
+// the slab is capped, so an append copies it out) — but not to an
+// interned schedule, which must not change.
 func (s *Schedule) Compact() {
 	n := 0
 	for _, msgs := range [2][]Msg{s.Sends, s.Recvs} {
@@ -161,14 +172,64 @@ func (s *Schedule) Compact() {
 	}
 }
 
-// BeginSend starts a new (empty) send message to peer with the given tag
-// part; fill it with AddSendRun.
+// BeginSend starts a new (empty) send message to the rank at offset peer
+// from the executing processor, with the given tag part; fill it with
+// AddSendRun.
 func (s *Schedule) BeginSend(peer int, part uint16) {
 	s.Sends = append(s.Sends, Msg{Peer: peer, Part: part, Runs: make([]Run, 0, runCap)})
 }
 
-// BeginRecv starts a new (empty) receive message from peer with the given
-// tag part; fill it with AddRecvRun.
+// BeginRecv starts a new (empty) receive message from the rank at offset
+// peer, with the given tag part; fill it with AddRecvRun.
 func (s *Schedule) BeginRecv(peer int, part uint16) {
 	s.Recvs = append(s.Recvs, Msg{Peer: peer, Part: part, Runs: make([]Run, 0, runCap)})
+}
+
+// Intern returns machine m's one schedule with s's content (see
+// machine.Intern): s itself, compacted, when no rank has compiled this
+// content before, else the copy that rank published, and s is dropped. A
+// schedule must not be changed once interned.
+func (s *Schedule) Intern(m *machine.Machine) *Schedule {
+	var buf [512]byte
+	key := appendMsgs(append(buf[:0], 'S'), s.Sends)
+	key = binary.AppendUvarint(key, uint64(len(s.Local)))
+	for _, mv := range s.Local {
+		key = binary.AppendUvarint(key, uint64(mv.SrcOff))
+		key = binary.AppendUvarint(key, uint64(mv.DstOff))
+		key = binary.AppendUvarint(key, uint64(mv.Len))
+	}
+	key = appendMsgs(key, s.Recvs)
+	return m.Intern(key, func() any {
+		s.Compact()
+		return s
+	}).(*Schedule)
+}
+
+// InternRuns is Intern for a bare run list (a gather's pack runs, say): the
+// machine's one exact-length copy of runs' content.
+func InternRuns(m *machine.Machine, runs []Run) []Run {
+	var buf [256]byte
+	key := appendRuns(append(buf[:0], 'R'), runs)
+	return m.Intern(key, func() any { return append([]Run(nil), runs...) }).([]Run)
+}
+
+func appendMsgs(key []byte, msgs []Msg) []byte {
+	key = binary.AppendUvarint(key, uint64(len(msgs)))
+	for i := range msgs {
+		m := &msgs[i]
+		key = binary.AppendVarint(key, int64(m.Peer))
+		key = binary.AppendUvarint(key, uint64(m.Part))
+		key = binary.AppendUvarint(key, uint64(m.N))
+		key = appendRuns(key, m.Runs)
+	}
+	return key
+}
+
+func appendRuns(key []byte, runs []Run) []byte {
+	key = binary.AppendUvarint(key, uint64(len(runs)))
+	for _, r := range runs {
+		key = binary.AppendUvarint(key, uint64(r.Off))
+		key = binary.AppendUvarint(key, uint64(r.Len))
+	}
+	return key
 }

@@ -8,6 +8,7 @@ package topology
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // All marks a dimension kept whole when slicing a grid, analogous to the
@@ -24,6 +25,12 @@ type Grid struct {
 	strides []int
 	base    int   // rank of the grid's origin in the parent machine
 	order   []int // dimensions sorted by stride, descending (see coordInto)
+
+	// through memoizes SliceThrough: one slot per (dimension, coordinate),
+	// dimension d's slots starting at the sum of the extents before it.
+	// Allocated by the first call and filled slot by slot, both by
+	// compare-and-swap, so a lookup that hits takes no lock.
+	through atomic.Pointer[[]atomic.Pointer[Grid]]
 }
 
 // finish precomputes the stride-descending dimension order used by
@@ -153,6 +160,14 @@ func (g *Grid) CoordOf(rank int) ([]int, bool) {
 	return coord, true
 }
 
+// CoordInto is CoordOf into a caller's slice of length Dims(): it writes
+// the rank's coordinate there and reports membership, allocating nothing.
+func (g *Grid) CoordInto(rank int, coord []int) bool { return g.coordInto(rank, coord) }
+
+// Stride returns the machine-rank distance between neighbours along
+// dimension d: moving one coordinate along d moves Stride(d) ranks.
+func (g *Grid) Stride(d int) int { return g.strides[d] }
+
 // Contains reports whether the machine rank belongs to the grid.
 func (g *Grid) Contains(rank int) bool {
 	var buf [maxDims]int
@@ -230,6 +245,53 @@ func (g *Grid) Slice(spec ...int) *Grid {
 	}
 	sub.order = backing[2*keep : 2*keep : 3*keep]
 	return sub.finishInto()
+}
+
+// SliceThrough returns the subgrid through coordinate c of dimension d,
+// every other dimension kept — g.Slice with d fixed at c and All elsewhere,
+// the paper's procs(c, *) for d = 0 — memoized on g: every caller, on any
+// processor, gets the one object per (d, c), so the ranks of a row or
+// column hold one slice between them, and a repeated call allocates
+// nothing.
+func (g *Grid) SliceThrough(d, c int) *Grid {
+	if d < 0 || d >= len(g.shape) || c < 0 || c >= g.shape[d] {
+		panic(fmt.Sprintf("topology: slice through coordinate %d of dimension %d of grid shape %v", c, d, g.shape))
+	}
+	memo := g.through.Load()
+	if memo == nil {
+		total := 0
+		for _, s := range g.shape {
+			total += s
+		}
+		fresh := make([]atomic.Pointer[Grid], total)
+		if !g.through.CompareAndSwap(nil, &fresh) {
+			memo = g.through.Load()
+		} else {
+			memo = &fresh
+		}
+	}
+	off := c
+	for _, s := range g.shape[:d] {
+		off += s
+	}
+	slot := &(*memo)[off]
+	if sl := slot.Load(); sl != nil {
+		return sl
+	}
+	var specBuf [maxDims]int
+	spec := specBuf[:0]
+	if len(g.shape) > maxDims {
+		spec = make([]int, 0, len(g.shape))
+	}
+	for k := range g.shape {
+		if k == d {
+			spec = append(spec, c)
+		} else {
+			spec = append(spec, All)
+		}
+	}
+	slot.CompareAndSwap(nil, g.Slice(spec...)) // a racing caller's slice may win
+	return slot.Load()
 }
 
 // finishInto is finish for grids whose order slice is already allocated.

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -196,5 +198,44 @@ func TestStringFormat(t *testing.T) {
 	}
 	if got := g.Slice(1, All).String(); got != "grid(3)@3" {
 		t.Errorf("slice String() = %q", got)
+	}
+}
+
+// TestSliceThroughMemoized: SliceThrough is Slice with one dimension
+// fixed, and every caller — many goroutines at once — gets one object per
+// (dimension, coordinate).
+func TestSliceThroughMemoized(t *testing.T) {
+	g := New(3, 4, 5)
+	const callers = 8
+	got := make([][]*Grid, callers)
+	var wg sync.WaitGroup
+	for c := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for d := 0; d < g.Dims(); d++ {
+				for i := 0; i < g.Extent(d); i++ {
+					got[c] = append(got[c], g.SliceThrough(d, i))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	k := 0
+	for d := 0; d < g.Dims(); d++ {
+		for i := 0; i < g.Extent(d); i++ {
+			spec := []int{All, All, All}
+			spec[d] = i
+			want := g.Slice(spec...)
+			for c := range got {
+				if got[c][k] != got[0][k] {
+					t.Fatalf("SliceThrough(%d, %d): caller %d got another object", d, i, c)
+				}
+			}
+			if s := got[0][k]; s.String() != want.String() || !slices.Equal(s.Ranks(), want.Ranks()) {
+				t.Errorf("SliceThrough(%d, %d) = %v %v, want %v %v", d, i, s, s.Ranks(), want, want.Ranks())
+			}
+			k++
+		}
 	}
 }
