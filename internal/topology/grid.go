@@ -24,7 +24,7 @@ type Grid struct {
 	shape   []int
 	strides []int
 	base    int   // rank of the grid's origin in the parent machine
-	order   []int // dimensions sorted by stride, descending (see coordInto)
+	order   []int // dimensions sorted by stride, descending (see CoordInto)
 
 	// through memoizes SliceThrough: one slot per (dimension, coordinate),
 	// dimension d's slots starting at the sum of the extents before it.
@@ -45,10 +45,10 @@ func (g *Grid) finish() *Grid {
 // coordinate buffers of Index and Contains.
 const maxDims = 8
 
-// coordInto writes the grid coordinate of the given machine rank into
+// CoordInto writes the grid coordinate of the given machine rank into
 // coord (which must have length Dims()) and reports whether the rank
-// belongs to the grid. It never allocates.
-func (g *Grid) coordInto(rank int, coord []int) bool {
+// belongs to the grid: CoordOf into a caller's slice. It never allocates.
+func (g *Grid) CoordInto(rank int, coord []int) bool {
 	rem := rank - g.base
 	for _, d := range g.order {
 		if rem < 0 {
@@ -154,15 +154,11 @@ func (g *Grid) Ranks() []int {
 // order handles the general case).
 func (g *Grid) CoordOf(rank int) ([]int, bool) {
 	coord := make([]int, len(g.shape))
-	if !g.coordInto(rank, coord) {
+	if !g.CoordInto(rank, coord) {
 		return nil, false
 	}
 	return coord, true
 }
-
-// CoordInto is CoordOf into a caller's slice of length Dims(): it writes
-// the rank's coordinate there and reports membership, allocating nothing.
-func (g *Grid) CoordInto(rank int, coord []int) bool { return g.coordInto(rank, coord) }
 
 // Stride returns the machine-rank distance between neighbours along
 // dimension d: moving one coordinate along d moves Stride(d) ranks.
@@ -175,7 +171,7 @@ func (g *Grid) Contains(rank int) bool {
 		_, ok := g.CoordOf(rank)
 		return ok
 	}
-	return g.coordInto(rank, buf[:len(g.shape)])
+	return g.CoordInto(rank, buf[:len(g.shape)])
 }
 
 // Index returns the row-major enumeration index of the given machine rank
@@ -189,7 +185,7 @@ func (g *Grid) Index(rank int) (int, bool) {
 	} else {
 		coord = buf[:len(g.shape)]
 	}
-	if !g.coordInto(rank, coord) {
+	if !g.CoordInto(rank, coord) {
 		return 0, false
 	}
 	idx := 0
