@@ -21,9 +21,8 @@
 // from the declaration alone, it shares with every processor that derives
 // it alike: the layout (extents, distributions, halo widths, the block's
 // shape), the compiled halo exchanges (runs into the local block, peers as
-// rank offsets), the gathers' pack runs and the redistribution schedules
-// are interned per machine by content (machine.Intern), and grid slices
-// are kept on their parent grid. In a block distribution these depend on a
+// rank offsets) and the gathers' pack runs are interned per machine by
+// content (machine.Intern), and grid slices are kept on their parent grid. In a block distribution these depend on a
 // processor's position class — first, interior or last along each axis, 9
 // classes in 2-D — not on its coordinates, so a machine holds a number of
 // them that does not grow with the processor count.
@@ -234,16 +233,12 @@ const (
 // distribution, which roff and woff ask; they are also where an index
 // outside its window goes to have its panic worded.
 //
-// The second group says how to read the first: the dimension's kind and
-// its store dimension, through which the slow paths (roff and woff's
-// panics, the owned walks' extents) reach the shared layout — every view
-// holds maxInlineAcc of these inline, so a field here is paid for three
-// times per view whether or not any dimension is general. A general
-// dimension's every access asks its distribution, so it keeps the
-// arguments it asks with at hand: its windows are empty (rspan = wspan =
-// 0), no fast path reads its rlo, base or lower, and they hold the
-// calling processor's coordinate, the axis length and the extent instead
-// (see general).
+// The second group is what roff, woff, globalOf and the owned walks read:
+// the dimension's kind, its store dimension, through which they reach the
+// shared layout (extent, halo, owned extent), and for a general dimension
+// the arguments its distribution is asked with. Every view holds
+// maxInlineAcc of these inline, so a field here is paid for three times
+// per view whether or not any dimension is general.
 type axisAccess struct {
 	rlo, rspan int // read window
 	wspan      int // write window length; it starts at lower
@@ -253,12 +248,8 @@ type axisAccess struct {
 
 	sd   int32 // store dimension
 	kind uint8
+	q, P int // grid coordinate and axis length (axGeneral)
 }
-
-// general returns an axGeneral dimension's distribution arguments: the
-// calling processor's coordinate along the dimension's grid axis, the axis
-// length, and the extent.
-func (ax *axisAccess) general() (q, P, extent int) { return ax.lower, ax.base, ax.rlo }
 
 // finishView fills the view cache; every constructor of an Array must call
 // it last.
@@ -296,8 +287,8 @@ func (a *Array) finishView() {
 				ax.lower = st.lower[sd]
 			} else {
 				ax.kind = axGeneral
-				axis := st.axisOf[sd] // see general
-				ax.lower, ax.base, ax.rlo = st.coord[axis], st.rootGrid.Extent(axis), st.extents[sd]
+				ax.q = st.coord[st.axisOf[sd]]
+				ax.P = st.rootGrid.Extent(st.axisOf[sd])
 			}
 		}
 		if ax.kind != axGeneral {
@@ -321,8 +312,7 @@ func (a *Array) globalOf(k, l int) int {
 	case axContig:
 		return ax.lower + l
 	default:
-		q, P, extent := ax.general()
-		return a.st.dists[ax.sd].ToGlobal(l, q, extent, P)
+		return a.st.dists[ax.sd].ToGlobal(l, ax.q, a.st.extents[ax.sd], ax.P)
 	}
 }
 
@@ -332,16 +322,16 @@ func (a *Array) roff(k, g int) int {
 	ax := &a.acc[k]
 	if ax.kind == axGeneral {
 		// A general dimension has no halo.
-		q, P, extent := ax.general()
+		extent := a.st.extents[ax.sd]
 		if g < 0 || g >= extent {
 			panic(fmt.Sprintf("darray: index %d out of extent %d (dim %d)", g, extent, ax.sd))
 		}
 		d := a.st.dists[ax.sd]
-		if d.Owner(g, extent, P) != q {
+		if d.Owner(g, extent, ax.P) != ax.q {
 			panic(fmt.Sprintf("darray: proc %d does not own global index %d of %s dim %d",
 				a.st.p.Rank(), g, d.Name(), ax.sd))
 		}
-		return d.ToLocal(g, extent, P) * ax.stride
+		return d.ToLocal(g, extent, ax.P) * ax.stride
 	}
 	if ax.kind == axStar && uint(g) < uint(ax.rspan) { // a Star window is the extent
 		return g * ax.stride
@@ -477,7 +467,7 @@ func internLayout(m *machine.Machine, extents []int, dists []dist.Dist, halo, ax
 			key = binary.AppendUvarint(key, uint64(lsize[d]))
 		}
 	}
-	return m.Intern(key, func() any { return newLayout(extents, dists, halo, axisOf, lsize) }).(*layout)
+	return machine.Intern(m, key, func() *layout { return newLayout(extents, dists, halo, axisOf, lsize) })
 }
 
 // appendDist encodes a distribution for a layout key: the bundled patterns

@@ -324,8 +324,7 @@ type moveCacheKey struct{}
 
 // moveScheduleFor returns the compiled move schedule for src -> dst,
 // caching it per (source layout, destination layout) pair in the
-// processor's scratch (the schedule itself is the machine's interned
-// copy). Redistribute builds a fresh destination array per
+// processor's scratch. Redistribute builds a fresh destination array per
 // call, but ping-pong redistribution (an out-of-place FFT transpose, say)
 // cycles between the same two layouts — the second and every later trip
 // replays the first trip's schedule instead of re-deriving the data motion.
@@ -337,7 +336,7 @@ func moveScheduleFor(src, dst *Array) *sched.Schedule {
 	if s, ok := cache[key]; ok {
 		return s
 	}
-	s := compileMove(src, dst).Intern(src.st.p.Machine())
+	s := compileMove(src, dst)
 	cache[key] = s
 	return s
 }
@@ -353,6 +352,7 @@ func compileMove(src, dst *Array) *sched.Schedule {
 	n := p.Size()
 	self := p.Rank()
 	s := &sched.Schedule{}
+	defer s.Compact() // on either return below
 
 	outRuns := make([][]sched.Run, n)
 	outN := make([]int, n)

@@ -3,6 +3,7 @@ package kf
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/darray"
 	"repro/internal/dist"
@@ -85,43 +86,90 @@ func TestDeclaredSlot(t *testing.T) {
 	}
 }
 
+// sweep2Decl is sweepDecl on a Block x Block array.
+type sweep2Decl struct {
+	a    *darray.Array
+	plan *Plan2
+}
+
+func (d *sweep2Decl) build(c *Ctx, n int) {
+	d.a = c.NewArray(darray.Spec{Extents: []int{n, n}, Dists: []dist.Dist{dist.Block{}, dist.Block{}}, Halo: []int{1, 1}})
+	d.plan = c.Plan2(R(1, n-2), R(1, n-2), OnOwner2(d.a), Reads(d.a))
+}
+
 // TestDeclaredRetainsOneStatePerSlot: a long-lived context serving one
-// program at many sizes keeps the latest declaration only. Every rebuild
-// here is ~1.6 MB of array and snapshot (the sizes share one class of the
-// machine's buffer pool, which keeps the gather's buffer); eight of them
-// must leave what one leaves.
+// program at many sizes keeps the latest declaration only — its arrays on
+// every rank, and the descriptors its ranks share through the machine's
+// intern table (layouts, halo schedules, gather runs), whose entries must
+// not pile up one set per size. The 1-D input's every rebuild is ~1.6 MB
+// of array and snapshot; the 2-D one runs on a 4 x 4 grid, where the
+// shared descriptors are 9 position classes' worth, and shrinks by 4 a
+// side per size, so every size has the same classes. Either way the sizes
+// share their classes of the machine's buffer pool, which keeps the
+// gather's buffer. Eight more sizes must leave what one leaves.
 func TestDeclaredRetainsOneStatePerSlot(t *testing.T) {
-	const n = 100_000
-	m := machine.New(1, machine.ZeroComm())
-	g := topology.New1D(1)
-	run := func(size int) {
-		t.Helper()
-		if err := Exec(m, g, func(c *Ctx) error {
+	for _, tc := range []struct {
+		name       string
+		g          *topology.Grid
+		n, step    int
+		arrayBytes int
+		body       func(c *Ctx, size int) bool
+	}{
+		{"1-D on 1 rank", topology.New1D(1), 100_000, 1, 100_000 * 8, func(c *Ctx, size int) bool {
 			d, fresh := Declared[sweepDecl](c, size)
-			if !fresh {
-				t.Errorf("size %d: not rebuilt", size)
-			}
 			d.build(c, size)
 			d.plan.Run(func(cc *Ctx, i int) { d.a.Set1(i, d.a.Old1(i-1)) })
 			d.a.GatherTo(c.NextScope(), 0)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := liveHeap()
-	run(n)
-	one := liveHeap() - before
-	for k := 1; k <= 8; k++ {
-		run(n + k)
-	}
-	eight := liveHeap() - before
-	runtime.KeepAlive(m)
-	t.Logf("live heap after one declaration: %d B; after eight more sizes: %d B", one, eight)
-	if one < n*8 {
-		t.Fatalf("one declaration retains %d B, less than its own array: the measurement is broken", one)
-	}
-	if eight > one+one/2 {
-		t.Errorf("nine sizes retain %d B, one retains %d B: old declarations are still reachable", eight, one)
+			return fresh
+		}},
+		{"Block x Block on 4 x 4", topology.New(4, 4), 296, -4, 264 * 264 * 8, func(c *Ctx, size int) bool {
+			d, fresh := Declared[sweep2Decl](c, size)
+			d.build(c, size)
+			d.plan.Run(func(cc *Ctx, i, j int) { d.a.Set2(i, j, d.a.Old2(i-1, j)+d.a.Old2(i, j+1)) })
+			d.a.GatherTo(c.NextScope(), 0)
+			return fresh
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := machine.New(tc.g.Size(), machine.ZeroComm())
+			run := func(size int) {
+				t.Helper()
+				if err := Exec(m, tc.g, func(c *Ctx) error {
+					if !tc.body(c, size) {
+						t.Errorf("size %d: not rebuilt", size)
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := liveHeap()
+			run(tc.n)
+			one, oneShared := liveHeap()-before, m.Interned()
+			for k := 1; k <= 8; k++ {
+				run(tc.n + k*tc.step)
+			}
+			eight := liveHeap() - before
+			// An unheld entry leaves the table as its value's cleanup runs,
+			// on the runtime's cleanup goroutine after a collection.
+			deadline := time.Now().Add(10 * time.Second)
+			for m.Interned() > oneShared && time.Now().Before(deadline) {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			shared := m.Interned()
+			runtime.KeepAlive(m)
+			t.Logf("live heap after one declaration: %d B; after eight more sizes: %d B; shared descriptors %d, then %d",
+				one, eight, oneShared, shared)
+			if one < int64(tc.arrayBytes) {
+				t.Fatalf("one declaration retains %d B, less than its own array: the measurement is broken", one)
+			}
+			if eight > one+one/2 {
+				t.Errorf("nine sizes retain %d B, one retains %d B: old declarations are still reachable", eight, one)
+			}
+			if shared > oneShared {
+				t.Errorf("nine sizes leave %d shared descriptors, one leaves %d: old sizes' descriptors are still held", shared, oneShared)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/darray"
+	"repro/internal/machine"
 )
 
 // This file is the stencil statement: a two-dimensional doall body that is
@@ -467,7 +468,7 @@ func (s *Stencil) compile() *rowProgram {
 		key = binary.AppendVarint(key, int64(r.pre))
 		key = binary.AppendVarint(key, int64(r.stride))
 	}
-	return s.pl.c.P.Machine().Intern(key, func() any { return rp }).(*rowProgram)
+	return machine.Intern(s.pl.c.P.Machine(), key, func() *rowProgram { return rp })
 }
 
 // ref places one access of the row path: a's addressing, with the whole

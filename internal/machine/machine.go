@@ -28,6 +28,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"weak"
 )
 
 // ErrDeadlock is reported by Run when every live processor is blocked in
@@ -64,8 +65,7 @@ type Machine struct {
 
 	// interned is the machine's table of read-only descriptors shared by
 	// content between its ranks; see Intern.
-	internMu sync.Mutex
-	interned map[string]any
+	interned *internTable
 
 	// coord adapts the machine to the transport's Coordinator interface
 	// without exposing the callbacks as Machine methods (and without
@@ -198,7 +198,7 @@ func NewWithTransport(t Transport, cost CostModel) *Machine {
 	if n <= 0 {
 		panic(fmt.Sprintf("machine: processor count must be positive, got %d", n))
 	}
-	m := &Machine{n: n, lo: 0, hi: n, cost: cost, tr: t}
+	m := &Machine{n: n, lo: 0, hi: n, cost: cost, tr: t, interned: new(internTable)}
 	m.SetExecutor(nil)
 	if lr, ok := t.(localRanker); ok {
 		lo, hi := lr.LocalRanks()
@@ -221,7 +221,7 @@ func NewWithTransport(t Transport, cost CostModel) *Machine {
 	return m
 }
 
-// Intern returns the machine's one copy of a compiled, read-only
+// Intern returns machine m's one copy of a compiled, read-only
 // descriptor: the value held under key if there is one, else mk()'s
 // result, stored under key first. key is the descriptor's whole content as
 // its compiler encodes it (a halo schedule's runs and relative peers, an
@@ -232,20 +232,66 @@ func NewWithTransport(t Transport, cost CostModel) *Machine {
 // every partition read it without a lock.
 //
 // The table is lock-guarded and touched only where a rank compiles (a
-// cold run), never on replay; a lookup that hits allocates nothing. Values
-// live as long as the machine.
-func (m *Machine) Intern(key []byte, mk func() any) any {
-	m.internMu.Lock()
-	defer m.internMu.Unlock()
-	if v, ok := m.interned[string(key)]; ok {
-		return v
+// cold run), never on replay; a lookup that hits allocates nothing. It
+// holds its values weakly: an entry lasts as long as some rank's state
+// holds its value, and a garbage collection after the last holder lets go
+// (a pooled System re-declaring at a new size, say) removes it, so the
+// table never holds more than the ranks' live declarations use.
+func Intern[T any](m *Machine, key []byte, mk func() *T) *T {
+	t := m.interned
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if wp, ok := t.m[string(key)].(weak.Pointer[T]); ok {
+		if v := wp.Value(); v != nil {
+			return v
+		}
 	}
-	if m.interned == nil {
-		m.interned = make(map[string]any)
+	if t.m == nil {
+		t.m = make(map[string]any)
 	}
 	v := mk()
-	m.interned[string(key)] = v
+	e := internEntry{t: t, key: string(key), wp: weak.Make(v)}
+	t.m[e.key] = e.wp
+	runtime.AddCleanup(v, dropInterned, e)
 	return v
+}
+
+// internTable is a machine's intern table: a weak pointer per key. It is
+// an allocation of its own, apart from the Machine, because the cleanups
+// that delete its entries hold it: holding the machine instead would keep
+// every rank's state, and so every value, reachable for good.
+type internTable struct {
+	mu sync.Mutex
+	m  map[string]any // a weak.Pointer[T] per key
+}
+
+// internEntry is one table entry as its value's cleanup names it.
+type internEntry struct {
+	t   *internTable
+	key string
+	wp  any
+}
+
+// dropInterned is an interned value's cleanup: it deletes the value's
+// entry, unless a later Intern has already stored a new value under the
+// same key.
+func dropInterned(e internEntry) {
+	t := e.t
+	t.mu.Lock()
+	if t.m[e.key] == e.wp {
+		delete(t.m, e.key)
+	}
+	t.mu.Unlock()
+}
+
+// Interned returns the number of descriptors in the machine's intern
+// table (see Intern). A value no rank holds any more leaves it some time
+// after a garbage collection finds it unreachable.
+func (m *Machine) Interned() int {
+	t := m.interned
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m)
 }
 
 // SetSink installs a trace sink. It must be called before Run; a nil sink

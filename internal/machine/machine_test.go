@@ -3,9 +3,11 @@ package machine
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestNewPanicsOnBadSize(t *testing.T) {
@@ -598,10 +600,10 @@ func TestInternSharesByContent(t *testing.T) {
 	var built atomic.Int32
 	err := m.Run(func(p *Proc) error {
 		key := []byte{'t', byte(p.Rank() % 3)} // three classes
-		got[p.Rank()] = m.Intern(key, func() any {
+		got[p.Rank()] = Intern(m, key, func() *[]int {
 			built.Add(1)
 			return &[]int{p.Rank() % 3}
-		}).(*[]int)
+		})
 		return nil
 	})
 	if err != nil {
@@ -615,4 +617,35 @@ func TestInternSharesByContent(t *testing.T) {
 			t.Errorf("rank %d holds %p = %v, want rank %d's %p", r, v, *v, r%3, got[r%3])
 		}
 	}
+}
+
+// TestInternDropsUnheldValues: the table holds its values weakly — an
+// entry whose value nothing else holds leaves it after a collection, a
+// held one stays and is still the one a lookup returns, and the same
+// content interned again is built afresh.
+func TestInternDropsUnheldValues(t *testing.T) {
+	m := New(1, ZeroComm())
+	mk := func(v int) func() *[2]int { return func() *[2]int { return &[2]int{v, v} } }
+	kept := Intern(m, []byte("kept"), mk(1))
+	for k := 0; k < 8; k++ {
+		Intern(m, []byte{'d', byte(k)}, mk(k))
+	}
+	if n := m.Interned(); n != 9 {
+		t.Fatalf("table holds %d entries after 9 contents, want 9", n)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for m.Interned() > 1 && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := m.Interned(); n != 1 {
+		t.Fatalf("table holds %d entries after the unheld values were collected, want 1", n)
+	}
+	if got := Intern(m, []byte("kept"), mk(2)); got != kept || got[0] != 1 {
+		t.Errorf("a held value's lookup returned %p = %v, want %p", got, *got, kept)
+	}
+	if got := Intern(m, []byte{'d', 0}, mk(5)); got[0] != 5 {
+		t.Errorf("a dropped content was not built afresh: got %v", *got)
+	}
+	runtime.KeepAlive(kept)
 }

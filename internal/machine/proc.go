@@ -146,7 +146,7 @@ func (p *Proc) ReleaseBuf(buf []float64) {
 // they must hold only reusable capacity, never per-Run semantic state. The
 // registrations are a slice searched by key: the whole tree uses a handful
 // of keys. State that is the same on many processors belongs in
-// Machine.Intern instead.
+// Intern instead.
 func (p *Proc) Scratch(key any, mk func() any) any {
 	for i := range p.scratch {
 		if p.scratch[i].key == key {

@@ -30,6 +30,7 @@ package sched
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/machine"
 )
@@ -199,18 +200,23 @@ func (s *Schedule) Intern(m *machine.Machine) *Schedule {
 		key = binary.AppendUvarint(key, uint64(mv.Len))
 	}
 	key = appendMsgs(key, s.Recvs)
-	return m.Intern(key, func() any {
+	return machine.Intern(m, key, func() *Schedule {
 		s.Compact()
 		return s
-	}).(*Schedule)
+	})
 }
 
 // InternRuns is Intern for a bare run list (a gather's pack runs, say): the
-// machine's one exact-length copy of runs' content.
+// machine's one copy of runs' content, nil for no runs.
 func InternRuns(m *machine.Machine, runs []Run) []Run {
+	if len(runs) == 0 {
+		return nil
+	}
 	var buf [256]byte
 	key := appendRuns(append(buf[:0], 'R'), runs)
-	return m.Intern(key, func() any { return append([]Run(nil), runs...) }).([]Run)
+	// The table holds the copy by its first run; the key fixes its length.
+	first := machine.Intern(m, key, func() *Run { return &append([]Run(nil), runs...)[0] })
+	return unsafe.Slice(first, len(runs))
 }
 
 func appendMsgs(key []byte, msgs []Msg) []byte {
