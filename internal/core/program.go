@@ -20,6 +20,14 @@ type Program struct {
 	// Body is the per-processor computation. Each processor returns an
 	// Output; see Output for how per-rank outputs combine into a Run.
 	Body func(c *kf.Ctx) (Output, error)
+	// Step, when set, is Body's step form: the same computation as
+	// declared steps the engine resumes by a call, with no stack per
+	// processor (kf.ExecSteps, machine.StepFunc). It is called with resume
+	// false to start a processor's run and, each time it reports done
+	// false, again with resume true once the processor is woken; done, it
+	// returns what Body would. A run takes the step form wherever its
+	// machine can, and Body elsewhere.
+	Step func(c *kf.Ctx, resume bool) (out Output, done bool, err error)
 
 	// key and args identify a registry-built program (see RegisterProgram
 	// and BuildProgram): key is the registered factory name and args its
@@ -68,6 +76,12 @@ type Run struct {
 	// rounds, per-node peer frames and flushes — nil otherwise. It
 	// describes the host, not the program: CompareRuns ignores it.
 	Exec *machine.ExecStats
+	// Calendar is what the engine's scheduler did on the coordinator's
+	// machine (Machine.CalendarStats) — partitions, continuations
+	// started, parks, wakes and grants — nil for a run whose ranks
+	// executed inside ipc workers. Like Exec it describes the host:
+	// CompareRuns ignores it.
+	Calendar *machine.CalendarStats
 }
 
 // LinkCensus is the per-directed-link message and byte counts of one run
@@ -152,25 +166,39 @@ func (s *System) linkCensus() *LinkCensus {
 	return lc
 }
 
-// execProgram runs p's body on every rank m executes — the whole machine
-// coordinator-side, one node's window inside an ipc worker — and returns
-// the per-rank Outputs in grid order (zero for ranks outside the window).
-// outs is the caller's table from its previous run, reused when it still
-// fits: whoever owns the machine keeps the table, so a warm run allocates
-// nothing per rank.
+// execProgram runs p on every rank m executes — the whole machine
+// coordinator-side, one node's window inside an ipc worker — in its step
+// form where it has one and the machine can take it, and returns the
+// per-rank Outputs in grid order (zero for ranks outside the window). outs
+// is the caller's table from its previous run, reused when it still fits:
+// whoever owns the machine keeps the table, so a warm run allocates nothing
+// per rank.
 func execProgram(m *machine.Machine, g *topology.Grid, p *Program, outs []Output) ([]Output, error) {
 	if len(outs) == g.Size() {
 		clear(outs)
 	} else {
 		outs = make([]Output, g.Size())
 	}
-	err := kf.Exec(m, g, func(c *kf.Ctx) error {
-		out, err := p.Body(c)
+	record := func(c *kf.Ctx, out Output) {
 		if idx, ok := g.Index(c.P.Rank()); ok {
 			outs[idx] = out
 		}
+	}
+	var step func(c *kf.Ctx, resume bool) (bool, error)
+	if p.Step != nil {
+		step = func(c *kf.Ctx, resume bool) (bool, error) {
+			out, done, err := p.Step(c, resume)
+			if done {
+				record(c, out)
+			}
+			return done, err
+		}
+	}
+	err := kf.ExecSteps(m, g, func(c *kf.Ctx) error {
+		out, err := p.Body(c)
+		record(c, out)
 		return err
-	})
+	}, step)
 	return outs, err
 }
 
@@ -181,7 +209,8 @@ func (s *System) runLocal(p *Program) (Run, error) {
 	}
 	var err error
 	s.outs, err = execProgram(s.Machine, s.Procs, p, s.outs)
-	run := Run{MachineElapsed: s.Machine.Elapsed(), Stats: s.Machine.TotalStats()}
+	cal := s.Machine.CalendarStats()
+	run := Run{MachineElapsed: s.Machine.Elapsed(), Stats: s.Machine.TotalStats(), Calendar: &cal}
 	emitters := 0
 	for _, out := range s.outs {
 		if out.Elapsed > run.Elapsed {

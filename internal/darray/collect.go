@@ -347,7 +347,34 @@ func (a *Array) GatherTo(sc machine.Scope, rootIdx int) []float64 {
 	if a.st.p.Direct() {
 		return a.gatherToDirect(sc, rootIdx)
 	}
-	return a.gatherToScheduled(sc, rootIdx)
+	var cur GatherCursor
+	for {
+		if out, ok := a.gatherToScheduled(sc, rootIdx, &cur); ok {
+			return out
+		}
+		a.st.p.Wait()
+	}
+}
+
+// GatherCursor is a gather in progress on its root: the members unpacked so
+// far and the result they are unpacked into. The zero value is a gather not
+// yet begun.
+type GatherCursor struct {
+	next int
+	out  []float64
+}
+
+// GatherToStep is GatherTo without parking: the compiled gather from cur,
+// false while the root's next receive would block (call again with the
+// same arguments). The direct derivation has no step form: on a SetDirect
+// machine it gathers as GatherTo does, parking where it waits, so only a
+// rank that may park can call it there.
+func (a *Array) GatherToStep(sc machine.Scope, rootIdx int, cur *GatherCursor) ([]float64, bool) {
+	a.mustParticipate()
+	if a.st.p.Direct() {
+		return a.gatherToDirect(sc, rootIdx), true
+	}
+	return a.gatherToScheduled(sc, rootIdx, cur)
 }
 
 // gatherToDirect is the uncompiled reference path: it interleaves layout

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/machine"
+	"repro/internal/sched"
 )
 
 // ghostRun is one contiguous run of ghost indices along a dimension,
@@ -200,6 +201,20 @@ func (a *Array) ExchangeHalo(sc machine.Scope, dims ...int) {
 		return
 	}
 	a.haloSchedule(dims).Execute(a.st.p, sc, a.st.data, a.st.data)
+}
+
+// ExchangeHaloStep is ExchangeHalo without parking: the compiled schedule's
+// Step from cur, false while a receive would block (call again with the
+// same arguments). The direct derivation has no step form: on a SetDirect
+// machine it exchanges as ExchangeHalo does, parking where it waits, so
+// only a rank that may park can call it there.
+func (a *Array) ExchangeHaloStep(sc machine.Scope, cur *sched.Cursor, dims ...int) bool {
+	a.mustParticipate()
+	if a.st.p.Direct() {
+		a.exchangeHaloDirect(sc, dims...)
+		return true
+	}
+	return a.haloSchedule(dims).Step(a.st.p, sc, a.st.data, a.st.data, cur)
 }
 
 // exchangeHaloDirect is the uncompiled reference path: it re-derives owner

@@ -232,11 +232,13 @@ func (a *Array) gatherPlanFor(me, rootIdx int) *gatherPlan {
 	return pl
 }
 
-// gatherToScheduled replays the compiled gather plan: members pack owned
-// runs into a pooled buffer and ship it; the root unpacks every member's
-// message (and its own staged pack) into the dense result via the compiled
-// runs. Traffic is bit-identical to gatherToDirect.
-func (a *Array) gatherToScheduled(sc machine.Scope, rootIdx int) []float64 {
+// gatherToScheduled replays the compiled gather plan from cur: members
+// pack owned runs into a pooled buffer and ship it; the root unpacks every
+// member's message (and its own staged pack) into the dense result via the
+// compiled runs, in member order, and reports false where the next
+// member's message has not arrived (p.TryRecv). Traffic is bit-identical
+// to gatherToDirect.
+func (a *Array) gatherToScheduled(sc machine.Scope, rootIdx int, cur *GatherCursor) ([]float64, bool) {
 	st := a.st
 	p := st.p
 	me, ok := a.grid.Index(p.Rank())
@@ -258,27 +260,30 @@ func (a *Array) gatherToScheduled(sc machine.Scope, rootIdx int) []float64 {
 	}
 	if me != rootIdx {
 		p.SendOwned(pl.peer, sc.Tag(pl.part), pack())
-		return nil
+		return nil, true
 	}
-	out := make([]float64, pl.root.size)
-	for m := range pl.root.Recvs {
+	if cur.out == nil {
+		cur.out = make([]float64, pl.root.size)
+	}
+	for ; cur.next < len(pl.root.Recvs); cur.next++ {
+		m := cur.next
 		mu := &pl.root.Recvs[m]
 		var buf []float64
 		if m == me {
 			buf = pack()
-		} else {
-			buf = p.Recv(p.Rank()+mu.Peer, sc.Tag(mu.Part))
+		} else if buf, ok = p.TryRecv(p.Rank()+mu.Peer, sc.Tag(mu.Part)); !ok {
+			return nil, false
 		}
 		if len(buf) != mu.N {
 			panic(fmt.Sprintf("darray: GatherTo: member %d sent %d values, want %d", m, len(buf), mu.N))
 		}
 		k := 0
 		for _, r := range mu.Runs {
-			k += copy(out[r.Off:r.Off+r.Len], buf[k:k+r.Len])
+			k += copy(cur.out[r.Off:r.Off+r.Len], buf[k:k+r.Len])
 		}
 		p.ReleaseBuf(buf)
 	}
-	return out
+	return cur.out, true
 }
 
 // --- Redistribute --------------------------------------------------------

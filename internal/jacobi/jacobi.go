@@ -87,12 +87,37 @@ func KF1(m *machine.Machine, g *topology.Grid, x0, f [][]float64, niter int) (Re
 	return res, err
 }
 
-// kf1State is the declaration half of KF1Ctx — the distributed arrays and
-// the compiled sweep statement — kept on the root context across runs
-// (kf.Declared) and rebuilt when the problem size changes.
+// kf1State is a processor's state of KF1Ctx, kept on the root context
+// across runs (kf.Declared) and rebuilt when the problem size changes: the
+// declaration half — the distributed arrays and the compiled sweep — and
+// the run in flight — its place in kf1Steps and its results.
 type kf1State struct {
 	x, fd *darray.Array
 	sweep *kf.Stencil
+
+	cont    kf.Cont
+	elapsed float64
+	flat    []float64
+}
+
+// kf1Args are a run's arguments: the problem and the sweep count.
+type kf1Args struct {
+	x0, f [][]float64
+	niter int
+}
+
+func (a kf1Args) iters() int { return a.niter }
+
+// kf1Steps is KF1Ctx's straight line, declared once for every processor:
+// the arrays and the compiled sweep on the first run, the owned cells'
+// fill, niter sweeps, the iteration loop's elapsed time (the clock's
+// maximum over the grid) and the gather of X onto rank 0.
+var kf1Steps = kf.Steps[kf1State, kf1Args]{
+	{Do: (*kf1State).declare},
+	{Do: (*kf1State).fill},
+	{Do: (*kf1State).step, Times: kf1Args.iters},
+	{Do: (*kf1State).reduceClock},
+	{Do: (*kf1State).gather},
 }
 
 // KF1Ctx is the KF1 Jacobi iteration as a plain parallel subroutine body —
@@ -103,28 +128,80 @@ type kf1State struct {
 //
 // The arrays and the compiled sweep are declared once per System: repeated
 // runs re-fill the owned cells and replay the data motion without
-// re-deriving distribution or communication.
+// re-deriving distribution or communication. KF1Ctx is the blocking driver
+// of kf1Steps, whose step form is KF1Step.
 func KF1Ctx(c *kf.Ctx, x0, f [][]float64, niter int) (flat []float64, elapsed float64) {
-	n := len(x0)
-	st, fresh := kf.Declared[kf1State](c, n)
-	if fresh {
-		st.build(c, n)
+	st := kf1State1(c, len(x0), false)
+	kf1Steps.Run(c, st, kf1Args{x0, f, niter}, &st.cont)
+	return st.result()
+}
+
+// KF1Step is KF1Ctx's step form (kf.ExecSteps): the same steps, run until
+// they end (done) or a receive would block (not done; call again with the
+// same arguments and resume true once woken). resume is false on a run's
+// first call.
+func KF1Step(c *kf.Ctx, resume bool, x0, f [][]float64, niter int) (flat []float64, elapsed float64, done bool) {
+	st := kf1State1(c, len(x0), resume)
+	if !kf1Steps.Step(c, st, kf1Args{x0, f, niter}, &st.cont) {
+		return nil, 0, false
 	}
-	x, fd := st.x, st.fd
-	// (Re)fill the owned cells every run, one copy per owned row; halo
-	// ghosts left over from a previous run are refreshed by the first
-	// sweep's exchange before any read.
-	x.OwnedRuns(func(idx []int, row []float64) { copy(row, x0[idx[0]][idx[1]:]) })
-	fd.OwnedRuns(func(idx []int, row []float64) { copy(row, f[idx[0]][idx[1]:]) })
-	for it := 0; it < niter; it++ {
-		st.sweep.Run()
+	flat, elapsed = st.result()
+	return flat, elapsed, true
+}
+
+// kf1State1 returns c's state for problem size n, at the start of kf1Steps
+// unless the run in flight resumes.
+func kf1State1(c *kf.Ctx, n int, resume bool) *kf1State {
+	st, _ := kf.Declared[kf1State](c, n)
+	if !resume {
+		st.cont = kf.Cont{}
 	}
-	elapsed = c.AllReduceMax(c.P.Clock())
-	out := x.GatherTo(c.NextScope(), 0)
-	if c.P.Rank() == 0 {
-		flat = out
-	}
+	return st
+}
+
+// result ends the run: its results, with the state holding no output past
+// it.
+func (st *kf1State) result() (flat []float64, elapsed float64) {
+	flat, elapsed = st.flat, st.elapsed
+	st.flat = nil
 	return flat, elapsed
+}
+
+// declare builds the arrays and the sweep on the state's first run.
+func (st *kf1State) declare(a kf1Args, c *kf.Ctx, _ *kf.Cursor) bool {
+	if st.sweep == nil {
+		st.build(c, len(a.x0))
+	}
+	return true
+}
+
+// fill (re)fills the owned cells, one copy per owned row; halo ghosts left
+// over from a previous run are refreshed by the first sweep's exchange
+// before any read.
+func (st *kf1State) fill(a kf1Args, _ *kf.Ctx, _ *kf.Cursor) bool {
+	st.x.OwnedRuns(func(idx []int, row []float64) { copy(row, a.x0[idx[0]][idx[1]:]) })
+	st.fd.OwnedRuns(func(idx []int, row []float64) { copy(row, a.f[idx[0]][idx[1]:]) })
+	return true
+}
+
+// step is one sweep: halo exchange and snapshots, then the statement over
+// the owned rows.
+func (st *kf1State) step(_ kf1Args, _ *kf.Ctx, k *kf.Cursor) bool { return st.sweep.Step(k) }
+
+// reduceClock is the iteration loop's elapsed time: the clock's maximum.
+func (st *kf1State) reduceClock(_ kf1Args, c *kf.Ctx, k *kf.Cursor) bool {
+	v, ok := c.AllReduceMaxStep(k, c.P.Clock())
+	st.elapsed = v
+	return ok
+}
+
+// gather collects X onto rank 0 for verification.
+func (st *kf1State) gather(_ kf1Args, c *kf.Ctx, k *kf.Cursor) bool {
+	out, ok := c.GatherToStep(k, st.x, 0)
+	if ok && c.P.Rank() == 0 {
+		st.flat = out
+	}
+	return ok
 }
 
 // sweepStmt is the statement of Listing 3 over the parameters (X, f),

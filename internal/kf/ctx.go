@@ -103,15 +103,13 @@ type rootCtxKey struct{ g *topology.Grid }
 // re-running the same subroutine declares its arrays and derives its doall
 // communication once per System, not once per run.
 func Exec(m *machine.Machine, g *topology.Grid, body func(c *Ctx) error) error {
-	return m.Run(func(p *machine.Proc) error {
-		if !g.Contains(p.Rank()) {
-			return nil
-		}
-		c := p.Scratch(rootCtxKey{g}, func() any { return &Ctx{P: p, G: g} }).(*Ctx)
-		c.scope = machine.RootScope()
-		c.seq = 0
-		return body(c)
-	})
+	return ExecSteps(m, g, body, nil)
+}
+
+// rootCtx returns p's root context on grid g, made on p's first
+// subroutine there.
+func rootCtx(p *machine.Proc, g *topology.Grid) *Ctx {
+	return p.Scratch(rootCtxKey{g}, func() any { return &Ctx{P: p, G: g} }).(*Ctx)
 }
 
 // declared is one declaration slot: the state and the signature it was

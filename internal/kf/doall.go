@@ -236,7 +236,10 @@ func eachOwned(r Range, s span, f func(i int)) {
 // communication and copy-in/copy-out transformations the KF1 compiler would
 // derive from the loop body.
 type LoopOpt interface {
-	prepare(c *Ctx)
+	// step advances the option's preparation from ph, the way a step
+	// does (see Steps): false while its exchange's receive would block,
+	// with the returned phase holding its place.
+	step(c *Ctx, ph phase) (phase, bool)
 	finish(c *Ctx)
 }
 
@@ -262,17 +265,18 @@ func ReadsNoHalo(a *darray.Array) LoopOpt {
 	return &reads{a: a}
 }
 
-func (r *reads) prepare(c *Ctx) {
+func (r *reads) step(c *Ctx, ph phase) (phase, bool) {
 	// Take the scope unconditionally so phase numbering stays aligned
 	// across processors even when some do not hold a piece of a.
-	sc := c.NextScope()
+	sc := ph.scope(c)
 	if !r.a.Participates() {
-		return
+		return ph, true
 	}
-	if r.exchange {
-		r.a.ExchangeHalo(sc, r.dims...)
+	if r.exchange && !r.a.ExchangeHaloStep(sc, &ph.halo, r.dims...) {
+		return ph, false
 	}
 	r.a.Snapshot()
+	return ph, true
 }
 
 func (r *reads) finish(c *Ctx) {

@@ -52,14 +52,34 @@ func (pl *planCore) child() *Ctx {
 }
 
 // prepare runs the loop options (halo exchanges and snapshots) and claims
-// the loop's phase ordinal.
+// the loop's phase ordinal: prepareStep driven to the end, waiting wherever
+// a receive would block.
 func (pl *planCore) prepare() int {
-	c := pl.c
-	for _, o := range pl.opts {
-		o.prepare(c)
+	var k Cursor
+	for !pl.prepareStep(&k) {
+		pl.c.P.Wait()
 	}
-	phase := c.seq
-	c.seq++
+	return pl.claim()
+}
+
+// prepareStep runs the loop options from k, in order, the way a step does:
+// false while an option's exchange would block.
+func (pl *planCore) prepareStep(k *Cursor) bool {
+	for ; k.opt < len(pl.opts); k.opt++ {
+		ph, done := pl.opts[k.opt].step(pl.c, k.ph)
+		if !done {
+			k.ph = ph
+			return false
+		}
+		k.ph = phase{}
+	}
+	return true
+}
+
+// claim takes the loop's phase ordinal, once its options are prepared.
+func (pl *planCore) claim() int {
+	phase := pl.c.seq
+	pl.c.seq++
 	return phase
 }
 
@@ -137,8 +157,15 @@ func (c *Ctx) Plan2(ri, rj Range, on On2, opts ...LoopOpt) *Plan2 {
 
 // Run executes one pass of the compiled loop; see Plan1.Run.
 func (pl *Plan2) Run(body func(cc *Ctx, i, j int)) {
-	c := pl.c
 	phase := pl.prepare()
+	pl.each(phase, body)
+	pl.finish()
+}
+
+// each runs body over the loop's owned cells, in the loop's order, as
+// iterations of the given phase.
+func (pl *Plan2) each(phase int, body func(cc *Ctx, i, j int)) {
+	c := pl.c
 	cc := pl.child()
 	if pl.fast() {
 		if !pl.sp[0].empty() && !pl.sp[1].empty() {
@@ -159,7 +186,6 @@ func (pl *Plan2) Run(body func(cc *Ctx, i, j int)) {
 			})
 		})
 	}
-	pl.finish()
 }
 
 // Plan3 is a compiled three-dimensional doall header.

@@ -385,17 +385,34 @@ func (pl *Plan2) Stencil(st *Statement, arrays ...*darray.Array) *Stencil {
 
 // Run executes one pass of the statement: the loop options, then every
 // owned cell, then the options' finish — the plan's Run with the statement
-// as its body.
+// as its body. It is Step driven to the end, waiting wherever a receive
+// would block.
 func (s *Stencil) Run() {
-	pl := s.pl
-	if s.rows == nil {
-		pl.Run(s.body)
-		return
+	var k Cursor
+	for !s.Step(&k) {
+		s.pl.c.P.Wait()
 	}
-	pl.prepare()
-	s.sweep()
-	pl.c.P.ComputeEach(s.st.flops, s.rows.count[0]*s.rows.count[1])
+}
+
+// Step advances one pass of the statement from k, the way a step does (see
+// Steps): the loop options — a snapshot each, and a halo exchange for
+// Reads — then, once they are prepared, every owned cell and the options'
+// finish, which need no message. False while an exchange's receive would
+// block; the next call with the same k resumes it.
+func (s *Stencil) Step(k *Cursor) bool {
+	pl := s.pl
+	if !pl.prepareStep(k) {
+		return false
+	}
+	phase := pl.claim()
+	if s.rows == nil {
+		pl.each(phase, s.body)
+	} else {
+		s.sweep()
+		pl.c.P.ComputeEach(s.st.flops, s.rows.count[0]*s.rows.count[1])
+	}
 	pl.finish()
+	return true
 }
 
 // cell is the statement at one iteration, as the closure body writes it.

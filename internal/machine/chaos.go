@@ -578,6 +578,20 @@ func (t *ChaosTransport) Recv(dst, src int, tag Tag) ([]float64, float64, bool) 
 	}
 }
 
+// tryRecv is the base's receive attempt under an inactive scenario. An
+// active one absorbs duplicates around the base's receive, which takes a
+// receive that blocks, so it blocks as Recv does.
+func (t *ChaosTransport) tryRecv(dst, src int, tag Tag) ([]float64, float64, recvState) {
+	if !t.active.Load() {
+		return tryRecvOn(t.base, dst, src, tag)
+	}
+	return blockingRecv(t, dst, src, tag)
+}
+
+// stepping reports whether the base answers "would block" and no scenario
+// is active.
+func (t *ChaosTransport) stepping() bool { return !t.active.Load() && canStep(t.base) }
+
 // CheckStalled extends the base's deadlock detection with fault recovery:
 // a machine stalled while the chaos layer holds undelivered messages is
 // stalled on a loss, not deadlocked — the receiver's timeout fires and

@@ -25,18 +25,19 @@ import (
 type Executor interface {
 	// Name returns the engine's registry name.
 	Name() string
-	// Execute runs body once per processor of m and returns when all of
-	// them have finished. Per-rank errors (including recovered panics and
-	// runtime.Goexit, converted to errors) are written to errs[rank].
-	// Execute is called with the machine already reset; it must publish its
-	// Parker (m.setParker) before any rank runs, and call m.retire() as each
-	// rank's body finishes so the live count stays honest. It may be called
-	// from a goroutine locked to its OS thread. A body must not hold
-	// runtime.LockOSThread across a blocking call (a receive with no
-	// matching message, a barrier): the calendar resumes the ranks of a
-	// partition as coroutines, and parking a thread-locked coroutine is a
-	// fatal runtime error.
-	Execute(m *Machine, body func(p *Proc) error, errs []error)
+	// Execute runs one program per processor of m — body, or with step
+	// non-nil its step form (see StepFunc), which the transport can then
+	// serve — and returns when all of them have finished. Per-rank errors
+	// (including recovered panics and runtime.Goexit, converted to errors)
+	// are written to errs[rank]. Execute is called with the machine
+	// already reset; it must publish its Parker (m.setParker) before any
+	// rank runs, and call m.retire() as each rank finishes so the live
+	// count stays honest. It may be called from a goroutine locked to its
+	// OS thread. A body must not hold runtime.LockOSThread across a
+	// blocking call (a receive with no matching message, a barrier): the
+	// calendar resumes the ranks of a partition as coroutines, and parking
+	// a thread-locked coroutine is a fatal runtime error.
+	Execute(m *Machine, body func(p *Proc) error, step StepFunc, errs []error)
 }
 
 // Parker is the engine's face toward the transports, and their one blocking
@@ -156,25 +157,35 @@ func newDefaultExecutor() Executor { return newCalendar("goroutine", math.MaxInt
 // own messages do: a Wake takes the lock of the woken rank's partition and
 // nothing else.
 //
-// The partition is the goroutine; a rank is a continuation it resumes. With
-// one rank per partition (per == 1: "goroutine", or no more ranks than
-// workers) the partition's goroutine runs that rank's body inline, and a
-// rank that blocks waits on the partition's gate. With several, each rank is
-// a coroutine (iter.Pull) — the snapshot of a blocked continuation that a
-// plain goroutine cannot take — and the partition's goroutine is the loop
-// that resumes them one after another, each to its next blocking point. A
-// rank only executes while it holds its partition's token. A rank that
-// blocks (receive with no matching message, barrier with peers missing)
-// parks: it passes the token to the runnable rank of its partition with the
-// smallest virtual clock, which its coroutine yields to the partition's
-// goroutine to resume next, or it leaves the partition idle, and the
-// goroutine waits on the gate. Mailbox delivery and barrier release move
-// ranks from parked back onto their calendar via Wake instead of signalling
-// a dedicated goroutine; a Wake that finds the partition idle grants the
+// The partition is the goroutine; a rank is a continuation it resumes, of
+// one of two kinds. A program that offers a step form (StepFunc), on a
+// transport that can answer a receive with "would block", runs as step
+// rows: the rank's continuation is what its step keeps in its own state —
+// a step index, a loop counter, a message index — and the partition's
+// goroutine resumes the rank by calling its step, which returns when it
+// finishes or when a receive finds no message. The goroutine then parks the
+// rank with the bookkeeping Park applies (park) and calls the next rank's
+// step; no rank has a stack of its own. Any other program runs its body,
+// which blocks inside its receives: with one rank per partition (per == 1:
+// "goroutine", or no more ranks than workers) the partition's goroutine
+// runs that body inline, and a rank that blocks waits on the partition's
+// gate; with several, each rank is a coroutine (iter.Pull) — the snapshot
+// of a blocked continuation that a plain goroutine cannot take — and the
+// partition's goroutine resumes them one after another, each to its next
+// blocking point. A rank only executes while it holds its partition's
+// token. A rank that blocks (receive with no matching message, barrier with
+// peers missing) parks: it passes the token to the runnable rank of its
+// partition with the smallest virtual clock, which the partition's goroutine
+// calls or resumes next, or it leaves the partition idle, and the goroutine
+// waits on the gate. Mailbox delivery and barrier release move ranks from
+// parked back onto their calendar via Wake instead of signalling a
+// dedicated goroutine; a Wake that finds the partition idle grants the
 // token through the gate on the spot. A hand-off inside a partition is thus
-// two coroutine switches, with no trip through the Go scheduler. A partition
-// of one rank has no hand-off to save: every grant it gets comes from idle,
-// through the gate, where a coroutine would only add its two switches.
+// a return and a call, or two coroutine switches, with no trip through the
+// Go scheduler. A partition of one rank has no hand-off to save: every
+// grant it gets comes from idle, through the gate, where a coroutine would
+// only add its two switches. Both kinds park at the same receives, so a
+// program's two forms are granted in the same order.
 //
 // A calendar is a binary min-heap whose entries are the (clock, rank) pairs
 // themselves, ordered lexicographically: a rank enters with the clock it had
@@ -215,9 +226,10 @@ func newDefaultExecutor() Executor { return newCalendar("goroutine", math.MaxInt
 // Like the paper's processor declaration, which lasts as long as the
 // program, a partition's goroutine and its ranks' coroutines last as long as
 // the engine's machine: the first run starts the goroutine, which creates
-// each coroutine the first time it resumes that rank, and between runs the
-// goroutine waits on its gate and every coroutine sits where its body
-// returned, so a warm run starts nothing and regrows no stack. Only the
+// each coroutine the first time it resumes that rank in a body run, and
+// between runs the goroutine waits on its gate and every coroutine sits
+// where its body returned, so a warm run starts nothing and regrows no
+// stack. Step rows need none of it: a step run creates no coroutine. Only the
 // partition's goroutine creates, resumes and stops its coroutines: a
 // coroutine may not change hands between goroutines of different OS-thread
 // locking, and the caller of Run (the ipc worker's main goroutine, say) may
@@ -248,6 +260,7 @@ type calendarExecutor struct {
 	// alive.
 	m    *Machine
 	body func(p *Proc) error
+	step StepFunc // non-nil: the run's ranks are step rows
 	errs []error
 	self Parker // e, boxed once: what m.parker points at during a run
 
@@ -267,8 +280,10 @@ type calendarExecutor struct {
 	// Rank-indexed; a rank's entries are guarded by its partition's lock.
 	parked  []bool // r is waiting for a Wake
 	pending []bool // a Wake arrived before r's Park; next Park is a no-op
-	// cos[r] is r's coroutine when per > 1 (nil otherwise); an entry is
-	// touched only by r's partition goroutine and by r itself.
+	begun   []bool // a step run has called r's step: the next call resumes
+	// cos[r] is r's coroutine when per > 1 (nil until a body run needs
+	// them); an entry is touched only by r's partition goroutine and by r
+	// itself.
 	cos []rankCo
 
 	wg    sync.WaitGroup // ranks of the run in flight that have not finished
@@ -322,10 +337,12 @@ type calPartition struct {
 // transport goroutine — the wakes that cost a hand-over between host CPUs.
 type CalendarStats struct {
 	Partitions int // partitions (= tokens) the local ranks were split over
-	// Starts counts the rank continuations the run created: coroutines,
-	// or partition goroutines when every partition holds one rank. Either
-	// way it is the local rank count on a machine's first run, 0 on a warm
-	// one, and 1 after one rank's runtime.Goexit.
+	// Starts counts the rank continuations the run created: partition
+	// goroutines when every partition holds one rank, otherwise coroutines
+	// of a body run's ranks. On a machine's first run it is the local rank
+	// count under "goroutine", and under "calendar" the same for a body run
+	// but 0 for a step run, which creates no coroutine; it is 0 on a warm
+	// run, and 1 after one rank's runtime.Goexit.
 	Starts         int
 	Parks          int64 // Park calls that gave the token up (no wake was pending)
 	Wakes          int64 // Wake/WakeAll calls that found their rank parked
@@ -357,7 +374,7 @@ func newCalendar(name string, workers int) *calendarExecutor {
 
 func (e *calendarExecutor) Name() string { return e.name }
 
-func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []error) {
+func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, step StepFunc, errs []error) {
 	n := m.n
 	nl := m.hi - m.lo
 	e.stats = CalendarStats{}
@@ -380,10 +397,8 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 		e.lo, e.hi, e.per, e.nl = m.lo, m.hi, per, nl
 		e.parked = make([]bool, n)
 		e.pending = make([]bool, n)
+		e.begun = nil
 		e.cos = nil
-		if per > 1 {
-			e.cos = make([]rankCo, n)
-		}
 		e.parts = make([]calPartition, w)
 		// A partition's calendar never holds more than its own ranks, so
 		// one backing array serves them all and push never grows one.
@@ -396,8 +411,14 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 			pt.heap = heaps[pt.lo-e.lo : pt.lo-e.lo : pt.hi-e.lo]
 		}
 	}
+	if step != nil && e.begun == nil {
+		e.begun = make([]bool, n)
+	}
+	if step == nil && per > 1 && e.cos == nil {
+		e.cos = make([]rankCo, n)
+	}
 	e.running = true
-	e.m, e.body, e.errs = m, body, errs
+	e.m, e.body, e.step, e.errs = m, body, step, errs
 
 	// Seed every calendar with its partition's ranks at clock zero (rank
 	// order breaks the tie). Execute holds all w tokens while it does, so
@@ -418,6 +439,9 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 		pt.starts = 0
 		for r := pt.lo; r < pt.hi; r++ {
 			e.parked[r], e.pending[r] = false, false
+			if e.begun != nil {
+				e.begun[r] = false
+			}
 			pt.push(calEntry{clock: m.procs[r].clock, rank: int32(r)})
 		}
 		pt.mu.Unlock()
@@ -452,7 +476,7 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, errs []
 		e.stats.Starts += e.parts[k].starts
 	}
 	e.mu.Lock()
-	e.m, e.body, e.errs = nil, nil, nil
+	e.m, e.body, e.step, e.errs = nil, nil, nil, nil
 	e.running = false
 	if e.closing {
 		e.closing = false
@@ -468,8 +492,9 @@ func (e *calendarExecutor) partOf(r int) *calPartition {
 
 // partLoop is a partition's goroutine for as long as the engine keeps it.
 // Granted rank r (or, with r < 0, waiting on the gate for a grant), it runs
-// r until the token leaves r, then runs the rank the token went to, or
-// waits again if the partition fell idle. A closed gate stops the
+// r until the token leaves r — calling r's step, running r's body inline or
+// resuming r's coroutine — then runs the rank the token went to, or waits
+// again if the partition fell idle. A closed gate stops the
 // partition's coroutines and ends it. Once a run's last rank has finished,
 // the wait on the gate is all a partition goroutine does: Execute may
 // already be returning.
@@ -479,7 +504,7 @@ func (e *calendarExecutor) partLoop(pt *calPartition, r int) {
 		if r < 0 {
 			var ok bool
 			if r, ok = <-pt.gate; !ok {
-				for i := pt.lo; i < pt.hi && !pt.inline; i++ {
+				for i := pt.lo; i < pt.hi && e.cos != nil; i++ {
 					if c := &e.cos[i]; c.stop != nil {
 						c.stop()
 						*c = rankCo{}
@@ -488,9 +513,12 @@ func (e *calendarExecutor) partLoop(pt *calPartition, r int) {
 				return
 			}
 		}
-		if pt.inline {
+		switch {
+		case e.step != nil:
+			r = e.runStep(pt, r)
+		case pt.inline:
 			r = e.runBody(r)
-		} else {
+		default:
 			r = e.resume(pt, r)
 		}
 	}
@@ -524,46 +552,92 @@ func (e *calendarExecutor) resume(pt *calPartition, r int) int {
 }
 
 // runBody runs rank r's body for the run in flight and, however the body
-// ends — a return, a panic or runtime.Goexit — records its error, retires
-// it and passes its token on, returning the rank the token went to. A
-// Goexit also ends the goroutine the body runs on: an inline partition's
-// goroutine, which the next run replaces, or r's coroutine, taking its
-// partition's goroutine with it, which resume replaces at once — the
-// partition's other ranks are mid-run — and which the next resume of r
-// recreates.
+// ends, takes r's exit path, returning the rank r's token went to.
 func (e *calendarExecutor) runBody(r int) (next int) {
 	returned := false
-	defer func() {
-		goexit := false
-		if rec := recover(); rec != nil {
-			if abort, ok := rec.(procAbort); ok {
-				e.errs[r] = abort.err
-			} else {
-				e.errs[r] = fmt.Errorf("machine: processor %d panicked: %v", r, rec)
-				e.m.tr.Abort()
-			}
-		} else if !returned {
-			goexit = true
-			e.errs[r] = fmt.Errorf("machine: processor %d called runtime.Goexit", r)
-			e.m.tr.Abort()
-		}
-		e.m.retire()
-		next = e.finish(r)
-		if goexit {
-			pt := e.partOf(r)
-			if pt.inline {
-				pt.alive = false
-			} else {
-				pt.after = next
-				e.cos[r] = rankCo{}
-				e.exits.Add(1)
-			}
-		}
-		e.wg.Done()
-	}()
+	defer func() { next = e.exit(r, returned, recover()) }()
 	e.errs[r] = e.body(e.m.procs[r])
 	returned = true
 	return -1 // unreachable: the deferred exit path sets next
+}
+
+// runStep calls rank r's step until r finishes, taking r's exit path, or
+// parks, and returns the rank r's token went to (-1: the partition fell
+// idle). A step that returns unfinished with no receive to wait on could
+// never be woken; it fails its rank instead. A park that finds a wake pending lets the step run again at once,
+// as Park returns at once to a body. A panic or runtime.Goexit in the step
+// takes the exit path as one in a body does; a Goexit also ends this
+// goroutine, so where the partition's other ranks are mid-run, a new one
+// takes over from wherever the token went.
+func (e *calendarExecutor) runStep(pt *calPartition, r int) (next int) {
+	returned := false
+	defer func() {
+		if returned {
+			return
+		}
+		rec := recover()
+		next = e.exit(r, false, rec)
+		if rec == nil && !pt.inline {
+			go e.partLoop(pt, next)
+		}
+	}()
+	p := e.m.procs[r]
+	for {
+		done, err := e.step(p, e.begun[r])
+		e.begun[r] = true
+		if done {
+			returned = true
+			e.errs[r] = err
+			return e.exit(r, true, nil)
+		}
+		if !p.missed {
+			panic(fmt.Sprintf("machine: processor %d's step returned unfinished with no receive to wait for", r))
+		}
+		if next, parked := e.park(pt, r); parked {
+			returned = true
+			return next
+		}
+	}
+}
+
+// exit is rank r's exit path however its body or step ended — returned
+// (returned), panicked (rec) or called runtime.Goexit (neither): it records
+// r's error, retires r and passes its token on, returning the rank the
+// token went to. A Goexit also ends the goroutine r ran on: an inline
+// partition's goroutine, which the next run replaces, or the partition's
+// goroutine through r's coroutine or step, which the caller replaces at
+// once — the partition's other ranks are mid-run — from wherever the token
+// went (a coroutine's next resume of r recreates it).
+func (e *calendarExecutor) exit(r int, returned bool, rec any) (next int) {
+	goexit := false
+	if rec != nil {
+		if abort, ok := rec.(procAbort); ok {
+			e.errs[r] = abort.err
+		} else {
+			e.errs[r] = fmt.Errorf("machine: processor %d panicked: %v", r, rec)
+			e.m.tr.Abort()
+		}
+	} else if !returned {
+		goexit = true
+		e.errs[r] = fmt.Errorf("machine: processor %d called runtime.Goexit", r)
+		e.m.tr.Abort()
+	}
+	e.m.retire()
+	next = e.finish(r)
+	if goexit {
+		pt := e.partOf(r)
+		if pt.inline {
+			pt.alive = false
+		} else {
+			pt.after = next
+			if e.step == nil {
+				e.cos[r] = rankCo{}
+			}
+			e.exits.Add(1)
+		}
+	}
+	e.wg.Done()
+	return next
 }
 
 // close ends the partition goroutines and their coroutines: at once between
@@ -594,14 +668,37 @@ func (e *calendarExecutor) endPartsLocked() {
 // Park gives up the calling rank's token and blocks until a Wake. A wake
 // that raced ahead of the park (the sender ran on another worker between
 // this rank publishing its wait and parking) is consumed here and Park
-// returns immediately — the caller's re-check loop does the rest.
+// returns immediately — the caller's re-check loop does the rest. A step
+// rank has no stack to block on: it returns from its step instead, and
+// Park refuses it.
 func (e *calendarExecutor) Park(rank int) {
+	if e.step != nil {
+		panic(fmt.Sprintf("machine: processor %d blocked inside its step; a step returns where it would block", rank))
+	}
 	pt := e.partOf(rank)
+	next, parked := e.park(pt, rank)
+	if !parked {
+		return
+	}
+	if pt.inline {
+		<-pt.gate
+		return
+	}
+	// Hand the token's next holder to the partition's goroutine; it
+	// resumes this rank when the token comes back.
+	e.cos[rank].yield(next)
+}
+
+// park is the bookkeeping of parking rank, for Park and for a step rank's
+// partition alike: a pending wake is consumed instead (parked false: the
+// rank runs on), otherwise the rank is marked parked and its token passes
+// to the next runnable rank of pt, which park returns (-1: pt fell idle).
+func (e *calendarExecutor) park(pt *calPartition, rank int) (next int, parked bool) {
 	pt.mu.Lock()
 	if e.pending[rank] {
 		e.pending[rank] = false
 		pt.mu.Unlock()
-		return
+		return -1, false
 	}
 	e.parked[rank] = true
 	pt.stats.Parks++
@@ -614,13 +711,7 @@ func (e *calendarExecutor) Park(rank int) {
 		// deadlock and wakes everyone through WakeAll).
 		e.m.tr.CheckStalled()
 	}
-	if pt.inline {
-		<-pt.gate
-		return
-	}
-	// Hand the token's next holder to the partition's goroutine; it
-	// resumes this rank when the token comes back.
-	e.cos[rank].yield(next)
+	return next, true
 }
 
 // Wake moves rank from parked onto its partition's calendar (keyed at its

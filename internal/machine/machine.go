@@ -3,8 +3,9 @@
 // messages, in the style of the distributed-memory machines targeted by
 // Mehrotra and Van Rosendale's KF1 language constructs (ICASE 89-41).
 //
-// Each processor runs as a continuation of its own — a goroutine, or a
-// coroutine of its partition's goroutine (see Executor) — and carries a
+// Each processor runs as a continuation of its own — a goroutine, a
+// coroutine of its partition's goroutine, or a step its partition calls
+// (see Executor) — and carries a
 // virtual clock advanced by an explicit CostModel: computation via Compute,
 // communication via Send/Recv. Message matching is point-to-point by (source, tag), so a
 // program's virtual-time behaviour is a deterministic function of the program
@@ -44,6 +45,10 @@ type Machine struct {
 	procs  []*Proc
 	tr     Transport
 	bufs   sharedPool // machine-wide tier of the message buffer pool
+
+	// stepper is tr's receive attempt (nil where tr has none): what
+	// Proc.TryRecv calls, and what lets a run take its program's step form.
+	stepper stepper
 
 	dmu     sync.Mutex // guards blocked and live
 	blocked int        // processors currently waiting in Recv
@@ -199,6 +204,7 @@ func NewWithTransport(t Transport, cost CostModel) *Machine {
 		panic(fmt.Sprintf("machine: processor count must be positive, got %d", n))
 	}
 	m := &Machine{n: n, lo: 0, hi: n, cost: cost, tr: t, interned: new(internTable)}
+	m.stepper, _ = t.(stepper)
 	m.SetExecutor(nil)
 	if lr, ok := t.(localRanker); ok {
 		lo, hi := lr.LocalRanks()
@@ -355,6 +361,9 @@ func closeEngine(e Executor) {
 // while a Run is in flight; it exists for verification, not for tuning.
 func (m *Machine) SetDirect(on bool) { m.direct = on }
 
+// Direct reports the machine's derivation mode; see SetDirect.
+func (m *Machine) Direct() bool { return m.direct }
+
 // ExecutorName returns the registry name of the engine driving Run.
 func (m *Machine) ExecutorName() string { return m.exec.Name() }
 
@@ -392,7 +401,28 @@ func (m *Machine) CalendarStats() CalendarStats {
 // matching message, a barrier): where a partition holds several ranks they
 // run as coroutines, and parking a thread-locked coroutine is a fatal
 // runtime error, not an error Run could return.
-func (m *Machine) Run(body func(p *Proc) error) error {
+func (m *Machine) Run(body func(p *Proc) error) error { return m.RunSteps(body, nil) }
+
+// StepFunc is a rank program's step form: the same computation as its body,
+// resumable by a call. The engine calls it with resume false to start the
+// rank's run and, each time it reports done false, again with resume true
+// once the rank is woken. Reporting done false is only allowed right after
+// a TryRecv that returned false — the receive the step would block on,
+// which the next call repeats first — so the rank's continuation is what
+// the step keeps in its own state, and nothing of it is on a stack. A step
+// must not block: no Recv without a matching message, no Wait, no Barrier.
+// When done, err is the rank's result, as a body's return is.
+type StepFunc func(p *Proc, resume bool) (done bool, err error)
+
+// RunSteps is Run for a program that offers a step form beside its body.
+// Where the transport can answer a receive with "would block" — every
+// bundled transport but a chaos wrapper with an active scenario — every
+// rank runs step, resumed by the engine with a call, and no rank has a
+// coroutine or a stack of its own; elsewhere every rank runs body, as Run.
+// The two forms must compute the same thing: values, messages, clocks and
+// the order the engine grants ranks in are the program's either way. A nil
+// step is Run.
+func (m *Machine) RunSteps(body func(p *Proc) error, step StepFunc) error {
 	m.dmu.Lock()
 	m.blocked = 0
 	m.live = m.hi - m.lo
@@ -409,10 +439,13 @@ func (m *Machine) Run(body func(p *Proc) error) error {
 			m.errs[i] = nil
 		}
 	}
+	if step != nil && !canStep(m.tr) {
+		step = nil
+	}
 	// The engine publishes its Parker (via setParker) before granting
 	// any rank; clearing it afterwards tells late wakers that there is no
 	// run to wake.
-	m.exec.Execute(m, body, m.errs)
+	m.exec.Execute(m, body, step, m.errs)
 	m.setParker(nil)
 	for _, err := range m.errs {
 		if err != nil {

@@ -225,47 +225,62 @@ func (s *boxSet) deliver(src, dst int, tag Tag, data []float64, arrival float64)
 	return woke
 }
 
-// Recv blocks the calling endpoint until a message matching (src, tag) is
-// available in dst's mailbox, then returns it, parking the calling rank
-// through the machine's Parker while it waits. ok is false if the transport
-// went down (deadlock or abort) while waiting.
-func (s *boxSet) Recv(dst, src int, tag Tag) ([]float64, float64, bool) {
+// tryRecv is one receive attempt that never parks: it takes the oldest
+// message matching (src, tag) from dst's mailbox (recvOK), reports the
+// transport down (recvDown), or reports that the caller would block
+// (recvWait). A first miss publishes what dst is waiting for and then
+// counts dst blocked, in that order: once the machine's blocked count
+// reaches its live count, the stall snapshot must be able to see every
+// blocked processor's awaited key. A retry after a wake finds the wait
+// already published and reports recvWait again without a second Blocked;
+// the attempt that ends the wait, with a message or on a down transport,
+// withdraws it and counts dst unblocked, once. A caller that got recvWait
+// must retry the same (src, tag) before any other receive.
+func (s *boxSet) tryRecv(dst, src int, tag Tag) ([]float64, float64, recvState) {
 	mb := &s.boxes[dst-s.lo]
 	k := msgKey{src: src, tag: tag}
 	mb.mu.Lock()
-	if msg, ok := mb.takeLocked(k); ok {
+	msg, ok := mb.takeLocked(k)
+	if ok || s.down.Load() {
+		waited := mb.waiting
+		mb.waiting = false
 		mb.mu.Unlock()
-		return msg.data, msg.arrival, true
+		if waited {
+			s.coord.Unblocked()
+		}
+		if !ok {
+			return nil, 0, recvDown
+		}
+		return msg.data, msg.arrival, recvOK
 	}
-	if s.down.Load() {
+	if mb.waiting {
 		mb.mu.Unlock()
-		return nil, 0, false
+		return nil, 0, recvWait
 	}
-	// Slow path: publish what we are waiting for, then report ourselves
-	// blocked. The order matters: once the machine's blocked count
-	// reaches its live count, the stall snapshot must be able to see every
-	// blocked processor's awaited key.
 	mb.await = k
 	mb.waiting = true
 	mb.mu.Unlock()
-
 	s.coord.Blocked()
-	pk := s.coord.Parker()
-	mb.mu.Lock()
+	return nil, 0, recvWait
+}
+
+// stepping reports that tryRecv answers recvWait instead of parking.
+func (s *boxSet) stepping() bool { return true }
+
+// Recv blocks the calling endpoint until a message matching (src, tag) is
+// available in dst's mailbox, then returns it, parking the calling rank
+// through the machine's Parker while it waits: try, else park, repeat. A
+// Wake that raced ahead of the park (the message arrived between the
+// attempt and the park) makes the park return at once, and the next attempt
+// takes the message. ok is false if the transport went down (deadlock or
+// abort) while waiting.
+func (s *boxSet) Recv(dst, src int, tag Tag) ([]float64, float64, bool) {
 	for {
-		msg, ok := mb.takeLocked(k)
-		if ok || s.down.Load() {
-			mb.waiting = false
-			mb.mu.Unlock()
-			s.coord.Unblocked()
-			return msg.data, msg.arrival, ok
+		data, arrival, st := s.tryRecv(dst, src, tag)
+		if st != recvWait {
+			return data, arrival, st == recvOK
 		}
-		// Park the rank's continuation with no locks held; a Wake that
-		// raced ahead (the message arrived between the checks above and
-		// here) returns immediately, and the loop re-checks either way.
-		mb.mu.Unlock()
-		pk.Park(dst)
-		mb.mu.Lock()
+		s.coord.Parker().Park(dst)
 	}
 }
 

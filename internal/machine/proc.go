@@ -59,7 +59,10 @@ type Proc struct {
 	// calls without globals or locks: a handful of keys in the whole tree,
 	// so a slice searched by key. See Scratch.
 	scratch []scratchEntry
-	_       [8]byte // pads a Proc to two cache lines: no two ranks' clocks share one
+	// missed says the processor's last TryRecv found no message: a step
+	// that returns unfinished must have one to wait for.
+	missed bool
+	_      [7]byte // pads a Proc to two cache lines: no two ranks' clocks share one
 }
 
 // freeList is one size class of a processor's buffer free lists.
@@ -161,6 +164,7 @@ func (p *Proc) Scratch(key any, mk func() any) any {
 func (p *Proc) reset() {
 	p.clock = 0
 	p.stats = Stats{}
+	p.missed = false
 }
 
 // Rank returns the processor's machine-wide rank in [0, Size).
@@ -257,22 +261,75 @@ func (p *Proc) SendValue(dst int, tag Tag, v float64) {
 // that Machine.Run converts into an error wrapping ErrDeadlock; user code
 // should not attempt to recover it.
 func (p *Proc) Recv(src int, tag Tag) []float64 {
+	p.checkSrc(src)
+	data, arrival, ok := p.m.tr.Recv(p.rank, src, tag)
+	if !ok {
+		p.abort(src, tag)
+	}
+	return p.received(src, data, arrival)
+}
+
+// TryRecv is Recv that never parks: it returns the message from src with
+// the given tag if one is available, with the clock, counters and events
+// Recv gives it, and reports false if the receive would block. A false
+// leaves the wait published (the machine's stall detection sees it), and
+// the caller must repeat the same receive before any other: a step rank
+// (see StepFunc) after returning from its step, any other rank after Wait.
+// On a transport that cannot answer "would block" (an active chaos
+// scenario) TryRecv blocks as Recv does. A transport that went down aborts
+// the processor as Recv does, with the same error.
+func (p *Proc) TryRecv(src int, tag Tag) ([]float64, bool) {
+	p.checkSrc(src)
+	var data []float64
+	var arrival float64
+	var st recvState
+	if s := p.m.stepper; s != nil {
+		data, arrival, st = s.tryRecv(p.rank, src, tag)
+	} else {
+		data, arrival, st = blockingRecv(p.m.tr, p.rank, src, tag)
+	}
+	p.missed = st == recvWait
+	switch st {
+	case recvWait:
+		return nil, false
+	case recvDown:
+		p.abort(src, tag)
+	}
+	return p.received(src, data, arrival), true
+}
+
+// Wait parks the processor until the receive its last TryRecv could not
+// complete may proceed, or the transport goes down; the caller then repeats
+// that TryRecv. A wake may come early, so the caller loops. TryRecv
+// followed by Wait until the TryRecv succeeds is Recv. A step rank must not
+// call Wait: it returns from its step instead, and the engine parks it.
+func (p *Proc) Wait() { p.m.coord.Parker().Park(p.rank) }
+
+// checkSrc panics on a receive from outside the machine.
+func (p *Proc) checkSrc(src int) {
 	if src < 0 || src >= p.m.n {
 		panic(fmt.Sprintf("machine: proc %d receiving from invalid rank %d", p.rank, src))
 	}
-	data, arrival, ok := p.m.tr.Recv(p.rank, src, tag)
-	if !ok {
-		// Attribute the abort: a transport that took itself down for a
-		// richer reason than deadlock (a chaos retry budget exhausting)
-		// reports it through the DownReasoner extension.
-		cause := error(ErrDeadlock)
-		if dr, isDR := p.m.tr.(DownReasoner); isDR {
-			if r := dr.DownReason(); r != nil {
-				cause = r
-			}
+}
+
+// abort ends the processor's run because the transport went down while it
+// waited on (src, tag).
+func (p *Proc) abort(src int, tag Tag) {
+	// Attribute the abort: a transport that took itself down for a
+	// richer reason than deadlock (a chaos retry budget exhausting)
+	// reports it through the DownReasoner extension.
+	cause := error(ErrDeadlock)
+	if dr, isDR := p.m.tr.(DownReasoner); isDR {
+		if r := dr.DownReason(); r != nil {
+			cause = r
 		}
-		panic(procAbort{err: fmt.Errorf("processor %d waiting on (src=%d, tag=%#x): %w", p.rank, src, tag, cause)})
 	}
+	panic(procAbort{err: fmt.Errorf("processor %d waiting on (src=%d, tag=%#x): %w", p.rank, src, tag, cause)})
+}
+
+// received accounts a completed receive of data from src, which arrived at
+// the given virtual time, and returns data.
+func (p *Proc) received(src int, data []float64, arrival float64) []float64 {
 	if arrival > p.clock {
 		p.stats.IdleTime += arrival - p.clock
 		p.emit(Event{Proc: p.rank, Kind: EvIdle, Start: p.clock, End: arrival, Peer: src})
@@ -290,7 +347,20 @@ func (p *Proc) Recv(src int, tag Tag) []float64 {
 // The payload buffer never escapes, so it is recycled into the processor's
 // pool.
 func (p *Proc) RecvValue(src int, tag Tag) float64 {
-	d := p.Recv(src, tag)
+	return p.value(src, p.Recv(src, tag))
+}
+
+// TryRecvValue is RecvValue's TryRecv: false if the receive would block.
+func (p *Proc) TryRecvValue(src int, tag Tag) (float64, bool) {
+	d, ok := p.TryRecv(src, tag)
+	if !ok {
+		return 0, false
+	}
+	return p.value(src, d), true
+}
+
+// value unpacks a scalar message from src and recycles its buffer.
+func (p *Proc) value(src int, d []float64) float64 {
 	if len(d) != 1 {
 		panic(fmt.Sprintf("machine: proc %d expected scalar message from %d, got %d values", p.rank, src, len(d)))
 	}

@@ -54,7 +54,7 @@ func ranksAlive(e *calendarExecutor) int {
 		case pt.inline:
 			alive++
 		default:
-			for r := pt.lo; r < pt.hi; r++ {
+			for r := pt.lo; r < pt.hi && e.cos != nil; r++ {
 				if e.cos[r].next != nil {
 					alive++
 				}

@@ -22,8 +22,9 @@ import (
 //
 // The bundled transports are configurations of one mailbox core (mailbox.go,
 // federated.go). boxSet owns a per-rank mailbox array over a rank window,
-// the bound Coordinator and the down flag: deliver-and-wake, the parking
-// receive loop, the all-locks stall snapshot, clearing and take-down.
+// the bound Coordinator and the down flag: deliver-and-wake, the receive
+// attempt and the parking loop over it, the all-locks stall snapshot,
+// clearing and take-down.
 // linkSet owns the node partition, the per-directed-node-pair traffic census
 // and per-link message pricing. localPlane is a boxSet over the whole
 // machine plus the host barrier: Bind, Barrier, Reset, Abort, CheckStalled.
@@ -108,6 +109,55 @@ type Transport interface {
 	// drained, aborted and reset, but cannot block: every blocking wait
 	// parks through the coordinator's Parker.
 	Bind(c Coordinator)
+}
+
+// stepper is a transport whose receive can answer "would block" instead of
+// parking the caller — the receive a step rank needs (see StepFunc). Every
+// bundled transport is one: the mailbox core's tryRecv is the attempt its
+// blocking Recv loops over.
+type stepper interface {
+	// tryRecv is one attempt at Recv's receive that never parks; see
+	// boxSet.tryRecv. Where stepping is false it blocks as Recv does and
+	// never answers recvWait.
+	tryRecv(dst, src int, tag Tag) (data []float64, arrival float64, st recvState)
+	// stepping reports whether tryRecv answers recvWait in the coming run.
+	// It may change only between runs.
+	stepping() bool
+}
+
+// recvState is the outcome of one receive attempt.
+type recvState uint8
+
+const (
+	recvOK   recvState = iota // a message was taken
+	recvWait                  // none matches: the caller would block
+	recvDown                  // the transport is down
+)
+
+// tryRecvOn is tr's receive attempt: a stepper's, or Recv's blocking
+// receive for a transport that is none.
+func tryRecvOn(tr Transport, dst, src int, tag Tag) ([]float64, float64, recvState) {
+	if s, ok := tr.(stepper); ok {
+		return s.tryRecv(dst, src, tag)
+	}
+	return blockingRecv(tr, dst, src, tag)
+}
+
+// blockingRecv is tr's Recv as a receive attempt that never answers
+// recvWait.
+func blockingRecv(tr Transport, dst, src int, tag Tag) ([]float64, float64, recvState) {
+	data, arrival, ok := tr.Recv(dst, src, tag)
+	if !ok {
+		return nil, 0, recvDown
+	}
+	return data, arrival, recvOK
+}
+
+// canStep reports whether tr's receive attempts answer "would block" in
+// the coming run.
+func canStep(tr Transport) bool {
+	s, ok := tr.(stepper)
+	return ok && s.stepping()
 }
 
 // Coordinator is the owning machine's face toward its transport: the engine

@@ -130,7 +130,8 @@ func registerDiagnostics() {
 
 // jacobiProgram builds the KF1 Jacobi iteration over the standard n x n
 // test problem (jacobi.Problem): values are the gathered solution from
-// rank 0, elapsed the iteration loop's finish time. The name is the
+// rank 0, elapsed the iteration loop's finish time. It offers the
+// iteration's step form (jacobi.KF1Step) beside its body. The name is the
 // metrics key the experiments have always used.
 func jacobiProgram(n, iters int) *core.Program {
 	x0, f := jacobi.Problem(n)
@@ -139,6 +140,10 @@ func jacobiProgram(n, iters int) *core.Program {
 		Body: func(c *kf.Ctx) (core.Output, error) {
 			flat, elapsed := jacobi.KF1Ctx(c, x0, f, iters)
 			return core.Output{Values: flat, Elapsed: elapsed}, nil
+		},
+		Step: func(c *kf.Ctx, resume bool) (core.Output, bool, error) {
+			flat, elapsed, done := jacobi.KF1Step(c, resume, x0, f, iters)
+			return core.Output{Values: flat, Elapsed: elapsed}, done, nil
 		},
 	}
 }

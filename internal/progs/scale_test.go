@@ -42,21 +42,26 @@ func liveMem() (heap, stack uint64) {
 	return ms.HeapAlloc, ms.StackInuse
 }
 
-// TestResidencyPerRank pins the live heap a warmed System holds per rank
-// for a 2x2 (or 4x4) block of Jacobi data: two arrays with their halo and
-// gather plans, the compiled sweep, the rank's Proc and mailbox, and the
+// TestResidencyPerRank pins the live heap and the goroutine stack a warmed
+// System holds per rank for a 2x2 (or 4x4) block of Jacobi data: two arrays
+// with their halo and gather plans, the compiled sweep, the rank's
+// continuation in its declared state, the rank's Proc and mailbox, and the
 // engine's per-rank slots. The layouts, halo schedules and gather runs a
 // rank shares with its position class are held once per machine, so they
-// hardly count per rank. Every rank also keeps its coroutine or partition
-// goroutine, and so its stack, between runs; stacks are not heap, and the
-// test logs their bytes per rank beside the heap's without pinning them.
+// hardly count per rank. Jacobi runs in its step form, so no rank keeps a
+// coroutine, a goroutine or a stack between runs: the calendar's few
+// partition goroutines are all the stack there is, a few bytes per rank.
 func TestResidencyPerRank(t *testing.T) {
 	for _, tc := range []struct {
 		side   int
-		budget float64
+		budget float64 // heap bytes per rank
+		stack  float64 // stack bytes per rank
 	}{
-		{64, 5714},  // 4,969 measured + 15 %, 5,097 since (9,178 when every rank kept its own descriptors)
-		{128, 4724}, // 4,108 measured + 15 %, 4,236 since (8,162)
+		// 4,350 measured + 15 % (5,097 while every rank was a coroutine,
+		// 9,178 when every rank kept its own descriptors); stack 8 (4,124).
+		{64, 5003, 64},
+		// 3,608 measured + 15 % (4,236; 8,162); stack 2-4 (4,118).
+		{128, 4149, 64},
 	} {
 		side := tc.side
 		if side == 128 && testing.Short() {
@@ -68,10 +73,13 @@ func TestResidencyPerRank(t *testing.T) {
 		heap1, stack1 := liveMem()
 		ranks := float64(side * side)
 		perRank := float64(heap1-heap0) / ranks
-		t.Logf("Grid(%d, %d): %.0f bytes of live heap and %.0f of goroutine stack per rank",
-			side, side, perRank, (float64(stack1)-float64(stack0))/ranks)
+		stack := (float64(stack1) - float64(stack0)) / ranks
+		t.Logf("Grid(%d, %d): %.0f bytes of live heap and %.0f of goroutine stack per rank", side, side, perRank, stack)
 		if perRank > tc.budget {
 			t.Errorf("Grid(%d, %d): %.0f bytes of live heap per rank, budget %.0f", side, side, perRank, tc.budget)
+		}
+		if stack > tc.stack {
+			t.Errorf("Grid(%d, %d): %.0f bytes of goroutine stack per rank, budget %.0f", side, side, stack, tc.stack)
 		}
 		sys.Close() // before the next size's baseline
 	}
@@ -105,7 +113,7 @@ func TestWarmRunAllocsIndependentOfRanks(t *testing.T) {
 // gathered values against the 1,024-rank run bit for bit.
 func TestJacobi65536Ranks(t *testing.T) {
 	if testing.Short() {
-		t.Skip("65,536 ranks take ~3 s and ~1 GB")
+		t.Skip("65,536 ranks take ~1 s and ~300 MB")
 	}
 	p := mustProg(t, "jacobi", 256, 1)
 	ref := mustSys(t, core.Grid(32, 32), core.Executor("calendar"))

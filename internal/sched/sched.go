@@ -114,23 +114,50 @@ func (s *Schedule) Counts() (msgs, words int) {
 //
 // src and dst may alias (a halo exchange packs and unpacks the same local
 // block); either may be nil when the schedule has no runs on that side.
+//
+// Execute is Step driven to the end, waiting wherever a receive would
+// block.
 func (s *Schedule) Execute(p *machine.Proc, sc machine.Scope, src, dst []float64) {
-	for i := range s.Sends {
-		m := &s.Sends[i]
-		buf := p.AcquireBuf(m.N)
-		k := 0
-		for _, r := range m.Runs {
-			copy(buf[k:k+r.Len], src[r.Off:r.Off+r.Len])
-			k += r.Len
+	var cur Cursor
+	for !s.Step(p, sc, src, dst, &cur) {
+		p.Wait()
+	}
+}
+
+// Cursor is a replay in progress: how far Step has come through a
+// schedule. The zero value is a replay not yet begun.
+type Cursor struct {
+	recvd int32 // 0: nothing done; k > 0: sends and moves done, k-1 receives
+}
+
+// Step advances the replay Execute performs from cur, without parking: it
+// returns true once every receive is unpacked, and false when the next
+// receive would block (p.TryRecv), with cur holding the replay's place —
+// call Step again with the same arguments to resume it. The sends and local
+// moves go out on the first call.
+func (s *Schedule) Step(p *machine.Proc, sc machine.Scope, src, dst []float64, cur *Cursor) bool {
+	if cur.recvd == 0 {
+		for i := range s.Sends {
+			m := &s.Sends[i]
+			buf := p.AcquireBuf(m.N)
+			k := 0
+			for _, r := range m.Runs {
+				copy(buf[k:k+r.Len], src[r.Off:r.Off+r.Len])
+				k += r.Len
+			}
+			p.SendOwned(p.Rank()+m.Peer, sc.Tag(m.Part), buf)
 		}
-		p.SendOwned(p.Rank()+m.Peer, sc.Tag(m.Part), buf)
+		for _, mv := range s.Local {
+			copy(dst[mv.DstOff:mv.DstOff+mv.Len], src[mv.SrcOff:mv.SrcOff+mv.Len])
+		}
+		cur.recvd = 1
 	}
-	for _, mv := range s.Local {
-		copy(dst[mv.DstOff:mv.DstOff+mv.Len], src[mv.SrcOff:mv.SrcOff+mv.Len])
-	}
-	for i := range s.Recvs {
-		m := &s.Recvs[i]
-		buf := p.Recv(p.Rank()+m.Peer, sc.Tag(m.Part))
+	for ; int(cur.recvd) <= len(s.Recvs); cur.recvd++ {
+		m := &s.Recvs[cur.recvd-1]
+		buf, ok := p.TryRecv(p.Rank()+m.Peer, sc.Tag(m.Part))
+		if !ok {
+			return false
+		}
 		if len(buf) != m.N {
 			panic(fmt.Sprintf("sched: message from rank %d part %d has %d values, schedule expects %d",
 				p.Rank()+m.Peer, m.Part, len(buf), m.N))
@@ -142,6 +169,7 @@ func (s *Schedule) Execute(p *machine.Proc, sc machine.Scope, src, dst []float64
 		}
 		p.ReleaseBuf(buf)
 	}
+	return true
 }
 
 // runCap is the run capacity a message under compilation starts with: one
