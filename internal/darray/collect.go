@@ -343,13 +343,9 @@ func (a *Array) PackRuns(runs []sched.Run, dst []float64) int {
 // performs no per-call derivation (the dense result on the root is the only
 // steady-state allocation).
 func (a *Array) GatherTo(sc machine.Scope, rootIdx int) []float64 {
-	a.mustParticipate()
-	if a.st.p.Direct() {
-		return a.gatherToDirect(sc, rootIdx)
-	}
 	var cur GatherCursor
 	for {
-		if out, ok := a.gatherToScheduled(sc, rootIdx, &cur); ok {
+		if out, ok := a.GatherToStep(sc, rootIdx, &cur); ok {
 			return out
 		}
 		a.st.p.Wait()
@@ -367,8 +363,8 @@ type GatherCursor struct {
 // GatherToStep is GatherTo without parking: the compiled gather from cur,
 // false while the root's next receive would block (call again with the
 // same arguments). The direct derivation has no step form: on a SetDirect
-// machine it gathers as GatherTo does, parking where it waits, so only a
-// rank that may park can call it there.
+// machine it gathers in one call, parking where it waits, so only a rank
+// that may park can call it there.
 func (a *Array) GatherToStep(sc machine.Scope, rootIdx int, cur *GatherCursor) ([]float64, bool) {
 	a.mustParticipate()
 	if a.st.p.Direct() {

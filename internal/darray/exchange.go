@@ -195,19 +195,17 @@ func (a *Array) planeSize(sd int) int {
 // and unpacked the same way on the receiver, which releases the buffers
 // back to its pool.
 func (a *Array) ExchangeHalo(sc machine.Scope, dims ...int) {
-	a.mustParticipate()
-	if a.st.p.Direct() {
-		a.exchangeHaloDirect(sc, dims...)
-		return
+	var cur sched.Cursor
+	for !a.ExchangeHaloStep(sc, &cur, dims...) {
+		a.st.p.Wait()
 	}
-	a.haloSchedule(dims).Execute(a.st.p, sc, a.st.data, a.st.data)
 }
 
 // ExchangeHaloStep is ExchangeHalo without parking: the compiled schedule's
 // Step from cur, false while a receive would block (call again with the
 // same arguments). The direct derivation has no step form: on a SetDirect
-// machine it exchanges as ExchangeHalo does, parking where it waits, so
-// only a rank that may park can call it there.
+// machine it exchanges in one call, parking where it waits, so only a rank
+// that may park can call it there.
 func (a *Array) ExchangeHaloStep(sc machine.Scope, cur *sched.Cursor, dims ...int) bool {
 	a.mustParticipate()
 	if a.st.p.Direct() {

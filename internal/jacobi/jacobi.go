@@ -131,7 +131,7 @@ var kf1Steps = kf.Steps[kf1State, kf1Args]{
 // re-deriving distribution or communication. KF1Ctx is the blocking driver
 // of kf1Steps, whose step form is KF1Step.
 func KF1Ctx(c *kf.Ctx, x0, f [][]float64, niter int) (flat []float64, elapsed float64) {
-	st := kf1State1(c, len(x0), false)
+	st := stateOf(c, len(x0), false)
 	kf1Steps.Run(c, st, kf1Args{x0, f, niter}, &st.cont)
 	return st.result()
 }
@@ -141,7 +141,7 @@ func KF1Ctx(c *kf.Ctx, x0, f [][]float64, niter int) (flat []float64, elapsed fl
 // same arguments and resume true once woken). resume is false on a run's
 // first call.
 func KF1Step(c *kf.Ctx, resume bool, x0, f [][]float64, niter int) (flat []float64, elapsed float64, done bool) {
-	st := kf1State1(c, len(x0), resume)
+	st := stateOf(c, len(x0), resume)
 	if !kf1Steps.Step(c, st, kf1Args{x0, f, niter}, &st.cont) {
 		return nil, 0, false
 	}
@@ -149,9 +149,9 @@ func KF1Step(c *kf.Ctx, resume bool, x0, f [][]float64, niter int) (flat []float
 	return flat, elapsed, true
 }
 
-// kf1State1 returns c's state for problem size n, at the start of kf1Steps
+// stateOf returns c's state for problem size n, at the start of kf1Steps
 // unless the run in flight resumes.
-func kf1State1(c *kf.Ctx, n int, resume bool) *kf1State {
+func stateOf(c *kf.Ctx, n int, resume bool) *kf1State {
 	st, _ := kf.Declared[kf1State](c, n)
 	if !resume {
 		st.cont = kf.Cont{}

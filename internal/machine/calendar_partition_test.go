@@ -230,6 +230,14 @@ type checkCountingTransport struct {
 	held   atomic.Int32 // checks that arrived while some partition's token was out
 }
 
+// tryRecv and stepping pass the wrapped transport's receive attempt
+// through, so step programs run as steps over the wrapper.
+func (c *checkCountingTransport) tryRecv(dst, src int, tag Tag) ([]float64, float64, recvState) {
+	return tryRecvOn(c.Transport, dst, src, tag)
+}
+
+func (c *checkCountingTransport) stepping() bool { return canStep(c.Transport) }
+
 func (c *checkCountingTransport) CheckStalled() bool {
 	c.checks.Add(1)
 	for k := range c.e.parts {

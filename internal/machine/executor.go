@@ -563,12 +563,12 @@ func (e *calendarExecutor) runBody(r int) (next int) {
 
 // runStep calls rank r's step until r finishes, taking r's exit path, or
 // parks, and returns the rank r's token went to (-1: the partition fell
-// idle). A step that returns unfinished with no receive to wait on could
-// never be woken; it fails its rank instead. A park that finds a wake pending lets the step run again at once,
-// as Park returns at once to a body. A panic or runtime.Goexit in the step
-// takes the exit path as one in a body does; a Goexit also ends this
-// goroutine, so where the partition's other ranks are mid-run, a new one
-// takes over from wherever the token went.
+// idle). A park that finds a wake pending lets the step run again at once,
+// as Park returns at once to a body. A step that returns unfinished with no
+// receive to wait on could never be woken, so it fails its rank. A panic
+// or runtime.Goexit in the step takes the exit path as one in a body does;
+// a Goexit also ends this goroutine, so where the partition's other ranks
+// are mid-run, a new one takes over from wherever the token went.
 func (e *calendarExecutor) runStep(pt *calPartition, r int) (next int) {
 	returned := false
 	defer func() {

@@ -267,7 +267,9 @@ func TestCalendarStepsFailLikeBody(t *testing.T) {
 					}
 					return nil
 				}
+				var calls atomic.Int64
 				step := func(p *Proc, resume bool) (bool, error) {
+					calls.Add(1)
 					if !resume {
 						pos[p.Rank()] = 0
 					}
@@ -299,6 +301,9 @@ func TestCalendarStepsFailLikeBody(t *testing.T) {
 							t.Errorf("run %d rank %d: err = %v, body form says %v", run, r, got, want)
 						}
 					}
+				}
+				if calls.Load() == 0 {
+					t.Fatal("the step form never ran")
 				}
 				if prog.want == "deadlock" && ct.checks.Load() != 2 {
 					t.Errorf("%d stall checks over two deadlocked runs, want one each", ct.checks.Load())

@@ -2,6 +2,7 @@ package progs_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chaos"
@@ -133,8 +134,10 @@ func TestStepFormMatchesBody(t *testing.T) {
 
 // failing is a test-only program in both forms: its body blocks and fails
 // where its step returns and fails. "unfed" waits on a stream nobody feeds;
-// "panic" panics in rank 0's step after the receive that parked it.
-func failing(kind string) (steps, body *core.Program) {
+// "panic" panics in rank 0's step after the receive that parked it. calls
+// counts the step's calls.
+func failing(kind string) (steps, body *core.Program, calls *atomic.Int64) {
+	calls = new(atomic.Int64)
 	const tag = 0x57
 	at := func(c *kf.Ctx, recv func(src int) bool) bool {
 		p := c.P
@@ -159,13 +162,14 @@ func failing(kind string) (steps, body *core.Program) {
 			return out, nil
 		},
 		Step: func(c *kf.Ctx, resume bool) (core.Output, bool, error) {
+			calls.Add(1)
 			if !at(c, func(src int) bool { _, ok := c.P.TryRecv(src, tag); return ok }) {
 				return core.Output{}, false, nil
 			}
 			return out, true, nil
 		},
 	}
-	return steps, bodyForm(steps)
+	return steps, bodyForm(steps), calls
 }
 
 // TestStepFormFailuresMatchBody: a step rank's failure — a wait nobody
@@ -190,7 +194,7 @@ func TestStepFormFailuresMatchBody(t *testing.T) {
 			}
 			for _, kind := range []string{"unfed", "panic"} {
 				t.Run(tr.name+"/"+executor+"/"+kind, func(t *testing.T) {
-					steps, body := failing(kind)
+					steps, body, calls := failing(kind)
 					_, want := mustSys(t, opts...).RunProgram(body)
 					if want == nil {
 						t.Fatal("the body form succeeded")
@@ -201,6 +205,9 @@ func TestStepFormFailuresMatchBody(t *testing.T) {
 						if got == nil || got.Error() != want.Error() {
 							t.Fatalf("run %d: step form: %v\nbody form: %v", run, got, want)
 						}
+					}
+					if calls.Load() == 0 {
+						t.Fatal("the step form never ran")
 					}
 					run, err := sys.RunProgram(jac)
 					if err != nil {
@@ -217,7 +224,9 @@ func TestStepFormFailuresMatchBody(t *testing.T) {
 
 // TestRunCarriesCalendarStats: a run on the coordinator's machine reports
 // what the engine's scheduler did — the machine's own CalendarStats — and
-// a run inside ipc workers reports none; CompareRuns ignores it.
+// a run inside ipc workers reports none; CompareRuns ignores it. Jacobi's
+// first run under "calendar" starts no continuation where a partition
+// holds several ranks: its ranks are steps.
 func TestRunCarriesCalendarStats(t *testing.T) {
 	p := mustProg(t, "jacobi", 32, 1)
 	sys := mustSys(t, core.Grid(4, 4), core.Executor("calendar"))
@@ -227,6 +236,9 @@ func TestRunCarriesCalendarStats(t *testing.T) {
 	}
 	if run.Calendar == nil || *run.Calendar != sys.Machine.CalendarStats() {
 		t.Fatalf("Run.Calendar = %v, machine says %+v", run.Calendar, sys.Machine.CalendarStats())
+	}
+	if st := run.Calendar; st.Partitions < 16 && st.Starts != 0 {
+		t.Errorf("first run on %d partitions of 16 ranks started %d continuations", st.Partitions, st.Starts)
 	}
 	other := run
 	other.Calendar = &machine.CalendarStats{Parks: run.Calendar.Parks + 1}
