@@ -46,7 +46,8 @@ func balanced(st machine.CalendarStats, n int) bool {
 // its body form, each on a fresh System run twice (declaring, then warm),
 // give bit-identical values, message census, link census and virtual times
 // on shared, priced federated/16 and ipc/4 (where the step form runs inside
-// the workers and the body form over the relay), under "goroutine" and the
+// the workers and the body form over the relay, and with a trace both over
+// the relay), under "goroutine" and the
 // calendar at 1, 2, 3 and one partition per rank, and under an active chaos
 // scenario (which cannot answer "would block", so both run the body). On
 // one partition the grant order is a function of the program, and the
@@ -81,6 +82,9 @@ func TestStepFormMatchesBody(t *testing.T) {
 	}
 	configs = append(configs,
 		config{"ipc4/calendar", []core.Option{core.Transport("ipc"), core.Nodes(4), core.Executor("calendar")}, 0, true},
+		// A trace keeps the ranks coordinator-side: the step form over the
+		// relay, its ranks woken by the ipc readers' deliveries.
+		config{"ipc4-relay/calendar2", []core.Option{core.Transport("ipc"), core.Nodes(4), core.Trace()}, 2, true},
 		config{"chaos/calendar2", []core.Option{core.Transport("chaos:federated"), core.Nodes(4), core.Chaos(lossy)}, 2, false},
 	)
 	for _, cf := range configs {
