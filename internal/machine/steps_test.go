@@ -39,7 +39,7 @@ func kahnSteps(rng *rand.Rand, n, rounds int) [][]kahnOp {
 // next op and the accumulator) kept per rank. res receives what a run
 // determines; steps counts the step calls; running, when non-nil, is the
 // per-partition count of ranks inside a call, which must never exceed one.
-func kahnProgram(t *testing.T, m *Machine, scripts [][]kahnOp, res *kahnResult, steps *atomic.Int64, partOf func(int) int, running []atomic.Int32) (func(*Proc) error, StepFunc) {
+func kahnProgram(t *testing.T, scripts [][]kahnOp, res *kahnResult, steps *atomic.Int64, partOf func(int) int, running []atomic.Int32) (func(*Proc) error, StepFunc) {
 	n := len(scripts)
 	pos := make([]int, n)
 	acc := make([]float64, n)
@@ -109,7 +109,7 @@ func runForm(t *testing.T, m *Machine, scripts [][]kahnOp, steps bool, partOf fu
 	n := len(scripts)
 	res := kahnResult{values: make([]float64, n), stats: make([]Stats, n), clocks: make([]float64, n)}
 	var calls atomic.Int64
-	body, step := kahnProgram(t, m, scripts, &res, &calls, partOf, running)
+	body, step := kahnProgram(t, scripts, &res, &calls, partOf, running)
 	if !steps {
 		step = nil
 	}
