@@ -78,13 +78,6 @@ type Ctx struct {
 	// decls holds what the subroutine declared on this context, one slot
 	// per state type — see Declared.
 	decls []any
-
-	// plans memoizes compiled doall headers by (ranges, on-clause,
-	// read-set), so iterative loops written with plain Doall calls pay
-	// for communication derivation once — see plan.go. Child contexts
-	// reused across doall iterations keep their own cache, which gives
-	// nested doalls the same hoisting.
-	plans map[planKey]any
 }
 
 // rootCtxKey identifies a processor's cached root context in Proc.Scratch:
@@ -99,9 +92,9 @@ type rootCtxKey struct{ g *topology.Grid }
 // The root context is cached per (processor, grid) across Exec calls: its
 // message scope and phase counter restart at the root every run (so scope
 // streams are identical whether the context is fresh or reused), while the
-// declaration slots (Declared) and the plan cache persist — a driver
-// re-running the same subroutine declares its arrays and derives its doall
-// communication once per System, not once per run.
+// declaration slots (Declared) persist — a driver re-running the same
+// subroutine declares its arrays and compiles its plans once per System,
+// not once per run.
 func Exec(m *machine.Machine, g *topology.Grid, body func(c *Ctx) error) error {
 	return ExecSteps(m, g, body, nil)
 }

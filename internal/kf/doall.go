@@ -310,21 +310,20 @@ func (cc *Ctx) bindIter(c *Ctx, g *topology.Grid, phase, disc int) {
 // Owner-computes clauses over contiguously distributed dimensions are
 // strip-mined: the processor iterates its owned subrange directly with a
 // cached iteration grid, instead of testing ownership (and re-deriving the
-// section grid) for every index of the range. The loop is the compiled
-// header's Run (plan.go); the header is memoized per Ctx, so an iterative
-// loop of Doall1 calls derives its communication structure once, and a
-// header that cannot be keyed is compiled for this one pass.
+// section grid) for every index of the range. The loop is the Run of a
+// header compiled for this one pass (plan.go); an iterative loop declares
+// its Plan1 instead, so its communication structure is derived once.
 func (c *Ctx) Doall1(r Range, on On1, opts []LoopOpt, body func(cc *Ctx, i int)) {
-	c.plan1For(r, on, opts).Run(body)
+	c.Plan1(r, on, opts...).Run(body)
 }
 
 // Doall2 executes a two-dimensional doall loop over the product of ranges
 // ri and rj — the paper's "doall (i, j) = [1, n] * [1, n]" headers. Like
 // Doall1, owner-computes clauses over contiguous distributions are
-// strip-mined to the owned subrectangle, and the compiled header is
-// memoized per Ctx (see plan.go).
+// strip-mined to the owned subrectangle, and the header is compiled for
+// this one pass (see Plan2).
 func (c *Ctx) Doall2(ri, rj Range, on On2, opts []LoopOpt, body func(cc *Ctx, i, j int)) {
-	c.plan2For(ri, rj, on, opts).Run(body)
+	c.Plan2(ri, rj, on, opts...).Run(body)
 }
 
 // On3 is a three-dimensional on-clause.
@@ -373,7 +372,7 @@ func (o onOwner3) ownedStrip3(c *Ctx) ([3]span, *topology.Grid, bool) {
 // Doall3 executes a three-dimensional doall loop over the product of three
 // ranges — the shape of the paper's Section 5 volume sweeps. Owner-computes
 // clauses over contiguous distributions are strip-mined to the owned
-// subvolume, and the compiled header is memoized per Ctx (see plan.go).
+// subvolume, and the header is compiled for this one pass (see Plan3).
 func (c *Ctx) Doall3(ri, rj, rk Range, on On3, opts []LoopOpt, body func(cc *Ctx, i, j, k int)) {
-	c.plan3For(ri, rj, rk, on, opts).Run(body)
+	c.Plan3(ri, rj, rk, on, opts...).Run(body)
 }

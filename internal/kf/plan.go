@@ -1,9 +1,6 @@
 package kf
 
-import (
-	"repro/internal/darray"
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // This file is the loop-inspector half of the doall runtime: a Plan is a
 // doall header whose communication derivation — halo schedules, copy-in
@@ -21,11 +18,9 @@ import (
 //
 // A warmed Run performs the same messages, in the same order, with the same
 // virtual-time costs as the equivalent Doall call — and no heap allocation.
-// The Doall1/2/3 entry points are this Run too: they consult a per-Ctx plan
-// cache keyed by (ranges, on-clause, read-set), so existing callers get the
-// hoisting transparently, and compile a header they cannot key for the one
-// pass; plans are never invalidated because arrays are immutable views
-// (redistributing produces a new array, hence a new cache key).
+// The Doall1/2/3 entry points are this Run too, on a header compiled for
+// the one pass and then dropped; a loop that repeats declares its plan on
+// the root context (Declared), so its header outlives the run.
 
 // planCore holds what every arity's plan shares: the owning context, the
 // loop's read-set options, the reusable child context bound to each
@@ -236,140 +231,4 @@ func (pl *Plan3) Run(body func(cc *Ctx, i, j, k int)) {
 		})
 	}
 	pl.finish()
-}
-
-// --- Transparent plan caching for the Doall entry points -----------------
-
-// maxKeyOpts bounds how many loop options a cacheable doall may carry;
-// loops with more (none exist today) compile their header every pass.
-const maxKeyOpts = 3
-
-// optKey canonicalizes one Reads/ReadsNoHalo option for cache keying: the
-// array view identity, whether halos are exchanged, and which dimensions.
-type optKey struct {
-	arr      *darray.Array
-	exchange bool
-	ndims    int8
-	dims     [3]int8
-}
-
-// planKey identifies a doall header: loop ranges, the on-clause (kind +
-// array view + dimension), and the canonicalized options. Array views are
-// immutable, so a key's meaning never changes.
-type planKey struct {
-	arity      int8
-	onKind     int8
-	onDim      int8
-	nopts      int8
-	onArr      *darray.Array
-	ri, rj, rk Range
-	opts       [maxKeyOpts]optKey
-}
-
-// On-clause kinds representable in a planKey.
-const (
-	okOwner1 int8 = iota + 1
-	okOwnerSection
-	okOwner2
-	okOwner3
-)
-
-// optsKey canonicalizes a doall's options; ok is false when some option is
-// not a Reads/ReadsNoHalo (an unknown LoopOpt implementation cannot be
-// compared for cache identity, so such headers are not kept).
-func optsKey(opts []LoopOpt) (k [maxKeyOpts]optKey, n int8, ok bool) {
-	if len(opts) > maxKeyOpts {
-		return k, 0, false
-	}
-	for i, o := range opts {
-		r, isReads := o.(*reads)
-		if !isReads || len(r.dims) > 3 {
-			return k, 0, false
-		}
-		ek := optKey{arr: r.a, exchange: r.exchange, ndims: int8(len(r.dims))}
-		for j, d := range r.dims {
-			if d < 0 || d > 63 {
-				return k, 0, false
-			}
-			ek.dims[j] = int8(d)
-		}
-		k[i] = ek
-	}
-	return k, int8(len(opts)), true
-}
-
-// maxCachedPlans bounds the per-context plan cache: programs that
-// construct unbounded streams of distinct arrays (and doall over each
-// once) must not retain every header — and every keyed array view —
-// forever. At the cap the cache is emptied and refilled, so a persistent
-// context (the root contexts Exec reuses across runs) keeps caching its
-// current working set instead of pinning the first 256 headers it ever saw.
-const maxCachedPlans = 256
-
-// cachePlan stores a compiled plan, emptying the cache first when it is at
-// capacity (see maxCachedPlans).
-func (c *Ctx) cachePlan(key planKey, pl any) {
-	if c.plans == nil {
-		c.plans = make(map[planKey]any)
-	}
-	if len(c.plans) >= maxCachedPlans {
-		clear(c.plans)
-	}
-	c.plans[key] = pl
-}
-
-// plan1For returns the compiled header of a Doall1 call: the context's
-// memoized plan when the header can be keyed (a bundled on-clause, at most
-// maxKeyOpts Reads/ReadsNoHalo options), a plan compiled for this one pass
-// otherwise. plan2For and plan3For are the same for their arities.
-func (c *Ctx) plan1For(r Range, on On1, opts []LoopOpt) *Plan1 {
-	keyOpts, n, keyed := optsKey(opts)
-	key := planKey{arity: 1, ri: r, opts: keyOpts, nopts: n}
-	switch o := on.(type) {
-	case onOwner1:
-		key.onKind, key.onArr = okOwner1, o.a
-	case onOwnerSection:
-		if o.dim <= 63 {
-			key.onKind, key.onArr, key.onDim = okOwnerSection, o.a, int8(o.dim)
-		}
-	}
-	if !keyed || key.onKind == 0 {
-		return c.Plan1(r, on, opts...)
-	}
-	if v, hit := c.plans[key]; hit {
-		return v.(*Plan1)
-	}
-	pl := c.Plan1(r, on, opts...)
-	c.cachePlan(key, pl)
-	return pl
-}
-
-func (c *Ctx) plan2For(ri, rj Range, on On2, opts []LoopOpt) *Plan2 {
-	o, isOwner := on.(onOwner2)
-	keyOpts, n, keyed := optsKey(opts)
-	if !isOwner || !keyed {
-		return c.Plan2(ri, rj, on, opts...)
-	}
-	key := planKey{arity: 2, onKind: okOwner2, onArr: o.a, ri: ri, rj: rj, opts: keyOpts, nopts: n}
-	if v, hit := c.plans[key]; hit {
-		return v.(*Plan2)
-	}
-	pl := c.Plan2(ri, rj, on, opts...)
-	c.cachePlan(key, pl)
-	return pl
-}
-
-func (c *Ctx) plan3For(ri, rj, rk Range, on On3, opts []LoopOpt) *Plan3 {
-	o, isOwner := on.(onOwner3)
-	keyOpts, n, keyed := optsKey(opts)
-	if !isOwner || !keyed {
-		return c.Plan3(ri, rj, rk, on, opts...)
-	}
-	key := planKey{arity: 3, onKind: okOwner3, onArr: o.a, ri: ri, rj: rj, rk: rk, opts: keyOpts, nopts: n}
-	if v, hit := c.plans[key]; hit {
-		return v.(*Plan3)
-	}
-	pl := c.Plan3(ri, rj, rk, on, opts...)
-	c.cachePlan(key, pl)
-	return pl
 }

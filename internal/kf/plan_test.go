@@ -266,34 +266,6 @@ func TestPlanRunZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDoallTransparentCaching pins that repeated Doall calls with the same
-// header reuse one compiled plan.
-func TestDoallTransparentCaching(t *testing.T) {
-	g := topology.New1D(2)
-	m := machine.New(2, machine.ZeroComm())
-	err := Exec(m, g, func(c *Ctx) error {
-		x := c.NewArray(darray.Spec{Extents: []int{8}, Dists: []dist.Dist{dist.Block{}}})
-		x.Zero()
-		for it := 0; it < 3; it++ {
-			c.Doall1(R(0, 7), OnOwner1(x), nil, func(cc *Ctx, i int) {
-				x.Set1(i, x.At1(i)+1)
-			})
-		}
-		if got := len(c.plans); got != 1 {
-			t.Errorf("plan cache holds %d entries after 3 identical doalls, want 1", got)
-		}
-		for i := 0; i < 8; i++ {
-			if x.Owns(i) && x.At1(i) != 3 {
-				t.Errorf("x[%d] = %v, want 3", i, x.At1(i))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func errf(format string, args ...interface{}) error {
 	return fmt.Errorf(format, args...)
 }

@@ -28,35 +28,70 @@ func TestOnOwnerSectionRetainsNoViews(t *testing.T) {
 	m := machine.New(1, machine.ZeroComm())
 	g := topology.New1D(1)
 	err := Exec(m, g, func(c *Ctx) error {
-		// retained runs the loop over a fresh n x 2 (cyclic, *) array and
-		// returns the heap the pass left behind and what a second pass
-		// allocates.
+		// retained runs the doall over a fresh n x 2 (cyclic, *) array and
+		// returns the heap the pass left behind, then what a second pass
+		// of the same header, compiled as a plan, allocates.
 		retained := func(n int) (left int64, secondPass float64) {
 			a := c.NewArray(darray.Spec{Extents: []int{n, 2}, Dists: []dist.Dist{dist.Cyclic{}, dist.Star{}}})
 			on := OnOwnerSection(a, 0)
 			ran := 0
 			body := func(cc *Ctx, i int) { ran++ }
-			pass := func() { c.Doall1(R(0, n-1), on, nil, body) }
 			before := liveHeap()
-			pass()
+			c.Doall1(R(0, n-1), on, nil, body)
 			left = liveHeap() - before
 			if ran != n {
 				t.Errorf("n=%d: ran %d iterations, want %d", n, ran, n)
 			}
-			secondPass = testing.AllocsPerRun(3, pass)
+			pl := c.Plan1(R(0, n-1), on)
+			pl.Run(body)
+			secondPass = testing.AllocsPerRun(3, func() { pl.Run(body) })
 			runtime.KeepAlive(a)
 			return left, secondPass
 		}
 		small, smallAllocs := retained(256)
 		large, largeAllocs := retained(4096)
 		t.Logf("retained after one pass: %d B over 256 indices, %d B over 4096", small, large)
-		// One compiled header either way; a view per index would be
-		// ~800 B x 3,840 more indices.
-		if grew := large - small; grew > 16<<10 {
-			t.Errorf("a pass over 4096 indices retains %d B more than one over 256: not O(1) in the range", grew)
+		// Nothing is kept either way; a view per index would be ~800 B x
+		// n. Each pass is bounded on its own, not by their difference: an
+		// earlier test's dropped machine may be freed during the first.
+		if small > 16<<10 || large > 16<<10 {
+			t.Errorf("one pass retains %d B over 256 indices and %d B over 4096: not O(1) in the range", small, large)
 		}
 		if smallAllocs != 0 || largeAllocs != 0 {
 			t.Errorf("second pass allocates %v (256 indices) and %v (4096 indices) objects, want 0", smallAllocs, largeAllocs)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDoallOverFreshArraysRetainsNothing holds a doall to its header's one
+// pass: a context that runs doalls over a stream of fresh arrays (a
+// multigrid cycle's work arrays) keeps neither the headers nor the arrays
+// they name, so its retained heap does not grow with the number of passes.
+func TestDoallOverFreshArraysRetainsNothing(t *testing.T) {
+	const passes, n = 200, 4096
+	m := machine.New(1, machine.ZeroComm())
+	g := topology.New1D(1)
+	err := Exec(m, g, func(c *Ctx) error {
+		pass := func() {
+			a := c.NewArray(darray.Spec{Extents: []int{n}, Dists: []dist.Dist{dist.Block{}}})
+			c.Doall1(R(0, n-1), OnOwner1(a), nil, func(cc *Ctx, i int) {
+				a.Set1(i, float64(i))
+			})
+		}
+		pass() // first-use state of the context and the machine
+		before := liveHeap()
+		for range passes - 1 {
+			pass()
+		}
+		left := liveHeap() - before
+		t.Logf("retained after %d passes over fresh %d-element arrays: %d B", passes, n, left)
+		// One array is 32 KB; a header kept per pass would pin them all.
+		if left > 64<<10 {
+			t.Errorf("%d doalls over fresh arrays retain %d B, want O(1) (≤ 64 KB)", passes, left)
 		}
 		return nil
 	})

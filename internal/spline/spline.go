@@ -65,7 +65,9 @@ func buildSystem(h float64, y, b, a, c, f []float64) {
 // FitParallel fits the spline with the knot values distributed by blocks
 // over the subroutine's grid, using the parallel substructured tridiagonal
 // solver for the second-derivative system. Every processor of c.G must
-// call it; the fitted spline is gathered and returned on every processor.
+// call it; the fitted spline is gathered to the grid's first processor
+// (grid index 0), the only one whose result has M and Y. Every other
+// processor gets X0 and H with nil M and Y, which it must not Eval.
 func FitParallel(c *kf.Ctx, x0, h float64, y *darray.Array) (*Spline, error) {
 	n := y.Extent(0)
 	if n < 3 {
@@ -86,7 +88,7 @@ func FitParallel(c *kf.Ctx, x0, h float64, y *darray.Array) (*Spline, error) {
 	if err := tridiag.TriCDirichlet(c, msec, rhs, 1, 4, 1); err != nil {
 		return nil, err
 	}
-	// Assemble the spline everywhere (fits are small relative to the
+	// Assemble the spline on the root (fits are small relative to the
 	// solve; a production variant would keep M distributed).
 	sc := c.NextScope()
 	mFlat := msec.GatherTo(sc, 0)

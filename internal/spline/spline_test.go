@@ -99,8 +99,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			// The fit is returned on the root only.
 			if c.GridIndex() == 0 {
 				got = s
+			} else if s.M != nil || s.Y != nil {
+				t.Errorf("p=%d: grid index %d got M (%d values) and Y (%d values), want nil off the root",
+					p, c.GridIndex(), len(s.M), len(s.Y))
 			}
 			return nil
 		})
