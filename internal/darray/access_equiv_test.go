@@ -35,13 +35,13 @@ func attempt(f func() float64) (o outcome) {
 
 // refRead is the parent's AtN, or with old its OldN.
 func refRead(a *Array, old bool, idx []int) float64 {
-	if len(a.acc) == len(idx) && (!old || a.st.snapOn) {
+	if len(a.acc) == len(idx) && (!old || a.st.root.snapOn) {
 		off := a.fixedOff
 		for k, g := range idx {
 			off += a.roff(k, g)
 		}
 		if old {
-			return a.st.shadow[off]
+			return a.st.old()[off]
 		}
 		return a.st.data[off]
 	}
@@ -190,13 +190,14 @@ func TestAccessorWindows(t *testing.T) {
 	run(t, 4, func(p *machine.Proc) error {
 		a := New(p, g, Spec{Extents: []int{10}, Dists: []dist.Dist{dist.Block{}}, Halo: []int{2}})
 		lo, hi := a.Lower(0), a.Upper(0)
+		// The windows are addressed from the block's origin, lo.
 		ax := a.acc[0]
-		if ax.lower != lo || ax.wspan != hi-lo+1 {
-			t.Errorf("rank %d: write window [%d, +%d), owns [%d, %d]", p.Rank(), ax.lower, ax.wspan, lo, hi)
+		if ax.wspan != hi-lo+1 {
+			t.Errorf("rank %d: write window [%d, +%d), owns [%d, %d]", p.Rank(), lo, ax.wspan, lo, hi)
 		}
 		rlo, rhi := max(lo-2, 0), min(hi+2, 9)
-		if ax.rlo != rlo || ax.rspan != rhi-rlo+1 {
-			t.Errorf("rank %d: read window [%d, +%d), want [%d, %d]", p.Rank(), ax.rlo, ax.rspan, rlo, rhi)
+		if lo+ax.rlo != rlo || ax.rspan != rhi-rlo+1 {
+			t.Errorf("rank %d: read window [%d, +%d), want [%d, %d]", p.Rank(), lo+ax.rlo, ax.rspan, rlo, rhi)
 		}
 		c := New(p, g, Spec{Extents: []int{10}, Dists: []dist.Dist{dist.Cyclic{}}})
 		if cx := c.acc[0]; cx.rspan != 0 || cx.wspan != 0 {

@@ -14,25 +14,33 @@
 //	})
 //
 // Arrays are SPMD values: every processor constructs its own descriptor (the
-// same way a compiled KF1 program would materialize one per node). What is
-// its own is small: its grid coordinate, where its block starts, its local
-// block padded with halo (ghost) cells for block-distributed dimensions,
-// the snapshot of that block, and its views' walk scratch. What it derives
-// from the declaration alone, it shares with every processor that derives
-// it alike: the layout (extents, distributions, halo widths, the block's
-// shape), the compiled halo exchanges (runs into the local block, peers as
-// rank offsets) and the gathers' pack runs are interned per machine by
-// content (machine.Intern), and grid slices are kept on their parent grid. In a block distribution these depend on a
-// processor's position class — first, interior or last along each axis, 9
-// classes in 2-D — not on its coordinates, so a machine holds a number of
-// them that does not grow with the processor count.
+// same way a compiled KF1 program would materialize one per node). A view
+// of an array is two parts. Its header is the processor's own and small:
+// where its block starts and its grid coordinate, its local block padded
+// with halo (ghost) cells for block-distributed dimensions, the snapshot of
+// that block, its grid, whether it participates, and the compiled
+// communication it keeps. Its class part is what the processor derives from
+// the declaration alone, with every window addressed from the block's
+// origin, and it shares that with every processor that derives it alike:
+// the layout (extents, distributions, halo widths, the block's shape), a
+// root view's class part (which dimensions are fixed, and per free
+// dimension its kind, stride and clipped read and write windows), the
+// compiled halo exchanges (runs into the local block, peers as rank
+// offsets) and the gathers' pack runs and plans are interned per machine by
+// content (machine.Intern), and grid slices are kept on their parent grid.
+// In a block distribution these depend on a processor's position class —
+// first, interior or last along each axis, 9 classes in 2-D — not on its
+// coordinates, so a machine holds a number of them that does not grow with
+// the processor count.
 //
 // Sharing cannot change a bit. An interned descriptor's key is its whole
 // content, so the object a processor gets is, value for value, the one it
-// compiled; nothing writes it once it is published; and replay reads it as
-// it would read a private copy — the same messages, in the same order, of
-// the same sizes. TestClassCensus counts the shared objects at three grid
-// sizes and holds their replay to the direct derivation.
+// would have built; nothing writes it once it is published; and replay and
+// the accessors read it as they would read a private copy — the same
+// messages, in the same order, of the same sizes, the same cells.
+// TestClassCensus counts the shared objects at three grid sizes and holds
+// them to what each processor derives from its own block and their replay
+// to the direct derivation.
 //
 // Remote values move only through explicit collectives (ExchangeHalo,
 // GatherTo, Redistribute, ...), each of which is built on simulated
@@ -48,6 +56,7 @@ package darray
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/dist"
 	"repro/internal/machine"
@@ -89,49 +98,75 @@ type layout struct {
 	stride []int // row-major strides over pad
 }
 
-// store is one processor's piece of a root array: the shared layout,
-// whose fields it promotes, and what only this processor has — its grid
-// coordinate, where its block starts, and the block itself.
+// store is one processor's piece of a root array, and the root view's
+// header in the same allocation: the root view (through whose class part
+// it reaches the layout, and whose participates says whether the
+// processor is a grid member) and what only this processor has — where its
+// block starts, its grid coordinate, the block itself and its snapshot.
+// Sections point at their root's store.
 type store struct {
-	*layout
-	p        *machine.Proc
-	rootGrid *topology.Grid
-	member   bool
-	snapOn   bool  // whether a snapshot is currently active
-	coord    []int // p's coordinate in rootGrid (nil if not a member)
-	lower    []int // first owned global index per dim (Block); 0 for Star
-	data     []float64
-	shadow   []float64 // copy-in snapshot buffer, kept across snapshots
-
-	own [6]int // inline backing of coord and lower, up to a 3-D array on a 3-D grid
+	root Array  // the root view; New returns &st.root
+	own  [4]int // inline backing of pos: a 2-D array on a 2-D grid
+	p    *machine.Proc
+	// pos holds, for a grid member, the first owned global index of every
+	// store dimension (0 on a Star or non-contiguous one) and then the
+	// coordinate in the root grid; nil for a non-member. See lower and
+	// coord.
+	pos []int
+	// data is the local block. Once the array has been snapshotted, the
+	// copy-in snapshot buffer follows it in the same allocation — data's
+	// capacity is twice its length — and is kept for the next snapshot;
+	// see old.
+	data []float64
+	// walk is the index scratch of an owned walk over any view of the
+	// array (see walkIdx): the walk's visitor receives it, so it cannot
+	// live on the walk's frame, and a view is too numerous a place for it.
+	walk [maxInlineDims]int
 }
+
+// old returns the snapshot buffer, empty before the first Snapshot.
+func (st *store) old() []float64 {
+	d := st.data
+	return d[len(d):cap(d)]
+}
+
+// lower returns the first global index of store dim sd the processor
+// owns (0 on a Star or non-contiguous dimension).
+func (st *store) lower(sd int) int { return st.pos[sd] }
+
+// coord returns the processor's coordinate along root grid axis ax.
+func (st *store) coord(ax int) int { return st.pos[len(st.root.extents)+ax] }
+
+// rootGrid is the grid the root array was declared on.
+func (st *store) rootGrid() *topology.Grid { return st.root.grid }
 
 // Array is a distributed array or a section of one. The zero value is not
 // useful; construct root arrays with New and sections with Section.
 //
-// An Array is an immutable view private to one simulated processor; the
-// caches below memoize derived views and compiled communication schedules
-// so iterative programs pay for derivation once, not per loop pass. Only
-// Section derives (and keeps) a view; the queries an on-clause needs —
-// OwnerGrid, SectionGrid, SectionParticipates — are index arithmetic and
-// build none.
+// An Array is an immutable view of one simulated processor's piece of the
+// array, in two parts. Its class part (viewClass) is what every processor
+// of the view's position class computes alike — which dimensions are
+// fixed, and per free dimension its kind, stride and read and write windows
+// addressed from the block's origin — and a root view's class part is the
+// machine's one copy (machine.Intern). Its header is the processor's own:
+// the storage it reads (its block's origin, coordinate, data and
+// snapshot), its grid, whether it participates, and the compiled halo
+// exchanges and gathers it keeps so iterative programs pay for derivation
+// once, not per loop pass. Only Section derives (and keeps) a view; the
+// queries an on-clause needs — OwnerGrid, SectionGrid, SectionParticipates
+// — are index arithmetic and build none.
 type Array struct {
+	*viewClass
 	st   *store
 	grid *topology.Grid // grid of this array/section
-	pfix []int          // per store dim: fixed global index, or -1 if free
-
-	// View cache, filled by finishView: Arrays are immutable views, so
-	// participation and the per-free-dimension index arithmetic are
-	// computed once at construction instead of on every element access.
+	// lo holds the first owned global index of the first maxInlineAcc free
+	// dimensions, in order (0 on a Star or non-contiguous one): the block's
+	// origin, which the arity accessors subtract to use the class part's
+	// windows.
+	lo           [maxInlineAcc]int
 	participates bool
-	fixedOff     int          // data offset contributed by the fixed dims
-	acc          []axisAccess // one entry per free dimension, in order
-
-	// Inline backing for the small per-view slices: with at most
-	// maxInlineDims store dimensions (maxInlineAcc of them free) a Section
-	// costs one allocation (the Array itself) instead of one per slice.
-	pfixBuf [maxInlineDims]int
-	accBuf  [maxInlineAcc]axisAccess
+	snapOn       bool // a root view's: whether a snapshot is currently active
+	walking      bool // a root view's: an owned walk holds its store's walk scratch
 
 	// Per-view memoization (no locks needed: a view belongs to one
 	// simulated processor's goroutine): the compiled halo exchanges and
@@ -139,12 +174,26 @@ type Array struct {
 	// redistribute, the rest.
 	plans []viewPlan
 	more  *viewMemo
+}
 
-	// Owned-walk scratch, reused by every OwnedEach/OwnedRuns/FillOwned on
-	// this view (a view of more than maxInlineDims free dimensions
-	// allocates its own per walk). A walk's visitor must not start another
-	// owned walk on the same view.
-	walkIdx, walkLoc [maxInlineDims]int
+// viewClass is the class part of a view: the index arithmetic of its free
+// dimensions, with every window addressed from the block's origin, so it
+// holds no global index and no coordinate. A root view's class part is
+// interned per machine, keyed by exactly the values it holds (see
+// internRootClass), so every rank whose view would compute it alike shares
+// one: in a block distribution, one per position class. A section's is its
+// own. It is read-only once built.
+type viewClass struct {
+	// The accessors' fields first, with the inline backing of acc: with
+	// at most maxInlineDims store dimensions (maxInlineAcc of them free)
+	// a class part costs one allocation instead of one per slice.
+	acc      []axisAccess // one entry per free dimension, in order
+	fixedOff int          // data offset contributed by the fixed dims
+	accBuf   [maxInlineAcc]axisAccess
+
+	*layout
+	pfix    []int // per store dim: fixed global index, or -1 if free
+	pfixBuf [maxInlineDims]int
 }
 
 // viewMemo is what a view memoizes beyond its plans, allocated by the
@@ -153,13 +202,20 @@ type viewMemo struct {
 	secs map[sectionKey]*Array // Section views by (dim, index)
 	sig  string                // layout signature (see layoutSig)
 
-	// secArena chunk-allocates the Array structs of this view's sections:
-	// chunks hold 1, 2, 4, then secChunk views, so a view sectioned once
-	// pays for one section and one sectioned along a whole dimension for
-	// ~n/secChunk allocations. Chunks are never grown in place — cached
-	// section pointers must stay valid — so a full chunk is simply
-	// replaced by a fresh one.
-	secArena []Array
+	// secArena chunk-allocates the section views (header and class part)
+	// of this view: chunks hold 1, 2, 4, then secChunk views, so a view
+	// sectioned once pays for one section and one sectioned along a whole
+	// dimension for ~n/secChunk allocations. Chunks are never grown in
+	// place — cached section pointers must stay valid — so a full chunk is
+	// simply replaced by a fresh one.
+	secArena []sectionView
+}
+
+// sectionView is a section's header and its class part, carved together
+// from the parent's arena.
+type sectionView struct {
+	Array
+	cls viewClass
 }
 
 // memo returns the view's viewMemo, allocating it on first use.
@@ -181,20 +237,11 @@ type viewPlan struct {
 // secChunk is the most section views one arena chunk holds.
 const secChunk = 8
 
-// walkScratch returns the owned-walk index and position scratch for nfree
-// free dimensions.
-func (a *Array) walkScratch(nfree int) (idx, loc []int) {
-	if nfree <= maxInlineDims {
-		return a.walkIdx[:nfree], a.walkLoc[:nfree]
-	}
-	return make([]int, nfree), make([]int, nfree)
-}
-
-// newSection carves one Array out of the view's section arena.
-func (a *Array) newSection() *Array {
+// newSection carves one section view out of the view's section arena.
+func (a *Array) newSection() *sectionView {
 	m := a.memo()
 	if len(m.secArena) == cap(m.secArena) {
-		m.secArena = make([]Array, 0, min(max(2*cap(m.secArena), 1), secChunk))
+		m.secArena = make([]sectionView, 0, min(max(2*cap(m.secArena), 1), secChunk))
 	}
 	m.secArena = m.secArena[:len(m.secArena)+1]
 	return &m.secArena[len(m.secArena)-1]
@@ -220,87 +267,168 @@ const (
 
 // axisAccess is one free dimension of a view reduced to index arithmetic:
 // what it takes to turn a global index g into a storage offset with no
-// interface call, no slice walk and no further function call.
+// interface call, no slice walk and no further function call. It is
+// addressed from the block's origin: l = g - lower, where lower is the
+// first owned index (the processor's own, from its store; 0 on a Star
+// dimension).
 //
 // The arity accessors (At1-3, Old1-3, Set1-3) use the first group only. A
-// read is legal inside the read window [rlo, rlo+rspan) — the owned range
-// widened by the halo and clipped to the extent — a write inside the write
-// window [lower, lower+wspan) — the owned range — and either way the cell is
-// (g+base)*stride from the view's fixedOff, base = halo - lower turning a
-// global index into a position in the padded local block. A Star dimension
-// is both windows = [0, extent) with base 0. A general (cyclic) dimension
-// has two empty windows: ownership there is a question for the
+// read is legal inside the read window l in [rlo, rlo+rspan) — the owned
+// range widened by the halo and clipped to the extent — a write inside the
+// write window l in [0, wspan) — the owned range — and either way the cell
+// is (l+base)*stride from the view's fixedOff, base = halo turning a
+// position in the block into one in the padded local block. A Star
+// dimension is both windows = [0, extent) with base 0. A general (cyclic)
+// dimension has two empty windows: ownership there is a question for the
 // distribution, which roff and woff ask; they are also where an index
 // outside its window goes to have its panic worded.
 //
 // The second group is what roff, woff, globalOf and the owned walks read:
 // the dimension's kind, its store dimension, through which they reach the
-// shared layout (extent, halo, owned extent), and for a general dimension
-// the arguments its distribution is asked with. Every view holds
-// maxInlineAcc of these inline, so a field here is paid for three times
-// per view whether or not any dimension is general.
+// shared layout (extent, halo, owned extent) and the processor's lower
+// bound, and for a general dimension where the processor's store keeps its
+// coordinate along the dimension's axis and the axis length, the two its
+// distribution is asked with.
 type axisAccess struct {
-	rlo, rspan int // read window
-	wspan      int // write window length; it starts at lower
+	sd int32 // store dimension (first: a section's first touch reads it)
+
+	rlo, rspan int // read window, from the block's origin
+	wspan      int // write window length; it starts at the origin
 	base       int
 	stride     int
-	lower      int // first owned global index (axContig); 0 otherwise
 
-	sd   int32 // store dimension
+	qi   int32 // index of the axis coordinate in the store's pos (axGeneral)
 	kind uint8
-	q, P int // grid coordinate and axis length (axGeneral)
+	P    int // axis length (axGeneral)
 }
 
-// finishView fills the view cache; every constructor of an Array must call
-// it last.
-func (a *Array) finishView() {
-	st := a.st
-	a.participates = a.computeParticipates()
-	a.fixedOff = 0
-	a.acc = nil
-	if !a.participates {
-		return
-	}
-	nfree := 0
-	for _, f := range a.pfix {
-		if f < 0 {
-			nfree++
+// axisAccessOf derives free store dimension sd's access data on st's
+// processor, a grid member whose array has layout lay.
+func (lay *layout) axisAccessOf(st *store, sd int) axisAccess {
+	ax := axisAccess{sd: int32(sd), stride: lay.stride[sd]}
+	switch {
+	case lay.axisOf[sd] < 0:
+		ax.kind = axStar
+	default:
+		if _, ok := lay.dists[sd].(dist.Contiguous); ok {
+			ax.kind = axContig
+		} else {
+			ax.kind = axGeneral
+			ax.qi = int32(len(lay.extents) + lay.axisOf[sd])
+			ax.P = st.rootGrid().Extent(lay.axisOf[sd])
 		}
 	}
-	if nfree <= maxInlineAcc {
-		a.acc = a.accBuf[:0]
+	if ax.kind != axGeneral {
+		// Star: lower 0, lsize = extent, halo 0.
+		h, n, extent, lo := lay.halo[sd], lay.lsize[sd], lay.extents[sd], st.lower(sd)
+		ax.base = h
+		ax.rlo = max(lo-h, 0) - lo
+		ax.rspan = max(min(lo+n+h, extent)-lo-ax.rlo, 0)
+		ax.wspan = max(min(lo+n, extent)-lo, 0)
+	}
+	return ax
+}
+
+// classBuilds counts the view class parts built (interned or a section's
+// own), for the census tests.
+var classBuilds atomic.Int64
+
+// internRootClass returns the class part of the processor's root view of
+// st, whose layout is lay under layKey (see internLayout): the machine's
+// one copy (machine.Intern). The key is every value the class part holds —
+// the layout's content and the access data derived from it — computed
+// before the lookup, so a rank shares one only with ranks that would have
+// built it identically, and only the first of them builds it. The key is
+// appended to layKey's buffer, and the access data is derived again by the
+// builder rather than kept: the frame stays small enough for a fresh
+// goroutine's stack.
+func internRootClass(st *store, lay *layout, layKey []byte) *viewClass {
+	nd := len(lay.extents)
+	member := st.pos != nil
+	key := append(layKey[len(layKey):], 'V')
+	key = append(key, layKey[1:]...)
+	if member {
+		for sd := 0; sd < nd; sd++ {
+			ax := lay.axisAccessOf(st, sd)
+			key = append(key, ax.kind)
+			key = binary.AppendVarint(key, int64(ax.rlo))
+			key = binary.AppendVarint(key, int64(ax.rspan))
+			key = binary.AppendVarint(key, int64(ax.wspan))
+			key = binary.AppendVarint(key, int64(ax.base))
+			key = binary.AppendVarint(key, int64(ax.stride))
+			key = binary.AppendVarint(key, int64(ax.qi))
+			key = binary.AppendVarint(key, int64(ax.P))
+		}
 	} else {
-		a.acc = make([]axisAccess, 0, nfree)
+		key = append(key, '-')
 	}
-	for sd, f := range a.pfix {
-		if f >= 0 {
-			a.fixedOff += st.localPos(sd, f) * st.stride[sd]
-			continue
+	return machine.Intern(st.p.Machine(), key, func() *viewClass {
+		classBuilds.Add(1)
+		vc := &viewClass{layout: lay}
+		vc.pfix = vc.pfixBuf[:0]
+		if nd > maxInlineDims {
+			vc.pfix = make([]int, 0, nd)
 		}
-		ax := axisAccess{sd: int32(sd), stride: st.stride[sd]}
-		switch {
-		case st.axisOf[sd] < 0:
-			ax.kind = axStar
-		default:
-			if _, ok := st.dists[sd].(dist.Contiguous); ok {
-				ax.kind = axContig
-				ax.lower = st.lower[sd]
-			} else {
-				ax.kind = axGeneral
-				ax.q = st.coord[st.axisOf[sd]]
-				ax.P = st.rootGrid.Extent(st.axisOf[sd])
+		for range nd {
+			vc.pfix = append(vc.pfix, -1)
+		}
+		if member {
+			vc.acc = vc.accBuf[:0]
+			if nd > maxInlineAcc {
+				vc.acc = make([]axisAccess, 0, nd)
+			}
+			for sd := 0; sd < nd; sd++ {
+				vc.acc = append(vc.acc, lay.axisAccessOf(st, sd))
 			}
 		}
-		if ax.kind != axGeneral {
-			// Star: lower 0, lsize = extent, halo 0.
-			h, n, extent := st.halo[sd], st.lsize[sd], st.extents[sd]
-			ax.base = h - ax.lower
-			ax.rlo = max(ax.lower-h, 0)
-			ax.rspan = max(min(ax.lower+n+h, extent)-ax.rlo, 0)
-			ax.wspan = max(min(ax.lower+n, extent)-ax.lower, 0)
-		}
-		a.acc = append(a.acc, ax)
+		return vc
+	})
+}
+
+// fillSection builds the class part of a section view of st fixing the
+// dimensions pfix fixes: its own, since where a fixed index falls in the
+// block is the processor's. It returns whether the processor participates.
+func (vc *viewClass) fillSection(st *store, pfix []int) bool {
+	classBuilds.Add(1)
+	vc.layout = st.root.layout
+	nd := len(pfix)
+	vc.pfix = vc.pfixBuf[:0]
+	if nd > maxInlineDims {
+		vc.pfix = make([]int, 0, nd)
 	}
+	vc.pfix = append(vc.pfix, pfix...)
+	if !st.root.participates {
+		return false
+	}
+	nfree := 0
+	for sd, f := range pfix {
+		if f < 0 {
+			nfree++
+		} else if !st.ownsStoreIndex(sd, f) {
+			return false
+		}
+	}
+	vc.acc = vc.accBuf[:0]
+	if nfree > maxInlineAcc {
+		vc.acc = make([]axisAccess, 0, nfree)
+	}
+	for sd, f := range pfix {
+		if f >= 0 {
+			vc.fixedOff += st.localPos(sd, f) * vc.stride[sd]
+			continue
+		}
+		vc.acc = append(vc.acc, vc.axisAccessOf(st, sd))
+	}
+	return true
+}
+
+// origin returns the first owned global index of free dimension k (0 on a
+// Star or non-contiguous dimension).
+func (a *Array) origin(k int) int {
+	if k < maxInlineAcc {
+		return a.lo[k]
+	}
+	return a.st.lower(int(a.acc[k].sd))
 }
 
 // globalOf returns the global index of the l-th owned element along free
@@ -310,9 +438,9 @@ func (a *Array) globalOf(k, l int) int {
 	case axStar:
 		return l
 	case axContig:
-		return ax.lower + l
+		return a.origin(k) + l
 	default:
-		return a.st.dists[ax.sd].ToGlobal(l, ax.q, a.st.extents[ax.sd], ax.P)
+		return a.dists[ax.sd].ToGlobal(l, a.st.pos[ax.qi], a.extents[ax.sd], ax.P)
 	}
 }
 
@@ -320,31 +448,37 @@ func (a *Array) globalOf(k, l int) int {
 // dimension k for a read: owned cells and halo cells are legal.
 func (a *Array) roff(k, g int) int {
 	ax := &a.acc[k]
+	st, sd := a.st, int(ax.sd)
 	if ax.kind == axGeneral {
 		// A general dimension has no halo.
-		extent := a.st.extents[ax.sd]
+		extent := a.extents[sd]
 		if g < 0 || g >= extent {
-			panic(fmt.Sprintf("darray: index %d out of extent %d (dim %d)", g, extent, ax.sd))
+			panic(fmt.Sprintf("darray: index %d out of extent %d (dim %d)", g, extent, sd))
 		}
-		d := a.st.dists[ax.sd]
-		if d.Owner(g, extent, ax.P) != ax.q {
+		d := a.dists[sd]
+		owner, local := 0, 0
+		if _, ok := d.(dist.Cyclic); ok { // the common general dimension, without two interface calls
+			owner, local = g%ax.P, g/ax.P
+		} else {
+			owner, local = d.Owner(g, extent, ax.P), d.ToLocal(g, extent, ax.P)
+		}
+		if owner != st.pos[ax.qi] {
 			panic(fmt.Sprintf("darray: proc %d does not own global index %d of %s dim %d",
-				a.st.p.Rank(), g, d.Name(), ax.sd))
+				st.p.Rank(), g, d.Name(), sd))
 		}
-		return d.ToLocal(g, extent, ax.P) * ax.stride
+		return local * ax.stride
 	}
 	if ax.kind == axStar && uint(g) < uint(ax.rspan) { // a Star window is the extent
 		return g * ax.stride
 	}
-	st, sd := a.st, int(ax.sd)
-	if g < 0 || g >= st.extents[sd] {
-		panic(fmt.Sprintf("darray: index %d out of extent %d (dim %d)", g, st.extents[sd], sd))
+	if g < 0 || g >= a.extents[sd] {
+		panic(fmt.Sprintf("darray: index %d out of extent %d (dim %d)", g, a.extents[sd], sd))
 	}
-	h, n := st.halo[sd], st.lsize[sd]
-	l := g - ax.lower
+	h, n, lo := a.halo[sd], a.lsize[sd], a.origin(k)
+	l := g - lo
 	if l < -h || l >= n+h {
 		panic(fmt.Sprintf("darray: proc %d cannot access global index %d of dim %d (owns [%d,%d], halo %d)",
-			st.p.Rank(), g, sd, ax.lower, ax.lower+n-1, h))
+			st.p.Rank(), g, sd, lo, lo+n-1, h))
 	}
 	return (l + h) * ax.stride
 }
@@ -354,10 +488,11 @@ func (a *Array) roff(k, g int) int {
 func (a *Array) woff(k, g int) int {
 	ax := &a.acc[k]
 	if ax.kind == axContig {
-		if uint(g-ax.lower) >= uint(ax.wspan) {
+		l := g - a.origin(k)
+		if uint(l) >= uint(ax.wspan) {
 			panic(fmt.Sprintf("darray: proc %d writing unowned index %d of dim %d", a.st.p.Rank(), g, ax.sd))
 		}
-		return (g + ax.base) * ax.stride
+		return (l + ax.base) * ax.stride
 	}
 	return a.roff(k, g)
 }
@@ -409,15 +544,17 @@ func New(p *machine.Proc, g *topology.Grid, spec Spec) *Array {
 			}
 		}
 	}
-	st := &store{p: p, rootGrid: g}
-	own := st.own[:]
-	if gd := g.Dims(); gd+nd > len(own) {
-		own = make([]int, gd+nd)
+	st := &store{p: p}
+	a := &st.root
+	a.st, a.grid = st, g
+	pos := st.own[:]
+	if gd := g.Dims(); nd+gd > len(pos) {
+		pos = make([]int, nd+gd)
 	}
-	coord := own[:g.Dims():g.Dims()]
-	if st.member = g.CoordInto(p.Rank(), coord); st.member {
-		st.coord = coord
-		st.lower = own[g.Dims() : g.Dims()+nd : g.Dims()+nd]
+	pos = pos[:nd+g.Dims()]
+	if a.participates = g.CoordInto(p.Rank(), pos[nd:]); a.participates {
+		st.pos = pos
+		coord := pos[nd:]
 		for d := 0; d < nd; d++ {
 			n := spec.Extents[d]
 			if axisOf[d] < 0 {
@@ -427,36 +564,34 @@ func New(p *machine.Proc, g *topology.Grid, spec Spec) *Array {
 			q, P := coord[axisOf[d]], g.Extent(axisOf[d])
 			lsize[d] = spec.Dists[d].Size(q, n, P)
 			if b, ok := spec.Dists[d].(dist.Contiguous); ok {
-				st.lower[d] = b.Lower(q, n, P)
+				pos[d] = b.Lower(q, n, P)
 			}
 		}
+		copy(a.lo[:], pos[:nd])
 	} else {
 		lsize = nil
 	}
-	st.layout = internLayout(p.Machine(), spec.Extents, spec.Dists, halo, axisOf, lsize)
-	if st.member {
-		st.data = make([]float64, st.stride[0]*st.pad[0])
+	var keyBuf [192]byte // the layout's key, then the class part's
+	layKey := layoutKey(keyBuf[:0], spec.Extents, spec.Dists, halo, axisOf, lsize)
+	lay := internLayout(p.Machine(), layKey, spec.Extents, spec.Dists, halo, axisOf, lsize)
+	if a.participates {
+		st.data = make([]float64, lay.stride[0]*lay.pad[0])
 	}
-	a := &Array{st: st, grid: g}
-	if nd <= maxInlineDims {
-		a.pfix = a.pfixBuf[:nd]
-	} else {
-		a.pfix = make([]int, nd)
-	}
-	for d := range a.pfix {
-		a.pfix[d] = -1
-	}
-	a.finishView()
+	a.viewClass = internRootClass(st, lay, layKey)
 	return a
 }
 
-// internLayout returns machine m's one layout with this content (see
-// machine.Intern); lsize is nil for a processor outside the grid. Two
-// layouts are equal exactly when their keys are, so a rank shares one only
-// with ranks that would have computed it identically.
-func internLayout(m *machine.Machine, extents []int, dists []dist.Dist, halo, axisOf, lsize []int) *layout {
-	var buf [128]byte
-	key := binary.AppendUvarint(append(buf[:0], 'L'), uint64(len(extents)))
+// internLayout returns machine m's one layout with this content, whose
+// key is layoutKey's (see machine.Intern); lsize is nil for a processor
+// outside the grid. Two layouts are equal exactly when their keys are, so a
+// rank shares one only with ranks that would have computed it identically.
+func internLayout(m *machine.Machine, key []byte, extents []int, dists []dist.Dist, halo, axisOf, lsize []int) *layout {
+	return machine.Intern(m, key, func() *layout { return newLayout(extents, dists, halo, axisOf, lsize) })
+}
+
+// layoutKey appends a layout's key, its whole content, to buf.
+func layoutKey(buf []byte, extents []int, dists []dist.Dist, halo, axisOf, lsize []int) []byte {
+	key := binary.AppendUvarint(append(buf, 'L'), uint64(len(extents)))
 	key = binary.AppendUvarint(key, uint64(len(lsize)))
 	for d := range extents {
 		key = binary.AppendUvarint(key, uint64(extents[d]))
@@ -467,7 +602,7 @@ func internLayout(m *machine.Machine, extents []int, dists []dist.Dist, halo, ax
 			key = binary.AppendUvarint(key, uint64(lsize[d]))
 		}
 	}
-	return machine.Intern(m, key, func() *layout { return newLayout(extents, dists, halo, axisOf, lsize) })
+	return key
 }
 
 // appendDist encodes a distribution for a layout key: the bundled patterns
@@ -524,6 +659,9 @@ func newLayout(extents []int, dists []dist.Dist, halo, axisOf, lsize []int) *lay
 
 // Dims returns the number of (free) dimensions of the array or section.
 func (a *Array) Dims() int {
+	if a.participates {
+		return len(a.acc)
+	}
 	n := 0
 	for _, f := range a.pfix {
 		if f < 0 {
@@ -534,10 +672,10 @@ func (a *Array) Dims() int {
 }
 
 // Extent returns the global extent of free dimension d.
-func (a *Array) Extent(d int) int { return a.st.extents[a.storeDim(d)] }
+func (a *Array) Extent(d int) int { return a.extents[a.storeDim(d)] }
 
 // Dist returns the distribution of free dimension d.
-func (a *Array) Dist(d int) dist.Dist { return a.st.dists[a.storeDim(d)] }
+func (a *Array) Dist(d int) dist.Dist { return a.dists[a.storeDim(d)] }
 
 // Grid returns the processor grid the array (or section) lives on.
 func (a *Array) Grid() *topology.Grid { return a.grid }
@@ -550,32 +688,21 @@ func (a *Array) Proc() *machine.Proc { return a.st.p }
 // owns the fixed indices. The answer is precomputed at construction.
 func (a *Array) Participates() bool { return a.participates }
 
-func (a *Array) computeParticipates() bool {
-	if !a.st.member {
-		return false
-	}
-	for sd, f := range a.pfix {
-		if f < 0 {
-			continue
-		}
-		if !a.st.ownsStoreIndex(sd, f) {
-			return false
-		}
-	}
-	return true
-}
-
 // ownsStoreIndex reports whether the calling processor owns global index i
 // of store dim sd (Star dims are owned by everyone).
 func (st *store) ownsStoreIndex(sd, i int) bool {
-	if st.axisOf[sd] < 0 {
+	ax := st.root.axisOf[sd]
+	if ax < 0 {
 		return true
 	}
-	return st.ownerOf(sd, i) == st.coord[st.axisOf[sd]]
+	return st.ownerOf(sd, i) == st.coord(ax)
 }
 
 // storeDim maps a free (view) dimension index to the underlying store dim.
 func (a *Array) storeDim(d int) int {
+	if uint(d) < uint(len(a.acc)) {
+		return int(a.acc[d].sd)
+	}
 	seen := 0
 	for sd, f := range a.pfix {
 		if f < 0 {
@@ -593,7 +720,7 @@ func (a *Array) storeDim(d int) int {
 // returns 0. Only meaningful for Block and Star distributions.
 func (a *Array) Lower(d int) int {
 	a.mustParticipate()
-	return a.st.lower[a.storeDim(d)]
+	return a.st.lower(a.storeDim(d))
 }
 
 // Upper returns the last global index of free dimension d owned by the
@@ -603,14 +730,14 @@ func (a *Array) Lower(d int) int {
 func (a *Array) Upper(d int) int {
 	a.mustParticipate()
 	sd := a.storeDim(d)
-	return a.st.lower[sd] + a.st.lsize[sd] - 1
+	return a.st.lower(sd) + a.lsize[sd] - 1
 }
 
 // LocalSize returns the number of elements of free dimension d owned by the
 // calling processor.
 func (a *Array) LocalSize(d int) int {
 	a.mustParticipate()
-	return a.st.lsize[a.storeDim(d)]
+	return a.lsize[a.storeDim(d)]
 }
 
 // OwnerIndex returns, for free dimension d, the grid coordinate (along the
@@ -618,7 +745,7 @@ func (a *Array) LocalSize(d int) int {
 // for Star dimensions, which have no owner.
 func (a *Array) OwnerIndex(d, i int) int {
 	sd := a.storeDim(d)
-	if a.st.axisOf[sd] < 0 {
+	if a.axisOf[sd] < 0 {
 		panic("darray: OwnerIndex on an undistributed (*) dimension")
 	}
 	return a.st.ownerOf(sd, i)
@@ -638,7 +765,7 @@ func (a *Array) Owns(idx ...int) bool {
 		if f >= 0 {
 			continue
 		}
-		if idx[k] < 0 || idx[k] >= a.st.extents[sd] {
+		if idx[k] < 0 || idx[k] >= a.extents[sd] {
 			return false // out-of-extent indices are owned by nobody
 		}
 		if !a.st.ownsStoreIndex(sd, idx[k]) {
@@ -668,28 +795,28 @@ func (a *Array) offset(idx []int) int {
 			g = idx[k]
 			k++
 		}
-		if g < 0 || g >= st.extents[sd] {
-			panic(fmt.Sprintf("darray: index %d out of extent %d (dim %d)", g, st.extents[sd], sd))
+		if g < 0 || g >= a.extents[sd] {
+			panic(fmt.Sprintf("darray: index %d out of extent %d (dim %d)", g, a.extents[sd], sd))
 		}
 		var l int
-		if st.axisOf[sd] < 0 {
+		if a.axisOf[sd] < 0 {
 			l = g
-		} else if _, isContig := st.dists[sd].(dist.Contiguous); isContig {
-			l = g - st.lower[sd]
-			if l < -st.halo[sd] || l >= st.lsize[sd]+st.halo[sd] {
+		} else if _, isContig := a.dists[sd].(dist.Contiguous); isContig {
+			l = g - st.lower(sd)
+			if l < -a.halo[sd] || l >= a.lsize[sd]+a.halo[sd] {
 				panic(fmt.Sprintf("darray: proc %d cannot access global index %d of dim %d (owns [%d,%d], halo %d)",
-					st.p.Rank(), g, sd, st.lower[sd], st.lower[sd]+st.lsize[sd]-1, st.halo[sd]))
+					st.p.Rank(), g, sd, st.lower(sd), st.lower(sd)+a.lsize[sd]-1, a.halo[sd]))
 			}
 		} else {
-			q := st.coord[st.axisOf[sd]]
-			P := st.rootGrid.Extent(st.axisOf[sd])
-			if st.dists[sd].Owner(g, st.extents[sd], P) != q {
+			q := st.coord(a.axisOf[sd])
+			P := st.rootGrid().Extent(a.axisOf[sd])
+			if a.dists[sd].Owner(g, a.extents[sd], P) != q {
 				panic(fmt.Sprintf("darray: proc %d does not own global index %d of %s dim %d",
-					st.p.Rank(), g, st.dists[sd].Name(), sd))
+					st.p.Rank(), g, a.dists[sd].Name(), sd))
 			}
-			l = st.dists[sd].ToLocal(g, st.extents[sd], P)
+			l = a.dists[sd].ToLocal(g, a.extents[sd], P)
 		}
-		off += (l + st.halo[sd]) * st.stride[sd]
+		off += (l + a.halo[sd]) * a.stride[sd]
 	}
 	return off
 }
@@ -730,34 +857,36 @@ func (a *Array) Set(v float64, idx ...int) {
 // dimension) takes the per-dimension path through roff, in index order, so
 // what panics and what it says do not depend on which path found it.
 func (a *Array) At1(i int) float64 {
-	if len(a.acc) == 1 {
-		x := &a.acc[0]
-		if uint(i-x.rlo) < uint(x.rspan) {
-			return a.st.data[a.fixedOff+(i+x.base)*x.stride]
+	if vc := a.viewClass; len(vc.acc) == 1 {
+		x, st := &vc.acc[0], a.st
+		if l := i - a.lo[0]; uint(l-x.rlo) < uint(x.rspan) {
+			return st.data[vc.fixedOff+(l+x.base)*x.stride]
 		}
-		return a.st.data[a.fixedOff+a.roff(0, i)]
+		return st.data[vc.fixedOff+a.roff(0, i)]
 	}
 	return a.At(i)
 }
 
 func (a *Array) At2(i, j int) float64 {
-	if len(a.acc) == 2 {
-		x, y := &a.acc[0], &a.acc[1]
-		if uint(i-x.rlo) < uint(x.rspan) && uint(j-y.rlo) < uint(y.rspan) {
-			return a.st.data[a.fixedOff+(i+x.base)*x.stride+(j+y.base)*y.stride]
+	if vc := a.viewClass; len(vc.acc) == 2 {
+		x, y, st, lo := &vc.acc[0], &vc.acc[1], a.st, &a.lo
+		li, lj := i-lo[0], j-lo[1]
+		if uint(li-x.rlo) < uint(x.rspan) && uint(lj-y.rlo) < uint(y.rspan) {
+			return st.data[vc.fixedOff+(li+x.base)*x.stride+(lj+y.base)*y.stride]
 		}
-		return a.st.data[a.fixedOff+a.roff(0, i)+a.roff(1, j)]
+		return st.data[vc.fixedOff+a.roff(0, i)+a.roff(1, j)]
 	}
 	return a.At(i, j)
 }
 
 func (a *Array) At3(i, j, k int) float64 {
-	if len(a.acc) == 3 {
-		x, y, z := &a.acc[0], &a.acc[1], &a.acc[2]
-		if uint(i-x.rlo) < uint(x.rspan) && uint(j-y.rlo) < uint(y.rspan) && uint(k-z.rlo) < uint(z.rspan) {
-			return a.st.data[a.fixedOff+(i+x.base)*x.stride+(j+y.base)*y.stride+(k+z.base)*z.stride]
+	if vc := a.viewClass; len(vc.acc) == 3 {
+		x, y, z, st, lo := &vc.acc[0], &vc.acc[1], &vc.acc[2], a.st, &a.lo
+		li, lj, lk := i-lo[0], j-lo[1], k-lo[2]
+		if uint(li-x.rlo) < uint(x.rspan) && uint(lj-y.rlo) < uint(y.rspan) && uint(lk-z.rlo) < uint(z.rspan) {
+			return st.data[vc.fixedOff+(li+x.base)*x.stride+(lj+y.base)*y.stride+(lk+z.base)*z.stride]
 		}
-		return a.st.data[a.fixedOff+a.roff(0, i)+a.roff(1, j)+a.roff(2, k)]
+		return st.data[vc.fixedOff+a.roff(0, i)+a.roff(1, j)+a.roff(2, k)]
 	}
 	return a.At(i, j, k)
 }
@@ -765,39 +894,41 @@ func (a *Array) At3(i, j, k int) float64 {
 // Set1, Set2, Set3 are the arity-specific forms of Set: At1-3 with the write
 // window, and woff behind it.
 func (a *Array) Set1(i int, v float64) {
-	if len(a.acc) == 1 {
-		x := &a.acc[0]
-		if uint(i-x.lower) < uint(x.wspan) {
-			a.st.data[a.fixedOff+(i+x.base)*x.stride] = v
+	if vc := a.viewClass; len(vc.acc) == 1 {
+		x, st := &vc.acc[0], a.st
+		if l := i - a.lo[0]; uint(l) < uint(x.wspan) {
+			st.data[vc.fixedOff+(l+x.base)*x.stride] = v
 			return
 		}
-		a.st.data[a.fixedOff+a.woff(0, i)] = v
+		st.data[vc.fixedOff+a.woff(0, i)] = v
 		return
 	}
 	a.Set(v, i)
 }
 
 func (a *Array) Set2(i, j int, v float64) {
-	if len(a.acc) == 2 {
-		x, y := &a.acc[0], &a.acc[1]
-		if uint(i-x.lower) < uint(x.wspan) && uint(j-y.lower) < uint(y.wspan) {
-			a.st.data[a.fixedOff+(i+x.base)*x.stride+(j+y.base)*y.stride] = v
+	if vc := a.viewClass; len(vc.acc) == 2 {
+		x, y, st, lo := &vc.acc[0], &vc.acc[1], a.st, &a.lo
+		li, lj := i-lo[0], j-lo[1]
+		if uint(li) < uint(x.wspan) && uint(lj) < uint(y.wspan) {
+			st.data[vc.fixedOff+(li+x.base)*x.stride+(lj+y.base)*y.stride] = v
 			return
 		}
-		a.st.data[a.fixedOff+a.woff(0, i)+a.woff(1, j)] = v
+		st.data[vc.fixedOff+a.woff(0, i)+a.woff(1, j)] = v
 		return
 	}
 	a.Set(v, i, j)
 }
 
 func (a *Array) Set3(i, j, k int, v float64) {
-	if len(a.acc) == 3 {
-		x, y, z := &a.acc[0], &a.acc[1], &a.acc[2]
-		if uint(i-x.lower) < uint(x.wspan) && uint(j-y.lower) < uint(y.wspan) && uint(k-z.lower) < uint(z.wspan) {
-			a.st.data[a.fixedOff+(i+x.base)*x.stride+(j+y.base)*y.stride+(k+z.base)*z.stride] = v
+	if vc := a.viewClass; len(vc.acc) == 3 {
+		x, y, z, st, lo := &vc.acc[0], &vc.acc[1], &vc.acc[2], a.st, &a.lo
+		li, lj, lk := i-lo[0], j-lo[1], k-lo[2]
+		if uint(li) < uint(x.wspan) && uint(lj) < uint(y.wspan) && uint(lk) < uint(z.wspan) {
+			st.data[vc.fixedOff+(li+x.base)*x.stride+(lj+y.base)*y.stride+(lk+z.base)*z.stride] = v
 			return
 		}
-		a.st.data[a.fixedOff+a.woff(0, i)+a.woff(1, j)+a.woff(2, k)] = v
+		st.data[vc.fixedOff+a.woff(0, i)+a.woff(1, j)+a.woff(2, k)] = v
 		return
 	}
 	a.Set(v, i, j, k)
@@ -822,15 +953,21 @@ func (a *Array) Section(d, i int) *Array {
 	}
 	sec := a.buildSection(sd, i)
 	if m.secs == nil {
-		m.secs = make(map[sectionKey]*Array)
+		// A view sectioned along a dimension is mostly sectioned at each
+		// index it owns there (ADI's lines): room for them at once.
+		hint := 0
+		if a.participates {
+			hint = a.lsize[sd]
+		}
+		m.secs = make(map[sectionKey]*Array, hint)
 	}
 	m.secs[key] = sec
 	return sec
 }
 
 func (a *Array) checkSectionIndex(sd, i int) {
-	if i < 0 || i >= a.st.extents[sd] {
-		panic(fmt.Sprintf("darray: section index %d out of extent %d", i, a.st.extents[sd]))
+	if i < 0 || i >= a.extents[sd] {
+		panic(fmt.Sprintf("darray: section index %d out of extent %d", i, a.extents[sd]))
 	}
 }
 
@@ -843,7 +980,7 @@ func (a *Array) checkSectionIndex(sd, i int) {
 func (a *Array) SectionGrid(d, i int) *topology.Grid {
 	sd := a.storeDim(d)
 	a.checkSectionIndex(sd, i)
-	ax := a.st.axisOf[sd]
+	ax := a.axisOf[sd]
 	if ax < 0 {
 		return a.grid
 	}
@@ -877,7 +1014,7 @@ func (a *Array) OwnerGrid(idx ...int) *topology.Grid {
 			panic("darray: dimension 0 out of 0") // storeDim(0)'s message on a fully fixed view
 		}
 		a.checkSectionIndex(sd, i)
-		ax := st.axisOf[sd]
+		ax := a.axisOf[sd]
 		if ax < 0 {
 			continue
 		}
@@ -890,7 +1027,8 @@ func (a *Array) OwnerGrid(idx ...int) *topology.Grid {
 // ownerOf returns the coordinate, along store dim sd's grid axis, of the
 // processor owning global index i (sd must be distributed).
 func (st *store) ownerOf(sd, i int) int {
-	return st.dists[sd].Owner(i, st.extents[sd], st.rootGrid.Extent(st.axisOf[sd]))
+	lay := st.root.layout
+	return lay.dists[sd].Owner(i, lay.extents[sd], st.rootGrid().Extent(lay.axisOf[sd]))
 }
 
 // gridPos returns the position of root-grid axis ax among the axes the
@@ -899,7 +1037,7 @@ func (st *store) ownerOf(sd, i int) int {
 func (a *Array) gridPos(ax int) int {
 	pos := 0
 	for sd, f := range a.pfix {
-		if f < 0 && a.st.axisOf[sd] >= 0 && a.st.axisOf[sd] < ax {
+		if f < 0 && a.axisOf[sd] >= 0 && a.axisOf[sd] < ax {
 			pos++
 		}
 	}
@@ -909,21 +1047,22 @@ func (a *Array) gridPos(ax int) int {
 // buildSection constructs the section view fixing store dim sd at i, carved
 // from the parent's arena.
 func (a *Array) buildSection(sd, i int) *Array {
-	sec := a.newSection()
+	sv := a.newSection()
+	sec := &sv.Array
 	sec.st = a.st
 	sec.grid = a.grid
-	if nd := len(a.pfix); nd <= maxInlineDims {
-		sec.pfix = sec.pfixBuf[:nd]
-	} else {
-		sec.pfix = make([]int, nd)
-	}
-	copy(sec.pfix, a.pfix)
-	sec.pfix[sd] = i
-	if ax := a.st.axisOf[sd]; ax >= 0 {
+	var pfixBuf [maxInlineDims]int
+	pfix := append(pfixBuf[:0], a.pfix...)
+	pfix[sd] = i
+	if ax := a.axisOf[sd]; ax >= 0 {
 		// Slice the current grid through the owner of i along ax.
 		sec.grid = a.grid.SliceThrough(a.gridPos(ax), a.st.ownerOf(sd, i))
 	}
-	sec.finishView()
+	sec.participates = sv.cls.fillSection(a.st, pfix)
+	sec.viewClass = &sv.cls
+	for k := range sv.cls.acc[:min(len(sv.cls.acc), maxInlineAcc)] {
+		sec.lo[k] = a.st.lower(int(sv.cls.acc[k].sd))
+	}
 	return sec
 }
 

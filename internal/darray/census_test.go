@@ -1,7 +1,9 @@
 package darray
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/machine"
@@ -13,15 +15,18 @@ import (
 // axis), not on its coordinates, so a machine whose ranks share what they
 // would compile alike holds a number of them that does not grow with the
 // rank count. These tests count, by pointer identity, the distinct halo
-// schedules, gather pack lists and layouts the ranks of a warmed Jacobi
-// program hold at three grid sizes, and hold every shared descriptor's
-// program to the direct derivation bit for bit.
+// schedules, gather pack lists, layouts and views' class parts the ranks of
+// a warmed Jacobi program hold at three grid sizes, count how many class
+// parts were built, and hold every shared descriptor's program to the
+// direct derivation bit for bit. (internal/kf's TestClassCensusLoops takes
+// the census of the compiled loops.)
 
 // census counts the distinct descriptors a machine's ranks hold.
 type census struct {
 	halo   int // halo-exchange schedules
 	gather int // gather plans' pack run lists, the root's own plan counted once more
 	layout int // array layouts
+	view   int // root views' class parts
 }
 
 // jacobiRanks is a Jacobi-like program's per-rank declarations: the
@@ -37,9 +42,9 @@ type jacobiRanks struct {
 // and five-point update where d is contiguous, then a gather to rank 0, and
 // where d is not contiguous, a redistribution onto (block, block) gathered
 // too — on a machine deriving collectives directly or replaying compiled
-// schedules. It returns the second (warm) run's outcome and the
-// declarations the ranks hold.
-func runJacobiLike(t *testing.T, side, n int, d dist.Dist, direct bool) (capture, jacobiRanks) {
+// schedules. It returns the second (warm) run's outcome, the declarations
+// the ranks hold, and how many view class parts the two runs built.
+func runJacobiLike(t *testing.T, side, n int, d dist.Dist, direct bool) (capture, jacobiRanks, int64) {
 	t.Helper()
 	g := topology.New(side, side)
 	np := side * side
@@ -84,6 +89,7 @@ func runJacobiLike(t *testing.T, side, n int, d dist.Dist, direct bool) (capture
 	m := machine.New(np, machine.IPSC2())
 	m.SetDirect(direct)
 	c := capture{clocks: make([]float64, np), stats: make([]machine.Stats, np), data: make([][]float64, np)}
+	built := classBuilds.Load()
 	for run := 0; run < 2; run++ {
 		err := m.Run(func(p *machine.Proc) error {
 			c.data[p.Rank()] = prog(p)
@@ -97,7 +103,7 @@ func runJacobiLike(t *testing.T, side, n int, d dist.Dist, direct bool) (capture
 		c.clocks[i] = m.ProcClock(i)
 		c.stats[i] = m.ProcStats(i)
 	}
-	return c, decl
+	return c, decl, classBuilds.Load() - built
 }
 
 // countDescriptors takes the census of the declarations' compiled state.
@@ -105,10 +111,12 @@ func countDescriptors(decl jacobiRanks) census {
 	halos := map[any]bool{}
 	packs := map[any]bool{}
 	layouts := map[any]bool{}
+	views := map[any]bool{}
 	roots := 0
 	for r := range decl.x {
 		for _, a := range []*Array{decl.x[r], decl.f[r]} {
-			layouts[a.st.layout] = true
+			layouts[a.layout] = true
+			views[a.viewClass] = true
 			for _, pl := range a.plans {
 				if pl.halo != nil {
 					halos[pl.halo] = true
@@ -124,7 +132,53 @@ func countDescriptors(decl jacobiRanks) census {
 			}
 		}
 	}
-	return census{halo: len(halos), gather: len(packs) + roots, layout: len(layouts)}
+	return census{halo: len(halos), gather: len(packs) + roots, layout: len(layouts), view: len(views)}
+}
+
+// checkViewsDirect holds every rank's root views — the class part shared,
+// the header its own — to the access data the rank derives directly from
+// its own block: the windows, strides and axis lengths each view computed
+// for itself before the class parts were shared, in global indices.
+func checkViewsDirect(t *testing.T, decl jacobiRanks) {
+	t.Helper()
+	for r := range decl.x {
+		for _, a := range []*Array{decl.x[r], decl.f[r]} {
+			if !a.participates {
+				continue
+			}
+			st := a.st
+			for k := range a.acc {
+				ax := &a.acc[k]
+				sd := int(ax.sd)
+				lo, h, n, extent := st.lower(sd), a.halo[sd], a.lsize[sd], a.extents[sd]
+				want := axisAccess{sd: ax.sd, stride: a.stride[sd], kind: axContig, base: h}
+				switch _, contig := a.dists[sd].(dist.Contiguous); {
+				case a.axisOf[sd] < 0:
+					want.kind = axStar
+				case !contig:
+					want = axisAccess{sd: ax.sd, stride: a.stride[sd], kind: axGeneral, P: st.rootGrid().Extent(a.axisOf[sd])}
+				}
+				got := *ax
+				if want.kind == axGeneral {
+					// The class part says where the header keeps the axis
+					// coordinate; the rank's own is the grid's.
+					coord, _ := st.rootGrid().CoordOf(st.p.Rank())
+					if q := st.pos[got.qi]; q != coord[a.axisOf[sd]] {
+						t.Fatalf("rank %d dim %d: shared view reads coordinate %d, the rank's is %d", r, sd, q, coord[a.axisOf[sd]])
+					}
+					got.qi = 0
+				} else {
+					want.rlo = max(lo-h, 0)
+					want.rspan = max(min(lo+n+h, extent)-want.rlo, 0)
+					want.wspan = max(min(lo+n, extent)-lo, 0)
+					got.rlo += lo // the class part's read window starts at the block's origin
+				}
+				if got != want {
+					t.Fatalf("rank %d dim %d: shared view gives %+v, the rank's own block %+v", r, sd, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestClassCensus: a warmed Jacobi program's ranks hold the same number of
@@ -135,14 +189,23 @@ func countDescriptors(decl jacobiRanks) census {
 func TestClassCensus(t *testing.T) {
 	var first census
 	for k, side := range []int{16, 32, 64} {
-		direct, _ := runJacobiLike(t, side, 256, dist.Block{}, true)
-		shared, decl := runJacobiLike(t, side, 256, dist.Block{}, false)
+		direct, _, _ := runJacobiLike(t, side, 256, dist.Block{}, true)
+		shared, decl, built := runJacobiLike(t, side, 256, dist.Block{}, false)
 		assertSameCapture(t, side, direct, shared)
+		checkViewsDirect(t, decl)
 		c := countDescriptors(decl)
-		t.Logf("Grid(%d, %d): %d halo schedules, %d gather plans, %d layouts over %d ranks",
-			side, side, c.halo, c.gather, c.layout, side*side)
+		t.Logf("Grid(%d, %d): %d halo schedules, %d gather plans, %d layouts, %d view classes (%d built) over %d ranks",
+			side, side, c.halo, c.gather, c.layout, c.view, built, side*side)
 		if c.halo > 9 {
 			t.Errorf("Grid(%d, %d): %d distinct halo schedules, want at most one per position class (9)", side, side, c.halo)
+		}
+		// x (haloed) has one class part per position class; f (no halo,
+		// even blocks) one for every rank.
+		if c.view > 9+1 {
+			t.Errorf("Grid(%d, %d): %d distinct view classes, want at most one per position class and array (9 + 1)", side, side, c.view)
+		}
+		if built != int64(c.view) {
+			t.Errorf("Grid(%d, %d): %d view classes built for %d held: a class part was built twice", side, side, built, c.view)
 		}
 		if k == 0 {
 			first = c
@@ -168,14 +231,16 @@ func TestClassCensusUnevenAndCyclic(t *testing.T) {
 		{"cyclic", 250, dist.Cyclic{}},
 	} {
 		for _, side := range []int{16, 32} {
-			direct, _ := runJacobiLike(t, side, tc.n, tc.d, true)
-			shared, decl := runJacobiLike(t, side, tc.n, tc.d, false)
+			direct, _, _ := runJacobiLike(t, side, tc.n, tc.d, true)
+			shared, decl, _ := runJacobiLike(t, side, tc.n, tc.d, false)
 			assertSameCapture(t, side, direct, shared)
+			checkViewsDirect(t, decl)
 			c := countDescriptors(decl)
-			t.Logf("%s %d on Grid(%d, %d): %d halo schedules, %d gather plans, %d layouts",
-				tc.name, tc.n, side, side, c.halo, c.gather, c.layout)
-			// Two block sizes per axis: at most 9 classes times 4 shapes.
-			if c.halo > 36 || c.gather > 36+1 || c.layout > 2*4 {
+			t.Logf("%s %d on Grid(%d, %d): %d halo schedules, %d gather plans, %d layouts, %d view classes",
+				tc.name, tc.n, side, side, c.halo, c.gather, c.layout, c.view)
+			// Two block sizes per axis: at most 9 classes times 4 shapes,
+			// for each of the two arrays' views.
+			if c.halo > 36 || c.gather > 36+1 || c.layout > 2*4 || c.view > 2*36 {
 				t.Errorf("%s on Grid(%d, %d): census %+v exceeds the per-class bound", tc.name, side, side, c)
 			}
 		}
@@ -200,4 +265,52 @@ func assertSameCapture(t *testing.T, side int, direct, shared capture) {
 			}
 		}
 	}
+}
+
+// TestViewClassesLeaveWithLastHolder: the machine's intern table holds the
+// views' class parts only weakly — while ranks hold their arrays the parts
+// are in the table, one per position class; once no rank holds them every
+// entry (theirs and the layouts') leaves it after a collection, and the
+// same declaration builds its class parts afresh.
+func TestViewClassesLeaveWithLastHolder(t *testing.T) {
+	g := topology.New(4, 4)
+	m := machine.New(g.Size(), machine.ZeroComm())
+	spec := Spec{Extents: []int{40, 40}, Dists: []dist.Dist{dist.Block{}, dist.Block{}}, Halo: []int{1, 1}}
+	declare := func() []*Array {
+		arrs := make([]*Array, g.Size())
+		if err := m.Run(func(p *machine.Proc) error {
+			arrs[p.Rank()] = New(p, g, spec)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return arrs
+	}
+	built := classBuilds.Load()
+	arrs := declare()
+	views := map[*viewClass]bool{}
+	for _, a := range arrs {
+		views[a.viewClass] = true
+	}
+	held := m.Interned()
+	if len(views) != 9 || classBuilds.Load()-built != 9 || held < len(views) {
+		t.Fatalf("%d ranks hold %d class parts (%d built) in a table of %d entries, want 9, each built once, in it",
+			g.Size(), len(views), classBuilds.Load()-built, held)
+	}
+	runtime.KeepAlive(arrs)
+	arrs = nil
+	deadline := time.Now().Add(10 * time.Second)
+	for m.Interned() > 0 && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := m.Interned(); n != 0 {
+		t.Fatalf("%d entries remain after every holder was dropped, want 0", n)
+	}
+	built = classBuilds.Load()
+	again := declare()
+	if n := classBuilds.Load() - built; n != 9 {
+		t.Errorf("the declaration again built %d class parts, want 9 afresh", n)
+	}
+	runtime.KeepAlive(again)
 }

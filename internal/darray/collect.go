@@ -15,34 +15,41 @@ import (
 // under OwnedEach, Fill, FillOwned, OwnedRuns, CopyOwned1 and SetOwned1:
 // indices and offsets advance incrementally from the cached per-dimension
 // access data, so one visit costs O(1) and a steady-state walk allocates
-// nothing. Visitors must not start another owned walk on the same view
-// (the walk scratch is per-view).
+// nothing.
 func (a *Array) ownedWalk(visit func(idx []int, off int)) {
-	nfree := len(a.acc)
+	acc := a.acc // the class part: held in a local across the visits
+	nfree := len(acc)
 	if nfree == 0 {
 		visit(nil, a.fixedOff) // fully fixed section: a single owned cell
 		return
 	}
-	st := a.st
-	lsize := st.lsize
-	for k := range a.acc {
-		if lsize[a.acc[k].sd] == 0 {
+	lsize := a.lsize
+	for k := range acc {
+		if lsize[acc[k].sd] == 0 {
 			return // empty local block: nothing owned
 		}
 	}
-	idx, loc := a.walkScratch(nfree)
+	idx, mine := a.walkIdx(nfree)
+	if mine {
+		defer a.walkDone()
+	}
+	var locBuf [maxInlineDims]int
+	loc := locBuf[:]
+	if nfree > maxInlineDims {
+		loc = make([]int, nfree)
+	}
 	off := a.fixedOff
-	for k := range a.acc {
-		ax := &a.acc[k]
+	for k := range acc {
+		ax := &acc[k]
 		loc[k] = 0
 		idx[k] = a.globalOf(k, 0)
-		off += st.halo[ax.sd] * ax.stride
+		off += a.halo[ax.sd] * ax.stride
 	}
 	for {
 		visit(idx, off)
 		k := nfree - 1
 		for k >= 0 {
-			ax := &a.acc[k]
+			ax := &acc[k]
 			loc[k]++
 			off += ax.stride
 			if loc[k] < lsize[ax.sd] {
@@ -63,6 +70,22 @@ func (a *Array) ownedWalk(visit func(idx []int, off int)) {
 		}
 	}
 }
+
+// walkIdx returns an owned walk's index scratch for nfree free dimensions
+// and whether it is the store's, which walkDone then releases: a visitor
+// that starts another walk over a view of the same array, or a view of
+// more than maxInlineDims free dimensions, gets a fresh slice.
+func (a *Array) walkIdx(nfree int) ([]int, bool) {
+	st := a.st
+	if nfree > maxInlineDims || st.root.walking {
+		return make([]int, nfree), false
+	}
+	st.root.walking = true
+	return st.walk[:nfree], true
+}
+
+// walkDone releases the store's walk scratch.
+func (a *Array) walkDone() { a.st.root.walking = false }
 
 // OwnedEach visits every element of the array (or section) owned by the
 // calling processor, in row-major global order, passing the global index of
@@ -85,37 +108,45 @@ func (a *Array) OwnedEach(visit func(idx []int)) {
 // elements.
 func (a *Array) OwnedRuns(visit func(idx []int, vals []float64)) {
 	a.mustParticipate()
-	st := a.st
-	nfree := len(a.acc)
+	st, acc := a.st, a.acc
+	nfree := len(acc)
 	if nfree == 0 {
-		visit(nil, st.data[a.fixedOff:a.fixedOff+1])
+		visit(nil, st.data[a.fixedOff:a.fixedOff+1:a.fixedOff+1])
 		return
 	}
-	inner := &a.acc[nfree-1]
+	inner := &acc[nfree-1]
 	if inner.stride != 1 || inner.kind == axGeneral {
-		a.ownedWalk(func(idx []int, off int) { visit(idx, st.data[off:off+1]) })
+		a.ownedWalk(func(idx []int, off int) { visit(idx, st.data[off:off+1:off+1]) })
 		return
 	}
-	lsize := st.lsize
-	for k := range a.acc {
-		if lsize[a.acc[k].sd] == 0 {
+	lsize := a.lsize
+	for k := range acc {
+		if lsize[acc[k].sd] == 0 {
 			return
 		}
 	}
-	idx, loc := a.walkScratch(nfree)
+	idx, mine := a.walkIdx(nfree)
+	if mine {
+		defer a.walkDone()
+	}
+	var locBuf [maxInlineDims]int
+	loc := locBuf[:]
+	if nfree > maxInlineDims {
+		loc = make([]int, nfree)
+	}
 	off := a.fixedOff
-	for k := range a.acc {
-		ax := &a.acc[k]
+	for k := range acc {
+		ax := &acc[k]
 		loc[k] = 0
 		idx[k] = a.globalOf(k, 0)
-		off += st.halo[ax.sd] * ax.stride
+		off += a.halo[ax.sd] * ax.stride
 	}
 	n := lsize[inner.sd]
 	for {
-		visit(idx, st.data[off:off+n])
+		visit(idx, st.data[off:off+n:off+n])
 		k := nfree - 2
 		for k >= 0 {
-			ax := &a.acc[k]
+			ax := &acc[k]
 			loc[k]++
 			off += ax.stride
 			if loc[k] < lsize[ax.sd] {
@@ -179,58 +210,66 @@ func (a *Array) isRoot() bool {
 // values from before the loop. Snapshots are local and cost no messages.
 //
 // Snapshot affects the whole underlying array, so a snapshot taken through a
-// section is visible through the parent and vice versa.
+// section is visible through the parent and vice versa. The array's first
+// snapshot moves its local block next to the snapshot buffer: storage
+// obtained before it (OwnedRuns' runs, Storage) no longer aliases the array.
 func (a *Array) Snapshot() {
 	a.mustParticipate()
 	st := a.st
-	if len(st.shadow) != len(st.data) {
-		st.shadow = make([]float64, len(st.data))
+	if n := len(st.data); cap(st.data) != 2*n {
+		// The first snapshot moves the block into an allocation with room
+		// for the snapshot behind it.
+		buf := make([]float64, 2*n)
+		copy(buf, st.data)
+		st.data = buf[:n]
 	}
-	copy(st.shadow, st.data)
-	st.snapOn = true
+	copy(st.old(), st.data)
+	st.root.snapOn = true
 }
 
 // Old returns the snapshotted value at the given global index; it panics if
 // no snapshot is active.
 func (a *Array) Old(idx ...int) float64 {
 	a.mustParticipate()
-	if !a.st.snapOn {
+	if !a.st.root.snapOn {
 		panic("darray: Old without an active Snapshot")
 	}
-	return a.st.shadow[a.offset(idx)]
+	return a.st.old()[a.offset(idx)]
 }
 
 // Old1, Old2, Old3 are the arity-specific forms of Old: At1/At2/At3 reading
 // the snapshot.
 func (a *Array) Old1(i int) float64 {
-	if len(a.acc) == 1 && a.st.snapOn {
-		x := &a.acc[0]
-		if uint(i-x.rlo) < uint(x.rspan) {
-			return a.st.shadow[a.fixedOff+(i+x.base)*x.stride]
+	if vc, st := a.viewClass, a.st; len(vc.acc) == 1 && st.root.snapOn {
+		x := &vc.acc[0]
+		if l := i - a.lo[0]; uint(l-x.rlo) < uint(x.rspan) {
+			return st.old()[vc.fixedOff+(l+x.base)*x.stride]
 		}
-		return a.st.shadow[a.fixedOff+a.roff(0, i)]
+		return st.old()[vc.fixedOff+a.roff(0, i)]
 	}
 	return a.Old(i)
 }
 
 func (a *Array) Old2(i, j int) float64 {
-	if len(a.acc) == 2 && a.st.snapOn {
-		x, y := &a.acc[0], &a.acc[1]
-		if uint(i-x.rlo) < uint(x.rspan) && uint(j-y.rlo) < uint(y.rspan) {
-			return a.st.shadow[a.fixedOff+(i+x.base)*x.stride+(j+y.base)*y.stride]
+	if vc, st := a.viewClass, a.st; len(vc.acc) == 2 && st.root.snapOn {
+		x, y, lo := &vc.acc[0], &vc.acc[1], &a.lo
+		li, lj := i-lo[0], j-lo[1]
+		if uint(li-x.rlo) < uint(x.rspan) && uint(lj-y.rlo) < uint(y.rspan) {
+			return st.old()[vc.fixedOff+(li+x.base)*x.stride+(lj+y.base)*y.stride]
 		}
-		return a.st.shadow[a.fixedOff+a.roff(0, i)+a.roff(1, j)]
+		return st.old()[vc.fixedOff+a.roff(0, i)+a.roff(1, j)]
 	}
 	return a.Old(i, j)
 }
 
 func (a *Array) Old3(i, j, k int) float64 {
-	if len(a.acc) == 3 && a.st.snapOn {
-		x, y, z := &a.acc[0], &a.acc[1], &a.acc[2]
-		if uint(i-x.rlo) < uint(x.rspan) && uint(j-y.rlo) < uint(y.rspan) && uint(k-z.rlo) < uint(z.rspan) {
-			return a.st.shadow[a.fixedOff+(i+x.base)*x.stride+(j+y.base)*y.stride+(k+z.base)*z.stride]
+	if vc, st := a.viewClass, a.st; len(vc.acc) == 3 && st.root.snapOn {
+		x, y, z, lo := &vc.acc[0], &vc.acc[1], &vc.acc[2], &a.lo
+		li, lj, lk := i-lo[0], j-lo[1], k-lo[2]
+		if uint(li-x.rlo) < uint(x.rspan) && uint(lj-y.rlo) < uint(y.rspan) && uint(lk-z.rlo) < uint(z.rspan) {
+			return st.old()[vc.fixedOff+(li+x.base)*x.stride+(lj+y.base)*y.stride+(lk+z.base)*z.stride]
 		}
-		return a.st.shadow[a.fixedOff+a.roff(0, i)+a.roff(1, j)+a.roff(2, k)]
+		return st.old()[vc.fixedOff+a.roff(0, i)+a.roff(1, j)+a.roff(2, k)]
 	}
 	return a.Old(i, j, k)
 }
@@ -248,18 +287,18 @@ func (a *Array) OwnedSpan(d int) (lo, hi int, contiguous bool) {
 	}
 	st := a.st
 	sd := a.storeDim(d)
-	if st.axisOf[sd] < 0 {
-		return 0, st.extents[sd] - 1, true
+	if a.axisOf[sd] < 0 {
+		return 0, a.extents[sd] - 1, true
 	}
-	if _, ok := st.dists[sd].(dist.Contiguous); !ok {
+	if _, ok := a.dists[sd].(dist.Contiguous); !ok {
 		return 0, -1, false
 	}
-	return st.lower[sd], st.lower[sd] + st.lsize[sd] - 1, true
+	return st.lower(sd), st.lower(sd) + a.lsize[sd] - 1, true
 }
 
 // ReleaseSnapshot deactivates the snapshot. The shadow buffer is kept for
 // the next Snapshot, so iterative loops snapshot without reallocating.
-func (a *Array) ReleaseSnapshot() { a.st.snapOn = false }
+func (a *Array) ReleaseSnapshot() { a.st.root.snapOn = false }
 
 // CopyOwned1 copies the calling processor's owned elements of a
 // one-dimensional array (or section) into dst, in ascending global order,
@@ -433,7 +472,7 @@ func (a *Array) gatherToDirect(sc machine.Scope, rootIdx int) []float64 {
 func (a *Array) memberOwnedEach(m int, visit func(idx []int)) {
 	st := a.st
 	rank := a.grid.RankAt(m)
-	coord, ok := st.rootGrid.CoordOf(rank)
+	coord, ok := st.rootGrid().CoordOf(rank)
 	if !ok {
 		panic("darray: grid member outside root grid")
 	}
@@ -460,12 +499,12 @@ func (a *Array) memberOwnedEach(m int, visit func(idx []int)) {
 		}
 	}
 	for k, sd := range free {
-		if st.axisOf[sd] < 0 {
-			sizes[k] = st.extents[sd]
+		if a.axisOf[sd] < 0 {
+			sizes[k] = a.extents[sd]
 		} else {
-			q := coord[st.axisOf[sd]]
-			P := st.rootGrid.Extent(st.axisOf[sd])
-			sizes[k] = st.dists[sd].Size(q, st.extents[sd], P)
+			q := coord[a.axisOf[sd]]
+			P := st.rootGrid().Extent(a.axisOf[sd])
+			sizes[k] = a.dists[sd].Size(q, a.extents[sd], P)
 		}
 		if sizes[k] == 0 {
 			return
@@ -473,12 +512,12 @@ func (a *Array) memberOwnedEach(m int, visit func(idx []int)) {
 	}
 	for {
 		for k, sd := range free {
-			if st.axisOf[sd] < 0 {
+			if a.axisOf[sd] < 0 {
 				idx[k] = locals[k]
 			} else {
-				q := coord[st.axisOf[sd]]
-				P := st.rootGrid.Extent(st.axisOf[sd])
-				idx[k] = st.dists[sd].ToGlobal(locals[k], q, st.extents[sd], P)
+				q := coord[a.axisOf[sd]]
+				P := st.rootGrid().Extent(a.axisOf[sd])
+				idx[k] = a.dists[sd].ToGlobal(locals[k], q, a.extents[sd], P)
 			}
 		}
 		visit(idx)
@@ -532,10 +571,10 @@ func moveContents(sc machine.Scope, src, dst *Array) {
 	}
 	s := moveScheduleFor(src, dst)
 	var srcData, dstData []float64
-	if src.st.member {
+	if src.st.root.participates {
 		srcData = src.st.data
 	}
-	if dst.st.member {
+	if dst.st.root.participates {
 		dstData = dst.st.data
 	}
 	s.Execute(src.st.p, sc, srcData, dstData)
@@ -609,8 +648,8 @@ func moveContentsDirect(sc machine.Scope, src, dst *Array) {
 // dimension this is every participant; for fully replicated arrays it is
 // the grid origin only.
 func (a *Array) isCanonicalOwner() bool {
-	for sd := range a.st.extents {
-		if a.st.axisOf[sd] >= 0 {
+	for sd := range a.extents {
+		if a.axisOf[sd] >= 0 {
 			return true
 		}
 	}
@@ -621,7 +660,7 @@ func (a *Array) isCanonicalOwner() bool {
 // at global index idx (free dims).
 func (a *Array) canonicalRank(idx []int) int {
 	st := a.st
-	coord := make([]int, st.rootGrid.Dims())
+	coord := make([]int, st.rootGrid().Dims())
 	k := 0
 	for sd, f := range a.pfix {
 		g := f
@@ -629,11 +668,11 @@ func (a *Array) canonicalRank(idx []int) int {
 			g = idx[k]
 			k++
 		}
-		if st.axisOf[sd] >= 0 {
-			coord[st.axisOf[sd]] = st.dists[sd].Owner(g, st.extents[sd], st.rootGrid.Extent(st.axisOf[sd]))
+		if a.axisOf[sd] >= 0 {
+			coord[a.axisOf[sd]] = a.dists[sd].Owner(g, a.extents[sd], st.rootGrid().Extent(a.axisOf[sd]))
 		}
 	}
-	return st.rootGrid.Rank(coord...)
+	return st.rootGrid().Rank(coord...)
 }
 
 // holderRanks returns the machine ranks of every processor holding the cell
@@ -643,8 +682,8 @@ func (a *Array) holderRanks(idx []int) []int {
 	st := a.st
 	// Determine which axes are pinned by ownership and which are free
 	// (replicated): axes not used by any dim are free.
-	used := make([]bool, st.rootGrid.Dims())
-	coord := make([]int, st.rootGrid.Dims())
+	used := make([]bool, st.rootGrid().Dims())
+	coord := make([]int, st.rootGrid().Dims())
 	k := 0
 	for sd, f := range a.pfix {
 		g := f
@@ -652,23 +691,23 @@ func (a *Array) holderRanks(idx []int) []int {
 			g = idx[k]
 			k++
 		}
-		if st.axisOf[sd] >= 0 {
-			used[st.axisOf[sd]] = true
-			coord[st.axisOf[sd]] = st.dists[sd].Owner(g, st.extents[sd], st.rootGrid.Extent(st.axisOf[sd]))
+		if a.axisOf[sd] >= 0 {
+			used[a.axisOf[sd]] = true
+			coord[a.axisOf[sd]] = a.dists[sd].Owner(g, a.extents[sd], st.rootGrid().Extent(a.axisOf[sd]))
 		}
 	}
 	ranks := []int{}
 	var expand func(ax int)
 	expand = func(ax int) {
-		if ax == st.rootGrid.Dims() {
-			ranks = append(ranks, st.rootGrid.Rank(coord...))
+		if ax == st.rootGrid().Dims() {
+			ranks = append(ranks, st.rootGrid().Rank(coord...))
 			return
 		}
 		if used[ax] {
 			expand(ax + 1)
 			return
 		}
-		for q := 0; q < st.rootGrid.Extent(ax); q++ {
+		for q := 0; q < st.rootGrid().Extent(ax); q++ {
 			coord[ax] = q
 			expand(ax + 1)
 		}

@@ -23,7 +23,7 @@ type ghostRun struct {
 // runs[:0], a caller's scratch.
 func (a *Array) ghostRuns(sd, lo, hi int, runs []ghostRun) []ghostRun {
 	st := a.st
-	n := st.extents[sd]
+	n := a.extents[sd]
 	if lo < 0 {
 		lo = 0
 	}
@@ -31,11 +31,11 @@ func (a *Array) ghostRuns(sd, lo, hi int, runs []ghostRun) []ghostRun {
 		hi = n - 1
 	}
 	runs = runs[:0]
-	P := st.rootGrid.Extent(st.axisOf[sd])
-	if b, ok := st.dists[sd].(dist.Contiguous); ok {
+	P := st.rootGrid().Extent(a.axisOf[sd])
+	if b, ok := a.dists[sd].(dist.Contiguous); ok {
 		q := 0
 		if lo <= hi {
-			q = st.dists[sd].Owner(lo, n, P)
+			q = a.dists[sd].Owner(lo, n, P)
 		}
 		for i := lo; i <= hi; {
 			for b.Upper(q, n, P) < i {
@@ -51,9 +51,9 @@ func (a *Array) ghostRuns(sd, lo, hi int, runs []ghostRun) []ghostRun {
 		}
 	} else {
 		for i := lo; i <= hi; {
-			q := st.dists[sd].Owner(i, n, P)
+			q := a.dists[sd].Owner(i, n, P)
 			j := i
-			for j+1 <= hi && st.dists[sd].Owner(j+1, n, P) == q {
+			for j+1 <= hi && a.dists[sd].Owner(j+1, n, P) == q {
 				j++
 			}
 			runs = append(runs, ghostRun{ownerCoord: q, lo: i, hi: j})
@@ -71,7 +71,7 @@ func (st *store) rankAlongAxis(ax, q int) int { return st.p.Rank() + st.offsetAl
 // offsetAlongAxis is rankAlongAxis as an offset from the calling
 // processor's rank: what a compiled schedule names a peer by.
 func (st *store) offsetAlongAxis(ax, q int) int {
-	return (q - st.coord[ax]) * st.rootGrid.Stride(ax)
+	return (q - st.coord(ax)) * st.rootGrid().Stride(ax)
 }
 
 // eachPlaneRun calls visit with the storage offset and length of every
@@ -83,7 +83,7 @@ func (st *store) offsetAlongAxis(ax, q int) int {
 // than a call per cell.
 func (a *Array) eachPlaneRun(sd, l int, visit func(off, n int)) {
 	st := a.st
-	nd := len(st.extents)
+	nd := len(a.extents)
 	var buf [3 * maxInlineDims]int
 	scratch := buf[:]
 	if 3*nd > len(scratch) {
@@ -91,7 +91,7 @@ func (a *Array) eachPlaneRun(sd, l int, visit func(off, n int)) {
 	}
 	lo, hi, idx := scratch[:nd], scratch[nd:2*nd], scratch[2*nd:3*nd]
 	base := 0
-	for d := range st.extents {
+	for d := range a.extents {
 		switch {
 		case d == sd:
 			lo[d], hi[d] = l, l
@@ -99,14 +99,14 @@ func (a *Array) eachPlaneRun(sd, l int, visit func(off, n int)) {
 			lo[d] = st.localPos(d, a.pfix[d])
 			hi[d] = lo[d]
 		default:
-			lo[d] = st.halo[d]
-			hi[d] = st.halo[d] + st.lsize[d] - 1
+			lo[d] = a.halo[d]
+			hi[d] = a.halo[d] + a.lsize[d] - 1
 		}
 		if hi[d] < lo[d] {
 			return
 		}
 		idx[d] = lo[d]
-		base += lo[d] * st.stride[d]
+		base += lo[d] * a.stride[d]
 	}
 	runLen := hi[nd-1] - lo[nd-1] + 1 // stride[nd-1] == 1
 	for {
@@ -114,11 +114,11 @@ func (a *Array) eachPlaneRun(sd, l int, visit func(off, n int)) {
 		d := nd - 2
 		for d >= 0 {
 			idx[d]++
-			base += st.stride[d]
+			base += a.stride[d]
 			if idx[d] <= hi[d] {
 				break
 			}
-			base -= (idx[d] - lo[d]) * st.stride[d]
+			base -= (idx[d] - lo[d]) * a.stride[d]
 			idx[d] = lo[d]
 			d--
 		}
@@ -152,29 +152,28 @@ func (a *Array) unpackPlane(sd, l int, src []float64) int {
 // localPos returns the halo-relative local position of global index g in
 // store dim d on the calling processor (which must hold it).
 func (st *store) localPos(d, g int) int {
-	if st.axisOf[d] < 0 {
-		return g + st.halo[d]
+	lay := st.root.layout
+	if lay.axisOf[d] < 0 {
+		return g + lay.halo[d]
 	}
-	q := st.coord[st.axisOf[d]]
-	P := st.rootGrid.Extent(st.axisOf[d])
-	if b, ok := st.dists[d].(dist.Contiguous); ok {
-		l := g - b.Lower(q, st.extents[d], P) + st.halo[d]
-		return l
+	q := st.coord(lay.axisOf[d])
+	P := st.rootGrid().Extent(lay.axisOf[d])
+	if b, ok := lay.dists[d].(dist.Contiguous); ok {
+		return g - b.Lower(q, lay.extents[d], P) + lay.halo[d]
 	}
-	return st.dists[d].ToLocal(g, st.extents[d], P) + st.halo[d]
+	return lay.dists[d].ToLocal(g, lay.extents[d], P) + lay.halo[d]
 }
 
 // planeSize returns the number of cells in one hyperplane of the section
 // perpendicular to store dim sd (owned cells of free dims, single cells of
 // fixed dims).
 func (a *Array) planeSize(sd int) int {
-	st := a.st
 	n := 1
-	for d := range st.extents {
+	for d := range a.extents {
 		if d == sd || a.pfix[d] >= 0 {
 			continue
 		}
-		n *= st.lsize[d]
+		n *= a.lsize[d]
 	}
 	return n
 }
@@ -219,20 +218,19 @@ func (a *Array) ExchangeHaloStep(sc machine.Scope, cur *sched.Cursor, dims ...in
 // windows and hyperplane runs on every call. The compiled schedule must
 // replay bit-identical traffic; the equivalence suite holds it to that.
 func (a *Array) exchangeHaloDirect(sc machine.Scope, dims ...int) {
-	st := a.st
 	// Post every dimension's sends before any receive, so one round of
 	// latency covers the whole exchange — the batching a compiler would
 	// generate (and what the hand message-passing baselines do).
 	if len(dims) == 0 {
 		for k := range a.acc {
 			sd := int(a.acc[k].sd)
-			if st.halo[sd] > 0 && st.axisOf[sd] >= 0 {
+			if a.halo[sd] > 0 && a.axisOf[sd] >= 0 {
 				a.sendHalo(sc, sd)
 			}
 		}
 		for k := range a.acc {
 			sd := int(a.acc[k].sd)
-			if st.halo[sd] > 0 && st.axisOf[sd] >= 0 {
+			if a.halo[sd] > 0 && a.axisOf[sd] >= 0 {
 				a.recvHalo(sc, sd)
 			}
 		}
@@ -240,7 +238,7 @@ func (a *Array) exchangeHaloDirect(sc machine.Scope, dims ...int) {
 	}
 	for _, d := range dims {
 		sd := a.storeDim(d)
-		if st.halo[sd] == 0 {
+		if a.halo[sd] == 0 {
 			panic(fmt.Sprintf("darray: ExchangeHalo on dim %d with zero halo", d))
 		}
 		a.sendHalo(sc, sd)
@@ -256,17 +254,17 @@ func (a *Array) exchangeHaloDirect(sc machine.Scope, dims ...int) {
 // (peer, side).
 func (a *Array) sendHalo(sc machine.Scope, sd int) {
 	st := a.st
-	ax := st.axisOf[sd]
-	n := st.extents[sd]
-	P := st.rootGrid.Extent(ax)
-	q := st.coord[ax]
-	h := st.halo[sd]
-	myLo, myHi := st.lower[sd], st.lower[sd]+st.lsize[sd]-1
+	ax := a.axisOf[sd]
+	n := a.extents[sd]
+	P := st.rootGrid().Extent(ax)
+	q := st.coord(ax)
+	h := a.halo[sd]
+	myLo, myHi := st.lower(sd), st.lower(sd)+a.lsize[sd]-1
 	plane := a.planeSize(sd)
-	if plane == 0 || st.lsize[sd] == 0 {
+	if plane == 0 || a.lsize[sd] == 0 {
 		return // an empty dimension: peers mirror this skip
 	}
-	b := st.dists[sd].(dist.Contiguous)
+	b := a.dists[sd].(dist.Contiguous)
 	for qq := 0; qq < P; qq++ {
 		if qq == q {
 			continue
@@ -294,7 +292,7 @@ func (a *Array) sendRun(sc machine.Scope, sd int, part uint16, ax, qq, lo, hi, p
 	buf := st.p.AcquireBuf((hi - lo + 1) * plane)
 	k := 0
 	for g := lo; g <= hi; g++ {
-		k += a.packPlane(sd, g-st.lower[sd]+st.halo[sd], buf[k:])
+		k += a.packPlane(sd, g-st.lower(sd)+a.halo[sd], buf[k:])
 	}
 	st.p.SendOwned(st.rankAlongAxis(ax, qq), sc.Tag(part), buf)
 }
@@ -304,13 +302,13 @@ func (a *Array) sendRun(sc machine.Scope, sd int, part uint16, ax, qq, lo, hi, p
 // buffer back to the pool after unpacking.
 func (a *Array) recvHalo(sc machine.Scope, sd int) {
 	st := a.st
-	ax := st.axisOf[sd]
-	h := st.halo[sd]
+	ax := a.axisOf[sd]
+	h := a.halo[sd]
 	// For an empty block (lower == upper+1 == L) the two windows
 	// degenerate to [L-h, L-1] and [L, L+h-1]: the values surrounding the
 	// block's position, which grid-transfer operators on deep multigrid
 	// levels still need.
-	myLo, myHi := st.lower[sd], st.lower[sd]+st.lsize[sd]-1
+	myLo, myHi := st.lower(sd), st.lower(sd)+a.lsize[sd]-1
 	plane := a.planeSize(sd)
 	if plane == 0 {
 		return // some other dimension is empty here: no cells at all
@@ -331,7 +329,7 @@ func (a *Array) recvSide(sc machine.Scope, sd, ax, side, lo, hi, plane, h int) {
 		}
 		k := 0
 		for g := run.lo; g <= run.hi; g++ {
-			k += a.unpackPlane(sd, g-st.lower[sd]+h, buf[k:])
+			k += a.unpackPlane(sd, g-st.lower(sd)+h, buf[k:])
 		}
 		st.p.ReleaseBuf(buf)
 	}

@@ -1,6 +1,7 @@
 package darray
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -53,7 +54,6 @@ func (a *Array) haloSchedule(dims []int) *sched.Schedule {
 // windows and hyperplanes as the direct path (sendHalo/recvHalo) and
 // records, instead of performing, every pack and unpack.
 func (a *Array) compileHalo(dims []int) *sched.Schedule {
-	st := a.st
 	s := &sched.Schedule{
 		Sends: make([]sched.Msg, 0, 4),
 		Recvs: make([]sched.Msg, 0, 4),
@@ -63,14 +63,14 @@ func (a *Array) compileHalo(dims []int) *sched.Schedule {
 	if len(dims) == 0 {
 		for k := range a.acc {
 			sd := int(a.acc[k].sd)
-			if st.halo[sd] > 0 && st.axisOf[sd] >= 0 {
+			if a.halo[sd] > 0 && a.axisOf[sd] >= 0 {
 				sds = append(sds, sd)
 			}
 		}
 	} else {
 		for _, d := range dims {
 			sd := a.storeDim(d)
-			if st.halo[sd] == 0 {
+			if a.halo[sd] == 0 {
 				panic(fmt.Sprintf("darray: ExchangeHalo on dim %d with zero halo", d))
 			}
 			sds = append(sds, sd)
@@ -90,16 +90,16 @@ func (a *Array) compileHalo(dims []int) *sched.Schedule {
 // range become one send message of pack runs per (peer, side).
 func (a *Array) compileHaloSends(s *sched.Schedule, sd int) {
 	st := a.st
-	ax := st.axisOf[sd]
-	n := st.extents[sd]
-	P := st.rootGrid.Extent(ax)
-	q := st.coord[ax]
-	h := st.halo[sd]
-	myLo, myHi := st.lower[sd], st.lower[sd]+st.lsize[sd]-1
-	if a.planeSize(sd) == 0 || st.lsize[sd] == 0 {
+	ax := a.axisOf[sd]
+	n := a.extents[sd]
+	P := st.rootGrid().Extent(ax)
+	q := st.coord(ax)
+	h := a.halo[sd]
+	myLo, myHi := st.lower(sd), st.lower(sd)+a.lsize[sd]-1
+	if a.planeSize(sd) == 0 || a.lsize[sd] == 0 {
 		return // an empty dimension: peers mirror this skip
 	}
-	b := st.dists[sd].(dist.Contiguous)
+	b := a.dists[sd].(dist.Contiguous)
 	for qq := 0; qq < P; qq++ {
 		if qq == q {
 			continue
@@ -118,7 +118,7 @@ func (a *Array) compileSendRun(s *sched.Schedule, sd int, part uint16, ax, qq, l
 	st := a.st
 	s.BeginSend(st.offsetAlongAxis(ax, qq), part)
 	for g := lo; g <= hi; g++ {
-		a.appendPlaneRuns(s, sd, g-st.lower[sd]+st.halo[sd], true)
+		a.appendPlaneRuns(s, sd, g-st.lower(sd)+a.halo[sd], true)
 	}
 }
 
@@ -126,9 +126,9 @@ func (a *Array) compileSendRun(s *sched.Schedule, sd int, part uint16, ax, qq, l
 // windows, grouped into one receive message of unpack runs per owner run.
 func (a *Array) compileHaloRecvs(s *sched.Schedule, sd int) {
 	st := a.st
-	ax := st.axisOf[sd]
-	h := st.halo[sd]
-	myLo, myHi := st.lower[sd], st.lower[sd]+st.lsize[sd]-1
+	ax := a.axisOf[sd]
+	h := a.halo[sd]
+	myLo, myHi := st.lower(sd), st.lower(sd)+a.lsize[sd]-1
 	if a.planeSize(sd) == 0 {
 		return // some other dimension is empty here: no cells at all
 	}
@@ -142,7 +142,7 @@ func (a *Array) compileRecvSide(s *sched.Schedule, sd, ax, side, lo, hi int) {
 	for _, run := range a.ghostRuns(sd, lo, hi, runs[:0]) {
 		s.BeginRecv(st.offsetAlongAxis(ax, run.ownerCoord), uint16(sd<<2|side))
 		for g := run.lo; g <= run.hi; g++ {
-			a.appendPlaneRuns(s, sd, g-st.lower[sd]+st.halo[sd], false)
+			a.appendPlaneRuns(s, sd, g-st.lower(sd)+a.halo[sd], false)
 		}
 	}
 }
@@ -164,17 +164,16 @@ func (a *Array) appendPlaneRuns(s *sched.Schedule, sd, l int, send bool) {
 // --- GatherTo ------------------------------------------------------------
 
 // gatherPlan is a compiled GatherTo for one root (the view keeps it under
-// the root's index). Every member keeps the few words of it that are its
-// own — the root's machine rank and its own grid index (its message's tag
-// part) — and the pack's storage runs, the cells it owns in OwnedEach
-// order, which are interned: every member with the same local layout
-// holds one run list. The root also keeps, in gatherRoot, what only it
-// needs.
+// the root's index): the root's machine rank and the pack's storage runs,
+// the cells the member owns in OwnedEach order, which are interned — every
+// member with the same local layout holds one run list — and so is a
+// member's whole plan: the members that send the same runs to the same
+// root hold one. The root's plan is its own, with gatherRoot holding what
+// only the root needs.
 type gatherPlan struct {
 	peer int // the root's machine rank
 	pack []sched.Run
 	root *gatherRoot // nil except on the root
-	part uint16      // this member's grid index
 }
 
 // gatherRoot is the root's half of a gather plan: one message per grid
@@ -195,39 +194,45 @@ func (a *Array) gatherPlanFor(me, rootIdx int) *gatherPlan {
 		}
 	}
 	g := a.grid
+	m := a.st.p.Machine()
 	self := a.st.p.Rank()
-	var runBuf [8]sched.Run
-	runs := runBuf[:0]
+	runs := make([]sched.Run, 0, 8)
 	a.ownedWalk(func(idx []int, off int) { runs = appendRun(runs, off) })
-	pl := &gatherPlan{
-		peer: g.RankAt(rootIdx),
-		pack: sched.InternRuns(a.st.p.Machine(), runs),
-		part: uint16(me),
-	}
-	if me == rootIdx {
-		nd := a.Dims()
-		ext := make([]int, nd)
-		rt := &gatherRoot{size: 1}
-		rt.Recvs = make([]sched.Msg, g.Size())
-		for d := 0; d < nd; d++ {
-			ext[d] = a.Extent(d)
-			rt.size *= ext[d]
+	peer, pack := g.RankAt(rootIdx), sched.InternRuns(m, runs)
+	if me != rootIdx {
+		var buf [128]byte
+		key := binary.AppendUvarint(append(buf[:0], 'G'), uint64(peer))
+		key = binary.AppendUvarint(key, uint64(len(pack)))
+		for _, r := range pack {
+			key = binary.AppendUvarint(key, uint64(r.Off))
+			key = binary.AppendUvarint(key, uint64(r.Len))
 		}
-		for m := range rt.Recvs {
-			mu := &rt.Recvs[m]
-			mu.Peer, mu.Part, mu.Runs = g.RankAt(m)-self, uint16(m), make([]sched.Run, 0, 8)
-			a.memberOwnedEach(m, func(idx []int) {
-				off := 0
-				for d := 0; d < nd; d++ {
-					off = off*ext[d] + idx[d]
-				}
-				mu.Runs = appendRun(mu.Runs, off)
-				mu.N++
-			})
-		}
-		rt.Compact()
-		pl.root = rt
+		pl := machine.Intern(m, key, func() *gatherPlan { return &gatherPlan{peer: peer, pack: pack} })
+		a.plans = append(a.plans, viewPlan{key: rootIdx, gather: pl})
+		return pl
 	}
+	nd := a.Dims()
+	ext := make([]int, nd)
+	rt := &gatherRoot{size: 1}
+	rt.Recvs = make([]sched.Msg, g.Size())
+	for d := 0; d < nd; d++ {
+		ext[d] = a.Extent(d)
+		rt.size *= ext[d]
+	}
+	for k := range rt.Recvs {
+		mu := &rt.Recvs[k]
+		mu.Peer, mu.Part, mu.Runs = g.RankAt(k)-self, uint16(k), make([]sched.Run, 0, 8)
+		a.memberOwnedEach(k, func(idx []int) {
+			off := 0
+			for d := 0; d < nd; d++ {
+				off = off*ext[d] + idx[d]
+			}
+			mu.Runs = appendRun(mu.Runs, off)
+			mu.N++
+		})
+	}
+	rt.Compact()
+	pl := &gatherPlan{peer: peer, pack: pack, root: rt}
 	a.plans = append(a.plans, viewPlan{key: rootIdx, gather: pl})
 	return pl
 }
@@ -259,7 +264,7 @@ func (a *Array) gatherToScheduled(sc machine.Scope, rootIdx int, cur *GatherCurs
 		return buf
 	}
 	if me != rootIdx {
-		p.SendOwned(pl.peer, sc.Tag(pl.part), pack())
+		p.SendOwned(pl.peer, sc.Tag(uint16(me)), pack())
 		return nil, true
 	}
 	if cur.out == nil {
@@ -301,7 +306,7 @@ func (a *Array) layoutSig() string {
 		return m.sig
 	}
 	st := a.st
-	g := st.rootGrid
+	g := st.rootGrid()
 	var sb strings.Builder
 	base := g.RankAt(0)
 	fmt.Fprintf(&sb, "g%v@%d", g.Shape(), base)
@@ -315,9 +320,9 @@ func (a *Array) layoutSig() string {
 			coord[d] = 0
 		}
 	}
-	for sd := range st.extents {
+	for sd := range a.extents {
 		fmt.Fprintf(&sb, ";%d:%T%v:h%d:f%d",
-			st.extents[sd], st.dists[sd], st.dists[sd], st.halo[sd], a.pfix[sd])
+			a.extents[sd], a.dists[sd], a.dists[sd], a.halo[sd], a.pfix[sd])
 	}
 	m.sig = sb.String()
 	return m.sig

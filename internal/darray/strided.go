@@ -33,10 +33,11 @@ func (a *Array) Strided() (s Strided, ok bool) {
 		if x.kind == axGeneral {
 			return Strided{}, false
 		}
-		s.Origin += x.base * x.stride
+		lo := a.origin(k)
+		s.Origin += (x.base - lo) * x.stride
 		s.Stride[k] = x.stride
-		s.ReadLo[k], s.ReadHi[k] = x.rlo, x.rlo+x.rspan-1
-		s.WriteLo[k], s.WriteHi[k] = x.lower, x.lower+x.wspan-1
+		s.ReadLo[k], s.ReadHi[k] = lo+x.rlo, lo+x.rlo+x.rspan-1
+		s.WriteLo[k], s.WriteHi[k] = lo, lo+x.wspan-1
 	}
 	return s, true
 }
@@ -47,10 +48,11 @@ func (a *Array) Strided() (s Strided, ok bool) {
 // array and bypasses Set's ownership test, so a caller writes only cells
 // it has checked against the write window.
 func (a *Array) Storage() (data, shadow []float64) {
-	if a.st.snapOn {
-		shadow = a.st.shadow
+	st := a.st
+	if st.root.snapOn {
+		shadow = st.old()
 	}
-	return a.st.data, shadow
+	return st.data[:len(st.data):len(st.data)], shadow
 }
 
 // SharesStorage reports whether a and b are views (the array itself or

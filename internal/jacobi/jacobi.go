@@ -225,6 +225,7 @@ func (st *kf1State) build(c *kf.Ctx, n int) {
 		Halo:    []int{1, 1},
 	}
 	st.x = c.NewArray(spec)
+	spec.Halo = nil // f is read at the iteration's own cell only: no ghost cells
 	st.fd = c.NewArray(spec)
 	st.sweep = c.Plan2(kf.R(1, n-2), kf.R(1, n-2), kf.OnOwner2(st.x),
 		kf.Reads(st.x), kf.ReadsNoHalo(st.fd)).Stencil(sweepStmt, st.x, st.fd)

@@ -88,25 +88,34 @@ func TestDeclaredSlot(t *testing.T) {
 
 // sweep2Decl is sweepDecl on a Block x Block array.
 type sweep2Decl struct {
-	a    *darray.Array
-	plan *Plan2
+	a, f  *darray.Array
+	plan  *Plan2
+	sweep *Stencil
 }
 
+// sweep2Stmt is a stencil statement over (a, f) for sweep2Decl's sweep.
+var sweep2Stmt = listing3()
+
 func (d *sweep2Decl) build(c *Ctx, n int) {
-	d.a = c.NewArray(darray.Spec{Extents: []int{n, n}, Dists: []dist.Dist{dist.Block{}, dist.Block{}}, Halo: []int{1, 1}})
+	spec := darray.Spec{Extents: []int{n, n}, Dists: []dist.Dist{dist.Block{}, dist.Block{}}, Halo: []int{1, 1}}
+	d.a = c.NewArray(spec)
+	spec.Halo = nil
+	d.f = c.NewArray(spec)
 	d.plan = c.Plan2(R(1, n-2), R(1, n-2), OnOwner2(d.a), Reads(d.a))
+	d.sweep = c.Plan2(R(1, n-2), R(1, n-2), OnOwner2(d.a), Reads(d.a), ReadsNoHalo(d.f)).Stencil(sweep2Stmt, d.a, d.f)
 }
 
 // TestDeclaredRetainsOneStatePerSlot: a long-lived context serving one
 // program at many sizes keeps the latest declaration only — its arrays on
 // every rank, and the descriptors its ranks share through the machine's
-// intern table (layouts, halo schedules, gather runs), whose entries must
-// not pile up one set per size. The 1-D input's every rebuild is ~1.6 MB
-// of array and snapshot; the 2-D one runs on a 4 x 4 grid, where the
-// shared descriptors are 9 position classes' worth, and shrinks by 4 a
-// side per size, so every size has the same classes. Either way the sizes
-// share their classes of the machine's buffer pool, which keeps the
-// gather's buffer. Eight more sizes must leave what one leaves.
+// intern table (layouts, views' class parts, halo schedules, gather runs
+// and plans, compiled stencil loops), whose entries must not pile up one
+// set per size. The 1-D input's every rebuild is ~1.6 MB of array and
+// snapshot; the 2-D one runs on a 4 x 4 grid, where the shared
+// descriptors are 9 position classes' worth, and shrinks by 4 a side per
+// size, so every size has the same classes. Either way the sizes share
+// their classes of the machine's buffer pool, which keeps the gather's
+// buffer. Eight more sizes must leave what one leaves.
 func TestDeclaredRetainsOneStatePerSlot(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -126,6 +135,7 @@ func TestDeclaredRetainsOneStatePerSlot(t *testing.T) {
 			d, fresh := Declared[sweep2Decl](c, size)
 			d.build(c, size)
 			d.plan.Run(func(cc *Ctx, i, j int) { d.a.Set2(i, j, d.a.Old2(i-1, j)+d.a.Old2(i, j+1)) })
+			d.sweep.Run()
 			d.a.GatherTo(c.NextScope(), 0)
 			return fresh
 		}},

@@ -54,32 +54,17 @@ type On2 interface {
 
 // strip1 is the strip-mining fast path of a one-dimensional on-clause: an
 // owner-computes clause over a contiguously distributed dimension exposes
-// the calling processor's owned subrange directly, plus the iteration grid
-// (which is the same for every owned iteration), so the doall can iterate
-// owned indices instead of scanning the whole range with per-iteration
-// ownership tests and grid-slice lookups.
+// the calling processor's owned subrange directly, and every owned
+// iteration runs on the same grid (IterGrid at any owned index: the slice
+// through the calling processor), so the doall can iterate owned indices
+// instead of scanning the whole range with per-iteration ownership tests
+// and grid-slice lookups.
 type strip1 interface {
-	// ownedStrip returns the inclusive owned index range and the cached
-	// iteration grid. ok reports whether the fast path applies at all
-	// (false falls back to the generic ownership scan); an empty span
-	// (lo > hi) with ok true means this processor runs no iterations,
-	// and grid may be nil in that case.
-	ownedStrip(c *Ctx) (lo, hi int, g *topology.Grid, ok bool)
-}
-
-// ownedStripOf computes the strip of the on-clause "dimension dim of array
-// a": the owned span when it is contiguous, and the grid of the section
-// through any owned index (they are all the same slice — the one through
-// the calling processor).
-func ownedStripOf(a *darray.Array, dim int) (lo, hi int, g *topology.Grid, ok bool) {
-	lo, hi, contiguous := a.OwnedSpan(dim)
-	if !contiguous {
-		return 0, 0, nil, false
-	}
-	if lo > hi {
-		return lo, hi, nil, true
-	}
-	return lo, hi, a.SectionGrid(dim, lo), true
+	// ownedStrip returns the inclusive owned index range. ok reports
+	// whether the fast path applies at all (false falls back to the
+	// generic ownership scan); an empty span (lo > hi) with ok true means
+	// this processor runs no iterations.
+	ownedStrip(c *Ctx) (lo, hi int, ok bool)
 }
 
 // onOwner1 implements "on owner(A(i))".
@@ -99,11 +84,11 @@ func (o onOwner1) IterGrid(c *Ctx, i int) *topology.Grid {
 	return o.a.OwnerGrid(i)
 }
 
-func (o onOwner1) ownedStrip(c *Ctx) (int, int, *topology.Grid, bool) {
+func (o onOwner1) ownedStrip(c *Ctx) (int, int, bool) {
 	if o.a.Dims() != 1 {
-		return 0, 0, nil, false // let the generic path diagnose the misuse
+		return 0, 0, false // let the generic path diagnose the misuse
 	}
-	return ownedStripOf(o.a, 0)
+	return o.a.OwnedSpan(0)
 }
 
 // onOwnerSection implements "on owner(A(i, *))" and friends: iteration i is
@@ -132,11 +117,11 @@ func (o onOwnerSection) IterGrid(c *Ctx, i int) *topology.Grid {
 	return o.a.SectionGrid(o.dim, i)
 }
 
-func (o onOwnerSection) ownedStrip(c *Ctx) (int, int, *topology.Grid, bool) {
+func (o onOwnerSection) ownedStrip(c *Ctx) (int, int, bool) {
 	// A processor participates in the section at i exactly when it owns
 	// i along dim's axis (Star dims make everyone participate), so the
 	// section clause strips the same way the element clause does.
-	return ownedStripOf(o.a, o.dim)
+	return o.a.OwnedSpan(o.dim)
 }
 
 // onGridIndex implements "on procs(ip)".
@@ -185,24 +170,18 @@ func (s span) empty() bool { return s.lo > s.hi }
 
 // strip2 is strip1 for two-dimensional on-clauses.
 type strip2 interface {
-	ownedStrip2(c *Ctx) (s [2]span, g *topology.Grid, ok bool)
+	ownedStrip2(c *Ctx) (s [2]span, ok bool)
 }
 
-func (o onOwner2) ownedStrip2(c *Ctx) ([2]span, *topology.Grid, bool) {
+func (o onOwner2) ownedStrip2(c *Ctx) ([2]span, bool) {
 	var s [2]span
 	if o.a.Dims() != 2 {
-		return s, nil, false
+		return s, false
 	}
 	ilo, ihi, iok := o.a.OwnedSpan(0)
 	jlo, jhi, jok := o.a.OwnedSpan(1)
-	if !iok || !jok {
-		return s, nil, false
-	}
 	s[0], s[1] = span{ilo, ihi}, span{jlo, jhi}
-	if s[0].empty() || s[1].empty() {
-		return s, nil, true // no iterations here: grid unused
-	}
-	return s, o.a.OwnerGrid(ilo, jlo), true
+	return s, iok && jok
 }
 
 // eachOwned calls f for every index of r that falls inside the owned span,
@@ -247,6 +226,7 @@ type LoopOpt interface {
 type reads struct {
 	a        *darray.Array
 	exchange bool
+	live     bool // the body reads a's live data: no snapshot (see Plan2.Stencil)
 	dims     []int
 }
 
@@ -275,12 +255,14 @@ func (r *reads) step(c *Ctx, ph phase) (phase, bool) {
 	if r.exchange && !r.a.ExchangeHaloStep(sc, &ph.halo, r.dims...) {
 		return ph, false
 	}
-	r.a.Snapshot()
+	if !r.live {
+		r.a.Snapshot()
+	}
 	return ph, true
 }
 
 func (r *reads) finish(c *Ctx) {
-	if r.a.Participates() {
+	if !r.live && r.a.Participates() {
 		r.a.ReleaseSnapshot()
 	}
 }
@@ -348,25 +330,22 @@ func (o onOwner3) IterGrid(c *Ctx, i, j, k int) *topology.Grid {
 
 // strip3 is strip1 for three-dimensional on-clauses.
 type strip3 interface {
-	ownedStrip3(c *Ctx) (s [3]span, g *topology.Grid, ok bool)
+	ownedStrip3(c *Ctx) (s [3]span, ok bool)
 }
 
-func (o onOwner3) ownedStrip3(c *Ctx) ([3]span, *topology.Grid, bool) {
+func (o onOwner3) ownedStrip3(c *Ctx) ([3]span, bool) {
 	var s [3]span
 	if o.a.Dims() != 3 {
-		return s, nil, false
+		return s, false
 	}
 	for d := 0; d < 3; d++ {
 		lo, hi, ok := o.a.OwnedSpan(d)
 		if !ok {
-			return s, nil, false
+			return s, false
 		}
 		s[d] = span{lo, hi}
 	}
-	if s[0].empty() || s[1].empty() || s[2].empty() {
-		return s, nil, true
-	}
-	return s, o.a.OwnerGrid(s[0].lo, s[1].lo, s[2].lo), true
+	return s, true
 }
 
 // Doall3 executes a three-dimensional doall loop over the product of three

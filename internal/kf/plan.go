@@ -24,17 +24,20 @@ import "repro/internal/topology"
 
 // planCore holds what every arity's plan shares: the owning context, the
 // loop's read-set options, the reusable child context bound to each
-// iteration (see child), and the cached iteration grid of the strip-mined
-// fast path (nil when the loop takes the generic path).
+// iteration (see child), whether the loop runs strip-mined over the owned
+// span, and then the iteration grid every owned iteration binds, taken
+// from the on-clause by the first iteration that runs a body (a stencil
+// statement's row path never does).
 type planCore struct {
-	c    *Ctx
-	opts []LoopOpt
-	cc   *Ctx
-	g    *topology.Grid
+	c     *Ctx
+	opts  []LoopOpt
+	cc    *Ctx
+	strip bool
+	g     *topology.Grid
 }
 
 // fast reports whether the loop runs strip-mined over the owned span.
-func (pl *planCore) fast() bool { return pl.g != nil }
+func (pl *planCore) fast() bool { return pl.strip }
 
 // child returns the reusable child context bound to each iteration, made
 // by the first Run that calls a body: a stencil statement's row path never
@@ -98,8 +101,8 @@ type Plan1 struct {
 func (c *Ctx) Plan1(r Range, on On1, opts ...LoopOpt) *Plan1 {
 	pl := &Plan1{planCore: planCore{c: c, opts: opts}, r: r, on: on}
 	if s, ok := on.(strip1); ok {
-		if lo, hi, g, fast := s.ownedStrip(c); fast {
-			pl.sp, pl.g = span{lo, hi}, g
+		if lo, hi, fast := s.ownedStrip(c); fast {
+			pl.sp, pl.strip = span{lo, hi}, true
 		}
 	}
 	return pl
@@ -115,6 +118,9 @@ func (pl *Plan1) Run(body func(cc *Ctx, i int)) {
 	cc := pl.child()
 	if pl.fast() {
 		if pl.sp.lo <= pl.sp.hi {
+			if pl.g == nil {
+				pl.g = pl.on.IterGrid(c, pl.sp.lo)
+			}
 			eachOwned(pl.r, pl.sp, func(i int) {
 				cc.bindIter(c, pl.g, phase, i)
 				body(cc, i)
@@ -143,8 +149,8 @@ type Plan2 struct {
 func (c *Ctx) Plan2(ri, rj Range, on On2, opts ...LoopOpt) *Plan2 {
 	pl := &Plan2{planCore: planCore{c: c, opts: opts}, ri: ri, rj: rj, on: on}
 	if s, ok := on.(strip2); ok {
-		if sp, g, fast := s.ownedStrip2(c); fast {
-			pl.sp, pl.g = sp, g
+		if sp, fast := s.ownedStrip2(c); fast {
+			pl.sp, pl.strip = sp, true
 		}
 	}
 	return pl
@@ -164,6 +170,9 @@ func (pl *Plan2) each(phase int, body func(cc *Ctx, i, j int)) {
 	cc := pl.child()
 	if pl.fast() {
 		if !pl.sp[0].empty() && !pl.sp[1].empty() {
+			if pl.g == nil {
+				pl.g = pl.on.IterGrid(c, pl.sp[0].lo, pl.sp[1].lo)
+			}
 			eachOwned(pl.ri, pl.sp[0], func(i int) {
 				eachOwned(pl.rj, pl.sp[1], func(j int) {
 					cc.bindIter(c, pl.g, phase, i*(pl.rj.Hi+1)+j)
@@ -195,8 +204,8 @@ type Plan3 struct {
 func (c *Ctx) Plan3(ri, rj, rk Range, on On3, opts ...LoopOpt) *Plan3 {
 	pl := &Plan3{planCore: planCore{c: c, opts: opts}, ri: ri, rj: rj, rk: rk, on: on}
 	if s, ok := on.(strip3); ok {
-		if sp, g, fast := s.ownedStrip3(c); fast {
-			pl.sp, pl.g = sp, g
+		if sp, fast := s.ownedStrip3(c); fast {
+			pl.sp, pl.strip = sp, true
 		}
 	}
 	return pl
@@ -209,6 +218,9 @@ func (pl *Plan3) Run(body func(cc *Ctx, i, j, k int)) {
 	cc := pl.child()
 	if pl.fast() {
 		if !pl.sp[0].empty() && !pl.sp[1].empty() && !pl.sp[2].empty() {
+			if pl.g == nil {
+				pl.g = pl.on.IterGrid(c, pl.sp[0].lo, pl.sp[1].lo, pl.sp[2].lo)
+			}
 			eachOwned(pl.ri, pl.sp[0], func(i int) {
 				eachOwned(pl.rj, pl.sp[1], func(j int) {
 					eachOwned(pl.rk, pl.sp[2], func(k int) {

@@ -3,6 +3,8 @@ package kf
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/darray"
 	"repro/internal/machine"
@@ -37,8 +39,13 @@ import (
 //
 // — the same messages, values, virtual times and panics — but when the plan
 // is strip-mined it runs no closure, binds no iteration context and tests no
-// window per cell. Assign compiles the right-hand side once into operations
-// over row registers, shared by every processor. Binding checks the owned
+// window per cell, and it copies into a snapshot only what a read could see
+// change: Old reads of an array the statement does not assign read its live
+// data, and so, on the row path, do the destination's own, each computed row
+// being held back until no later row reads it. Assign compiles the
+// right-hand side once into operations over row registers, shared by every
+// processor; a plan's Stencil binds them, per position class, into one
+// compiled loop the machine shares (stencilClass). Binding checks the owned
 // index box, shifted by each read's offset, against that array's read
 // window (and the box against the destination's write window) once; a pass
 // then walks whole owned rows, every operation one tight loop over a row of
@@ -62,7 +69,8 @@ type Param int
 
 // Old reads the parameter's copy-in snapshot at the iteration index plus
 // (di, dj): Old2(i+di, j+dj). The loop must snapshot the array (Reads or
-// ReadsNoHalo).
+// ReadsNoHalo); where the pass cannot change what the read sees, the
+// statement reads the live data instead and the option copies nothing.
 func (p Param) Old(di, dj int) *Expr { return read(exOld, p, di, dj) }
 
 // At reads the parameter's current value at the iteration index plus
@@ -135,19 +143,23 @@ func (e *Expr) visit(f func(r *Expr)) int {
 }
 
 // eval is e at iteration (i, j) over arrs through the accessors — the
-// closure body's arithmetic, in its order.
-func (e *Expr) eval(arrs []*darray.Array, i, j int) float64 {
+// closure body's arithmetic, in its order — with the Old reads of the
+// parameters live marks reading the live data.
+func (e *Expr) eval(arrs []*darray.Array, live uint64, i, j int) float64 {
 	switch e.op {
 	case exOld:
+		if e.arg < 64 && live&(1<<e.arg) != 0 {
+			return arrs[e.arg].At2(i+e.off[0], j+e.off[1])
+		}
 		return arrs[e.arg].Old2(i+e.off[0], j+e.off[1])
 	case exAt:
 		return arrs[e.arg].At2(i+e.off[0], j+e.off[1])
 	case exAdd:
-		return e.a.eval(arrs, i, j) + e.b.eval(arrs, i, j)
+		return e.a.eval(arrs, live, i, j) + e.b.eval(arrs, live, i, j)
 	case exSub:
-		return e.a.eval(arrs, i, j) - e.b.eval(arrs, i, j)
+		return e.a.eval(arrs, live, i, j) - e.b.eval(arrs, live, i, j)
 	}
-	return float64(e.c * e.a.eval(arrs, i, j))
+	return float64(e.c * e.a.eval(arrs, live, i, j))
 }
 
 // Statement is a stencil statement, "dst(i, j) = rhs", declared once for
@@ -155,6 +167,7 @@ func (e *Expr) eval(arrs []*darray.Array, i, j int) float64 {
 // to the calling processor's arrays. Assign compiles the row program here,
 // so processors share it; a Statement is never modified afterwards.
 type Statement struct {
+	id    uint64 // the statement's number, which keys its compiled loops
 	dst   int
 	rhs   *Expr
 	nargs int
@@ -195,12 +208,15 @@ const (
 	maxTerms = 4
 )
 
+// statements numbers the statements Assign declares.
+var statements atomic.Uint64
+
 // Assign declares the statement "dst = rhs".
 func Assign(dst Param, rhs *Expr) *Statement {
 	if dst < 0 {
 		panic(fmt.Sprintf("kf: stencil statement assigns parameter %d", dst))
 	}
-	st := &Statement{dst: int(dst), rhs: rhs, nargs: int(dst) + 1}
+	st := &Statement{id: statements.Add(1), dst: int(dst), rhs: rhs, nargs: int(dst) + 1}
 	st.flops = rhs.visit(func(r *Expr) { st.nargs = max(st.nargs, r.arg+1) })
 	st.compile()
 	return st
@@ -337,28 +353,62 @@ func (rc *rowCompiler) op(o rowOp) (int, bool) {
 // Stencil is a stencil statement bound to the calling processor's arrays
 // as the body of a two-dimensional doall header. Run it every pass, in the
 // same program order on every processor, like the plan.
+//
+// On the row path a Stencil is a class part and a binding: the compiled
+// loop — the statement, the loop options by parameter, the owned index box
+// and the row program placed on the block — is a stencilClass every
+// processor of one position class shares (machine.Intern), and the
+// processor keeps only its context and its arrays. The per-cell path keeps
+// the plan it was bound from.
 type Stencil struct {
-	pl   *Plan2
-	st   *Statement
+	cls  *stencilClass
+	c    *Ctx
 	arrs []*darray.Array // Param(k) is arrs[k]
+	cell *cellPath       // nil on the row path
+}
 
-	// rows is the row path; nil runs the per-cell path, the plan's loop
-	// with body interpreting the statement over arrs.
-	rows *rowProgram
+// cellPath is the per-cell path: the plan's loop, with the statement
+// interpreted over the arrays as its body.
+type cellPath struct {
+	pl   *Plan2
 	body func(cc *Ctx, i, j int)
 }
 
-// rowProgram places the row path on a processor's owned block in local
-// terms: count[0] rows of count[1] cells, and per register of the
-// statement's reads and destination, where in its array's storage (or
-// snapshot, for Old) the first row starts and how far apart rows are. It
-// holds no global index and no array, so it is the same on every
+// stencilClass is the compiled loop of a statement on the processors of
+// one position class. On the row path it places the statement on a
+// processor's owned block in local terms: count[0] rows of count[1] cells,
+// and per register of the statement's reads and destination, where in its
+// array's storage (or snapshot, for Old) the first row starts and how far
+// apart rows are. It holds no global index and no array, so every
 // processor whose blocks, windows and clipped index box have the same
-// shape — one per position class — and the machine interns it
-// (machine.Intern).
-type rowProgram struct {
+// shape shares it; it is keyed by exactly what it holds (see bind) and
+// interned per machine. The per-cell path's is the processor's own, with
+// no row program.
+type stencilClass struct {
+	st *Statement
+	// live has bit k set when Param(k)'s Old reads the array's live data,
+	// which no cell the pass writes can change before it is read (see
+	// liveness).
+	live uint64
+
+	opts  []stencilOpt // the loop options by parameter (row path)
 	count [2]int
 	refs  []rowRef
+	// ring, when the destination's own Old reads read its live data, is
+	// how many computed rows the pass holds back in a ring of temporary
+	// rows before writing them to the destination: one more than the rows
+	// a later row's reads reach back, so that every read sees the values
+	// from before the pass, as the snapshot would have given them.
+	ring int
+}
+
+// stencilOpt is a loop option of the row path by parameter: Reads or
+// ReadsNoHalo of Param(arg).
+type stencilOpt struct {
+	arg      int
+	exchange bool
+	live     bool // no snapshot
+	dims     []int
 }
 
 // rowRef places one register: row c of the box starts at element
@@ -367,82 +417,124 @@ type rowRef struct {
 	pre, stride int
 }
 
+// loopBuilds counts the compiled loops built (interned or a processor's
+// own), for the census tests.
+var loopBuilds atomic.Int64
+
 // Stencil binds st to arrays — st's Param(k) is arrays[k] — as the body of
 // the loop pl heads. Its Run replaces pl.Run(body); see the file comment.
+// Where the statement's Old reads can read the live data (see liveness),
+// the loop's Reads of those arrays exchange their halos but take no
+// snapshot.
 func (pl *Plan2) Stencil(st *Statement, arrays ...*darray.Array) *Stencil {
 	if len(arrays) < st.nargs {
 		panic(fmt.Sprintf("kf: stencil statement over %d arrays bound to %d", st.nargs, len(arrays)))
 	}
-	s := &Stencil{pl: pl, st: st, arrs: append([]*darray.Array(nil), arrays...)}
+	s := &Stencil{c: pl.c, arrs: append([]*darray.Array(nil), arrays...)}
 	if pl.fast() {
-		s.rows = s.compile()
+		live, snap := s.liveness(st, pl.opts, true)
+		s.cls = s.bind(st, pl, live, snap)
 	}
-	if s.rows == nil {
-		s.body = s.cell
+	if s.cls == nil {
+		live, snap := s.liveness(st, pl.opts, false)
+		loopBuilds.Add(1)
+		s.cls = &stencilClass{st: st, live: live}
+		cp := *pl
+		cp.opts = make([]LoopOpt, len(pl.opts))
+		for i, o := range pl.opts {
+			cp.opts[i] = o
+			if r, ok := o.(*reads); ok && i < 64 && snap&(1<<i) == 0 {
+				cp.opts[i] = &reads{a: r.a, exchange: r.exchange, live: true, dims: r.dims}
+			}
+		}
+		s.cell = &cellPath{pl: &cp, body: s.cellBody}
 	}
 	return s
 }
 
-// Run executes one pass of the statement: the loop options, then every
-// owned cell, then the options' finish — the plan's Run with the statement
-// as its body. It is Step driven to the end, waiting wherever a receive
-// would block.
-func (s *Stencil) Run() {
-	var k Cursor
-	for !s.Step(&k) {
-		s.pl.c.P.Wait()
+// liveness returns which parameters' Old reads read live data, and which of
+// the plan's options still take their snapshot (bit i for opts[i]; an
+// option past the 64th always does). A parameter reads live when a loop
+// option would have snapshotted that very view (so where the closure's Old
+// would have read the snapshot, the statement reads the same values) and
+// nothing the pass writes can reach what it reads: its array shares no
+// storage with the destination, or — on the row path, which holds each
+// computed row back until no later row reads it (see stencilClass.ring) —
+// it is the destination itself, no other view of whose storage the
+// statement reads. An option drops its snapshot when no parameter that
+// still reads a snapshot shares its array's storage.
+func (s *Stencil) liveness(st *Statement, opts []LoopOpt, rows bool) (live, snap uint64) {
+	dst := s.arrs[st.dst]
+	var old uint64
+	st.rhs.visit(func(r *Expr) {
+		if r.op == exOld && r.arg < 64 {
+			old |= 1 << r.arg
+		}
+	})
+	for k, a := range s.arrs {
+		if a != dst && a.SharesStorage(dst) && (k >= 64 || old&(1<<k) != 0) {
+			rows = false // an Old read of another view of the destination
+		}
 	}
+	for k, a := range s.arrs {
+		if k >= 64 || a.SharesStorage(dst) && !(rows && a == dst) {
+			continue
+		}
+		for _, o := range opts {
+			if r, ok := o.(*reads); ok && r.a == a {
+				live |= 1 << k
+			}
+		}
+	}
+	for i, o := range opts {
+		r, ok := o.(*reads)
+		if !ok || i >= 64 {
+			continue
+		}
+		for k, a := range s.arrs {
+			if (k >= 64 || old&^live&(1<<k) != 0) && r.a.SharesStorage(a) {
+				snap |= 1 << i
+			}
+		}
+	}
+	return live, snap
 }
 
-// Step advances one pass of the statement from k, the way a step does (see
-// Steps): the loop options — a snapshot each, and a halo exchange for
-// Reads — then, once they are prepared, every owned cell and the options'
-// finish, which need no message. False while an exchange's receive would
-// block; the next call with the same k resumes it.
-func (s *Stencil) Step(k *Cursor) bool {
-	pl := s.pl
-	if !pl.prepareStep(k) {
-		return false
-	}
-	phase := pl.claim()
-	if s.rows == nil {
-		pl.each(phase, s.body)
-	} else {
-		s.sweep()
-		pl.c.P.ComputeEach(s.st.flops, s.rows.count[0]*s.rows.count[1])
-	}
-	pl.finish()
-	return true
-}
-
-// cell is the statement at one iteration, as the closure body writes it.
-func (s *Stencil) cell(cc *Ctx, i, j int) {
-	st := s.st
-	s.arrs[st.dst].Set2(i, j, st.rhs.eval(s.arrs, i, j))
-	cc.P.Compute(st.flops)
-}
-
-// arg returns the array behind row register k: a read's array, or for the
-// last register the destination.
-func (s *Stencil) arg(k int) *darray.Array {
-	if k < len(s.st.reads) {
-		return s.arrs[s.st.reads[k].arg]
-	}
-	return s.arrs[s.st.dst]
-}
-
-// compile places the row program over arrs on this processor's strip-mined
-// loop, the machine's interned copy. It returns nil, leaving the statement
-// to the per-cell path, when the box check cannot prove every access
-// inside its window, or there is nothing to run.
-func (s *Stencil) compile() *rowProgram {
-	st := s.st
-	if st.ops == nil {
+// bind places the row program on this processor's strip-mined loop and
+// returns the machine's compiled loop with that content, or nil, leaving
+// the statement to the per-cell path, when the box check cannot prove
+// every access inside its window, an option names an array the statement
+// is not bound to, or there is nothing to run. The key is computed before
+// the lookup, from every value the class holds, so only the first
+// processor of a class builds it; the builder places the registers again
+// rather than keeping them on this frame, which stays small enough for a
+// fresh goroutine's stack.
+func (s *Stencil) bind(st *Statement, pl *Plan2, live, snap uint64) *stencilClass {
+	if st.ops == nil || len(pl.opts) > 64 {
 		return nil
 	}
-	var first, step [2]int
-	rp := &rowProgram{}
-	for d, r := range [2]Range{s.pl.ri, s.pl.rj} {
+	var buf [128]byte
+	key := binary.AppendUvarint(append(buf[:0], 'K'), st.id)
+	key = binary.AppendUvarint(key, live)
+	key = binary.AppendUvarint(key, uint64(len(pl.opts)))
+	for i, o := range pl.opts {
+		r, ok := o.(*reads)
+		if !ok {
+			return nil
+		}
+		arg := slices.Index(s.arrs, r.a)
+		if arg < 0 {
+			return nil
+		}
+		key = binary.AppendUvarint(key, uint64(arg))
+		key = append(key, b2u(r.exchange), b2u(snap&(1<<i) == 0))
+		key = binary.AppendUvarint(key, uint64(len(r.dims)))
+		for _, d := range r.dims {
+			key = binary.AppendVarint(key, int64(d))
+		}
+	}
+	var first, step, count [2]int
+	for d, r := range [2]Range{pl.ri, pl.rj} {
 		step[d] = r.Step
 		if step[d] == 0 {
 			step[d] = 1
@@ -451,7 +543,7 @@ func (s *Stencil) compile() *rowProgram {
 			return nil
 		}
 		// eachOwned's clipping: the range's indices inside the owned span.
-		sp := s.pl.sp[d]
+		sp := pl.sp[d]
 		first[d] = r.Lo
 		end := min(sp.hi, r.Hi)
 		if sp.lo > first[d] {
@@ -460,39 +552,73 @@ func (s *Stencil) compile() *rowProgram {
 		if first[d] > end {
 			return nil // no cells: the per-cell path runs none
 		}
-		rp.count[d] = (end-first[d])/step[d] + 1
+		count[d] = (end-first[d])/step[d] + 1
 	}
-	dst := s.arrs[st.dst]
-	rp.refs = make([]rowRef, len(st.reads)+1)
-	for k, rd := range st.reads {
-		a := s.arrs[rd.arg]
-		if !rd.old && rd.arg != st.dst && a.SharesStorage(dst) {
-			return nil // another view of the destination's storage
+	dst, ring, lag := s.arrs[st.dst], 0, 0
+	for _, rd := range st.reads {
+		if s.arrs[rd.arg] == dst {
+			lag = max(lag, rd.off[0], -rd.off[0])
+			if rd.old && rd.arg < 64 && live&(1<<rd.arg) != 0 {
+				ring = 1
+			}
 		}
-		var ok bool
-		if rp.refs[k], ok = rp.ref(a, first, step[0], rd.off, false); !ok {
+	}
+	if ring > 0 {
+		ring += lag / step[0]
+	}
+	key = binary.AppendUvarint(key, uint64(ring))
+	key = binary.AppendUvarint(key, uint64(count[0]))
+	key = binary.AppendUvarint(key, uint64(count[1]))
+	for k := 0; k <= len(st.reads); k++ {
+		r, ok := s.place(st, k, first, count, step[0])
+		if !ok {
 			return nil
 		}
-	}
-	var ok bool
-	if rp.refs[len(st.reads)], ok = rp.ref(dst, first, step[0], [2]int{}, true); !ok {
-		return nil
-	}
-	var buf [256]byte
-	key := binary.AppendUvarint(append(buf[:0], 'K'), uint64(rp.count[0]))
-	key = binary.AppendUvarint(key, uint64(rp.count[1]))
-	for _, r := range rp.refs {
 		key = binary.AppendVarint(key, int64(r.pre))
 		key = binary.AppendVarint(key, int64(r.stride))
 	}
-	return machine.Intern(s.pl.c.P.Machine(), key, func() *rowProgram { return rp })
+	return machine.Intern(s.c.P.Machine(), key, func() *stencilClass {
+		loopBuilds.Add(1)
+		cls := &stencilClass{st: st, live: live, count: count, refs: make([]rowRef, len(st.reads)+1), ring: ring}
+		for k := range cls.refs {
+			cls.refs[k], _ = s.place(st, k, first, count, step[0])
+		}
+		for i, o := range pl.opts {
+			r := o.(*reads)
+			cls.opts = append(cls.opts, stencilOpt{arg: slices.Index(s.arrs, r.a), exchange: r.exchange, live: snap&(1<<i) == 0, dims: slices.Clone(r.dims)})
+		}
+		return cls
+	})
 }
 
-// ref places one access of the row path: a's addressing, with the whole
-// index box — count cells from first, rows step0 apart — shifted by off
-// inside a's read window (write window for the destination) and unit
+// place places row register k of st bound to s's arrays — a read, or
+// for the last register the destination — on the index box: count cells
+// from first, rows step0 apart.
+func (s *Stencil) place(st *Statement, k int, first, count [2]int, step0 int) (rowRef, bool) {
+	dst := s.arrs[st.dst]
+	if k == len(st.reads) {
+		return placeRef(dst, first, count, step0, [2]int{}, true)
+	}
+	rd := st.reads[k]
+	a := s.arrs[rd.arg]
+	if !rd.old && rd.arg != st.dst && a.SharesStorage(dst) {
+		return rowRef{}, false // another view of the destination's storage
+	}
+	return placeRef(a, first, count, step0, rd.off, false)
+}
+
+func b2u(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// placeRef places one access of the row path: a's addressing, with the
+// whole index box — count cells from first, rows step0 apart — shifted by
+// off inside a's read window (write window for the destination) and unit
 // stride along the rows.
-func (rp *rowProgram) ref(a *darray.Array, first [2]int, step0 int, off [2]int, write bool) (rowRef, bool) {
+func placeRef(a *darray.Array, first, count [2]int, step0 int, off [2]int, write bool) (rowRef, bool) {
 	st, ok := a.Strided()
 	if !ok || a.Dims() != 2 || st.Stride[1] != 1 {
 		return rowRef{}, false
@@ -500,7 +626,7 @@ func (rp *rowProgram) ref(a *darray.Array, first [2]int, step0 int, off [2]int, 
 	step := [2]int{step0, 1}
 	for d := 0; d < 2; d++ {
 		lo := first[d] + off[d]
-		hi := lo + (rp.count[d]-1)*step[d]
+		hi := lo + (count[d]-1)*step[d]
 		wlo, whi := st.ReadLo[d], st.ReadHi[d]
 		if write {
 			wlo, whi = st.WriteLo[d], st.WriteHi[d]
@@ -513,49 +639,140 @@ func (rp *rowProgram) ref(a *darray.Array, first [2]int, step0 int, off [2]int, 
 	return rowRef{pre: pre, stride: step0 * st.Stride[0]}, true
 }
 
+// Run executes one pass of the statement: the loop options, then every
+// owned cell, then the options' finish — the plan's Run with the statement
+// as its body. It is Step driven to the end, waiting wherever a receive
+// would block.
+func (s *Stencil) Run() {
+	var k Cursor
+	for !s.Step(&k) {
+		s.c.P.Wait()
+	}
+}
+
+// Step advances one pass of the statement from k, the way a step does (see
+// Steps): the loop options — a snapshot each, and a halo exchange for
+// Reads — then, once they are prepared, every owned cell and the options'
+// finish, which need no message. False while an exchange's receive would
+// block; the next call with the same k resumes it.
+func (s *Stencil) Step(k *Cursor) bool {
+	if cp := s.cell; cp != nil {
+		pl := cp.pl
+		if !pl.prepareStep(k) {
+			return false
+		}
+		pl.each(pl.claim(), cp.body)
+		pl.finish()
+		return true
+	}
+	cls, c := s.cls, s.c
+	for ; k.opt < len(cls.opts); k.opt++ {
+		o := &cls.opts[k.opt]
+		r := reads{a: s.arrs[o.arg], exchange: o.exchange, live: o.live, dims: o.dims}
+		ph, done := r.step(c, k.ph)
+		if !done {
+			k.ph = ph
+			return false
+		}
+		k.ph = phase{}
+	}
+	c.seq++ // the loop's phase ordinal, which the row path binds to no iteration
+	s.sweep()
+	c.P.ComputeEach(cls.st.flops, cls.count[0]*cls.count[1])
+	for i := range cls.opts {
+		o := &cls.opts[i]
+		r := reads{a: s.arrs[o.arg], live: o.live}
+		r.finish(c)
+	}
+	return true
+}
+
+// cellBody is the statement at one iteration, as the closure body writes
+// it.
+func (s *Stencil) cellBody(cc *Ctx, i, j int) {
+	st := s.cls.st
+	s.arrs[st.dst].Set2(i, j, st.rhs.eval(s.arrs, s.cls.live, i, j))
+	cc.P.Compute(st.flops)
+}
+
+// arg returns the array behind row register k: a read's array, or for the
+// last register the destination.
+func (s *Stencil) arg(k int) *darray.Array {
+	if st := s.cls.st; k < len(st.reads) {
+		return s.arrs[st.reads[k].arg]
+	}
+	return s.arrs[s.cls.st.dst]
+}
+
 // sweep runs the row operations over every owned row, in the loop's order.
-// The registers live on this frame and the temporaries in one pooled
-// buffer, so a statement keeps no per-pass state between passes.
+// The registers live on this frame and the temporaries — and the ring of
+// held-back rows — in one pooled buffer, so a statement keeps no per-pass
+// state between passes.
 func (s *Stencil) sweep() {
-	st, rp := s.st, s.rows
+	cls := s.cls
+	st := cls.st
 	var bufs [maxRegs][]float64
 	var offs [maxRegs]int
-	for k := range rp.refs {
+	for k := range cls.refs {
 		a := s.arg(k)
 		data, shadow := a.Storage()
 		bufs[k] = data
-		if k < len(st.reads) && st.reads[k].old {
+		if k < len(st.reads) && st.reads[k].old && cls.live&(1<<st.reads[k].arg) == 0 {
 			if shadow == nil {
 				a.Old2(0, 0) // panics as the cell's read would
 			}
 			bufs[k] = shadow
 		}
 	}
-	n := rp.count[1]
-	if st.ntemp > 0 {
-		p := s.pl.c.P
-		tmp := p.AcquireBuf(st.ntemp * n)
+	n, out := cls.count[1], len(cls.refs)-1
+	dst := bufs[out]
+	if extra := st.ntemp + cls.ring; extra > 0 {
+		p := s.c.P
+		tmp := p.AcquireBuf(extra * n)
 		defer p.ReleaseBuf(tmp)
-		for t, k := 0, len(rp.refs); t < st.ntemp; t, k = t+1, k+1 {
+		for t, k := 0, len(cls.refs); t < st.ntemp; t, k = t+1, k+1 {
 			bufs[k], offs[k] = tmp, t*n
 		}
+		if cls.ring > 0 {
+			bufs[out] = tmp[st.ntemp*n:]
+		}
 	}
-	for c := 0; c < rp.count[0]; c++ {
+	for c := 0; c < cls.count[0]; c++ {
 		s.row(&bufs, &offs, c)
+		if c >= cls.ring-1 {
+			s.commit(dst, bufs[out], c-cls.ring+1)
+		}
 	}
+	for c := max(cls.count[0]-cls.ring+1, 0); c < cls.count[0]; c++ {
+		s.commit(dst, bufs[out], c)
+	}
+}
+
+// commit writes held-back row c from the ring to the destination's
+// storage, dst; without a ring the row was computed in place.
+func (s *Stencil) commit(dst, ring []float64, c int) {
+	cls := s.cls
+	if cls.ring == 0 {
+		return
+	}
+	n, r := cls.count[1], &cls.refs[len(cls.refs)-1]
+	copy(dst[r.pre+c*r.stride:][:n], ring[c%cls.ring*n:][:n])
 }
 
 // row evaluates the statement on the box's row c: register k is
 // bufs[k][offs[k]:][:n].
 func (s *Stencil) row(bufs *[maxRegs][]float64, offs *[maxRegs]int, c int) {
-	rp := s.rows
-	n := rp.count[1]
-	for k := range rp.refs {
-		r := &rp.refs[k]
+	cls := s.cls
+	n := cls.count[1]
+	for k := range cls.refs {
+		r := &cls.refs[k]
 		offs[k] = r.pre + c*r.stride
 	}
-	for k := range s.st.ops {
-		op := &s.st.ops[k]
+	if cls.ring > 0 {
+		offs[len(cls.refs)-1] = c % cls.ring * n // the row's slot in the ring
+	}
+	for k := range cls.st.ops {
+		op := &cls.st.ops[k]
 		d := bufs[op.dst][offs[op.dst]:][:n]
 		a := bufs[op.args[0]][offs[op.args[0]]:][:n]
 		c0, c1, c2, c3 := op.c[0], op.c[1], op.c[2], op.c[3]

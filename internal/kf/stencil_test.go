@@ -167,6 +167,7 @@ type stencilOutcome struct {
 	stats machine.Stats
 	panic string
 	rows  bool
+	ring  bool // the row path held rows back instead of snapshotting the destination
 }
 
 // runStencilCase runs tc on a fresh machine, through the compiled statement
@@ -206,7 +207,8 @@ func runStencilCase(t *testing.T, tc stencilCase, compiled bool) []stencilOutcom
 			pl := c.Plan2(r[0], r[1], OnOwner2(dst), opts...)
 			if compiled {
 				s := pl.Stencil(stmt, arrs...)
-				o.rows = s.rows != nil
+				o.rows = s.cell == nil
+				o.ring = s.cls.ring > 0
 				s.Run()
 				return
 			}
@@ -232,7 +234,7 @@ func TestStencilMatchesClosure(t *testing.T) {
 	if testing.Short() {
 		seeds = 300
 	}
-	var ranks, rows, panics int
+	var ranks, rows, rings, panics int
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		tc := genCase(seed)
 		want := runStencilCase(t, tc, false)
@@ -255,6 +257,9 @@ func TestStencilMatchesClosure(t *testing.T) {
 					seed, rank, g.clock, g.stats, w.clock, w.stats)
 			}
 			ranks++
+			if g.ring {
+				rings++
+			}
 			if g.rows {
 				rows++
 			}
@@ -263,10 +268,11 @@ func TestStencilMatchesClosure(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d seeds, %d ranks: %d on the row path, %d panicked identically", seeds, ranks, rows, panics)
+	t.Logf("%d seeds, %d ranks: %d on the row path (%d with a ring of held-back rows), %d panicked identically",
+		seeds, ranks, rows, rings, panics)
 	// The generator must exercise both paths and the panic texts.
-	if rows < ranks/4 || rows > ranks*9/10 || panics == 0 {
-		t.Errorf("coverage: %d of %d ranks on the row path, %d panics", rows, ranks, panics)
+	if rows < ranks/4 || rows > ranks*9/10 || rings < rows/10 || panics == 0 {
+		t.Errorf("coverage: %d of %d ranks on the row path (%d with a ring), %d panics", rows, ranks, rings, panics)
 	}
 }
 
@@ -290,8 +296,8 @@ func TestStencilJacobiTakesRowPath(t *testing.T) {
 		x.FillOwned(func(idx []int) float64 { return float64(idx[0]*n + idx[1]) })
 		f.FillOwned(func(idx []int) float64 { return 1.0 / 16 })
 		s := c.Plan2(R(1, n-2), R(1, n-2), OnOwner2(x), Reads(x), ReadsNoHalo(f)).Stencil(jacobi, x, f)
-		if s.rows == nil || s.body != nil {
-			t.Errorf("rank %d: row path %v, per-cell path bound %v; want the row path alone", c.P.Rank(), s.rows != nil, s.body != nil)
+		if s.cell != nil {
+			t.Errorf("rank %d: the per-cell path is bound; want the row path alone", c.P.Rank())
 		}
 		for it := 0; it < 3; it++ {
 			s.Run()

@@ -26,12 +26,11 @@ const (
 	// numClasses covers pooled capacities up to 2^(numClasses-1) values
 	// (64 MiB of float64s at 24); larger buffers bypass the pool.
 	numClasses = 24
-	// localKeep bounds each processor's per-class free list; releases
-	// beyond it flow to the machine-wide tier.
+	// localKeep bounds how many buffers of one class a processor's free
+	// list holds; releases beyond it flow to the machine-wide tier.
 	localKeep = 8
-	// localClasses is how many classes a processor's free lists have room
-	// for before their first growth: a halo rank releases two or three.
-	localClasses = 3
+	// localGrow is how many entries a processor's full free list grows by.
+	localGrow = 2
 	// sharedKeep is the least a machine-wide per-class list may hold
 	// before buffers are dropped for the garbage collector; a machine of
 	// more ranks keeps one buffer per rank (see sharedPool.keep).

@@ -1,9 +1,6 @@
 package machine
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Stats accumulates per-processor activity counters over one Run.
 type Stats struct {
@@ -45,15 +42,16 @@ type Proc struct {
 	clock float64
 	stats Stats
 	// local is the first tier of the size-classed message buffer pool:
-	// per-class free lists touched only by the owning goroutine, so the
-	// symmetric steady state (halo exchanges, ping-pongs — every release
-	// backs an equal-sized later acquire) recycles without taking a lock.
-	// It holds one entry per class the processor has released into, in
-	// ascending class order (two or three for most ranks, out of
-	// numClasses). Overflow and misses go through the machine-wide tier,
-	// which rebalances capacity between processors whose send and receive
-	// size profiles differ. See sharedPool.
-	local []freeList
+	// the processor's free buffers, touched only by the owning goroutine,
+	// so the symmetric steady state (halo exchanges, ping-pongs — every
+	// release backs an equal-sized later acquire) recycles without taking
+	// a lock. One list for every class, at most localKeep of a class, in
+	// no order: a halo rank's few buffers do not pay for a list per class,
+	// and taking one out moves the last into its place.
+	// Overflow and misses go through the machine-wide tier, which
+	// rebalances capacity between processors whose send and receive size
+	// profiles differ. See sharedPool.
+	local [][]float64
 	// scratch holds per-processor state registered by runtime subsystems
 	// (solver scratch, root contexts) so derived state survives across
 	// calls without globals or locks: a handful of keys in the whole tree,
@@ -63,12 +61,6 @@ type Proc struct {
 	// that returns unfinished must have one to wait for.
 	missed bool
 	_      [7]byte // pads a Proc to two cache lines: no two ranks' clocks share one
-}
-
-// freeList is one size class of a processor's buffer free lists.
-type freeList struct {
-	class int
-	bufs  [][]float64
 }
 
 // scratchEntry is one Scratch registration.
@@ -86,17 +78,20 @@ func (p *Proc) AcquireBuf(n int) []float64 {
 	if c >= numClasses {
 		return make([]float64, n)
 	}
-	// First tier: the processor's own lists, exact class outward. Larger
-	// classes are legal backing (capacity rides the message to its
-	// receiver's pool, it is never wasted).
-	for i := range p.local {
-		l := &p.local[i]
-		if k := len(l.bufs); l.class >= c && k > 0 {
-			buf := l.bufs[k-1]
-			l.bufs[k-1] = nil
-			l.bufs = l.bufs[:k-1]
-			return buf[:n]
+	// First tier: the processor's own buffers, exact class outward, the
+	// newest first. Larger classes are legal backing (capacity rides the
+	// message to its receiver's pool, it is never wasted).
+	best, bestClass := -1, numClasses
+	for i := len(p.local) - 1; i >= 0 && bestClass != c; i-- {
+		if bc := capClass(cap(p.local[i])); bc >= c && bc < bestClass {
+			best, bestClass = i, bc
 		}
+	}
+	if best >= 0 {
+		buf, last := p.local[best], len(p.local)-1
+		p.local[best], p.local[last] = p.local[last], nil
+		p.local = p.local[:last]
+		return buf[:n]
 	}
 	// Second tier: the machine-wide classed lists.
 	if buf, ok := p.m.bufs.take(c); ok {
@@ -122,21 +117,24 @@ func (p *Proc) ReleaseBuf(buf []float64) {
 	if c < 0 {
 		return
 	}
-	i := 0
-	for i < len(p.local) && p.local[i].class < c {
-		i++
-	}
-	if i == len(p.local) || p.local[i].class != c {
-		if p.local == nil {
-			p.local = make([]freeList, 0, localClasses)
+	held := 0
+	for _, b := range p.local {
+		if capClass(cap(b)) == c {
+			held++
 		}
-		p.local = slices.Insert(p.local, i, freeList{class: c, bufs: make([][]float64, 0, localKeep/2)})
 	}
-	if l := &p.local[i]; len(l.bufs) < localKeep {
-		l.bufs = append(l.bufs, buf)
+	if held == localKeep {
+		p.m.bufs.put(c, buf)
 		return
 	}
-	p.m.bufs.put(c, buf)
+	if len(p.local) == cap(p.local) {
+		// Grow by localGrow, not by append's doubling: the list is about
+		// as long as the processor's traffic needs.
+		grown := make([][]float64, len(p.local), len(p.local)+localGrow)
+		copy(grown, p.local)
+		p.local = grown
+	}
+	p.local = append(p.local, buf)
 }
 
 // Scratch returns the processor's scratch value registered under key,
