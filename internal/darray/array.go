@@ -22,8 +22,8 @@
 // communication it keeps. Its class part is what the processor derives from
 // the declaration alone, with every window addressed from the block's
 // origin, and it shares that with every processor that derives it alike:
-// the layout (extents, distributions, halo widths, the block's shape), a
-// root view's class part (which dimensions are fixed, and per free
+// a root view's class part (the layout — extents, distributions, halo
+// widths, the block's shape — which dimensions are fixed, and per free
 // dimension its kind, stride and clipped read and write windows), the
 // compiled halo exchanges (runs into the local block, peers as rank
 // offsets) and the gathers' pack runs and plans are interned per machine by
@@ -82,10 +82,10 @@ type Spec struct {
 // layout is the part of a root array's descriptor that every processor
 // of one position class computes alike: the declaration (extents,
 // distributions, halo widths, the dimension-to-axis map) and, for a grid
-// member, the shape of its local block. It holds no coordinate, so the
-// ranks whose blocks have equal extents share one layout per machine (see
-// internLayout): in a block distribution, one per (first / interior /
-// last)^d class. It is read-only once built.
+// member, the shape of its local block. It holds no coordinate: it is
+// built with a root view's class part and shared with it (see
+// internRootClass), and a section's class part points at its root's. It
+// is read-only once built.
 type layout struct {
 	extents []int
 	dists   []dist.Dist
@@ -179,7 +179,7 @@ type Array struct {
 // viewClass is the class part of a view: the index arithmetic of its free
 // dimensions, with every window addressed from the block's origin, so it
 // holds no global index and no coordinate. A root view's class part is
-// interned per machine, keyed by exactly the values it holds (see
+// interned per machine, keyed by what fixes every value it holds (see
 // internRootClass), so every rank whose view would compute it alike shares
 // one: in a block distribution, one per position class. A section's is its
 // own. It is read-only once built.
@@ -320,13 +320,20 @@ func (lay *layout) axisAccessOf(st *store, sd int) axisAccess {
 	}
 	if ax.kind != axGeneral {
 		// Star: lower 0, lsize = extent, halo 0.
-		h, n, extent, lo := lay.halo[sd], lay.lsize[sd], lay.extents[sd], st.lower(sd)
-		ax.base = h
-		ax.rlo = max(lo-h, 0) - lo
-		ax.rspan = max(min(lo+n+h, extent)-lo-ax.rlo, 0)
-		ax.wspan = max(min(lo+n, extent)-lo, 0)
+		ax.base = lay.halo[sd]
+		ax.rlo, ax.rspan, ax.wspan = windows(st.lower(sd), lay.lsize[sd], lay.halo[sd], lay.extents[sd])
 	}
 	return ax
+}
+
+// windows returns the read window and the write window's length of a block
+// of n cells starting at global index lo, with halo h, along a dimension of
+// extent cells, both clipped to the extent and addressed from lo.
+func windows(lo, n, h, extent int) (rlo, rspan, wspan int) {
+	rlo = max(lo-h, 0) - lo
+	rspan = max(min(lo+n+h, extent)-lo-rlo, 0)
+	wspan = max(min(lo+n, extent)-lo, 0)
+	return rlo, rspan, wspan
 }
 
 // classBuilds counts the view class parts built (interned or a section's
@@ -334,37 +341,45 @@ func (lay *layout) axisAccessOf(st *store, sd int) axisAccess {
 var classBuilds atomic.Int64
 
 // internRootClass returns the class part of the processor's root view of
-// st, whose layout is lay under layKey (see internLayout): the machine's
-// one copy (machine.Intern). The key is every value the class part holds —
-// the layout's content and the access data derived from it — computed
-// before the lookup, so a rank shares one only with ranks that would have
-// built it identically, and only the first of them builds it. The key is
-// appended to layKey's buffer, and the access data is derived again by the
-// builder rather than kept: the frame stays small enough for a fresh
-// goroutine's stack.
-func internRootClass(st *store, lay *layout, layKey []byte) *viewClass {
-	nd := len(lay.extents)
-	member := st.pos != nil
-	key := append(layKey[len(layKey):], 'V')
-	key = append(key, layKey[1:]...)
-	if member {
-		for sd := 0; sd < nd; sd++ {
-			ax := lay.axisAccessOf(st, sd)
-			key = append(key, ax.kind)
-			key = binary.AppendVarint(key, int64(ax.rlo))
-			key = binary.AppendVarint(key, int64(ax.rspan))
-			key = binary.AppendVarint(key, int64(ax.wspan))
-			key = binary.AppendVarint(key, int64(ax.base))
-			key = binary.AppendVarint(key, int64(ax.stride))
-			key = binary.AppendVarint(key, int64(ax.qi))
-			key = binary.AppendVarint(key, int64(ax.P))
+// st, the machine's one copy (machine.Intern): its layout (the
+// declaration and, for a grid member, its block's shape lsize) and the
+// access data derived from it. The key is what fixes that content — the
+// layout's and, per free dimension, the windows clipped at the extent or
+// the axis length a general dimension asks its distribution with — computed
+// before the lookup into key, so a rank shares one only with ranks that
+// would have built it identically, and only the first of them builds it.
+func internRootClass(st *store, key []byte, g *topology.Grid, spec Spec, halo, axisOf, lsize []int) *viewClass {
+	key = binary.AppendUvarint(append(key, 'V'), uint64(len(spec.Extents)))
+	key = binary.AppendUvarint(key, uint64(len(lsize)))
+	for d, n := range spec.Extents {
+		key = binary.AppendUvarint(key, uint64(n))
+		key = binary.AppendUvarint(key, uint64(halo[d]))
+		key = binary.AppendVarint(key, int64(axisOf[d]))
+		key = appendDist(key, spec.Dists[d])
+		if lsize == nil {
+			continue
 		}
-	} else {
-		key = append(key, '-')
+		key = binary.AppendUvarint(key, uint64(lsize[d]))
+		if _, contig := spec.Dists[d].(dist.Contiguous); axisOf[d] >= 0 && !contig {
+			key = binary.AppendUvarint(key, uint64(g.Extent(axisOf[d])))
+			continue
+		}
+		rlo, rspan, wspan := windows(st.lower(d), lsize[d], halo[d], n)
+		key = binary.AppendVarint(key, int64(rlo))
+		key = binary.AppendUvarint(key, uint64(rspan))
+		key = binary.AppendUvarint(key, uint64(wspan))
 	}
-	return machine.Intern(st.p.Machine(), key, func() *viewClass {
+	rc := machine.Intern(st.p.Machine(), key, func() *rootClass {
 		classBuilds.Add(1)
-		vc := &viewClass{layout: lay}
+		nd := len(spec.Extents)
+		rc := &rootClass{}
+		ints, dists := rc.ints[:], rc.dists[:0]
+		if nd > maxInlineDims {
+			ints, dists = make([]int, 6*nd), nil
+		}
+		rc.lay.fill(ints, append(dists, spec.Dists...), spec.Extents, halo, axisOf, lsize)
+		vc := &rc.viewClass
+		vc.layout = &rc.lay
 		vc.pfix = vc.pfixBuf[:0]
 		if nd > maxInlineDims {
 			vc.pfix = make([]int, 0, nd)
@@ -372,17 +387,27 @@ func internRootClass(st *store, lay *layout, layKey []byte) *viewClass {
 		for range nd {
 			vc.pfix = append(vc.pfix, -1)
 		}
-		if member {
+		if lsize != nil {
 			vc.acc = vc.accBuf[:0]
 			if nd > maxInlineAcc {
 				vc.acc = make([]axisAccess, 0, nd)
 			}
 			for sd := 0; sd < nd; sd++ {
-				vc.acc = append(vc.acc, lay.axisAccessOf(st, sd))
+				vc.acc = append(vc.acc, vc.axisAccessOf(st, sd))
 			}
 		}
-		return vc
+		return rc
 	})
+	return &rc.viewClass
+}
+
+// rootClass is a root view's class part in one allocation with its layout
+// and the layout's inline backing.
+type rootClass struct {
+	viewClass
+	lay   layout
+	ints  [6 * maxInlineDims]int
+	dists [maxInlineDims]dist.Dist
 }
 
 // fillSection builds the class part of a section view of st fixing the
@@ -456,17 +481,11 @@ func (a *Array) roff(k, g int) int {
 			panic(fmt.Sprintf("darray: index %d out of extent %d (dim %d)", g, extent, sd))
 		}
 		d := a.dists[sd]
-		owner, local := 0, 0
-		if _, ok := d.(dist.Cyclic); ok { // the common general dimension, without two interface calls
-			owner, local = g%ax.P, g/ax.P
-		} else {
-			owner, local = d.Owner(g, extent, ax.P), d.ToLocal(g, extent, ax.P)
-		}
-		if owner != st.pos[ax.qi] {
+		if d.Owner(g, extent, ax.P) != st.pos[ax.qi] {
 			panic(fmt.Sprintf("darray: proc %d does not own global index %d of %s dim %d",
 				st.p.Rank(), g, d.Name(), sd))
 		}
-		return local * ax.stride
+		return d.ToLocal(g, extent, ax.P) * ax.stride
 	}
 	if ax.kind == axStar && uint(g) < uint(ax.rspan) { // a Star window is the extent
 		return g * ax.stride
@@ -571,41 +590,15 @@ func New(p *machine.Proc, g *topology.Grid, spec Spec) *Array {
 	} else {
 		lsize = nil
 	}
-	var keyBuf [192]byte // the layout's key, then the class part's
-	layKey := layoutKey(keyBuf[:0], spec.Extents, spec.Dists, halo, axisOf, lsize)
-	lay := internLayout(p.Machine(), layKey, spec.Extents, spec.Dists, halo, axisOf, lsize)
+	var keyBuf [192]byte
+	a.viewClass = internRootClass(st, keyBuf[:0], g, spec, halo, axisOf, lsize)
 	if a.participates {
-		st.data = make([]float64, lay.stride[0]*lay.pad[0])
+		st.data = make([]float64, a.stride[0]*a.pad[0])
 	}
-	a.viewClass = internRootClass(st, lay, layKey)
 	return a
 }
 
-// internLayout returns machine m's one layout with this content, whose
-// key is layoutKey's (see machine.Intern); lsize is nil for a processor
-// outside the grid. Two layouts are equal exactly when their keys are, so a
-// rank shares one only with ranks that would have computed it identically.
-func internLayout(m *machine.Machine, key []byte, extents []int, dists []dist.Dist, halo, axisOf, lsize []int) *layout {
-	return machine.Intern(m, key, func() *layout { return newLayout(extents, dists, halo, axisOf, lsize) })
-}
-
-// layoutKey appends a layout's key, its whole content, to buf.
-func layoutKey(buf []byte, extents []int, dists []dist.Dist, halo, axisOf, lsize []int) []byte {
-	key := binary.AppendUvarint(append(buf, 'L'), uint64(len(extents)))
-	key = binary.AppendUvarint(key, uint64(len(lsize)))
-	for d := range extents {
-		key = binary.AppendUvarint(key, uint64(extents[d]))
-		key = binary.AppendUvarint(key, uint64(halo[d]))
-		key = binary.AppendVarint(key, int64(axisOf[d]))
-		key = appendDist(key, dists[d])
-		if lsize != nil {
-			key = binary.AppendUvarint(key, uint64(lsize[d]))
-		}
-	}
-	return key
-}
-
-// appendDist encodes a distribution for a layout key: the bundled patterns
+// appendDist encodes a distribution for a class part's key: the bundled patterns
 // by a letter and their parameters, any other by its type and value.
 func appendDist(key []byte, d dist.Dist) []byte {
 	switch d := d.(type) {
@@ -623,26 +616,19 @@ func appendDist(key []byte, d dist.Dist) []byte {
 	}
 }
 
-// newLayout builds a layout from its content, the per-dimension ints in
-// one backing array.
-func newLayout(extents []int, dists []dist.Dist, halo, axisOf, lsize []int) *layout {
+// fill sets the layout to its content: the distributions are dists, and
+// the per-dimension ints go into ints, which holds 6 per dimension.
+func (lay *layout) fill(ints []int, dists []dist.Dist, extents, halo, axisOf, lsize []int) {
 	nd := len(extents)
-	k := 3
-	if lsize != nil {
-		k = 6
-	}
-	ints := make([]int, k*nd)
-	lay := &layout{
-		extents: ints[0*nd : 1*nd : 1*nd],
-		dists:   append([]dist.Dist(nil), dists...),
-		halo:    ints[1*nd : 2*nd : 2*nd],
-		axisOf:  ints[2*nd : 3*nd : 3*nd],
-	}
+	lay.extents = ints[0*nd : 1*nd : 1*nd]
+	lay.dists = dists
+	lay.halo = ints[1*nd : 2*nd : 2*nd]
+	lay.axisOf = ints[2*nd : 3*nd : 3*nd]
 	copy(lay.extents, extents)
 	copy(lay.halo, halo)
 	copy(lay.axisOf, axisOf)
 	if lsize == nil {
-		return lay
+		return
 	}
 	lay.lsize = ints[3*nd : 4*nd : 4*nd]
 	lay.pad = ints[4*nd : 5*nd : 5*nd]
@@ -654,7 +640,6 @@ func newLayout(extents []int, dists []dist.Dist, halo, axisOf, lsize []int) *lay
 		lay.stride[d] = stride
 		stride *= lay.pad[d]
 	}
-	return lay
 }
 
 // Dims returns the number of (free) dimensions of the array or section.

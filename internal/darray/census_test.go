@@ -15,7 +15,8 @@ import (
 // axis), not on its coordinates, so a machine whose ranks share what they
 // would compile alike holds a number of them that does not grow with the
 // rank count. These tests count, by pointer identity, the distinct halo
-// schedules, gather pack lists, layouts and views' class parts the ranks of
+// schedules, gather pack lists and views' class parts (each with its
+// layout) the ranks of
 // a warmed Jacobi program hold at three grid sizes, count how many class
 // parts were built, and hold every shared descriptor's program to the
 // direct derivation bit for bit. (internal/kf's TestClassCensusLoops takes
@@ -25,7 +26,6 @@ import (
 type census struct {
 	halo   int // halo-exchange schedules
 	gather int // gather plans' pack run lists, the root's own plan counted once more
-	layout int // array layouts
 	view   int // root views' class parts
 }
 
@@ -110,12 +110,10 @@ func runJacobiLike(t *testing.T, side, n int, d dist.Dist, direct bool) (capture
 func countDescriptors(decl jacobiRanks) census {
 	halos := map[any]bool{}
 	packs := map[any]bool{}
-	layouts := map[any]bool{}
 	views := map[any]bool{}
 	roots := 0
 	for r := range decl.x {
 		for _, a := range []*Array{decl.x[r], decl.f[r]} {
-			layouts[a.layout] = true
 			views[a.viewClass] = true
 			for _, pl := range a.plans {
 				if pl.halo != nil {
@@ -132,7 +130,7 @@ func countDescriptors(decl jacobiRanks) census {
 			}
 		}
 	}
-	return census{halo: len(halos), gather: len(packs) + roots, layout: len(layouts), view: len(views)}
+	return census{halo: len(halos), gather: len(packs) + roots, view: len(views)}
 }
 
 // checkViewsDirect holds every rank's root views — the class part shared,
@@ -183,7 +181,7 @@ func checkViewsDirect(t *testing.T, decl jacobiRanks) {
 
 // TestClassCensus: a warmed Jacobi program's ranks hold the same number of
 // distinct halo schedules (at most one per position class, 9 in 2-D),
-// gather pack lists and layouts on 256, 1,024 and 4,096 ranks — a census
+// gather pack lists and view class parts on 256, 1,024 and 4,096 ranks — a census
 // that is a function of the program, not of P² — and replay them
 // bit-identically to the direct derivation.
 func TestClassCensus(t *testing.T) {
@@ -194,8 +192,8 @@ func TestClassCensus(t *testing.T) {
 		assertSameCapture(t, side, direct, shared)
 		checkViewsDirect(t, decl)
 		c := countDescriptors(decl)
-		t.Logf("Grid(%d, %d): %d halo schedules, %d gather plans, %d layouts, %d view classes (%d built) over %d ranks",
-			side, side, c.halo, c.gather, c.layout, c.view, built, side*side)
+		t.Logf("Grid(%d, %d): %d halo schedules, %d gather plans, %d view classes (%d built) over %d ranks",
+			side, side, c.halo, c.gather, c.view, built, side*side)
 		if c.halo > 9 {
 			t.Errorf("Grid(%d, %d): %d distinct halo schedules, want at most one per position class (9)", side, side, c.halo)
 		}
@@ -236,11 +234,11 @@ func TestClassCensusUnevenAndCyclic(t *testing.T) {
 			assertSameCapture(t, side, direct, shared)
 			checkViewsDirect(t, decl)
 			c := countDescriptors(decl)
-			t.Logf("%s %d on Grid(%d, %d): %d halo schedules, %d gather plans, %d layouts, %d view classes",
-				tc.name, tc.n, side, side, c.halo, c.gather, c.layout, c.view)
+			t.Logf("%s %d on Grid(%d, %d): %d halo schedules, %d gather plans, %d view classes",
+				tc.name, tc.n, side, side, c.halo, c.gather, c.view)
 			// Two block sizes per axis: at most 9 classes times 4 shapes,
 			// for each of the two arrays' views.
-			if c.halo > 36 || c.gather > 36+1 || c.layout > 2*4 || c.view > 2*36 {
+			if c.halo > 36 || c.gather > 36+1 || c.view > 2*36 {
 				t.Errorf("%s on Grid(%d, %d): census %+v exceeds the per-class bound", tc.name, side, side, c)
 			}
 		}
@@ -269,8 +267,8 @@ func assertSameCapture(t *testing.T, side int, direct, shared capture) {
 
 // TestViewClassesLeaveWithLastHolder: the machine's intern table holds the
 // views' class parts only weakly — while ranks hold their arrays the parts
-// are in the table, one per position class; once no rank holds them every
-// entry (theirs and the layouts') leaves it after a collection, and the
+// are the table's entries, one per position class (each with its layout);
+// once no rank holds them every entry leaves it after a collection, and the
 // same declaration builds its class parts afresh.
 func TestViewClassesLeaveWithLastHolder(t *testing.T) {
 	g := topology.New(4, 4)
@@ -293,8 +291,8 @@ func TestViewClassesLeaveWithLastHolder(t *testing.T) {
 		views[a.viewClass] = true
 	}
 	held := m.Interned()
-	if len(views) != 9 || classBuilds.Load()-built != 9 || held < len(views) {
-		t.Fatalf("%d ranks hold %d class parts (%d built) in a table of %d entries, want 9, each built once, in it",
+	if len(views) != 9 || classBuilds.Load()-built != 9 || held != len(views) {
+		t.Fatalf("%d ranks hold %d class parts (%d built) in a table of %d entries, want 9, each built once, and nothing else",
 			g.Size(), len(views), classBuilds.Load()-built, held)
 	}
 	runtime.KeepAlive(arrs)
