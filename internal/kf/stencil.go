@@ -41,8 +41,7 @@ import (
 // is strip-mined it runs no closure, binds no iteration context and tests no
 // window per cell, and it copies into a snapshot only what a read could see
 // change: Old reads of an array the statement does not assign read its live
-// data, and so, on the row path, do the destination's own, each computed row
-// being held back until no later row reads it. Assign compiles the
+// data. Assign compiles the
 // right-hand side once into operations over row registers, shared by every
 // processor; a plan's Stencil binds them, per position class, into one
 // compiled loop the machine shares (stencilClass). Binding checks the owned
@@ -394,12 +393,6 @@ type stencilClass struct {
 	opts  []stencilOpt // the loop options by parameter (row path)
 	count [2]int
 	refs  []rowRef
-	// ring, when the destination's own Old reads read its live data, is
-	// how many computed rows the pass holds back in a ring of temporary
-	// rows before writing them to the destination: one more than the rows
-	// a later row's reads reach back, so that every read sees the values
-	// from before the pass, as the snapshot would have given them.
-	ring int
 }
 
 // stencilOpt is a loop option of the row path by parameter: Reads or
@@ -431,12 +424,11 @@ func (pl *Plan2) Stencil(st *Statement, arrays ...*darray.Array) *Stencil {
 		panic(fmt.Sprintf("kf: stencil statement over %d arrays bound to %d", st.nargs, len(arrays)))
 	}
 	s := &Stencil{c: pl.c, arrs: append([]*darray.Array(nil), arrays...)}
+	live, snap := s.liveness(st, pl.opts)
 	if pl.fast() {
-		live, snap := s.liveness(st, pl.opts, true)
 		s.cls = s.bind(st, pl, live, snap)
 	}
 	if s.cls == nil {
-		live, snap := s.liveness(st, pl.opts, false)
 		loopBuilds.Add(1)
 		s.cls = &stencilClass{st: st, live: live}
 		cp := *pl
@@ -457,13 +449,10 @@ func (pl *Plan2) Stencil(st *Statement, arrays ...*darray.Array) *Stencil {
 // option past the 64th always does). A parameter reads live when a loop
 // option would have snapshotted that very view (so where the closure's Old
 // would have read the snapshot, the statement reads the same values) and
-// nothing the pass writes can reach what it reads: its array shares no
-// storage with the destination, or — on the row path, which holds each
-// computed row back until no later row reads it (see stencilClass.ring) —
-// it is the destination itself, no other view of whose storage the
-// statement reads. An option drops its snapshot when no parameter that
-// still reads a snapshot shares its array's storage.
-func (s *Stencil) liveness(st *Statement, opts []LoopOpt, rows bool) (live, snap uint64) {
+// its array shares no storage with the destination, so nothing the pass
+// writes can reach what it reads. An option drops its snapshot when no
+// parameter that still reads a snapshot shares its array's storage.
+func (s *Stencil) liveness(st *Statement, opts []LoopOpt) (live, snap uint64) {
 	dst := s.arrs[st.dst]
 	var old uint64
 	st.rhs.visit(func(r *Expr) {
@@ -472,12 +461,7 @@ func (s *Stencil) liveness(st *Statement, opts []LoopOpt, rows bool) (live, snap
 		}
 	})
 	for k, a := range s.arrs {
-		if a != dst && a.SharesStorage(dst) && (k >= 64 || old&(1<<k) != 0) {
-			rows = false // an Old read of another view of the destination
-		}
-	}
-	for k, a := range s.arrs {
-		if k >= 64 || a.SharesStorage(dst) && !(rows && a == dst) {
+		if k >= 64 || a.SharesStorage(dst) {
 			continue
 		}
 		for _, o := range opts {
@@ -554,19 +538,6 @@ func (s *Stencil) bind(st *Statement, pl *Plan2, live, snap uint64) *stencilClas
 		}
 		count[d] = (end-first[d])/step[d] + 1
 	}
-	dst, ring, lag := s.arrs[st.dst], 0, 0
-	for _, rd := range st.reads {
-		if s.arrs[rd.arg] == dst {
-			lag = max(lag, rd.off[0], -rd.off[0])
-			if rd.old && rd.arg < 64 && live&(1<<rd.arg) != 0 {
-				ring = 1
-			}
-		}
-	}
-	if ring > 0 {
-		ring += lag / step[0]
-	}
-	key = binary.AppendUvarint(key, uint64(ring))
 	key = binary.AppendUvarint(key, uint64(count[0]))
 	key = binary.AppendUvarint(key, uint64(count[1]))
 	for k := 0; k <= len(st.reads); k++ {
@@ -579,7 +550,7 @@ func (s *Stencil) bind(st *Statement, pl *Plan2, live, snap uint64) *stencilClas
 	}
 	return machine.Intern(s.c.P.Machine(), key, func() *stencilClass {
 		loopBuilds.Add(1)
-		cls := &stencilClass{st: st, live: live, count: count, refs: make([]rowRef, len(st.reads)+1), ring: ring}
+		cls := &stencilClass{st: st, live: live, count: count, refs: make([]rowRef, len(st.reads)+1)}
 		for k := range cls.refs {
 			cls.refs[k], _ = s.place(st, k, first, count, step[0])
 		}
@@ -705,9 +676,8 @@ func (s *Stencil) arg(k int) *darray.Array {
 }
 
 // sweep runs the row operations over every owned row, in the loop's order.
-// The registers live on this frame and the temporaries — and the ring of
-// held-back rows — in one pooled buffer, so a statement keeps no per-pass
-// state between passes.
+// The registers live on this frame and the temporaries in one pooled
+// buffer, so a statement keeps no per-pass state between passes.
 func (s *Stencil) sweep() {
 	cls := s.cls
 	st := cls.st
@@ -724,39 +694,17 @@ func (s *Stencil) sweep() {
 			bufs[k] = shadow
 		}
 	}
-	n, out := cls.count[1], len(cls.refs)-1
-	dst := bufs[out]
-	if extra := st.ntemp + cls.ring; extra > 0 {
-		p := s.c.P
-		tmp := p.AcquireBuf(extra * n)
+	if st.ntemp > 0 {
+		n, p := cls.count[1], s.c.P
+		tmp := p.AcquireBuf(st.ntemp * n)
 		defer p.ReleaseBuf(tmp)
 		for t, k := 0, len(cls.refs); t < st.ntemp; t, k = t+1, k+1 {
 			bufs[k], offs[k] = tmp, t*n
 		}
-		if cls.ring > 0 {
-			bufs[out] = tmp[st.ntemp*n:]
-		}
 	}
 	for c := 0; c < cls.count[0]; c++ {
 		s.row(&bufs, &offs, c)
-		if c >= cls.ring-1 {
-			s.commit(dst, bufs[out], c-cls.ring+1)
-		}
 	}
-	for c := max(cls.count[0]-cls.ring+1, 0); c < cls.count[0]; c++ {
-		s.commit(dst, bufs[out], c)
-	}
-}
-
-// commit writes held-back row c from the ring to the destination's
-// storage, dst; without a ring the row was computed in place.
-func (s *Stencil) commit(dst, ring []float64, c int) {
-	cls := s.cls
-	if cls.ring == 0 {
-		return
-	}
-	n, r := cls.count[1], &cls.refs[len(cls.refs)-1]
-	copy(dst[r.pre+c*r.stride:][:n], ring[c%cls.ring*n:][:n])
 }
 
 // row evaluates the statement on the box's row c: register k is
@@ -767,9 +715,6 @@ func (s *Stencil) row(bufs *[maxRegs][]float64, offs *[maxRegs]int, c int) {
 	for k := range cls.refs {
 		r := &cls.refs[k]
 		offs[k] = r.pre + c*r.stride
-	}
-	if cls.ring > 0 {
-		offs[len(cls.refs)-1] = c % cls.ring * n // the row's slot in the ring
 	}
 	for k := range cls.st.ops {
 		op := &cls.st.ops[k]

@@ -167,7 +167,6 @@ type stencilOutcome struct {
 	stats machine.Stats
 	panic string
 	rows  bool
-	ring  bool // the row path held rows back instead of snapshotting the destination
 }
 
 // runStencilCase runs tc on a fresh machine, through the compiled statement
@@ -208,7 +207,6 @@ func runStencilCase(t *testing.T, tc stencilCase, compiled bool) []stencilOutcom
 			if compiled {
 				s := pl.Stencil(stmt, arrs...)
 				o.rows = s.cell == nil
-				o.ring = s.cls.ring > 0
 				s.Run()
 				return
 			}
@@ -234,7 +232,7 @@ func TestStencilMatchesClosure(t *testing.T) {
 	if testing.Short() {
 		seeds = 300
 	}
-	var ranks, rows, rings, panics int
+	var ranks, rows, panics int
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		tc := genCase(seed)
 		want := runStencilCase(t, tc, false)
@@ -257,9 +255,6 @@ func TestStencilMatchesClosure(t *testing.T) {
 					seed, rank, g.clock, g.stats, w.clock, w.stats)
 			}
 			ranks++
-			if g.ring {
-				rings++
-			}
 			if g.rows {
 				rows++
 			}
@@ -268,11 +263,10 @@ func TestStencilMatchesClosure(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d seeds, %d ranks: %d on the row path (%d with a ring of held-back rows), %d panicked identically",
-		seeds, ranks, rows, rings, panics)
+	t.Logf("%d seeds, %d ranks: %d on the row path, %d panicked identically", seeds, ranks, rows, panics)
 	// The generator must exercise both paths and the panic texts.
-	if rows < ranks/4 || rows > ranks*9/10 || rings < rows/10 || panics == 0 {
-		t.Errorf("coverage: %d of %d ranks on the row path (%d with a ring), %d panics", rows, ranks, rings, panics)
+	if rows < ranks/4 || rows > ranks*9/10 || panics == 0 {
+		t.Errorf("coverage: %d of %d ranks on the row path, %d panics", rows, ranks, panics)
 	}
 }
 

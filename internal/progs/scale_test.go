@@ -44,12 +44,12 @@ func liveMem() (heap, stack uint64) {
 
 // TestResidencyPerRank pins the live heap and the goroutine stack a warmed
 // System holds per rank for a 2x2 (or 4x4) block of Jacobi data: two array
-// headers with their blocks (no snapshot: the sweep's row path reads X
-// live, holding computed rows back, and f is not written), X's halo and
-// gather plan slots, the sweep's binding (its context and arrays), the rank's
+// headers with their blocks and X's snapshot (f, which the sweep does not
+// write, it reads live), X's halo and gather plan slots, the sweep's
+// binding (its context and arrays), the rank's
 // continuation in its declared state, the rank's Proc, mailbox and buffer
 // free list, and the engine's per-rank slots. What a rank shares with its
-// position class — layouts, the views' class parts, halo schedules, gather
+// position class — the views' class parts and layouts, halo schedules, gather
 // runs and plans, the compiled sweep — is held once per machine, so it
 // hardly counts per rank. Jacobi runs in its step form, so no rank keeps a
 // coroutine, a goroutine or a stack between runs: the calendar's few
@@ -60,13 +60,15 @@ func TestResidencyPerRank(t *testing.T) {
 		budget float64 // heap bytes per rank
 		stack  float64 // stack bytes per rank
 	}{
-		// 2,236 measured + 15 % (4,350 while every rank kept its own view,
-		// compiled sweep and snapshots, 5,097 while every rank was a
-		// coroutine, 9,178 when every rank kept its own descriptors); stack
-		// 0-16 (4,124).
-		{64, 2571, 64},
-		// 1,909 measured + 15 % (3,608; 4,236; 8,162); stack 0-4 (4,118).
-		{128, 2195, 64},
+		// 2,494 measured + 15 % (2,237 while the sweep held computed rows
+		// back instead of snapshotting X, 4,350 while every rank kept its
+		// own view, compiled sweep and snapshots, 5,097 while every rank
+		// was a coroutine, 9,178 when every rank kept its own descriptors);
+		// stack 0-24 (4,124).
+		{64, 2868, 64},
+		// 1,973 measured + 15 % (1,910; 3,608; 4,236; 8,162); stack 0-4
+		// (4,118).
+		{128, 2269, 64},
 	} {
 		side := tc.side
 		if side == 128 && testing.Short() {
@@ -229,15 +231,16 @@ func pinAllocs(t *testing.T, name string, measured float64, runs int, f func()) 
 // the E4 ADI experiment on a 2x2 grid.
 func TestColdSystemAllocs(t *testing.T) {
 	x0, f := jacobi.Problem(256)
-	// 12,735-12,736, of which about 3 per shared descriptor are its intern
-	// entry's weak pointer and cleanup (12,751 while a root view's layout
-	// was interned apart from its class part); 14,596-14,597 while every rank
+	// 12,588, of which about 3 per shared descriptor are its intern entry's
+	// weak pointer and cleanup (12,736 while the sweep held computed rows
+	// back in a ring, 12,751 while a root view's layout was also interned
+	// apart from its class part); 14,596-14,597 while every rank
 	// built its own view, loop header, options, stencil binding, iteration
 	// grid and snapshots (14,516 while the table held its values for good);
 	// 19,902 when every rank kept its own layouts, halo schedule, gather
 	// runs, row program and grid slices, 20,157 when every partition's
 	// calendar was its own allocation.
-	pinAllocs(t, "cold jacobi(256, 2) on Grid(16, 16), federated/4", 12736, 5, func() {
+	pinAllocs(t, "cold jacobi(256, 2) on Grid(16, 16), federated/4", 12588, 5, func() {
 		sys := core.MustSystem(core.Grid(16, 16), core.Transport("federated"), core.Nodes(4),
 			core.Cost(machine.ZeroComm()))
 		defer sys.Close()
