@@ -186,12 +186,13 @@ type Array struct {
 type viewClass struct {
 	// The accessors' fields first, with the inline backing of acc: with
 	// at most maxInlineDims store dimensions (maxInlineAcc of them free)
-	// a class part costs one allocation instead of one per slice.
-	acc      []axisAccess // one entry per free dimension, in order
-	fixedOff int          // data offset contributed by the fixed dims
+	// a class part costs one allocation instead of one per slice. A
+	// section's first touch (Extent, LocalSize) reads acc and the layout.
+	acc []axisAccess // one entry per free dimension, in order
+	*layout
+	fixedOff int // data offset contributed by the fixed dims
 	accBuf   [maxInlineAcc]axisAccess
 
-	*layout
 	pfix    []int // per store dim: fixed global index, or -1 if free
 	pfixBuf [maxInlineDims]int
 }

@@ -118,9 +118,11 @@ func (p *Proc) ReleaseBuf(buf []float64) {
 		return
 	}
 	held := 0
-	for _, b := range p.local {
-		if capClass(cap(b)) == c {
-			held++
+	if len(p.local) >= localKeep { // a shorter list holds fewer of any class
+		for _, b := range p.local {
+			if capClass(cap(b)) == c {
+				held++
+			}
 		}
 	}
 	if held == localKeep {
