@@ -384,3 +384,43 @@ func TestCalendarStepsNeedAStepTransport(t *testing.T) {
 		}
 	}
 }
+
+// TestCalendarRunKindLayout alternates the two run kinds — the step form
+// and the body form of one seeded Kahn program — on one machine under
+// "goroutine" and the calendar pinned at 1, 2 and 3 workers. Every run
+// matches the reference bit for bit, and switching kinds restarts nothing:
+// the machine's first run that needs a continuation per rank — a body run,
+// or a step run with a rank per partition — starts n, and every run after
+// it starts none.
+func TestCalendarRunKindLayout(t *testing.T) {
+	const n = 8
+	scripts := kahnSteps(rand.New(rand.NewSource(41)), n, 4)
+	want, _ := runForm(t, New(n, IPSC2()), scripts, false, nil, nil)
+	engines := withPinned([]lifecycleEngine{{"goroutine", newDefaultExecutor}}, 1, 2, 3)
+	for i, eng := range engines {
+		workers := n // "goroutine": a partition per rank
+		if i > 0 {
+			workers = i
+		}
+		t.Run(eng.name, func(t *testing.T) {
+			m := New(n, IPSC2())
+			m.SetExecutor(eng.new())
+			defer m.Close()
+			_, stepParts := wantSplit(n, workers)
+			started := false
+			for run := 0; run < 8; run++ {
+				steps := run%2 == 0
+				got, _ := runForm(t, m, scripts, steps, nil, nil)
+				sameKahn(t, fmt.Sprintf("run %d (steps %v)", run, steps), got, want)
+				st := m.CalendarStats()
+				wantStarts := 0
+				if !started && (!steps || stepParts == n) {
+					wantStarts, started = n, true
+				}
+				if st.Starts != wantStarts {
+					t.Errorf("run %d (steps %v): Starts = %d, want %d", run, steps, st.Starts, wantStarts)
+				}
+			}
+		})
+	}
+}
