@@ -29,10 +29,10 @@
 //
 // -executor selects, by registry name (machine.RegisterExecutor), the engine
 // driving every run: "goroutine" (the default; one partition per virtual
-// processor) or "calendar" (the processors multiplexed over GOMAXPROCS
-// partitions in virtual-time order). Values, censuses and virtual times are
-// engine-invariant, so the reported metrics must not move — running the
-// suite this way exercises an engine end to end.
+// processor) or "calendar" (a step program's processors multiplexed over
+// GOMAXPROCS partitions in virtual-time order). Values, censuses and
+// virtual times are engine-invariant, so the reported metrics must not
+// move — running the suite this way exercises an engine end to end.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the
 // experiments the invocation runs, for `go tool pprof`.

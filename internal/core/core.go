@@ -102,8 +102,9 @@ func Transport(name string) Option {
 
 // Executor selects the engine driving every run by its registry name
 // (machine.RegisterExecutor): "goroutine" (one partition per virtual
-// processor, the default) or "calendar" (min(GOMAXPROCS, n) partitions
-// resuming runnable processors in virtual-time order); future engines
+// processor, the default) or "calendar" (a step program's processors on
+// min(GOMAXPROCS, n) partitions resumed in virtual-time order, a body's on
+// one partition each); future engines
 // resolve the same way. Programs behave bit-identically on every engine —
 // the conformance battery in internal/machine pins it — so the choice is
 // purely a host-performance one. Unknown names surface as errors from

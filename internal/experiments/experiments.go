@@ -85,8 +85,8 @@ func (e *env) explicit(opts ...core.Option) *core.System {
 }
 
 // runLast runs prog on sys and closes it. A sweep point's system ends
-// there: a machine keeps a goroutine or coroutine stack per rank until it
-// is closed, which at 1,024 ranks and up outweighs the rank data.
+// there: a machine keeps a goroutine stack per body rank until it is
+// closed, which at 1,024 ranks and up outweighs the rank data.
 func runLast(sys *core.System, prog *core.Program) core.Run {
 	run, err := sys.RunProgram(prog)
 	return must(run, errors.Join(err, sys.Close()))

@@ -8,19 +8,20 @@ import (
 	"testing"
 )
 
-// The partition battery: the engine block-distributes the ranks over its
-// workers, one lock, calendar and token per partition. These tests hold
-// every split — one partition, two, three, uneven, one rank per partition
-// (the "goroutine" engine, which the references below run on) — to every
-// other bit for bit: the machine is a Kahn network, so any two schedules of
-// a program are each other's reference. They also watch the things only a
-// partitioned scheduler can get wrong: two ranks of one partition running
-// at once, a quiescence seen twice or while a token is out, a partition with
-// nothing to do that spins.
+// The partition battery: the engine block-distributes a step run's ranks
+// over its workers, one lock, calendar and token per partition (a body run
+// takes a partition per rank). These tests hold every split — one
+// partition, two, three, uneven, one rank per partition (the "goroutine"
+// engine, which the references below run on) — to every other bit for bit:
+// the machine is a Kahn network, so any two schedules of a program are each
+// other's reference. They also watch the things only a partitioned
+// scheduler can get wrong: two ranks of one partition running at once, a
+// quiescence seen twice or while a token is out, a partition with nothing
+// to do that spins.
 
 // kahnOp is one step of a rank's script.
 type kahnOp struct {
-	kind  byte // 's' send, 'r' receive, 'c' compute, 'b' host barrier
+	kind  byte // 's' send, 'r' receive, 'c' compute
 	peer  int
 	tag   Tag
 	words int // payload length of a send; flops of a compute
@@ -72,11 +73,6 @@ func kahnScripts(rng *rand.Rand, n, rounds int) [][]kahnOp {
 				scripts[r] = append(scripts[r], kahnOp{kind: 'c', words: 1 + rng.Intn(500)})
 			}
 		}
-		if round%2 == 1 {
-			for r := range scripts {
-				scripts[r] = append(scripts[r], kahnOp{kind: 'b'})
-			}
-		}
 	}
 	for len(inFlight) > 0 {
 		receiveOne()
@@ -91,77 +87,6 @@ type kahnResult struct {
 	clocks []float64
 }
 
-// runKahn interprets the scripts on m. Each rank folds what it receives into
-// an accumulator and sends values derived from it, so a message matched to
-// the wrong receive changes every value downstream. partOf, when non-nil,
-// maps a rank to its partition: the rank then counts itself into running[]
-// for every stretch between two calls that may park, and any count above
-// one — two ranks of one partition resumed at the same time — is an error.
-func runKahn(t *testing.T, m *Machine, scripts [][]kahnOp, partOf func(rank int) int, running []atomic.Int32) kahnResult {
-	t.Helper()
-	n := len(scripts)
-	res := kahnResult{values: make([]float64, n), stats: make([]Stats, n), clocks: make([]float64, n)}
-	ran := make([]atomic.Int32, n)
-	err := m.Run(func(p *Proc) error {
-		me := p.Rank()
-		ran[me].Add(1)
-		enter, leave := func() {}, func() {}
-		if partOf != nil {
-			slot := &running[partOf(me)]
-			enter = func() {
-				if now := slot.Add(1); now != 1 {
-					t.Errorf("rank %d resumed while %d ranks of partition %d were running", me, now-1, partOf(me))
-				}
-			}
-			leave = func() { slot.Add(-1) }
-		}
-		acc := float64(me + 1)
-		enter()
-		for i, op := range scripts[me] {
-			switch op.kind {
-			case 's':
-				buf := p.AcquireBuf(op.words)
-				for j := range buf {
-					buf[j] = acc + float64(i+j)
-				}
-				p.Send(op.peer, op.tag, buf)
-			case 'r':
-				leave()
-				in := p.Recv(op.peer, op.tag)
-				enter()
-				for _, v := range in {
-					acc = acc*0.5 + v
-				}
-				p.ReleaseBuf(in)
-			case 'c':
-				p.Compute(op.words)
-				acc += float64(op.words)
-			case 'b':
-				leave()
-				ok := m.Transport().Barrier(me)
-				enter()
-				if !ok {
-					leave()
-					return fmt.Errorf("rank %d: barrier reported down", me)
-				}
-			}
-		}
-		leave()
-		res.values[me] = acc
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < n; r++ {
-		if got := ran[r].Load(); got != 1 {
-			t.Errorf("rank %d ran %d times", r, got)
-		}
-		res.stats[r], res.clocks[r] = m.ProcStats(r), m.ProcClock(r)
-	}
-	return res
-}
-
 // wantSplit is the partition rule, restated: per = ⌈n / min(workers, n)⌉
 // ranks per partition and as many partitions as that needs.
 func wantSplit(n, workers int) (per, parts int) {
@@ -169,6 +94,10 @@ func wantSplit(n, workers int) (per, parts int) {
 	return per, (n + per - 1) / per
 }
 
+// TestCalendarPartitionExclusive runs seeded Kahn programs in their step
+// form at every split, twice per machine: the values, counters and clocks
+// of a run on one rank per partition, never two ranks of a partition called
+// at once, and a scheduler account that balances.
 func TestCalendarPartitionExclusive(t *testing.T) {
 	if per, parts := wantSplit(10, 4); per != 3 || parts != 4 { // 3, 3, 3, 1
 		t.Fatalf("split of 10 over 4 = %d partitions of %d", parts, per)
@@ -182,7 +111,7 @@ func TestCalendarPartitionExclusive(t *testing.T) {
 			rounds = 2
 		}
 		scripts := kahnScripts(rand.New(rand.NewSource(int64(n))), n, rounds)
-		want := runKahn(t, New(n, IPSC2()), scripts, nil, nil)
+		want, _ := runForm(t, New(n, IPSC2()), scripts, false, nil, nil)
 		for _, workers := range []int{1, 2, 3, 5, n, 2 * n} {
 			t.Run(fmt.Sprintf("n%d/w%d", n, workers), func(t *testing.T) {
 				per, parts := wantSplit(n, workers)
@@ -190,18 +119,8 @@ func TestCalendarPartitionExclusive(t *testing.T) {
 				m.SetExecutor(NewCalendarExecutor(workers))
 				for run := 0; run < 2; run++ { // the second run reuses the partitions
 					running := make([]atomic.Int32, parts)
-					got := runKahn(t, m, scripts, func(r int) int { return r / per }, running)
-					for r := 0; r < n; r++ {
-						if got.values[r] != want.values[r] {
-							t.Errorf("run %d rank %d: value %v, goroutine engine %v", run, r, got.values[r], want.values[r])
-						}
-						if got.stats[r] != want.stats[r] {
-							t.Errorf("run %d rank %d: stats %+v, goroutine engine %+v", run, r, got.stats[r], want.stats[r])
-						}
-						if got.clocks[r] != want.clocks[r] {
-							t.Errorf("run %d rank %d: clock %v, goroutine engine %v", run, r, got.clocks[r], want.clocks[r])
-						}
-					}
+					got, _ := runForm(t, m, scripts, true, func(r int) int { return r / per }, running)
+					sameKahn(t, fmt.Sprintf("run %d", run), got, want)
 					st := m.CalendarStats()
 					if st.Partitions != parts {
 						t.Errorf("run %d: %d partitions, want %d", run, st.Partitions, parts)
@@ -333,10 +252,15 @@ func TestCalendarSkewedActivity(t *testing.T) {
 	// Only the first partition's ranks communicate; the rest return at once.
 	// The other partitions must run their ranks through and fall idle — one
 	// idle transition each, no park, no wake — instead of looking for work.
+	// The ring runs in its step form, the only one that shares partitions;
+	// the reference runs its body on a partition per rank.
 	const n, workers, rounds = 64, 4, 10
 	per, parts := wantSplit(n, workers)
-	body := func(vals []float64) func(p *Proc) error {
-		return func(p *Proc) error {
+	// round and sent are a step rank's continuation: the round it is in,
+	// and whether it has sent that round's message.
+	round, sent := make([]int, n), make([]bool, n)
+	program := func(vals []float64) (func(p *Proc) error, StepFunc) {
+		body := func(p *Proc) error {
 			me := p.Rank()
 			if me >= per {
 				return nil
@@ -350,17 +274,43 @@ func TestCalendarSkewedActivity(t *testing.T) {
 			vals[me] = acc
 			return nil
 		}
+		step := func(p *Proc, resume bool) (bool, error) {
+			me := p.Rank()
+			if me >= per {
+				return true, nil
+			}
+			if !resume {
+				round[me], sent[me], vals[me] = 0, false, float64(me)
+			}
+			for ; round[me] < rounds; round[me]++ {
+				i := round[me]
+				if !sent[me] {
+					p.Compute(10 * (me + 1))
+					p.SendValue((me+1)%per, TagOf(uint16(i)), vals[me])
+					sent[me] = true
+				}
+				v, ok := p.TryRecvValue((me+per-1)%per, TagOf(uint16(i)))
+				if !ok {
+					return false, nil
+				}
+				vals[me] += v
+				sent[me] = false
+			}
+			return true, nil
+		}
+		return body, step
 	}
 	want := make([]float64, n)
 	ref := New(n, IPSC2())
-	if err := ref.Run(body(want)); err != nil {
+	refBody, _ := program(want)
+	if err := ref.Run(refBody); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]float64, n)
 	e := NewCalendarExecutor(workers)
 	m := New(n, IPSC2())
 	m.SetExecutor(e)
-	if err := m.Run(body(got)); err != nil {
+	if err := m.RunSteps(program(got)); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < n; r++ {
@@ -368,7 +318,7 @@ func TestCalendarSkewedActivity(t *testing.T) {
 			t.Errorf("rank %d: value %v clock %v, goroutine engine %v at %v", r, got[r], m.ProcClock(r), want[r], ref.ProcClock(r))
 		}
 	}
-	sum := CalendarStats{Partitions: parts, Starts: n} // the machine's first run starts every rank
+	sum := CalendarStats{Partitions: parts} // partitions of several ranks start no rank's goroutine
 	for k := range e.parts {
 		st := e.parts[k].stats
 		sum.add(st)

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"iter"
 	"math"
 	"runtime"
 	"sort"
@@ -14,8 +13,9 @@ import (
 // goroutines execute the n virtual processors and in what order. There is
 // one engine, the calendar (calendarExecutor), registered under two names:
 // "goroutine", the default, gives every rank a partition of its own, so
-// every runnable rank runs at once; "calendar" multiplexes the ranks over
-// min(GOMAXPROCS, n) partitions, resuming them in virtual-time order.
+// every runnable rank runs at once; "calendar" multiplexes a step run's
+// ranks over min(GOMAXPROCS, n) partitions, resuming them in virtual-time
+// order, and gives a body run's ranks a partition each.
 // Programs produce bit-identical values, message/byte censuses and virtual
 // times under either name and at every partition count: the machine is a
 // Kahn network — each receive names its (source, tag) stream — so results
@@ -33,10 +33,7 @@ type Executor interface {
 	// already reset; it must publish its Parker (m.setParker) before any
 	// rank runs, and call m.retire() as each rank finishes so the live
 	// count stays honest. It may be called from a goroutine locked to its
-	// OS thread. A body must not hold runtime.LockOSThread across a
-	// blocking call (a receive with no matching message, a barrier): the
-	// calendar resumes the ranks of a partition as coroutines, and parking
-	// a thread-locked coroutine is a fatal runtime error.
+	// OS thread.
 	Execute(m *Machine, body func(p *Proc) error, step StepFunc, errs []error)
 }
 
@@ -140,52 +137,42 @@ func init() {
 // partition per local rank.
 func newDefaultExecutor() Executor { return newCalendar("goroutine", math.MaxInt) }
 
-// calendarExecutor is the engine: the n virtual processors run on at most
-// `workers` concurrently executing goroutines — min(GOMAXPROCS, n) for
-// "calendar", n for "goroutine", or pinned — with execution order owned by
-// virtual-time calendars instead of the host scheduler.
+// calendarExecutor is the engine: the virtual processors run on partitions,
+// a goroutine each, with execution order owned by virtual-time calendars
+// instead of the host scheduler.
 //
 // The workers are themselves a processor array and the ranks are dist(block)
 // over it — the paper's declaration, applied to the host. The nl local ranks
-// are cut into w = ⌈nl / per⌉ partitions of per = ⌈nl / workers⌉ contiguous
-// ranks (the last may be short, none is empty). A partition owns its ranks
-// for the whole run and holds one lock, one calendar and one token: a
-// partition's ranks are only ever resumed by that partition, so ranks that
-// run at the same time are a block apart, and grid neighbours — which share
-// mailboxes and halo buffers — mostly run one after the other on one worker.
-// Scheduling traffic crosses a partition boundary only where the program's
-// own messages do: a Wake takes the lock of the woken rank's partition and
-// nothing else.
+// are cut into w = ⌈nl / per⌉ partitions of per contiguous ranks (the last
+// may be short, none is empty). A partition owns its ranks for the whole run
+// and holds one lock, one calendar and one token: a partition's ranks are
+// only ever run by that partition, so ranks that run at the same time are a
+// block apart, and grid neighbours — which share mailboxes and halo buffers
+// — mostly run one after the other on one worker. Scheduling traffic
+// crosses a partition boundary only where the program's own messages do: a
+// Wake takes the lock of the woken rank's partition and nothing else.
 //
-// The partition is the goroutine; a rank is a continuation it resumes, of
-// one of two kinds. A program that offers a step form (StepFunc), on a
-// transport that can answer a receive with "would block", runs as step
-// rows: the rank's continuation is what its step keeps in its own state —
-// a step index, a loop counter, a message index — and the partition's
-// goroutine resumes the rank by calling its step, which returns when it
-// finishes or when a receive finds no message. The goroutine then parks the
-// rank with the bookkeeping Park applies (park) and calls the next rank's
-// step; no rank has a stack of its own. Any other program runs its body,
-// which blocks inside its receives: with one rank per partition (per == 1:
-// "goroutine", or no more ranks than workers) the partition's goroutine
-// runs that body inline, and a rank that blocks waits on the partition's
-// gate; with several, each rank is a coroutine (iter.Pull) — the snapshot
-// of a blocked continuation that a plain goroutine cannot take — and the
-// partition's goroutine resumes them one after another, each to its next
-// blocking point. A rank only executes while it holds its partition's
-// token. A rank that blocks (receive with no matching message, barrier with
+// The run's kind decides per. A program that offers a step form
+// (StepFunc), on a transport that can answer a receive with "would block",
+// runs as step rows on per = ⌈nl / workers⌉ — workers min(GOMAXPROCS, n)
+// for "calendar", n for "goroutine", or pinned: the rank's continuation is
+// what its step keeps in its own state — a step index, a loop counter, a
+// message index — and the partition's goroutine resumes the rank by calling
+// its step, which returns when it finishes or when a receive finds no
+// message. The goroutine then parks the rank with the bookkeeping Park
+// applies (park) and calls the next rank's step; no rank has a stack of its
+// own. Any other program runs its body, which blocks on its own stack, so
+// per = 1 under either name: the partition's goroutine runs the body, and a
+// rank that blocks waits on its partition's gate. A rank only executes
+// while it holds its partition's token. A rank that blocks (receive with no matching message, barrier with
 // peers missing) parks: it passes the token to the runnable rank of its
-// partition with the smallest virtual clock, which the partition's goroutine
-// calls or resumes next, or it leaves the partition idle, and the goroutine
+// partition with the smallest virtual clock, which the partition's
+// goroutine calls next, or it leaves the partition idle, and the goroutine
 // waits on the gate. Mailbox delivery and barrier release move ranks from
 // parked back onto their calendar via Wake instead of signalling a
 // dedicated goroutine; a Wake that finds the partition idle grants the
 // token through the gate on the spot. A hand-off inside a partition is thus
-// a return and a call, or two coroutine switches, with no trip through the
-// Go scheduler. A partition of one rank has no hand-off to save: every
-// grant it gets comes from idle, through the gate, where a coroutine would
-// only add its two switches. Both kinds park at the same receives, so a
-// program's two forms are granted in the same order.
+// a return and a call, with no trip through the Go scheduler.
 //
 // A calendar is a binary min-heap whose entries are the (clock, rank) pairs
 // themselves, ordered lexicographically: a rank enters with the clock it had
@@ -197,8 +184,8 @@ func newDefaultExecutor() Executor { return newCalendar("goroutine", math.MaxInt
 // Virtual-time order therefore holds per partition: with one worker that is
 // the whole machine, with more it is all the order there ever was, since
 // ranks on different tokens always ran unordered. Results do not care — the
-// machine is a Kahn network — and with one rank per partition ("goroutine")
-// there is no order at all: every runnable rank holds a token.
+// machine is a Kahn network — and with one rank per partition there is no
+// order at all: every runnable rank holds a token.
 //
 // Every rank is in exactly one of four states: on its partition's heap
 // (runnable, no token), granted (token held, running or about to), parked
@@ -224,20 +211,15 @@ func newDefaultExecutor() Executor { return newCalendar("goroutine", math.MaxInt
 // land at the same program states at every partition count.
 //
 // Like the paper's processor declaration, which lasts as long as the
-// program, a partition's goroutine and its ranks' coroutines last as long as
-// the engine's machine: the first run starts the goroutine, which creates
-// each coroutine the first time it resumes that rank in a body run, and
-// between runs the goroutine waits on its gate and every coroutine sits
-// where its body returned, so a warm run starts nothing and regrows no
-// stack. Step rows need none of it: a step run creates no coroutine. Only the
-// partition's goroutine creates, resumes and stops its coroutines: a
-// coroutine may not change hands between goroutines of different OS-thread
-// locking, and the caller of Run (the ipc worker's main goroutine, say) may
-// be locked. Machine.Close closes the gates, and each goroutine stops its
-// coroutines and returns (a later run starts them again); the garbage
-// collector does the same once an unclosed Machine is dropped: between runs
-// the engine keeps no reference to the machine. A run on another layout —
-// machine size, window or ranks per partition — ends them all first.
+// program, a partition's goroutine lasts as long as the engine's machine:
+// the first run on a cut (calCut) starts its goroutines, which wait on
+// their gates between runs, so a warm run starts nothing and regrows no
+// stack, and with a cut per kind neither does a run of the other kind.
+// Machine.Close closes the gates, and each goroutine returns (a later run
+// starts them again); the garbage collector does the same once an unclosed
+// Machine is dropped: between runs the engine keeps no reference to the
+// machine. A run on another window ends them all first, and a step run on
+// another partition size its cut's.
 //
 // A calendarExecutor may be reused across sequential runs (state is reset
 // per Execute) but never shared by two machines running concurrently.
@@ -256,17 +238,18 @@ type calendarExecutor struct {
 	closing bool // Close arrived during the run: end the partitions when it does
 
 	// The run in flight; all nil between runs, so that the partition
-	// goroutines and coroutines (which reach e) keep no dropped Machine
-	// alive.
+	// goroutines (which reach e) keep no dropped Machine alive.
 	m    *Machine
 	body func(p *Proc) error
 	step StepFunc // non-nil: the run's ranks are step rows
 	errs []error
 	self Parker // e, boxed once: what m.parker points at during a run
 
+	// The layout: the run's cut, its parts and per copied here for the
+	// lookup every Park and Wake makes.
 	parts  []calPartition
-	lo, hi int // the layout's local window
 	per    int // ranks per partition: rank r belongs to parts[(r-lo)/per]
+	lo, hi int // the cuts' local window
 	nl     int // local rank count actually executing here (hi - lo)
 	stats  CalendarStats
 
@@ -281,22 +264,21 @@ type calendarExecutor struct {
 	parked  []bool // r is waiting for a Wake
 	pending []bool // a Wake arrived before r's Park; next Park is a no-op
 	begun   []bool // a step run has called r's step: the next call resumes
-	// cos[r] is r's coroutine when per > 1 (nil until a body run needs
-	// them); an entry is touched only by r's partition goroutine and by r
-	// itself.
-	cos []rankCo
 
-	wg    sync.WaitGroup // ranks of the run in flight that have not finished
-	exits sync.WaitGroup // partition goroutines that have not returned
+	wg sync.WaitGroup // ranks of the run in flight that have not finished
+
+	// cuts[0] has a partition per rank: every body run's, and a step run's
+	// where workers ≥ nl. cuts[1] is the step runs' with per > 1.
+	cuts [2]calCut
 }
 
-// rankCo is one rank's coroutine: the iter.Pull pair its partition's
-// goroutine resumes and stops it with, and the yield through which the rank
-// hands the token back (zero until the rank is first resumed).
-type rankCo struct {
-	next  func() (int, bool)
-	stop  func()
-	yield func(int) bool
+// calCut is one way of cutting the local ranks into partitions, with the
+// goroutines that run them. Each cut waits only for its own goroutines, so
+// recutting one leaves the other's waiting on their gates.
+type calCut struct {
+	parts []calPartition
+	per   int            // ranks per partition; 0 until the cut is made
+	exits sync.WaitGroup // partition goroutines that have not returned
 }
 
 // calPartition is one worker's share of the machine: a contiguous block of
@@ -308,22 +290,18 @@ type rankCo struct {
 type calPartition struct {
 	mu     sync.Mutex
 	busy   bool       // the token is granted; !busy ⇒ heap is empty
-	inline bool       // per == 1: the goroutine runs its rank's body itself
+	inline bool       // per == 1: the goroutine runs its rank itself
 	lo, hi int        // the partition's ranks
 	heap   []calEntry // runnable ranks of this partition, min-heap on (clock, rank)
 	stats  CalendarStats
-	starts int // coroutines the partition's goroutine created this run
 
 	// gate carries the rank granted to an idle partition (by a Wake, or
 	// Execute's seeding); closed, it ends the goroutine. Capacity 1: at most
 	// one grant is outstanding, and it may be issued before or after the
 	// goroutine reaches its wait. alive says the goroutine exists: written
-	// under e.mu, or during a run by an inline rank that Goexits. after is
-	// where a coroutine that Goexits passed the token, for the goroutine
-	// that replaces the one its exit ends.
+	// under e.mu, or during a run by an inline rank that Goexits.
 	gate  chan int
 	alive bool
-	after int
 
 	_ [128]byte
 }
@@ -337,12 +315,12 @@ type calPartition struct {
 // transport goroutine — the wakes that cost a hand-over between host CPUs.
 type CalendarStats struct {
 	Partitions int // partitions (= tokens) the local ranks were split over
-	// Starts counts the rank continuations the run created: partition
-	// goroutines when every partition holds one rank, otherwise coroutines
-	// of a body run's ranks. On a machine's first run it is the local rank
-	// count under "goroutine", and under "calendar" the same for a body run
-	// but 0 for a step run, which creates no coroutine; it is 0 on a warm
-	// run, and 1 after one rank's runtime.Goexit.
+	// Starts counts the goroutines the run started for partitions of one
+	// rank, each of which keeps that rank's stack. On a machine's first body
+	// run it is the local rank count under either name, as on a first step
+	// run under "goroutine"; a step run on partitions of several ranks
+	// starts none that count. It is 0 on a warm run, and 1 after one rank's
+	// runtime.Goexit.
 	Starts         int
 	Parks          int64 // Park calls that gave the token up (no wake was pending)
 	Wakes          int64 // Wake/WakeAll calls that found their rank parked
@@ -362,8 +340,9 @@ func (s *CalendarStats) add(o CalendarStats) {
 }
 
 // NewCalendarExecutor returns a calendar engine running on the given number
-// of workers, one partition of the ranks each; workers <= 0 selects
-// min(GOMAXPROCS, n) at Execute time, and requests above n are clamped to n.
+// of workers, one partition of a step run's ranks each; workers <= 0
+// selects min(GOMAXPROCS, n) at Execute time, and requests above n are
+// clamped to n. A body run takes a partition per rank whatever the count.
 func NewCalendarExecutor(workers int) *calendarExecutor { return newCalendar("calendar", workers) }
 
 func newCalendar(name string, workers int) *calendarExecutor {
@@ -381,41 +360,47 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, step St
 	if nl <= 0 {
 		return
 	}
-	w := e.req
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	per := 1 // a body blocks on its own stack: a partition per rank
+	if step != nil {
+		w := e.req
+		if w <= 0 {
+			w = runtime.GOMAXPROCS(0)
+		}
+		w = min(w, nl)
+		per = (nl + w - 1) / w
 	}
-	w = min(w, nl)
-	per := (nl + w - 1) / w
-	w = (nl + per - 1) / per // no partition is empty
 	e.mu.Lock()
-	if len(e.parked) != n || e.lo != m.lo || e.hi != m.hi || e.per != per {
-		// A layout the partitions were not cut for (which fixes w too):
-		// their goroutines and coroutines belong to slices about to be
-		// dropped.
+	if len(e.parked) != n || e.lo != m.lo || e.hi != m.hi {
+		// A window the cuts were not made for: their goroutines belong to
+		// slices about to be dropped.
 		e.endPartsLocked()
-		e.lo, e.hi, e.per, e.nl = m.lo, m.hi, per, nl
+		e.cuts[0].per, e.cuts[1].per = 0, 0
+		e.lo, e.hi, e.nl = m.lo, m.hi, nl
 		e.parked = make([]bool, n)
 		e.pending = make([]bool, n)
 		e.begun = nil
-		e.cos = nil
-		e.parts = make([]calPartition, w)
+	}
+	c := &e.cuts[min(per, 2)-1]
+	if c.per != per {
+		// A partition size the cut was not made for (which fixes the
+		// partition count too).
+		c.end()
+		c.per = per
+		c.parts = make([]calPartition, (nl+per-1)/per) // no partition is empty
 		// A partition's calendar never holds more than its own ranks, so
 		// one backing array serves them all and push never grows one.
 		heaps := make([]calEntry, nl)
-		for k := range e.parts {
-			pt := &e.parts[k]
+		for k := range c.parts {
+			pt := &c.parts[k]
 			pt.lo = e.lo + k*per
 			pt.hi = min(pt.lo+per, e.hi)
 			pt.inline = per == 1
 			pt.heap = heaps[pt.lo-e.lo : pt.lo-e.lo : pt.hi-e.lo]
 		}
 	}
+	e.parts, e.per = c.parts, per
 	if step != nil && e.begun == nil {
 		e.begun = make([]bool, n)
-	}
-	if step == nil && per > 1 && e.cos == nil {
-		e.cos = make([]rankCo, n)
 	}
 	e.running = true
 	e.m, e.body, e.step, e.errs = m, body, step, errs
@@ -426,7 +411,7 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, step St
 	// partition is started. Ranks outside the machine's local window (the
 	// IPC worker's remote peers) never run here: they are message
 	// endpoints, not continuations, and belong to no partition. A partition
-	// without a goroutine — on the machine's first run, after a Close, or
+	// without a goroutine — on the cut's first run, after a Close, or
 	// after its inline rank's Goexit — gets one, which waits for its grant.
 	e.idle.Store(0)
 	e.finished.Store(0)
@@ -436,7 +421,6 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, step St
 		pt.busy = true
 		pt.heap = pt.heap[:0]
 		pt.stats = CalendarStats{}
-		pt.starts = 0
 		for r := pt.lo; r < pt.hi; r++ {
 			e.parked[r], e.pending[r] = false, false
 			if e.begun != nil {
@@ -448,8 +432,8 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, step St
 		if !pt.alive {
 			pt.gate = make(chan int, 1)
 			pt.alive = true
-			e.exits.Add(1)
-			go e.partLoop(pt, -1)
+			c.exits.Add(1)
+			go e.partLoop(c, pt, -1)
 			if pt.inline {
 				e.stats.Starts++
 			}
@@ -470,10 +454,9 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, step St
 		pt.mu.Unlock()
 	}
 	e.wg.Wait()
-	e.stats.Partitions = w
+	e.stats.Partitions = len(e.parts)
 	for k := range e.parts {
 		e.stats.add(e.parts[k].stats)
-		e.stats.Starts += e.parts[k].starts
 	}
 	e.mu.Lock()
 	e.m, e.body, e.step, e.errs = nil, nil, nil, nil
@@ -490,65 +473,28 @@ func (e *calendarExecutor) partOf(r int) *calPartition {
 	return &e.parts[(r-e.lo)/e.per]
 }
 
-// partLoop is a partition's goroutine for as long as the engine keeps it.
+// partLoop is a partition's goroutine for as long as its cut keeps it.
 // Granted rank r (or, with r < 0, waiting on the gate for a grant), it runs
-// r until the token leaves r — calling r's step, running r's body inline or
-// resuming r's coroutine — then runs the rank the token went to, or waits
-// again if the partition fell idle. A closed gate stops the
-// partition's coroutines and ends it. Once a run's last rank has finished,
+// r until the token leaves r — calling r's step, or running r's body inline
+// — then runs the rank the token went to, or waits again if the partition
+// fell idle. A closed gate ends it. Once a run's last rank has finished,
 // the wait on the gate is all a partition goroutine does: Execute may
 // already be returning.
-func (e *calendarExecutor) partLoop(pt *calPartition, r int) {
-	defer e.exits.Done()
+func (e *calendarExecutor) partLoop(c *calCut, pt *calPartition, r int) {
+	defer c.exits.Done()
 	for {
 		if r < 0 {
 			var ok bool
 			if r, ok = <-pt.gate; !ok {
-				for i := pt.lo; i < pt.hi && e.cos != nil; i++ {
-					if c := &e.cos[i]; c.stop != nil {
-						c.stop()
-						*c = rankCo{}
-					}
-				}
 				return
 			}
 		}
-		switch {
-		case e.step != nil:
-			r = e.runStep(pt, r)
-		case pt.inline:
+		if e.step != nil {
+			r = e.runStep(c, pt, r)
+		} else {
 			r = e.runBody(r)
-		default:
-			r = e.resume(pt, r)
 		}
 	}
-}
-
-// resume runs rank r's coroutine, creating it on r's first grant, until r
-// parks or finishes, and returns the rank r passed the token to (-1: the
-// partition fell idle). A Goexit in r's body ends r's coroutine and, as
-// iter.Pull re-raises it here, this goroutine too; r's exit path (runBody)
-// has passed the token on and accounted for a replacement, which this
-// starts from wherever the token went.
-func (e *calendarExecutor) resume(pt *calPartition, r int) int {
-	c := &e.cos[r]
-	if c.next == nil {
-		c.next, c.stop = iter.Pull(func(yield func(int) bool) {
-			e.cos[r].yield = yield
-			for yield(e.runBody(r)) {
-			}
-		})
-		pt.starts++
-	}
-	exited := true
-	defer func() {
-		if exited {
-			go e.partLoop(pt, pt.after)
-		}
-	}()
-	next, _ := c.next()
-	exited = false
-	return next
 }
 
 // runBody runs rank r's body for the run in flight and, however the body
@@ -569,7 +515,7 @@ func (e *calendarExecutor) runBody(r int) (next int) {
 // or runtime.Goexit in the step takes the exit path as one in a body does;
 // a Goexit also ends this goroutine, so where the partition's other ranks
 // are mid-run, a new one takes over from wherever the token went.
-func (e *calendarExecutor) runStep(pt *calPartition, r int) (next int) {
+func (e *calendarExecutor) runStep(c *calCut, pt *calPartition, r int) (next int) {
 	returned := false
 	defer func() {
 		if returned {
@@ -578,7 +524,8 @@ func (e *calendarExecutor) runStep(pt *calPartition, r int) (next int) {
 		rec := recover()
 		next = e.exit(r, false, rec)
 		if rec == nil && !pt.inline {
-			go e.partLoop(pt, next)
+			c.exits.Add(1)
+			go e.partLoop(c, pt, next)
 		}
 	}()
 	p := e.m.procs[r]
@@ -604,10 +551,8 @@ func (e *calendarExecutor) runStep(pt *calPartition, r int) (next int) {
 // (returned), panicked (rec) or called runtime.Goexit (neither): it records
 // r's error, retires r and passes its token on, returning the rank the
 // token went to. A Goexit also ends the goroutine r ran on: an inline
-// partition's goroutine, which the next run replaces, or the partition's
-// goroutine through r's coroutine or step, which the caller replaces at
-// once — the partition's other ranks are mid-run — from wherever the token
-// went (a coroutine's next resume of r recreates it).
+// partition's, which the next run replaces, or a step partition's, which
+// runStep replaces at once — the partition's other ranks are mid-run.
 func (e *calendarExecutor) exit(r int, returned bool, rec any) (next int) {
 	goexit := false
 	if rec != nil {
@@ -625,23 +570,16 @@ func (e *calendarExecutor) exit(r int, returned bool, rec any) (next int) {
 	e.m.retire()
 	next = e.finish(r)
 	if goexit {
-		pt := e.partOf(r)
-		if pt.inline {
+		if pt := e.partOf(r); pt.inline {
 			pt.alive = false
-		} else {
-			pt.after = next
-			if e.step == nil {
-				e.cos[r] = rankCo{}
-			}
-			e.exits.Add(1)
 		}
 	}
 	e.wg.Done()
 	return next
 }
 
-// close ends the partition goroutines and their coroutines: at once between
-// runs, or as the run in flight ends. A later run starts them again.
+// close ends the partition goroutines: at once between runs, or as the run
+// in flight ends. A later run starts them again.
 func (e *calendarExecutor) close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -652,17 +590,25 @@ func (e *calendarExecutor) close() {
 	e.endPartsLocked()
 }
 
-// endPartsLocked closes the gate of every partition goroutine and waits for
-// them to stop their coroutines and return. Caller holds e.mu with no run
-// in flight, so every goroutine is waiting on its gate, or about to.
+// endPartsLocked ends the goroutines of both cuts. Caller holds e.mu with
+// no run in flight.
 func (e *calendarExecutor) endPartsLocked() {
-	for k := range e.parts {
-		if pt := &e.parts[k]; pt.alive {
+	for k := range e.cuts {
+		e.cuts[k].end()
+	}
+}
+
+// end closes the gate of every partition goroutine of c and waits for them
+// to return. Caller holds e.mu with no run in flight, so every goroutine is
+// waiting on its gate, or about to.
+func (c *calCut) end() {
+	for k := range c.parts {
+		if pt := &c.parts[k]; pt.alive {
 			close(pt.gate)
 			pt.alive = false
 		}
 	}
-	e.exits.Wait()
+	c.exits.Wait()
 }
 
 // Park gives up the calling rank's token and blocks until a Wake. A wake
@@ -670,23 +616,16 @@ func (e *calendarExecutor) endPartsLocked() {
 // this rank publishing its wait and parking) is consumed here and Park
 // returns immediately — the caller's re-check loop does the rest. A step
 // rank has no stack to block on: it returns from its step instead, and
-// Park refuses it.
+// Park refuses it. A body rank has its partition to itself, so it waits on
+// the partition's gate for the grant that brings the token back.
 func (e *calendarExecutor) Park(rank int) {
 	if e.step != nil {
 		panic(fmt.Sprintf("machine: processor %d blocked inside its step; a step returns where it would block", rank))
 	}
 	pt := e.partOf(rank)
-	next, parked := e.park(pt, rank)
-	if !parked {
-		return
-	}
-	if pt.inline {
+	if _, parked := e.park(pt, rank); parked {
 		<-pt.gate
-		return
 	}
-	// Hand the token's next holder to the partition's goroutine; it
-	// resumes this rank when the token comes back.
-	e.cos[rank].yield(next)
 }
 
 // park is the bookkeeping of parking rank, for Park and for a step rank's

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -128,6 +129,53 @@ func TestCalendarSingleWorkerLiveness(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The step twin, on the one partition a body run never shares: the
+	// ring without its barriers, which a step cannot wait in, against its
+	// body form on a partition per rank.
+	vals, round := make([]float64, n), make([]int, n)
+	body := func(p *Proc) error {
+		me := p.Rank()
+		acc := float64(me)
+		for i := 0; i < rounds; i++ {
+			p.SendValue((me+1)%n, TagOf(uint16(i)), acc)
+			acc += p.RecvValue((me+n-1)%n, TagOf(uint16(i)))
+		}
+		vals[me] = acc
+		return nil
+	}
+	step := func(p *Proc, resume bool) (bool, error) {
+		me := p.Rank()
+		if !resume {
+			round[me], vals[me] = 0, float64(me)
+			p.SendValue((me+1)%n, 0, vals[me])
+		}
+		for ; round[me] < rounds; round[me]++ {
+			v, ok := p.TryRecvValue((me+n-1)%n, TagOf(uint16(round[me])))
+			if !ok {
+				return false, nil
+			}
+			if vals[me] += v; round[me]+1 < rounds {
+				p.SendValue((me+1)%n, TagOf(uint16(round[me]+1)), vals[me])
+			}
+		}
+		return true, nil
+	}
+	ref := New(n, Uniform())
+	if err := ref.Run(body); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]float64(nil), vals...)
+	if err := m.RunSteps(body, step); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.CalendarStats(); st.Partitions != 1 || st.Parks == 0 {
+		t.Errorf("the step ring on one worker: %+v, want one partition that parked", st)
+	}
+	for r := 0; r < n; r++ {
+		if vals[r] != want[r] || m.ProcClock(r) != ref.ProcClock(r) || m.ProcStats(r) != ref.ProcStats(r) {
+			t.Errorf("step ring rank %d: %v at %v, body form %v at %v", r, vals[r], m.ProcClock(r), want[r], ref.ProcClock(r))
+		}
 	}
 }
 
@@ -319,32 +367,49 @@ func TestCalendarPoolOwnershipStress(t *testing.T) {
 func TestCalendarVirtualTimeOrder(t *testing.T) {
 	// The calendar grants its single token in virtual-time order: with
 	// every rank runnable at distinct clocks, the earliest clock runs
-	// first. Observable through a program where each rank stamps a
-	// sequence number on first execution after a clock-advancing phase.
+	// first. Observable through a step program where each rank stamps a
+	// sequence number on its first call after a clock-advancing phase.
+	// Only a step run shares a partition, so only a step run has an order.
 	const n = 6
 	m := New(n, Uniform())
 	m.SetExecutor(NewCalendarExecutor(1))
 	order := make([]int, 0, n)
-	err := m.Run(func(p *Proc) error {
-		// Spread the clocks: rank r computes (n-r) units, then everyone
-		// parks on a barrier; after release the calendar must grant
-		// tokens smallest-clock-first, i.e. in reverse rank order.
-		p.Compute((n - p.Rank()) * 100)
-		if !m.Transport().Barrier(p.Rank()) {
-			return errors.New("barrier down")
+	err := m.RunSteps(func(p *Proc) error { return errors.New("the body form ran") }, func(p *Proc, resume bool) (bool, error) {
+		// Spread the clocks: rank r computes (n-r) units and reports to the
+		// last rank, then waits for its release; the last rank releases
+		// everyone once all have reported, and the calendar must then grant
+		// the token smallest-clock-first, i.e. in reverse rank order.
+		me, last := p.Rank(), n-1
+		if me == last {
+			for r := 0; r < last; r++ {
+				if _, ok := p.TryRecvValue(r, 1); !ok {
+					return false, fmt.Errorf("rank %d had not reported when the last rank ran", r)
+				}
+			}
+			for r := 0; r < last; r++ {
+				p.SendValue(r, 2, 0)
+			}
+			return true, nil
 		}
-		order = append(order, p.Rank())
-		return nil
+		if !resume {
+			p.Compute((n - me) * 100)
+			p.SendValue(last, 1, 0)
+		}
+		if _, ok := p.TryRecvValue(last, 2); !ok {
+			return false, nil
+		}
+		order = append(order, me)
+		return true, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != n {
-		t.Fatalf("recorded %d ranks, want %d", len(order), n)
+	if len(order) != n-1 {
+		t.Fatalf("recorded %d ranks, want %d", len(order), n-1)
 	}
 	for i, r := range order {
-		if r != n-1-i {
-			t.Fatalf("post-barrier execution order %v, want reverse rank order (clock order)", order)
+		if r != n-2-i {
+			t.Fatalf("post-release execution order %v, want reverse rank order (clock order)", order)
 		}
 	}
 }

@@ -3,11 +3,11 @@
 // messages, in the style of the distributed-memory machines targeted by
 // Mehrotra and Van Rosendale's KF1 language constructs (ICASE 89-41).
 //
-// Each processor runs as a continuation of its own — a goroutine, a
-// coroutine of its partition's goroutine, or a step its partition calls
-// (see Executor) — and carries a
-// virtual clock advanced by an explicit CostModel: computation via Compute,
-// communication via Send/Recv. Message matching is point-to-point by (source, tag), so a
+// Each processor runs as a continuation of its own — a goroutine of a
+// partition it holds alone, or a step its partition calls (see Executor) —
+// and carries a virtual clock advanced by an explicit CostModel:
+// computation via Compute, communication via Send/Recv. Message matching is
+// point-to-point by (source, tag), so a
 // program's virtual-time behaviour is a deterministic function of the program
 // alone — every run of an experiment produces identical clocks, counters and
 // traces regardless of host scheduling.
@@ -331,10 +331,10 @@ func (m *Machine) SetExecutor(e Executor) {
 	m.cleanup = runtime.AddCleanup(m, closeEngine, e)
 }
 
-// Close ends the goroutines and coroutines the engine keeps for the
-// machine's ranks. A partition's goroutine is started by the first Run and
-// its ranks' coroutines by their first resume; they then live as long as
-// the machine, waiting between runs. Close ends them at once between runs,
+// Close ends the partition goroutines the engine keeps for the machine's
+// ranks. A partition's goroutine is started by the first Run on its
+// partitions and then lives as long as the machine, waiting between runs.
+// Close ends them at once between runs,
 // or as the run in flight ends, and a later Run starts them again. A
 // Machine that is dropped unclosed has them ended after a garbage
 // collection finds it unreachable. Close leaves the transport alone, and is
@@ -342,7 +342,7 @@ func (m *Machine) SetExecutor(e Executor) {
 // goroutine locked to its OS thread.
 func (m *Machine) Close() { closeEngine(m.exec) }
 
-// closeEngine ends e's partition goroutines and coroutines; see Close.
+// closeEngine ends e's partition goroutines; see Close.
 func closeEngine(e Executor) {
 	if c, ok := e.(*calendarExecutor); ok {
 		c.close()
@@ -376,8 +376,8 @@ func (m *Machine) setParker(p *Parker) { m.parker.Store(p) }
 
 // CalendarStats returns what the engine's scheduler did during the most
 // recent Run — parks, wakes, grants by hand-off and from idle, summed over
-// its partitions (one per processor under "goroutine"); the zero value
-// under an engine of another kind.
+// its partitions (one per processor for a body, and under "goroutine"); the
+// zero value under an engine of another kind.
 func (m *Machine) CalendarStats() CalendarStats {
 	if e, ok := m.exec.(*calendarExecutor); ok {
 		return e.stats
@@ -385,10 +385,8 @@ func (m *Machine) CalendarStats() CalendarStats {
 	return CalendarStats{}
 }
 
-// Run executes body once per processor under the machine's executor — one
-// partition per processor by default, min(GOMAXPROCS, n) virtual-time-
-// ordered partitions under "calendar" (see SetExecutor) — and waits for all
-// of them. It returns the first non-nil error produced by any body (by
+// Run executes body once per processor under the machine's executor, each
+// on a partition of its own, and waits for all of them. It returns the first non-nil error produced by any body (by
 // rank order), or an error wrapping ErrDeadlock if the processors
 // deadlock. Clocks, counters and the transport are reset at the start of
 // each Run, so a Machine may be reused for successive independent programs.
@@ -396,11 +394,8 @@ func (m *Machine) CalendarStats() CalendarStats {
 // A panic inside body on any processor is recovered and returned as an
 // error; the remaining processors are woken and terminated.
 //
-// Run may be called from a goroutine locked to its OS thread. A body must
-// not hold runtime.LockOSThread across a blocking call (a receive with no
-// matching message, a barrier): where a partition holds several ranks they
-// run as coroutines, and parking a thread-locked coroutine is a fatal
-// runtime error, not an error Run could return.
+// Run may be called from a goroutine locked to its OS thread, and a body may
+// lock its own across a blocking call.
 func (m *Machine) Run(body func(p *Proc) error) error { return m.RunSteps(body, nil) }
 
 // StepFunc is a rank program's step form: the same computation as its body,
@@ -418,10 +413,11 @@ type StepFunc func(p *Proc, resume bool) (done bool, err error)
 // Where the transport can answer a receive with "would block" — every
 // bundled transport but a chaos wrapper with an active scenario — every
 // rank runs step, resumed by the engine with a call, and no rank has a
-// coroutine or a stack of its own; elsewhere every rank runs body, as Run.
-// The two forms must compute the same thing: values, messages, clocks and
-// the order the engine grants ranks in are the program's either way. A nil
-// step is Run.
+// stack of its own: under "calendar" the ranks share min(GOMAXPROCS, n)
+// partitions, each granting its token in virtual-time order. Elsewhere
+// every rank runs body, as Run. The two forms must compute the same thing:
+// values, messages and clocks are the program's either way. A nil step is
+// Run.
 func (m *Machine) RunSteps(body func(p *Proc) error, step StepFunc) error {
 	m.dmu.Lock()
 	m.blocked = 0

@@ -9,13 +9,12 @@ import (
 	"time"
 )
 
-// The rank lifecycle: a rank's continuation — its partition's goroutine when
-// the partition holds it alone, else a coroutine of that goroutine — is
-// created by the first run that executes it and then lives as long as its
-// machine, parked between runs where its body returned. CalendarStats.Starts
-// is the exact account of it. Close ends them (at once, or as the run in
-// flight ends), a later run creates them again, and the garbage collector
-// ends those of a dropped machine.
+// The rank lifecycle: a body rank's continuation — the goroutine of the
+// partition it holds alone — is created by the first run that executes it
+// and then lives as long as its machine, waiting on its gate between runs.
+// CalendarStats.Starts is the exact account of it. Close ends them (at once,
+// or as the run in flight ends), a later run creates them again, and the
+// garbage collector ends those of a dropped machine.
 
 // ringRun runs a one-message ring with compute on m and returns the values
 // and clocks it leaves, failing the test on an error.
@@ -41,24 +40,14 @@ func ringRun(t *testing.T, m *Machine) (vals, clocks []float64) {
 }
 
 // ranksAlive counts the rank continuations e keeps: the goroutines of
-// partitions that run their one rank inline, and the coroutines of the
-// others.
+// partitions that hold one rank.
 func ranksAlive(e *calendarExecutor) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	alive := 0
-	for k := range e.parts {
-		pt := &e.parts[k]
-		switch {
-		case !pt.alive:
-		case pt.inline:
+	for k := range e.cuts[0].parts {
+		if e.cuts[0].parts[k].alive {
 			alive++
-		default:
-			for r := pt.lo; r < pt.hi && e.cos != nil; r++ {
-				if e.cos[r].next != nil {
-					alive++
-				}
-			}
 		}
 	}
 	return alive
@@ -144,12 +133,11 @@ func TestRankLifecycleGoexit(t *testing.T) {
 	// A rank leaves its body with runtime.Goexit once it has parked, while
 	// the others wait for its message. That must surface as the rank's
 	// error and abort the run, like a panic, not hang it (the token would
-	// die with the goroutine) or report success. Under a partition of
-	// several ranks the exit ends the rank's coroutine mid-life, with its
-	// partition-mates parked behind it, and the partition's goroutine with
-	// it: the first, middle and last rank of a partition each exit. The
-	// next run recreates the one continuation and is bit-identical to a
-	// fresh machine's, and Close leaves no goroutine behind.
+	// die with the goroutine) or report success, under either name and at
+	// the ranks that would be first, middle and last of a step run's
+	// partition at 1, 2 and 3 workers. The next run recreates the one
+	// continuation and is bit-identical to a fresh machine's, and Close
+	// leaves no goroutine behind.
 	const n = 9
 	type goexitCase struct {
 		lifecycleEngine
@@ -215,10 +203,8 @@ func TestRankLifecycleGoexit(t *testing.T) {
 
 func TestRankLifecycleLockedCaller(t *testing.T) {
 	// The caller of Run and Close may hold its OS thread, as the ipc
-	// worker's main goroutine does while still in init. A coroutine must
-	// be switched to only by goroutines of its creator's locking, so the
-	// engine may never create, resume or stop one on the caller: Run, Run,
-	// Close, Run, Close from a locked goroutine match a fresh machine.
+	// worker's main goroutine does while still in init: Run, Run, Close,
+	// Run, Close from a locked goroutine match a fresh machine.
 	const n = 6
 	engines := withPinned([]lifecycleEngine{{"goroutine", newDefaultExecutor}}, 1, 2, 3)
 	wantVals, wantClocks := ringRun(t, New(n, Uniform()))
@@ -341,6 +327,56 @@ func TestRankLifecycleDroppedMachine(t *testing.T) {
 				}
 				runtime.GC()
 				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+func TestCalendarLockedBodyMayBlock(t *testing.T) {
+	// A body rank has its partition's goroutine to itself, so a body that
+	// holds its OS thread may block: every rank locks its thread and then
+	// waits in a ring of receives, under "goroutine" and on one worker, and
+	// the run matches the same ring unlocked.
+	const n = 8
+	ring := func(vals []float64, lock bool) func(p *Proc) error {
+		return func(p *Proc) error {
+			if lock {
+				runtime.LockOSThread()
+				defer runtime.UnlockOSThread()
+			}
+			me := p.Rank()
+			p.Compute(10 * (me + 1))
+			if me > 0 {
+				vals[me] = p.RecvValue(me-1, 1)
+			}
+			p.SendValue((me+1)%n, 1, float64(me)+vals[me])
+			if me == 0 {
+				vals[me] = p.RecvValue(n-1, 1)
+			}
+			return nil
+		}
+	}
+	want := make([]float64, n)
+	ref := New(n, Uniform())
+	if err := ref.Run(ring(want, false)); err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range withPinned([]lifecycleEngine{{"goroutine", newDefaultExecutor}}, 1) {
+		t.Run(eng.name, func(t *testing.T) {
+			m := New(n, Uniform())
+			m.SetExecutor(eng.new())
+			defer m.Close()
+			got := make([]float64, n)
+			if err := runWithin(t, m, ring(got, true)); err != nil {
+				t.Fatal(err)
+			}
+			if st := m.CalendarStats(); st.Parks == 0 {
+				t.Errorf("no rank parked: %+v", st)
+			}
+			for r := range got {
+				if got[r] != want[r] || m.ProcClock(r) != ref.ProcClock(r) {
+					t.Errorf("rank %d: %v at %v, unlocked %v at %v", r, got[r], m.ProcClock(r), want[r], ref.ProcClock(r))
+				}
 			}
 		})
 	}

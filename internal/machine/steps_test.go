@@ -13,30 +13,16 @@ import (
 )
 
 // The step battery: a program that offers a step form runs as step rows —
-// resumed by a call of its partition's goroutine, with no coroutine — and
-// must be its body form in every observable: values, counters, clocks,
-// error texts, and on one partition the scheduler's whole account, which
-// only matches if both forms park at the same receives.
+// resumed by a call of its partition's goroutine, with no stack of its own
+// — and must be its body form in every observable: values, counters,
+// clocks and error texts.
 
-// kahnSteps is kahnScripts without host barriers, which a step cannot wait
-// in.
-func kahnSteps(rng *rand.Rand, n, rounds int) [][]kahnOp {
-	scripts := kahnScripts(rng, n, rounds)
-	for r, ops := range scripts {
-		kept := ops[:0]
-		for _, op := range ops {
-			if op.kind != 'b' {
-				kept = append(kept, op)
-			}
-		}
-		scripts[r] = kept
-	}
-	return scripts
-}
-
-// kahnProgram is the scripts' interpreter in both forms: the body runKahn
-// runs, and the step form with the same arithmetic, its continuation (the
-// next op and the accumulator) kept per rank. res receives what a run
+// kahnProgram is the scripts' interpreter in both forms: a body that waits
+// where a receive finds no message, and the step form with the same
+// arithmetic, its continuation (the next op and the accumulator) kept per
+// rank. Each rank folds what it receives into its accumulator and sends
+// values derived from it, so a message matched to the wrong receive changes
+// every value downstream. res receives what a run
 // determines; steps counts the step calls; running, when non-nil, is the
 // per-partition count of ranks inside a call, which must never exceed one.
 func kahnProgram(t *testing.T, scripts [][]kahnOp, res *kahnResult, steps *atomic.Int64, partOf func(int) int, running []atomic.Int32) (func(*Proc) error, StepFunc) {
@@ -141,17 +127,16 @@ func sameKahn(t *testing.T, what string, got, want kahnResult) {
 
 // TestCalendarStepsMatchBody runs seeded Kahn programs in their step form at
 // every split of the ranks, twice per machine, against the body form on the
-// same split: the same values, counters and clocks, never two ranks of a
-// partition called at once, no coroutine created, and a scheduler account
-// that balances — and on one partition, where the grant order is a function
-// of the program, equals the body form's in every count but Starts.
+// same engine: the same values, counters and clocks, never two ranks of a
+// partition called at once, no goroutine started per rank on partitions of
+// several, and a scheduler account that balances.
 func TestCalendarStepsMatchBody(t *testing.T) {
 	for _, n := range []int{7, 10, 64, 257} {
 		rounds := 6
 		if n > 64 {
 			rounds = 2
 		}
-		scripts := kahnSteps(rand.New(rand.NewSource(int64(n))), n, rounds)
+		scripts := kahnScripts(rand.New(rand.NewSource(int64(n))), n, rounds)
 		want, _ := runForm(t, New(n, IPSC2()), scripts, false, nil, nil)
 		for _, workers := range []int{1, 2, 3, 5, n} {
 			t.Run(fmt.Sprintf("n%d/w%d", n, workers), func(t *testing.T) {
@@ -160,7 +145,6 @@ func TestCalendarStepsMatchBody(t *testing.T) {
 				ref.SetExecutor(NewCalendarExecutor(workers))
 				bodyRun, _ := runForm(t, ref, scripts, false, nil, nil)
 				sameKahn(t, "body form", bodyRun, want)
-				bodyStats := ref.CalendarStats()
 
 				m := New(n, IPSC2())
 				e := NewCalendarExecutor(workers)
@@ -186,18 +170,9 @@ func TestCalendarStepsMatchBody(t *testing.T) {
 					if st.Starts != wantStarts {
 						t.Errorf("run %d: Starts = %d, want %d", run, st.Starts, wantStarts)
 					}
-					if e.cos != nil {
-						t.Errorf("run %d: a step run allocated coroutine slots", run)
-					}
-					if parts == 1 {
-						st.Starts, bodyStats.Starts = 0, 0
-						if st != bodyStats {
-							t.Errorf("run %d on one partition: %+v, body form %+v", run, st, bodyStats)
-						}
-					}
 				}
 				if alive := ranksAlive(e); per > 1 && alive != 0 {
-					t.Errorf("%d rank coroutines alive after step runs", alive)
+					t.Errorf("%d one-rank partitions alive after step runs on partitions of %d", alive, per)
 				}
 				m.Close()
 			})
@@ -370,7 +345,7 @@ func runStepsWithin(t *testing.T, m *Machine, body func(p *Proc) error, step Ste
 // and reproduces it bit for bit; an inactive wrapper passes steps through.
 func TestCalendarStepsNeedAStepTransport(t *testing.T) {
 	const n = 8
-	scripts := kahnSteps(rand.New(rand.NewSource(3)), n, 4)
+	scripts := kahnScripts(rand.New(rand.NewSource(3)), n, 4)
 	for _, sc := range []chaos.Scenario{{}, {Name: "jitter", Seed: 5, Delay: 1, DelayMax: 1e-3}} {
 		ref, _ := chaosMachine(t, "shared", n, 1, sc)
 		ref.SetExecutor(NewCalendarExecutor(2))
@@ -388,13 +363,14 @@ func TestCalendarStepsNeedAStepTransport(t *testing.T) {
 // TestCalendarRunKindLayout alternates the two run kinds — the step form
 // and the body form of one seeded Kahn program — on one machine under
 // "goroutine" and the calendar pinned at 1, 2 and 3 workers. Every run
-// matches the reference bit for bit, and switching kinds restarts nothing:
-// the machine's first run that needs a continuation per rank — a body run,
-// or a step run with a rank per partition — starts n, and every run after
-// it starts none.
+// matches the reference bit for bit. A body run takes a partition per rank
+// and a step run min(workers, n). Switching kinds restarts nothing: the
+// machine's first run on partitions of one rank — a body run, or a step run
+// with a rank per partition — starts n goroutines, and every run after it
+// starts none.
 func TestCalendarRunKindLayout(t *testing.T) {
 	const n = 8
-	scripts := kahnSteps(rand.New(rand.NewSource(41)), n, 4)
+	scripts := kahnScripts(rand.New(rand.NewSource(41)), n, 4)
 	want, _ := runForm(t, New(n, IPSC2()), scripts, false, nil, nil)
 	engines := withPinned([]lifecycleEngine{{"goroutine", newDefaultExecutor}}, 1, 2, 3)
 	for i, eng := range engines {
@@ -413,6 +389,13 @@ func TestCalendarRunKindLayout(t *testing.T) {
 				got, _ := runForm(t, m, scripts, steps, nil, nil)
 				sameKahn(t, fmt.Sprintf("run %d (steps %v)", run, steps), got, want)
 				st := m.CalendarStats()
+				wantParts := n
+				if steps {
+					wantParts = stepParts
+				}
+				if st.Partitions != wantParts {
+					t.Errorf("run %d (steps %v): %d partitions, want %d", run, steps, st.Partitions, wantParts)
+				}
 				wantStarts := 0
 				if !started && (!steps || stepParts == n) {
 					wantStarts, started = n, true

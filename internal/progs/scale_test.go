@@ -52,8 +52,8 @@ func liveMem() (heap, stack uint64) {
 // position class — the views' class parts and layouts, halo schedules, gather
 // runs and plans, the compiled sweep — is held once per machine, so it
 // hardly counts per rank. Jacobi runs in its step form, so no rank keeps a
-// coroutine, a goroutine or a stack between runs: the calendar's few
-// partition goroutines are all the stack there is, a few bytes per rank.
+// goroutine or a stack between runs: the calendar's few partition
+// goroutines are all the stack there is, a few bytes per rank.
 func TestResidencyPerRank(t *testing.T) {
 	for _, tc := range []struct {
 		side   int
