@@ -290,7 +290,6 @@ type calCut struct {
 type calPartition struct {
 	mu     sync.Mutex
 	busy   bool       // the token is granted; !busy ⇒ heap is empty
-	inline bool       // per == 1: the goroutine runs its rank itself
 	lo, hi int        // the partition's ranks
 	heap   []calEntry // runnable ranks of this partition, min-heap on (clock, rank)
 	stats  CalendarStats
@@ -299,7 +298,8 @@ type calPartition struct {
 	// Execute's seeding); closed, it ends the goroutine. Capacity 1: at most
 	// one grant is outstanding, and it may be issued before or after the
 	// goroutine reaches its wait. alive says the goroutine exists: written
-	// under e.mu, or during a run by an inline rank that Goexits.
+	// under e.mu, or during a run by a one-rank partition's rank that
+	// Goexits.
 	gate  chan int
 	alive bool
 
@@ -394,7 +394,6 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, step St
 			pt := &c.parts[k]
 			pt.lo = e.lo + k*per
 			pt.hi = min(pt.lo+per, e.hi)
-			pt.inline = per == 1
 			pt.heap = heaps[pt.lo-e.lo : pt.lo-e.lo : pt.hi-e.lo]
 		}
 	}
@@ -412,7 +411,7 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, step St
 	// IPC worker's remote peers) never run here: they are message
 	// endpoints, not continuations, and belong to no partition. A partition
 	// without a goroutine — on the cut's first run, after a Close, or
-	// after its inline rank's Goexit — gets one, which waits for its grant.
+	// after its one rank's Goexit — gets one, which waits for its grant.
 	e.idle.Store(0)
 	e.finished.Store(0)
 	for k := range e.parts {
@@ -434,7 +433,7 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, step St
 			pt.alive = true
 			c.exits.Add(1)
 			go e.partLoop(c, pt, -1)
-			if pt.inline {
+			if per == 1 {
 				e.stats.Starts++
 			}
 		}
@@ -523,7 +522,7 @@ func (e *calendarExecutor) runStep(c *calCut, pt *calPartition, r int) (next int
 		}
 		rec := recover()
 		next = e.exit(r, false, rec)
-		if rec == nil && !pt.inline {
+		if rec == nil && e.per > 1 {
 			c.exits.Add(1)
 			go e.partLoop(c, pt, next)
 		}
@@ -550,7 +549,7 @@ func (e *calendarExecutor) runStep(c *calCut, pt *calPartition, r int) (next int
 // exit is rank r's exit path however its body or step ended — returned
 // (returned), panicked (rec) or called runtime.Goexit (neither): it records
 // r's error, retires r and passes its token on, returning the rank the
-// token went to. A Goexit also ends the goroutine r ran on: an inline
+// token went to. A Goexit also ends the goroutine r ran on: a one-rank
 // partition's, which the next run replaces, or a step partition's, which
 // runStep replaces at once — the partition's other ranks are mid-run.
 func (e *calendarExecutor) exit(r int, returned bool, rec any) (next int) {
@@ -569,10 +568,8 @@ func (e *calendarExecutor) exit(r int, returned bool, rec any) (next int) {
 	}
 	e.m.retire()
 	next = e.finish(r)
-	if goexit {
-		if pt := e.partOf(r); pt.inline {
-			pt.alive = false
-		}
+	if goexit && e.per == 1 {
+		e.partOf(r).alive = false
 	}
 	e.wg.Done()
 	return next
