@@ -171,6 +171,8 @@ func (c *checkCountingTransport) CheckStalled() bool {
 }
 
 func TestCalendarQuiescenceFiresOnce(t *testing.T) {
+	// The programs run in their step form, the only one that shares
+	// partitions; the references run their bodies.
 	const n, rounds = 12, 4
 	// ring exchanges real traffic among the ranks of [lo, n) first, so the
 	// deadlock is reached from a running machine and not from its start.
@@ -185,18 +187,53 @@ func TestCalendarQuiescenceFiresOnce(t *testing.T) {
 			p.RecvValue(prev, TagOf(1))
 		}
 	}
+	// round and sent are a step rank's place in the ring: the round it is
+	// in, and whether it has sent that round's message.
+	round, sent := make([]int, n), make([]bool, n)
+	var calls atomic.Int64
+	// ringStep is the step form of the ranks of [lo, n) running ring and
+	// then receiving from unfed(rank), a stream nobody feeds (nil: none).
+	ringStep := func(lo int, unfed func(rank int) int) StepFunc {
+		return func(p *Proc, resume bool) (bool, error) {
+			calls.Add(1)
+			me, span := p.Rank(), n-lo
+			if me < lo {
+				return true, nil
+			}
+			if !resume {
+				round[me], sent[me] = 0, false
+			}
+			next, prev := lo+(me-lo+1)%span, lo+(me-lo+span-1)%span
+			for ; span > 1 && round[me] < rounds; round[me]++ {
+				if !sent[me] {
+					p.SendValue(next, TagOf(1), float64(round[me]))
+					sent[me] = true
+				}
+				if _, ok := p.TryRecvValue(prev, TagOf(1)); !ok {
+					return false, nil
+				}
+				sent[me] = false
+			}
+			if unfed == nil {
+				return true, nil
+			}
+			_, ok := p.TryRecv(unfed(me), TagOf(9))
+			return ok, nil
+		}
+	}
 	for _, workers := range []int{1, 2, 3, n} {
 		per, parts := wantSplit(n, workers)
 		lastLo := (parts - 1) * per
 		programs := []struct {
 			name string
 			body func(p *Proc) error
+			step StepFunc
 		}{
 			{"every partition parked", func(p *Proc) error {
 				ring(p, 0)
 				p.Recv((p.Rank()+1)%n, TagOf(9)) // a cycle nobody feeds
 				return nil
-			}},
+			}, ringStep(0, func(r int) int { return (r + 1) % n })},
 			{"live ranks in the last partition only", func(p *Proc) error {
 				if p.Rank() < lastLo {
 					return nil
@@ -204,10 +241,11 @@ func TestCalendarQuiescenceFiresOnce(t *testing.T) {
 				ring(p, lastLo)
 				p.Recv(0, TagOf(9)) // rank 0 has returned, or never sends
 				return nil
-			}},
+			}, ringStep(lastLo, func(int) int { return 0 })},
 		}
 		for _, prog := range programs {
 			t.Run(fmt.Sprintf("w%d/%s", workers, prog.name), func(t *testing.T) {
+				calls.Store(0)
 				ref := New(n, Uniform())
 				wantErr := ref.Run(prog.body)
 				if !errors.Is(wantErr, ErrDeadlock) {
@@ -218,7 +256,7 @@ func TestCalendarQuiescenceFiresOnce(t *testing.T) {
 				m := NewWithTransport(ct, Uniform())
 				m.SetExecutor(e)
 				for run := 1; run <= 2; run++ {
-					err := m.Run(prog.body)
+					err := runStepsWithin(t, m, prog.body, prog.step)
 					if err == nil || err.Error() != wantErr.Error() {
 						t.Fatalf("run %d: err = %v, goroutine engine says %v", run, err, wantErr)
 					}
@@ -237,11 +275,14 @@ func TestCalendarQuiescenceFiresOnce(t *testing.T) {
 				}
 				// A clean run has no quiescence before its end, and the
 				// end is not one.
-				if err := m.Run(func(p *Proc) error { ring(p, 0); return nil }); err != nil {
+				if err := m.RunSteps(func(p *Proc) error { ring(p, 0); return nil }, ringStep(0, nil)); err != nil {
 					t.Fatal(err)
 				}
 				if got := ct.checks.Load(); got != 2 {
 					t.Errorf("a clean run made %d stall checks", got-2)
+				}
+				if calls.Load() == 0 {
+					t.Error("the step form never ran")
 				}
 			})
 		}

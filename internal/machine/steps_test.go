@@ -22,9 +22,9 @@ import (
 // arithmetic, its continuation (the next op and the accumulator) kept per
 // rank. Each rank folds what it receives into its accumulator and sends
 // values derived from it, so a message matched to the wrong receive changes
-// every value downstream. res receives what a run
-// determines; steps counts the step calls; running, when non-nil, is the
-// per-partition count of ranks inside a call, which must never exceed one.
+// every value downstream. res receives what a run determines; steps counts
+// the step calls; running, when non-nil, is the per-partition count of
+// ranks inside a call, which must never exceed one.
 func kahnProgram(t *testing.T, scripts [][]kahnOp, res *kahnResult, steps *atomic.Int64, partOf func(int) int, running []atomic.Int32) (func(*Proc) error, StepFunc) {
 	n := len(scripts)
 	pos := make([]int, n)
