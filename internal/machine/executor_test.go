@@ -129,52 +129,16 @@ func TestCalendarSingleWorkerLiveness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The step twin, on the one partition a body run never shares: the
-	// ring without its barriers, which a step cannot wait in, against its
-	// body form on a partition per rank.
-	vals, round := make([]float64, n), make([]int, n)
-	body := func(p *Proc) error {
-		me := p.Rank()
-		acc := float64(me)
-		for i := 0; i < rounds; i++ {
-			p.SendValue((me+1)%n, TagOf(uint16(i)), acc)
-			acc += p.RecvValue((me+n-1)%n, TagOf(uint16(i)))
-		}
-		vals[me] = acc
-		return nil
-	}
-	step := func(p *Proc, resume bool) (bool, error) {
-		me := p.Rank()
-		if !resume {
-			round[me], vals[me] = 0, float64(me)
-			p.SendValue((me+1)%n, 0, vals[me])
-		}
-		for ; round[me] < rounds; round[me]++ {
-			v, ok := p.TryRecvValue((me+n-1)%n, TagOf(uint16(round[me])))
-			if !ok {
-				return false, nil
-			}
-			if vals[me] += v; round[me]+1 < rounds {
-				p.SendValue((me+1)%n, TagOf(uint16(round[me]+1)), vals[me])
-			}
-		}
-		return true, nil
-	}
-	ref := New(n, Uniform())
-	if err := ref.Run(body); err != nil {
-		t.Fatal(err)
-	}
-	want := append([]float64(nil), vals...)
-	if err := m.RunSteps(body, step); err != nil {
-		t.Fatal(err)
-	}
+	// The step twin, on the one partition a body run never shares: seeded
+	// Kahn scripts (each round opens with a ring exchange, and no barrier,
+	// which a step cannot wait in) against their body form on a partition
+	// per rank.
+	scripts := kahnScripts(rand.New(rand.NewSource(rounds)), n, rounds)
+	want, _ := runForm(t, New(n, Uniform()), scripts, false, nil, nil)
+	got, _ := runForm(t, m, scripts, true, nil, nil)
+	sameKahn(t, "step form on one worker", got, want)
 	if st := m.CalendarStats(); st.Partitions != 1 || st.Parks == 0 {
-		t.Errorf("the step ring on one worker: %+v, want one partition that parked", st)
-	}
-	for r := 0; r < n; r++ {
-		if vals[r] != want[r] || m.ProcClock(r) != ref.ProcClock(r) || m.ProcStats(r) != ref.ProcStats(r) {
-			t.Errorf("step ring rank %d: %v at %v, body form %v at %v", r, vals[r], m.ProcClock(r), want[r], ref.ProcClock(r))
-		}
+		t.Errorf("the step form on one worker: %+v, want one partition that parked", st)
 	}
 }
 
