@@ -521,8 +521,9 @@ func (e *calendarExecutor) runStep(c *calCut, pt *calPartition, r int) (next int
 			return
 		}
 		rec := recover()
+		shared := e.per > 1 // read first: once r exits, the next run may start
 		next = e.exit(r, false, rec)
-		if rec == nil && e.per > 1 {
+		if rec == nil && shared {
 			c.exits.Add(1)
 			go e.partLoop(c, pt, next)
 		}
