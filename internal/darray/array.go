@@ -26,21 +26,24 @@
 // widths, the block's shape — which dimensions are fixed, and per free
 // dimension its kind, stride and clipped read and write windows), the
 // compiled halo exchanges (runs into the local block, peers as rank
-// offsets) and the gathers' pack runs and plans are interned per machine by
-// content (machine.Intern), and grid slices are kept on their parent grid.
-// In a block distribution these depend on a processor's position class —
-// first, interior or last along each axis, 9 classes in 2-D — not on its
+// offsets) and the gathers' member plans are interned per machine
+// (machine.Intern), and grid slices are kept on their parent grid. In a
+// block distribution these depend on a processor's position class — first,
+// interior or last along each axis, 9 classes in 2-D — not on its
 // coordinates, so a machine holds a number of them that does not grow with
-// the processor count.
+// the processor count. Each is keyed before it is built, by index
+// arithmetic on the processor's own block (a halo exchange's peers are the
+// owners of the block widened by the halo, which the distribution names),
+// so only the first processor of a class builds it.
 //
-// Sharing cannot change a bit. An interned descriptor's key is its whole
-// content, so the object a processor gets is, value for value, the one it
-// would have built; nothing writes it once it is published; and replay and
-// the accessors read it as they would read a private copy — the same
-// messages, in the same order, of the same sizes, the same cells.
-// TestClassCensus counts the shared objects at three grid sizes and holds
-// them to what each processor derives from its own block and their replay
-// to the direct derivation.
+// Sharing cannot change a bit. An interned descriptor's key fixes every
+// value it holds, so the object a processor gets is, value for value, the
+// one it would have built; nothing writes it once it is published; and
+// replay and the accessors read it as they would read a private copy — the
+// same messages, in the same order, of the same sizes, the same cells.
+// TestClassCensus counts the shared objects at three grid sizes, and how
+// many were built, and holds them to what each processor derives from its
+// own block and their replay to the direct derivation.
 //
 // Remote values move only through explicit collectives (ExchangeHalo,
 // GatherTo, Redistribute, ...), each of which is built on simulated

@@ -15,26 +15,27 @@ import (
 // axis), not on its coordinates, so a machine whose ranks share what they
 // would compile alike holds a number of them that does not grow with the
 // rank count. These tests count, by pointer identity, the distinct halo
-// schedules, gather pack lists and views' class parts (each with its
-// layout) the ranks of
-// a warmed Jacobi program hold at three grid sizes, count how many class
-// parts were built, and hold every shared descriptor's program to the
-// direct derivation bit for bit. (internal/kf's TestClassCensusLoops takes
+// schedules, gather plans and views' class parts (each with its layout) the
+// ranks of a warmed Jacobi program hold at three grid sizes, count how many
+// of each were built — as many as are held: every one is keyed before it is
+// built, so no rank compiles what another rank of its class has — and hold
+// every shared descriptor's program to the direct derivation bit for bit. (internal/kf's TestClassCensusLoops takes
 // the census of the compiled loops.)
 
 // census counts the distinct descriptors a machine's ranks hold.
 type census struct {
 	halo   int // halo-exchange schedules
-	gather int // gather plans' pack run lists, the root's own plan counted once more
+	gather int // gather plans: the members' shared ones and the root's own
 	view   int // root views' class parts
 }
 
 // jacobiRanks is a Jacobi-like program's per-rank declarations: the
 // iterate x (haloed when its distribution is contiguous) and the right-hand
 // side f, declared on the first run and reused by every later one, as a
-// warmed System keeps them.
+// warmed System keeps them, and each run's redistribution of x, if any.
 type jacobiRanks struct {
 	x, f []*Array
+	y    [][]*Array
 }
 
 // runJacobiLike runs a Jacobi-like program twice over n x n arrays
@@ -43,8 +44,9 @@ type jacobiRanks struct {
 // where d is not contiguous, a redistribution onto (block, block) gathered
 // too — on a machine deriving collectives directly or replaying compiled
 // schedules. It returns the second (warm) run's outcome, the declarations
-// the ranks hold, and how many view class parts the two runs built.
-func runJacobiLike(t *testing.T, side, n int, d dist.Dist, direct bool) (capture, jacobiRanks, int64) {
+// the ranks hold, and how many halo schedules, gather plans and view class
+// parts the two runs built.
+func runJacobiLike(t *testing.T, side, n int, d dist.Dist, direct bool) (capture, jacobiRanks, census) {
 	t.Helper()
 	g := topology.New(side, side)
 	np := side * side
@@ -53,7 +55,7 @@ func runJacobiLike(t *testing.T, side, n int, d dist.Dist, direct bool) (capture
 	if contiguous {
 		halo = []int{1, 1}
 	}
-	decl := jacobiRanks{x: make([]*Array, np), f: make([]*Array, np)}
+	decl := jacobiRanks{x: make([]*Array, np), f: make([]*Array, np), y: make([][]*Array, np)}
 	prog := func(p *machine.Proc) []float64 {
 		r := p.Rank()
 		if decl.x[r] == nil {
@@ -82,6 +84,7 @@ func runJacobiLike(t *testing.T, side, n int, d dist.Dist, direct bool) (capture
 		out := x.GatherTo(sc.Child(2, -1), 0)
 		if !contiguous {
 			y := x.Redistribute(sc.Child(3, -1), g, Spec{Extents: []int{n, n}, Dists: []dist.Dist{dist.Block{}, dist.Block{}}})
+			decl.y[r] = append(decl.y[r], y)
 			out = append(out, y.GatherTo(sc.Child(4, -1), 0)...)
 		}
 		return out
@@ -89,7 +92,7 @@ func runJacobiLike(t *testing.T, side, n int, d dist.Dist, direct bool) (capture
 	m := machine.New(np, machine.IPSC2())
 	m.SetDirect(direct)
 	c := capture{clocks: make([]float64, np), stats: make([]machine.Stats, np), data: make([][]float64, np)}
-	built := classBuilds.Load()
+	built := census{halo: int(haloBuilds.Load()), gather: int(gatherBuilds.Load()), view: int(classBuilds.Load())}
 	for run := 0; run < 2; run++ {
 		err := m.Run(func(p *machine.Proc) error {
 			c.data[p.Rank()] = prog(p)
@@ -103,34 +106,30 @@ func runJacobiLike(t *testing.T, side, n int, d dist.Dist, direct bool) (capture
 		c.clocks[i] = m.ProcClock(i)
 		c.stats[i] = m.ProcStats(i)
 	}
-	return c, decl, classBuilds.Load() - built
+	built = census{halo: int(haloBuilds.Load()) - built.halo, gather: int(gatherBuilds.Load()) - built.gather,
+		view: int(classBuilds.Load()) - built.view}
+	return c, decl, built
 }
 
 // countDescriptors takes the census of the declarations' compiled state.
 func countDescriptors(decl jacobiRanks) census {
 	halos := map[any]bool{}
-	packs := map[any]bool{}
+	gathers := map[any]bool{}
 	views := map[any]bool{}
-	roots := 0
 	for r := range decl.x {
-		for _, a := range []*Array{decl.x[r], decl.f[r]} {
+		for _, a := range append([]*Array{decl.x[r], decl.f[r]}, decl.y[r]...) {
 			views[a.viewClass] = true
 			for _, pl := range a.plans {
 				if pl.halo != nil {
 					halos[pl.halo] = true
 				}
-				if g := pl.gather; g != nil {
-					if len(g.pack) > 0 {
-						packs[&g.pack[0]] = true
-					}
-					if g.root != nil {
-						roots++
-					}
+				if pl.gather != nil {
+					gathers[pl.gather] = true
 				}
 			}
 		}
 	}
-	return census{halo: len(halos), gather: len(packs) + roots, view: len(views)}
+	return census{halo: len(halos), gather: len(gathers), view: len(views)}
 }
 
 // checkViewsDirect holds every rank's root views — the class part shared,
@@ -181,9 +180,10 @@ func checkViewsDirect(t *testing.T, decl jacobiRanks) {
 
 // TestClassCensus: a warmed Jacobi program's ranks hold the same number of
 // distinct halo schedules (at most one per position class, 9 in 2-D),
-// gather pack lists and view class parts on 256, 1,024 and 4,096 ranks — a census
-// that is a function of the program, not of P² — and replay them
-// bit-identically to the direct derivation.
+// gather plans and view class parts on 256, 1,024 and 4,096 ranks — a
+// census that is a function of the program, not of P² — built as many of
+// each as they hold, and replay them bit-identically to the direct
+// derivation.
 func TestClassCensus(t *testing.T) {
 	var first census
 	for k, side := range []int{16, 32, 64} {
@@ -192,7 +192,7 @@ func TestClassCensus(t *testing.T) {
 		assertSameCapture(t, side, direct, shared)
 		checkViewsDirect(t, decl)
 		c := countDescriptors(decl)
-		t.Logf("Grid(%d, %d): %d halo schedules, %d gather plans, %d view classes (%d built) over %d ranks",
+		t.Logf("Grid(%d, %d): %d halo schedules, %d gather plans, %d view classes (built %+v) over %d ranks",
 			side, side, c.halo, c.gather, c.view, built, side*side)
 		if c.halo > 9 {
 			t.Errorf("Grid(%d, %d): %d distinct halo schedules, want at most one per position class (9)", side, side, c.halo)
@@ -202,8 +202,8 @@ func TestClassCensus(t *testing.T) {
 		if c.view > 9+1 {
 			t.Errorf("Grid(%d, %d): %d distinct view classes, want at most one per position class and array (9 + 1)", side, side, c.view)
 		}
-		if built != int64(c.view) {
-			t.Errorf("Grid(%d, %d): %d view classes built for %d held: a class part was built twice", side, side, built, c.view)
+		if built != c {
+			t.Errorf("Grid(%d, %d): built %+v for %+v held: a descriptor was built twice", side, side, built, c)
 		}
 		if k == 0 {
 			first = c
@@ -217,8 +217,8 @@ func TestClassCensus(t *testing.T) {
 // block distribution (an extent no grid size divides, so interior blocks
 // differ in size) and of a cyclic one (no halo; gathered, then
 // redistributed onto blocks and gathered again) to the direct derivation
-// bit for bit, and their census to a bound that does not grow with the
-// rank count.
+// bit for bit, their census to a bound that does not grow with the rank
+// count, and what the ranks built to what they hold.
 func TestClassCensusUnevenAndCyclic(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -230,16 +230,19 @@ func TestClassCensusUnevenAndCyclic(t *testing.T) {
 	} {
 		for _, side := range []int{16, 32} {
 			direct, _, _ := runJacobiLike(t, side, tc.n, tc.d, true)
-			shared, decl, _ := runJacobiLike(t, side, tc.n, tc.d, false)
+			shared, decl, built := runJacobiLike(t, side, tc.n, tc.d, false)
 			assertSameCapture(t, side, direct, shared)
 			checkViewsDirect(t, decl)
 			c := countDescriptors(decl)
-			t.Logf("%s %d on Grid(%d, %d): %d halo schedules, %d gather plans, %d view classes",
-				tc.name, tc.n, side, side, c.halo, c.gather, c.view)
+			t.Logf("%s %d on Grid(%d, %d): %d halo schedules, %d gather plans, %d view classes (built %+v)",
+				tc.name, tc.n, side, side, c.halo, c.gather, c.view, built)
 			// Two block sizes per axis: at most 9 classes times 4 shapes,
 			// for each of the two arrays' views.
-			if c.halo > 36 || c.gather > 36+1 || c.view > 2*36 {
+			if c.halo > 36 || c.gather > 2*(36+1) || c.view > 2*36 {
 				t.Errorf("%s on Grid(%d, %d): census %+v exceeds the per-class bound", tc.name, side, side, c)
+			}
+			if built != c {
+				t.Errorf("%s on Grid(%d, %d): built %+v for %+v held: a descriptor was built twice", tc.name, side, side, built, c)
 			}
 		}
 	}

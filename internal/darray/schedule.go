@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/dist"
 	"repro/internal/machine"
@@ -24,14 +25,21 @@ func appendRun(runs []sched.Run, off int) []sched.Run {
 
 // --- Halo exchange -------------------------------------------------------
 
+// haloBuilds counts the halo schedules compiled, for the census tests.
+var haloBuilds atomic.Int64
+
 // haloSchedule returns the compiled halo-exchange schedule for the given
-// free dimensions (all haloed dimensions when empty), compiling it on first
-// use and keeping it on the view. The schedule depends only on the view's
-// immutable layout (extents, distributions, halo widths, grid, fixed
-// indices), so a kept schedule is never invalidated; arrays with new
-// layouts are new views. It is the machine's interned copy: every rank
-// whose exchange has the same runs, parts and relative peers holds the
-// same one.
+// free dimensions (all haloed dimensions when empty), keeping it on the
+// view. The schedule depends only on the view's immutable layout (extents,
+// distributions, halo widths, grid, fixed indices), so a kept schedule is
+// never invalidated; arrays with new layouts are new views. It is the
+// machine's one copy for its key (machine.Intern), and the key is derived
+// before anything is compiled: the view's shape (appendShape) and the
+// exchange's messages — per message the peer as a rank offset (the
+// relative coordinate times the axis stride), the part, which names the
+// store dimension and side, and the window it moves, from the block's
+// origin. Those fix every run of the schedule, so every rank of a position
+// class derives the same key and only the first compiles.
 func (a *Array) haloSchedule(dims []int) *sched.Schedule {
 	key := -1
 	if len(dims) > 0 {
@@ -44,19 +52,6 @@ func (a *Array) haloSchedule(dims []int) *sched.Schedule {
 		if pl := &a.plans[i]; pl.halo != nil && pl.key == key {
 			return pl.halo
 		}
-	}
-	s := a.compileHalo(dims).Intern(a.st.p.Machine())
-	a.plans = append(a.plans, viewPlan{key: key, halo: s})
-	return s
-}
-
-// compileHalo is the halo-exchange inspector: it walks the same owner
-// windows and hyperplanes as the direct path (sendHalo/recvHalo) and
-// records, instead of performing, every pack and unpack.
-func (a *Array) compileHalo(dims []int) *sched.Schedule {
-	s := &sched.Schedule{
-		Sends: make([]sched.Msg, 0, 4),
-		Recvs: make([]sched.Msg, 0, 4),
 	}
 	var sdsBuf [maxInlineDims]int
 	sds := sdsBuf[:0]
@@ -76,100 +71,140 @@ func (a *Array) compileHalo(dims []int) *sched.Schedule {
 			sds = append(sds, sd)
 		}
 	}
+	var msgBuf [8]haloMsg
+	msgs := msgBuf[:0]
 	for _, sd := range sds {
-		a.compileHaloSends(s, sd)
+		msgs = a.haloSends(msgs, sd)
 	}
+	sends := len(msgs)
 	for _, sd := range sds {
-		a.compileHaloRecvs(s, sd)
+		msgs = a.haloRecvs(msgs, sd)
 	}
+	var keyBuf [128]byte
+	k := binary.AppendUvarint(a.appendShape(append(keyBuf[:0], 'H')), uint64(sends))
+	k = binary.AppendUvarint(k, uint64(len(msgs)))
+	for _, m := range msgs {
+		for _, v := range [4]int{m.peer, m.part, m.lo, m.hi} {
+			k = binary.AppendVarint(k, int64(v))
+		}
+	}
+	s := machine.Intern(a.st.p.Machine(), k, func() *sched.Schedule { return a.compileHalo(msgs, sends) })
+	a.plans = append(a.plans, viewPlan{key: key, halo: s})
 	return s
 }
 
-// compileHaloSends mirrors sendHalo: for every other processor along the
-// dimension's axis, the ghost windows falling in this processor's owned
-// range become one send message of pack runs per (peer, side).
-func (a *Array) compileHaloSends(s *sched.Schedule, sd int) {
+// haloMsg is one message of a halo exchange as a rank derives it before
+// compiling: the peer as a rank offset, the tag part (store dim << 2 |
+// side), and the window of global indices it packs or unpacks, inclusive,
+// from the block's origin.
+type haloMsg struct{ peer, part, lo, hi int }
+
+// appendShape appends to key what a compiled halo exchange or gather pack
+// reads of the view beyond its messages: per store dimension the owned
+// extent and the halo width, which fix the padded block's strides, and
+// whether it is fixed, and the data offset the fixed dimensions contribute.
+func (a *Array) appendShape(key []byte) []byte {
+	key = binary.AppendUvarint(key, uint64(len(a.pfix)))
+	for d, f := range a.pfix {
+		key = binary.AppendUvarint(key, uint64(a.lsize[d]))
+		key = binary.AppendUvarint(key, uint64(a.halo[d]))
+		key = append(key, byte(min(f, 0)+1))
+	}
+	return binary.AppendUvarint(key, uint64(a.fixedOff))
+}
+
+// haloSends appends the send messages along store dim sd, as sendHalo
+// posts them: one per (peer, side) whose ghost window meets this block, in
+// ascending coordinate order. Only the owners of [myLo-h, myHi+h] can be
+// such peers, with every empty block at either end of that range (blocks
+// are contiguous and in coordinate order), so the search asks the
+// distribution about them alone, not about every processor along the axis.
+func (a *Array) haloSends(msgs []haloMsg, sd int) []haloMsg {
 	st := a.st
-	ax := a.axisOf[sd]
-	n := a.extents[sd]
-	P := st.rootGrid().Extent(ax)
-	q := st.coord(ax)
-	h := a.halo[sd]
+	ax, n, h := a.axisOf[sd], a.extents[sd], a.halo[sd]
+	P, q := st.rootGrid().Extent(ax), st.coord(ax)
 	myLo, myHi := st.lower(sd), st.lower(sd)+a.lsize[sd]-1
 	if a.planeSize(sd) == 0 || a.lsize[sd] == 0 {
-		return // an empty dimension: peers mirror this skip
+		return msgs // an empty dimension: peers mirror this skip
 	}
 	b := a.dists[sd].(dist.Contiguous)
-	for qq := 0; qq < P; qq++ {
+	first, last := 0, P-1
+	if myLo-h >= 0 {
+		first = b.Owner(myLo-h, n, P)
+	}
+	if myHi+h < n {
+		last = b.Owner(myHi+h, n, P)
+	}
+	for qq := first; qq <= last; qq++ {
 		if qq == q {
 			continue
 		}
 		qlo, qhi := b.Lower(qq, n, P), b.Upper(qq, n, P)
 		if lo, hi := maxI(qlo-h, myLo), minI(qlo-1, myHi); lo <= hi {
-			a.compileSendRun(s, sd, uint16(sd<<2|0), ax, qq, lo, hi)
+			msgs = append(msgs, haloMsg{st.offsetAlongAxis(ax, qq), sd << 2, lo - myLo, hi - myLo})
 		}
 		if lo, hi := maxI(qhi+1, myLo), minI(qhi+h, myHi); lo <= hi {
-			a.compileSendRun(s, sd, uint16(sd<<2|1), ax, qq, lo, hi)
+			msgs = append(msgs, haloMsg{st.offsetAlongAxis(ax, qq), sd<<2 | 1, lo - myLo, hi - myLo})
 		}
 	}
+	return msgs
 }
 
-func (a *Array) compileSendRun(s *sched.Schedule, sd int, part uint16, ax, qq, lo, hi int) {
+// haloRecvs appends the receive messages along store dim sd, as
+// recvHalo/recvSide take them: this processor's two ghost windows, one
+// message per owner run (an empty block still receives its degenerate
+// windows).
+func (a *Array) haloRecvs(msgs []haloMsg, sd int) []haloMsg {
 	st := a.st
-	s.BeginSend(st.offsetAlongAxis(ax, qq), part)
-	for g := lo; g <= hi; g++ {
-		a.appendPlaneRuns(s, sd, g-st.lower(sd)+a.halo[sd], true)
-	}
-}
-
-// compileHaloRecvs mirrors recvHalo/recvSide: this processor's ghost
-// windows, grouped into one receive message of unpack runs per owner run.
-func (a *Array) compileHaloRecvs(s *sched.Schedule, sd int) {
-	st := a.st
-	ax := a.axisOf[sd]
-	h := a.halo[sd]
-	myLo, myHi := st.lower(sd), st.lower(sd)+a.lsize[sd]-1
+	ax, h := a.axisOf[sd], a.halo[sd]
+	myLo := st.lower(sd)
 	if a.planeSize(sd) == 0 {
-		return // some other dimension is empty here: no cells at all
+		return msgs // some other dimension is empty here: no cells at all
 	}
-	a.compileRecvSide(s, sd, ax, 0, myLo-h, myLo-1)
-	a.compileRecvSide(s, sd, ax, 1, myHi+1, myHi+h)
-}
-
-func (a *Array) compileRecvSide(s *sched.Schedule, sd, ax, side, lo, hi int) {
-	st := a.st
 	var runs [4]ghostRun
-	for _, run := range a.ghostRuns(sd, lo, hi, runs[:0]) {
-		s.BeginRecv(st.offsetAlongAxis(ax, run.ownerCoord), uint16(sd<<2|side))
-		for g := run.lo; g <= run.hi; g++ {
-			a.appendPlaneRuns(s, sd, g-st.lower(sd)+a.halo[sd], false)
+	for side, lo := range [2]int{myLo - h, myLo + a.lsize[sd]} {
+		for _, run := range a.ghostRuns(sd, lo, lo+h-1, runs[:0]) {
+			msgs = append(msgs, haloMsg{st.offsetAlongAxis(ax, run.ownerCoord), sd<<2 | side, run.lo - myLo, run.hi - myLo})
 		}
 	}
+	return msgs
 }
 
-// appendPlaneRuns records the storage runs of the hyperplane at
-// halo-relative position l of store dim sd, in the exact order
-// packPlane/unpackPlane move them, onto the schedule's current send or
-// receive message.
-func (a *Array) appendPlaneRuns(s *sched.Schedule, sd, l int, send bool) {
-	a.eachPlaneRun(sd, l, func(off, n int) {
-		if send {
-			s.AddSendRun(off, n)
+// compileHalo is the halo-exchange inspector: the first sends messages of
+// msgs become send messages of pack runs, the rest receive messages of
+// unpack runs — each the runs of the hyperplanes in its window, in the
+// exact order packPlane/unpackPlane move them.
+func (a *Array) compileHalo(msgs []haloMsg, sends int) *sched.Schedule {
+	haloBuilds.Add(1)
+	s := &sched.Schedule{
+		Sends: make([]sched.Msg, 0, sends),
+		Recvs: make([]sched.Msg, 0, len(msgs)-sends),
+	}
+	for i, m := range msgs {
+		sd, add := m.part>>2, s.AddSendRun
+		if i < sends {
+			s.BeginSend(m.peer, uint16(m.part))
 		} else {
-			s.AddRecvRun(off, n)
+			s.BeginRecv(m.peer, uint16(m.part))
+			add = s.AddRecvRun
 		}
-	})
+		for l := m.lo; l <= m.hi; l++ {
+			a.eachPlaneRun(sd, l+a.halo[sd], add)
+		}
+	}
+	s.Compact()
+	return s
 }
 
 // --- GatherTo ------------------------------------------------------------
 
 // gatherPlan is a compiled GatherTo for one root (the view keeps it under
 // the root's index): the root's machine rank and the pack's storage runs,
-// the cells the member owns in OwnedEach order, which are interned — every
-// member with the same local layout holds one run list — and so is a
-// member's whole plan: the members that send the same runs to the same
-// root hold one. The root's plan is its own, with gatherRoot holding what
-// only the root needs.
+// the cells the member owns in OwnedEach order. A member's plan is the
+// machine's one copy for its key — the view's shape (appendShape), which
+// fixes the runs, and the root's rank — so the members that would send the
+// same runs to the same root hold one, built by the first of them. The
+// root's plan is its own, with gatherRoot holding what only the root needs.
 type gatherPlan struct {
 	peer int // the root's machine rank
 	pack []sched.Run
@@ -185,6 +220,9 @@ type gatherRoot struct {
 	size           int // dense result length
 }
 
+// gatherBuilds counts the gather plans built, for the census tests.
+var gatherBuilds atomic.Int64
+
 // gatherPlanFor compiles (or returns the kept) gather plan of this view for
 // the given root index.
 func (a *Array) gatherPlanFor(me, rootIdx int) *gatherPlan {
@@ -194,23 +232,15 @@ func (a *Array) gatherPlanFor(me, rootIdx int) *gatherPlan {
 		}
 	}
 	g := a.grid
-	m := a.st.p.Machine()
-	self := a.st.p.Rank()
-	runs := make([]sched.Run, 0, 8)
-	a.ownedWalk(func(idx []int, off int) { runs = appendRun(runs, off) })
-	peer, pack := g.RankAt(rootIdx), sched.InternRuns(m, runs)
+	peer := g.RankAt(rootIdx)
 	if me != rootIdx {
-		var buf [128]byte
-		key := binary.AppendUvarint(append(buf[:0], 'G'), uint64(peer))
-		key = binary.AppendUvarint(key, uint64(len(pack)))
-		for _, r := range pack {
-			key = binary.AppendUvarint(key, uint64(r.Off))
-			key = binary.AppendUvarint(key, uint64(r.Len))
-		}
-		pl := machine.Intern(m, key, func() *gatherPlan { return &gatherPlan{peer: peer, pack: pack} })
+		var buf [64]byte
+		key := binary.AppendUvarint(a.appendShape(append(buf[:0], 'G')), uint64(peer))
+		pl := machine.Intern(a.st.p.Machine(), key, func() *gatherPlan { return &gatherPlan{peer: peer, pack: a.packRuns()} })
 		a.plans = append(a.plans, viewPlan{key: rootIdx, gather: pl})
 		return pl
 	}
+	self := a.st.p.Rank()
 	nd := a.Dims()
 	ext := make([]int, nd)
 	rt := &gatherRoot{size: 1}
@@ -232,9 +262,19 @@ func (a *Array) gatherPlanFor(me, rootIdx int) *gatherPlan {
 		})
 	}
 	rt.Compact()
-	pl := &gatherPlan{peer: peer, pack: pack, root: rt}
+	pl := &gatherPlan{peer: peer, pack: a.packRuns(), root: rt}
 	a.plans = append(a.plans, viewPlan{key: rootIdx, gather: pl})
 	return pl
+}
+
+// packRuns builds a gather plan's pack: the storage runs of the cells the
+// processor owns, in OwnedEach order, in a slice of their own length (nil
+// for none).
+func (a *Array) packRuns() []sched.Run {
+	gatherBuilds.Add(1)
+	runs := make([]sched.Run, 0, 8)
+	a.ownedWalk(func(idx []int, off int) { runs = appendRun(runs, off) })
+	return append([]sched.Run(nil), runs...)
 }
 
 // gatherToScheduled replays the compiled gather plan from cur: members

@@ -229,13 +229,16 @@ func NewWithTransport(t Transport, cost CostModel) *Machine {
 
 // Intern returns machine m's one copy of a compiled, read-only
 // descriptor: the value held under key if there is one, else mk()'s
-// result, stored under key first. key is the descriptor's whole content as
-// its compiler encodes it (a halo schedule's runs and relative peers, an
-// array's layout), so ranks whose compiles encode alike hold one object —
-// in a block distribution, one per position class (first, interior, last
-// per axis), whatever the rank count — and a rank whose encoding differs
-// gets its own. A value must not be changed once it is stored: ranks on
-// every partition read it without a lock.
+// result, stored under key first. The key is computed before anything is
+// compiled, from what fixes every value of the descriptor (a view's layout
+// and windows, a halo exchange's block shape and its messages' relative
+// peers, parts and windows), so only the first rank of a key runs mk, and
+// the ranks whose keys agree hold one object — in a block distribution,
+// one per position class (first, interior, last per axis), whatever the
+// rank count — while a rank whose key differs gets its own. Equal keys
+// must mean equal descriptors. mk runs with the table locked and must not
+// intern. A value must not be changed once it is stored: ranks on every
+// partition read it without a lock.
 //
 // The table is lock-guarded and touched only where a rank compiles (a
 // cold run), never on replay; a lookup that hits allocates nothing. It

@@ -16,9 +16,11 @@
 //
 // A schedule names its peers as rank offsets from the executing processor,
 // so it is a position-class object: in a block distribution every interior
-// rank compiles the same halo exchange — the same runs into the same local
-// layout, to the same relative neighbours — and Intern lets them hold one
-// copy, whatever the rank count. Execute adds p.Rank() to each offset.
+// rank's halo exchange is the same — the same runs into the same local
+// layout, to the same relative neighbours — and an inspector that keys it
+// before compiling (darray's, through machine.Intern) lets them hold one
+// copy, compiled once, whatever the rank count. Execute adds p.Rank() to
+// each offset.
 //
 // Schedules speak only to machine.Proc's Send/Recv, never to a delivery
 // mechanism, so a compiled schedule replays unchanged — same messages, same
@@ -28,9 +30,7 @@
 package sched
 
 import (
-	"encoding/binary"
 	"fmt"
-	"unsafe"
 
 	"repro/internal/machine"
 )
@@ -178,12 +178,11 @@ func (s *Schedule) Step(p *machine.Proc, sc machine.Scope, src, dst []float64, c
 const runCap = 8
 
 // Compact moves every message's runs into one slab of exactly their total
-// length. Intern calls it on the schedule it publishes (and an inspector
-// that keeps a schedule of its own, once it is complete): what a machine
-// keeps is then the runs it replays and no growth capacity, in one
+// length. An inspector calls it on a schedule once it is complete: what a
+// machine keeps is then the runs it replays and no growth capacity, in one
 // allocation. Adding runs afterwards still works (each message's share of
-// the slab is capped, so an append copies it out) — but not to an
-// interned schedule, which must not change.
+// the slab is capped, so an append copies it out) — but not to a schedule
+// shared between ranks, which must not change.
 func (s *Schedule) Compact() {
 	n := 0
 	for _, msgs := range [2][]Msg{s.Sends, s.Recvs} {
@@ -212,58 +211,4 @@ func (s *Schedule) BeginSend(peer int, part uint16) {
 // peer, with the given tag part; fill it with AddRecvRun.
 func (s *Schedule) BeginRecv(peer int, part uint16) {
 	s.Recvs = append(s.Recvs, Msg{Peer: peer, Part: part, Runs: make([]Run, 0, runCap)})
-}
-
-// Intern returns machine m's one schedule with s's content (see
-// machine.Intern): s itself, compacted, when no rank has compiled this
-// content before, else the copy that rank published, and s is dropped. A
-// schedule must not be changed once interned.
-func (s *Schedule) Intern(m *machine.Machine) *Schedule {
-	var buf [512]byte
-	key := appendMsgs(append(buf[:0], 'S'), s.Sends)
-	key = binary.AppendUvarint(key, uint64(len(s.Local)))
-	for _, mv := range s.Local {
-		key = binary.AppendUvarint(key, uint64(mv.SrcOff))
-		key = binary.AppendUvarint(key, uint64(mv.DstOff))
-		key = binary.AppendUvarint(key, uint64(mv.Len))
-	}
-	key = appendMsgs(key, s.Recvs)
-	return machine.Intern(m, key, func() *Schedule {
-		s.Compact()
-		return s
-	})
-}
-
-// InternRuns is Intern for a bare run list (a gather's pack runs, say): the
-// machine's one copy of runs' content, nil for no runs.
-func InternRuns(m *machine.Machine, runs []Run) []Run {
-	if len(runs) == 0 {
-		return nil
-	}
-	var buf [256]byte
-	key := appendRuns(append(buf[:0], 'R'), runs)
-	// The table holds the copy by its first run; the key fixes its length.
-	first := machine.Intern(m, key, func() *Run { return &append([]Run(nil), runs...)[0] })
-	return unsafe.Slice(first, len(runs))
-}
-
-func appendMsgs(key []byte, msgs []Msg) []byte {
-	key = binary.AppendUvarint(key, uint64(len(msgs)))
-	for i := range msgs {
-		m := &msgs[i]
-		key = binary.AppendVarint(key, int64(m.Peer))
-		key = binary.AppendUvarint(key, uint64(m.Part))
-		key = binary.AppendUvarint(key, uint64(m.N))
-		key = appendRuns(key, m.Runs)
-	}
-	return key
-}
-
-func appendRuns(key []byte, runs []Run) []byte {
-	key = binary.AppendUvarint(key, uint64(len(runs)))
-	for _, r := range runs {
-		key = binary.AppendUvarint(key, uint64(r.Off))
-		key = binary.AppendUvarint(key, uint64(r.Len))
-	}
-	return key
 }

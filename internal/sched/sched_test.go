@@ -145,31 +145,3 @@ func TestCompact(t *testing.T) {
 		t.Errorf("send 1's run was overwritten by its neighbour's append: %v", got)
 	}
 }
-
-// TestInternByContent: two compiles of the same runs to the same relative
-// peers intern to one compacted schedule; a different peer offset is a
-// different schedule.
-func TestInternByContent(t *testing.T) {
-	m := machine.New(3, machine.ZeroComm())
-	build := func(peer int) *Schedule {
-		s := &Schedule{}
-		s.BeginSend(peer, 0)
-		s.AddSendRun(0, 2)
-		s.BeginRecv(-peer, 0)
-		s.AddRecvRun(2, 2)
-		return s
-	}
-	a, b := build(1).Intern(m), build(1).Intern(m)
-	if a != b {
-		t.Fatal("equal content interned to two schedules")
-	}
-	if cap(a.Sends[0].Runs) != len(a.Sends[0].Runs) {
-		t.Error("an interned schedule is not compacted")
-	}
-	if build(2).Intern(m) == a {
-		t.Error("another peer offset interned to the same schedule")
-	}
-	if r1, r2 := InternRuns(m, []Run{{0, 3}}), InternRuns(m, []Run{{0, 3}}); &r1[0] != &r2[0] {
-		t.Error("equal run lists interned to two copies")
-	}
-}
