@@ -19,14 +19,21 @@ import (
 // ranks of a warmed Jacobi program hold at three grid sizes, count how many
 // of each were built — as many as are held: every one is keyed before it is
 // built, so no rank compiles what another rank of its class has — and hold
-// every shared descriptor's program to the direct derivation bit for bit. (internal/kf's TestClassCensusLoops takes
-// the census of the compiled loops.)
+// every shared descriptor's program to the direct derivation bit for bit.
+// (internal/kf's TestClassCensusLoops takes the census of the compiled
+// loops.)
 
 // census counts the distinct descriptors a machine's ranks hold.
 type census struct {
 	halo   int // halo-exchange schedules
 	gather int // gather plans: the members' shared ones and the root's own
 	view   int // root views' class parts
+}
+
+// builds reads the build counters: how many of each descriptor the package
+// has built so far.
+func builds() census {
+	return census{halo: int(haloBuilds.Load()), gather: int(gatherBuilds.Load()), view: int(classBuilds.Load())}
 }
 
 // jacobiRanks is a Jacobi-like program's per-rank declarations: the
@@ -92,7 +99,7 @@ func runJacobiLike(t *testing.T, side, n int, d dist.Dist, direct bool) (capture
 	m := machine.New(np, machine.IPSC2())
 	m.SetDirect(direct)
 	c := capture{clocks: make([]float64, np), stats: make([]machine.Stats, np), data: make([][]float64, np)}
-	built := census{halo: int(haloBuilds.Load()), gather: int(gatherBuilds.Load()), view: int(classBuilds.Load())}
+	before := builds()
 	for run := 0; run < 2; run++ {
 		err := m.Run(func(p *machine.Proc) error {
 			c.data[p.Rank()] = prog(p)
@@ -106,9 +113,8 @@ func runJacobiLike(t *testing.T, side, n int, d dist.Dist, direct bool) (capture
 		c.clocks[i] = m.ProcClock(i)
 		c.stats[i] = m.ProcStats(i)
 	}
-	built = census{halo: int(haloBuilds.Load()) - built.halo, gather: int(gatherBuilds.Load()) - built.gather,
-		view: int(classBuilds.Load()) - built.view}
-	return c, decl, built
+	after := builds()
+	return c, decl, census{halo: after.halo - before.halo, gather: after.gather - before.gather, view: after.view - before.view}
 }
 
 // countDescriptors takes the census of the declarations' compiled state.
@@ -238,7 +244,7 @@ func TestClassCensusUnevenAndCyclic(t *testing.T) {
 				tc.name, tc.n, side, side, c.halo, c.gather, c.view, built)
 			// Two block sizes per axis: at most 9 classes times 4 shapes,
 			// for each of the two arrays' views.
-			if c.halo > 36 || c.gather > 2*(36+1) || c.view > 2*36 {
+			if c.halo > 36 || c.gather > 36+1 || c.view > 2*36 {
 				t.Errorf("%s on Grid(%d, %d): census %+v exceeds the per-class bound", tc.name, side, side, c)
 			}
 			if built != c {
