@@ -11,7 +11,7 @@
 // its ./bench is built there once, offline. Pair i runs both binaries with
 // `-workload w -seed s -seconds t -trace 0`, the base first in even pairs
 // and the change first in odd ones, and reads each run's last line of
-// standard output: the JSON object the bench prints for its driver. A run
+// standard output: the JSON object the bench ends its report with. A run
 // that exits non-zero or reports an incorrect result stops the comparison;
 // the ops each side failed are summed under the table.
 //

@@ -14,7 +14,7 @@ import (
 	"testing"
 )
 
-// fakeMetrics are the fake driver's metrics: a level, the relative noise
+// fakeMetrics are the fake bench's metrics: a level, the relative noise
 // of one run, and the change side's known effect.
 var fakeMetrics = []struct {
 	name, better         string
@@ -28,14 +28,14 @@ var fakeMetrics = []struct {
 	{"small", "higher", 10, 0.05, +0.01, "unresolved-below-"},
 }
 
-// TestFakeDriver is not a test of its own. Run as a child of
-// TestPairedVerdicts with "side pair seed" after "--", it is a bench driver
+// TestFakeBench is not a test of its own. Run as a child of
+// TestPairedVerdicts with "side pair seed" after "--", it is a bench
 // whose report's metrics are seeded noise around the known effects, on a
 // guest that slows by 1 % with every run of the series.
-func TestFakeDriver(t *testing.T) {
+func TestFakeBench(t *testing.T) {
 	args := flag.Args()
 	if len(args) != 3 {
-		t.Skip("the fake driver runs only as a child of TestPairedVerdicts")
+		t.Skip("the fake bench runs only as a child of TestPairedVerdicts")
 	}
 	var v [3]int
 	for i, a := range args {
@@ -60,7 +60,7 @@ func TestFakeDriver(t *testing.T) {
 	os.Exit(0)
 }
 
-// TestPairedVerdicts drives the pairing and the table with the fake driver
+// TestPairedVerdicts drives the pairing and the table with the fake bench
 // over ten pairs: every known effect gets its verdict, in spite of a drift
 // (20 % over the series) larger than any of them, and the ops each side
 // failed are summed.
@@ -70,7 +70,7 @@ func TestPairedVerdicts(t *testing.T) {
 		better[m.name] = m.better
 	}
 	runs, err := runPairs(10, func(side, pair int) *exec.Cmd {
-		return exec.Command(os.Args[0], "-test.run=^TestFakeDriver$", "--", fmt.Sprint(side), fmt.Sprint(pair), "7")
+		return exec.Command(os.Args[0], "-test.run=^TestFakeBench$", "--", fmt.Sprint(side), fmt.Sprint(pair), "7")
 	})
 	if err != nil {
 		t.Fatal(err)
