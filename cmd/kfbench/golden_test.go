@@ -12,10 +12,12 @@ import (
 )
 
 // The determinism contract as a test: one program gives the same bits on
-// every transport, engine and process layout. The whole suite's transcript —
-// every experiment's values, message censuses and virtual times, exactly as
-// kfbench prints them — is committed, and each {transport} × {engine}
-// configuration must reproduce it byte for byte. A change that moves output
+// every transport, worker count and process layout. The whole suite's
+// transcript — every experiment's values, message censuses and virtual
+// times, exactly as kfbench prints them — is committed, and each transport
+// configuration, run on the calendar engine at its default worker count,
+// must reproduce it byte for byte (S6 inside it compares a worker per rank,
+// the default and one worker). A change that moves output
 // on purpose shows its golden diff; one that must not move output shows none.
 //
 // The bits are those of the architecture in the file's header: on platforms
@@ -31,18 +33,15 @@ const goldenPath = "testdata/kfbench.golden"
 
 func TestGoldenTranscript(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the whole experiment suite six times")
+		t.Skip("runs the whole experiment suite three times")
 	}
 	configs := []struct {
 		name string
 		spec core.Spec
 	}{
-		{"shared/goroutine", core.Spec{Transport: "shared", Executor: "goroutine"}},
-		{"shared/calendar", core.Spec{Transport: "shared", Executor: "calendar"}},
-		{"federated4/goroutine", core.Spec{Transport: "federated", Nodes: 4, Executor: "goroutine"}},
-		{"federated4/calendar", core.Spec{Transport: "federated", Nodes: 4, Executor: "calendar"}},
-		{"ipc4/goroutine", core.Spec{Transport: "ipc", Nodes: 4, Executor: "goroutine"}},
-		{"ipc4/calendar", core.Spec{Transport: "ipc", Nodes: 4, Executor: "calendar"}},
+		{"shared/calendar", core.Spec{Transport: "shared"}},
+		{"federated4/calendar", core.Spec{Transport: "federated", Nodes: 4}},
+		{"ipc4/calendar", core.Spec{Transport: "ipc", Nodes: 4}},
 	}
 	// The first line records the architecture the bits belong to.
 	header := "# kfbench transcript, GOARCH=" + runtime.GOARCH + "; rewrite with: go test ./cmd/kfbench -run TestGoldenTranscript -update\n"

@@ -12,7 +12,6 @@
 //	kfbench E3 F5                          # run selected experiments
 //	kfbench -list                          # list experiment IDs
 //	kfbench -transport federated -nodes 4 E1   # run on a named transport
-//	kfbench -executor calendar E1          # run on a named execution engine
 //	kfbench -cpuprofile cpu.pprof S6       # profile a run (also -memprofile)
 //	kfbench -chaos scenarios/smoke.json E1     # run under injected faults
 //	kfbench -chaos s.json -seed 7 -chaos-report R.json E1  # override seed, save report
@@ -26,13 +25,6 @@
 // reported metrics must not move — running the suite this way exercises a
 // transport end to end. The scaling experiments (S1-S6) pin their own
 // transport arrangements and ignore the flag.
-//
-// -executor selects, by registry name (machine.RegisterExecutor), the engine
-// driving every run: "goroutine" (the default; one partition per virtual
-// processor) or "calendar" (a step program's processors multiplexed over
-// GOMAXPROCS partitions in virtual-time order). Values, censuses and
-// virtual times are engine-invariant, so the reported metrics must not
-// move — running the suite this way exercises an engine end to end.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the
 // experiments the invocation runs, for `go tool pprof`.
@@ -80,7 +72,6 @@ func run() int {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	transport := flag.String("transport", "", "transport registry name the experiments' systems run on (default: per-experiment)")
 	nodes := flag.Int("nodes", 0, "federation node count for -transport (clamped to a divisor of each system's processor count)")
-	executor := flag.String("executor", "", "execution engine registry name the experiments' systems run on (default: goroutine)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiments run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	chaosFile := flag.String("chaos", "", "fault-injection scenario JSON; experiments run on the chaos-wrapped transport")
@@ -92,7 +83,7 @@ func run() int {
 	flag.Parse()
 
 	if *serveAddr != "" {
-		if *chaosFile != "" || *transport != "" || *executor != "" {
+		if *chaosFile != "" || *transport != "" {
 			fmt.Fprintln(os.Stderr, "kfbench: -serve-bench runs against a live server and combines only with -serve-duration and -serve-conc")
 			return 1
 		}
@@ -111,7 +102,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "kfbench: -seed and -chaos-report require -chaos")
 		return 1
 	}
-	overlay := core.Spec{Transport: *transport, Nodes: *nodes, Executor: *executor}
+	overlay := core.Spec{Transport: *transport, Nodes: *nodes}
 	if *chaosFile != "" {
 		sc, err := chaos.Load(*chaosFile)
 		if err != nil {

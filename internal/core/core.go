@@ -15,10 +15,9 @@
 // Spec.Resolve applies the defaults and refuses conflicts, Spec.Build
 // constructs the System, Spec.Key is its identity for pooling (kfserve) and
 // what ipc workers rebuild their share of the machine from. Every option is
-// independent and optional except Grid. Transports and engines are resolved
-// by name through the registries in internal/machine, so a new substrate
-// reaches every caller of core with a single Register call and zero facade
-// edits.
+// independent and optional except Grid. Transports are resolved by name
+// through the registry in internal/machine, so a new substrate reaches
+// every caller of core with a single Register call and zero facade edits.
 //
 // Programs separate the computation from the machine: declare once, run on
 // any System, and Compare two systems' runs for the loosely-coupled model's
@@ -100,21 +99,14 @@ func Transport(name string) Option {
 	}
 }
 
-// Executor selects the engine driving every run by its registry name
-// (machine.RegisterExecutor): "goroutine" (one partition per virtual
-// processor, the default) or "calendar" (a step program's processors on
-// min(GOMAXPROCS, n) partitions resumed in virtual-time order, a body's on
-// one partition each); future engines
-// resolve the same way. Programs behave bit-identically on every engine —
-// the conformance battery in internal/machine pins it — so the choice is
-// purely a host-performance one. Unknown names surface as errors from
-// NewSystem.
+// Executor is kept for callers written when the engine had registry
+// names: it accepts "calendar", the one engine, sets nothing, and rejects
+// any other name. ROADMAP item 7 deletes it with its last callers.
 func Executor(name string) Option {
 	return func(s *Spec) error {
-		if name == "" {
-			return fmt.Errorf("core: Executor needs a non-empty name (registered: %v)", machine.ExecutorNames())
+		if name != "calendar" {
+			return fmt.Errorf("core: unknown executor %q: there is one engine, \"calendar\"", name)
 		}
-		s.Executor = name
 		return nil
 	}
 }
@@ -238,9 +230,6 @@ func MustSystem(opts ...Option) *System {
 
 // TransportName returns the transport's registry name.
 func (s *System) TransportName() string { return s.spec.Transport }
-
-// ExecutorName returns the registry name of the engine driving the runs.
-func (s *System) ExecutorName() string { return s.spec.Executor }
 
 // Nodes returns the federation's node count (1 on non-federating
 // transports).

@@ -150,27 +150,26 @@ func keyOf(t *testing.T, s Spec) string {
 }
 
 func TestPoolKeyIdentityAndDivergence(t *testing.T) {
-	fed := func(grid []int, nodes int, executor string, cm machine.CostModel) Spec {
-		return Spec{Grid: grid, Transport: "federated", Nodes: nodes, Executor: executor, Cost: cm}
+	fed := func(grid []int, nodes int, cm machine.CostModel) Spec {
+		return Spec{Grid: grid, Transport: "federated", Nodes: nodes, Cost: cm}
 	}
-	base := keyOf(t, fed([]int{4, 4}, 4, "calendar", machine.IPSC2()))
-	if again := keyOf(t, fed([]int{4, 4}, 4, "calendar", machine.IPSC2())); again != base {
+	base := keyOf(t, fed([]int{4, 4}, 4, machine.IPSC2()))
+	if again := keyOf(t, fed([]int{4, 4}, 4, machine.IPSC2())); again != base {
 		t.Errorf("equal configurations got distinct keys:\n%s\n%s", base, again)
 	}
 	// Defaults are applied once, by Resolve: an omitted field and its
 	// spelled-out default share a key.
 	if keyOf(t, Spec{Grid: []int{2}}) !=
-		keyOf(t, Spec{Grid: []int{2}, Transport: "shared", Nodes: 1, Executor: "goroutine", Cost: machine.IPSC2()}) {
+		keyOf(t, Spec{Grid: []int{2}, Transport: "shared", Nodes: 1, Cost: machine.IPSC2()}) {
 		t.Error("normalized defaults should share a pool key")
 	}
 	variants := []string{
-		keyOf(t, Spec{Grid: []int{4, 4}, Transport: "shared", Nodes: 1, Executor: "calendar", Cost: machine.IPSC2()}),
-		keyOf(t, fed([]int{16}, 4, "calendar", machine.IPSC2())),
-		keyOf(t, fed([]int{4, 4}, 2, "calendar", machine.IPSC2())),
-		keyOf(t, fed([]int{4, 4}, 4, "goroutine", machine.IPSC2())),
-		keyOf(t, fed([]int{4, 4}, 4, "calendar", machine.Uniform())),
-		keyOf(t, fed([]int{4, 4}, 4, "calendar", machine.IPSC2().WithInterNode(4, 8))),
-		keyOf(t, fed([]int{4, 4}, 4, "calendar",
+		keyOf(t, Spec{Grid: []int{4, 4}, Transport: "shared", Nodes: 1, Cost: machine.IPSC2()}),
+		keyOf(t, fed([]int{16}, 4, machine.IPSC2())),
+		keyOf(t, fed([]int{4, 4}, 2, machine.IPSC2())),
+		keyOf(t, fed([]int{4, 4}, 4, machine.Uniform())),
+		keyOf(t, fed([]int{4, 4}, 4, machine.IPSC2().WithInterNode(4, 8))),
+		keyOf(t, fed([]int{4, 4}, 4,
 			machine.IPSC2().WithInterNode(4, 8).WithLink(0, 1, machine.LinkCost{Latency: 2, Byte: 2}))),
 	}
 	seen := map[string]bool{base: true}
@@ -183,12 +182,11 @@ func TestPoolKeyIdentityAndDivergence(t *testing.T) {
 }
 
 func TestSystemPoolKeyMatchesConfiguration(t *testing.T) {
-	sys, err := NewSystem(Grid(4, 2), Transport("federated"), Nodes(2),
-		Executor("calendar"), LinkCosts(4, 8))
+	sys, err := NewSystem(Grid(4, 2), Transport("federated"), Nodes(2), LinkCosts(4, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := keyOf(t, Spec{Grid: []int{4, 2}, Transport: "federated", Nodes: 2, Executor: "calendar",
+	want := keyOf(t, Spec{Grid: []int{4, 2}, Transport: "federated", Nodes: 2,
 		Cost: machine.IPSC2().WithInterNode(4, 8)})
 	if got := sys.PoolKey(); got != want {
 		t.Errorf("system key\n%s\nwant\n%s", got, want)
@@ -229,7 +227,7 @@ func TestPoolKeyCoversDirectTraceChaos(t *testing.T) {
 			t.Errorf("Systems differing only in %s share a pool key:\n%s", what, pair[0])
 		}
 	}
-	if spelled := key(Transport("shared"), Nodes(1), Executor("goroutine"), Cost(machine.IPSC2())); spelled != plain {
+	if spelled := key(Transport("shared"), Nodes(1), Cost(machine.IPSC2())); spelled != plain {
 		t.Errorf("spelled-out defaults change the key:\n%s\n%s", spelled, plain)
 	}
 	ipc := []Option{Transport("ipc"), Nodes(2)}

@@ -298,11 +298,7 @@ func buildWorkerRun(h *machine.WorkerHost, raw []byte) (machine.WorkerRun, error
 	if err != nil {
 		return nil, err
 	}
-	m, err := spec.machine(wt)
-	if err != nil {
-		return nil, err
-	}
-	r := &workerRun{p: p, g: g, wt: wt, m: m}
+	r := &workerRun{p: p, g: g, wt: wt, m: spec.machine(wt)}
 	workerRunCache.put(key, r)
 	return r, nil
 }

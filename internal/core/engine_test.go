@@ -44,3 +44,21 @@ func TestDefaultEngineSharesPartitions(t *testing.T) {
 		t.Errorf("warm run started %d partition goroutines, want 0", r.Calendar.Starts)
 	}
 }
+
+// TestExecutorOptionShim: Executor accepts the one engine's name and
+// leaves the declaration as it was; any other name is refused.
+func TestExecutorOptionShim(t *testing.T) {
+	sys, err := NewSystem(Grid(4), Executor("calendar"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if got, want := sys.PoolKey(), keyOf(t, Spec{Grid: []int{4}}); got != want {
+		t.Errorf("Executor(\"calendar\") changed the key:\n%s\n%s", got, want)
+	}
+	for _, name := range []string{"goroutine", ""} {
+		if _, err := NewSystem(Grid(4), Executor(name)); err == nil {
+			t.Errorf("Executor(%q) accepted", name)
+		}
+	}
+}

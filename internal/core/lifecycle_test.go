@@ -28,7 +28,8 @@ func settledGoroutines() int {
 
 func TestRankLifecycleSystemClose(t *testing.T) {
 	// A System's rank continuations live between its runs, and Close ends
-	// every one of them.
+	// every one of them, on either layout of the engine: "goroutine" pins a
+	// worker per rank, "calendar" is the default, min(GOMAXPROCS, n).
 	const n = 8
 	for _, tr := range []struct {
 		name string
@@ -37,13 +38,17 @@ func TestRankLifecycleSystemClose(t *testing.T) {
 		{"shared", nil},
 		{"federated4", []Option{Transport("federated"), Nodes(4)}},
 	} {
-		for _, engine := range machine.ExecutorNames() {
-			t.Run(tr.name+"/"+engine, func(t *testing.T) {
+		for _, engine := range []struct {
+			name    string
+			workers int
+		}{{"goroutine", n}, {"calendar", 0}} {
+			t.Run(tr.name+"/"+engine.name, func(t *testing.T) {
 				base := settledGoroutines()
-				sys, err := NewSystem(append([]Option{Grid(n), Executor(engine)}, tr.opts...)...)
+				sys, err := NewSystem(append([]Option{Grid(n)}, tr.opts...)...)
 				if err != nil {
 					t.Fatal(err)
 				}
+				sys.Machine.SetExecutor(machine.NewCalendarExecutor(engine.workers))
 				for i := 0; i < 2; i++ {
 					if _, err := sys.RunProgram(shiftProgram(2*n, 0)); err != nil {
 						t.Fatal(err)

@@ -22,11 +22,10 @@ type Spec struct {
 	// Grid is the processor array shape; the machine has prod(Grid)
 	// processors.
 	Grid []int `json:"grid"`
-	// Transport and Executor are registry names (machine.RegisterTransport,
-	// machine.RegisterExecutor); Nodes is the federation's node count.
+	// Transport is a registry name (machine.RegisterTransport); Nodes is
+	// the federation's node count.
 	Transport string `json:"transport"`
 	Nodes     int    `json:"nodes"`
-	Executor  string `json:"executor"`
 	// Cost is the full virtual-time cost model, interconnect pricing
 	// included once Resolve has folded Interconnect into it.
 	Cost machine.CostModel `json:"cost"`
@@ -69,7 +68,7 @@ type LinkSpec struct {
 }
 
 // Resolve returns the declaration with every default applied — the shared
-// transport, one node, the goroutine engine, the iPSC/2-like cost preset —
+// transport, one node, the iPSC/2-like cost preset —
 // the LinkCosts pricing folded into the cost model, and Key computed. It
 // reports every conflict that can be judged without building a transport;
 // unregistered names, node counts that do not divide the grid and
@@ -93,9 +92,6 @@ func (s Spec) Resolve() (Spec, error) {
 	}
 	if s.Nodes == 0 {
 		s.Nodes = 1
-	}
-	if s.Executor == "" {
-		s.Executor = "goroutine"
 	}
 	if s.Cost.IsZero() {
 		s.Cost = machine.IPSC2()
@@ -142,18 +138,13 @@ func (s Spec) Resolve() (Spec, error) {
 func (s Spec) Key() string { return s.key }
 
 // machine builds the simulated multicomputer the resolved declaration
-// describes over tr: its cost model, engine and derivation mode. It is the
-// one construction path coordinator (Build) and ipc worker (buildWorkerRun)
-// share, so the two cannot price, schedule or derive differently.
-func (s Spec) machine(tr machine.Transport) (*machine.Machine, error) {
-	ex, err := machine.NewExecutorByName(s.Executor)
-	if err != nil {
-		return nil, err
-	}
+// describes over tr: its cost model and derivation mode. It is the one
+// construction path coordinator (Build) and ipc worker (buildWorkerRun)
+// share, so the two cannot price or derive differently.
+func (s Spec) machine(tr machine.Transport) *machine.Machine {
 	m := machine.NewWithTransport(tr, s.Cost)
-	m.SetExecutor(ex)
 	m.SetDirect(s.Direct)
-	return m, nil
+	return m
 }
 
 // Build resolves the declaration and constructs its System, reporting what
@@ -196,10 +187,7 @@ func (s Spec) Build() (*System, error) {
 		}
 		ipc.SetListenAddr(s.Listen)
 	}
-	m, err := s.machine(tr)
-	if err != nil {
-		return nil, err
-	}
+	m := s.machine(tr)
 	sys := &System{Machine: m, Procs: g, spec: s}
 	if s.Trace {
 		sys.Trace = trace.NewRecorder(g.Size())

@@ -57,9 +57,6 @@ func (e *env) apply(s *core.Spec) error {
 		}
 		s.Chaos = o.Chaos
 	}
-	if o.Executor != "" {
-		s.Executor = o.Executor
-	}
 	return nil
 }
 
@@ -132,12 +129,12 @@ type Entry struct {
 }
 
 // Run executes the experiment with overlay, a partial core.Spec that
-// kfbench's -transport, -nodes, -executor and -chaos flags select, laid
-// over every system the experiment builds: the suite then runs on any
-// registered substrate, engine or fault scenario (values and message
-// censuses are invariant under all three, so the metrics must not move
-// under a flat cost model). The zero Spec keeps the per-experiment
-// defaults. Only Transport, Nodes, Executor and Chaos are read. Because the
+// kfbench's -transport, -nodes and -chaos flags select, laid over every
+// system the experiment builds: the suite then runs on any registered
+// substrate or fault scenario (values and message censuses are invariant
+// under both, so the metrics must not move under a flat cost model). The
+// zero Spec keeps the per-experiment defaults. Only Transport, Nodes and
+// Chaos are read. Because the
 // suite's machines come in many sizes, each system clamps Nodes to
 // gcd(Nodes, processor count) so it always divides; a Chaos scenario
 // replaces the selected transport (default "shared") by its chaos-wrapped
@@ -181,11 +178,6 @@ func checkOverlay(o core.Spec) error {
 		// Probe the registry with an n the node count trivially divides.
 		probe := max(o.Nodes, 1)
 		if _, err := machine.NewTransportByName(o.Transport, probe, probe); err != nil {
-			return err
-		}
-	}
-	if o.Executor != "" {
-		if _, err := machine.NewExecutorByName(o.Executor); err != nil {
 			return err
 		}
 	}

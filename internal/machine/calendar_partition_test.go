@@ -11,8 +11,8 @@ import (
 // The partition battery: the engine block-distributes a step run's ranks
 // over its workers, one lock, calendar and token per partition (a body run
 // takes a partition per rank). These tests hold every split — one
-// partition, two, three, uneven, one rank per partition (the "goroutine"
-// engine, which the references below run on) — to every other bit for bit:
+// partition, two, three, uneven, one rank per partition (a body run's
+// layout, which the references below run on) — to every other bit for bit:
 // the machine is a Kahn network, so any two schedules of a program are each
 // other's reference. They also watch the things only a partitioned
 // scheduler can get wrong: two ranks of one partition running at once, a
@@ -249,7 +249,7 @@ func TestCalendarQuiescenceFiresOnce(t *testing.T) {
 				ref := New(n, Uniform())
 				wantErr := ref.Run(prog.body)
 				if !errors.Is(wantErr, ErrDeadlock) {
-					t.Fatalf("goroutine engine: err = %v, want ErrDeadlock", wantErr)
+					t.Fatalf("body form: err = %v, want ErrDeadlock", wantErr)
 				}
 				e := NewCalendarExecutor(workers)
 				ct := &checkCountingTransport{Transport: NewSharedTransport(n), e: e}
@@ -258,12 +258,12 @@ func TestCalendarQuiescenceFiresOnce(t *testing.T) {
 				for run := 1; run <= 2; run++ {
 					err := runStepsWithin(t, m, prog.body, prog.step)
 					if err == nil || err.Error() != wantErr.Error() {
-						t.Fatalf("run %d: err = %v, goroutine engine says %v", run, err, wantErr)
+						t.Fatalf("run %d: err = %v, body form says %v", run, err, wantErr)
 					}
 					for r, want := range ref.RankErrors() {
 						got := m.RankErrors()[r]
 						if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
-							t.Errorf("run %d rank %d: err = %v, goroutine engine says %v", run, r, got, want)
+							t.Errorf("run %d rank %d: err = %v, body form says %v", run, r, got, want)
 						}
 					}
 					if got := ct.checks.Load(); got != int32(run) {
@@ -356,7 +356,7 @@ func TestCalendarSkewedActivity(t *testing.T) {
 	}
 	for r := 0; r < n; r++ {
 		if got[r] != want[r] || m.ProcClock(r) != ref.ProcClock(r) || m.ProcStats(r) != ref.ProcStats(r) {
-			t.Errorf("rank %d: value %v clock %v, goroutine engine %v at %v", r, got[r], m.ProcClock(r), want[r], ref.ProcClock(r))
+			t.Errorf("rank %d: value %v clock %v, body form %v at %v", r, got[r], m.ProcClock(r), want[r], ref.ProcClock(r))
 		}
 	}
 	sum := CalendarStats{Partitions: parts} // partitions of several ranks start no rank's goroutine
@@ -377,7 +377,7 @@ func TestCalendarSkewedActivity(t *testing.T) {
 		t.Errorf("CalendarStats() = %+v, partitions sum to %+v", st, sum)
 	}
 	if st := ref.CalendarStats(); st.Partitions != n {
-		t.Errorf("goroutine engine ran %d partitions, want one per rank (%d)", st.Partitions, n)
+		t.Errorf("the body form ran %d partitions, want one per rank (%d)", st.Partitions, n)
 	}
 }
 

@@ -261,18 +261,15 @@ func TestChaosFirstDropDeterministicAcrossConcurrentStreams(t *testing.T) {
 	// host-scheduling accident. FirstDrop must instead be the canonical
 	// earliest loss in virtual time — rank 2's send at clock zero beats
 	// rank 0's post-compute send despite (0, 1) sorting before (2, 3) —
-	// identically on every engine, on every run.
+	// identically on both layouts, on every run.
 	want := chaos.StreamRef{Src: 2, Dst: 3, Tag: 2}
-	for _, engine := range []string{"goroutine", "calendar"} {
+	for _, l := range layouts {
+		engine := l.name
 		for i := 0; i < 10; i++ {
 			sc := chaos.Scenario{Name: "loss-race", Seed: 7, Drop: 1, MaxRetries: 1}
 			m, ct := chaosMachine(t, "shared", 4, 1, sc)
-			e, err := NewExecutorByName(engine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.SetExecutor(e)
-			err = m.Run(func(p *Proc) error {
+			m.SetExecutor(l.new())
+			err := m.Run(func(p *Proc) error {
 				switch p.Rank() {
 				case 0:
 					p.Compute(1e6)

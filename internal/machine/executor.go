@@ -2,40 +2,10 @@ package machine
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
-
-// Executor is the engine that drives one Machine.Run: it decides which host
-// goroutines execute the n virtual processors and in what order. There is
-// one engine, the calendar (calendarExecutor), registered under two names:
-// "goroutine", the default, gives every rank a partition of its own, so
-// every runnable rank runs at once; "calendar" multiplexes a step run's
-// ranks over min(GOMAXPROCS, n) partitions, resuming them in virtual-time
-// order, and gives a body run's ranks a partition each.
-// Programs produce bit-identical values, message/byte censuses and virtual
-// times under either name and at every partition count: the machine is a
-// Kahn network — each receive names its (source, tag) stream — so results
-// are a function of the program, not of which host thread ran which rank
-// when, and any two schedules are each other's reference. The conformance
-// battery pins that identity.
-type Executor interface {
-	// Name returns the engine's registry name.
-	Name() string
-	// Execute runs one program per processor of m — body, or with step
-	// non-nil its step form (see StepFunc), which the transport can then
-	// serve — and returns when all of them have finished. Per-rank errors
-	// (including recovered panics and runtime.Goexit, converted to errors)
-	// are written to errs[rank]. Execute is called with the machine
-	// already reset; it must publish its Parker (m.setParker) before any
-	// rank runs, and call m.retire() as each rank finishes so the live
-	// count stays honest. It may be called from a goroutine locked to its
-	// OS thread.
-	Execute(m *Machine, body func(p *Proc) error, step StepFunc, errs []error)
-}
 
 // Parker is the engine's face toward the transports, and their one blocking
 // protocol: a blocking wait (a receive with no matching message, a host
@@ -75,71 +45,14 @@ func parkerOf(c Coordinator) Parker {
 	return c.Parker()
 }
 
-// ExecutorFactory builds a fresh executor instance. Factories return a new
-// instance per call: an executor carries per-run scheduling state and must
-// be exclusive to one machine at a time.
-type ExecutorFactory func() Executor
-
-var (
-	execRegistryMu sync.RWMutex
-	execRegistry   = map[string]ExecutorFactory{}
-)
-
-// RegisterExecutor adds a named execution engine to the registry. The core
-// facade (core.Executor), the conformance battery and kfbench's -executor
-// flag all resolve engines by these names, mirroring RegisterTransport.
-func RegisterExecutor(name string, mk ExecutorFactory) {
-	if name == "" {
-		panic("machine: RegisterExecutor with empty name")
-	}
-	if mk == nil {
-		panic(fmt.Sprintf("machine: RegisterExecutor(%q) with nil factory", name))
-	}
-	execRegistryMu.Lock()
-	defer execRegistryMu.Unlock()
-	if _, dup := execRegistry[name]; dup {
-		panic(fmt.Sprintf("machine: executor %q registered twice", name))
-	}
-	execRegistry[name] = mk
-}
-
-// NewExecutorByName builds the named execution engine. Unknown names return
-// errors naming the registered alternatives.
-func NewExecutorByName(name string) (Executor, error) {
-	execRegistryMu.RLock()
-	mk := execRegistry[name]
-	execRegistryMu.RUnlock()
-	if mk == nil {
-		return nil, fmt.Errorf("machine: unknown executor %q (registered: %v)", name, ExecutorNames())
-	}
-	return mk(), nil
-}
-
-// ExecutorNames returns the registered engine names, sorted.
-func ExecutorNames() []string {
-	execRegistryMu.RLock()
-	names := make([]string, 0, len(execRegistry))
-	for name := range execRegistry {
-		names = append(names, name)
-	}
-	execRegistryMu.RUnlock()
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	RegisterExecutor("goroutine", newDefaultExecutor)
-	RegisterExecutor("calendar", func() Executor { return NewCalendarExecutor(0) })
-}
-
-// newDefaultExecutor returns the "goroutine" engine: the calendar with a
-// worker count above any rank count, clamped at Execute time to one
-// partition per local rank.
-func newDefaultExecutor() Executor { return newCalendar("goroutine", math.MaxInt) }
-
-// calendarExecutor is the engine: the virtual processors run on partitions,
-// a goroutine each, with execution order owned by virtual-time calendars
-// instead of the host scheduler.
+// calendarExecutor is the engine that drives Machine.Run: the virtual
+// processors run on partitions, a goroutine each, with execution order owned
+// by virtual-time calendars instead of the host scheduler. Programs produce
+// bit-identical values, message/byte censuses and virtual times at every
+// partition count: the machine is a Kahn network — each receive names its
+// (source, tag) stream — so results are a function of the program, not of
+// which host thread ran which rank when, and any two layouts are each
+// other's reference. The conformance battery pins that identity.
 //
 // The workers are themselves a processor array and the ranks are dist(block)
 // over it — the paper's declaration, applied to the host. The nl local ranks
@@ -154,18 +67,18 @@ func newDefaultExecutor() Executor { return newCalendar("goroutine", math.MaxInt
 //
 // The run's kind decides per. A program that offers a step form
 // (StepFunc), on a transport that can answer a receive with "would block",
-// runs as step rows on per = ⌈nl / workers⌉ — workers min(GOMAXPROCS, n)
-// for "calendar", n for "goroutine", or pinned: the rank's continuation is
+// runs as step rows on per = ⌈nl / workers⌉ — workers min(GOMAXPROCS, n),
+// or pinned (NewCalendarExecutor): the rank's continuation is
 // what its step keeps in its own state — a step index, a loop counter, a
 // message index — and the partition's goroutine resumes the rank by calling
 // its step, which returns when it finishes or when a receive finds no
 // message. The goroutine then parks the rank with the bookkeeping Park
 // applies (park) and calls the next rank's step; no rank has a stack of its
 // own. Any other program runs its body, which blocks on its own stack, so
-// per = 1 under either name: the partition's goroutine runs the body, and a
-// rank that blocks waits on its partition's gate. A rank only executes
-// while it holds its partition's token. A rank that blocks (receive with no matching message, barrier with
-// peers missing) parks: it passes the token to the runnable rank of its
+// per = 1 at every worker count: the partition's goroutine runs the body,
+// and a rank that blocks waits on its partition's gate. A rank only
+// executes while it holds its partition's token. A rank that blocks
+// (receive with no matching message, barrier with peers missing) parks: it passes the token to the runnable rank of its
 // partition with the smallest virtual clock, which the partition's
 // goroutine calls next, or it leaves the partition idle, and the goroutine
 // waits on the gate. Mailbox delivery and barrier release move ranks from
@@ -224,8 +137,7 @@ func newDefaultExecutor() Executor { return newCalendar("goroutine", math.MaxInt
 // A calendarExecutor may be reused across sequential runs (state is reset
 // per Execute) but never shared by two machines running concurrently.
 type calendarExecutor struct {
-	name string // registry name: "calendar" or "goroutine"
-	req  int    // requested worker count; 0 = min(GOMAXPROCS, n)
+	req int // requested worker count; 0 = min(GOMAXPROCS, n)
 
 	// mu orders what reaches the engine from outside the ranks against a
 	// run's setup and end. A WakeAll (an abort or a stall verdict landing as
@@ -317,8 +229,8 @@ type CalendarStats struct {
 	Partitions int // partitions (= tokens) the local ranks were split over
 	// Starts counts the goroutines the run started for partitions of one
 	// rank, each of which keeps that rank's stack. On a machine's first body
-	// run it is the local rank count under either name, as on a first step
-	// run under "goroutine"; a step run on partitions of several ranks
+	// run it is the local rank count, as on a first step run whose workers
+	// are at least its ranks; a step run on partitions of several ranks
 	// starts none that count. It is 0 on a warm run, and 1 after one rank's
 	// runtime.Goexit.
 	Starts         int
@@ -339,20 +251,23 @@ func (s *CalendarStats) add(o CalendarStats) {
 	s.MaxDepth = max(s.MaxDepth, o.MaxDepth)
 }
 
-// NewCalendarExecutor returns a calendar engine running on the given number
-// of workers, one partition of a step run's ranks each; workers <= 0
-// selects min(GOMAXPROCS, n) at Execute time, and requests above n are
-// clamped to n. A body run takes a partition per rank whatever the count.
-func NewCalendarExecutor(workers int) *calendarExecutor { return newCalendar("calendar", workers) }
-
-func newCalendar(name string, workers int) *calendarExecutor {
-	e := &calendarExecutor{name: name, req: workers}
+// NewCalendarExecutor returns an engine running on the given number of
+// workers, one partition of a step run's ranks each; workers <= 0 selects
+// min(GOMAXPROCS, n) at Execute time, and requests above n are clamped to
+// n. A body run takes a partition per rank whatever the count.
+func NewCalendarExecutor(workers int) *calendarExecutor {
+	e := &calendarExecutor{req: workers}
 	e.self = e
 	return e
 }
 
-func (e *calendarExecutor) Name() string { return e.name }
-
+// Execute runs one program per processor of m — body, or with step non-nil
+// its step form (see StepFunc), which the transport can then serve — and
+// returns when all of them have finished. Per-rank errors (including
+// recovered panics and runtime.Goexit, converted to errors) are written to
+// errs[rank]. m is already reset; Execute publishes its Parker before any
+// rank runs, and retires each rank as it finishes so the live count stays
+// honest. It may be called from a goroutine locked to its OS thread.
 func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, step StepFunc, errs []error) {
 	n := m.n
 	nl := m.hi - m.lo

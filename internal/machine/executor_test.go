@@ -2,6 +2,8 @@ package machine
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -11,56 +13,42 @@ import (
 	"repro/internal/chaos"
 )
 
-// The cross-engine conformance battery: every registered engine name — one
-// partition per rank ("goroutine"), one per worker ("calendar"), and the
-// pinned counts 1, 2, 3 and n below — must drive every registered transport
-// to bit-identical values, censuses and virtual times. The machine is a Kahn
-// network, so results are a function of the program, not of which host
-// thread ran which rank when: any two schedules are each other's reference.
+// The cross-layout conformance battery: the engine at a worker per rank,
+// at its default min(GOMAXPROCS, n), and at the pinned counts 1, 2, 3 and n
+// below must drive every registered transport to bit-identical values,
+// censuses and virtual times. The machine is a Kahn network, so results are
+// a function of the program, not of which host thread ran which rank when:
+// any two schedules are each other's reference.
 
-// setExecutorByName installs the named engine on m, failing the test on
-// resolution errors.
-func setExecutorByName(tb testing.TB, m *Machine, name string) {
-	tb.Helper()
-	ex, err := NewExecutorByName(name)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	m.SetExecutor(ex)
+// layout is a worker count the engine is built at, under a test label.
+type layout struct {
+	name    string
+	workers int
 }
 
-func TestExecutorRegistry(t *testing.T) {
-	names := ExecutorNames()
-	want := map[string]bool{"goroutine": false, "calendar": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
+func (l layout) new() *calendarExecutor { return NewCalendarExecutor(l.workers) }
+
+// The two layouts a battery runs under keep the labels they once had as
+// engine names: "goroutine" is a worker per rank (a count above the rank
+// count is clamped to it), "calendar" the default, min(GOMAXPROCS, n).
+var (
+	perRank       = layout{"goroutine", math.MaxInt}
+	defaultLayout = layout{"calendar", 0}
+	layouts       = []layout{perRank, defaultLayout}
+)
+
+// withPinned appends to ls the engine pinned at each worker count.
+func withPinned(ls []layout, workers ...int) []layout {
+	for _, w := range workers {
+		ls = append(ls, layout{fmt.Sprintf("%dworkers", w), w})
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("executor %q missing from registry %v", n, names)
-		}
-	}
-	if _, err := NewExecutorByName("nonesuch"); err == nil ||
-		!strings.Contains(err.Error(), "calendar") {
-		t.Errorf("unknown-executor error should name the alternatives, got %v", err)
-	}
-	m := New(2, ZeroComm())
-	setExecutorByName(t, m, "calendar")
-	if m.ExecutorName() != "calendar" {
-		t.Errorf("ExecutorName = %q after installing calendar", m.ExecutorName())
-	}
-	m.SetExecutor(nil)
-	if m.ExecutorName() != "goroutine" {
-		t.Errorf("SetExecutor(nil) left %q, want the goroutine default", m.ExecutorName())
-	}
+	return ls
 }
 
 func TestExecutorCrossEngineIdentical(t *testing.T) {
 	// The conformance program must produce bit-identical values,
 	// per-processor statistics and elapsed virtual time on every
-	// (engine, transport) pair — chaos-wrapped transports included.
+	// (layout, transport) pair — chaos-wrapped transports included.
 	const n = 8
 	type result struct {
 		values  []float64
@@ -68,13 +56,13 @@ func TestExecutorCrossEngineIdentical(t *testing.T) {
 		elapsed float64
 	}
 	ref := map[string]result{}
-	for _, engine := range ExecutorNames() {
+	for _, l := range layouts {
 		for _, row := range conformanceRows(t, n) {
 			m := NewWithTransport(row.tr, IPSC2())
-			setExecutorByName(t, m, engine)
+			m.SetExecutor(l.new())
 			v, s, e, runErr := conformanceProgram(m)
 			if runErr != nil {
-				t.Fatalf("%s on %s: %v", engine, row.name, runErr)
+				t.Fatalf("%s on %s: %v", l.name, row.name, runErr)
 			}
 			cur := result{values: v, stats: s, elapsed: e}
 			prev, seen := ref[row.name]
@@ -83,14 +71,14 @@ func TestExecutorCrossEngineIdentical(t *testing.T) {
 				continue
 			}
 			if cur.elapsed != prev.elapsed {
-				t.Errorf("%s on %s: elapsed %v != reference %v", engine, row.name, cur.elapsed, prev.elapsed)
+				t.Errorf("%s on %s: elapsed %v != reference %v", l.name, row.name, cur.elapsed, prev.elapsed)
 			}
 			for r := 0; r < n; r++ {
 				if cur.values[r] != prev.values[r] {
-					t.Errorf("%s on %s: rank %d value %v != %v", engine, row.name, r, cur.values[r], prev.values[r])
+					t.Errorf("%s on %s: rank %d value %v != %v", l.name, row.name, r, cur.values[r], prev.values[r])
 				}
 				if cur.stats[r] != prev.stats[r] {
-					t.Errorf("%s on %s: rank %d stats %+v != %+v", engine, row.name, r, cur.stats[r], prev.stats[r])
+					t.Errorf("%s on %s: rank %d stats %+v != %+v", l.name, row.name, r, cur.stats[r], prev.stats[r])
 				}
 			}
 		}
@@ -181,7 +169,6 @@ func TestCalendarDeadlockDetection(t *testing.T) {
 	// verdicts with GOMAXPROCS partitions as with one per rank.
 	for _, tr := range []Transport{NewSharedTransport(4), NewFederatedTransport(4, 2)} {
 		m := NewWithTransport(tr, Uniform())
-		setExecutorByName(t, m, "calendar")
 		// All-blocked cycle.
 		err := m.Run(func(p *Proc) error {
 			p.Recv((p.Rank()+1)%4, 0)
@@ -224,7 +211,6 @@ func TestCalendarPanicPropagates(t *testing.T) {
 	// (Rank 0 because Run reports the first error in rank order — under any
 	// schedule, a lower-ranked waiter's abort error would win.)
 	m := New(4, ZeroComm())
-	setExecutorByName(t, m, "calendar")
 	err := m.Run(func(p *Proc) error {
 		if p.Rank() == 0 {
 			panic("boom")
@@ -238,11 +224,11 @@ func TestCalendarPanicPropagates(t *testing.T) {
 }
 
 func TestCalendarChaosRecoveryBitIdentical(t *testing.T) {
-	// A lossy chaos transport under the calendar engine: retransmission
+	// A lossy chaos transport under the default layout: retransmission
 	// must restore exactly the fault-free values, and — because fault
 	// draws come from per-pair PRNG streams independent of host
 	// interleaving — the whole chaotic run (values and virtual times)
-	// must match the same scenario under the goroutine engine.
+	// must match the same scenario on a worker per rank.
 	const n, rounds = 4, 30
 	sc := chaos.Scenario{Name: "drop", Seed: 3, Drop: 0.1}
 
@@ -250,11 +236,11 @@ func TestCalendarChaosRecoveryBitIdentical(t *testing.T) {
 	want := runRing(t, clean, n, rounds)
 
 	gm, _ := chaosMachine(t, "shared", n, 1, sc)
+	gm.SetExecutor(perRank.new())
 	goroutineVals := runRing(t, gm, n, rounds)
 	goroutineElapsed := gm.Elapsed()
 
 	cm, ct := chaosMachine(t, "shared", n, 1, sc)
-	setExecutorByName(t, cm, "calendar")
 	calendarVals := runRing(t, cm, n, rounds)
 	calendarElapsed := cm.Elapsed()
 
@@ -279,7 +265,6 @@ func TestCalendarChaosFaultAbort(t *testing.T) {
 	// wake parked continuations on both sides of the dead stream.
 	const n = 4
 	m, _ := chaosMachine(t, "shared", n, 1, chaos.Scenario{Name: "dead", Seed: 1, Drop: 1, MaxRetries: 1})
-	setExecutorByName(t, m, "calendar")
 	err := m.Run(func(p *Proc) error {
 		prog := ringProgram(n, 3)
 		prog(p)

@@ -333,11 +333,11 @@ func TestChaosOverIPCSmokeScenario(t *testing.T) {
 }
 
 func TestTransportExecutorMatrixIdentical(t *testing.T) {
-	// The full registry cross-product — every transport (ipc and chaos:ipc
-	// included) under every execution engine — must produce one single
-	// answer: bit-identical values, per-rank statistics (the message/byte
-	// census) and elapsed virtual time, pinned against a global reference
-	// rather than per-row ones, so a future transport or engine
+	// The full cross-product — every registered transport (ipc and
+	// chaos:ipc included) on both layouts of the engine — must produce one
+	// single answer: bit-identical values, per-rank statistics (the
+	// message/byte census) and elapsed virtual time, pinned against a
+	// global reference rather than per-row ones, so a future transport
 	// registration is automatically held to the same invariant.
 	const n = 8
 	type result struct {
@@ -347,11 +347,11 @@ func TestTransportExecutorMatrixIdentical(t *testing.T) {
 	}
 	var ref *result
 	var refName string
-	for _, engine := range ExecutorNames() {
+	for _, l := range layouts {
 		for _, row := range conformanceRows(t, n) {
-			name := engine + "/" + row.name
+			name := l.name + "/" + row.name
 			m := NewWithTransport(row.tr, IPSC2())
-			setExecutorByName(t, m, engine)
+			m.SetExecutor(l.new())
 			values, stats, elapsed, err := conformanceProgram(m)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

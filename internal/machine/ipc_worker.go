@@ -818,8 +818,8 @@ func (w *ipcWorker) peerLoop(pl *peerLink) error {
 			return err
 		}
 		// One look per frame, and none when a delivery woke its receiver:
-		// the woken rank's next block or finish runs the check on both
-		// engines. A finished node has no rank left to do that.
+		// the woken rank's next block or finish runs the check. A finished
+		// node has no rank left to do that.
 		if w.finished.Load() {
 			w.reportStall()
 		} else if !woke {

@@ -4,11 +4,12 @@
 // Mehrotra and Van Rosendale's KF1 language constructs (ICASE 89-41).
 //
 // Each processor runs as a continuation of its own — a goroutine of a
-// partition it holds alone, or a step its partition calls (see Executor) —
-// and carries a virtual clock advanced by an explicit CostModel:
-// computation via Compute, communication via Send/Recv. Message matching is
-// point-to-point by (source, tag), so a
-// program's virtual-time behaviour is a deterministic function of the program
+// partition it holds alone, or a step its partition calls, where a step
+// program's processors are block-distributed over min(GOMAXPROCS, n) host
+// workers (see SetExecutor) — and carries a virtual clock advanced by an
+// explicit CostModel: computation via Compute, communication via Send/Recv.
+// Message matching is point-to-point by (source, tag), so a program's
+// virtual-time behaviour is a deterministic function of the program
 // alone — every run of an experiment produces identical clocks, counters and
 // traces regardless of host scheduling.
 //
@@ -54,12 +55,12 @@ type Machine struct {
 	blocked int        // processors currently waiting in Recv
 	live    int        // processors still executing the current Run body
 
-	// exec is the engine driving Run ("goroutine" by default); parker
-	// holds its Parker while a run is in flight (nil between runs) —
+	// exec is the engine driving Run; parker holds its Parker while a
+	// run is in flight (nil between runs) —
 	// atomic because transports read it from Send/Abort/CheckStalled paths
 	// that may run on external goroutines while Run publishes or clears
 	// it — and errs is the pooled per-rank error slice reused across runs.
-	exec   Executor
+	exec   *calendarExecutor
 	parker atomic.Pointer[Parker]
 	errs   []error
 	// cleanup ends exec's partition goroutines once the machine is unreachable
@@ -188,7 +189,7 @@ func NewFederated(n, nodes int, cost CostModel) *Machine {
 // localRanker is implemented by transports that host only a window of the
 // machine's rank space locally (the IPC worker's sub-machine): ranks in
 // [lo, hi) execute here, the rest exist only as message endpoints reached
-// through the transport. Executors then drive only the local window, and
+// through the transport. The engine then drives only the local window, and
 // the deadlock live-count covers local ranks alone — remote progress is
 // the transport's to observe.
 type localRanker interface {
@@ -318,20 +319,21 @@ func (m *Machine) Cost() CostModel { return m.cost }
 // traffic counters).
 func (m *Machine) Transport() Transport { return m.tr }
 
-// SetExecutor selects the engine driving Run (see Executor); nil restores
-// the default, "goroutine" (one partition per processor). The engine it
-// replaces is closed (see Close). It must not be called while a Run is in
-// flight, and the executor must be exclusive to this machine.
-func (m *Machine) SetExecutor(e Executor) {
+// SetExecutor installs the engine driving Run: NewCalendarExecutor pins
+// its worker count, and nil restores the default, a step run's ranks on
+// min(GOMAXPROCS, n) partitions. The engine it replaces is closed (see
+// Close). It must not be called while a Run is in flight, and the engine
+// must be exclusive to this machine.
+func (m *Machine) SetExecutor(e *calendarExecutor) {
 	if e == nil {
-		e = newDefaultExecutor()
+		e = NewCalendarExecutor(0)
 	}
-	if e != m.exec {
-		closeEngine(m.exec)
+	if m.exec != nil && e != m.exec {
+		m.exec.close()
 	}
 	m.exec = e
 	m.cleanup.Stop()
-	m.cleanup = runtime.AddCleanup(m, closeEngine, e)
+	m.cleanup = runtime.AddCleanup(m, (*calendarExecutor).close, e)
 }
 
 // Close ends the partition goroutines the engine keeps for the machine's
@@ -343,14 +345,7 @@ func (m *Machine) SetExecutor(e Executor) {
 // collection finds it unreachable. Close leaves the transport alone, and is
 // safe to call concurrently with a Run and with itself, and from a
 // goroutine locked to its OS thread.
-func (m *Machine) Close() { closeEngine(m.exec) }
-
-// closeEngine ends e's partition goroutines; see Close.
-func closeEngine(e Executor) {
-	if c, ok := e.(*calendarExecutor); ok {
-		c.close()
-	}
-}
+func (m *Machine) Close() { m.exec.close() }
 
 // SetDirect selects how the data layer derives collective communication for
 // arrays on this machine: false (the default) compiles a communication
@@ -367,9 +362,6 @@ func (m *Machine) SetDirect(on bool) { m.direct = on }
 // Direct reports the machine's derivation mode; see SetDirect.
 func (m *Machine) Direct() bool { return m.direct }
 
-// ExecutorName returns the registry name of the engine driving Run.
-func (m *Machine) ExecutorName() string { return m.exec.Name() }
-
 // setParker publishes the run's Parker to the transports (nil clears it
 // when the run ends); the engine owns the boxed interface, so publishing
 // allocates nothing. Atomic so coordinator.Parker sees a consistent value
@@ -379,16 +371,10 @@ func (m *Machine) setParker(p *Parker) { m.parker.Store(p) }
 
 // CalendarStats returns what the engine's scheduler did during the most
 // recent Run — parks, wakes, grants by hand-off and from idle, summed over
-// its partitions (one per processor for a body, and under "goroutine"); the
-// zero value under an engine of another kind.
-func (m *Machine) CalendarStats() CalendarStats {
-	if e, ok := m.exec.(*calendarExecutor); ok {
-		return e.stats
-	}
-	return CalendarStats{}
-}
+// its partitions (one per processor for a body).
+func (m *Machine) CalendarStats() CalendarStats { return m.exec.stats }
 
-// Run executes body once per processor under the machine's executor, each
+// Run executes body once per processor under the machine's engine, each
 // on a partition of its own, and waits for all of them. It returns the first non-nil error produced by any body (by
 // rank order), or an error wrapping ErrDeadlock if the processors
 // deadlock. Clocks, counters and the transport are reset at the start of
@@ -416,8 +402,8 @@ type StepFunc func(p *Proc, resume bool) (done bool, err error)
 // Where the transport can answer a receive with "would block" — every
 // bundled transport but a chaos wrapper with an active scenario — every
 // rank runs step, resumed by the engine with a call, and no rank has a
-// stack of its own: under "calendar" the ranks share min(GOMAXPROCS, n)
-// partitions, each granting its token in virtual-time order. Elsewhere
+// stack of its own: the ranks share min(GOMAXPROCS, n) partitions (or the
+// pinned worker count), each granting its token in virtual-time order. Elsewhere
 // every rank runs body, as Run. The two forms must compute the same thing:
 // values, messages and clocks are the program's either way. A nil step is
 // Run.

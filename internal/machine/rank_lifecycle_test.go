@@ -68,28 +68,11 @@ func runWithin(t *testing.T, m *Machine, body func(p *Proc) error) error {
 	}
 }
 
-// lifecycleEngine names an engine that each subtest builds afresh.
-type lifecycleEngine struct {
-	name string
-	new  func() Executor
-}
-
-// withPinned appends to engines the calendar pinned at each worker count.
-func withPinned(engines []lifecycleEngine, workers ...int) []lifecycleEngine {
-	for _, w := range workers {
-		engines = append(engines, lifecycleEngine{fmt.Sprintf("%dworkers", w), func() Executor { return NewCalendarExecutor(w) }})
-	}
-	return engines
-}
-
 func TestRankLifecycleStarts(t *testing.T) {
-	// Both names and the pinned partition counts: the first run starts
+	// Both layouts and the pinned partition counts: the first run starts
 	// every rank, a warm run none, and a run after Close all of them again.
 	const n = 6
-	engines := withPinned([]lifecycleEngine{
-		{"goroutine", newDefaultExecutor},
-		{"calendar", func() Executor { return NewCalendarExecutor(0) }},
-	}, 1, 2, 3, n)
+	engines := withPinned(layouts, 1, 2, 3, n)
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
 			m := New(n, Uniform())
@@ -133,20 +116,17 @@ func TestRankLifecycleGoexit(t *testing.T) {
 	// A rank leaves its body with runtime.Goexit once it has parked, while
 	// the others wait for its message. That must surface as the rank's
 	// error and abort the run, like a panic, not hang it (the token would
-	// die with the goroutine) or report success, under either name and at
+	// die with the goroutine) or report success, on both layouts and at
 	// the ranks that would be first, middle and last of a step run's
 	// partition at 1, 2 and 3 workers. The next run recreates the one
 	// continuation and is bit-identical to a fresh machine's, and Close
 	// leaves no goroutine behind.
 	const n = 9
 	type goexitCase struct {
-		lifecycleEngine
+		layout
 		rank int
 	}
-	cases := []goexitCase{
-		{lifecycleEngine{"goroutine", newDefaultExecutor}, 0},
-		{lifecycleEngine{"calendar", func() Executor { return NewCalendarExecutor(0) }}, 0},
-	}
+	cases := []goexitCase{{perRank, 0}, {defaultLayout, 0}}
 	for _, workers := range []int{1, 2, 3} {
 		per := (n + workers - 1) / workers // partition 0 is ranks [0, per)
 		for _, at := range []struct {
@@ -206,7 +186,7 @@ func TestRankLifecycleLockedCaller(t *testing.T) {
 	// worker's main goroutine does while still in init: Run, Run, Close,
 	// Run, Close from a locked goroutine match a fresh machine.
 	const n = 6
-	engines := withPinned([]lifecycleEngine{{"goroutine", newDefaultExecutor}}, 1, 2, 3)
+	engines := withPinned([]layout{perRank}, 1, 2, 3)
 	wantVals, wantClocks := ringRun(t, New(n, Uniform()))
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
@@ -234,11 +214,11 @@ func TestRankLifecycleCloseDuringRun(t *testing.T) {
 	// Two Closes race a run in flight: the run completes, its ranks end as
 	// it does, and the next run starts them again.
 	const n = 4
-	for _, name := range ExecutorNames() {
-		t.Run(name, func(t *testing.T) {
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
 			m := New(n, Uniform())
-			setExecutorByName(t, m, name)
-			e := m.exec.(*calendarExecutor)
+			e := l.new()
+			m.SetExecutor(e)
 			ringRun(t, m)
 			inRun, release := make(chan struct{}), make(chan struct{})
 			done := make(chan error, 1)
@@ -309,13 +289,13 @@ func TestRankLifecycleRebind(t *testing.T) {
 func TestRankLifecycleDroppedMachine(t *testing.T) {
 	// A machine dropped without Close: the engine holds no reference to it
 	// between runs, so it becomes garbage, and its cleanup ends the ranks.
-	for _, name := range ExecutorNames() {
-		t.Run(name, func(t *testing.T) {
-			e := func() *calendarExecutor {
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			e := l.new()
+			func() {
 				m := New(8, Uniform())
-				setExecutorByName(t, m, name)
+				m.SetExecutor(e)
 				ringRun(t, m)
-				return m.exec.(*calendarExecutor)
 			}()
 			if alive := ranksAlive(e); alive != 8 {
 				t.Fatalf("%d rank continuations alive after the run, want 8", alive)
@@ -335,7 +315,7 @@ func TestRankLifecycleDroppedMachine(t *testing.T) {
 func TestCalendarLockedBodyMayBlock(t *testing.T) {
 	// A body rank has its partition's goroutine to itself, so a body that
 	// holds its OS thread may block: every rank locks its thread and then
-	// waits in a ring of receives, under "goroutine" and on one worker, and
+	// waits in a ring of receives, on a worker per rank and on one, and
 	// the run matches the same ring unlocked.
 	const n = 8
 	ring := func(vals []float64, lock bool) func(p *Proc) error {
@@ -361,7 +341,7 @@ func TestCalendarLockedBodyMayBlock(t *testing.T) {
 	if err := ref.Run(ring(want, false)); err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range withPinned([]lifecycleEngine{{"goroutine", newDefaultExecutor}}, 1) {
+	for _, eng := range withPinned([]layout{perRank}, 1) {
 		t.Run(eng.name, func(t *testing.T) {
 			m := New(n, Uniform())
 			m.SetExecutor(eng.new())

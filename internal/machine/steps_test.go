@@ -361,10 +361,10 @@ func TestCalendarStepsNeedAStepTransport(t *testing.T) {
 }
 
 // TestCalendarRunKindLayout alternates the two run kinds — the step form
-// and the body form of one seeded Kahn program — on one machine under
-// "goroutine" and the calendar pinned at 1, 2 and 3 workers. Every run
-// matches the reference bit for bit. A body run takes a partition per rank
-// and a step run min(workers, n). Switching kinds restarts nothing: the
+// and the body form of one seeded Kahn program — on one machine at a
+// worker per rank (8, labelled "goroutine"), at the default worker count
+// and pinned at 1, 2 and 3 workers. Every run matches the reference bit for bit. A body run takes a
+// partition per rank and a step run min(workers, n). Switching kinds restarts nothing: the
 // machine's first run on partitions of one rank — a body run, or a step run
 // with a rank per partition — starts n goroutines, and every run after it
 // starts none.
@@ -372,11 +372,10 @@ func TestCalendarRunKindLayout(t *testing.T) {
 	const n = 8
 	scripts := kahnScripts(rand.New(rand.NewSource(41)), n, 4)
 	want, _ := runForm(t, New(n, IPSC2()), scripts, false, nil, nil)
-	engines := withPinned([]lifecycleEngine{{"goroutine", newDefaultExecutor}}, 1, 2, 3)
-	for i, eng := range engines {
-		workers := n // "goroutine": a partition per rank
-		if i > 0 {
-			workers = i
+	for _, eng := range withPinned([]layout{{"goroutine", n}, defaultLayout}, 1, 2, 3) {
+		workers := eng.workers
+		if workers == 0 {
+			workers = min(runtime.GOMAXPROCS(0), n)
 		}
 		t.Run(eng.name, func(t *testing.T) {
 			m := New(n, IPSC2())

@@ -14,7 +14,8 @@ import (
 // barrier and stall paths run only inside real worker processes. Here the
 // WorkerTransports of one machine are joined in a single process by a
 // loopback workerIO, one windowed Machine per node, and the conformance
-// rows that make sense without a coordinator run over them on both engines.
+// rows that make sense without a coordinator run over them on both layouts
+// of the engine.
 
 // loopFleet is the in-process stand-in for a worker fleet and the part of
 // the coordinator its transports talk to: it forwards remote sends, releases
@@ -89,15 +90,15 @@ func await(tb testing.TB, ch <-chan struct{}, what string) {
 	}
 }
 
-// calendarTwoWorkers names the window battery's extra engine row: the
-// calendar engine pinned at two workers, so that every window of two ranks
-// or more is split into two partitions whose first rank is not rank 0 —
-// whatever -cpu the battery runs under.
-const calendarTwoWorkers = "calendar/2workers"
+// twoWorkers is the window battery's extra layout: the engine pinned at two
+// workers, so that every window of two ranks or more is split into two
+// partitions whose first rank is not rank 0 — whatever -cpu the battery
+// runs under.
+var twoWorkers = layout{"calendar/2workers", 2}
 
 // newLoopFleet builds nnodes windowed machines over an n-rank space, all on
-// the named engine.
-func newLoopFleet(tb testing.TB, n, nnodes int, engine string, cost CostModel) *loopFleet {
+// the engine at layout l.
+func newLoopFleet(tb testing.TB, n, nnodes int, l layout, cost CostModel) *loopFleet {
 	tb.Helper()
 	f := &loopFleet{announced: map[uint64]int{}}
 	for node := 0; node < nnodes; node++ {
@@ -109,11 +110,7 @@ func newLoopFleet(tb testing.TB, n, nnodes int, engine string, cost CostModel) *
 			tb.Fatalf("node %d window = [%d, %d)", node, lo, hi)
 		}
 		m := NewWithTransport(t, cost)
-		if engine == calendarTwoWorkers {
-			m.SetExecutor(NewCalendarExecutor(2))
-		} else {
-			setExecutorByName(tb, m, engine)
-		}
+		m.SetExecutor(l.new())
 		f.trs = append(f.trs, t)
 		f.ms = append(f.ms, m)
 		f.reports = append(f.reports, make(chan struct{}, 1))
@@ -170,14 +167,14 @@ func (f *loopFleet) rebind(gen uint64) {
 	}
 }
 
-// forEachWindowFleet runs f over 2- and 4-node fleets of n ranks on every
-// registered engine, and on the calendar engine at two workers.
+// forEachWindowFleet runs f over 2- and 4-node fleets of n ranks on both
+// layouts, and on the engine pinned at two workers.
 func forEachWindowFleet(t *testing.T, n int, cost CostModel, fn func(t *testing.T, f *loopFleet)) {
 	t.Helper()
-	for _, engine := range append(ExecutorNames(), calendarTwoWorkers) {
+	for _, l := range []layout{perRank, defaultLayout, twoWorkers} {
 		for _, nnodes := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/%dnodes", engine, nnodes), func(t *testing.T) {
-				fn(t, newLoopFleet(t, n, nnodes, engine, cost))
+			t.Run(fmt.Sprintf("%s/%dnodes", l.name, nnodes), func(t *testing.T) {
+				fn(t, newLoopFleet(t, n, nnodes, l, cost))
 			})
 		}
 	}
@@ -319,7 +316,7 @@ func TestWindowBarrier(t *testing.T) {
 }
 
 func TestWindowBarrierRejectsRankOutsideWindow(t *testing.T) {
-	f := newLoopFleet(t, 4, 2, "goroutine", Uniform())
+	f := newLoopFleet(t, 4, 2, perRank, Uniform())
 	defer func() {
 		if recover() == nil {
 			t.Error("Barrier(0) on node 1's window [2, 4) did not panic")
@@ -331,7 +328,7 @@ func TestWindowBarrierRejectsRankOutsideWindow(t *testing.T) {
 func TestWindowAbortUnblocksReceiversAndBarrier(t *testing.T) {
 	// TestConformanceAbortUnblocksReceiversAndBarrier on the upper window,
 	// node 1's machine running alone; rebind, not Reset, is what rewinds it.
-	f := newLoopFleet(t, 8, 2, "goroutine", Uniform())
+	f := newLoopFleet(t, 8, 2, perRank, Uniform())
 	tr, m := f.trs[1], f.ms[1]
 	started := make(chan struct{}, 2)
 	done := make(chan error, 1)

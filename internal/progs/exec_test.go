@@ -2,6 +2,7 @@ package progs_test
 
 import (
 	"errors"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -28,6 +29,24 @@ func mustSys(t *testing.T, opts ...core.Option) *core.System {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
+	return sys
+}
+
+// layouts are the engine's two layouts under the labels they once had as
+// engine names: "goroutine" is a worker per rank (a count above the rank
+// count is clamped to it), "calendar" the default, min(GOMAXPROCS, n). A
+// layout pins the coordinator's machine; the ranks of an ipc System run
+// inside its workers at their default.
+var layouts = []struct {
+	name    string
+	workers int
+}{{"goroutine", math.MaxInt}, {"calendar", 0}}
+
+// mustSysOn is mustSys with the engine at workers (0: the default).
+func mustSysOn(t *testing.T, workers int, opts ...core.Option) *core.System {
+	t.Helper()
+	sys := mustSys(t, opts...)
+	sys.Machine.SetExecutor(machine.NewCalendarExecutor(workers))
 	return sys
 }
 
@@ -121,7 +140,7 @@ func TestFleetSharesHostCPUs(t *testing.T) {
 
 // TestWorkerExecConformance is the transport-invariance verdict with ranks
 // in the workers: values, censuses and virtual times bit-identical to a
-// shared-memory run, under both the goroutine and calendar executors.
+// shared-memory run, on both layouts of the engine.
 func TestWorkerExecConformance(t *testing.T) {
 	par := adi.Params{N: 32, A: 1, B: 1, Iters: 2}
 	jp, err := progs.Jacobi(64, 2)
@@ -132,11 +151,11 @@ func TestWorkerExecConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, executor := range []string{"goroutine", "calendar"} {
+	for _, l := range layouts {
 		for _, prog := range []*core.Program{jp, ap} {
-			t.Run(executor+"/"+prog.Name, func(t *testing.T) {
-				shared := mustSys(t, core.Grid(4, 4), core.Executor(executor))
-				ipc := mustSys(t, core.Grid(4, 4), core.Executor(executor), core.Transport("ipc"), core.Nodes(4))
+			t.Run(l.name+"/"+prog.Name, func(t *testing.T) {
+				shared := mustSysOn(t, l.workers, core.Grid(4, 4))
+				ipc := mustSysOn(t, l.workers, core.Grid(4, 4), core.Transport("ipc"), core.Nodes(4))
 				cmp, err := core.Compare(prog, shared, ipc)
 				if err != nil {
 					t.Fatal(err)
@@ -289,7 +308,8 @@ func TestWireTrafficMatchesPerfEst(t *testing.T) {
 // machine the arrays live on and rides in the Spec the workers rebuild from,
 // so a DirectScheduling System on ipc is as eligible for worker execution as
 // a scheduled one — pid-verified — and jacobi, adi and madi stay
-// bit-identical to a scheduled shared-memory run on both engines.
+// bit-identical to a scheduled shared-memory run on both layouts of the
+// engine.
 func TestDirectSchedulingRunsInsideWorkers(t *testing.T) {
 	direct := []core.Option{core.Grid(4, 4), core.Transport("ipc"), core.Nodes(4), core.DirectScheduling()}
 	sys := mustSys(t, direct...)
@@ -322,11 +342,11 @@ func TestDirectSchedulingRunsInsideWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, executor := range []string{"goroutine", "calendar"} {
+	for _, l := range layouts {
 		for _, prog := range []*core.Program{jp, ap, mp} {
-			t.Run(executor+"/"+prog.Name, func(t *testing.T) {
-				shared := mustSys(t, core.Grid(4, 4), core.Executor(executor))
-				ipc := mustSys(t, append(direct, core.Executor(executor))...)
+			t.Run(l.name+"/"+prog.Name, func(t *testing.T) {
+				shared := mustSysOn(t, l.workers, core.Grid(4, 4))
+				ipc := mustSysOn(t, l.workers, direct...)
 				cmp, err := core.Compare(prog, shared, ipc)
 				if err != nil {
 					t.Fatal(err)
@@ -379,7 +399,7 @@ func TestRelayEligibilityUnchanged(t *testing.T) {
 // when the size changes. Whatever a System ran before — the same program,
 // the same family at another size, adi after madi on shared arrays — every
 // run must be the run a fresh System produces: values, census, link census
-// and virtual times, on every transport and both engines. The sequence ends
+// and virtual times, on every transport and both layouts. The sequence ends
 // on the tenth run of a program whose first run opened it.
 func TestDeclareOnceBitIdenticalToFresh(t *testing.T) {
 	j64, j32 := mustProg(t, "jacobi", 64, 2), mustProg(t, "jacobi", 32, 2)
@@ -399,9 +419,9 @@ func TestDeclareOnceBitIdenticalToFresh(t *testing.T) {
 		{"federated", []core.Option{core.Transport("federated"), core.Nodes(4)}},
 		{"ipc", []core.Option{core.Transport("ipc"), core.Nodes(4)}},
 	} {
-		for _, executor := range []string{"goroutine", "calendar"} {
-			t.Run(transport.name+"/"+executor, func(t *testing.T) {
-				opts := append([]core.Option{core.Grid(4, 4), core.Executor(executor)}, transport.opts...)
+		for _, l := range layouts {
+			t.Run(transport.name+"/"+l.name, func(t *testing.T) {
+				opts := append([]core.Option{core.Grid(4, 4)}, transport.opts...)
 				fresh := map[*core.Program]core.Run{}
 				for _, p := range sequence {
 					if _, ok := fresh[p]; ok {
@@ -411,13 +431,14 @@ func TestDeclareOnceBitIdenticalToFresh(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					sys.Machine.SetExecutor(machine.NewCalendarExecutor(l.workers))
 					fresh[p], err = sys.RunProgram(p)
 					sys.Close()
 					if err != nil {
 						t.Fatal(err)
 					}
 				}
-				sys := mustSys(t, opts...)
+				sys := mustSysOn(t, l.workers, opts...)
 				for i, p := range sequence {
 					got, err := sys.RunProgram(p)
 					if err != nil {

@@ -33,8 +33,9 @@ func sameCensus(a, b *core.LinkCensus) bool {
 	return true
 }
 
-// TestMeshBattery runs, for both engines over unix sockets and TCP loopback
-// on 2, 4 and 8 nodes: jacobi, adi and madi bit-identical to federated
+// TestMeshBattery runs, for both layouts of the engine over unix sockets and
+// TCP loopback on 2, 4 and 8 nodes: jacobi, adi and madi bit-identical to
+// federated
 // (values, censuses, virtual times, the link census row for row) with no
 // Data frame through the coordinator and every node writing to its peers;
 // then the deliberate deadlock, which must read exactly as it does in one
@@ -53,16 +54,16 @@ func TestMeshBattery(t *testing.T) {
 	if !errors.Is(localErr, machine.ErrDeadlock) {
 		t.Fatalf("shared run of stall program: %v, want a deadlock", localErr)
 	}
-	for _, executor := range []string{"goroutine", "calendar"} {
+	for _, l := range layouts {
 		for _, network := range []string{"unix", "tcp"} {
 			for _, nodes := range []int{2, 4, 8} {
-				t.Run(fmt.Sprintf("%s/%s/%d", executor, network, nodes), func(t *testing.T) {
-					opts := []core.Option{core.Grid(4, 4), core.Executor(executor), core.Cost(cost), core.Nodes(nodes)}
-					fed := mustSys(t, append(opts, core.Transport("federated"))...)
+				t.Run(fmt.Sprintf("%s/%s/%d", l.name, network, nodes), func(t *testing.T) {
+					opts := []core.Option{core.Grid(4, 4), core.Cost(cost), core.Nodes(nodes)}
+					fed := mustSysOn(t, l.workers, append(opts, core.Transport("federated"))...)
 					if network == "tcp" {
 						opts = append(opts, core.ListenAddr("127.0.0.1:0"))
 					}
-					ipc := mustSys(t, append(opts, core.Transport("ipc"))...)
+					ipc := mustSysOn(t, l.workers, append(opts, core.Transport("ipc"))...)
 					var want core.Run
 					for _, p := range progs {
 						cmp, err := core.Compare(p, fed, ipc)

@@ -2,6 +2,7 @@ package progs_test
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -47,11 +48,11 @@ func balanced(st machine.CalendarStats, n int) bool {
 // give bit-identical values, message census, link census and virtual times
 // on shared, priced federated/16 and ipc/4 (where the step form runs inside
 // the workers and the body form over the relay, and with a trace both over
-// the relay), under "goroutine" and the
-// calendar at 1, 2, 3 and one partition per rank, and under an active chaos
-// scenario (which cannot answer "would block", so both run the body). Both
-// scheduler accounts must balance, and the body form runs on a partition
-// per rank. Under "calendar" with several ranks per partition the step form
+// the relay), on a worker per rank (labelled "goroutine": a count above
+// the rank count, clamped), the default, 1, 2, 3 and 64 workers, and under
+// an active chaos scenario (which cannot answer "would block", so both run
+// the body). Both scheduler accounts must balance, and the body form runs
+// on a partition per rank. With several ranks per partition the step form
 // starts no goroutine per rank, first run included.
 func TestStepFormMatchesBody(t *testing.T) {
 	steps := mustProg(t, "jacobi", 64, 3)
@@ -62,7 +63,7 @@ func TestStepFormMatchesBody(t *testing.T) {
 	type config struct {
 		name    string
 		opts    []core.Option
-		workers int // > 0: the calendar pinned at that many partitions
+		workers int // the engine's worker count; 0: the default
 		stepped bool
 	}
 	var configs []config
@@ -73,13 +74,14 @@ func TestStepFormMatchesBody(t *testing.T) {
 		{"shared", nil},
 		{"federated16", []core.Option{core.Transport("federated"), core.Nodes(16), core.Cost(priced)}},
 	} {
-		configs = append(configs, config{tr.name + "/goroutine", tr.opts, 0, true})
+		configs = append(configs, config{tr.name + "/goroutine", tr.opts, math.MaxInt, true},
+			config{tr.name + "/calendar", tr.opts, 0, true})
 		for _, w := range []int{1, 2, 3, ranks} {
 			configs = append(configs, config{fmt.Sprintf("%s/calendar%d", tr.name, w), tr.opts, w, true})
 		}
 	}
 	configs = append(configs,
-		config{"ipc4/calendar", []core.Option{core.Transport("ipc"), core.Nodes(4), core.Executor("calendar")}, 0, true},
+		config{"ipc4/calendar", []core.Option{core.Transport("ipc"), core.Nodes(4)}, 0, true},
 		// A trace keeps the ranks coordinator-side: the step form over the
 		// relay, its ranks woken by the ipc readers' deliveries.
 		config{"ipc4-relay/calendar2", []core.Option{core.Transport("ipc"), core.Nodes(4), core.Trace()}, 2, true},
@@ -88,11 +90,7 @@ func TestStepFormMatchesBody(t *testing.T) {
 	for _, cf := range configs {
 		t.Run(cf.name, func(t *testing.T) {
 			build := func() *core.System {
-				sys := mustSys(t, append([]core.Option{core.Grid(8, 8)}, cf.opts...)...)
-				if cf.workers > 0 {
-					sys.Machine.SetExecutor(machine.NewCalendarExecutor(cf.workers))
-				}
-				return sys
+				return mustSysOn(t, cf.workers, append([]core.Option{core.Grid(8, 8)}, cf.opts...)...)
 			}
 			sysS, sysB := build(), build()
 			for run := 0; run < 2; run++ {
@@ -173,8 +171,8 @@ func failing(kind string) (steps, body *core.Program, calls *atomic.Int64) {
 
 // TestStepFormFailuresMatchBody: a step rank's failure — a wait nobody
 // feeds, a panic in a resumed step — ends the run with the error text of
-// the same failure in the body form, byte for byte, under both engine
-// names on shared and federated/4; and the System runs Jacobi next as a
+// the same failure in the body form, byte for byte, on both layouts of the
+// engine on shared and federated/4; and the System runs Jacobi next as a
 // fresh System does.
 func TestStepFormFailuresMatchBody(t *testing.T) {
 	jac := mustProg(t, "jacobi", 32, 2)
@@ -185,20 +183,20 @@ func TestStepFormFailuresMatchBody(t *testing.T) {
 		{"shared", nil},
 		{"federated4", []core.Option{core.Transport("federated"), core.Nodes(4)}},
 	} {
-		for _, executor := range []string{"goroutine", "calendar"} {
-			opts := append([]core.Option{core.Grid(4, 4), core.Executor(executor)}, tr.opts...)
-			fresh, err := mustSys(t, opts...).RunProgram(jac)
+		for _, l := range layouts {
+			opts := append([]core.Option{core.Grid(4, 4)}, tr.opts...)
+			fresh, err := mustSysOn(t, l.workers, opts...).RunProgram(jac)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, kind := range []string{"unfed", "panic"} {
-				t.Run(tr.name+"/"+executor+"/"+kind, func(t *testing.T) {
+				t.Run(tr.name+"/"+l.name+"/"+kind, func(t *testing.T) {
 					steps, body, calls := failing(kind)
-					_, want := mustSys(t, opts...).RunProgram(body)
+					_, want := mustSysOn(t, l.workers, opts...).RunProgram(body)
 					if want == nil {
 						t.Fatal("the body form succeeded")
 					}
-					sys := mustSys(t, opts...)
+					sys := mustSysOn(t, l.workers, opts...)
 					for run := 0; run < 2; run++ {
 						_, got := sys.RunProgram(steps)
 						if got == nil || got.Error() != want.Error() {
@@ -224,11 +222,11 @@ func TestStepFormFailuresMatchBody(t *testing.T) {
 // TestRunCarriesCalendarStats: a run on the coordinator's machine reports
 // what the engine's scheduler did — the machine's own CalendarStats — and
 // a run inside ipc workers reports none; CompareRuns ignores it. Jacobi's
-// first run under "calendar" starts no continuation where a partition
-// holds several ranks: its ranks are steps.
+// first run starts no continuation where a partition holds several ranks:
+// its ranks are steps.
 func TestRunCarriesCalendarStats(t *testing.T) {
 	p := mustProg(t, "jacobi", 32, 1)
-	sys := mustSys(t, core.Grid(4, 4), core.Executor("calendar"))
+	sys := mustSys(t, core.Grid(4, 4))
 	run, err := sys.RunProgram(p)
 	if err != nil {
 		t.Fatal(err)

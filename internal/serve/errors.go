@@ -29,7 +29,7 @@ var (
 
 // Error codes in the JSON error envelope.
 const (
-	CodeBadRequest = "bad_request" // malformed body, unknown program/transport/executor, bad args
+	CodeBadRequest = "bad_request" // malformed body, unknown field, program or transport, bad args
 	CodeBadArgs    = "bad_args"    // program args rejected by their schema (Arg names the field)
 	CodeDraining   = "draining"    // server shutting down
 	CodeQueueFull  = "queue_full"  // admission queue at capacity
@@ -40,7 +40,7 @@ const (
 )
 
 // BadRequestError marks a client-side validation failure: malformed body,
-// unknown program/transport/executor, a grid beyond the server's caps, or
+// unknown field, program or transport, a grid beyond the server's caps, or
 // a System configuration the constructor rejected.
 type BadRequestError struct{ Msg string }
 

@@ -95,7 +95,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("GET /v1/programs", s.handlePrograms)
 	s.mux.HandleFunc("GET /v1/transports", s.handleTransports)
-	s.mux.HandleFunc("GET /v1/executors", s.handleExecutors)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
@@ -301,10 +300,6 @@ func (s *Server) handlePrograms(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTransports(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ListResponse{Transports: machine.TransportNames()})
-}
-
-func (s *Server) handleExecutors(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, ListResponse{Executors: machine.ExecutorNames()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

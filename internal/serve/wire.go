@@ -26,12 +26,11 @@ type RunRequest struct {
 
 	// Grid is the processor array shape, e.g. [8, 8]. Required.
 	Grid []int `json:"grid"`
-	// Transport and Executor are registry names and Nodes the federation
-	// node count (federating transports only); left empty or zero, each
-	// takes core.Spec's default.
+	// Transport is a registry name and Nodes the federation node count
+	// (federating transports only); left empty or zero, each takes
+	// core.Spec's default.
 	Transport string `json:"transport,omitempty"`
 	Nodes     int    `json:"nodes,omitempty"`
-	Executor  string `json:"executor,omitempty"`
 	// LinkLatency/LinkByte price the node interconnect (core.LinkCosts);
 	// both zero means unpriced. Links carries per-directed-link overrides.
 	LinkLatency float64    `json:"link_latency,omitempty"`
@@ -52,7 +51,7 @@ type RunRequest struct {
 // spec reads the request's System declaration into the core.Spec it is the
 // flat spelling of.
 func (req *RunRequest) spec() core.Spec {
-	s := core.Spec{Grid: req.Grid, Transport: req.Transport, Nodes: req.Nodes, Executor: req.Executor}
+	s := core.Spec{Grid: req.Grid, Transport: req.Transport, Nodes: req.Nodes}
 	if req.LinkLatency != 0 || req.LinkByte != 0 || len(req.Links) > 0 {
 		s.Interconnect = &core.Interconnect{Latency: req.LinkLatency, Byte: req.LinkByte, Links: req.Links}
 	}
@@ -104,10 +103,9 @@ type ProgramInfo struct {
 	Args []progs.ArgSpec `json:"args"`
 }
 
-// ListResponse is the /v1/programs, /v1/transports and /v1/executors
-// payload; only the field matching the endpoint is populated.
+// ListResponse is the /v1/programs and /v1/transports payload; only the
+// field matching the endpoint is populated.
 type ListResponse struct {
 	Programs   []ProgramInfo `json:"programs,omitempty"`
 	Transports []string      `json:"transports,omitempty"`
-	Executors  []string      `json:"executors,omitempty"`
 }
