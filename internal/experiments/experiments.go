@@ -134,13 +134,12 @@ type Entry struct {
 // substrate or fault scenario (values and message censuses are invariant
 // under both, so the metrics must not move under a flat cost model). The
 // zero Spec keeps the per-experiment defaults. Only Transport, Nodes and
-// Chaos are read. Because the
-// suite's machines come in many sizes, each system clamps Nodes to
-// gcd(Nodes, processor count) so it always divides; a Chaos scenario
-// replaces the selected transport (default "shared") by its chaos-wrapped
-// variant. The scaling experiments (S1-S6), which declare their transports
-// explicitly, are not disturbed — their entire point is a specific
-// arrangement. Unknown names, federation shapes the transport rejects and
+// Chaos are read. Because the suite's machines come in many sizes, each
+// system clamps Nodes to gcd(Nodes, processor count) so it always
+// divides; a Chaos scenario replaces the selected transport (default
+// "shared") by its chaos-wrapped variant. The scaling experiments
+// (S1-S6), which declare their transports explicitly, are not disturbed —
+// their entire point is a specific arrangement. Unknown names, federation shapes the transport rejects and
 // invalid scenarios are reported as the error instead of as a panic
 // mid-experiment.
 //
