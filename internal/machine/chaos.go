@@ -31,13 +31,11 @@ type DownReasoner interface {
 	DownReason() error
 }
 
-// stallProber is the optional transport extension the chaos layer prefers
-// for stall confirmation: evaluate the full CheckStalled condition — every
-// live processor parked with no matching pending message — WITHOUT
-// declaring the transport down. The bundled transports implement it over
-// the mailbox core's snapshot, boxSet.stalled(declare=false); for other
-// bases the chaos layer falls back to the coordinator's (weaker, lock-free)
-// confirmation.
+// stallProber is the transport extension the chaos layer confirms a stall
+// with: evaluate the full CheckStalled condition — every live processor
+// parked with no matching pending message — WITHOUT declaring the
+// transport down. The bundled transports implement it over the mailbox
+// core's snapshot, boxSet.stalled(declare=false), and a chaos base must.
 type stallProber interface {
 	probeStalled() bool
 }
@@ -85,7 +83,8 @@ type nodeLocator interface {
 // absorb the retry and delay costs.
 type ChaosTransport struct {
 	base   Transport
-	coord  Coordinator
+	probe  stallProber // base's stall probe
+	coord  *coordinator
 	nodeOf func(rank int) int
 	active atomic.Bool
 
@@ -184,7 +183,11 @@ func NewChaosTransport(base Transport) *ChaosTransport {
 	if _, nested := base.(*ChaosTransport); nested {
 		panic("machine: chaos transport wrapping a chaos transport; the wrapper applies exactly once")
 	}
-	t := &ChaosTransport{base: base}
+	probe, ok := base.(stallProber)
+	if !ok {
+		panic("machine: chaos transport over a base with no stall probe")
+	}
+	t := &ChaosTransport{base: base, probe: probe}
 	if nl, ok := base.(nodeLocator); ok {
 		t.nodeOf = nl.NodeOf
 	} else {
@@ -281,7 +284,7 @@ func (t *ChaosTransport) resetRunStateLocked() {
 func (t *ChaosTransport) Size() int { return t.base.Size() }
 
 // Bind installs the machine's coordinator on the wrapper and the base.
-func (t *ChaosTransport) Bind(c Coordinator) {
+func (t *ChaosTransport) Bind(c *coordinator) {
 	t.coord = c
 	t.base.Bind(c)
 }
@@ -617,7 +620,7 @@ func (t *ChaosTransport) CheckStalled() bool {
 		if t.held == 0 {
 			return t.base.CheckStalled()
 		}
-		if !t.probeStalledLocked() {
+		if !t.probe.probeStalled() {
 			return false
 		}
 		t.rep.RetryRounds++
@@ -649,17 +652,6 @@ func (t *ChaosTransport) failureErrorLocked(f chaos.StreamRef) error {
 	}
 	return fmt.Errorf("machine: message on %v lost %d times under scenario %q (seed %d), budget of %d retries exhausted%s: %w",
 		f, f.Attempts, t.sc.Name, t.sc.Seed, t.sc.MaxRetries, first, ErrFaultAbort)
-}
-
-// probeStalledLocked confirms the machine is globally stalled without
-// declaring anything. Caller holds t.mu; the base takes its own locks.
-func (t *ChaosTransport) probeStalledLocked() bool {
-	if p, ok := t.base.(stallProber); ok {
-		return p.probeStalled()
-	}
-	// Weaker fallback for third-party bases: the coordinator's counter
-	// check alone (no pending-message cross-check).
-	return t.coord.ConfirmStall() > 0
 }
 
 // recoverLocked runs one retransmission pass over every stream with held

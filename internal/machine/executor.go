@@ -7,44 +7,6 @@ import (
 	"sync/atomic"
 )
 
-// Parker is the engine's face toward the transports, and their one blocking
-// protocol: a blocking wait (a receive with no matching message, a host
-// barrier with peers missing) parks the calling rank, yielding its worker
-// token, and a delivery or release that satisfies the wait moves the rank
-// from parked to runnable. Transports reach it through their bound
-// Coordinator's Parker method.
-//
-// The protocol is lost-wakeup safe without requiring Park and Wake to be
-// ordered: a Wake for a rank that has not parked yet is remembered as
-// pending, and that rank's next Park returns immediately. Spurious returns
-// are therefore possible and callers must re-check their wait condition in
-// a loop.
-type Parker interface {
-	// Park blocks the calling rank until a Wake (or WakeAll) aimed at it,
-	// releasing its worker token while it waits. Must be called with no
-	// transport locks held.
-	Park(rank int)
-	// Wake moves rank from parked to runnable (or marks a pending wake if
-	// it has not parked yet). Safe to call with transport locks held.
-	Wake(rank int)
-	// WakeAll wakes every parked rank and marks every non-parked rank's
-	// next Park as pending — the abort/stall-declared broadcast. Safe to
-	// call with transport locks held, and from any goroutine.
-	WakeAll()
-}
-
-// parkerOf returns, for a waker, the Parker of the run in flight on the
-// machine bound as c. Nil — no coordinator bound, or no run in flight —
-// means there is no parked rank to wake: the next blocking call reads the
-// down flag for itself. Wakers outside the ranks (ipc readers, the watcher,
-// Abort, System.Close) call it between runs too.
-func parkerOf(c Coordinator) Parker {
-	if c == nil {
-		return nil
-	}
-	return c.Parker()
-}
-
 // calendarExecutor is the engine that drives Machine.Run: the virtual
 // processors run on partitions, a goroutine each, with execution order owned
 // by virtual-time calendars instead of the host scheduler. Programs produce
@@ -110,18 +72,19 @@ func parkerOf(c Coordinator) Parker {
 // battery's GOMAXPROCS=1 row pins.
 //
 // Stall detection belongs to the engine: a parked rank is a continuation,
-// not a blocked goroutine, and with k workers the machine's blocked count
-// crosses its live count constantly, so the scheduler itself triggers
-// exactly one CheckStalled at each true quiescence. idle counts the
-// partitions whose token is free; it moves only under the lock of the
-// partition that changes state, so the Park or finish whose increment
-// brings it to w saw, at that instant, every token free and (by the
-// invariant above) every calendar empty — with ranks unfinished, the only
-// state from which no send can ever happen again without outside help, and
-// that caller alone runs the check.
-// Every live rank is then blocked, which is what the transports' stall
-// snapshot confirms, so deadlock verdicts and chaos retransmission rounds
-// land at the same program states at every partition count.
+// not a blocked goroutine, so the scheduler itself triggers exactly one
+// CheckStalled at each true quiescence. idle counts the partitions whose
+// token is free; it moves only under the lock of the partition that
+// changes state, so the Park or finish whose increment brings it to w saw,
+// at that instant, every token free and (by the invariant above) every
+// calendar empty — with ranks unfinished, the only state from which no
+// send can ever happen again without outside help, and that caller alone
+// runs the check. No rank then sits between publishing its wait and
+// parking: it holds its token until it parks. The check is the transport's
+// mailbox snapshot, the one stall oracle: the mailboxes' waiting flags
+// against live, the engine's count of unfinished local ranks, with no
+// waiter's stream pending. So deadlock verdicts and chaos retransmission
+// rounds land at the same program states at every partition count.
 //
 // Like the paper's processor declaration, which lasts as long as the
 // program, a partition's goroutine lasts as long as the engine's machine:
@@ -155,22 +118,20 @@ type calendarExecutor struct {
 	body func(p *Proc) error
 	step StepFunc // non-nil: the run's ranks are step rows
 	errs []error
-	self Parker // e, boxed once: what m.parker points at during a run
 
 	// The layout: the run's cut, its parts and per copied here for the
 	// lookup every Park and Wake makes.
 	parts  []calPartition
 	per    int // ranks per partition: rank r belongs to parts[(r-lo)/per]
 	lo, hi int // the cuts' local window
-	nl     int // local rank count actually executing here (hi - lo)
 	stats  CalendarStats
 
 	// The two words every partition writes, on a line of their own: the
 	// fields above are read by every Park and Wake.
-	_        [64]byte
-	idle     atomic.Int32 // partitions whose token is free
-	finished atomic.Int32 // local ranks whose body has returned
-	_        [64]byte
+	_    [64]byte
+	idle atomic.Int32 // partitions whose token is free
+	live atomic.Int32 // local ranks of the run in flight not yet finished; 0 between runs
+	_    [64]byte
 
 	// Rank-indexed; a rank's entries are guarded by its partition's lock.
 	parked  []bool // r is waiting for a Wake
@@ -256,18 +217,16 @@ func (s *CalendarStats) add(o CalendarStats) {
 // min(GOMAXPROCS, n) at Execute time, and requests above n are clamped to
 // n. A body run takes a partition per rank whatever the count.
 func NewCalendarExecutor(workers int) *calendarExecutor {
-	e := &calendarExecutor{req: workers}
-	e.self = e
-	return e
+	return &calendarExecutor{req: workers}
 }
 
 // Execute runs one program per processor of m — body, or with step non-nil
 // its step form (see StepFunc), which the transport can then serve — and
 // returns when all of them have finished. Per-rank errors (including
 // recovered panics and runtime.Goexit, converted to errors) are written to
-// errs[rank]. m is already reset; Execute publishes its Parker before any
-// rank runs, and retires each rank as it finishes so the live count stays
-// honest. It may be called from a goroutine locked to its OS thread.
+// errs[rank]. m is already reset; Execute publishes itself as m's run in
+// flight before any rank runs, and counts each rank out of live as it
+// finishes. It may be called from a goroutine locked to its OS thread.
 func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, step StepFunc, errs []error) {
 	n := m.n
 	nl := m.hi - m.lo
@@ -290,7 +249,7 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, step St
 		// slices about to be dropped.
 		e.endPartsLocked()
 		e.cuts[0].per, e.cuts[1].per = 0, 0
-		e.lo, e.hi, e.nl = m.lo, m.hi, nl
+		e.lo, e.hi = m.lo, m.hi
 		e.parked = make([]bool, n)
 		e.pending = make([]bool, n)
 		e.begun = nil
@@ -328,7 +287,7 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, step St
 	// without a goroutine — on the cut's first run, after a Close, or
 	// after its one rank's Goexit — gets one, which waits for its grant.
 	e.idle.Store(0)
-	e.finished.Store(0)
+	e.live.Store(int32(nl))
 	for k := range e.parts {
 		pt := &e.parts[k]
 		pt.mu.Lock()
@@ -355,9 +314,9 @@ func (e *calendarExecutor) Execute(m *Machine, body func(p *Proc) error, step St
 	}
 	e.mu.Unlock()
 
-	// Publish the parker before any rank is granted: every blocking wait
-	// of this run parks through the calendar.
-	m.setParker(&e.self)
+	// Publish the run before any rank is granted: every blocking wait of
+	// this run parks through the calendar.
+	m.coord.run.Store(e)
 
 	e.wg.Add(nl)
 	for k := range e.parts {
@@ -464,7 +423,7 @@ func (e *calendarExecutor) runStep(c *calCut, pt *calPartition, r int) (next int
 
 // exit is rank r's exit path however its body or step ended — returned
 // (returned), panicked (rec) or called runtime.Goexit (neither): it records
-// r's error, retires r and passes its token on, returning the rank the
+// r's error, counts r out of live and passes its token on, returning the rank the
 // token went to. A Goexit also ends the goroutine r ran on: a one-rank
 // partition's, which the next run replaces, or a step partition's, which
 // runStep replaces at once — the partition's other ranks are mid-run.
@@ -482,7 +441,6 @@ func (e *calendarExecutor) exit(r int, returned bool, rec any) (next int) {
 		e.errs[r] = fmt.Errorf("machine: processor %d called runtime.Goexit", r)
 		e.m.tr.Abort()
 	}
-	e.m.retire()
 	next = e.finish(r)
 	if goexit && e.per == 1 {
 		e.partOf(r).alive = false
@@ -524,7 +482,19 @@ func (c *calCut) end() {
 	c.exits.Wait()
 }
 
-// Park gives up the calling rank's token and blocks until a Wake. A wake
+// Park, Wake and WakeAll are the transports' one blocking protocol: a
+// blocking wait (a receive with no matching message, a host barrier with
+// peers missing) parks the calling rank, yielding its worker token, and a
+// delivery or release that satisfies the wait moves the rank from parked
+// to runnable. Transports reach the engine as their coordinator's run in
+// flight. The protocol is lost-wakeup safe without requiring Park and Wake
+// to be ordered: a Wake for a rank that has not parked yet is remembered
+// as pending, and that rank's next Park returns immediately. Spurious
+// returns are therefore possible, and callers re-check their wait
+// condition in a loop.
+
+// Park gives up the calling rank's token and blocks until a Wake; it must
+// be called with no transport lock held. A wake
 // that raced ahead of the park (the sender ran on another worker between
 // this rank publishing its wait and parking) is consumed here and Park
 // returns immediately — the caller's re-check loop does the rest. A step
@@ -571,7 +541,7 @@ func (e *calendarExecutor) park(pt *calPartition, rank int) (next int, parked bo
 // parked[rank] under the partition's lock orders that write before this
 // read) and grants the token if the partition was idle; a wake for a rank
 // that has not parked yet is remembered as pending. Only local ranks park,
-// so only local ranks are woken.
+// so only local ranks are woken. Safe to call with transport locks held.
 func (e *calendarExecutor) Wake(rank int) {
 	pt := e.partOf(rank)
 	pt.mu.Lock()
@@ -586,7 +556,8 @@ func (e *calendarExecutor) Wake(rank int) {
 // index order; no other path holds two) until all of them are restarted, so
 // a partition that drains at once cannot make the machine look quiescent
 // while its neighbours are still to be woken. A WakeAll that finds no run in
-// flight only marks wakes pending, which the next Execute clears.
+// flight only marks wakes pending, which the next Execute clears. Safe to
+// call with transport locks held, and from any goroutine.
 func (e *calendarExecutor) WakeAll() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -642,14 +613,23 @@ func (e *calendarExecutor) passLocked(pt *calPartition) (next int, quiet bool) {
 	}
 	pt.busy = false
 	pt.stats.Idles++
-	return -1, int(e.idle.Add(1)) == len(e.parts) && int(e.finished.Load()) < e.nl
+	return -1, int(e.idle.Add(1)) == len(e.parts) && e.live.Load() > 0
+}
+
+// quiescent reports, from outside the ranks, what passLocked detects as it
+// happens: the run in flight has every partition's token free with ranks
+// unfinished. e.mu keeps Execute from rewriting the layout under the look.
+func (e *calendarExecutor) quiescent() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.running && int(e.idle.Load()) == len(e.parts) && e.live.Load() > 0
 }
 
 // finish passes a completed rank's token on and returns the rank it went to;
 // like Park it triggers the stall check when it completes a quiescence
 // (ranks parked on streams only a now-finished rank could have fed).
 func (e *calendarExecutor) finish(rank int) int {
-	e.finished.Add(1)
+	e.live.Add(-1)
 	pt := e.partOf(rank)
 	pt.mu.Lock()
 	next, quiet := e.passLocked(pt)

@@ -26,17 +26,6 @@ import (
 // failing processor's error.
 var ErrWorkerLost = errors.New("machine: ipc worker process lost")
 
-// stallRechecker is the optional coordinator extension the IPC transport
-// uses to re-run the machine's stall decision from its own delivery
-// goroutines: when the last in-flight frame drains, whichever transport
-// stack the machine actually runs (the chaos wrapper when present, so
-// retransmission fires too) must get another CheckStalled look, because the
-// rank whose Blocked() triggered the previous look could not see frames
-// that were still crossing the socket.
-type stallRechecker interface {
-	RecheckStall()
-}
-
 // Worker status flags (the first word of a stall-plane state; see
 // nodeReport) and the distinguished abort sequence of the execution
 // protocol.
@@ -45,16 +34,6 @@ const (
 	probeFinished      uint64 = 1 << 1 // every local rank finished; results streamed or streaming
 	abortStallDeclared uint64 = 1      // KindAbort Seq: coordinator declared a distributed stall
 )
-
-// bufPool is the optional coordinator extension giving transports access to
-// the machine-wide message buffer pool, so a transport that unpacks
-// payloads off a wire (rather than handing over the sender's own buffer)
-// can keep its steady state allocation-free: every serialized send releases
-// its buffer here and every decoded delivery reacquires one.
-type bufPool interface {
-	acquirePooled(n int) []float64
-	releasePooled(buf []float64)
-}
 
 // IPCTransport is the cross-process transport: the paper's loosely coupled
 // machine with the looseness made real. The coordinator process (the one
@@ -85,8 +64,6 @@ type bufPool interface {
 type IPCTransport struct {
 	localPlane
 	linkSet
-	pool    bufPool
-	recheck stallRechecker
 
 	startMu    sync.Mutex // serializes start; guards startDone/startErr/cmds/listenAddr
 	startDone  bool
@@ -262,14 +239,6 @@ func NewIPCTransport(n, nnodes int) *IPCTransport {
 	return t
 }
 
-// Bind installs the machine's coordinator (nil for standalone use) and
-// picks up its optional pool and stall-recheck capabilities.
-func (t *IPCTransport) Bind(c Coordinator) {
-	t.localPlane.Bind(c)
-	t.pool, _ = c.(bufPool)
-	t.recheck, _ = c.(stallRechecker)
-}
-
 // DownReason returns the structured cause of the current down state (a
 // wrapped ErrWorkerLost when a worker process died), or nil.
 func (t *IPCTransport) DownReason() error {
@@ -304,23 +273,6 @@ func (t *IPCTransport) WorkerProcs() []int {
 		procs[i] = cn.procs
 	}
 	return procs
-}
-
-// acquire supplies payload buffers for decoded Deliver frames from the
-// machine pool when bound, satisfying wire.ReadFrame's hook signature.
-func (t *IPCTransport) acquire(n int) []float64 {
-	if t.pool != nil {
-		return t.pool.acquirePooled(n)
-	}
-	return make([]float64, n)
-}
-
-// release recycles a payload buffer (an encoded send's, a decoded control
-// frame's) through the machine pool when bound.
-func (t *IPCTransport) release(p []float64) {
-	if t.pool != nil && p != nil {
-		t.pool.releasePooled(p)
-	}
 }
 
 // Send routes a message: intra-node traffic goes straight to the mailbox;
@@ -361,7 +313,7 @@ func (t *IPCTransport) Send(src, dst int, tag Tag, data []float64, arrival float
 		}
 		return
 	}
-	t.release(data)
+	t.coord.release(data)
 }
 
 // announceBarrier broadcasts a released barrier generation to the workers
@@ -502,9 +454,9 @@ func (t *IPCTransport) probeStalled() bool { return t.stalledCheck(false) }
 //     socket's written-frame count equals the worker's received count and
 //     the worker's forwarded count equals the coordinator's delivered
 //     count, i.e. zero frames in flight in either direction.
-//  2. Evaluate the local stall condition (all mailbox locks held, live
-//     count confirmed by the machine, no waiter has a matching pending
-//     message), then probe again and require the second snapshot to be
+//  2. Evaluate the local stall condition (all mailbox locks held, as many
+//     waiters as the engine has live ranks, no waiter has a matching
+//     pending message), then probe again and require the second snapshot to be
 //     quiescent and identical to the first.
 //
 // Two identical quiescent snapshots bracket the local evaluation: no frame
@@ -823,7 +775,7 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 	var scratch []byte
 	var f wire.Frame
 	for {
-		if err := wire.ReadFrame(br, &f, &scratch, t.acquire); err != nil {
+		if err := wire.ReadFrame(br, &f, &scratch, t.coord.acquire); err != nil {
 			if !t.closed.Load() {
 				t.workerFailed(cn, err)
 			}
@@ -839,7 +791,7 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 				gen = f.A
 			}
 			if er = t.exec.Load(); er == nil || gen != er.gen {
-				t.release(f.Payload)
+				t.coord.release(f.Payload)
 				continue
 			}
 		}
@@ -915,7 +867,7 @@ func (t *IPCTransport) readLoop(cn *ipcConn) {
 			t.workerFailed(cn, err)
 			return
 		}
-		t.release(f.Payload)
+		t.coord.release(f.Payload)
 	}
 }
 
@@ -1003,8 +955,8 @@ func (t *IPCTransport) watchLoop() {
 				// machine-side recheck has nothing to look at — the
 				// coordinator drives the distributed verdict itself.
 				t.execProbe(er)
-			} else if t.recheck != nil {
-				t.recheck.RecheckStall()
+			} else {
+				t.coord.RecheckStall()
 			}
 		}
 	}

@@ -809,7 +809,7 @@ func (w *ipcWorker) peerLoop(pl *peerLink) error {
 			return fmt.Errorf("FIFO gap: data frame seq %d after %d", f.Seq, pl.recv.Load())
 		}
 		woke, err := t.deliverBatch(pl.node, f.Payload, f.B)
-		t.release(f.Payload)
+		t.coord.release(f.Payload)
 		// Counted only now: a state snapshot must never include a frame
 		// whose messages are not all in the mailboxes yet.
 		pl.recv.Add(1)

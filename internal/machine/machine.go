@@ -51,18 +51,10 @@ type Machine struct {
 	// Proc.TryRecv calls, and what lets a run take its program's step form.
 	stepper stepper
 
-	dmu     sync.Mutex // guards blocked and live
-	blocked int        // processors currently waiting in Recv
-	live    int        // processors still executing the current Run body
-
-	// exec is the engine driving Run; parker holds its Parker while a
-	// run is in flight (nil between runs) —
-	// atomic because transports read it from Send/Abort/CheckStalled paths
-	// that may run on external goroutines while Run publishes or clears
-	// it — and errs is the pooled per-rank error slice reused across runs.
-	exec   *calendarExecutor
-	parker atomic.Pointer[Parker]
-	errs   []error
+	// exec is the engine driving Run, and errs the pooled per-rank error
+	// slice reused across runs.
+	exec *calendarExecutor
+	errs []error
 	// cleanup ends exec's partition goroutines once the machine is unreachable
 	// (see Close); re-armed by SetExecutor.
 	cleanup runtime.Cleanup
@@ -73,82 +65,62 @@ type Machine struct {
 	// content between its ranks; see Intern.
 	interned *internTable
 
-	// coord adapts the machine to the transport's Coordinator interface
-	// without exposing the callbacks as Machine methods (and without
-	// allocating: &m.coord shares the machine's allocation).
+	// coord is the machine's face toward its transport; &m.coord shares
+	// the machine's allocation.
 	coord coordinator
 }
 
-// coordinator implements Coordinator on behalf of its Machine.
-type coordinator struct{ m *Machine }
-
-// Blocked counts a processor parked in Recv. The count feeds ConfirmStall;
-// the stall check itself is triggered by the engine's quiescence detection
-// (with k workers multiplexing n ranks, blocked >= live is the steady
-// state, not a suspicion).
-func (c *coordinator) Blocked() {
-	m := c.m
-	m.dmu.Lock()
-	m.blocked++
-	m.dmu.Unlock()
+// coordinator is what a transport reaches of its machine: the engine of
+// the run in flight, which every blocking wait parks through and every
+// delivery or release wakes through, the stall recheck, and the
+// machine-wide buffer pool tier. A transport holds its machine's (nil when
+// it stands alone: then it never blocks).
+type coordinator struct {
+	m *Machine
+	// run is the engine while a run is in flight, nil between runs. Atomic
+	// because transports read it from Send, Abort and CheckStalled paths
+	// that may run on external goroutines while Run publishes or clears it.
+	run atomic.Pointer[calendarExecutor]
 }
 
-// Parker returns the Parker of the run in flight, nil between runs; see
-// the Parker interface.
-func (c *coordinator) Parker() Parker {
-	if p := c.m.parker.Load(); p != nil {
-		return *p
+// engine returns the engine of the run in flight: nil with no run in
+// flight, or on a nil coordinator. Wakers outside the ranks (ipc readers,
+// the watcher, Abort, System.Close) call it between runs too; nil means
+// there is no parked rank to wake, and the next blocking call reads the
+// down flag for itself.
+func (c *coordinator) engine() *calendarExecutor {
+	if c == nil {
+		return nil
 	}
-	return nil
-}
-
-// Unblocked counts a parked processor's resume.
-func (c *coordinator) Unblocked() {
-	m := c.m
-	m.dmu.Lock()
-	m.blocked--
-	m.dmu.Unlock()
-}
-
-// ConfirmStall is called by the transport's CheckStalled with all transport
-// locks held: it re-checks, under the machine's counter lock, that every
-// live processor is currently counted as blocked, returning the live count
-// (or -1 to veto).
-func (c *coordinator) ConfirmStall() int {
-	m := c.m
-	m.dmu.Lock()
-	defer m.dmu.Unlock()
-	if m.live > 0 && m.blocked >= m.live {
-		return m.live
-	}
-	return -1
+	return c.run.Load()
 }
 
 // RecheckStall re-runs the stall decision on behalf of a transport whose
-// delivery pipeline just drained (the IPC transport's watcher; see
-// stallRechecker): the quiescence that ran the previous check could not
-// see frames still in flight, so the drain gets another look. blocked >=
-// live is the engine's steady state, but the transport's CheckStalled
-// re-confirms every condition (including the engine's own quiescence
-// through ConfirmStall's counters), so a false trigger is a no-op. Routing
-// through m.tr enters at the top of the transport stack: with a chaos
-// wrapper, the recheck drives fault recovery too.
+// delivery pipeline just drained (the IPC transport's watcher, a worker's
+// peer reader): the quiescence that ran the previous check could not see
+// frames still in flight, so the drain gets another look — if the engine
+// is quiescent now. Where it is not, the park or finish that completes the
+// next quiescence runs the check itself. The transport's CheckStalled
+// re-confirms every condition under its locks, so a look that finds
+// nothing is a no-op. Routing through m.tr enters at the top of the
+// transport stack: with a chaos wrapper, the recheck drives fault
+// recovery too.
 func (c *coordinator) RecheckStall() {
-	m := c.m
-	m.dmu.Lock()
-	suspicious := m.live > 0 && m.blocked >= m.live
-	m.dmu.Unlock()
-	if suspicious {
-		m.tr.CheckStalled()
+	if e := c.engine(); e != nil && e.quiescent() {
+		c.m.tr.CheckStalled()
 	}
 }
 
-// acquirePooled and releasePooled expose the machine-wide buffer pool tier
-// to the transport (see bufPool): a transport that serializes payloads onto
-// a wire returns the sender's buffer here on encode and draws the
-// receiver's buffer on decode, keeping the two-process round trip as
-// allocation-free as the in-memory handoff it replaces.
-func (c *coordinator) acquirePooled(n int) []float64 {
+// acquire and release expose the machine-wide buffer pool tier to the
+// transport: a transport that serializes payloads onto a wire returns the
+// sender's buffer here on encode and draws the receiver's buffer on
+// decode, keeping the two-process round trip as allocation-free as the
+// in-memory handoff it replaces. On a nil coordinator acquire allocates
+// and release drops the buffer.
+func (c *coordinator) acquire(n int) []float64 {
+	if c == nil {
+		return make([]float64, n)
+	}
 	if n == 0 {
 		return nil
 	}
@@ -162,7 +134,10 @@ func (c *coordinator) acquirePooled(n int) []float64 {
 	return make([]float64, n)
 }
 
-func (c *coordinator) releasePooled(buf []float64) {
+func (c *coordinator) release(buf []float64) {
+	if c == nil {
+		return
+	}
 	if cl := capClass(cap(buf)); cl >= 0 {
 		c.m.bufs.put(cl, buf[:0])
 	}
@@ -190,8 +165,8 @@ func NewFederated(n, nodes int, cost CostModel) *Machine {
 // machine's rank space locally (the IPC worker's sub-machine): ranks in
 // [lo, hi) execute here, the rest exist only as message endpoints reached
 // through the transport. The engine then drives only the local window, and
-// the deadlock live-count covers local ranks alone — remote progress is
-// the transport's to observe.
+// its live count covers local ranks alone — remote progress is the
+// transport's to observe.
 type localRanker interface {
 	LocalRanks() (lo, hi int)
 }
@@ -362,13 +337,6 @@ func (m *Machine) SetDirect(on bool) { m.direct = on }
 // Direct reports the machine's derivation mode; see SetDirect.
 func (m *Machine) Direct() bool { return m.direct }
 
-// setParker publishes the run's Parker to the transports (nil clears it
-// when the run ends); the engine owns the boxed interface, so publishing
-// allocates nothing. Atomic so coordinator.Parker sees a consistent value
-// from any goroutine, including transport callbacks running outside the
-// ranks.
-func (m *Machine) setParker(p *Parker) { m.parker.Store(p) }
-
 // CalendarStats returns what the engine's scheduler did during the most
 // recent Run — parks, wakes, grants by hand-off and from idle, summed over
 // its partitions (one per processor for a body).
@@ -408,10 +376,6 @@ type StepFunc func(p *Proc, resume bool) (done bool, err error)
 // values, messages and clocks are the program's either way. A nil step is
 // Run.
 func (m *Machine) RunSteps(body func(p *Proc) error, step StepFunc) error {
-	m.dmu.Lock()
-	m.blocked = 0
-	m.live = m.hi - m.lo
-	m.dmu.Unlock()
 	m.tr.Reset()
 	for _, p := range m.procs {
 		p.reset()
@@ -427,11 +391,11 @@ func (m *Machine) RunSteps(body func(p *Proc) error, step StepFunc) error {
 	if step != nil && !canStep(m.tr) {
 		step = nil
 	}
-	// The engine publishes its Parker (via setParker) before granting
+	// The engine publishes itself as the run in flight before granting
 	// any rank; clearing it afterwards tells late wakers that there is no
 	// run to wake.
 	m.exec.Execute(m, body, step, m.errs)
-	m.setParker(nil)
+	m.coord.run.Store(nil)
 	for _, err := range m.errs {
 		if err != nil {
 			return err
@@ -478,15 +442,6 @@ func (m *Machine) ProcClock(rank int) float64 { return m.procs[rank].clock }
 // reports per-rank outcomes — the IPC worker shipping one RankResult per
 // local rank — reads the rest from here.
 func (m *Machine) RankErrors() []error { return m.errs }
-
-// retire marks the calling processor's body as finished. A finish that
-// leaves every live processor blocked is a quiescence, which the engine
-// detects and checks (see coordinator.Blocked).
-func (m *Machine) retire() {
-	m.dmu.Lock()
-	m.live--
-	m.dmu.Unlock()
-}
 
 // procAbort carries a structured per-processor failure through the panic
 // machinery inside Run; it never escapes the package.

@@ -50,7 +50,7 @@ type mailbox struct {
 	pending int    // messages put and not yet taken
 	shift   uint8  // 64 - log2(len(cells)): the hash keeps its top bits
 	// await/waiting describe the receive the owner is blocked on, for
-	// targeted wakeups and deadlock detection.
+	// targeted wakeups and the stall snapshot.
 	await   msgKey
 	waiting bool
 }
@@ -186,13 +186,13 @@ func (mb *mailbox) reset() {
 
 // boxSet is the match/park/stall/abort core every bundled transport is a
 // configuration of: one mailbox per rank of the window [lo, lo+len(boxes)),
-// the bound Coordinator and the down flag. SharedTransport,
+// the bound coordinator and the down flag. SharedTransport,
 // FederatedTransport and IPCTransport run it over the whole machine (through
 // localPlane); WorkerTransport runs it over its node's window.
 type boxSet struct {
 	boxes []mailbox
 	lo    int // boxes[i] is rank lo+i's mailbox
-	coord Coordinator
+	coord *coordinator
 	down  atomic.Bool
 }
 
@@ -206,7 +206,7 @@ func (s *boxSet) initBoxes(lo, n int) {
 func (s *boxSet) Down() bool { return s.down.Load() }
 
 // deliver places a message in dst's mailbox and, if dst is waiting for
-// exactly this stream, wakes it through the machine's Parker (moving dst
+// exactly this stream, wakes it through the run's engine (moving dst
 // from parked to runnable on its calendar). A waiting owner means a run in
 // flight that cannot end before this wake: dst leaves its receive only under
 // the mailbox lock held here. Only the destination's mailbox lock is taken,
@@ -219,7 +219,7 @@ func (s *boxSet) deliver(src, dst int, tag Tag, data []float64, arrival float64)
 	mb.putLocked(k, message{data: data, arrival: arrival})
 	woke := mb.waiting && mb.await == k
 	if woke {
-		s.coord.Parker().Wake(dst)
+		s.coord.engine().Wake(dst)
 	}
 	mb.mu.Unlock()
 	return woke
@@ -228,39 +228,28 @@ func (s *boxSet) deliver(src, dst int, tag Tag, data []float64, arrival float64)
 // tryRecv is one receive attempt that never parks: it takes the oldest
 // message matching (src, tag) from dst's mailbox (recvOK), reports the
 // transport down (recvDown), or reports that the caller would block
-// (recvWait). A first miss publishes what dst is waiting for and then
-// counts dst blocked, in that order: once the machine's blocked count
-// reaches its live count, the stall snapshot must be able to see every
-// blocked processor's awaited key. A retry after a wake finds the wait
-// already published and reports recvWait again without a second Blocked;
-// the attempt that ends the wait, with a message or on a down transport,
-// withdraws it and counts dst unblocked, once. A caller that got recvWait
-// must retry the same (src, tag) before any other receive.
+// (recvWait). A miss publishes what dst is waiting for, under the mailbox
+// lock and before the caller can park, so the stall snapshot sees every
+// parked receiver's awaited key; the attempt that ends the wait, with a
+// message or on a down transport, withdraws it under the same lock. A
+// caller that got recvWait must retry the same (src, tag) before any other
+// receive.
 func (s *boxSet) tryRecv(dst, src int, tag Tag) ([]float64, float64, recvState) {
 	mb := &s.boxes[dst-s.lo]
 	k := msgKey{src: src, tag: tag}
 	mb.mu.Lock()
 	msg, ok := mb.takeLocked(k)
 	if ok || s.down.Load() {
-		waited := mb.waiting
 		mb.waiting = false
 		mb.mu.Unlock()
-		if waited {
-			s.coord.Unblocked()
-		}
 		if !ok {
 			return nil, 0, recvDown
 		}
 		return msg.data, msg.arrival, recvOK
 	}
-	if mb.waiting {
-		mb.mu.Unlock()
-		return nil, 0, recvWait
-	}
 	mb.await = k
 	mb.waiting = true
 	mb.mu.Unlock()
-	s.coord.Blocked()
 	return nil, 0, recvWait
 }
 
@@ -269,7 +258,7 @@ func (s *boxSet) stepping() bool { return true }
 
 // Recv blocks the calling endpoint until a message matching (src, tag) is
 // available in dst's mailbox, then returns it, parking the calling rank
-// through the machine's Parker while it waits: try, else park, repeat. A
+// through the run's engine while it waits: try, else park, repeat. A
 // Wake that raced ahead of the park (the message arrived between the
 // attempt and the park) makes the park return at once, and the next attempt
 // takes the message. ok is false if the transport went down (deadlock or
@@ -280,52 +269,53 @@ func (s *boxSet) Recv(dst, src int, tag Tag) ([]float64, float64, bool) {
 		if st != recvWait {
 			return data, arrival, st == recvOK
 		}
-		s.coord.Parker().Park(dst)
+		s.coord.engine().Park(dst)
 	}
 }
 
-// stalled is the all-locks stall snapshot: true when every live processor
-// of the window is blocked and none of them has a pending message matching
-// its awaited key. It takes all mailbox locks (in rank order) to get a
-// consistent snapshot; with every lock held, "all live processors waiting
-// and no matches anywhere" means no rank of the window can send again — a
-// true deadlock when the window is the whole machine, the node's stalled
-// flag when it is not. With every lock held it asks the coordinator's
-// ConfirmStall for the live count (-1 vetoes).
+// stalled is the all-locks stall snapshot, the machine's one stall oracle:
+// true when at least live ranks of the window are waiting in a receive and
+// none of them has a pending message matching its awaited key, where live
+// is the engine's count of the run's unfinished local ranks. It takes all
+// mailbox locks (in rank order) to get a consistent snapshot; with every
+// lock held, "every live rank waiting and no matches anywhere" means no
+// rank of the window can send again — a true deadlock when the window is
+// the whole machine, the node's stalled flag when it is not.
 //
-// A processor that has been woken but not yet re-counted shows
-// waiting==false, which keeps the waiting count below live and prevents a
-// false positive while it finishes proceeding.
+// A rank running, parked in a barrier, or woken and past its receive shows
+// waiting==false, which keeps the waiting count below live. A rank woken
+// by a delivery but not yet past its receive still shows waiting, but its
+// message is pending. One that has published its wait and not yet parked
+// cannot send before it is woken, so it counts as waiting.
 //
 // With declare, a stall marks the set down (under the locks, so the verdict
 // is atomic with the snapshot) and wakes everyone; without, it only
 // evaluates — the non-destructive look the chaos layer, the relay probe and
-// the worker's stall-plane state take. False with no coordinator bound or
-// when already down.
+// the worker's stall-plane state take. False with no run in flight or when
+// already down.
 func (s *boxSet) stalled(declare bool) bool {
-	if s.coord == nil {
+	e := s.coord.engine()
+	if e == nil {
 		return false
 	}
 	for i := range s.boxes {
 		s.boxes[i].mu.Lock()
 	}
 	stalled := false
-	if !s.down.Load() {
-		if live := s.coord.ConfirmStall(); live > 0 {
-			waiting := 0
-			canProceed := false
-			for i := range s.boxes {
-				mb := &s.boxes[i]
-				if !mb.waiting {
-					continue
-				}
-				waiting++
-				if mb.hasLocked(mb.await) {
-					canProceed = true
-				}
+	if live := int(e.live.Load()); live > 0 && !s.down.Load() {
+		waiting := 0
+		canProceed := false
+		for i := range s.boxes {
+			mb := &s.boxes[i]
+			if !mb.waiting {
+				continue
 			}
-			stalled = waiting >= live && !canProceed
+			waiting++
+			if mb.hasLocked(mb.await) {
+				canProceed = true
+			}
 		}
+		stalled = waiting >= live && !canProceed
 	}
 	if stalled && declare {
 		s.down.Store(true)
@@ -350,8 +340,8 @@ func (s *boxSet) takeDown() {
 // is set. With no run in flight there is none: the next blocking call reads
 // the flag itself.
 func (s *boxSet) wakeAll() {
-	if pk := parkerOf(s.coord); pk != nil {
-		pk.WakeAll()
+	if e := s.coord.engine(); e != nil {
+		e.WakeAll()
 	}
 }
 
@@ -389,14 +379,14 @@ func (p *localPlane) Size() int { return len(p.boxes) }
 
 // Bind installs the machine's coordinator (nil for a transport that never
 // blocks; see Transport.Bind).
-func (p *localPlane) Bind(c Coordinator) { p.coord = c }
+func (p *localPlane) Bind(c *coordinator) { p.coord = c }
 
 // Barrier parks the calling endpoint until all endpoints arrive.
 func (p *localPlane) Barrier(rank int) bool {
 	if rank < 0 || rank >= len(p.boxes) {
 		panic(fmt.Sprintf("machine: barrier from invalid rank %d", rank))
 	}
-	return p.bar.await(rank, &p.down, p.coord.Parker())
+	return p.bar.await(rank, &p.down, p.coord.engine())
 }
 
 // Reset clears all mailboxes, the barrier and the down flag, keeping

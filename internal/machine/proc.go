@@ -303,7 +303,7 @@ func (p *Proc) TryRecv(src int, tag Tag) ([]float64, bool) {
 // that TryRecv. A wake may come early, so the caller loops. TryRecv
 // followed by Wait until the TryRecv succeeds is Recv. A step rank must not
 // call Wait: it returns from its step instead, and the engine parks it.
-func (p *Proc) Wait() { p.m.coord.Parker().Park(p.rank) }
+func (p *Proc) Wait() { p.m.exec.Park(p.rank) }
 
 // checkSrc panics on a receive from outside the machine.
 func (p *Proc) checkSrc(src int) {

@@ -102,18 +102,38 @@ func runForm(t *testing.T, m *Machine, scripts [][]kahnOp, steps bool, partOf fu
 	if err := m.RunSteps(body, step); err != nil {
 		t.Fatal(err)
 	}
-	// Every wait was counted blocked once and unblocked once, however
-	// many times its rank retried the receive.
-	m.dmu.Lock()
-	if m.blocked != 0 {
-		t.Errorf("%d receivers still counted blocked after a clean run", m.blocked)
+	// Every published wait was withdrawn, however many times its rank
+	// retried the receive.
+	if w := waitingLeft(m.tr); w != 0 {
+		t.Errorf("%d mailboxes still marked waiting after a clean run", w)
 	}
-	m.dmu.Unlock()
 	for r := 0; r < n; r++ {
 		res.stats[r], res.clocks[r] = m.ProcStats(r), m.ProcClock(r)
 	}
 	return res, calls.Load()
 }
+
+// waitingLeft counts the mailboxes of tr's core (or of a chaos wrapper's
+// base) that are marked waiting.
+func waitingLeft(tr Transport) int {
+	if c, ok := tr.(*ChaosTransport); ok {
+		tr = c.base
+	}
+	s := tr.(interface{ core() *boxSet }).core()
+	w := 0
+	for i := range s.boxes {
+		mb := &s.boxes[i]
+		mb.mu.Lock()
+		if mb.waiting {
+			w++
+		}
+		mb.mu.Unlock()
+	}
+	return w
+}
+
+// core returns the mailbox core a transport embeds.
+func (s *boxSet) core() *boxSet { return s }
 
 func sameKahn(t *testing.T, what string, got, want kahnResult) {
 	t.Helper()

@@ -6,8 +6,8 @@ import (
 )
 
 // Transport is the communication substrate of a Machine: it moves message
-// payloads between processor endpoints and implements the blocked-receiver
-// bookkeeping the machine's deadlock detector relies on. The Machine layers
+// payloads between processor endpoints and keeps, in its mailboxes, the
+// awaited streams the machine's deadlock detector reads. The Machine layers
 // virtual-time accounting (clocks, overheads, stats, tracing) on top; a
 // Transport only stores, matches and delivers.
 //
@@ -22,7 +22,7 @@ import (
 //
 // The bundled transports are configurations of one mailbox core (mailbox.go,
 // federated.go). boxSet owns a per-rank mailbox array over a rank window,
-// the bound Coordinator and the down flag: deliver-and-wake, the receive
+// the bound coordinator and the down flag: deliver-and-wake, the receive
 // attempt and the parking loop over it, the all-locks stall snapshot,
 // clearing and take-down.
 // linkSet owns the node partition, the per-directed-node-pair traffic census
@@ -94,21 +94,20 @@ type Transport interface {
 	Down() bool
 
 	// CheckStalled decides, atomically with respect to all sends and
-	// receives, whether the machine has deadlocked. With every internal
-	// lock held it asks the bound coordinator's ConfirmStall, which
-	// returns the number of live processors if all of them are counted
-	// as blocked (and -1 to veto the check). If at least that many
-	// receivers are parked with no pending message matching their
-	// awaited stream, no future send can ever occur: the transport marks
-	// itself down, wakes everyone, and returns true. With no coordinator
-	// bound it reports false.
+	// receives, whether the machine has deadlocked. With every mailbox
+	// lock held it counts the receivers marked waiting: if they are at
+	// least the run's live count (the engine's unfinished local ranks)
+	// and none has a pending message matching its awaited stream, no
+	// future send can ever occur, so the transport marks itself down,
+	// wakes everyone and returns true. With no coordinator bound or no
+	// run in flight it reports false.
 	CheckStalled() bool
 
 	// Bind installs the machine's coordinator. It is called once, before
 	// any traffic. A transport with none bound (nil) can be sent through,
 	// drained, aborted and reset, but cannot block: every blocking wait
-	// parks through the coordinator's Parker.
-	Bind(c Coordinator)
+	// parks through the engine of the coordinator's run in flight.
+	Bind(c *coordinator)
 }
 
 // stepper is a transport whose receive can answer "would block" instead of
@@ -160,29 +159,6 @@ func canStep(tr Transport) bool {
 	return ok && s.stepping()
 }
 
-// Coordinator is the owning machine's face toward its transport: the engine
-// every blocking wait parks through, and the callbacks a Transport must
-// invoke around blocking waits so parked processors can be counted for
-// deadlock detection. Machine implements it without per-call allocation. A
-// transport blocks only under a machine: with no coordinator it has no
-// Parker to block with.
-type Coordinator interface {
-	// Parker returns the Parker of the run in flight: ranks park through
-	// it, and deliveries and releases wake them through it. Nil between
-	// runs, when there is no rank to wake.
-	Parker() Parker
-	// Blocked is called after a receiver has published the stream it is
-	// waiting for, before it parks. No transport locks are held.
-	Blocked()
-	// Unblocked is called after a parked receiver resumes (with a
-	// message or on a down transport). No transport locks are held.
-	Unblocked()
-	// ConfirmStall is called by CheckStalled with every transport lock
-	// held: it returns the live processor count if all live processors
-	// are currently counted as blocked, and -1 to veto the stall check.
-	ConfirmStall() int
-}
-
 // hostBarrier is the generation-counted barrier shared by the bundled
 // transports. It synchronizes host goroutines, not virtual clocks.
 type hostBarrier struct {
@@ -202,10 +178,11 @@ type hostBarrier struct {
 	onRelease func(gen uint64)
 }
 
-// await parks the caller through pk until all size endpoints have arrived,
-// reporting false if down was raised while waiting. The down path needs no
-// barrier-local wakeup: whatever raised down broadcasts a WakeAll.
-func (b *hostBarrier) await(rank int, down *atomic.Bool, pk Parker) bool {
+// await parks the caller through the run's engine e until all size
+// endpoints have arrived, reporting false if down was raised while waiting.
+// The down path needs no barrier-local wakeup: whatever raised down
+// broadcasts a WakeAll.
+func (b *hostBarrier) await(rank int, down *atomic.Bool, e *calendarExecutor) bool {
 	b.mu.Lock()
 	if down.Load() {
 		b.mu.Unlock()
@@ -223,7 +200,7 @@ func (b *hostBarrier) await(rank int, down *atomic.Bool, pk Parker) bool {
 		// a woken rank cannot re-enter await (and append to waiters)
 		// until this unlock.
 		for _, w := range b.waiters {
-			pk.Wake(w)
+			e.Wake(w)
 		}
 		b.waiters = b.waiters[:0]
 		b.mu.Unlock()
@@ -232,7 +209,7 @@ func (b *hostBarrier) await(rank int, down *atomic.Bool, pk Parker) bool {
 	b.waiters = append(b.waiters, rank)
 	for b.gen == gen && !down.Load() {
 		b.mu.Unlock()
-		pk.Park(rank)
+		e.Park(rank)
 		b.mu.Lock()
 	}
 	released := b.gen != gen

@@ -57,8 +57,6 @@ type WorkerTransport struct {
 	node    int
 	hi      int
 	gen     uint64 // run generation; rebind moves a cached transport to the next
-	pool    bufPool
-	recheck stallRechecker
 	host    workerIO
 
 	reasonMu sync.Mutex
@@ -105,13 +103,8 @@ func (t *WorkerTransport) Size() int { return t.n }
 // localRanker.
 func (t *WorkerTransport) LocalRanks() (lo, hi int) { return t.lo, t.hi }
 
-// Bind installs the sub-machine's coordinator and picks up its buffer pool
-// and stall-recheck capabilities.
-func (t *WorkerTransport) Bind(c Coordinator) {
-	t.coord = c
-	t.pool, _ = c.(bufPool)
-	t.recheck, _ = c.(stallRechecker)
-}
+// Bind installs the sub-machine's coordinator.
+func (t *WorkerTransport) Bind(c *coordinator) { t.coord = c }
 
 // DownReason returns the structured cause of the down state, or nil — nil
 // after a declared distributed stall, so blocked receivers unwind with
@@ -131,22 +124,8 @@ func (t *WorkerTransport) MessageTime(cost CostModel, src, dst, b int) float64 {
 }
 
 // acquire supplies payload buffers for decoded Data frames from the
-// sub-machine's pool when bound.
-func (t *WorkerTransport) acquire(n int) []float64 {
-	if t.pool != nil {
-		return t.pool.acquirePooled(n)
-	}
-	return make([]float64, n)
-}
-
-// release recycles a buffer acquire supplied once its contents have been
-// copied out (the batch container of a multi-message Data frame; the
-// per-message buffers are owned by the mailboxes they are delivered to).
-func (t *WorkerTransport) release(buf []float64) {
-	if t.pool != nil && buf != nil {
-		t.pool.releasePooled(buf)
-	}
-}
+// sub-machine's pool.
+func (t *WorkerTransport) acquire(n int) []float64 { return t.coord.acquire(n) }
 
 // deliverBatch completes the inter-node crossing of one multi-message Data
 // frame from node from: p holds msgs records in peerLink's batch layout.
@@ -183,11 +162,7 @@ func (t *WorkerTransport) deliverBatch(from int, p []float64, msgs uint64) (woke
 // that woke no rank: the state the node last reported predates the frame,
 // and if the node is still stalled with it consumed, only a fresh report
 // lets the coordinator's cut rule see it.
-func (t *WorkerTransport) recheckStall() {
-	if t.recheck != nil {
-		t.recheck.RecheckStall()
-	}
-}
+func (t *WorkerTransport) recheckStall() { t.coord.RecheckStall() }
 
 // Send routes a message: intra-node to the mailbox fast path, inter-node
 // onto the destination node's peer socket as a Data frame. The sender's
@@ -199,9 +174,7 @@ func (t *WorkerTransport) Send(src, dst int, tag Tag, data []float64, arrival fl
 		return
 	}
 	t.host.sendRemote(t.gen, src, dst, dst/t.perNode, tag, data, arrival)
-	if t.pool != nil && data != nil {
-		t.pool.releasePooled(data)
-	}
+	t.coord.release(data)
 }
 
 // Barrier blocks the calling local rank until every rank of the whole
@@ -229,11 +202,11 @@ func (t *WorkerTransport) Barrier(rank int) bool {
 		g = t.localGen + 1
 	}
 	if t.released < g {
-		pk := t.coord.Parker()
+		e := t.coord.engine()
 		t.waiters = append(t.waiters, rank)
 		for t.released < g && !t.down.Load() {
 			t.bmu.Unlock()
-			pk.Park(rank)
+			e.Park(rank)
 			t.bmu.Lock()
 		}
 	}
@@ -245,17 +218,17 @@ func (t *WorkerTransport) Barrier(rank int) bool {
 // releaseBarrier applies the coordinator's release of host-barrier
 // generation g (every node announced it); called from the worker's read
 // loop. Waiters left behind by a run that went down are not woken once the
-// run has ended (there is no Parker); rebind forgets them.
+// run has ended (there is no engine to wake through); rebind forgets them.
 func (t *WorkerTransport) releaseBarrier(g uint64) {
 	t.bmu.Lock()
 	if g > t.released {
 		t.released = g
 	}
-	if pk := parkerOf(t.coord); pk != nil {
+	if e := t.coord.engine(); e != nil {
 		// Waking under bmu keeps the waiter list intact: a woken rank
 		// cannot re-enter Barrier (and append again) until the unlock.
 		for _, w := range t.waiters {
-			pk.Wake(w)
+			e.Wake(w)
 		}
 		t.waiters = t.waiters[:0]
 	}

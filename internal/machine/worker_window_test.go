@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,10 +91,13 @@ func await(tb testing.TB, ch <-chan struct{}, what string) {
 	}
 }
 
-// twoWorkers is the window battery's extra layout: the engine pinned at two
-// workers, so that every window of two ranks or more is split into two
-// partitions whose first rank is not rank 0 — whatever -cpu the battery
-// runs under.
+// twoWorkers is the engine pinned at two workers. A body run takes a
+// partition per rank whatever the count, so in forEachWindowFleet, whose
+// programs are bodies, its row only pins that a pinned count leaves a body
+// run's layout alone. TestWindowStepsMatchBody runs step programs at it:
+// there every window of two ranks or more is split into two shared
+// partitions, the first starting past rank 0 on every node but node 0,
+// whatever -cpu the battery runs under.
 var twoWorkers = layout{"calendar/2workers", 2}
 
 // newLoopFleet builds nnodes windowed machines over an n-rank space, all on
@@ -168,7 +172,7 @@ func (f *loopFleet) rebind(gen uint64) {
 }
 
 // forEachWindowFleet runs f over 2- and 4-node fleets of n ranks on both
-// layouts, and on the engine pinned at two workers.
+// layouts, and on the engine pinned at two workers (see twoWorkers).
 func forEachWindowFleet(t *testing.T, n int, cost CostModel, fn func(t *testing.T, f *loopFleet)) {
 	t.Helper()
 	for _, l := range []layout{perRank, defaultLayout, twoWorkers} {
@@ -504,4 +508,60 @@ func TestWindowStallStatus(t *testing.T) {
 			}
 		}
 	})
+}
+
+func TestWindowStepsMatchBody(t *testing.T) {
+	// Seeded Kahn scripts in their step form over windowed machines at two
+	// workers: each window is two shared partitions, and every local
+	// quiescence checks the window's snapshot against the engine's live
+	// count. Each node's ranks reach the values, counters and clocks of the
+	// body form on one shared machine, again after a rebind, and leave no
+	// mailbox marked waiting.
+	const n = 12
+	scripts := kahnScripts(rand.New(rand.NewSource(n)), n, 4)
+	want, _ := runForm(t, New(n, IPSC2()), scripts, false, nil, nil)
+	for _, nnodes := range []int{2, 3} {
+		t.Run(fmt.Sprintf("%dnodes", nnodes), func(t *testing.T) {
+			f := newLoopFleet(t, n, nnodes, twoWorkers, IPSC2())
+			got := kahnResult{values: make([]float64, n)}
+			var calls atomic.Int64
+			body, step := kahnProgram(t, scripts, &got, &calls, nil, nil)
+			for gen := uint64(1); gen <= 2; gen++ {
+				if gen > 1 {
+					f.rebind(gen)
+				}
+				calls.Store(0)
+				errs := make([]error, nnodes)
+				var wg sync.WaitGroup
+				for node, m := range f.ms {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs[node] = m.RunSteps(body, step)
+					}()
+				}
+				wg.Wait()
+				for node, m := range f.ms {
+					if errs[node] != nil {
+						t.Fatalf("gen %d node %d: %v", gen, node, errs[node])
+					}
+					if st := m.CalendarStats(); st.Partitions != 2 || st.Starts != 0 {
+						t.Errorf("gen %d node %d: %d partitions, %d one-rank goroutines started; want 2 shared partitions", gen, node, st.Partitions, st.Starts)
+					}
+					if w := waitingLeft(m.Transport()); w != 0 {
+						t.Errorf("gen %d node %d: %d mailboxes still marked waiting", gen, node, w)
+					}
+					for r := f.trs[node].lo; r < f.trs[node].hi; r++ {
+						if got.values[r] != want.values[r] || m.ProcStats(r) != want.stats[r] || m.ProcClock(r) != want.clocks[r] {
+							t.Errorf("gen %d rank %d: value %v clock %v stats %+v, shared body form %v, %v, %+v", gen, r,
+								got.values[r], m.ProcClock(r), m.ProcStats(r), want.values[r], want.clocks[r], want.stats[r])
+						}
+					}
+				}
+				if calls.Load() < n {
+					t.Errorf("gen %d: %d step calls for %d ranks", gen, calls.Load(), n)
+				}
+			}
+		})
+	}
 }
