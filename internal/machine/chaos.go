@@ -84,7 +84,6 @@ type nodeLocator interface {
 type ChaosTransport struct {
 	base   Transport
 	probe  stallProber // base's stall probe
-	coord  *coordinator
 	nodeOf func(rank int) int
 	active atomic.Bool
 
@@ -283,11 +282,8 @@ func (t *ChaosTransport) resetRunStateLocked() {
 // Size returns the number of endpoints.
 func (t *ChaosTransport) Size() int { return t.base.Size() }
 
-// Bind installs the machine's coordinator on the wrapper and the base.
-func (t *ChaosTransport) Bind(c *coordinator) {
-	t.coord = c
-	t.base.Bind(c)
-}
+// Bind installs the machine's coordinator on the base.
+func (t *ChaosTransport) Bind(c *coordinator) { t.base.Bind(c) }
 
 // Down reports whether the transport has gone down since the last Reset.
 func (t *ChaosTransport) Down() bool { return t.base.Down() }
@@ -607,9 +603,6 @@ func (t *ChaosTransport) stepping() bool { return !t.active.Load() && canStep(t.
 func (t *ChaosTransport) CheckStalled() bool {
 	if !t.active.Load() {
 		return t.base.CheckStalled()
-	}
-	if t.coord == nil {
-		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -456,8 +456,8 @@ func (t *IPCTransport) probeStalled() bool { return t.stalledCheck(false) }
 //     count, i.e. zero frames in flight in either direction.
 //  2. Evaluate the local stall condition (all mailbox locks held, as many
 //     waiters as the engine has live ranks, no waiter has a matching
-//     pending message), then probe again and require the second snapshot to be
-//     quiescent and identical to the first.
+//     pending message), then probe again and require the second snapshot
+//     to be quiescent and identical to the first.
 //
 // Two identical quiescent snapshots bracket the local evaluation: no frame
 // moved on any socket in the interval containing it, so the local snapshot
