@@ -423,10 +423,10 @@ func (e *calendarExecutor) runStep(c *calCut, pt *calPartition, r int) (next int
 
 // exit is rank r's exit path however its body or step ended — returned
 // (returned), panicked (rec) or called runtime.Goexit (neither): it records
-// r's error, counts r out of live and passes its token on, returning the rank the
-// token went to. A Goexit also ends the goroutine r ran on: a one-rank
-// partition's, which the next run replaces, or a step partition's, which
-// runStep replaces at once — the partition's other ranks are mid-run.
+// r's error, counts r out of live and passes its token on, returning the
+// rank the token went to. A Goexit also ends the goroutine r ran on: a
+// one-rank partition's, which the next run replaces, or a step partition's,
+// which runStep replaces at once — the partition's other ranks are mid-run.
 func (e *calendarExecutor) exit(r int, returned bool, rec any) (next int) {
 	goexit := false
 	if rec != nil {
@@ -494,13 +494,13 @@ func (c *calCut) end() {
 // condition in a loop.
 
 // Park gives up the calling rank's token and blocks until a Wake; it must
-// be called with no transport lock held. A wake
-// that raced ahead of the park (the sender ran on another worker between
-// this rank publishing its wait and parking) is consumed here and Park
-// returns immediately — the caller's re-check loop does the rest. A step
-// rank has no stack to block on: it returns from its step instead, and
-// Park refuses it. A body rank has its partition to itself, so it waits on
-// the partition's gate for the grant that brings the token back.
+// be called with no transport lock held. A wake that raced ahead of the
+// park (the sender ran on another worker between this rank publishing its
+// wait and parking) is consumed here and Park returns immediately — the
+// caller's re-check loop does the rest. A step rank has no stack to block
+// on: it returns from its step instead, and Park refuses it. A body rank
+// has its partition to itself, so it waits on the partition's gate for the
+// grant that brings the token back.
 func (e *calendarExecutor) Park(rank int) {
 	if e.step != nil {
 		panic(fmt.Sprintf("machine: processor %d blocked inside its step; a step returns where it would block", rank))
