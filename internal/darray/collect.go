@@ -443,6 +443,7 @@ func (a *Array) gatherToDirect(sc machine.Scope, rootIdx int) []float64 {
 		size *= ext[d]
 	}
 	out := make([]float64, size)
+	var walk []int
 	for m := 0; m < g.Size(); m++ {
 		var pack []float64
 		if m == me {
@@ -451,7 +452,7 @@ func (a *Array) gatherToDirect(sc machine.Scope, rootIdx int) []float64 {
 			pack = st.p.Recv(g.RankAt(m), sc.Tag(uint16(m)))
 		}
 		k := 0
-		a.memberOwnedEach(m, func(idx []int) {
+		walk = a.memberOwnedEach(m, walk, func(idx []int) {
 			off := 0
 			for d := 0; d < nd; d++ {
 				off = off*ext[d] + idx[d]
@@ -468,29 +469,37 @@ func (a *Array) gatherToDirect(sc machine.Scope, rootIdx int) []float64 {
 
 // memberOwnedEach visits the global indices (free dims) owned by the grid
 // member with row-major index m, in the same order that member's OwnedEach
-// would visit them.
-func (a *Array) memberOwnedEach(m int, visit func(idx []int)) {
+// would visit them. walk is the walk's scratch, the member's root grid
+// coordinate and four ints per free dimension: a caller visiting many
+// members passes back what the previous call returned (nil the first
+// time), so one scratch serves them all.
+func (a *Array) memberOwnedEach(m int, walk []int, visit func(idx []int)) []int {
 	st := a.st
-	rank := a.grid.RankAt(m)
-	coord, ok := st.rootGrid().CoordOf(rank)
-	if !ok {
-		panic("darray: grid member outside root grid")
-	}
 	nd := 0
 	for _, f := range a.pfix {
 		if f < 0 {
 			nd++
 		}
 	}
-	if nd == 0 {
-		return
+	ng := st.rootGrid().Dims()
+	// One backing array for the coordinate and the walk's four
+	// per-dimension slices.
+	if cap(walk) < ng+4*nd {
+		walk = make([]int, ng+4*nd)
 	}
-	// One backing array for the walk's four per-dimension slices.
-	walk := make([]int, 4*nd)
-	free := walk[0*nd : 1*nd]
-	sizes := walk[1*nd : 2*nd]
-	locals := walk[2*nd : 3*nd]
-	idx := walk[3*nd : 4*nd]
+	walk = walk[:ng+4*nd]
+	coord := walk[:ng]
+	if !st.rootGrid().CoordInto(a.grid.RankAt(m), coord) {
+		panic("darray: grid member outside root grid")
+	}
+	if nd == 0 {
+		return walk
+	}
+	free := walk[ng+0*nd : ng+1*nd]
+	sizes := walk[ng+1*nd : ng+2*nd]
+	locals := walk[ng+2*nd : ng+3*nd]
+	idx := walk[ng+3*nd : ng+4*nd]
+	clear(locals)
 	k := 0
 	for sd, f := range a.pfix {
 		if f < 0 {
@@ -507,7 +516,7 @@ func (a *Array) memberOwnedEach(m int, visit func(idx []int)) {
 			sizes[k] = a.dists[sd].Size(q, a.extents[sd], P)
 		}
 		if sizes[k] == 0 {
-			return
+			return walk
 		}
 	}
 	for {
@@ -531,7 +540,7 @@ func (a *Array) memberOwnedEach(m int, visit func(idx []int)) {
 			d--
 		}
 		if d < 0 {
-			return
+			return walk
 		}
 	}
 }

@@ -3,6 +3,7 @@ package darray
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -249,19 +250,41 @@ func (a *Array) gatherPlanFor(me, rootIdx int) *gatherPlan {
 		ext[d] = a.Extent(d)
 		rt.size *= ext[d]
 	}
+	// Every member's runs go into one slab, in member order, and a run
+	// never continues across a member's start. The slab may move while it
+	// grows, so a member's Runs only carries its length until every member
+	// is in; the members' starts are then the running sum of those lengths.
+	// Member 0's run count, times the members, is the first guess at the
+	// slab's size: exact on even blocks.
+	var slab []sched.Run
+	var walk []int
 	for k := range rt.Recvs {
 		mu := &rt.Recvs[k]
-		mu.Peer, mu.Part, mu.Runs = g.RankAt(k)-self, uint16(k), make([]sched.Run, 0, 8)
-		a.memberOwnedEach(k, func(idx []int) {
+		mu.Peer, mu.Part = g.RankAt(k)-self, uint16(k)
+		start := len(slab)
+		walk = a.memberOwnedEach(k, walk, func(idx []int) {
 			off := 0
 			for d := 0; d < nd; d++ {
 				off = off*ext[d] + idx[d]
 			}
-			mu.Runs = appendRun(mu.Runs, off)
+			if len(slab) == start {
+				slab = append(slab, sched.Run{Off: off, Len: 1})
+			} else {
+				slab = appendRun(slab, off)
+			}
 			mu.N++
 		})
+		mu.Runs = slab[start:]
+		if k == 0 {
+			slab = slices.Grow(slab, len(slab)*(len(rt.Recvs)-1))
+		}
 	}
-	rt.Compact()
+	start := 0
+	for k := range rt.Recvs {
+		end := start + len(rt.Recvs[k].Runs)
+		rt.Recvs[k].Runs = slab[start:end:end]
+		start = end
+	}
 	pl := &gatherPlan{peer: peer, pack: a.packRuns(), root: rt}
 	a.plans = append(a.plans, viewPlan{key: rootIdx, gather: pl})
 	return pl

@@ -103,7 +103,13 @@ func (er *execRun) failWith(err error) {
 // plain counts and no clock reads on the coordinator. The per-node rows are
 // measured inside the workers and shipped home in the result batch.
 type ExecStats struct {
-	StallReports  int64 // worker quiescence reports received
+	// StallReports counts the worker quiescence reports received. It
+	// follows the host's timing, not only the program: a worker reports
+	// the state its 1 ms debounce timer finds when it fires (see
+	// stallReportDelay), so which intermediate states get reported, and
+	// how many, varies from run to run of the same binary. Read it as a
+	// rate with its own spread, never as an exact count.
+	StallReports  int64
 	CandidateCuts int64 // reports that completed a candidate cut
 	ProbeRounds   int64 // probe rounds issued
 	Verdicts      int64 // distributed stalls declared

@@ -231,18 +231,19 @@ func pinAllocs(t *testing.T, name string, measured float64, runs int, f func()) 
 // the E4 ADI experiment on a 2x2 grid.
 func TestColdSystemAllocs(t *testing.T) {
 	x0, f := jacobi.Problem(256)
-	// 8,781-8,782, of which about 3 per shared descriptor are its intern
-	// entry's weak pointer and cleanup (12,588 while every rank compiled its halo
-	// schedule and gather runs and then interned them by their encoded
-	// content, 12,736 while the sweep held computed rows back in a ring,
-	// 12,751 while a root view's layout was also interned apart from its
-	// class part); 14,596-14,597 while every rank built its own view, loop
-	// header, options, stencil binding, iteration grid and snapshots
-	// (14,516 while the table held its values for good); 19,902 when every
-	// rank kept its own layouts, halo schedule, gather runs, row program
-	// and grid slices, 20,157 when every partition's calendar was its own
-	// allocation.
-	pinAllocs(t, "cold jacobi(256, 2) on Grid(16, 16), federated/4", 8781, 5, func() {
+	// 7,760-7,761, of which about 3 per shared descriptor are its intern
+	// entry's weak pointer and cleanup (8,781 while the gather root built
+	// each member's runs in a slice, walk scratch and coordinate of their
+	// own, 12,588 while every rank compiled its halo schedule and gather
+	// runs and then interned them by their encoded content, 12,736 while
+	// the sweep held computed rows back in a ring, 12,751 while a root
+	// view's layout was also interned apart from its class part);
+	// 14,596-14,597 while every rank built its own view, loop header,
+	// options, stencil binding, iteration grid and snapshots (14,516 while
+	// the table held its values for good); 19,902 when every rank kept its
+	// own layouts, halo schedule, gather runs, row program and grid slices,
+	// 20,157 when every partition's calendar was its own allocation.
+	pinAllocs(t, "cold jacobi(256, 2) on Grid(16, 16), federated/4", 7761, 5, func() {
 		sys := core.MustSystem(core.Grid(16, 16), core.Transport("federated"), core.Nodes(4),
 			core.Cost(machine.ZeroComm()))
 		defer sys.Close()
@@ -256,13 +257,14 @@ func TestColdSystemAllocs(t *testing.T) {
 			e4 = e
 		}
 	}
-	// 677 through Entry.Run, which also closes the System (707 while halo
+	// 664 through Entry.Run, which also closes the System (677 while the
+	// gather root built each member's runs apart, 707 while halo
 	// schedules and gather runs were compiled before they were interned,
 	// 717 while a root view's layout was interned apart from its class
 	// part, 677 while the intern table held its values for good); 761
 	// before descriptors were shared by position class (758 when first
 	// pinned, calling the experiment directly).
-	pinAllocs(t, "cold experiments E4", 677, 5, func() {
+	pinAllocs(t, "cold experiments E4", 664, 5, func() {
 		if _, _, err := e4.Run(core.Spec{}); err != nil {
 			t.Fatal(err)
 		}

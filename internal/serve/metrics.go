@@ -78,6 +78,9 @@ type Metrics struct {
 
 	// The ipc execution plane's own counters, summed over every run whose
 	// ranks executed inside worker processes (core.Run.Exec).
+	// kfserve_ipc_stall_reports_total sums ExecStats.StallReports, which
+	// follows the workers' 1 ms debounce timer and so the host's timing:
+	// the same requests add a different count from run to run.
 	ipcStallReports, ipcProbeRounds, ipcPeerFrames, ipcWorkerCPUMicros atomic.Int64
 }
 
