@@ -497,9 +497,8 @@ func (a *Array) memberOwnedEach(m int, walk []int, visit func(idx []int)) []int 
 	}
 	free := walk[ng+0*nd : ng+1*nd]
 	sizes := walk[ng+1*nd : ng+2*nd]
-	locals := walk[ng+2*nd : ng+3*nd]
+	locals := walk[ng+2*nd : ng+3*nd] // zero: a walk ends with every one rolled over
 	idx := walk[ng+3*nd : ng+4*nd]
-	clear(locals)
 	k := 0
 	for sd, f := range a.pfix {
 		if f < 0 {
