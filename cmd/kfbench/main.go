@@ -17,7 +17,7 @@
 //	kfbench -chaos s.json -seed 7 -chaos-report R.json E1  # override seed, save report
 //	kfbench -serve-bench localhost:7070    # mixed-tenant load against a live kfserve
 //
-// -transport selects, by registry name (machine.RegisterTransport), the
+// -transport selects, by name (machine.NewTransportByName), the
 // message-delivery substrate the experiments' systems are built on, and
 // -nodes the federation node count (clamped per system to a divisor of its
 // processor count, since the suite's machines come in many sizes). Values

@@ -8,7 +8,10 @@
 //
 // Each revision is exported with `git archive <rev> | tar -x` into a
 // temporary directory (a directory given as -change is used as it is), and
-// its ./bench is built there once, offline. Pair i runs both binaries with
+// its ./bench is built there once, offline, with -trimpath, so that the
+// binary does not depend on the directory it was built in. The header
+// prints each binary's SHA-256 and says when the two are identical: then
+// the series is an A/A of one binary. Pair i runs both binaries with
 // `-workload w -seed s -seconds t -trace 0`, the base first in even pairs
 // and the change first in odd ones, and reads each run's last line of
 // standard output: the JSON object the bench ends its report with. A run
@@ -39,6 +42,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -82,7 +86,7 @@ func main() {
 // compare builds both sides under work, runs the pairs and prints the
 // table.
 func compare(w io.Writer, work, base, change, workload string, pairs int, seconds float64, seed int64) error {
-	var bins [2]string
+	var bins, sums [2]string
 	var better map[string]string
 	for i, rev := range []string{base, change} {
 		tree, err := export(work, fmt.Sprint("side", i), rev)
@@ -96,9 +100,7 @@ func compare(w io.Writer, work, base, change, workload string, pairs int, second
 		}
 		bins[i] = filepath.Join(work, fmt.Sprint("bench", i))
 		log.Printf("building %s", rev)
-		build := exec.Command("go", "build", "-buildvcs=false", "-o", bins[i], "./bench")
-		build.Dir, build.Stderr = tree, os.Stderr
-		if err := build.Run(); err != nil {
+		if sums[i], err = build(tree, bins[i]); err != nil {
 			return fmt.Errorf("building %s: %w", rev, err)
 		}
 	}
@@ -108,8 +110,32 @@ func compare(w io.Writer, work, base, change, workload string, pairs int, second
 		return err
 	}
 	fmt.Fprintf(w, "%s, %d pairs of -seconds %g, seed %d: base %s, change %s\n\n", workload, pairs, seconds, seed, base, change)
+	fmt.Fprintf(w, "bench sha256: base %s, change %s%s\n\n", sums[0], sums[1], sameBinary(sums))
 	printTable(w, runs, better)
 	return nil
+}
+
+// build builds tree's ./bench into out with -trimpath and returns the
+// binary's SHA-256, in hex.
+func build(tree, out string) (string, error) {
+	cmd := exec.Command("go", "build", "-trimpath", "-buildvcs=false", "-o", out, "./bench")
+	cmd.Dir, cmd.Stderr = tree, os.Stderr
+	if err := cmd.Run(); err != nil {
+		return "", err
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(data)), nil
+}
+
+// sameBinary is the header's note on two identical binaries.
+func sameBinary(sums [2]string) string {
+	if sums[0] == sums[1] {
+		return " (identical: an A/A of one binary)"
+	}
+	return ""
 }
 
 // export returns a directory holding rev's tree: rev itself when it is a

@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -91,6 +92,46 @@ func TestPairedVerdicts(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "ops failed: base 0 of 100, change 10 of 100") {
 		t.Error("the failed ops are not summed per side")
+	}
+}
+
+// TestBuildIsPathIndependent: two exports of one tree, in directories of
+// different names and depths, build to the same binary — the same SHA-256
+// and the header's identity note — and a changed tree to another.
+func TestBuildIsPathIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds three binaries")
+	}
+	work := t.TempDir()
+	tree := func(dir, msg string) string {
+		dir = filepath.Join(work, dir)
+		for name, body := range map[string]string{
+			"go.mod":        "module fakebench\n\ngo 1.24\n",
+			"bench/main.go": "package main\n\nimport \"fmt\"\n\nfunc main() { fmt.Println(" + strconv.Quote(msg) + ") }\n",
+		} {
+			path := filepath.Join(dir, name)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	var sums [3]string
+	for i, dir := range []string{tree("side0", "a"), tree("another/side1", "a"), tree("side2", "b")} {
+		sum, err := build(dir, filepath.Join(work, fmt.Sprint("bench", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums[i] = sum
+	}
+	if sums[0] != sums[1] || sameBinary([2]string{sums[0], sums[1]}) == "" {
+		t.Errorf("two exports of one tree built to %s and %s", sums[0], sums[1])
+	}
+	if sums[0] == sums[2] || sameBinary([2]string{sums[0], sums[2]}) != "" {
+		t.Errorf("a changed tree built to the same binary %s", sums[2])
 	}
 }
 

@@ -86,8 +86,8 @@ func Grid(shape ...int) Option {
 	}
 }
 
-// Transport selects the message-delivery substrate by its registry name
-// (machine.RegisterTransport); new transports resolve the same way.
+// Transport selects the message-delivery substrate by its name
+// (machine.NewTransportByName).
 // Unknown names surface as errors from NewSystem.
 func Transport(name string) Option {
 	return func(s *Spec) error {

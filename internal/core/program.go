@@ -26,7 +26,9 @@ type Program struct {
 	// false to start a processor's run and, each time it reports done
 	// false, again with resume true once the processor is woken; done, it
 	// returns what Body would. A run takes the step form wherever its
-	// machine can, and Body elsewhere.
+	// machine can, and Body elsewhere. Every program of the registry
+	// (internal/progs) sets it; a literal program without it runs Body
+	// on a partition per processor.
 	Step func(c *kf.Ctx, resume bool) (out Output, done bool, err error)
 
 	// key and args identify a registry-built program (see RegisterProgram

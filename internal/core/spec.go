@@ -22,7 +22,7 @@ type Spec struct {
 	// Grid is the processor array shape; the machine has prod(Grid)
 	// processors.
 	Grid []int `json:"grid"`
-	// Transport is a registry name (machine.RegisterTransport); Nodes is
+	// Transport is a transport name (machine.NewTransportByName); Nodes is
 	// the federation's node count.
 	Transport string `json:"transport"`
 	Nodes     int    `json:"nodes"`

@@ -188,28 +188,42 @@ func (o onOwner2) ownedStrip2(c *Ctx) ([2]span, bool) {
 // in r's order, preserving r's stride phase: exactly the indices the
 // generic ownership scan would have executed.
 func eachOwned(r Range, s span, f func(i int)) {
-	step := r.Step
-	if step == 0 {
-		step = 1
-	}
+	start, end, step := ownedBounds(r, s)
 	if step > 0 {
-		start, end := r.Lo, min(s.hi, r.Hi)
-		if s.lo > start {
-			start += ((s.lo - start + step - 1) / step) * step
-		}
 		for i := start; i <= end; i += step {
 			f(i)
 		}
 	} else {
-		start, end := r.Lo, max(s.lo, r.Hi)
-		if s.hi < start {
-			start -= ((start - s.hi - step - 1) / -step) * -step
-		}
 		for i := start; i >= end; i += step {
 			f(i)
 		}
 	}
 }
+
+// ownedBounds returns eachOwned's indices as a loop: the first, the bound
+// and the stride.
+func ownedBounds(r Range, s span) (start, end, step int) {
+	step = r.Step
+	if step == 0 {
+		step = 1
+	}
+	if step > 0 {
+		start, end = r.Lo, min(s.hi, r.Hi)
+		if s.lo > start {
+			start += ((s.lo - start + step - 1) / step) * step
+		}
+	} else {
+		start, end = r.Lo, max(s.lo, r.Hi)
+		if s.hi < start {
+			start -= ((start - s.hi - step - 1) / -step) * -step
+		}
+	}
+	return start, end, step
+}
+
+// within reports whether a loop going by step from below end (above, for a
+// negative step) has not yet passed it at i.
+func within(i, end, step int) bool { return step > 0 && i <= end || step < 0 && i >= end }
 
 // LoopOpt prepares distributed data for a doall loop, implementing the
 // communication and copy-in/copy-out transformations the KF1 compiler would

@@ -111,30 +111,75 @@ func (c *Ctx) Plan1(r Range, on On1, opts ...LoopOpt) *Plan1 {
 // Run executes one pass of the compiled loop. It is semantically identical
 // to the Doall1 call the plan was compiled from (same phase accounting,
 // same communication, same iteration order); every processor of the plan's
-// grid must Run it in the same program order.
+// grid must Run it in the same program order. It is Step driven to the
+// end, waiting wherever a receive would block.
 func (pl *Plan1) Run(body func(cc *Ctx, i int)) {
-	c := pl.c
-	phase := pl.prepare()
-	cc := pl.child()
-	if pl.fast() {
-		if pl.sp.lo <= pl.sp.hi {
-			if pl.g == nil {
-				pl.g = pl.on.IterGrid(c, pl.sp.lo)
-			}
-			eachOwned(pl.r, pl.sp, func(i int) {
-				cc.bindIter(c, pl.g, phase, i)
-				body(cc, i)
-			})
+	var k Cursor
+	for !pl.Step(&k, func(cc *Ctx, i int) bool { body(cc, i); return true }) {
+		pl.c.P.Wait()
+	}
+}
+
+// Step advances one pass of the compiled loop from k, the way a step does
+// (see Steps): the loop options, then every owned iteration in order, then
+// the options' finish. body is an iteration as a step of its own — a line
+// solve, say: false where its receive would block, and called again for
+// the same iteration on the same bound context by the next Step, which
+// resumes there. False while an option or an iteration would block.
+func (pl *Plan1) Step(k *Cursor, body func(cc *Ctx, i int) bool) bool {
+	c, it := pl.c, &k.it
+	start, end, step := pl.bounds()
+	if !it.claimed {
+		if !pl.prepareStep(k) {
+			return false
 		}
-	} else {
-		pl.r.Each(func(i int) {
-			if pl.on.Owns(c, i) {
-				cc.bindIter(c, pl.on.IterGrid(c, i), phase, i)
-				body(cc, i)
+		it.claimed, it.ord, it.i = true, pl.claim(), start
+	}
+	cc := pl.child()
+	for ; within(it.i, end, step); it.i += step {
+		if !it.bound {
+			g := pl.iterGrid(it.i)
+			if g == nil {
+				continue
 			}
-		})
+			cc.bindIter(c, g, it.ord, it.i)
+			it.bound = true
+		}
+		if !body(cc, it.i) {
+			return false
+		}
+		it.bound = false
 	}
 	pl.finish()
+	return true
+}
+
+// bounds returns the indices a pass visits, as a loop: the owned strip's,
+// or the whole range's for the ownership scan.
+func (pl *Plan1) bounds() (start, end, step int) {
+	if pl.fast() {
+		return ownedBounds(pl.r, pl.sp)
+	}
+	step = pl.r.Step
+	if step == 0 {
+		step = 1
+	}
+	return pl.r.Lo, pl.r.Hi, step
+}
+
+// iterGrid returns the grid iteration i binds, nil when the calling
+// processor does not own i.
+func (pl *Plan1) iterGrid(i int) *topology.Grid {
+	if !pl.fast() {
+		if !pl.on.Owns(pl.c, i) {
+			return nil
+		}
+		return pl.on.IterGrid(pl.c, i)
+	}
+	if pl.g == nil {
+		pl.g = pl.on.IterGrid(pl.c, pl.sp.lo)
+	}
+	return pl.g
 }
 
 // Plan2 is a compiled two-dimensional doall header.
@@ -156,11 +201,27 @@ func (c *Ctx) Plan2(ri, rj Range, on On2, opts ...LoopOpt) *Plan2 {
 	return pl
 }
 
-// Run executes one pass of the compiled loop; see Plan1.Run.
+// Run executes one pass of the compiled loop; see Plan1.Run. It is Step
+// driven to the end, waiting wherever a receive would block.
 func (pl *Plan2) Run(body func(cc *Ctx, i, j int)) {
-	phase := pl.prepare()
-	pl.each(phase, body)
+	var k Cursor
+	for !pl.Step(&k, body) {
+		pl.c.P.Wait()
+	}
+}
+
+// Step advances one pass of the compiled loop from k, the way a step does
+// (see Steps): the loop options, then — once they are prepared — every
+// owned cell and the options' finish, which need no message. False while
+// an option's exchange would block; the next call with the same k resumes
+// it. The body is a closure over one cell and never communicates.
+func (pl *Plan2) Step(k *Cursor, body func(cc *Ctx, i, j int)) bool {
+	if !pl.prepareStep(k) {
+		return false
+	}
+	pl.each(pl.claim(), body)
 	pl.finish()
+	return true
 }
 
 // each runs body over the loop's owned cells, in the loop's order, as

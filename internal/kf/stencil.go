@@ -628,13 +628,7 @@ func (s *Stencil) Run() {
 // block; the next call with the same k resumes it.
 func (s *Stencil) Step(k *Cursor) bool {
 	if cp := s.cell; cp != nil {
-		pl := cp.pl
-		if !pl.prepareStep(k) {
-			return false
-		}
-		pl.each(pl.claim(), cp.body)
-		pl.finish()
-		return true
+		return cp.pl.Step(k, cp.body)
 	}
 	cls, c := s.cls, s.c
 	for ; k.opt < len(cls.opts); k.opt++ {

@@ -29,14 +29,21 @@ import (
 // where each Do runs its part of the body on the rank's state and the
 // run's arguments (the problem and the iteration count, which every call
 // passes again) and reports whether it completed. A Do that communicates
-// does so through the step forms of the runtime's collectives —
-// Stencil.Step, AllReduceMaxStep, GatherToStep — which report false where a
-// receive would block, keeping their place in the Cursor they are handed. The rank's continuation is a
-// Cont: the step, the iteration of a repeated step and that cursor, a few
-// words in the rank's state. Steps.Step runs the line from there until it
-// ends or a receive would block; Steps.Run is its blocking driver, the
-// body form of the same steps. Both forms send the same messages in the
-// same order and block at the same receives.
+// does so through the step forms of the runtime's loops and collectives —
+// Stencil.Step, Plan1.Step (whose per-iteration body is itself a step, a
+// line solve say), Plan2.Step (a closure over cells), AllReduceMaxStep,
+// GatherToStep — which report false where a receive would block, keeping
+// their place in the Cursor they are handed. A loop of several steps, such
+// as ADI's iteration (two sweeps, two families of line solves, a residual
+// and its all-reduce), is one Step with a Loop body. The rank's
+// continuation is a Cont: the step, the iteration of a repeated step, the
+// step within a loop body and that cursor, a few words in the rank's
+// state. Steps.Step runs the line from there until it ends or a receive
+// would block; Steps.Run is its blocking driver, the body form of the same
+// steps. Both forms send the same messages in the same order and block at
+// the same receives. The blocking loops and collectives (Plan1.Run,
+// Plan2.Run, Stencil.Run, AllReduceMax) are these step forms driven to the
+// end in the same way.
 
 // Steps is a parallel subroutine body declared as a straight line of steps
 // over the rank's state S and the run's arguments A; see the file comment.
@@ -47,30 +54,46 @@ type Steps[S, A any] []Step[S, A]
 // Step is one step of a Steps program. Do runs the step on the rank's
 // state and reports whether it completed; false means a receive would
 // block, and Do is called again with the same Cursor once the rank is
-// woken. Times, when set, is how many times the step runs in a row (a
-// loop; the Cursor starts afresh each time); nil is once.
+// woken. Loop, in place of Do, is a loop body of several such steps, run
+// in order. Times, when set, is how many times the step (or the loop body)
+// runs in a row (the Cursor starts afresh for each Do); nil is once.
 type Step[S, A any] struct {
 	Do    func(s *S, a A, c *Ctx, k *Cursor) bool
+	Loop  []func(s *S, a A, c *Ctx, k *Cursor) bool
 	Times func(a A) int
 }
 
 // Cont is a rank's place in a Steps program: the step, the iteration of a
-// repeated step and the cursor of the step in flight. The zero value is the
-// program's start.
+// repeated step, the step of a loop body and the cursor of the step in
+// flight. The zero value is the program's start.
 type Cont struct {
-	pc, iter int32
-	k        Cursor
+	pc, iter, sub int32
+	k             Cursor
 }
 
 // Cursor is where a step stands in its communication: the phase in
-// flight, the loop options a stencil pass has prepared, and the place of
-// the collective under way. The zero value is a step not yet begun.
+// flight, the loop options a pass has prepared, the iteration a Plan1 pass
+// has reached, and the place of the collective under way. The zero value
+// is a step not yet begun.
 type Cursor struct {
 	ph     phase
 	opt    int
+	it     iterCursor
 	tree   coll.Cursor
 	gather darray.GatherCursor
 }
+
+// iterCursor is a Plan1 pass's place among its iterations: whether it has
+// claimed its phase ordinal (and which), the iteration in flight, and
+// whether that iteration's context is bound.
+type iterCursor struct {
+	claimed, bound bool
+	ord, i         int
+}
+
+// Scope returns the step's message scope: taken from c on the step's first
+// call, and the same one on every call after.
+func (k *Cursor) Scope(c *Ctx) machine.Scope { return k.ph.scope(c) }
 
 // phase is one communication phase in flight: its message scope, its halo
 // replay's place, and whether it has taken the scope.
@@ -99,10 +122,20 @@ func (ss Steps[S, A]) Step(c *Ctx, s *S, a A, t *Cont) bool {
 			n = st.Times(a)
 		}
 		for ; int(t.iter) < n; t.iter++ {
-			if !st.Do(s, a, c, &t.k) {
-				return false
+			if st.Loop == nil {
+				if !st.Do(s, a, c, &t.k) {
+					return false
+				}
+				t.k = Cursor{}
+				continue
 			}
-			t.k = Cursor{}
+			for ; int(t.sub) < len(st.Loop); t.sub++ {
+				if !st.Loop[t.sub](s, a, c, &t.k) {
+					return false
+				}
+				t.k = Cursor{}
+			}
+			t.sub = 0
 		}
 		t.iter = 0
 	}

@@ -18,9 +18,8 @@ import (
 // means the program itself could never have proceeded.
 var ErrFaultAbort = errors.New("machine: fault-injection retry budget exhausted")
 
-// ChaosPrefix names chaos-wrapped transports in the registry: the transport
-// "chaos:federated" is a ChaosTransport around "federated". The prefix is
-// reserved — RegisterTransport rejects names that carry it.
+// ChaosPrefix names chaos-wrapped transports (NewTransportByName): the
+// transport "chaos:federated" is a ChaosTransport around "federated".
 const ChaosPrefix = "chaos:"
 
 // DownReasoner is an optional Transport extension: a transport that takes

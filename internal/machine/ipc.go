@@ -1019,18 +1019,3 @@ func (t *IPCTransport) Close() error {
 	}
 	return nil
 }
-
-func init() {
-	RegisterTransport("ipc", func(n, nodes int) (Transport, error) {
-		if n <= 0 {
-			return nil, fmt.Errorf("machine: transport needs a positive endpoint count, got %d", n)
-		}
-		if nodes <= 0 {
-			nodes = 1
-		}
-		if n%nodes != 0 {
-			return nil, fmt.Errorf("machine: an ipc federation of %d processors needs a node count dividing it, got %d", n, nodes)
-		}
-		return NewIPCTransport(n, nodes), nil
-	})
-}

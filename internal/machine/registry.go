@@ -2,53 +2,20 @@ package machine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 )
-
-// TransportFactory builds a transport with n processor endpoints federated
-// into `nodes` nodes. Transports without a node concept (the shared mailbox
-// array) accept nodes <= 1 and reject anything larger; federating transports
-// validate that nodes divides n. Factories return errors, never panic: the
-// registry is the surface user-facing configuration flows through, and a bad
-// node count is a configuration mistake, not a programming one.
-type TransportFactory func(n, nodes int) (Transport, error)
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]TransportFactory{}
-)
-
-// RegisterTransport adds a named transport constructor to the registry. The
-// facade (internal/core), the conformance suite and the benchmark tools all
-// resolve transports by these names, so a new transport — a cross-process
-// one, say — plugs into every one of them with a single Register call.
-// Registering an empty name, a nil factory, or a name twice panics: those
-// are programmer errors at package-init time, not runtime conditions.
-func RegisterTransport(name string, mk TransportFactory) {
-	if name == "" {
-		panic("machine: RegisterTransport with empty name")
-	}
-	if strings.HasPrefix(name, ChaosPrefix) {
-		panic(fmt.Sprintf("machine: RegisterTransport(%q): the %q prefix is reserved for chaos-wrapped transports (register the base name; the wrapped variant comes for free)", name, ChaosPrefix))
-	}
-	if mk == nil {
-		panic(fmt.Sprintf("machine: RegisterTransport(%q) with nil factory", name))
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("machine: transport %q registered twice", name))
-	}
-	registry[name] = mk
-}
 
 // NewTransportByName builds the named transport with n endpoints in `nodes`
-// nodes. A "chaos:<base>" name builds the base transport and wraps it in a
-// ChaosTransport (inactive until SetScenario installs faults). Unknown
-// names, malformed chaos: prefixes and invalid (n, nodes) combinations
-// return errors naming the registered alternatives.
+// nodes: "shared", "federated" or "ipc". The facade (internal/core), the
+// conformance suite and the benchmark tools all resolve transports by
+// these names. The shared mailbox array accepts nodes <= 1 and rejects
+// anything larger; the federating transports take nodes <= 0 as one node
+// and need nodes to divide n. A "chaos:<base>" name builds the base
+// transport and wraps it in a ChaosTransport (inactive until SetScenario
+// installs faults). Unknown names, malformed chaos: prefixes and invalid
+// (n, nodes) combinations return errors, never panics — a bad name or node
+// count is a configuration mistake — and an unknown name's error lists the
+// alternatives.
 func NewTransportByName(name string, n, nodes int) (Transport, error) {
 	if strings.HasPrefix(name, ChaosPrefix) {
 		base := strings.TrimPrefix(name, ChaosPrefix)
@@ -64,50 +31,39 @@ func NewTransportByName(name string, n, nodes int) (Transport, error) {
 		}
 		return NewChaosTransport(bt), nil
 	}
-	registryMu.RLock()
-	mk := registry[name]
-	registryMu.RUnlock()
-	if mk == nil {
+	switch name {
+	case "shared", "federated", "ipc":
+	default:
 		return nil, fmt.Errorf("machine: unknown transport %q (registered: %v)", name, TransportNames())
 	}
-	return mk(n, nodes)
-}
-
-// TransportNames returns the resolvable transport names, sorted: every
-// registered base plus its chaos-wrapped "chaos:<base>" variant, so the
-// conformance battery (and any registry-driven tooling) exercises the fault
-// layer automatically.
-func TransportNames() []string {
-	registryMu.RLock()
-	names := make([]string, 0, 2*len(registry))
-	for name := range registry {
-		names = append(names, name, ChaosPrefix+name)
+	if n <= 0 {
+		return nil, fmt.Errorf("machine: transport needs a positive endpoint count, got %d", n)
 	}
-	registryMu.RUnlock()
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	RegisterTransport("shared", func(n, nodes int) (Transport, error) {
-		if n <= 0 {
-			return nil, fmt.Errorf("machine: transport needs a positive endpoint count, got %d", n)
-		}
+	if name == "shared" {
 		if nodes > 1 {
 			return nil, fmt.Errorf("machine: the shared transport does not federate: %d nodes requested (use the \"federated\" transport)", nodes)
 		}
 		return NewSharedTransport(n), nil
-	})
-	RegisterTransport("federated", func(n, nodes int) (Transport, error) {
-		if n <= 0 {
-			return nil, fmt.Errorf("machine: transport needs a positive endpoint count, got %d", n)
-		}
-		if nodes <= 0 {
-			nodes = 1
-		}
+	}
+	if nodes <= 0 {
+		nodes = 1
+	}
+	if name == "ipc" {
 		if n%nodes != 0 {
-			return nil, fmt.Errorf("machine: a federation of %d processors needs a node count dividing it, got %d", n, nodes)
+			return nil, fmt.Errorf("machine: an ipc federation of %d processors needs a node count dividing it, got %d", n, nodes)
 		}
-		return NewFederatedTransport(n, nodes), nil
-	})
+		return NewIPCTransport(n, nodes), nil
+	}
+	if n%nodes != 0 {
+		return nil, fmt.Errorf("machine: a federation of %d processors needs a node count dividing it, got %d", n, nodes)
+	}
+	return NewFederatedTransport(n, nodes), nil
+}
+
+// TransportNames returns the resolvable transport names, sorted: every
+// bundled base plus its chaos-wrapped "chaos:<base>" variant, so the
+// conformance battery (and any name-driven tooling) exercises the fault
+// layer automatically.
+func TransportNames() []string {
+	return []string{"chaos:federated", "chaos:ipc", "chaos:shared", "federated", "ipc", "shared"}
 }

@@ -74,22 +74,8 @@ func TestRegistryNodeDefaults(t *testing.T) {
 	}
 }
 
-func TestRegisterTransportGuards(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("empty name", func() { RegisterTransport("", func(n, nodes int) (Transport, error) { return nil, nil }) })
-	mustPanic("nil factory", func() { RegisterTransport("x", nil) })
-	mustPanic("duplicate", func() { RegisterTransport("shared", func(n, nodes int) (Transport, error) { return nil, nil }) })
-}
-
 func TestRegistryChaosVariants(t *testing.T) {
-	// Every registered base comes with a chaos-wrapped variant for free.
+	// Every bundled base comes with a chaos-wrapped variant for free.
 	names := TransportNames()
 	have := map[string]bool{}
 	for _, n := range names {
@@ -149,15 +135,6 @@ func TestRegistryChaosPrefixMalformed(t *testing.T) {
 	if _, err := NewTransportByName("chaos:federated", 4, 3); err == nil {
 		t.Error("chaos:federated accepted a node count not dividing n")
 	}
-}
-
-func TestRegisterTransportRejectsReservedPrefix(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("RegisterTransport accepted a chaos:-prefixed name")
-		}
-	}()
-	RegisterTransport("chaos:custom", func(n, nodes int) (Transport, error) { return nil, nil })
 }
 
 func TestCostModelIsZero(t *testing.T) {

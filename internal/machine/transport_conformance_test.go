@@ -14,18 +14,18 @@ import (
 // transport (a real network one, say) plugs into the suite by adding one
 // constructor row.
 
-// transportRow is one registry-derived transport under test.
+// transportRow is one named transport under test.
 type transportRow struct {
 	name string
 	tr   Transport
 }
 
-// conformanceRows enumerates the transport registry into the battery's
-// table: every registered transport, at every federation shape it accepts
+// conformanceRows enumerates the transport names into the battery's
+// table: every transport, at every federation shape it accepts
 // out of {1, 2, n} nodes (n must be a multiple of 4, as everywhere in the
-// battery). A future transport plugs into the whole suite by calling
-// machine.RegisterTransport — no test edits. Transports accepting exactly
-// one shape (the shared mailbox array) keep their bare registry name;
+// battery). A new transport joins the whole suite by its name in
+// TransportNames — no test edits. Transports accepting exactly
+// one shape (the shared mailbox array) keep their bare name;
 // federating ones get one row per shape.
 func conformanceRows(tb testing.TB, n int) []transportRow {
 	tb.Helper()

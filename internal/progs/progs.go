@@ -8,6 +8,12 @@
 // pairs from HTTP request bodies, so every factory validates its args
 // against a declared schema (see args.go) before touching them.
 //
+// Every program here offers a step form (core.Program.Step) beside its
+// body — Jacobi, ADI and madi as declared kf.Steps, the diagnostics by
+// TryRecv — so a run of a registry program keeps no stack per rank
+// wherever its transport can answer "would block"
+// (TestEveryRegistryProgramSteps holds the table to it).
+//
 // The ordering inside init matters and is guaranteed by Go initialization:
 // every RegisterProgram call runs before core.EnableWorkerExec, so a
 // process re-entered as a worker daemon (KF_IPC_EXEC) has the full table
@@ -22,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/jacobi"
 	"repro/internal/kf"
+	"repro/internal/machine"
 )
 
 // Schema bounds. The ranges are generous — they cover every experiment in
@@ -76,11 +83,11 @@ func registerDiagnostics() {
 		if err := ValidateArgs("hostpid", args); err != nil {
 			return nil, err
 		}
+		out := func() core.Output { return core.Output{Values: []float64{float64(os.Getpid())}} }
 		return &core.Program{
 			Name: "hostpid",
-			Body: func(c *kf.Ctx) (core.Output, error) {
-				return core.Output{Values: []float64{float64(os.Getpid())}}, nil
-			},
+			Body: func(c *kf.Ctx) (core.Output, error) { return out(), nil },
+			Step: func(c *kf.Ctx, resume bool) (core.Output, bool, error) { return out(), true, nil },
 		}, nil
 	})
 	// stall: rank 0 waits forever on a message the last rank never sends —
@@ -91,15 +98,9 @@ func registerDiagnostics() {
 		if err := ValidateArgs("stall", args); err != nil {
 			return nil, err
 		}
-		return &core.Program{
-			Name: "stall",
-			Body: func(c *kf.Ctx) (core.Output, error) {
-				if c.P.Rank() == 0 && c.G.Size() > 1 {
-					c.P.Recv(c.G.Size()-1, 0x57)
-				}
-				return core.Output{Values: []float64{1}}, nil
-			},
-		}, nil
+		return waiter("stall", func(c *kf.Ctx) (int, machine.Tag, bool, error) {
+			return c.G.Size() - 1, 0x57, c.P.Rank() == 0 && c.G.Size() > 1, nil
+		}), nil
 	})
 	// crash: the victim rank kills its host process mid-run while rank 0
 	// blocks on it — fault injection for the worker-loss path. It refuses
@@ -110,22 +111,49 @@ func registerDiagnostics() {
 			return nil, err
 		}
 		victim := int(args[0])
-		return &core.Program{
-			Name: fmt.Sprintf("crash-r%d", victim),
-			Body: func(c *kf.Ctx) (core.Output, error) {
-				if os.Getenv("KF_IPC_NODE") == "" {
-					return core.Output{}, fmt.Errorf("crash diagnostic must run inside an ipc worker")
-				}
-				switch c.P.Rank() {
-				case victim:
-					os.Exit(3)
-				case 0:
-					c.P.Recv(victim, 1)
-				}
-				return core.Output{Values: []float64{1}}, nil
-			},
-		}, nil
+		return waiter(fmt.Sprintf("crash-r%d", victim), func(c *kf.Ctx) (int, machine.Tag, bool, error) {
+			if os.Getenv("KF_IPC_NODE") == "" {
+				return 0, 0, false, fmt.Errorf("crash diagnostic must run inside an ipc worker")
+			}
+			if c.P.Rank() == victim {
+				os.Exit(3)
+			}
+			return victim, 1, c.P.Rank() == 0, nil
+		}), nil
 	})
+}
+
+// waiter builds a diagnostic whose ranks each receive at most one message
+// and then output 1. wait says which message a rank receives (source and
+// tag) and whether it receives one at all, or fails the rank. The body
+// receives with Recv; the step with TryRecv, returning where the receive
+// would block and asking wait again when resumed.
+func waiter(name string, wait func(c *kf.Ctx) (src int, tag machine.Tag, recv bool, err error)) *core.Program {
+	return &core.Program{
+		Name: name,
+		Body: func(c *kf.Ctx) (core.Output, error) {
+			src, tag, recv, err := wait(c)
+			if err != nil {
+				return core.Output{}, err
+			}
+			if recv {
+				c.P.Recv(src, tag)
+			}
+			return core.Output{Values: []float64{1}}, nil
+		},
+		Step: func(c *kf.Ctx, resume bool) (core.Output, bool, error) {
+			src, tag, recv, err := wait(c)
+			if err != nil {
+				return core.Output{}, true, err
+			}
+			if recv {
+				if _, ok := c.P.TryRecv(src, tag); !ok {
+					return core.Output{}, false, nil
+				}
+			}
+			return core.Output{Values: []float64{1}}, true, nil
+		},
+	}
 }
 
 // jacobiProgram builds the KF1 Jacobi iteration over the standard n x n
@@ -167,6 +195,8 @@ func adiFactory(pipelined bool) func(args []float64) (*core.Program, error) {
 	}
 }
 
+// adiProgram offers the iteration's step form (adi.ParallelStep) beside
+// its body.
 func adiProgram(par adi.Params, pipelined bool) *core.Program {
 	name := "adi"
 	if pipelined {
@@ -178,6 +208,10 @@ func adiProgram(par adi.Params, pipelined bool) *core.Program {
 		Body: func(c *kf.Ctx) (core.Output, error) {
 			flat, _, elapsed := adi.ParallelCtx(c, par, f, pipelined)
 			return core.Output{Values: flat, Elapsed: elapsed}, nil
+		},
+		Step: func(c *kf.Ctx, resume bool) (core.Output, bool, error) {
+			flat, _, elapsed, done := adi.ParallelStep(c, resume, par, f, pipelined)
+			return core.Output{Values: flat, Elapsed: elapsed}, done, nil
 		},
 	}
 }

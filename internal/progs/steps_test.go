@@ -10,12 +10,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/kf"
 	"repro/internal/machine"
+	"repro/internal/progs"
 )
 
-// Jacobi offers a step form (jacobi.KF1Step) beside its body, and a run
-// takes it wherever the transport can answer a receive with "would block":
-// its ranks are then resumed by a call, with no stack each.
-// These tests hold the step form to the body form — the same program built
+// Every registry program offers a step form beside its body — Jacobi
+// (jacobi.KF1Step), ADI and madi (adi.ParallelStep), the diagnostics — and a
+// run takes it wherever the transport can answer a receive with "would
+// block": its ranks are then resumed by a call, with no stack each. These
+// tests hold the step form to the body form — the same program built
 // literally, without Step — in everything a run reports.
 
 // bodyForm is p without its step form: a literal program, so an ipc System
@@ -43,8 +45,9 @@ func balanced(st machine.CalendarStats, n int) bool {
 		st.Idles == st.FromIdleGrants+int64(st.Partitions)
 }
 
-// TestStepFormMatchesBody is the identity battery: Jacobi's step form and
-// its body form, each on a fresh System run twice (declaring, then warm),
+// TestStepFormMatchesBody is the identity battery: the step form and the
+// body form of Jacobi, ADI and madi, each on a fresh System run twice
+// (declaring, then warm),
 // give bit-identical values, message census, link census and virtual times
 // on shared, priced federated/16 and ipc/4 (where the step form runs inside
 // the workers and the body form over the relay, and with a trace both over
@@ -55,8 +58,11 @@ func balanced(st machine.CalendarStats, n int) bool {
 // on a partition per rank. With several ranks per partition the step form
 // starts no goroutine per rank, first run included.
 func TestStepFormMatchesBody(t *testing.T) {
-	steps := mustProg(t, "jacobi", 64, 3)
-	body := bodyForm(steps)
+	progs := []*core.Program{
+		mustProg(t, "jacobi", 64, 3),
+		mustProg(t, "adi", 64, 1, 1, 1, 2),
+		mustProg(t, "madi", 64, 1, 1, 1, 2),
+	}
 	priced := machine.CostModel{Latency: 1e-6, BytePeriod: 1e-9}.WithInterNode(4, 8)
 	lossy := chaos.Scenario{Name: "lossy", Seed: 7, Drop: 0.05, Dup: 0.05, Delay: 0.5, DelayMax: 1e-4}
 	const ranks = 64
@@ -88,44 +94,66 @@ func TestStepFormMatchesBody(t *testing.T) {
 		config{"chaos/calendar2", []core.Option{core.Transport("chaos:federated"), core.Nodes(4), core.Chaos(lossy)}, 2, false},
 	)
 	for _, cf := range configs {
-		t.Run(cf.name, func(t *testing.T) {
-			build := func() *core.System {
-				return mustSysOn(t, cf.workers, append([]core.Option{core.Grid(8, 8)}, cf.opts...)...)
-			}
-			sysS, sysB := build(), build()
-			for run := 0; run < 2; run++ {
-				got, err := sysS.RunProgram(steps)
-				if err != nil {
-					t.Fatal(err)
+		for _, steps := range progs {
+			body := bodyForm(steps)
+			t.Run(cf.name+"/"+steps.Name, func(t *testing.T) {
+				build := func() *core.System {
+					return mustSysOn(t, cf.workers, append([]core.Option{core.Grid(8, 8)}, cf.opts...)...)
 				}
-				want, err := sysB.RunProgram(body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if diff := sameRun(want, got); diff != "" {
-					t.Errorf("run %d: step form differs from the body form: %s", run, diff)
-				}
-				if cf.name == "ipc4/calendar" {
-					if got.Exec == nil || got.Calendar != nil {
-						t.Errorf("run %d: the step form did not run inside the workers (Exec %v, Calendar %v)", run, got.Exec, got.Calendar)
+				sysS, sysB := build(), build()
+				for run := 0; run < 2; run++ {
+					got, err := sysS.RunProgram(steps)
+					if err != nil {
+						t.Fatal(err)
 					}
-					continue
+					want, err := sysB.RunProgram(body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if diff := sameRun(want, got); diff != "" {
+						t.Errorf("run %d: step form differs from the body form: %s", run, diff)
+					}
+					if cf.name == "ipc4/calendar" {
+						if got.Exec == nil || got.Calendar != nil {
+							t.Errorf("run %d: the step form did not run inside the workers (Exec %v, Calendar %v)", run, got.Exec, got.Calendar)
+						}
+						continue
+					}
+					gs, ws := *got.Calendar, *want.Calendar
+					if !balanced(gs, ranks) || !balanced(ws, ranks) {
+						t.Errorf("run %d: accounts do not balance: step %+v, body %+v", run, gs, ws)
+					}
+					if ws.Partitions != ranks {
+						t.Errorf("run %d: the body form ran on %d partitions, want one per rank", run, ws.Partitions)
+					}
+					if per := ranks / gs.Partitions; cf.stepped && per > 1 && gs.Starts != 0 {
+						t.Errorf("run %d: the step form started %d continuations on partitions of %d ranks", run, gs.Starts, per)
+					}
+					if !cf.stepped && gs.Starts != ws.Starts {
+						t.Errorf("run %d: %d continuations started, body form %d: the step form ran", run, gs.Starts, ws.Starts)
+					}
 				}
-				gs, ws := *got.Calendar, *want.Calendar
-				if !balanced(gs, ranks) || !balanced(ws, ranks) {
-					t.Errorf("run %d: accounts do not balance: step %+v, body %+v", run, gs, ws)
-				}
-				if ws.Partitions != ranks {
-					t.Errorf("run %d: the body form ran on %d partitions, want one per rank", run, ws.Partitions)
-				}
-				if per := ranks / gs.Partitions; cf.stepped && per > 1 && gs.Starts != 0 {
-					t.Errorf("run %d: the step form started %d continuations on partitions of %d ranks", run, gs.Starts, per)
-				}
-				if !cf.stepped && gs.Starts != ws.Starts {
-					t.Errorf("run %d: %d continuations started, body form %d: the step form ran", run, gs.Starts, ws.Starts)
-				}
-			}
-		})
+			})
+		}
+	}
+}
+
+// TestEveryRegistryProgramSteps: every program in the registry's schema
+// table, built at its arguments' lower bounds, offers a step form, so no
+// registry program keeps a stack per rank.
+func TestEveryRegistryProgramSteps(t *testing.T) {
+	schemas := progs.Schemas()
+	if len(schemas) == 0 {
+		t.Fatal("the schema table is empty")
+	}
+	for name, specs := range schemas {
+		args := make([]float64, len(specs))
+		for i, spec := range specs {
+			args[i] = spec.Min
+		}
+		if p := mustProg(t, name, args...); p.Step == nil {
+			t.Errorf("%s has no step form", name)
+		}
 	}
 }
 
@@ -172,10 +200,14 @@ func failing(kind string) (steps, body *core.Program, calls *atomic.Int64) {
 // TestStepFormFailuresMatchBody: a step rank's failure — a wait nobody
 // feeds, a panic in a resumed step — ends the run with the error text of
 // the same failure in the body form, byte for byte, on both layouts of the
-// engine on shared and federated/4; and the System runs Jacobi next as a
-// fresh System does.
+// engine on shared and federated/4; and the System runs Jacobi, ADI and
+// madi next as a fresh System does.
 func TestStepFormFailuresMatchBody(t *testing.T) {
-	jac := mustProg(t, "jacobi", 32, 2)
+	next := []*core.Program{
+		mustProg(t, "jacobi", 32, 2),
+		mustProg(t, "adi", 32, 1, 1, 1, 2),
+		mustProg(t, "madi", 32, 1, 1, 1, 2),
+	}
 	for _, tr := range []struct {
 		name string
 		opts []core.Option
@@ -185,9 +217,13 @@ func TestStepFormFailuresMatchBody(t *testing.T) {
 	} {
 		for _, l := range layouts {
 			opts := append([]core.Option{core.Grid(4, 4)}, tr.opts...)
-			fresh, err := mustSysOn(t, l.workers, opts...).RunProgram(jac)
-			if err != nil {
-				t.Fatal(err)
+			fresh := make([]core.Run, len(next))
+			for i, p := range next {
+				run, err := mustSysOn(t, l.workers, opts...).RunProgram(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh[i] = run
 			}
 			for _, kind := range []string{"unfed", "panic"} {
 				t.Run(tr.name+"/"+l.name+"/"+kind, func(t *testing.T) {
@@ -206,12 +242,14 @@ func TestStepFormFailuresMatchBody(t *testing.T) {
 					if calls.Load() == 0 {
 						t.Fatal("the step form never ran")
 					}
-					run, err := sys.RunProgram(jac)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if diff := sameRun(fresh, run); diff != "" {
-						t.Errorf("jacobi after the failure differs from a fresh System's: %s", diff)
+					for i, p := range next {
+						run, err := sys.RunProgram(p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if diff := sameRun(fresh[i], run); diff != "" {
+							t.Errorf("%s after the failure differs from a fresh System's: %s", p.Name, diff)
+						}
 					}
 				})
 			}

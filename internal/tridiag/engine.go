@@ -23,6 +23,14 @@
 // why the paper calls the mapping "advantageous when there are multiple
 // tridiagonal systems to be solved". PackedMapping is the naive
 // alternative the ablation experiment compares against.
+//
+// The pipeline has one implementation, a resumable cursor: a Solve holds
+// one call's systems, saved blocks and place in the schedule, and the
+// job's step advances it until a receive would block (Proc.TryRecv).
+// TriCStep and MTriCStep hand that step to callers that run as steps
+// (ADI's line solves through kf's Plan1.Step, madi's solve per grid
+// slice); every blocking front end (Tri, TriC, MTriC, ...) is the same
+// step driven to the end with Proc.Wait.
 package tridiag
 
 import (
@@ -54,13 +62,14 @@ const (
 
 // solverScratch pools the solver's per-call state on one simulated
 // processor — line-solve coefficient slices, the systems slice, the saved
-// reduced blocks and the tree-role lists — registered via Proc.Scratch so
-// iterative drivers (ADI sweeps, multigrid line smoothers) reuse it across
-// thousands of line solves instead of reallocating per system.
+// reduced blocks and their list, and the tree-role lists — registered via
+// Proc.Scratch so iterative drivers (ADI sweeps, multigrid line smoothers)
+// reuse it across thousands of line solves instead of reallocating per
+// system.
 type solverScratch struct {
 	bufs    [][]float64
 	systems []localSystem
-	saved   map[[2]int]*treeBlock
+	saved   []savedBlock
 	blocks  []*treeBlock
 	roles   map[[3]int][][2]int // (mapping, grid index, k) -> cached role list
 }
@@ -71,7 +80,6 @@ type scratchKey struct{}
 func scratchOf(p *machine.Proc) *solverScratch {
 	return p.Scratch(scratchKey{}, func() any {
 		return &solverScratch{
-			saved:  make(map[[2]int]*treeBlock),
 			bufs:   make([][]float64, 0, 16),
 			blocks: make([]*treeBlock, 0, 8),
 		}
@@ -126,8 +134,8 @@ func (s *solverScratch) rolesOf(mapping Mapping, me, k int) [][2]int {
 }
 
 // takeSystems returns a reusable localSystem slice of length n. The slice
-// is checked out of the scratch (nested solves fall back to a fresh
-// allocation) and returned by releaseSystems.
+// is checked out of the scratch (a solve begun while another is in flight
+// falls back to a fresh allocation) and returned by releaseSystems.
 func takeSystems(p *machine.Proc, n int) []localSystem {
 	s := scratchOf(p)
 	sys := s.systems
@@ -167,152 +175,265 @@ func log2Exact(p int) (int, bool) {
 	return k, true
 }
 
-// solvePipeline runs the substructured solver for all systems through the
-// mapping's schedule: system j enters tree level s at step j+s, is
-// final-solved at step j+k, and is substituted at level s at step j+2k-s.
-// With one system this is Listing 4; with many it is Listing 6's pipeline.
-// Every processor of g must call it with the same number of systems; marks
-// optionally annotate the trace for the Figure 3/5 generators.
-func solvePipeline(p *machine.Proc, g *topology.Grid, sc machine.Scope, systems []localSystem, marks bool, mapping Mapping) error {
+// savedBlock is the reduced block a tree role keeps from its reduction of
+// system j at a level until it substitutes there.
+type savedBlock struct {
+	level, j int
+	tb       *treeBlock
+}
+
+// Solve is one call of the substructured solver in progress on one
+// processor: the state its caller holds between the call's steps. It
+// keeps the call's message scope, grid and tree roles, the systems (their
+// owned rows, reduced in place, and their solutions) and the reduced blocks
+// the roles keep for substitution — both checked out of the processor's
+// pooled scratch — and its place in the pipeline. The zero value is a
+// solve not yet begun; the step that finishes a solve returns the scratch
+// and resets its Solve to zero.
+type Solve struct {
+	sc      machine.Scope
+	begun   bool
+	g       *topology.Grid
+	mapping Mapping
+	marks   bool
+	me, k   int
+	roles   [][2]int
+	systems []localSystem
+	saved   []savedBlock
+	pos     pipePos
+}
+
+// pipePos is a solve's place in the pipeline: the pipeline step, the stage
+// within it, the tree role in flight and, in a tree reduction, how many of
+// the two children's boundary-row pairs have arrived, and the rows.
+type pipePos struct {
+	t, stage, role, got int
+	rows                [4][4]float64
+}
+
+// The stages of one pipeline step t, in order.
+const (
+	stageLocal = iota // local boundary reduction of system t, sent up
+	stageTree         // tree reductions at the processor's roles
+	stageFinal        // the four-row solve (grid index 0), sent down
+	stageSubst        // tree substitutions at the roles, innermost first
+	stageBack         // local back-substitution of system t-2k
+)
+
+// begin checks the solve on grid g and takes its scratch: each system's
+// owned rows copied in, the tree roles and the saved-block list. Every
+// processor of g must begin the same number of systems.
+func (jb job) begin(p *machine.Proc, g *topology.Grid, s *Solve) error {
+	if len(jb.xs) != len(jb.fs) {
+		return fmt.Errorf("tridiag: %d solution arrays for %d right-hand sides", len(jb.xs), len(jb.fs))
+	}
+	s.begun, s.g, s.mapping, s.marks = true, g, jb.mapping, jb.marks
+	s.systems = takeSystems(p, len(jb.xs))
+	for j := range s.systems {
+		s.systems[j] = jb.buildLocal(p, j)
+	}
 	P := g.Size()
 	me, ok := g.Index(p.Rank())
 	if !ok {
 		return fmt.Errorf("tridiag: processor %d not in solver grid", p.Rank())
 	}
-	m := len(systems)
 	if P == 1 {
-		for j := range systems {
-			s := &systems[j]
-			kernels.Thomas(p, s.b, s.a, s.c, s.f, s.x)
-		}
 		return nil
 	}
 	k, pow2 := log2Exact(P)
 	if !pow2 {
 		return fmt.Errorf("tridiag: substructured solver needs a power-of-two grid, got %d (use SolveGather)", P)
 	}
-	for j := range systems {
-		if len(systems[j].a) < 2 {
-			return fmt.Errorf("tridiag: local block of system %d has %d rows; need at least 2 (use SolveGather)", j, len(systems[j].a))
+	for j := range s.systems {
+		if len(s.systems[j].a) < 2 {
+			return fmt.Errorf("tridiag: local block of system %d has %d rows; need at least 2 (use SolveGather)", j, len(s.systems[j].a))
 		}
 	}
-
 	scr := scratchOf(p)
-	roles := scr.rolesOf(mapping, me, k)
-	// saved maps (level, system) -> reduced block. The map lives in the
-	// processor's scratch: every entry is deleted during substitution, so
-	// it is empty between calls (cleared defensively in case an aborted
-	// run left entries behind).
-	saved := scr.saved
-	clear(saved)
-	scopeOf := func(j, level int) machine.Scope { return sc.Child(level, j) }
+	s.me, s.k, s.roles = me, k, scr.rolesOf(jb.mapping, me, k)
+	s.saved, scr.saved = scr.saved[:0], nil
+	return nil
+}
 
-	// sendUp mails a block's two boundary rows to the level above, in a
-	// pooled buffer released by the receiver.
-	sendUp := func(j, level, blk int, b0, a0, c0, f0, b1, a1, c1, f1 float64) {
-		dst := mapping.holder(level+1, blk/2, k)
-		buf := p.AcquireBuf(9)
-		buf[0] = float64(blk % 2)
-		buf[1], buf[2], buf[3], buf[4] = b0, a0, c0, f0
-		buf[5], buf[6], buf[7], buf[8] = b1, a1, c1, f1
-		p.SendOwned(g.RankAt(dst), scopeOf(j, level+1).Tag(partReduce), buf)
+// release returns the solve's scratch to the processor's pool and resets
+// s to a solve not yet begun.
+func (s *Solve) release(p *machine.Proc) {
+	if s.systems != nil {
+		releaseSystems(p, s.systems)
 	}
-
-	// recvRows assembles the four rows a holder at the given level works
-	// on: two boundary rows from each of its two children.
-	recvRows := func(j, level, blk int) (rows [4][4]float64) {
-		for n := 0; n < 2; n++ {
-			src := mapping.holder(level-1, 2*blk+n, k)
-			buf := p.Recv(g.RankAt(src), scopeOf(j, level).Tag(partReduce))
-			half := int(buf[0])
-			copy(rows[2*half][:], buf[1:5])
-			copy(rows[2*half+1][:], buf[5:9])
-			p.ReleaseBuf(buf)
-		}
-		return rows
+	if s.saved != nil {
+		scratchOf(p).saved = s.saved[:0]
 	}
+	*s = Solve{}
+}
 
-	// sendDown distributes a solved block's four values to its two
-	// children one level below, each of which needs its (xFirst, xLast).
-	sendDown := func(j, level, blk int, x4 [4]float64) {
-		for n := 0; n < 2; n++ {
-			child := mapping.holder(level-1, 2*blk+n, k)
-			buf := p.AcquireBuf(2)
-			buf[0], buf[1] = x4[2*n], x4[2*n+1]
-			p.SendOwned(g.RankAt(child), scopeOf(j, level-1).Tag(partSubst), buf)
+// pipeline runs the systems through the mapping's schedule from s.pos:
+// system j enters tree level s at step j+s, is final-solved at step j+k,
+// and is substituted at level s at step j+2k-s. With one system this is
+// Listing 4; with many it is Listing 6's pipeline. It reports false where
+// a receive would block (p.TryRecv), with s.pos at that receive, which the
+// next call repeats first; nothing before it is done again.
+func (s *Solve) pipeline(p *machine.Proc) bool {
+	systems := s.systems
+	m := len(systems)
+	if s.g.Size() == 1 {
+		for j := range systems {
+			sys := &systems[j]
+			kernels.Thomas(p, sys.b, sys.a, sys.c, sys.f, sys.x)
 		}
+		return true
 	}
-
-	// recvPair receives this block's solved boundary values from the
-	// holder one level up.
-	recvPair := func(j, level, blk int) (xFirst, xLast float64) {
-		parent := mapping.holder(level+1, blk/2, k)
-		buf := p.Recv(g.RankAt(parent), scopeOf(j, level).Tag(partSubst))
-		xFirst, xLast = buf[0], buf[1]
-		p.ReleaseBuf(buf)
-		return xFirst, xLast
-	}
-
-	totalSteps := m + 2*k
-	for t := 0; t < totalSteps; t++ {
-		if marks {
-			p.Mark(fmt.Sprintf("step:%d", t))
+	k, me, roles, pos := s.k, s.me, s.roles, &s.pos
+	scr := scratchOf(p)
+	for ; pos.t < m+2*k; pos.t, pos.stage = pos.t+1, stageLocal {
+		t := pos.t
+		if pos.stage == stageLocal {
+			if s.marks {
+				p.Mark(fmt.Sprintf("step:%d", t))
+			}
+			if t < m {
+				sys := &systems[t]
+				kernels.Reduce(p, sys.b, sys.a, sys.c, sys.f)
+				n := len(sys.a)
+				s.sendUp(p, t, 0, me, sys.b[0], sys.a[0], sys.c[0], sys.f[0],
+					sys.b[n-1], sys.a[n-1], sys.c[n-1], sys.f[n-1])
+			}
+			pos.stage, pos.role = stageTree, 0
 		}
-		// 1. Local boundary reduction of system t (all processors).
-		if t < m {
-			s := &systems[t]
-			kernels.Reduce(p, s.b, s.a, s.c, s.f)
-			n := len(s.a)
-			sendUp(t, 0, me, s.b[0], s.a[0], s.c[0], s.f[0],
-				s.b[n-1], s.a[n-1], s.c[n-1], s.f[n-1])
-		}
-		// 2. Tree reduction at this processor's roles.
-		for _, role := range roles {
-			level, blk := role[0], role[1]
-			if j := t - level; j >= 0 && j < m {
-				rows := recvRows(j, level, blk)
+		if pos.stage == stageTree {
+			for ; pos.role < len(roles); pos.role++ {
+				level, blk := roles[pos.role][0], roles[pos.role][1]
+				j := t - level
+				if j < 0 || j >= m {
+					continue
+				}
+				if !s.recvRows(p, j, level, blk) {
+					return false
+				}
 				tb := scr.takeBlock()
-				for r := 0; r < 4; r++ {
-					tb.b[r], tb.a[r], tb.c[r], tb.f[r] = rows[r][0], rows[r][1], rows[r][2], rows[r][3]
+				for r, row := range pos.rows {
+					tb.b[r], tb.a[r], tb.c[r], tb.f[r] = row[0], row[1], row[2], row[3]
 				}
 				kernels.Reduce(p, tb.b[:], tb.a[:], tb.c[:], tb.f[:])
-				saved[[2]int{level, j}] = tb
-				sendUp(j, level, blk, tb.b[0], tb.a[0], tb.c[0], tb.f[0],
+				s.saved = append(s.saved, savedBlock{level, j, tb})
+				s.sendUp(p, j, level, blk, tb.b[0], tb.a[0], tb.c[0], tb.f[0],
 					tb.b[3], tb.a[3], tb.c[3], tb.f[3])
 			}
+			pos.stage = stageFinal
 		}
-		// 3. Final four-row solve (grid index 0) and first send-down.
-		if me == 0 {
-			if j := t - k; j >= 0 && j < m {
-				rows := recvRows(j, k, 0)
+		if pos.stage == stageFinal {
+			if j := t - k; me == 0 && j >= 0 && j < m {
+				if !s.recvRows(p, j, k, 0) {
+					return false
+				}
 				var b4, a4, c4, f4, x4 [4]float64
-				for r := 0; r < 4; r++ {
-					b4[r], a4[r], c4[r], f4[r] = rows[r][0], rows[r][1], rows[r][2], rows[r][3]
+				for r, row := range pos.rows {
+					b4[r], a4[r], c4[r], f4[r] = row[0], row[1], row[2], row[3]
 				}
 				kernels.Thomas(p, b4[:], a4[:], c4[:], f4[:], x4[:])
-				sendDown(j, k, 0, x4)
+				s.sendDown(p, j, k, 0, x4)
 			}
+			pos.stage, pos.role = stageSubst, len(roles)-1
 		}
-		// 4. Tree substitution at this processor's roles (innermost
-		// level first: deeper levels substitute earlier systems).
-		for r := len(roles) - 1; r >= 0; r-- {
-			level, blk := roles[r][0], roles[r][1]
-			if j := t - (2*k - level); j >= 0 && j < m {
-				tb := saved[[2]int{level, j}]
-				delete(saved, [2]int{level, j})
-				xF, xL := recvPair(j, level, blk)
+		if pos.stage == stageSubst {
+			for ; pos.role >= 0; pos.role-- {
+				level, blk := roles[pos.role][0], roles[pos.role][1]
+				j := t - (2*k - level)
+				if j < 0 || j >= m {
+					continue
+				}
+				xF, xL, ok := s.recvPair(p, j, level, blk)
+				if !ok {
+					return false
+				}
+				tb := s.takeSaved(level, j)
 				var x4 [4]float64
 				kernels.BackSubstitute(p, tb.b[:], tb.a[:], tb.c[:], tb.f[:], xF, xL, x4[:])
-				sendDown(j, level, blk, x4)
+				s.sendDown(p, j, level, blk, x4)
 				scr.giveBlock(tb)
 			}
+			pos.stage = stageBack
 		}
-		// 5. Local back-substitution of system t-2k (all processors).
 		if j := t - 2*k; j >= 0 && j < m {
-			s := &systems[j]
-			xF, xL := recvPair(j, 0, me)
-			kernels.BackSubstitute(p, s.b, s.a, s.c, s.f, xF, xL, s.x)
+			xF, xL, ok := s.recvPair(p, j, 0, me)
+			if !ok {
+				return false
+			}
+			sys := &systems[j]
+			kernels.BackSubstitute(p, sys.b, sys.a, sys.c, sys.f, xF, xL, sys.x)
 		}
 	}
-	return nil
+	return true
+}
+
+// scopeOf is the message scope of system j at a tree level.
+func (s *Solve) scopeOf(j, level int) machine.Scope { return s.sc.Child(level, j) }
+
+// sendUp mails a block's two boundary rows to the level above, in a pooled
+// buffer released by the receiver.
+func (s *Solve) sendUp(p *machine.Proc, j, level, blk int, b0, a0, c0, f0, b1, a1, c1, f1 float64) {
+	dst := s.mapping.holder(level+1, blk/2, s.k)
+	buf := p.AcquireBuf(9)
+	buf[0] = float64(blk % 2)
+	buf[1], buf[2], buf[3], buf[4] = b0, a0, c0, f0
+	buf[5], buf[6], buf[7], buf[8] = b1, a1, c1, f1
+	p.SendOwned(s.g.RankAt(dst), s.scopeOf(j, level+1).Tag(partReduce), buf)
+}
+
+// recvRows assembles in s.pos.rows the four rows a holder at the given
+// level works on: two boundary rows from each of its two children, in
+// order. False where a receive would block; the rows that arrived stay.
+func (s *Solve) recvRows(p *machine.Proc, j, level, blk int) bool {
+	pos := &s.pos
+	for ; pos.got < 2; pos.got++ {
+		src := s.mapping.holder(level-1, 2*blk+pos.got, s.k)
+		buf, ok := p.TryRecv(s.g.RankAt(src), s.scopeOf(j, level).Tag(partReduce))
+		if !ok {
+			return false
+		}
+		half := int(buf[0])
+		copy(pos.rows[2*half][:], buf[1:5])
+		copy(pos.rows[2*half+1][:], buf[5:9])
+		p.ReleaseBuf(buf)
+	}
+	pos.got = 0
+	return true
+}
+
+// sendDown distributes a solved block's four values to its two children
+// one level below, each of which needs its (xFirst, xLast).
+func (s *Solve) sendDown(p *machine.Proc, j, level, blk int, x4 [4]float64) {
+	for n := 0; n < 2; n++ {
+		child := s.mapping.holder(level-1, 2*blk+n, s.k)
+		buf := p.AcquireBuf(2)
+		buf[0], buf[1] = x4[2*n], x4[2*n+1]
+		p.SendOwned(s.g.RankAt(child), s.scopeOf(j, level-1).Tag(partSubst), buf)
+	}
+}
+
+// recvPair receives a block's solved boundary values from the holder one
+// level up; ok is false where the receive would block.
+func (s *Solve) recvPair(p *machine.Proc, j, level, blk int) (xFirst, xLast float64, ok bool) {
+	parent := s.mapping.holder(level+1, blk/2, s.k)
+	buf, ok := p.TryRecv(s.g.RankAt(parent), s.scopeOf(j, level).Tag(partSubst))
+	if !ok {
+		return 0, 0, false
+	}
+	xFirst, xLast = buf[0], buf[1]
+	p.ReleaseBuf(buf)
+	return xFirst, xLast, true
+}
+
+// takeSaved removes and returns the block kept from the reduction of
+// system j at a level.
+func (s *Solve) takeSaved(level, j int) *treeBlock {
+	for i, e := range s.saved {
+		if e.level == level && e.j == j {
+			last := len(s.saved) - 1
+			s.saved[i] = s.saved[last]
+			s.saved = s.saved[:last]
+			return e.tb
+		}
+	}
+	panic(fmt.Sprintf("tridiag: no block kept for system %d at level %d", j, level))
 }

@@ -1,8 +1,6 @@
 package tridiag
 
 import (
-	"fmt"
-
 	"repro/internal/darray"
 	"repro/internal/kernels"
 	"repro/internal/kf"
@@ -31,29 +29,53 @@ type job struct {
 // on runs the job on the subroutine's own grid, under its next scope.
 func (jb job) on(c *kf.Ctx) error { return jb.run(c.P, c.G, c.NextScope()) }
 
-// run is the one driver: copy each system's owned rows into the processor's
-// pooled scratch, pipeline the systems through the tree on grid g under
-// scope sc, copy the solutions out and return the scratch. Every processor
-// of g must call it.
+// stepOn is on as a step: the job's step on the subroutine's own grid,
+// under the scope its first call takes.
+func (jb job) stepOn(c *kf.Ctx, s *Solve) (bool, error) {
+	if !s.begun {
+		s.sc = c.NextScope()
+	}
+	return jb.step(c.P, c.G, s)
+}
+
+// run is the job's blocking driver: its step, waiting wherever a receive
+// would block. Every processor of g must call it.
 func (jb job) run(p *machine.Proc, g *topology.Grid, sc machine.Scope) error {
-	if len(jb.xs) != len(jb.fs) {
-		return fmt.Errorf("tridiag: %d solution arrays for %d right-hand sides", len(jb.xs), len(jb.fs))
+	s := Solve{sc: sc}
+	for {
+		if done, err := jb.step(p, g, &s); done {
+			return err
+		}
+		p.Wait()
 	}
-	systems := takeSystems(p, len(jb.xs))
-	for j := range systems {
-		systems[j] = jb.buildLocal(p, j)
-	}
-	if err := solvePipeline(p, g, sc, systems, jb.marks, jb.mapping); err != nil {
-		return err
-	}
-	for j, x := range jb.xs {
-		x.SetOwned1(systems[j].x)
-		if !jb.freeCopyOut {
-			p.Compute(len(systems[j].x))
+}
+
+// step is the one implementation of the solver, as a step: on its first
+// call it copies each system's owned rows into the processor's pooled
+// scratch (begin), then pipelines the systems through the tree on grid g
+// under scope s.sc, and once every system is solved copies the solutions
+// out, returns the scratch and reports true with s reset. False where a
+// receive would block: the next call with the same job resumes at that
+// receive. Every processor of g must step the same job under the same
+// scope.
+func (jb job) step(p *machine.Proc, g *topology.Grid, s *Solve) (bool, error) {
+	if !s.begun {
+		if err := jb.begin(p, g, s); err != nil {
+			s.release(p)
+			return true, err
 		}
 	}
-	releaseSystems(p, systems)
-	return nil
+	if !s.pipeline(p) {
+		return false, nil
+	}
+	for j, x := range jb.xs {
+		x.SetOwned1(s.systems[j].x)
+		if !jb.freeCopyOut {
+			p.Compute(len(s.systems[j].x))
+		}
+	}
+	s.release(p)
+	return true, nil
 }
 
 // buildLocal copies the owned rows of system j into a localSystem. The
@@ -125,6 +147,15 @@ func TriC(c *kf.Ctx, x, f *darray.Array, b0, a0, c0 float64) error {
 	return job{xs: one(x), fs: one(f), b0: b0, a0: a0, c0: c0}.on(c)
 }
 
+// TriCStep is TriC as a step (see kf.Steps): the same solve, advanced
+// from s until it completes (true, with s reset, and the solve's error) or
+// a receive would block (false; call again with the same arguments once
+// woken). s starts at its zero value; its first call takes the solve's
+// scope from c.
+func TriCStep(c *kf.Ctx, s *Solve, x, f *darray.Array, b0, a0, c0 float64) (bool, error) {
+	return job{xs: one(x), fs: one(f), b0: b0, a0: a0, c0: c0}.stepOn(c, s)
+}
+
 // TriCDirichlet is TriC with the first and last rows replaced by identity
 // rows with zero right-hand side — the form the multigrid and spline line
 // solves use to pin Dirichlet boundary nodes.
@@ -155,12 +186,16 @@ func MTriCMapped(c *kf.Ctx, xs, fs []*darray.Array, b0, a0, c0 float64, mapping 
 	return job{xs: xs, fs: fs, b0: b0, a0: a0, c0: c0, mapping: mapping}.on(c)
 }
 
-// MTriCOn is MTriC with an explicit solver grid and message scope, for
-// callers whose context spans a larger grid than the solve: the pipelined
-// ADI driver runs one MTriCOn per grid slice, concurrently, all derived
-// from a single scope (safe because the slices are disjoint).
-func MTriCOn(p *machine.Proc, g *topology.Grid, sc machine.Scope, xs, fs []*darray.Array, b0, a0, c0 float64) error {
-	return job{xs: xs, fs: fs, b0: b0, a0: a0, c0: c0}.run(p, g, sc)
+// MTriCStep is MTriC as a step (see kf.Steps) on an explicit solver grid
+// and message scope, for a caller whose context spans a larger grid than
+// the solve: madi steps one solve per grid slice, concurrently, all under
+// one scope (safe because the slices are disjoint). s holds the solve in
+// flight: zero to begin, and reset when the step reports true, with the
+// solve's error. False where a receive would block; call again with the
+// same arguments once woken.
+func MTriCStep(p *machine.Proc, g *topology.Grid, sc machine.Scope, s *Solve, xs, fs []*darray.Array, b0, a0, c0 float64) (bool, error) {
+	s.sc = sc
+	return job{xs: xs, fs: fs, b0: b0, a0: a0, c0: c0}.step(p, g, s)
 }
 
 // MTri is the variable-coefficient pipelined solver: system j has
