@@ -94,47 +94,49 @@ func TestStepFormMatchesBody(t *testing.T) {
 		config{"chaos/calendar2", []core.Option{core.Transport("chaos:federated"), core.Nodes(4), core.Chaos(lossy)}, 2, false},
 	)
 	for _, cf := range configs {
-		for _, steps := range progs {
-			body := bodyForm(steps)
-			t.Run(cf.name+"/"+steps.Name, func(t *testing.T) {
-				build := func() *core.System {
-					return mustSysOn(t, cf.workers, append([]core.Option{core.Grid(8, 8)}, cf.opts...)...)
-				}
-				sysS, sysB := build(), build()
-				for run := 0; run < 2; run++ {
-					got, err := sysS.RunProgram(steps)
-					if err != nil {
-						t.Fatal(err)
+		t.Run(cf.name, func(t *testing.T) {
+			for _, steps := range progs {
+				body := bodyForm(steps)
+				t.Run(steps.Name, func(t *testing.T) {
+					build := func() *core.System {
+						return mustSysOn(t, cf.workers, append([]core.Option{core.Grid(8, 8)}, cf.opts...)...)
 					}
-					want, err := sysB.RunProgram(body)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if diff := sameRun(want, got); diff != "" {
-						t.Errorf("run %d: step form differs from the body form: %s", run, diff)
-					}
-					if cf.name == "ipc4/calendar" {
-						if got.Exec == nil || got.Calendar != nil {
-							t.Errorf("run %d: the step form did not run inside the workers (Exec %v, Calendar %v)", run, got.Exec, got.Calendar)
+					sysS, sysB := build(), build()
+					for run := 0; run < 2; run++ {
+						got, err := sysS.RunProgram(steps)
+						if err != nil {
+							t.Fatal(err)
 						}
-						continue
+						want, err := sysB.RunProgram(body)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if diff := sameRun(want, got); diff != "" {
+							t.Errorf("run %d: step form differs from the body form: %s", run, diff)
+						}
+						if cf.name == "ipc4/calendar" {
+							if got.Exec == nil || got.Calendar != nil {
+								t.Errorf("run %d: the step form did not run inside the workers (Exec %v, Calendar %v)", run, got.Exec, got.Calendar)
+							}
+							continue
+						}
+						gs, ws := *got.Calendar, *want.Calendar
+						if !balanced(gs, ranks) || !balanced(ws, ranks) {
+							t.Errorf("run %d: accounts do not balance: step %+v, body %+v", run, gs, ws)
+						}
+						if ws.Partitions != ranks {
+							t.Errorf("run %d: the body form ran on %d partitions, want one per rank", run, ws.Partitions)
+						}
+						if per := ranks / gs.Partitions; cf.stepped && per > 1 && gs.Starts != 0 {
+							t.Errorf("run %d: the step form started %d continuations on partitions of %d ranks", run, gs.Starts, per)
+						}
+						if !cf.stepped && gs.Starts != ws.Starts {
+							t.Errorf("run %d: %d continuations started, body form %d: the step form ran", run, gs.Starts, ws.Starts)
+						}
 					}
-					gs, ws := *got.Calendar, *want.Calendar
-					if !balanced(gs, ranks) || !balanced(ws, ranks) {
-						t.Errorf("run %d: accounts do not balance: step %+v, body %+v", run, gs, ws)
-					}
-					if ws.Partitions != ranks {
-						t.Errorf("run %d: the body form ran on %d partitions, want one per rank", run, ws.Partitions)
-					}
-					if per := ranks / gs.Partitions; cf.stepped && per > 1 && gs.Starts != 0 {
-						t.Errorf("run %d: the step form started %d continuations on partitions of %d ranks", run, gs.Starts, per)
-					}
-					if !cf.stepped && gs.Starts != ws.Starts {
-						t.Errorf("run %d: %d continuations started, body form %d: the step form ran", run, gs.Starts, ws.Starts)
-					}
-				}
-			})
-		}
+				})
+			}
+		})
 	}
 }
 
